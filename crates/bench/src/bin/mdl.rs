@@ -111,6 +111,34 @@ fn parse_f64_opt(args: &mut Vec<String>, key: &str) -> Option<f64> {
     })
 }
 
+/// Parses `key` as a whole number of at least `min`. Negative, fractional,
+/// non-finite and too-small values are usage errors, never clamped.
+fn parse_count_opt(args: &mut Vec<String>, key: &str, min: u64) -> Option<u64> {
+    let v = parse_opt(args, key)?;
+    let n = v.parse::<u64>().ok().or_else(|| {
+        let f: f64 = v.parse().ok()?;
+        (f.is_finite() && f >= 0.0 && f.fract() == 0.0 && f < u64::MAX as f64).then_some(f as u64)
+    });
+    match n {
+        Some(n) if n >= min => Some(n),
+        _ => {
+            eprintln!("{key}: expected a whole number >= {min}, got '{v}'");
+            usage();
+        }
+    }
+}
+
+/// Parses a PRBS order tag (7, 15 or 31).
+fn parse_prbs_opt(args: &mut Vec<String>) -> Option<u32> {
+    parse_count_opt(args, "--prbs", 0).map(|p| match p {
+        7 | 15 | 31 => p as u32,
+        _ => {
+            eprintln!("--prbs: expected 7, 15 or 31, got {p}");
+            usage();
+        }
+    })
+}
+
 fn parse_multi_opt(args: &mut Vec<String>, key: &str) -> Vec<String> {
     let mut out = Vec::new();
     while let Some(v) = parse_opt(args, key) {
@@ -659,17 +687,17 @@ fn cmd_eye(mut args: Vec<String>) -> CliResult<()> {
 
     let json = parse_flag(&mut args, "--json");
     let mut w = EyeWorkload::standard(false);
-    if let Some(p) = parse_f64_opt(&mut args, "--prbs") {
-        w.prbs = p as u32;
+    if let Some(p) = parse_prbs_opt(&mut args) {
+        w.prbs = p;
     }
-    if let Some(b) = parse_f64_opt(&mut args, "--bits") {
-        w.bits = (b as usize).max(4);
+    if let Some(b) = parse_count_opt(&mut args, "--bits", 4) {
+        w.bits = b as usize;
     }
-    if let Some(s) = parse_f64_opt(&mut args, "--seed") {
-        w.seed = s as u64;
+    if let Some(s) = parse_count_opt(&mut args, "--seed", 0) {
+        w.seed = s;
     }
-    if let Some(l) = parse_f64_opt(&mut args, "--lanes") {
-        w.lanes = (l as usize).max(1);
+    if let Some(l) = parse_count_opt(&mut args, "--lanes", 1) {
+        w.lanes = l as usize;
     }
     if let Some(bt) = parse_f64_opt(&mut args, "--bit-time") {
         w.bit_time = bt;
@@ -727,17 +755,17 @@ fn cmd_eye(mut args: Vec<String>) -> CliResult<()> {
 fn cmd_mc(mut args: Vec<String>) -> CliResult<()> {
     let json = parse_flag(&mut args, "--json");
     let mut w = McWorkload::standard(false);
-    if let Some(t) = parse_f64_opt(&mut args, "--trials") {
-        w.trials = (t as usize).max(1);
+    if let Some(t) = parse_count_opt(&mut args, "--trials", 1) {
+        w.trials = t as usize;
     }
-    if let Some(s) = parse_f64_opt(&mut args, "--seed") {
-        w.seed = s as u64;
+    if let Some(s) = parse_count_opt(&mut args, "--seed", 0) {
+        w.seed = s;
     }
-    if let Some(p) = parse_f64_opt(&mut args, "--prbs") {
-        w.prbs = p as u32;
+    if let Some(p) = parse_prbs_opt(&mut args) {
+        w.prbs = p;
     }
-    if let Some(b) = parse_f64_opt(&mut args, "--bits") {
-        w.bits = (b as usize).max(4);
+    if let Some(b) = parse_count_opt(&mut args, "--bits", 4) {
+        w.bits = b as usize;
     }
     let [path] = args.as_slice() else { usage() };
     let model = load_model_from_path(path)?;
@@ -792,10 +820,10 @@ fn cmd_serve(mut args: Vec<String>) -> CliResult<()> {
         eprintln!("serve needs --socket PATH");
         usage();
     });
-    let poll_ms = parse_f64_opt(&mut args, "--poll-ms").unwrap_or(500.0);
+    let poll_ms = parse_count_opt(&mut args, "--poll-ms", 1).unwrap_or(500);
     let [dir] = args.as_slice() else { usage() };
     let mut cfg = ServeConfig::new(dir, &socket);
-    cfg.poll_interval = std::time::Duration::from_millis(poll_ms.max(1.0) as u64);
+    cfg.poll_interval = std::time::Duration::from_millis(poll_ms);
     cfg.fast = fast;
     let handle = server::start(cfg)?;
     println!("serving {dir} on {socket} (send 'shutdown' to stop)");
@@ -807,10 +835,11 @@ fn cmd_serve(mut args: Vec<String>) -> CliResult<()> {
 fn cmd_bench_serve(mut args: Vec<String>) -> CliResult<()> {
     let full = parse_flag(&mut args, "--full");
     let socket = parse_opt(&mut args, "--socket");
-    let clients = parse_f64_opt(&mut args, "--clients").map(|v| v as usize);
-    let requests = parse_f64_opt(&mut args, "--requests").map(|v| v as usize);
-    let sweep_every = parse_f64_opt(&mut args, "--sweep-every").map(|v| v as usize);
-    let validate_every = parse_f64_opt(&mut args, "--validate-every").map(|v| v as usize);
+    let clients = parse_count_opt(&mut args, "--clients", 1).map(|v| v as usize);
+    let requests = parse_count_opt(&mut args, "--requests", 1).map(|v| v as usize);
+    // 0 disables the periodic sweep / validate requests.
+    let sweep_every = parse_count_opt(&mut args, "--sweep-every", 0).map(|v| v as usize);
+    let validate_every = parse_count_opt(&mut args, "--validate-every", 0).map(|v| v as usize);
     let json = parse_opt(&mut args, "--json");
     let baseline = parse_opt(&mut args, "--baseline");
 
@@ -832,10 +861,10 @@ fn cmd_bench_serve(mut args: Vec<String>) -> CliResult<()> {
     let mut cfg = LoadGenConfig::new(&socket_path);
     cfg.fast = !full;
     if let Some(n) = clients {
-        cfg.clients = n.max(1);
+        cfg.clients = n;
     }
     if let Some(n) = requests {
-        cfg.requests_per_client = n.max(1);
+        cfg.requests_per_client = n;
     }
     if let Some(n) = sweep_every {
         cfg.sweep_every = n;
@@ -895,17 +924,17 @@ fn cmd_bench_eval(mut args: Vec<String>) -> CliResult<()> {
     let json = parse_flag(&mut args, "--json");
     let baseline = parse_opt(&mut args, "--baseline");
     let mut cfg = EvalBenchConfig::default();
-    if let Some(n) = parse_f64_opt(&mut args, "--steps") {
-        cfg.steps = (n as usize).max(1);
+    if let Some(n) = parse_count_opt(&mut args, "--steps", 1) {
+        cfg.steps = n as usize;
     }
-    if let Some(n) = parse_f64_opt(&mut args, "--reps") {
-        cfg.reps = (n as usize).max(1);
+    if let Some(n) = parse_count_opt(&mut args, "--reps", 1) {
+        cfg.reps = n as usize;
     }
-    if let Some(n) = parse_f64_opt(&mut args, "--lanes") {
-        cfg.lanes = (n as usize).max(1);
+    if let Some(n) = parse_count_opt(&mut args, "--lanes", 1) {
+        cfg.lanes = n as usize;
     }
-    if let Some(n) = parse_f64_opt(&mut args, "--centers") {
-        cfg.centers = (n as usize).max(1);
+    if let Some(n) = parse_count_opt(&mut args, "--centers", 1) {
+        cfg.centers = n as usize;
     }
     if !args.is_empty() {
         usage();
@@ -940,14 +969,14 @@ fn cmd_bench_store(mut args: Vec<String>) -> CliResult<()> {
     let baseline = parse_opt(&mut args, "--baseline");
     let min_speedup = parse_f64_opt(&mut args, "--min-speedup");
     let mut cfg = StoreBenchConfig::default();
-    if let Some(n) = parse_f64_opt(&mut args, "--entries") {
-        cfg.entries = (n as usize).max(1);
+    if let Some(n) = parse_count_opt(&mut args, "--entries", 1) {
+        cfg.entries = n as usize;
     }
-    if let Some(n) = parse_f64_opt(&mut args, "--centers") {
-        cfg.centers = (n as usize).max(1);
+    if let Some(n) = parse_count_opt(&mut args, "--centers", 1) {
+        cfg.centers = n as usize;
     }
-    if let Some(n) = parse_f64_opt(&mut args, "--reps") {
-        cfg.reps = (n as usize).max(1);
+    if let Some(n) = parse_count_opt(&mut args, "--reps", 1) {
+        cfg.reps = n as usize;
     }
     if !args.is_empty() {
         usage();
@@ -991,20 +1020,20 @@ fn cmd_bench_eye(mut args: Vec<String>) -> CliResult<()> {
     let json = parse_flag(&mut args, "--json");
     let baseline = parse_opt(&mut args, "--baseline");
     let mut cfg = EyeBenchConfig::default();
-    if let Some(n) = parse_f64_opt(&mut args, "--prbs-bits") {
-        cfg.prbs_bits = (n as usize).max(1);
+    if let Some(n) = parse_count_opt(&mut args, "--prbs-bits", 1) {
+        cfg.prbs_bits = n as usize;
     }
-    if let Some(n) = parse_f64_opt(&mut args, "--fold-bits") {
-        cfg.fold_bits = (n as usize).max(4);
+    if let Some(n) = parse_count_opt(&mut args, "--fold-bits", 4) {
+        cfg.fold_bits = n as usize;
     }
-    if let Some(n) = parse_f64_opt(&mut args, "--channel-bits") {
-        cfg.channel_bits = (n as usize).max(4);
+    if let Some(n) = parse_count_opt(&mut args, "--channel-bits", 4) {
+        cfg.channel_bits = n as usize;
     }
-    if let Some(n) = parse_f64_opt(&mut args, "--lanes") {
-        cfg.lanes = (n as usize).max(1);
+    if let Some(n) = parse_count_opt(&mut args, "--lanes", 1) {
+        cfg.lanes = n as usize;
     }
-    if let Some(n) = parse_f64_opt(&mut args, "--reps") {
-        cfg.reps = (n as usize).max(1);
+    if let Some(n) = parse_count_opt(&mut args, "--reps", 1) {
+        cfg.reps = n as usize;
     }
     if !args.is_empty() {
         usage();

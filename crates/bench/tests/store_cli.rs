@@ -2,7 +2,8 @@
 //! against a mixed text + binary store directory, pinning the documented
 //! `--json` shape (load mode, per-entry format/version/bytes/digest,
 //! flattened model list, per-entry error field) and the byte-exact
-//! text ⇄ binary conversion contract.
+//! text ⇄ binary conversion contract. Also pins the usage-error contract of
+//! count flags: out-of-range values exit 2 instead of being clamped.
 
 use macromodel::driver::{PwRbfDriverModel, WeightSequence};
 use macromodel::exchange::binary::save_artifact_bin_to_path;
@@ -214,4 +215,51 @@ fn convert_v2_bundle_round_trips() {
         std::fs::read(&text_path).unwrap(),
         std::fs::read(&back_path).unwrap()
     );
+}
+
+#[test]
+fn out_of_range_counts_are_usage_errors() {
+    // Parsing happens before the artifact is opened, so a missing file
+    // separates the two outcomes: 2 for a rejected flag, 1 for the load.
+    let missing = temp_dir("counts").join("missing.mdlx");
+    let missing = missing.to_str().unwrap();
+    let rejected: &[&[&str]] = &[
+        &["mc", missing, "--trials", "0"],
+        &["mc", missing, "--trials", "-3"],
+        &["mc", missing, "--trials", "2.5"],
+        &["mc", missing, "--trials", "NaN"],
+        &["mc", missing, "--bits", "0"],
+        &["mc", missing, "--seed", "-1"],
+        &["eye", missing, "--bits", "0"],
+        &["eye", missing, "--bits", "3"],
+        &["eye", missing, "--lanes", "0"],
+        &["eye", missing, "--prbs", "8"],
+        &["eye", missing, "--seed", "inf"],
+        &["bench-eye", "--prbs-bits", "0"],
+        &["bench-eye", "--fold-bits", "0"],
+        &["bench-eye", "--channel-bits", "0"],
+        &["bench-eye", "--reps", "1.5"],
+        &["bench-eval", "--steps", "0"],
+        &["bench-store", "--entries", "-1"],
+        &["bench-serve", "--socket", "x.sock", "--clients", "0"],
+        &["serve", "dir", "--socket", "x.sock", "--poll-ms", "0"],
+    ];
+    for args in rejected {
+        let out = mdl(args);
+        assert_eq!(out.status.code(), Some(2), "{args:?} must be a usage error");
+        let flag = args[args.len() - 2];
+        assert!(
+            String::from_utf8_lossy(&out.stderr).contains(flag),
+            "{args:?}: the error must name {flag}"
+        );
+    }
+    let accepted: &[&[&str]] = &[
+        &["mc", missing, "--trials", "1", "--bits", "4", "--seed", "0"],
+        &[
+            "eye", missing, "--bits", "1e1", "--lanes", "2", "--prbs", "15",
+        ],
+    ];
+    for args in accepted {
+        assert_eq!(mdl(args).status.code(), Some(1), "{args:?} must parse");
+    }
 }

@@ -142,6 +142,8 @@ pub type Result<T> = std::result::Result<T, Error>;
 ///   candidate solution in `ctx` to the workspace. It is called once per
 ///   Newton iteration and must not mutate logical state (interior
 ///   mutability for iteration-local limiting caches is permitted).
+/// * `is_nonlinear` states the linearity contract the transient relies on
+///   to freeze linear devices' matrix values (see the method docs).
 /// * `init_state` is called once after the DC operating point with the DC
 ///   solution; `accept_step` after every accepted transient step.
 /// * Devices requiring branch unknowns report the count via `num_branches`
@@ -164,8 +166,17 @@ pub trait Device: std::any::Any {
         let _ = base;
     }
 
-    /// Whether the device requires Newton iteration (nonlinear or
-    /// history-dependent within a step).
+    /// Whether the device is nonlinear. A device is *linear* iff, for a
+    /// fixed mode and step `dt`, every matrix value its `stamp` writes is
+    /// independent of the candidate solution `x` and of the time `t`; its
+    /// right-hand side may depend on anything (sources, companion history).
+    ///
+    /// A transient freezes the linear devices' matrix into one
+    /// factorization and re-stamps only their right-hand side each Newton
+    /// iteration. Every row and column a nonlinear device registers becomes
+    /// a port, and nonlinear devices must write matrix values only there
+    /// (see [`workspace`]). Claiming linearity falsely gives wrong results;
+    /// claiming nonlinearity falsely only costs speed.
     fn is_nonlinear(&self) -> bool {
         false
     }

@@ -196,7 +196,9 @@ impl Circuit {
 
     /// Builds the persistent solver workspace for this circuit: finalizes
     /// branch layout, collects every device's stamp pattern and sets up the
-    /// slot-cached sparse (or small-system dense) backend.
+    /// slot-cached sparse (or small-system dense) backend. Every row and
+    /// column a nonlinear device registers becomes a port of the
+    /// port-partitioned transient path (see [`crate::workspace`]).
     ///
     /// Reuse one workspace across repeated solves of the same circuit — the
     /// symbolic LU analysis is performed once and shared.
@@ -208,10 +210,17 @@ impl Circuit {
         for i in 0..self.n_nodes.saturating_sub(1) {
             pb.add(i, i);
         }
+        let mut ports = Vec::new();
         for dev in &self.devices {
+            let start = pb.entries().len();
             dev.register(&mut pb);
+            if dev.is_nonlinear() {
+                ports.extend(pb.entries()[start..].iter().flat_map(|&(r, c)| [r, c]));
+            }
         }
-        StampWorkspace::from_pattern(pb)
+        ports.sort_unstable();
+        ports.dedup();
+        StampWorkspace::from_pattern(pb).with_ports(ports)
     }
 
     /// Builds a workspace that forces the dense O(n³) backend regardless of

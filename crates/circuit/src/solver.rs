@@ -3,11 +3,13 @@
 //! All solves run through a persistent [`StampWorkspace`]: the stamp pattern
 //! and the LU symbolic structure are computed once per circuit and reused
 //! across Newton iterations, timesteps, and (for sweep harnesses) entire
-//! analyses.
+//! analyses. A transient may additionally freeze its linear part once;
+//! Newton iterations then solve only the port Schur complement (see
+//! [`crate::workspace`]).
 
 use crate::mna::{EvalCtx, Mode};
 use crate::netlist::Circuit;
-use crate::workspace::StampWorkspace;
+use crate::workspace::{PortFallback, StampTarget, StampWorkspace};
 use crate::{Error, Result};
 
 /// Absolute voltage convergence tolerance (volts).
@@ -28,9 +30,9 @@ pub struct NewtonOutcome {
     pub x: Vec<f64>,
     /// Iterations used.
     pub iterations: usize,
-    /// Matrix factorizations performed during this solve (one per
-    /// iteration; equals `iterations` unless the workspace had to repeat a
-    /// stamping pass).
+    /// Sparse factorizations performed during this solve: one per iteration
+    /// on the full path, none on the port path (whose interior factor is
+    /// computed once per transient).
     pub factorizations: usize,
 }
 
@@ -62,22 +64,40 @@ pub fn solve_newton(
     let fac_before = ws.stats().factorizations;
 
     for it in 0..MAX_ITER {
-        ws.begin();
-        // gmin from every node to ground.
-        for i in 0..n_v {
-            ws.add(i, i, gmin);
-        }
         let ctx = EvalCtx {
             x: &x,
             n_nodes: circuit.n_nodes(),
             mode,
         };
-        for dev in circuit.devices() {
-            dev.stamp(&ctx, ws);
+        let on_ports = ws.on_ports(mode, gmin) && {
+            ws.begin_ports();
+            for dev in circuit.devices() {
+                ws.set_target(if dev.is_nonlinear() {
+                    StampTarget::Ports
+                } else {
+                    StampTarget::Discard
+                });
+                dev.stamp(&ctx, ws);
+            }
+            ws.set_target(StampTarget::Matrix);
+            ws.solve_ports()
+                .map_err(|reason| ws.leave_ports(reason))
+                .is_ok()
+        };
+        if !on_ports {
+            ws.begin();
+            // gmin from every node to ground.
+            for i in 0..n_v {
+                ws.add(i, i, gmin);
+            }
+            for dev in circuit.devices() {
+                dev.stamp(&ctx, ws);
+            }
+            ws.solve().map_err(|_| Error::SingularMatrix {
+                analysis: analysis.to_string(),
+            })?;
         }
-        let x_new = ws.solve().map_err(|_| Error::SingularMatrix {
-            analysis: analysis.to_string(),
-        })?;
+        let x_new = ws.solution();
 
         // Damped update: clamp the largest node-voltage change.
         let mut max_dv = 0.0_f64;
@@ -116,6 +136,48 @@ pub fn solve_newton(
         time: mode.time(),
         iterations: MAX_ITER,
     })
+}
+
+/// Moves the rest of a transient onto the port-partitioned path when the
+/// flop counts favor it over `iterations` Newton iterations (see
+/// [`StampWorkspace`]'s module docs): stamps the linear devices and gmin at
+/// `mode`, then factors the interior and forms the port Schur complement.
+///
+/// Returns whether the path was entered.
+///
+/// # Errors
+///
+/// [`PortFallback::SingularInterior`] when the interior cannot be factored.
+/// This does not fail the transient: it stays on the full path, and the
+/// workspace counts the fallback.
+pub(crate) fn enter_port_path(
+    circuit: &Circuit,
+    mode: Mode,
+    x: &[f64],
+    gmin: f64,
+    iterations: usize,
+    ws: &mut StampWorkspace,
+) -> std::result::Result<bool, PortFallback> {
+    let Mode::Tran { dt, .. } = mode else {
+        return Ok(false);
+    };
+    if !ws.ports_pay_off(iterations) {
+        return Ok(false);
+    }
+    ws.begin();
+    for i in 0..circuit.n_nodes() - 1 {
+        ws.add(i, i, gmin);
+    }
+    let ctx = EvalCtx {
+        x,
+        n_nodes: circuit.n_nodes(),
+        mode,
+    };
+    for dev in circuit.devices().iter().filter(|d| !d.is_nonlinear()) {
+        dev.stamp(&ctx, ws);
+    }
+    ws.freeze_linear(dt, gmin)?;
+    Ok(true)
 }
 
 /// Computes the DC operating point with gmin stepping.
@@ -251,6 +313,67 @@ mod tests {
         ckt.add(Capacitor::new("c", a, b, 1e-12));
         let x = ckt.dc_operating_point().unwrap();
         assert!(x[1].abs() < 1e-6);
+    }
+
+    /// A 12-section RC ladder with a diode to ground at node 6; `clamp`
+    /// also puts a DC source straight across that node.
+    fn diode_ladder(clamp: bool) -> Circuit {
+        use crate::devices::Capacitor;
+        let mut ckt = Circuit::new();
+        let src = ckt.node("src");
+        ckt.add(VoltageSource::new(
+            "vs",
+            src,
+            GROUND,
+            SourceWaveform::dc(1.0),
+        ));
+        let mut prev = src;
+        for k in 0..12 {
+            let n = ckt.node(format!("n{k}"));
+            ckt.add(Resistor::new(format!("r{k}"), prev, n, 20.0));
+            ckt.add(Capacitor::new(format!("c{k}"), n, GROUND, 1e-12));
+            if k == 6 {
+                ckt.add(Diode::new("d", n, GROUND, DiodeParams::default()));
+                if clamp {
+                    ckt.add(VoltageSource::new("vc", n, GROUND, SourceWaveform::dc(0.4)));
+                }
+            }
+            prev = n;
+        }
+        ckt
+    }
+
+    /// Enters the port path for the first transient step after the DC
+    /// operating point.
+    fn try_port_path(
+        ckt: &mut Circuit,
+    ) -> (std::result::Result<bool, PortFallback>, StampWorkspace) {
+        let mut ws = ckt.make_workspace();
+        let x = ckt.dc_operating_point_ws(&mut ws, None).unwrap();
+        let mode = Mode::Tran {
+            t: 1e-11,
+            dt: 1e-11,
+        };
+        let entered = enter_port_path(ckt, mode, &x, ckt.gmin(), 300, &mut ws);
+        (entered, ws)
+    }
+
+    #[test]
+    fn port_path_entered_on_a_regular_interior() {
+        let (entered, ws) = try_port_path(&mut diode_ladder(false));
+        assert_eq!(entered, Ok(true));
+        assert_eq!(ws.stats().interior_factorizations, 1);
+        assert_eq!(ws.stats().port_fallbacks, 0);
+    }
+
+    #[test]
+    fn source_across_a_port_is_a_typed_singular_interior() {
+        // The clamp's branch row couples only to the port node, so the
+        // interior block has an empty row.
+        let (entered, ws) = try_port_path(&mut diode_ladder(true));
+        assert_eq!(entered, Err(PortFallback::SingularInterior));
+        assert_eq!(ws.stats().interior_factorizations, 0);
+        assert_eq!(ws.stats().port_fallbacks, 1);
     }
 
     #[test]

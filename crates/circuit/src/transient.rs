@@ -181,10 +181,20 @@ pub fn run(circuit: &mut Circuit, params: TranParams) -> Result<TranResult> {
     let gmin = circuit.gmin();
     let mut x_prev = x0;
     let mut total_iters = 0;
+    // The port path is chosen once, as soon as a full factorization has
+    // priced the full path: before step 1 after the DC operating point,
+    // before step 2 with `skip_dc`.
+    let mut path_chosen = false;
 
     for k in 1..=n_steps {
         let t = k as f64 * params.dt;
         let mode = Mode::Tran { t, dt: params.dt };
+        if !path_chosen && ws.stats().factorizations > 0 {
+            path_chosen = true;
+            // A singular interior is counted in the solve stats; the
+            // transient then stays on the full path.
+            let _ = solver::enter_port_path(circuit, mode, &x_prev, gmin, n_steps + 1 - k, &mut ws);
+        }
         let out = solver::solve_newton(circuit, mode, &x_prev, gmin, "transient", &mut ws)?;
         total_iters += out.iterations;
         let ctx = EvalCtx {

@@ -1,20 +1,21 @@
 //! Persistent solver workspace: slot-cached sparse stamping plus a reusable
 //! LU structure.
 //!
-//! The MNA matrix of a circuit is re-stamped with fresh numeric values every
-//! Newton iteration of every timestep, but its *sparsity pattern never
-//! changes*: device terminals are fixed at netlist construction time. The
+//! The numeric values of a circuit's MNA matrix change from one Newton
+//! iteration to the next, but its *sparsity pattern never changes*: device
+//! terminals are fixed at netlist construction time. The
 //! [`StampWorkspace`] exploits this:
 //!
 //! * at build time ([`crate::Circuit::make_workspace`]) every device
 //!   registers its potential nonzero positions once via
 //!   [`crate::Device::register`], producing a column-compressed pattern;
-//! * each Newton iteration, devices write numeric values through
-//!   [`StampWorkspace::add`], which resolves `(row, col)` to a cached value
-//!   slot — no per-iteration allocation, no dense `n × n` zero-fill;
-//! * [`StampWorkspace::solve`] factors the system with
+//! * on the *full path*, every Newton iteration re-stamps every device
+//!   through [`StampWorkspace::add`], which resolves `(row, col)` to a
+//!   cached value slot — no per-iteration allocation, no dense `n × n`
+//!   zero-fill;
+//! * [`StampWorkspace::solve`] then factors the system with
 //!   [`numkit::sparse::SparseLu`]: one symbolic analysis per circuit, then
-//!   numeric-only refactorizations per iteration.
+//!   one numeric-only refactorization per iteration.
 //!
 //! Very small systems (`n <` [`DENSE_LIMIT`]) keep the dense
 //! [`numkit::lu::LuFactor`] path — the sparse bookkeeping would cost more
@@ -24,9 +25,38 @@
 //! anything: the write lands in an overflow list and the pattern grows at
 //! the next [`StampWorkspace::solve`], at the cost of one extra symbolic
 //! analysis (visible in [`SolveStats::symbolic_analyses`]).
+//!
+//! # The port-partitioned path
+//!
+//! DC operating points always take the full path; a transient may leave
+//! it for a second one. The workspace knows its *ports*: every unknown a
+//! nonlinear device ([`crate::Device::is_nonlinear`]) registers. Everything
+//! else is *interior*. With a fixed mode and step, the linear devices'
+//! matrix never changes, so the transient can freeze it once
+//! (the `ports` submodule): factor the interior block, form the
+//! dense port Schur complement `S0`, and from then on
+//!
+//! * linear devices write only their right-hand side (their matrix writes
+//!   are dropped — the values are already in the frozen factor);
+//! * nonlinear devices write into a `p × p` port accumulator through an
+//!   O(1) unknown→port table;
+//! * each Newton iteration solves `(S0 + G) x_p = r` with a dense LU plus
+//!   interior triangular sweeps — no sparse refactorization.
+//!
+//! The transient takes this path only when the flop counts of the last
+//! full factorization say it is cheaper (see
+//! `StampWorkspace::ports_pay_off`). A singular interior, a stray
+//! nonlinear write or a singular port system sends the analysis back to the
+//! full path (a typed `PortFallback`, counted in
+//! [`SolveStats::port_fallbacks`]).
+
+mod ports;
 
 use numkit::sparse::{CscPattern, SparseLu};
 use numkit::{lu::LuFactor, Matrix};
+
+pub(crate) use ports::PortFallback;
+use ports::PortSolver;
 
 /// Below this unknown count the workspace uses the dense LU path.
 pub const DENSE_LIMIT: usize = 4;
@@ -151,20 +181,52 @@ impl PatternBuilder {
 }
 
 /// Cumulative solver diagnostics of a workspace.
+///
+/// Which path a transient ran shows here: on the port-partitioned path
+/// `interior_factorizations` is 1 and `port_solves` equals the Newton
+/// iterations solved there; on the full path both stay 0 and
+/// `factorizations` grows by one per Newton iteration.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SolveStats {
-    /// Symbolic analyses performed (fill ordering + Gilbert–Peierls pivot
-    /// discovery). A well-behaved circuit needs exactly one.
+    /// Symbolic analyses of the full system (fill ordering +
+    /// Gilbert–Peierls pivot discovery). A well-behaved circuit needs
+    /// exactly one. The interior factorization of the port path carries its
+    /// own analysis and is counted in `interior_factorizations` instead.
     pub symbolic_analyses: usize,
-    /// Numeric factorizations (dense or sparse refactorizations).
+    /// Sparse (or dense-backend) factorizations: full-system
+    /// refactorizations plus interior factorizations. The dense `p × p`
+    /// port factorizations are not counted here (see `port_solves`).
     pub factorizations: usize,
-    /// Structural nonzeros of the current `L + U` factors, diagonal
-    /// included — the fill-in diagnostic (dense backend: `n²`).
+    /// Structural nonzeros of the current factors, diagonal included — the
+    /// fill-in diagnostic (dense backend: `n²`; port path: the interior
+    /// factor plus `p²`).
     pub factor_nnz: usize,
     /// Cumulative numeric factorization work: multiply–adds plus divides,
     /// summed over every factorization including discarded re-pivot
-    /// attempts (dense backend: an `n³/3` estimate per factorization).
+    /// attempts (dense factors, including the port matrix: an `n³/3`
+    /// estimate per factorization).
     pub flops: u64,
+    /// Interior-block factorizations of the port path: one per analysis
+    /// that took it.
+    pub interior_factorizations: usize,
+    /// Newton iterations solved on the port Schur complement.
+    pub port_solves: usize,
+    /// Times an analysis left (or could not enter) the port path for the
+    /// full path: a singular interior, a nonlinear write outside the port
+    /// block, or a singular port system.
+    pub port_fallbacks: usize,
+}
+
+/// Where [`StampWorkspace::add`] sends matrix writes.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum StampTarget {
+    /// The full system matrix (the full path, and freezing the linear part).
+    Matrix,
+    /// Nowhere: a linear device on the port path, whose values are already
+    /// in the frozen factor.
+    Discard,
+    /// The port accumulator: a nonlinear device on the port path.
+    Ports,
 }
 
 struct SparseState {
@@ -189,10 +251,15 @@ pub struct StampWorkspace {
     rhs: Vec<f64>,
     backend: Backend,
     stats: SolveStats,
-    /// Flops accumulated by `SparseLu` objects that have since been replaced
-    /// (pattern growth or pivot-decay re-analysis); added to the live
-    /// object's counter when reporting [`SolveStats::flops`].
+    /// Flops not held by the live full-system `SparseLu`: replaced objects
+    /// (pattern growth or pivot-decay re-analysis), the interior factor and
+    /// the port factorizations; added to the live object's counter when
+    /// reporting [`SolveStats::flops`].
     flops_base: u64,
+    /// Unknowns registered by nonlinear devices, sorted and unique.
+    ports: Vec<usize>,
+    target: StampTarget,
+    port: Option<Box<PortSolver>>,
     x_out: Vec<f64>,
     scratch: Vec<f64>,
 }
@@ -234,6 +301,9 @@ impl StampWorkspace {
             backend,
             stats: SolveStats::default(),
             flops_base: 0,
+            ports: Vec::new(),
+            target: StampTarget::Matrix,
+            port: None,
             x_out: vec![0.0; n],
             scratch: vec![0.0; n],
         }
@@ -252,6 +322,9 @@ impl StampWorkspace {
             },
             stats: SolveStats::default(),
             flops_base: 0,
+            ports: Vec::new(),
+            target: StampTarget::Matrix,
+            port: None,
             x_out: vec![0.0; n],
             scratch: vec![0.0; n],
         }
@@ -279,6 +352,9 @@ impl StampWorkspace {
             })),
             stats: SolveStats::default(),
             flops_base: 0,
+            ports: Vec::new(),
+            target: StampTarget::Matrix,
+            port: None,
             x_out: vec![0.0; n],
             scratch: vec![0.0; n],
         }
@@ -320,12 +396,20 @@ impl StampWorkspace {
             "stamp position ({r}, {c}) out of range for {} unknowns",
             self.n
         );
-        match &mut self.backend {
-            Backend::Dense { mat } => mat.add_at(r, c, v),
-            Backend::Sparse(state) => match state.slot.get(r, c) {
-                Some(s) => state.values[s] += v,
-                None => state.overflow.push((r, c, v)),
+        match self.target {
+            StampTarget::Matrix => match &mut self.backend {
+                Backend::Dense { mat } => mat.add_at(r, c, v),
+                Backend::Sparse(state) => match state.slot.get(r, c) {
+                    Some(s) => state.values[s] += v,
+                    None => state.overflow.push((r, c, v)),
+                },
             },
+            StampTarget::Discard => {}
+            StampTarget::Ports => {
+                if let Some(ps) = self.port.as_deref_mut() {
+                    ps.add(r, c, v);
+                }
+            }
         }
     }
 
@@ -363,6 +447,145 @@ impl StampWorkspace {
     /// Cumulative diagnostics.
     pub fn stats(&self) -> SolveStats {
         self.stats
+    }
+
+    /// Sets the port list (see [`crate::Circuit::make_workspace`]).
+    pub(crate) fn with_ports(mut self, ports: Vec<usize>) -> Self {
+        debug_assert!(ports.windows(2).all(|w| w[0] < w[1]) && ports.iter().all(|&i| i < self.n));
+        self.ports = ports;
+        self
+    }
+
+    /// Routes subsequent [`StampWorkspace::add`] calls.
+    pub(crate) fn set_target(&mut self, target: StampTarget) {
+        self.target = target;
+    }
+
+    /// Whether factoring the interior once and solving `iterations` Newton
+    /// iterations on the port Schur complement costs fewer flops than a
+    /// full refactorization per iteration.
+    ///
+    /// The counts come from the live full factorization. A full-path
+    /// iteration assembles every structural entry, refactors
+    /// ([`SparseLu::refactor_cost`]) and solves over the factor nonzeros. A
+    /// port iteration assembles and factors the dense port matrix
+    /// (`p² + p³/3`), solves it (`p²`), sweeps the interior twice (each
+    /// sweep bounded by the full factor's nonzeros) and applies the coupling
+    /// blocks. Setup costs one factorization plus one sweep per port. False
+    /// on the dense backend, before any factorization, and when every
+    /// unknown is a port.
+    pub(crate) fn ports_pay_off(&self, iterations: usize) -> bool {
+        let Backend::Sparse(state) = &self.backend else {
+            return false;
+        };
+        let (n, p) = (self.n as u64, self.ports.len() as u64);
+        let Some(lu) = state.lu.as_ref().filter(|_| p < n) else {
+            return false;
+        };
+        let is_port = |i: usize| self.ports.binary_search(&i).is_ok();
+        let mut coupling = 0u64;
+        for c in 0..self.n {
+            let pc = is_port(c);
+            coupling += state
+                .pattern
+                .col_entries(c)
+                .filter(|&(r, _)| is_port(r) != pc)
+                .count() as u64;
+        }
+        let (refactor, nnz) = (lu.refactor_cost(), lu.factor_nnz() as u64);
+        let full = state.pattern.nnz() as u64 + refactor + nnz;
+        let port = p * p * p / 3 + 2 * p * p + 2 * nnz + coupling;
+        let setup = refactor + p * (nnz + coupling);
+        let it = iterations as u64;
+        setup + it * port < it * full
+    }
+
+    /// Freezes the matrix stamped since [`StampWorkspace::begin`] — the
+    /// linear devices plus gmin, for a transient step `dt` — into the
+    /// port path: factors its interior block and forms `S0`. Call only
+    /// after [`StampWorkspace::ports_pay_off`] accepted the path.
+    ///
+    /// # Errors
+    ///
+    /// [`PortFallback::SingularInterior`] (also counted as a fallback); the
+    /// workspace then stays on the full path.
+    pub(crate) fn freeze_linear(&mut self, dt: f64, gmin: f64) -> Result<(), PortFallback> {
+        if !self.overflow_entries().is_empty() {
+            self.grow_pattern();
+        }
+        let Backend::Sparse(state) = &self.backend else {
+            unreachable!("ports_pay_off admits only the sparse backend");
+        };
+        match PortSolver::build(&state.pattern, &state.values, &self.ports, dt, gmin) {
+            Ok(ps) => {
+                self.stats.interior_factorizations += 1;
+                self.stats.factorizations += 1;
+                self.stats.factor_nnz = ps.factor_nnz();
+                self.flops_base += ps.interior_flops();
+                self.sync_flops();
+                self.port = Some(Box::new(ps));
+                Ok(())
+            }
+            Err(reason) => Err(self.leave_ports(reason)),
+        }
+    }
+
+    /// Whether a Newton iteration at `mode` with `gmin` runs on the frozen
+    /// port path.
+    pub(crate) fn on_ports(&self, mode: crate::Mode, gmin: f64) -> bool {
+        match (&self.port, mode) {
+            (Some(ps), crate::Mode::Tran { dt, .. }) => ps.dt == dt && ps.gmin == gmin,
+            _ => false,
+        }
+    }
+
+    /// Zeroes the right-hand side and resets the port matrix to `S0` for a
+    /// port-path stamping pass.
+    pub(crate) fn begin_ports(&mut self) {
+        self.rhs.iter_mut().for_each(|v| *v = 0.0);
+        if let Some(ps) = self.port.as_deref_mut() {
+            ps.begin();
+        }
+    }
+
+    /// Solves a port-path iteration into [`StampWorkspace::solution`].
+    ///
+    /// # Errors
+    ///
+    /// The [`PortFallback`] that makes the iteration unusable; the caller
+    /// hands it to [`StampWorkspace::leave_ports`] and re-solves on the
+    /// full path.
+    pub(crate) fn solve_ports(&mut self) -> Result<(), PortFallback> {
+        let ps = self.port.as_deref_mut().expect("port path entered");
+        ps.solve(&self.rhs, &mut self.x_out)?;
+        let p = ps.n_ports() as u64;
+        self.stats.port_solves += 1;
+        self.flops_base += p * p * p / 3;
+        self.sync_flops();
+        Ok(())
+    }
+
+    /// Drops the port path for the rest of the analysis and counts the
+    /// fallback.
+    pub(crate) fn leave_ports(&mut self, reason: PortFallback) -> PortFallback {
+        self.port = None;
+        self.target = StampTarget::Matrix;
+        self.stats.port_fallbacks += 1;
+        reason
+    }
+
+    /// The solution of the last [`StampWorkspace::solve`] or port solve.
+    pub(crate) fn solution(&self) -> &[f64] {
+        &self.x_out
+    }
+
+    /// Recomputes [`SolveStats::flops`] from the base and the live factor.
+    fn sync_flops(&mut self) {
+        let live = match &self.backend {
+            Backend::Sparse(state) => state.lu.as_ref().map_or(0, SparseLu::total_flops),
+            Backend::Dense { .. } => 0,
+        };
+        self.stats.flops = self.flops_base + live;
     }
 
     /// Merges overflowed (unregistered) positions into the pattern,

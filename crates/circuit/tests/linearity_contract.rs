@@ -1,0 +1,133 @@
+//! The linearity contract behind the port-partitioned transient path: a
+//! device is linear (`is_nonlinear() == false`) iff, for a fixed mode and
+//! step, its matrix contribution depends on neither the candidate solution
+//! `x` nor the time `t`. The transient freezes linear devices' matrix into
+//! one factorization, so every linear device in `circuit::devices` must
+//! stamp bit-identical matrix values at any two `(x, t)` — even after its
+//! history state has moved on.
+
+use circuit::devices::{
+    Capacitor, CoupledInductors, CurrentSource, Diode, DiodeParams, IdealLine, Inductor, Resistor,
+    SourceWaveform, VoltageSource,
+};
+use circuit::{Device, EvalCtx, Mode, Node, StampWorkspace, GROUND};
+use numkit::Matrix;
+
+/// Two nodes plus up to three branch unknowns.
+const N_NODES: usize = 3;
+const N: usize = 5;
+const BRANCH: usize = N_NODES - 1;
+const DT: f64 = 1e-11;
+
+fn node(i: usize) -> Node {
+    Node::from_raw(i)
+}
+
+/// Matrix and right-hand side `dev` stamps at `(x, t)`.
+fn stamp(dev: &dyn Device, x: &[f64], t: f64) -> (Vec<u64>, Vec<f64>) {
+    let mut ws = StampWorkspace::dense(N);
+    let ctx = EvalCtx {
+        x,
+        n_nodes: N_NODES,
+        mode: Mode::Tran { t, dt: DT },
+    };
+    dev.stamp(&ctx, &mut ws);
+    let matrix = (0..N * N)
+        .map(|k| ws.value_at(k / N, k % N).to_bits())
+        .collect();
+    (matrix, ws.rhs().to_vec())
+}
+
+/// Stamps at one `(x, t)`, advances the device's history with a different
+/// solution, and stamps again at another `(x, t)`. Returns whether the
+/// matrix and the right-hand side changed.
+fn matrix_and_rhs_change(dev: &mut dyn Device) -> (bool, bool) {
+    dev.set_branch_base(BRANCH);
+    let x1 = [0.3, -0.2, 1e-3, -2e-3, 4e-4];
+    let x2 = [1.7, 0.9, -5e-3, 3e-3, -1e-3];
+    let dc = EvalCtx {
+        x: &x1,
+        n_nodes: N_NODES,
+        mode: Mode::Dc,
+    };
+    dev.init_state(&dc);
+    let (m1, r1) = stamp(dev, &x1, 3.0 * DT);
+    dev.accept_step(&EvalCtx {
+        x: &x2,
+        n_nodes: N_NODES,
+        mode: Mode::Tran {
+            t: 3.0 * DT,
+            dt: DT,
+        },
+    });
+    let (m2, r2) = stamp(dev, &x2, 40.0 * DT);
+    (m1 != m2, r1 != r2)
+}
+
+fn linear_devices() -> Vec<Box<dyn Device>> {
+    let ramp = SourceWaveform::step(0.0, 1.0, 1e-10);
+    vec![
+        Box::new(Resistor::new("r", node(1), node(2), 50.0)),
+        Box::new(Capacitor::new("c", node(1), node(2), 1e-12)),
+        Box::new(Inductor::new("l", node(1), node(2), 1e-9)),
+        Box::new(CoupledInductors::new(
+            "k",
+            vec![node(1), node(2)],
+            vec![GROUND, GROUND],
+            Matrix::from_rows(&[&[1e-9, 2e-10], &[2e-10, 1e-9]]).unwrap(),
+        )),
+        Box::new(IdealLine::new(
+            "t",
+            node(1),
+            GROUND,
+            node(2),
+            GROUND,
+            50.0,
+            2e-10,
+        )),
+        Box::new(VoltageSource::new("v", node(1), GROUND, ramp.clone())),
+        Box::new(CurrentSource::new("i", node(1), node(2), ramp)),
+    ]
+}
+
+#[test]
+fn linear_devices_stamp_a_constant_matrix() {
+    for mut dev in linear_devices() {
+        assert!(
+            !dev.is_nonlinear(),
+            "{} must declare itself linear",
+            dev.label()
+        );
+        let (matrix_changed, _) = matrix_and_rhs_change(dev.as_mut());
+        assert!(
+            !matrix_changed,
+            "{}: matrix values moved with (x, t) at a fixed dt",
+            dev.label()
+        );
+    }
+}
+
+#[test]
+fn history_and_time_reach_the_right_hand_side() {
+    // The contract is about the matrix only: the right-hand side carries
+    // sources and companion history, and the test above must not pass
+    // merely because nothing varied between the two stamps.
+    for mut dev in linear_devices() {
+        if dev.label() == "r" {
+            continue; // a resistor has no right-hand side at all
+        }
+        let (_, rhs_changed) = matrix_and_rhs_change(dev.as_mut());
+        assert!(rhs_changed, "{}: right-hand side did not vary", dev.label());
+    }
+}
+
+#[test]
+fn a_nonlinear_device_fails_the_same_check() {
+    let mut d = Diode::new("d", node(1), node(2), DiodeParams::default());
+    assert!(d.is_nonlinear());
+    let (matrix_changed, _) = matrix_and_rhs_change(&mut d);
+    assert!(
+        matrix_changed,
+        "the check must detect an x-dependent matrix"
+    );
+}

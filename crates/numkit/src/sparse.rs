@@ -625,6 +625,24 @@ impl SparseLu {
         self.flops
     }
 
+    /// Multiply–adds plus divides of one [`SparseLu::refactor`] when no
+    /// value is zero — the structural cost of a refactorization, independent
+    /// of the values it last saw (a refactor skips updates by exact zeros, so
+    /// [`SparseLu::total_flops`] under-counts a matrix whose zeros are about
+    /// to fill in).
+    pub fn refactor_cost(&self) -> u64 {
+        let l_len = |j: usize| (self.l_colptr[j + 1] - self.l_colptr[j]) as u64;
+        (0..self.n)
+            .map(|k| {
+                let updates: u64 = self.u_rows[self.u_colptr[k]..self.u_colptr[k + 1]]
+                    .iter()
+                    .map(|&j| l_len(j))
+                    .sum();
+                updates + l_len(k)
+            })
+            .sum()
+    }
+
     /// Numeric-only refactorization: same pattern, same pivot order, new
     /// values. Left-looking over the frozen column structures.
     ///

@@ -103,6 +103,22 @@ fn refactorizations_track_value_changes() {
 }
 
 #[test]
+fn refactor_cost_is_the_structural_refactor_work() {
+    // With generic (nonzero) values no update is skipped, so every
+    // refactorization performs exactly the structural count.
+    let mut rng = Rng(0x0dd_c0ffee);
+    let (pattern, values) = random_system(&mut rng, 24, 80);
+    let mut lu = SparseLu::factor(&pattern, &values).unwrap();
+    let cost = lu.refactor_cost();
+    assert!(cost > 0);
+    for _ in 0..5 {
+        let before = lu.total_flops();
+        lu.refactor(&random_values(&mut rng, &pattern)).unwrap();
+        assert_eq!(lu.total_flops() - before, cost);
+    }
+}
+
+#[test]
 fn mna_shaped_pattern_with_branch_rows() {
     // An MNA-like structure: conductance block plus voltage-source branch
     // rows with structurally zero diagonals (forces off-diagonal pivots).

@@ -6,9 +6,10 @@
 //! dropped its fill ordering — the sparse Gilbert–Peierls backend and the
 //! dense O(n³) reference backend produce the same transient to ≤ 1e-8 of
 //! the signal peak on a downsampled grid. Second, a ≥ 1000-unknown ladder
-//! completes with a single symbolic analysis and sparse-sized factors,
-//! which the dense pivot-discovery path could not have done without an
-//! n × n scratch matrix and an O(n³) analysis.
+//! completes with a single symbolic analysis, a single interior
+//! factorization reused by every Newton iteration, and sparse-sized
+//! factors, which the dense pivot-discovery path could not have done
+//! without an n × n scratch matrix and an O(n³) analysis.
 
 use emc_bench::{ladder_disagreement, run_bus_ladder};
 
@@ -50,9 +51,15 @@ fn thousand_unknown_ladder_completes_sparsely() {
         s.symbolic_analyses, 1,
         "a linear circuit re-stamps identical values: one analysis"
     );
-    assert!(
-        s.factorizations as usize >= run.newton_iterations,
-        "every Newton iteration refactors"
+    // A linear ladder is all interior: the transient factors it once and
+    // solves every Newton iteration against that factor.
+    assert_eq!(
+        s.interior_factorizations, 1,
+        "one interior factorization per transient"
+    );
+    assert_eq!(
+        s.port_solves, run.newton_iterations,
+        "every Newton iteration solves on the frozen factor"
     );
     // Fill stays within a small constant of the unknown count (the ladder
     // is a banded graph); n²/10 would already indicate ordering collapse.
