@@ -130,11 +130,16 @@ fn parse_count_opt(args: &mut Vec<String>, key: &str, min: u64) -> Option<u64> {
 
 /// Parses a PRBS order tag (7, 15 or 31).
 fn parse_prbs_opt(args: &mut Vec<String>) -> Option<u32> {
-    parse_count_opt(args, "--prbs", 0).map(|p| match p {
-        7 | 15 | 31 => p as u32,
-        _ => {
-            eprintln!("--prbs: expected 7, 15 or 31, got {p}");
-            usage();
+    parse_count_opt(args, "--prbs", 0).map(|p| {
+        match u32::try_from(p)
+            .ok()
+            .filter(|&t| si::PrbsOrder::from_tag(t).is_some())
+        {
+            Some(tag) => tag,
+            None => {
+                eprintln!("--prbs: expected 7, 15 or 31, got {p}");
+                usage();
+            }
         }
     })
 }
@@ -690,7 +695,7 @@ fn cmd_eye(mut args: Vec<String>) -> CliResult<()> {
     if let Some(p) = parse_prbs_opt(&mut args) {
         w.prbs = p;
     }
-    if let Some(b) = parse_count_opt(&mut args, "--bits", 4) {
+    if let Some(b) = parse_count_opt(&mut args, "--bits", EyeWorkload::MIN_BITS) {
         w.bits = b as usize;
     }
     if let Some(s) = parse_count_opt(&mut args, "--seed", 0) {
@@ -755,7 +760,7 @@ fn cmd_eye(mut args: Vec<String>) -> CliResult<()> {
 fn cmd_mc(mut args: Vec<String>) -> CliResult<()> {
     let json = parse_flag(&mut args, "--json");
     let mut w = McWorkload::standard(false);
-    if let Some(t) = parse_count_opt(&mut args, "--trials", 1) {
+    if let Some(t) = parse_count_opt(&mut args, "--trials", McWorkload::MIN_TRIALS) {
         w.trials = t as usize;
     }
     if let Some(s) = parse_count_opt(&mut args, "--seed", 0) {
@@ -764,7 +769,7 @@ fn cmd_mc(mut args: Vec<String>) -> CliResult<()> {
     if let Some(p) = parse_prbs_opt(&mut args) {
         w.prbs = p;
     }
-    if let Some(b) = parse_count_opt(&mut args, "--bits", 4) {
+    if let Some(b) = parse_count_opt(&mut args, "--bits", EyeWorkload::MIN_BITS) {
         w.bits = b as usize;
     }
     let [path] = args.as_slice() else { usage() };

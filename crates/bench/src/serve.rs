@@ -146,6 +146,10 @@ pub struct EyeWorkload {
 }
 
 impl EyeWorkload {
+    /// Fewest bits an eye or Monte-Carlo request may simulate per stream;
+    /// the `mdl` CLI and the daemon protocol both reject smaller values.
+    pub const MIN_BITS: u64 = 4;
+
     /// The standard workload: a 4-lane PRBS-7 stream (2 lanes and a
     /// shorter stream under `fast`).
     pub fn standard(fast: bool) -> Self {
@@ -184,6 +188,10 @@ pub struct McWorkload {
 }
 
 impl McWorkload {
+    /// Fewest trials a Monte-Carlo request may ask for; the `mdl` CLI and
+    /// the daemon protocol both reject smaller values.
+    pub const MIN_TRIALS: u64 = 1;
+
     /// The standard sweep: 8 trials (4 under `fast`) of a PRBS-7 stream
     /// over the 2-lane channel parameter space.
     pub fn standard(fast: bool) -> Self {

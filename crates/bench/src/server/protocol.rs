@@ -8,6 +8,7 @@
 //! CLI surface so the daemon answers the same questions the one-shot tool
 //! does, minus the per-invocation store load.
 
+use crate::serve::{EyeWorkload, McWorkload};
 use std::io::{BufRead, Write};
 
 /// Upper bound on a single frame's payload (bytes). A sweep response over a
@@ -174,7 +175,10 @@ pub fn parse_request(line: &str) -> Result<Request, String> {
         },
         "eye" => {
             let prbs = take_parsed(&mut tokens, "--prbs")?;
-            let bits = take_parsed(&mut tokens, "--bits")?;
+            if let Some(p) = prbs.filter(|&p| si::PrbsOrder::from_tag(p).is_none()) {
+                return Err(format!("--prbs: expected 7, 15 or 31, got {p}"));
+            }
+            let bits = take_count(&mut tokens, "--bits", EyeWorkload::MIN_BITS)?;
             let seed = take_parsed(&mut tokens, "--seed")?;
             Request::Eye {
                 name: one_name(&mut tokens, verb)?,
@@ -184,7 +188,7 @@ pub fn parse_request(line: &str) -> Result<Request, String> {
             }
         }
         "mc" => {
-            let trials = take_parsed(&mut tokens, "--trials")?;
+            let trials = take_count(&mut tokens, "--trials", McWorkload::MIN_TRIALS)?;
             let seed = take_parsed(&mut tokens, "--seed")?;
             Request::Mc {
                 name: one_name(&mut tokens, verb)?,
@@ -213,6 +217,17 @@ fn take_parsed<T: std::str::FromStr>(
             .parse()
             .map(Some)
             .map_err(|_| format!("{key} value '{v}' does not parse")),
+    }
+}
+
+/// [`take_parsed`] for a count that must be at least `min` — the same
+/// bound the `mdl` CLI enforces for the flag.
+fn take_count(tokens: &mut Vec<&str>, key: &str, min: u64) -> Result<Option<usize>, String> {
+    match take_parsed::<usize>(tokens, key)? {
+        Some(n) if (n as u64) < min => Err(format!(
+            "{key}: expected a whole number >= {min}, got '{n}'"
+        )),
+        n => Ok(n),
     }
 }
 
@@ -336,5 +351,11 @@ mod tests {
             "non-numeric option value"
         );
         assert!(parse_request("mc md1 --trials").is_err());
+        // Range checks shared with the `mdl` CLI.
+        assert!(parse_request("mc md1 --trials 0").is_err());
+        assert!(parse_request("eye md1 --bits 0").is_err());
+        assert!(parse_request("eye md1 --bits 3").is_err());
+        assert!(parse_request("eye md1 --prbs 9").is_err());
+        assert!(parse_request("eye md1 --bits 4 --prbs 31").is_ok());
     }
 }

@@ -144,6 +144,15 @@ fn daemon_serves_schedules_and_reports_cache_stats() {
     assert!(inapplicable.contains("\"ok\":false"), "{inapplicable}");
     let garbage = client.request("frobnicate").unwrap();
     assert!(garbage.contains("\"ok\":false"));
+    // Out-of-range counts are protocol errors, not cells: a zero-trial
+    // Monte-Carlo plan would panic the scheduler's runner, after which
+    // every scheduled request below would wait forever.
+    for bad in ["mc drv_a --trials 0", "eye drv_a --bits 0"] {
+        let reply = client.request(bad).unwrap();
+        assert!(reply.contains("\"ok\":false"), "{bad}: {reply}");
+    }
+    let after = client.request("simulate drv_a").unwrap();
+    assert!(after.contains("\"ok\":true"), "still serving: {after}");
 
     // A validate cell runs end to end; the dummy has no transistor-level
     // reference, so the request succeeds and the cell reports its failure.

@@ -27,6 +27,11 @@
 //!   and the assembled model must pass its structural validation before
 //!   [`load_model`] returns.
 //!
+//! Each kind's record sequence is declared once, as a fields struct and
+//! its `KindFields::walk`; the text codec here and the binary codec in
+//! [`binary`] both walk that declaration to save and to load, so the two
+//! encodings cannot disagree on a field's order, key or type.
+//!
 //! # Format versions
 //!
 //! * **`mdlx 1`** — one model per file, exactly the grammar above. This is
@@ -423,27 +428,14 @@ impl Provenance {
         self
     }
 
-    fn check_serializable(&self) -> std::result::Result<(), ExchangeError> {
-        let one_line = |label: &str, s: &str| {
-            if s.contains('\n') || s.contains('\r') {
-                return Err(ExchangeError::Invalid {
-                    message: format!("provenance {label} must not contain line breaks"),
-                });
-            }
-            Ok(())
-        };
-        one_line("tool", &self.tool)?;
-        one_line("tool version", &self.tool_version)?;
-        one_line("digest", &self.config_digest)?;
-        for (k, v) in &self.params {
-            if k.is_empty() || k.chars().any(|c| c.is_whitespace()) {
-                return Err(ExchangeError::Invalid {
-                    message: format!("provenance param key '{k}' must be one non-empty token"),
-                });
-            }
-            one_line("param value", v)?;
-        }
-        Ok(())
+    /// The provenance block's fields, in on-disk order (text: the records
+    /// between `provenance` and `endprovenance`; binary: the `PROV`
+    /// payload).
+    fn walk(&mut self, c: &mut impl Codec) -> ExResult<()> {
+        c.string("tool", &mut self.tool)?;
+        c.string("toolver", &mut self.tool_version)?;
+        c.string("digest", &mut self.config_digest)?;
+        c.params("params", "param", &mut self.params)
     }
 }
 
@@ -511,7 +503,418 @@ impl Artifact {
 }
 
 // ---------------------------------------------------------------------
-// Writer
+// Field schema: the one declaration of every model body
+// ---------------------------------------------------------------------
+
+type ExResult<T> = std::result::Result<T, ExchangeError>;
+
+/// Upper bound on any count a file can declare (vector lengths, center
+/// counts, model orders). Far above every legitimate model size, and low
+/// enough that a corrupted length can neither overflow arithmetic nor
+/// drive a pathological allocation — corruption must surface as a typed
+/// error, never a panic or abort.
+const MAX_DECLARED_COUNT: usize = 1 << 20;
+
+/// The field primitives of the exchange formats. The text and binary
+/// encoders and decoders each implement it once, and the field
+/// declarations ([`KindFields::walk`], [`Provenance::walk`]) drive all
+/// four, so a field's key, position and type are written down in one
+/// place. An encoder reads each `&mut` value; a decoder overwrites it.
+trait Codec {
+    /// A section header (`transition up`); binary payloads carry none.
+    fn header(&mut self, key: &str, label: &str) -> ExResult<()>;
+    /// One finite float.
+    fn f64(&mut self, key: &str, v: &mut f64) -> ExResult<()>;
+    /// Two bounded counts.
+    fn pair(&mut self, key: &str, v: &mut (usize, usize)) -> ExResult<()>;
+    /// A length-prefixed float vector.
+    fn vector(&mut self, key: &str, v: &mut Vec<f64>) -> ExResult<()>;
+    /// The center count of an RBF network of dimension `dim` (text states
+    /// `dim` too; binary implies it).
+    fn rbf(&mut self, key: &str, dim: usize, n: &mut usize) -> ExResult<()>;
+    /// `n` center rows of `dim` floats (text: one vector record per row;
+    /// binary: `n × dim` flat floats).
+    fn rows(&mut self, key: &str, n: usize, dim: usize, v: &mut Vec<Vec<f64>>) -> ExResult<()>;
+    /// One single-line string.
+    fn string(&mut self, key: &str, v: &mut String) -> ExResult<()>;
+    /// A counted list of provenance parameters.
+    fn params(&mut self, count_key: &str, key: &str, v: &mut Vec<(String, String)>)
+        -> ExResult<()>;
+}
+
+/// The fields of one model kind, in on-disk order: what the text grammar
+/// holds between `name` and the terminator, and what a binary `MODL`
+/// payload holds. Adding a field to a kind means changing its `walk` (and
+/// `docs/FORMAT.md`, which a test checks against it) — nothing else in
+/// either codec.
+trait KindFields: Default {
+    /// The model this kind assembles into.
+    type Model: Into<AnyModel>;
+    /// The fields of an existing model, for encoding.
+    fn of(m: &Self::Model) -> Self;
+    /// Visits every field in order.
+    fn walk(&mut self, c: &mut impl Codec) -> ExResult<()>;
+    /// Assembles the model through its validating constructors.
+    fn build(self, name: String) -> ExResult<Self::Model>;
+}
+
+/// Encodes the body of `model` (name excluded) through `c`.
+fn encode_body(model: &AnyModel, c: &mut impl Codec) -> ExResult<()> {
+    match model {
+        AnyModel::PwRbfDriver(m) => DriverFields::of(m).walk(c),
+        AnyModel::Receiver(m) => ReceiverFields::of(m).walk(c),
+        AnyModel::Cr(m) => CrFields::of(m).walk(c),
+        AnyModel::Ibis(m) => IbisFields::of(m).walk(c),
+    }
+}
+
+/// Decodes a model body of `kind` from `c`. The structural constructors
+/// reject inconsistent data; the assembled model's own validation runs in
+/// the callers.
+fn decode_body(kind: ModelKind, name: String, c: &mut impl Codec) -> ExResult<AnyModel> {
+    fn decode<F: KindFields>(name: String, c: &mut impl Codec) -> ExResult<AnyModel> {
+        let mut fields = F::default();
+        fields.walk(c)?;
+        Ok(fields.build(name)?.into())
+    }
+    match kind {
+        ModelKind::PwRbfDriver => decode::<DriverFields>(name, c),
+        ModelKind::Receiver => decode::<ReceiverFields>(name, c),
+        ModelKind::CrBaseline => decode::<CrFields>(name, c),
+        ModelKind::Ibis => decode::<IbisFields>(name, c),
+    }
+}
+
+/// A NARX sub-model: the RBF network of paper eqs. 1–2 plus its orders.
+#[derive(Default)]
+struct NarxFields {
+    orders: (usize, usize),
+    n_centers: usize,
+    bias: f64,
+    linear: Vec<f64>,
+    centers: Vec<Vec<f64>>,
+    widths: Vec<f64>,
+    weights: Vec<f64>,
+}
+
+impl NarxFields {
+    fn of(m: &NarxModel) -> Self {
+        let net = m.network();
+        NarxFields {
+            orders: (m.orders().input_lags, m.orders().output_lags),
+            n_centers: net.n_centers(),
+            bias: net.bias(),
+            linear: net.linear().to_vec(),
+            centers: net.centers().to_vec(),
+            widths: net.widths().to_vec(),
+            weights: net.weights().to_vec(),
+        }
+    }
+
+    fn narx_orders(&self) -> NarxOrders {
+        NarxOrders {
+            input_lags: self.orders.0,
+            output_lags: self.orders.1,
+        }
+    }
+
+    fn walk(&mut self, c: &mut impl Codec, label: &str) -> ExResult<()> {
+        c.header("submodel", label)?;
+        c.pair("orders", &mut self.orders)?;
+        let dim = self.narx_orders().dim();
+        c.rbf("rbf", dim, &mut self.n_centers)?;
+        c.f64("bias", &mut self.bias)?;
+        c.vector("linear", &mut self.linear)?;
+        c.rows("center", self.n_centers, dim, &mut self.centers)?;
+        c.vector("widths", &mut self.widths)?;
+        c.vector("gweights", &mut self.weights)
+    }
+
+    fn build(self) -> ExResult<NarxModel> {
+        let orders = self.narx_orders();
+        let net = RbfNetwork::from_parts(
+            orders.dim(),
+            self.centers,
+            self.widths,
+            self.weights,
+            self.bias,
+            self.linear,
+        )
+        .map_err(invalid)?;
+        NarxModel::from_network(orders, net).map_err(invalid)
+    }
+}
+
+/// A PWL table as its `(x, y)` breakpoint vectors.
+fn pwl_fields(p: &Pwl) -> (Vec<f64>, Vec<f64>) {
+    (p.x().to_vec(), p.y().to_vec())
+}
+
+fn pwl_build((x, y): (Vec<f64>, Vec<f64>)) -> ExResult<Pwl> {
+    Pwl::new(x, y).map_err(invalid)
+}
+
+/// PW-RBF driver (paper eq. 1).
+#[derive(Default)]
+struct DriverFields {
+    ts: f64,
+    vdd: f64,
+    i_high: NarxFields,
+    i_low: NarxFields,
+    /// `(w_high, w_low)` of the up and down transitions.
+    up: (Vec<f64>, Vec<f64>),
+    down: (Vec<f64>, Vec<f64>),
+}
+
+impl KindFields for DriverFields {
+    type Model = PwRbfDriverModel;
+
+    fn of(m: &PwRbfDriverModel) -> Self {
+        let seq = |s: &WeightSequence| (s.w_high().to_vec(), s.w_low().to_vec());
+        DriverFields {
+            ts: m.ts,
+            vdd: m.vdd,
+            i_high: NarxFields::of(&m.i_high),
+            i_low: NarxFields::of(&m.i_low),
+            up: seq(&m.up),
+            down: seq(&m.down),
+        }
+    }
+
+    fn walk(&mut self, c: &mut impl Codec) -> ExResult<()> {
+        c.f64("ts", &mut self.ts)?;
+        c.f64("vdd", &mut self.vdd)?;
+        self.i_high.walk(c, "i_high")?;
+        self.i_low.walk(c, "i_low")?;
+        for (label, (wh, wl)) in [("up", &mut self.up), ("down", &mut self.down)] {
+            c.header("transition", label)?;
+            c.vector("wh", wh)?;
+            c.vector("wl", wl)?;
+        }
+        Ok(())
+    }
+
+    fn build(self, name: String) -> ExResult<PwRbfDriverModel> {
+        let seq = |(wh, wl)| WeightSequence::new(wh, wl).map_err(invalid);
+        Ok(PwRbfDriverModel {
+            name,
+            ts: self.ts,
+            vdd: self.vdd,
+            i_high: self.i_high.build()?,
+            i_low: self.i_low.build()?,
+            up: seq(self.up)?,
+            down: seq(self.down)?,
+        })
+    }
+}
+
+/// Parametric receiver (paper eq. 2).
+#[derive(Default)]
+struct ReceiverFields {
+    ts: f64,
+    vdd: f64,
+    /// ARX orders `(na, nb)`.
+    arx: (usize, usize),
+    a: Vec<f64>,
+    b: Vec<f64>,
+    up: NarxFields,
+    down: NarxFields,
+}
+
+impl KindFields for ReceiverFields {
+    type Model = ReceiverModel;
+
+    fn of(m: &ReceiverModel) -> Self {
+        ReceiverFields {
+            ts: m.ts,
+            vdd: m.vdd,
+            arx: (m.linear.orders().na, m.linear.orders().nb),
+            a: m.linear.a().to_vec(),
+            b: m.linear.b().to_vec(),
+            up: NarxFields::of(&m.up),
+            down: NarxFields::of(&m.down),
+        }
+    }
+
+    fn walk(&mut self, c: &mut impl Codec) -> ExResult<()> {
+        c.f64("ts", &mut self.ts)?;
+        c.f64("vdd", &mut self.vdd)?;
+        c.pair("arx", &mut self.arx)?;
+        c.vector("a", &mut self.a)?;
+        c.vector("b", &mut self.b)?;
+        self.up.walk(c, "up")?;
+        self.down.walk(c, "down")
+    }
+
+    fn build(self, name: String) -> ExResult<ReceiverModel> {
+        let (na, nb) = self.arx;
+        Ok(ReceiverModel {
+            name,
+            ts: self.ts,
+            vdd: self.vdd,
+            linear: ArxModel::from_coefficients(ArxOrders { na, nb }, self.a, self.b)
+                .map_err(invalid)?,
+            up: self.up.build()?,
+            down: self.down.build()?,
+        })
+    }
+}
+
+/// C–R̂ baseline.
+#[derive(Default)]
+struct CrFields {
+    c: f64,
+    static_iv: (Vec<f64>, Vec<f64>),
+}
+
+impl KindFields for CrFields {
+    type Model = CrModel;
+
+    fn of(m: &CrModel) -> Self {
+        CrFields {
+            c: m.c,
+            static_iv: pwl_fields(&m.static_iv),
+        }
+    }
+
+    fn walk(&mut self, c: &mut impl Codec) -> ExResult<()> {
+        c.f64("c", &mut self.c)?;
+        c.vector("iv_x", &mut self.static_iv.0)?;
+        c.vector("iv_y", &mut self.static_iv.1)
+    }
+
+    fn build(self, name: String) -> ExResult<CrModel> {
+        CrModel::new(name, self.c, pwl_build(self.static_iv)?).map_err(invalid)
+    }
+}
+
+/// IBIS-style driver baseline.
+#[derive(Default)]
+struct IbisFields {
+    vdd: f64,
+    c_comp: f64,
+    dt: f64,
+    pullup: (Vec<f64>, Vec<f64>),
+    pulldown: (Vec<f64>, Vec<f64>),
+    ku_rise: Vec<f64>,
+    kd_rise: Vec<f64>,
+    ku_fall: Vec<f64>,
+    kd_fall: Vec<f64>,
+}
+
+impl KindFields for IbisFields {
+    type Model = IbisModel;
+
+    fn of(m: &IbisModel) -> Self {
+        IbisFields {
+            vdd: m.vdd,
+            c_comp: m.c_comp,
+            dt: m.dt,
+            pullup: pwl_fields(&m.pullup),
+            pulldown: pwl_fields(&m.pulldown),
+            ku_rise: m.ku_rise.clone(),
+            kd_rise: m.kd_rise.clone(),
+            ku_fall: m.ku_fall.clone(),
+            kd_fall: m.kd_fall.clone(),
+        }
+    }
+
+    fn walk(&mut self, c: &mut impl Codec) -> ExResult<()> {
+        c.f64("vdd", &mut self.vdd)?;
+        c.f64("c_comp", &mut self.c_comp)?;
+        c.f64("dt", &mut self.dt)?;
+        c.vector("pullup_x", &mut self.pullup.0)?;
+        c.vector("pullup_y", &mut self.pullup.1)?;
+        c.vector("pulldown_x", &mut self.pulldown.0)?;
+        c.vector("pulldown_y", &mut self.pulldown.1)?;
+        c.vector("ku_rise", &mut self.ku_rise)?;
+        c.vector("kd_rise", &mut self.kd_rise)?;
+        c.vector("ku_fall", &mut self.ku_fall)?;
+        c.vector("kd_fall", &mut self.kd_fall)
+    }
+
+    fn build(self, name: String) -> ExResult<IbisModel> {
+        Ok(IbisModel {
+            name,
+            vdd: self.vdd,
+            pullup: pwl_build(self.pullup)?,
+            pulldown: pwl_build(self.pulldown)?,
+            c_comp: self.c_comp,
+            dt: self.dt,
+            ku_rise: self.ku_rise,
+            kd_rise: self.kd_rise,
+            ku_fall: self.ku_fall,
+            kd_fall: self.kd_fall,
+        })
+    }
+}
+
+fn invalid(e: impl std::fmt::Display) -> ExchangeError {
+    ExchangeError::Invalid {
+        message: e.to_string(),
+    }
+}
+
+/// Write-side check: every float of every container is finite.
+fn finite(key: &str, v: f64) -> ExResult<f64> {
+    if v.is_finite() {
+        Ok(v)
+    } else {
+        Err(invalid(format!("'{key}' is not finite: {v}")))
+    }
+}
+
+/// Write-side check: strings must not break the text line form.
+fn one_line(key: &str, s: &str) -> ExResult<()> {
+    if s.contains(['\n', '\r']) {
+        return Err(invalid(format!("'{key}' must not contain line breaks")));
+    }
+    Ok(())
+}
+
+/// A provenance parameter key is one non-empty, whitespace-free token.
+fn is_param_key(key: &str) -> bool {
+    !key.is_empty() && !key.contains(char::is_whitespace)
+}
+
+/// Write-side check of one provenance parameter.
+fn check_param(key: &str, value: &str) -> ExResult<()> {
+    if !is_param_key(key) {
+        return Err(invalid(format!(
+            "provenance param key '{key}' must be one non-empty token"
+        )));
+    }
+    one_line("param", value)
+}
+
+/// The v1/v2 shape rules (`docs/FORMAT.md` §1.1), enforced by every
+/// writer and reader of both containers.
+fn check_shape(version: u32, has_provenance: bool, n_models: usize) -> ExResult<()> {
+    match version {
+        FORMAT_VERSION if has_provenance => {
+            Err(invalid("format v1 cannot carry a provenance block"))
+        }
+        FORMAT_VERSION if n_models != 1 => Err(invalid(format!(
+            "format v1 holds exactly one model, got {n_models}"
+        ))),
+        BUNDLE_FORMAT_VERSION if n_models == 0 => {
+            Err(invalid("a bundle must hold at least one model"))
+        }
+        FORMAT_VERSION | BUNDLE_FORMAT_VERSION => Ok(()),
+        other => Err(invalid(format!("unknown format version {other}"))),
+    }
+}
+
+/// Maps a filesystem failure on `path` to [`ExchangeError::Io`].
+fn io_error(path: &Path) -> impl Fn(std::io::Error) -> ExchangeError + '_ {
+    move |e| ExchangeError::Io {
+        path: path.display().to_string(),
+        message: e.to_string(),
+    }
+}
+
+// ---------------------------------------------------------------------
+// Text writer
 // ---------------------------------------------------------------------
 
 /// Shortest round-trip scientific form; the single float syntax of the
@@ -520,131 +923,107 @@ fn fmt_f64(v: f64) -> String {
     format!("{v:e}")
 }
 
-struct Writer {
+#[derive(Default)]
+struct TextWriter {
     out: String,
 }
 
-impl Writer {
-    fn new(version: u32, tag: &str) -> Self {
-        Writer {
-            out: format!("mdlx {version} {tag}\n"),
-        }
-    }
-
+impl TextWriter {
     fn raw(&mut self, line: &str) {
         self.out.push_str(line);
         self.out.push('\n');
     }
 
-    fn name(&mut self, name: &str) -> std::result::Result<(), ExchangeError> {
-        if name.contains('\n') || name.contains('\r') {
-            return Err(ExchangeError::Invalid {
-                message: "model name must not contain line breaks".into(),
-            });
-        }
-        self.raw(&format!("name {name}"));
+    /// The name line plus every field of `model` — the body shared by the
+    /// v1 grammar and each `model … endmodel` section of a v2 bundle.
+    fn model(&mut self, model: &AnyModel) -> ExResult<()> {
+        one_line("name", model.name())?;
+        self.raw(&format!("name {}", model.name()));
+        encode_body(model, self)
+    }
+}
+
+impl Codec for TextWriter {
+    fn header(&mut self, key: &str, label: &str) -> ExResult<()> {
+        self.raw(&format!("{key} {label}"));
         Ok(())
     }
 
-    fn scalar(&mut self, key: &str, v: f64) -> std::result::Result<(), ExchangeError> {
-        if !v.is_finite() {
-            return Err(ExchangeError::Invalid {
-                message: format!("'{key}' is not finite: {v}"),
-            });
-        }
-        self.raw(&format!("{key} {}", fmt_f64(v)));
+    fn f64(&mut self, key: &str, v: &mut f64) -> ExResult<()> {
+        self.raw(&format!("{key} {}", fmt_f64(finite(key, *v)?)));
         Ok(())
     }
 
-    fn pair(&mut self, key: &str, a: usize, b: usize) {
-        self.raw(&format!("{key} {a} {b}"));
+    fn pair(&mut self, key: &str, v: &mut (usize, usize)) -> ExResult<()> {
+        self.raw(&format!("{key} {} {}", v.0, v.1));
+        Ok(())
     }
 
-    fn vector(&mut self, key: &str, vs: &[f64]) -> std::result::Result<(), ExchangeError> {
-        let mut line = format!("{key} {}", vs.len());
-        for v in vs {
-            if !v.is_finite() {
-                return Err(ExchangeError::Invalid {
-                    message: format!("'{key}' contains a non-finite value"),
-                });
-            }
+    fn vector(&mut self, key: &str, v: &mut Vec<f64>) -> ExResult<()> {
+        let mut line = format!("{key} {}", v.len());
+        for &x in v.iter() {
             line.push(' ');
-            line.push_str(&fmt_f64(*v));
+            line.push_str(&fmt_f64(finite(key, x)?));
         }
         self.raw(&line);
         Ok(())
     }
 
-    fn narx(&mut self, label: &str, m: &NarxModel) -> std::result::Result<(), ExchangeError> {
-        let net = m.network();
-        self.raw(&format!("submodel {label}"));
-        self.pair("orders", m.orders().input_lags, m.orders().output_lags);
-        self.pair("rbf", net.dim(), net.n_centers());
-        self.scalar("bias", net.bias())?;
-        self.vector("linear", net.linear())?;
-        for c in net.centers() {
-            self.vector("center", c)?;
-        }
-        self.vector("widths", net.widths())?;
-        self.vector("gweights", net.weights())?;
+    fn rbf(&mut self, key: &str, dim: usize, n: &mut usize) -> ExResult<()> {
+        self.pair(key, &mut (dim, *n))
+    }
+
+    fn rows(&mut self, key: &str, _: usize, _: usize, v: &mut Vec<Vec<f64>>) -> ExResult<()> {
+        v.iter_mut().try_for_each(|row| self.vector(key, row))
+    }
+
+    fn string(&mut self, key: &str, v: &mut String) -> ExResult<()> {
+        one_line(key, v)?;
+        self.raw(&format!("{key} {v}"));
         Ok(())
     }
 
-    fn finish(mut self) -> String {
-        self.raw("end");
-        self.out
+    fn params(
+        &mut self,
+        count_key: &str,
+        key: &str,
+        v: &mut Vec<(String, String)>,
+    ) -> ExResult<()> {
+        self.raw(&format!("{count_key} {}", v.len()));
+        for (k, value) in v.iter() {
+            check_param(k, value)?;
+            self.raw(&format!("{key} {k} {value}"));
+        }
+        Ok(())
     }
 }
 
-/// Writes the name line plus every kind-specific record of `model` — the
-/// body shared by the v1 single-model grammar and each `model … endmodel`
-/// section of a v2 bundle.
-fn write_model_records(w: &mut Writer, model: &AnyModel) -> std::result::Result<(), ExchangeError> {
-    match model {
-        AnyModel::PwRbfDriver(m) => {
-            w.name(&m.name)?;
-            w.scalar("ts", m.ts)?;
-            w.scalar("vdd", m.vdd)?;
-            w.narx("i_high", &m.i_high)?;
-            w.narx("i_low", &m.i_low)?;
-            for (label, seq) in [("up", &m.up), ("down", &m.down)] {
-                w.raw(&format!("transition {label}"));
-                w.vector("wh", seq.w_high())?;
-                w.vector("wl", seq.w_low())?;
-            }
+/// The text serializer behind [`save_model`] and [`save_artifact`].
+fn save_text(version: u32, provenance: Option<&Provenance>, models: &[AnyModel]) -> Result<String> {
+    check_shape(version, provenance.is_some(), models.len())?;
+    for model in models {
+        model.validate()?;
+    }
+    let mut w = TextWriter::default();
+    if version == FORMAT_VERSION {
+        w.raw(&format!("mdlx {version} {}", models[0].kind().tag()));
+        w.model(&models[0])?;
+    } else {
+        w.raw(&format!("mdlx {version} bundle"));
+        if let Some(p) = provenance {
+            w.raw("provenance");
+            p.clone().walk(&mut w)?;
+            w.raw("endprovenance");
         }
-        AnyModel::Receiver(m) => {
-            w.name(&m.name)?;
-            w.scalar("ts", m.ts)?;
-            w.scalar("vdd", m.vdd)?;
-            w.pair("arx", m.linear.orders().na, m.linear.orders().nb);
-            w.vector("a", m.linear.a())?;
-            w.vector("b", m.linear.b())?;
-            w.narx("up", &m.up)?;
-            w.narx("down", &m.down)?;
-        }
-        AnyModel::Cr(m) => {
-            w.name(&m.name)?;
-            w.scalar("c", m.c)?;
-            w.vector("iv_x", m.static_iv.x())?;
-            w.vector("iv_y", m.static_iv.y())?;
-        }
-        AnyModel::Ibis(m) => {
-            w.name(&m.name)?;
-            w.scalar("vdd", m.vdd)?;
-            w.scalar("c_comp", m.c_comp)?;
-            w.scalar("dt", m.dt)?;
-            w.vector("pullup_x", m.pullup.x())?;
-            w.vector("pullup_y", m.pullup.y())?;
-            w.vector("pulldown_x", m.pulldown.x())?;
-            w.vector("pulldown_y", m.pulldown.y())?;
-            w.vector("ku_rise", &m.ku_rise)?;
-            w.vector("kd_rise", &m.kd_rise)?;
-            w.vector("ku_fall", &m.ku_fall)?;
-            w.vector("kd_fall", &m.kd_fall)?;
+        w.raw(&format!("models {}", models.len()));
+        for model in models {
+            w.raw(&format!("model {}", model.kind().tag()));
+            w.model(model)?;
+            w.raw("endmodel");
         }
     }
-    Ok(())
+    w.raw("end");
+    Ok(w.out)
 }
 
 /// Serializes a model to the v1 exchange text.
@@ -655,10 +1034,7 @@ fn write_model_records(w: &mut Writer, model: &AnyModel) -> std::result::Result<
 /// multi-line names) and [`crate::Error::InvalidModel`] when the model fails its
 /// own validation — nothing invalid is ever written.
 pub fn save_model(model: &AnyModel) -> Result<String> {
-    model.validate()?;
-    let mut w = Writer::new(FORMAT_VERSION, model.kind().tag());
-    write_model_records(&mut w, model)?;
-    Ok(w.finish())
+    save_text(FORMAT_VERSION, None, std::slice::from_ref(model))
 }
 
 /// Serializes an artifact: v1 single-model text (byte-identical to
@@ -670,61 +1046,11 @@ pub fn save_model(model: &AnyModel) -> Result<String> {
 /// empty bundle, a v1 artifact that is not exactly one provenance-free
 /// model, or an unknown version.
 pub fn save_artifact(artifact: &Artifact) -> Result<String> {
-    match artifact.version {
-        FORMAT_VERSION => {
-            if artifact.provenance.is_some() {
-                return Err(ExchangeError::Invalid {
-                    message: "format v1 cannot carry a provenance block".into(),
-                }
-                .into());
-            }
-            let [model] = artifact.models.as_slice() else {
-                return Err(ExchangeError::Invalid {
-                    message: format!(
-                        "format v1 holds exactly one model, got {}",
-                        artifact.models.len()
-                    ),
-                }
-                .into());
-            };
-            save_model(model)
-        }
-        BUNDLE_FORMAT_VERSION => {
-            if artifact.models.is_empty() {
-                return Err(ExchangeError::Invalid {
-                    message: "a bundle must hold at least one model".into(),
-                }
-                .into());
-            }
-            for model in &artifact.models {
-                model.validate()?;
-            }
-            let mut w = Writer::new(BUNDLE_FORMAT_VERSION, "bundle");
-            if let Some(p) = &artifact.provenance {
-                p.check_serializable()?;
-                w.raw("provenance");
-                w.raw(&format!("tool {}", p.tool));
-                w.raw(&format!("toolver {}", p.tool_version));
-                w.raw(&format!("digest {}", p.config_digest));
-                w.raw(&format!("params {}", p.params.len()));
-                for (k, v) in &p.params {
-                    w.raw(&format!("param {k} {v}"));
-                }
-                w.raw("endprovenance");
-            }
-            w.raw(&format!("models {}", artifact.models.len()));
-            for model in &artifact.models {
-                w.raw(&format!("model {}", model.kind().tag()));
-                write_model_records(&mut w, model)?;
-                w.raw("endmodel");
-            }
-            Ok(w.finish())
-        }
-        other => Err(ExchangeError::Invalid {
-            message: format!("cannot write unknown format version {other}"),
-        }
-        .into()),
-    }
+    save_text(
+        artifact.version,
+        artifact.provenance.as_ref(),
+        &artifact.models,
+    )
 }
 
 /// Saves an artifact to a file (see [`save_artifact`]).
@@ -733,11 +1059,8 @@ pub fn save_artifact(artifact: &Artifact) -> Result<String> {
 ///
 /// [`save_artifact`] failures plus [`ExchangeError::Io`].
 pub fn save_artifact_to_path(artifact: &Artifact, path: impl AsRef<Path>) -> Result<()> {
-    let text = save_artifact(artifact)?;
-    std::fs::write(path.as_ref(), text).map_err(|e| ExchangeError::Io {
-        path: path.as_ref().display().to_string(),
-        message: e.to_string(),
-    })?;
+    let path = path.as_ref();
+    std::fs::write(path, save_artifact(artifact)?).map_err(io_error(path))?;
     Ok(())
 }
 
@@ -747,33 +1070,21 @@ pub fn save_artifact_to_path(artifact: &Artifact, path: impl AsRef<Path>) -> Res
 ///
 /// [`save_model`] failures plus [`ExchangeError::Io`].
 pub fn save_model_to_path(model: &AnyModel, path: impl AsRef<Path>) -> Result<()> {
-    let text = save_model(model)?;
-    std::fs::write(path.as_ref(), text).map_err(|e| ExchangeError::Io {
-        path: path.as_ref().display().to_string(),
-        message: e.to_string(),
-    })?;
+    let path = path.as_ref();
+    std::fs::write(path, save_model(model)?).map_err(io_error(path))?;
     Ok(())
 }
 
 // ---------------------------------------------------------------------
-// Reader
+// Text reader
 // ---------------------------------------------------------------------
 
-/// Upper bound on any count a file can declare (vector lengths, center
-/// counts, model orders). Far above every legitimate model size, and low
-/// enough that a corrupted length can neither overflow arithmetic nor
-/// drive a pathological allocation — corruption must surface as a typed
-/// error, never a panic or abort.
-const MAX_DECLARED_COUNT: usize = 1 << 20;
-
-struct Reader<'a> {
+struct TextReader<'a> {
     lines: Vec<&'a str>,
     pos: usize,
 }
 
-type ExResult<T> = std::result::Result<T, ExchangeError>;
-
-impl<'a> Reader<'a> {
+impl<'a> TextReader<'a> {
     fn new(text: &'a str) -> Self {
         // Normalize line endings: `str::lines` already splits `\r\n`, but a
         // lone trailing `\r` (mixed-ending files) is stripped here too, and
@@ -787,12 +1098,15 @@ impl<'a> Reader<'a> {
         while lines.last().is_some_and(|l| l.trim_ascii().is_empty()) {
             lines.pop();
         }
-        Reader { lines, pos: 0 }
+        TextReader { lines, pos: 0 }
     }
 
-    /// 1-based number of the line most recently consumed.
-    fn line_no(&self) -> usize {
-        self.pos
+    /// A syntax error on the line most recently consumed.
+    fn syntax(&self, message: String) -> ExchangeError {
+        ExchangeError::Syntax {
+            line: self.pos,
+            message,
+        }
     }
 
     /// Key of the next line without consuming it.
@@ -810,10 +1124,7 @@ impl<'a> Reader<'a> {
             });
         };
         self.pos += 1;
-        let (found, rest) = match line.split_once(' ') {
-            Some((k, r)) => (k, r),
-            None => (*line, ""),
-        };
+        let (found, rest) = line.split_once(' ').unwrap_or((line, ""));
         if found != key {
             return Err(ExchangeError::UnknownField {
                 line: self.pos,
@@ -823,163 +1134,61 @@ impl<'a> Reader<'a> {
         Ok(rest)
     }
 
-    fn scalar(&mut self, key: &str) -> ExResult<f64> {
-        let rest = self.expect(key)?;
-        let mut toks = rest.split_ascii_whitespace();
-        let (Some(tok), None) = (toks.next(), toks.next()) else {
-            return Err(ExchangeError::Syntax {
-                line: self.line_no(),
-                message: format!("'{key}' expects exactly one value"),
-            });
-        };
-        self.parse_f64(tok, key)
+    /// Consumes a `key` record carrying exactly `N` operand tokens.
+    fn operands<const N: usize>(&mut self, key: &str) -> ExResult<[&'a str; N]> {
+        let toks: Vec<&str> = self.expect(key)?.split_ascii_whitespace().collect();
+        toks.try_into()
+            .map_err(|_| self.syntax(format!("'{key}' expects exactly {N} value(s)")))
     }
 
     fn parse_f64(&self, tok: &str, key: &str) -> ExResult<f64> {
-        let v: f64 = tok.parse().map_err(|_| ExchangeError::Syntax {
-            line: self.line_no(),
-            message: format!("'{tok}' is not a number in '{key}'"),
-        })?;
+        let v: f64 = tok
+            .parse()
+            .map_err(|_| self.syntax(format!("'{tok}' is not a number in '{key}'")))?;
         if !v.is_finite() {
             return Err(ExchangeError::NonFinite {
-                line: self.line_no(),
+                line: self.pos,
                 field: key.to_string(),
             });
         }
         Ok(v)
     }
 
-    fn pair(&mut self, key: &str) -> ExResult<(usize, usize)> {
-        let rest = self.expect(key)?;
-        let mut toks = rest.split_ascii_whitespace();
-        let parse = |tok: Option<&str>, line: usize| -> ExResult<usize> {
-            tok.and_then(|t| t.parse().ok())
-                .filter(|&v| v <= MAX_DECLARED_COUNT)
-                .ok_or(ExchangeError::Syntax {
-                    line,
-                    message: format!("'{key}' expects two integers below {MAX_DECLARED_COUNT}"),
-                })
-        };
-        let a = parse(toks.next(), self.line_no())?;
-        let b = parse(toks.next(), self.line_no())?;
-        if toks.next().is_some() {
-            return Err(ExchangeError::Syntax {
-                line: self.line_no(),
-                message: format!("'{key}' expects exactly two integers"),
-            });
-        }
-        Ok((a, b))
+    fn parse_count(&self, tok: &str, key: &str) -> ExResult<usize> {
+        tok.parse()
+            .ok()
+            .filter(|&v| v <= MAX_DECLARED_COUNT)
+            .ok_or_else(|| {
+                self.syntax(format!("'{key}' expects counts below {MAX_DECLARED_COUNT}"))
+            })
     }
 
     /// A record carrying exactly one bounded count, e.g. `models 3`.
     fn count(&mut self, key: &str) -> ExResult<usize> {
-        let rest = self.expect(key)?;
-        let mut toks = rest.split_ascii_whitespace();
-        let (Some(tok), None) = (toks.next(), toks.next()) else {
-            return Err(ExchangeError::Syntax {
-                line: self.line_no(),
-                message: format!("'{key}' expects exactly one integer"),
-            });
-        };
-        tok.parse()
-            .ok()
-            .filter(|&v| v <= MAX_DECLARED_COUNT)
-            .ok_or(ExchangeError::Syntax {
-                line: self.line_no(),
-                message: format!("'{key}' expects an integer below {MAX_DECLARED_COUNT}"),
-            })
-    }
-
-    fn vector(&mut self, key: &str) -> ExResult<Vec<f64>> {
-        let rest = self.expect(key)?;
-        let mut toks = rest.split_ascii_whitespace();
-        let len: usize = toks
-            .next()
-            .and_then(|t| t.parse().ok())
-            .filter(|&v| v <= MAX_DECLARED_COUNT)
-            .ok_or(ExchangeError::Syntax {
-                line: self.line_no(),
-                message: format!("'{key}' expects a length prefix below {MAX_DECLARED_COUNT}"),
-            })?;
-        // Reserve from the *actual* payload size, not the declared length —
-        // a lying prefix must fail the length check below, not allocate.
-        let mut vs = Vec::with_capacity(len.min(rest.len() / 2 + 1));
-        for tok in toks.by_ref() {
-            vs.push(self.parse_f64(tok, key)?);
-        }
-        if vs.len() != len {
-            return Err(ExchangeError::Syntax {
-                line: self.line_no(),
-                message: format!("'{key}' declares {len} values but carries {}", vs.len()),
-            });
-        }
-        Ok(vs)
-    }
-
-    /// A section header with a fixed label, e.g. `submodel i_high`.
-    fn section(&mut self, key: &str, label: &str) -> ExResult<()> {
-        let rest = self.expect(key)?;
-        if rest != label {
-            return Err(ExchangeError::Syntax {
-                line: self.line_no(),
-                message: format!("expected '{key} {label}', found '{key} {rest}'"),
-            });
-        }
-        Ok(())
-    }
-
-    fn narx(&mut self, label: &str) -> ExResult<NarxModel> {
-        self.section("submodel", label)?;
-        let (input_lags, output_lags) = self.pair("orders")?;
-        let orders = NarxOrders {
-            input_lags,
-            output_lags,
-        };
-        let (dim, n_centers) = self.pair("rbf")?;
-        if dim != orders.dim() {
-            return Err(ExchangeError::Syntax {
-                line: self.line_no(),
-                message: format!(
-                    "rbf dimension {dim} contradicts orders ({} expected)",
-                    orders.dim()
-                ),
-            });
-        }
-        let bias = self.scalar("bias")?;
-        let linear = self.vector("linear")?;
-        // A corrupt center count runs into a missing 'center' line (typed
-        // error) long before the vector grows; don't pre-reserve from it.
-        let mut centers = Vec::with_capacity(n_centers.min(1024));
-        for _ in 0..n_centers {
-            centers.push(self.vector("center")?);
-        }
-        let widths = self.vector("widths")?;
-        let weights = self.vector("gweights")?;
-        let net =
-            RbfNetwork::from_parts(dim, centers, widths, weights, bias, linear).map_err(invalid)?;
-        NarxModel::from_network(orders, net).map_err(invalid)
+        let [n] = self.operands(key)?;
+        self.parse_count(n, key)
     }
 
     /// A bare keyword line with no operands, e.g. `endmodel`.
     fn keyword(&mut self, key: &str) -> ExResult<()> {
-        let rest = self.expect(key)?;
-        if !rest.is_empty() {
-            return Err(ExchangeError::Syntax {
-                line: self.line_no(),
-                message: format!("trailing content after '{key}'"),
-            });
+        if !self.expect(key)?.is_empty() {
+            return Err(self.syntax(format!("trailing content after '{key}'")));
         }
         Ok(())
     }
 
+    /// The `name` line plus every field of one model of kind `tag`,
+    /// stopping before the terminator (`end` for v1, `endmodel` for v2).
+    fn model(&mut self, tag: &str) -> ExResult<AnyModel> {
+        let kind = ModelKind::from_tag(tag).ok_or(ExchangeError::UnknownKind {
+            tag: tag.to_string(),
+        })?;
+        let name = self.expect("name")?.to_string();
+        decode_body(kind, name, self)
+    }
+
     fn end(&mut self) -> ExResult<()> {
-        let rest = self.expect("end")?;
-        if !rest.is_empty() {
-            return Err(ExchangeError::Syntax {
-                line: self.line_no(),
-                message: "trailing content after 'end'".into(),
-            });
-        }
+        self.keyword("end")?;
         if self.pos != self.lines.len() {
             return Err(ExchangeError::Syntax {
                 line: self.pos + 1,
@@ -990,123 +1199,95 @@ impl<'a> Reader<'a> {
     }
 }
 
-fn invalid(e: impl std::fmt::Display) -> ExchangeError {
-    ExchangeError::Invalid {
-        message: e.to_string(),
+impl Codec for TextReader<'_> {
+    fn header(&mut self, key: &str, label: &str) -> ExResult<()> {
+        let rest = self.expect(key)?;
+        if rest != label {
+            return Err(self.syntax(format!("expected '{key} {label}', found '{key} {rest}'")));
+        }
+        Ok(())
     }
-}
 
-/// Reads the name line plus every kind-specific record of one model,
-/// stopping before the terminator (`end` for v1, `endmodel` for v2
-/// sections). The structural constructors reject inconsistent data; the
-/// assembled model's own validation runs in the callers.
-fn read_model_records(r: &mut Reader, kind: ModelKind) -> ExResult<AnyModel> {
-    let name = r.expect("name")?.to_string();
-    let model = match kind {
-        ModelKind::PwRbfDriver => {
-            let ts = r.scalar("ts")?;
-            let vdd = r.scalar("vdd")?;
-            let i_high = r.narx("i_high")?;
-            let i_low = r.narx("i_low")?;
-            let mut seqs = Vec::with_capacity(2);
-            for label in ["up", "down"] {
-                r.section("transition", label)?;
-                let wh = r.vector("wh")?;
-                let wl = r.vector("wl")?;
-                seqs.push(WeightSequence::new(wh, wl).map_err(invalid)?);
+    fn f64(&mut self, key: &str, v: &mut f64) -> ExResult<()> {
+        let [tok] = self.operands(key)?;
+        *v = self.parse_f64(tok, key)?;
+        Ok(())
+    }
+
+    fn pair(&mut self, key: &str, v: &mut (usize, usize)) -> ExResult<()> {
+        let [a, b] = self.operands(key)?;
+        *v = (self.parse_count(a, key)?, self.parse_count(b, key)?);
+        Ok(())
+    }
+
+    fn vector(&mut self, key: &str, v: &mut Vec<f64>) -> ExResult<()> {
+        let rest = self.expect(key)?;
+        let mut toks = rest.split_ascii_whitespace();
+        let len = self.parse_count(toks.next().unwrap_or_default(), key)?;
+        // Reserve from the *actual* payload size, not the declared length —
+        // a lying prefix must fail the length check below, not allocate.
+        let mut vs = Vec::with_capacity(len.min(rest.len() / 2 + 1));
+        for tok in toks {
+            vs.push(self.parse_f64(tok, key)?);
+        }
+        if vs.len() != len {
+            return Err(self.syntax(format!(
+                "'{key}' declares {len} values but carries {}",
+                vs.len()
+            )));
+        }
+        *v = vs;
+        Ok(())
+    }
+
+    fn rbf(&mut self, key: &str, dim: usize, n: &mut usize) -> ExResult<()> {
+        let mut declared = (0, 0);
+        self.pair(key, &mut declared)?;
+        if declared.0 != dim {
+            return Err(self.syntax(format!(
+                "{key} dimension {} contradicts orders ({dim} expected)",
+                declared.0
+            )));
+        }
+        *n = declared.1;
+        Ok(())
+    }
+
+    fn rows(&mut self, key: &str, n: usize, _: usize, v: &mut Vec<Vec<f64>>) -> ExResult<()> {
+        // A corrupt row count runs into a missing record (typed error) long
+        // before the vector grows; don't pre-reserve from it.
+        *v = Vec::with_capacity(n.min(1024));
+        for _ in 0..n {
+            let mut row = Vec::new();
+            self.vector(key, &mut row)?;
+            v.push(row);
+        }
+        Ok(())
+    }
+
+    fn string(&mut self, key: &str, v: &mut String) -> ExResult<()> {
+        *v = self.expect(key)?.to_string();
+        Ok(())
+    }
+
+    fn params(
+        &mut self,
+        count_key: &str,
+        key: &str,
+        v: &mut Vec<(String, String)>,
+    ) -> ExResult<()> {
+        let n = self.count(count_key)?;
+        *v = Vec::with_capacity(n.min(1024));
+        for _ in 0..n {
+            let rest = self.expect(key)?;
+            let (k, value) = rest.split_once(' ').unwrap_or((rest, ""));
+            if !is_param_key(k) {
+                return Err(self.syntax(format!("'{key}' expects a key token")));
             }
-            let down = seqs.pop().expect("two transitions parsed");
-            let up = seqs.pop().expect("two transitions parsed");
-            AnyModel::PwRbfDriver(PwRbfDriverModel {
-                name,
-                ts,
-                vdd,
-                i_high,
-                i_low,
-                up,
-                down,
-            })
+            v.push((k.to_string(), value.to_string()));
         }
-        ModelKind::Receiver => {
-            let ts = r.scalar("ts")?;
-            let vdd = r.scalar("vdd")?;
-            let (na, nb) = r.pair("arx")?;
-            let a = r.vector("a")?;
-            let b = r.vector("b")?;
-            let linear =
-                ArxModel::from_coefficients(ArxOrders { na, nb }, a, b).map_err(invalid)?;
-            let up = r.narx("up")?;
-            let down = r.narx("down")?;
-            AnyModel::Receiver(ReceiverModel {
-                name,
-                ts,
-                vdd,
-                linear,
-                up,
-                down,
-            })
-        }
-        ModelKind::CrBaseline => {
-            let c = r.scalar("c")?;
-            let x = r.vector("iv_x")?;
-            let y = r.vector("iv_y")?;
-            let static_iv = Pwl::new(x, y).map_err(invalid)?;
-            AnyModel::Cr(CrModel::new(name, c, static_iv).map_err(invalid)?)
-        }
-        ModelKind::Ibis => {
-            let vdd = r.scalar("vdd")?;
-            let c_comp = r.scalar("c_comp")?;
-            let dt = r.scalar("dt")?;
-            let pullup = Pwl::new(r.vector("pullup_x")?, r.vector("pullup_y")?).map_err(invalid)?;
-            let pulldown =
-                Pwl::new(r.vector("pulldown_x")?, r.vector("pulldown_y")?).map_err(invalid)?;
-            let ku_rise = r.vector("ku_rise")?;
-            let kd_rise = r.vector("kd_rise")?;
-            let ku_fall = r.vector("ku_fall")?;
-            let kd_fall = r.vector("kd_fall")?;
-            AnyModel::Ibis(IbisModel {
-                name,
-                vdd,
-                pullup,
-                pulldown,
-                c_comp,
-                dt,
-                ku_rise,
-                kd_rise,
-                ku_fall,
-                kd_fall,
-            })
-        }
-    };
-    Ok(model)
-}
-
-/// Reads the optional provenance block of a v2 bundle.
-fn read_provenance(r: &mut Reader) -> ExResult<Provenance> {
-    r.keyword("provenance")?;
-    let tool = r.expect("tool")?.to_string();
-    let tool_version = r.expect("toolver")?.to_string();
-    let config_digest = r.expect("digest")?.to_string();
-    let n_params = r.count("params")?;
-    let mut params = Vec::with_capacity(n_params.min(1024));
-    for _ in 0..n_params {
-        let rest = r.expect("param")?;
-        let (key, value) = rest.split_once(' ').unwrap_or((rest, ""));
-        if key.is_empty() {
-            return Err(ExchangeError::Syntax {
-                line: r.line_no(),
-                message: "'param' expects a key token".into(),
-            });
-        }
-        params.push((key.to_string(), value.to_string()));
+        Ok(())
     }
-    r.keyword("endprovenance")?;
-    Ok(Provenance {
-        tool,
-        tool_version,
-        config_digest,
-        params,
-    })
 }
 
 /// Deserializes an artifact of either format version, rejecting anything
@@ -1115,10 +1296,11 @@ fn read_provenance(r: &mut Reader) -> ExResult<Provenance> {
 ///
 /// # Errors
 ///
-/// Returns [`crate::Error::Exchange`] with the precise [`ExchangeError`], or the
-/// first assembled model's own validation failure.
+/// Returns [`crate::Error::Exchange`] with the precise [`ExchangeError`]; a
+/// model that assembles but fails its own validation is
+/// [`ExchangeError::Invalid`].
 pub fn load_artifact(text: &str) -> Result<Artifact> {
-    let mut r = Reader::new(text);
+    let mut r = TextReader::new(text);
     let header = r.expect("mdlx")?;
     let (version, tag) = header.split_once(' ').ok_or(ExchangeError::Syntax {
         line: 1,
@@ -1126,10 +1308,7 @@ pub fn load_artifact(text: &str) -> Result<Artifact> {
     })?;
     let artifact = match version {
         "1" => {
-            let kind = ModelKind::from_tag(tag).ok_or(ExchangeError::UnknownKind {
-                tag: tag.to_string(),
-            })?;
-            let model = read_model_records(&mut r, kind)?;
+            let model = r.model(tag)?;
             r.end()?;
             Artifact::single(model)
         }
@@ -1141,24 +1320,20 @@ pub fn load_artifact(text: &str) -> Result<Artifact> {
                 }
                 .into());
             }
-            let provenance = match r.peek_key() {
-                Some("provenance") => Some(read_provenance(&mut r)?),
-                _ => None,
-            };
-            let n_models = r.count("models")?;
-            if n_models == 0 {
-                return Err(ExchangeError::Invalid {
-                    message: "a bundle must hold at least one model".into(),
-                }
-                .into());
+            let mut provenance = None;
+            if r.peek_key() == Some("provenance") {
+                r.keyword("provenance")?;
+                let mut p = Provenance::default();
+                p.walk(&mut r)?;
+                r.keyword("endprovenance")?;
+                provenance = Some(p);
             }
+            let n_models = r.count("models")?;
+            check_shape(BUNDLE_FORMAT_VERSION, provenance.is_some(), n_models)?;
             let mut models = Vec::with_capacity(n_models.min(1024));
             for _ in 0..n_models {
                 let tag = r.expect("model")?;
-                let kind = ModelKind::from_tag(tag).ok_or(ExchangeError::UnknownKind {
-                    tag: tag.to_string(),
-                })?;
-                models.push(read_model_records(&mut r, kind)?);
+                models.push(r.model(tag)?);
                 r.keyword("endmodel")?;
             }
             r.end()?;
@@ -1172,7 +1347,7 @@ pub fn load_artifact(text: &str) -> Result<Artifact> {
         }
     };
     for model in &artifact.models {
-        model.validate()?;
+        model.validate().map_err(invalid)?;
     }
     Ok(artifact)
 }
@@ -1183,11 +1358,8 @@ pub fn load_artifact(text: &str) -> Result<Artifact> {
 ///
 /// [`load_artifact`] failures plus [`ExchangeError::Io`].
 pub fn load_artifact_from_path(path: impl AsRef<Path>) -> Result<Artifact> {
-    let text = std::fs::read_to_string(path.as_ref()).map_err(|e| ExchangeError::Io {
-        path: path.as_ref().display().to_string(),
-        message: e.to_string(),
-    })?;
-    load_artifact(&text)
+    let path = path.as_ref();
+    load_artifact(&std::fs::read_to_string(path).map_err(io_error(path))?)
 }
 
 /// Deserializes a single model from exchange text of either version; a v2
@@ -1207,11 +1379,7 @@ pub fn load_model(text: &str) -> Result<AnyModel> {
 ///
 /// [`load_model`] failures plus [`ExchangeError::Io`].
 pub fn load_model_from_path(path: impl AsRef<Path>) -> Result<AnyModel> {
-    let text = std::fs::read_to_string(path.as_ref()).map_err(|e| ExchangeError::Io {
-        path: path.as_ref().display().to_string(),
-        message: e.to_string(),
-    })?;
-    load_model(&text)
+    load_artifact_from_path(path)?.into_single()
 }
 
 /// Deserializes an artifact from raw bytes of *either* container,
@@ -1241,11 +1409,8 @@ pub fn load_artifact_bytes(bytes: &[u8]) -> Result<Artifact> {
 ///
 /// [`load_artifact_bytes`] failures plus [`ExchangeError::Io`].
 pub fn load_artifact_auto_from_path(path: impl AsRef<Path>) -> Result<Artifact> {
-    let bytes = std::fs::read(path.as_ref()).map_err(|e| ExchangeError::Io {
-        path: path.as_ref().display().to_string(),
-        message: e.to_string(),
-    })?;
-    load_artifact_bytes(&bytes)
+    let path = path.as_ref();
+    load_artifact_bytes(&std::fs::read(path).map_err(io_error(path))?)
 }
 
 #[cfg(test)]
@@ -1672,6 +1837,122 @@ mod tests {
             expected: "end".into(),
         };
         assert!(e.to_string().contains("end"));
+    }
+
+    /// Records the keys a decoder asks for, in order: the text record
+    /// keys (§2.4 of `docs/FORMAT.md`) and the typed binary fields
+    /// (§3.4).
+    #[derive(Default)]
+    struct KeyRecorder {
+        text: Vec<String>,
+        binary: Vec<String>,
+    }
+
+    impl KeyRecorder {
+        fn field(&mut self, ty: &str, key: &str) -> ExResult<()> {
+            self.text.push(key.to_string());
+            self.binary.push(format!("{ty} {key}"));
+            Ok(())
+        }
+    }
+
+    impl Codec for KeyRecorder {
+        fn header(&mut self, key: &str, label: &str) -> ExResult<()> {
+            self.text.push(format!("{key} {label}"));
+            Ok(())
+        }
+        fn f64(&mut self, key: &str, _: &mut f64) -> ExResult<()> {
+            self.field("f64", key)
+        }
+        fn pair(&mut self, key: &str, _: &mut (usize, usize)) -> ExResult<()> {
+            self.field("pair", key)
+        }
+        fn vector(&mut self, key: &str, _: &mut Vec<f64>) -> ExResult<()> {
+            self.field("vector", key)
+        }
+        fn rbf(&mut self, key: &str, _: usize, _: &mut usize) -> ExResult<()> {
+            self.field("u32", key)
+        }
+        fn rows(&mut self, key: &str, _: usize, _: usize, _: &mut Vec<Vec<f64>>) -> ExResult<()> {
+            self.field("rows", key)
+        }
+        fn string(&mut self, key: &str, _: &mut String) -> ExResult<()> {
+            self.field("string", key)
+        }
+        fn params(&mut self, key: &str, _: &str, _: &mut Vec<(String, String)>) -> ExResult<()> {
+            self.field("params", key)
+        }
+    }
+
+    /// The body of the first fenced block after `heading` in `doc`.
+    fn block_after<'a>(doc: &'a str, heading: &str) -> Vec<&'a str> {
+        let start = doc
+            .find(heading)
+            .unwrap_or_else(|| panic!("no '{heading}'"));
+        let body = &doc[start..];
+        let open = body.find("```text\n").unwrap() + "```text\n".len();
+        let close = open + body[open..].find("```").unwrap();
+        body[open..close]
+            .lines()
+            .map(|l| l.split('#').next().unwrap().trim())
+            .filter(|l| !l.is_empty())
+            .collect()
+    }
+
+    /// A §2.4 grammar line as the recorder names it: the key, plus the
+    /// label of a section header (`transition up`).
+    fn text_key(line: &str) -> String {
+        let mut toks = line.split_whitespace();
+        let key = toks.next().unwrap();
+        match toks.next() {
+            Some(label) if !label.starts_with('<') => format!("{key} {label}"),
+            _ => key.to_string(),
+        }
+    }
+
+    /// `docs/FORMAT.md` §2.4 (text record grammars) and §3.4 (`MODL`
+    /// payload table) list every kind's fields in exactly the order of
+    /// the field schema both codecs walk.
+    #[test]
+    fn format_spec_matches_field_schema() {
+        let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../docs/FORMAT.md");
+        let doc = std::fs::read_to_string(path).unwrap();
+        let text_spec = &doc[doc.find("### 2.4").unwrap()..doc.find("## 3.").unwrap()];
+        let bin_spec = &doc[doc.find("### 3.4").unwrap()..doc.find("## 4.").unwrap()];
+        let narx_text = block_after(text_spec, "NARX submodel");
+        let narx_bin = block_after(bin_spec, "**NARX sub-block**");
+        for kind in ModelKind::ALL {
+            let mut recorder = KeyRecorder::default();
+            // Default fields assemble into no model; only the walk matters.
+            let _ = decode_body(kind, String::new(), &mut recorder);
+
+            let grammar = block_after(text_spec, &format!("**`{}`:**", kind.tag()));
+            assert_eq!(grammar[0], "name <name>", "{kind}: the name record leads");
+            let mut expected = Vec::new();
+            for line in &grammar[1..] {
+                expected.push(text_key(line));
+                if line.starts_with("submodel ") {
+                    expected.extend(narx_text[1..].iter().map(|l| text_key(l)));
+                }
+            }
+            assert_eq!(recorder.text, expected, "{kind}: §2.4 vs schema");
+
+            let row_start = format!("| `{}` (", kind.tag());
+            let row = bin_spec
+                .lines()
+                .find(|l| l.starts_with(&row_start))
+                .unwrap_or_else(|| panic!("{kind}: no §3.4 row"));
+            let fields = row.trim_end_matches('|').rsplit('|').next().unwrap();
+            let mut expected = Vec::new();
+            for field in fields.split(',').map(str::trim) {
+                if field.starts_with("NARX ") {
+                    expected.extend(narx_bin.iter().map(|l| l.to_string()));
+                } else {
+                    expected.push(field.to_string());
+                }
+            }
+            assert_eq!(recorder.binary, expected, "{kind}: §3.4 vs schema");
+        }
     }
 
     mod binary_tests {

@@ -61,20 +61,14 @@
 //! ```
 
 use super::{
-    fnv1a, AnyModel, Artifact, ExchangeError, Provenance, BUNDLE_FORMAT_VERSION, FORMAT_VERSION,
-    MAX_DECLARED_COUNT,
+    check_param, check_shape, decode_body, encode_body, finite, fnv1a, invalid, io_error,
+    is_param_key, one_line, AnyModel, Artifact, Codec, ExResult, ExchangeError, Provenance,
+    BUNDLE_FORMAT_VERSION, FORMAT_VERSION, MAX_DECLARED_COUNT,
 };
-use crate::driver::{PwRbfDriverModel, WeightSequence};
 use crate::macromodel::{Macromodel, ModelKind};
-use crate::receiver::{CrModel, ReceiverModel};
 use crate::Result;
-use numkit::interp::Pwl;
-use refdev::IbisModel;
-use std::io::Read;
+use std::io::{Read, Seek};
 use std::path::Path;
-use sysid::arx::{ArxModel, ArxOrders};
-use sysid::narx::{NarxModel, NarxOrders};
-use sysid::rbf::RbfNetwork;
 
 /// Leading magic of every binary container.
 pub const MAGIC: [u8; 8] = *b"mdlxbin\0";
@@ -145,142 +139,89 @@ struct BinWriter {
 }
 
 impl BinWriter {
-    fn u32(&mut self, v: u32) {
-        self.out.extend_from_slice(&v.to_le_bytes());
-    }
-
-    fn count(&mut self, v: usize, what: &str) -> std::result::Result<(), ExchangeError> {
+    fn count(&mut self, key: &str, v: usize) -> ExResult<()> {
         if v > MAX_DECLARED_COUNT {
-            return Err(ExchangeError::Invalid {
-                message: format!("'{what}' count {v} exceeds the format bound"),
-            });
+            return Err(invalid(format!(
+                "'{key}' count {v} exceeds the format bound"
+            )));
         }
-        self.u32(v as u32);
+        self.out.extend_from_slice(&(v as u32).to_le_bytes());
         Ok(())
     }
 
-    fn f64(&mut self, v: f64, what: &str) -> std::result::Result<(), ExchangeError> {
-        if !v.is_finite() {
-            return Err(ExchangeError::Invalid {
-                message: format!("'{what}' is not finite: {v}"),
-            });
-        }
-        self.out.extend_from_slice(&v.to_bits().to_le_bytes());
-        Ok(())
-    }
-
-    fn vector(&mut self, vs: &[f64], what: &str) -> std::result::Result<(), ExchangeError> {
-        self.count(vs.len(), what)?;
-        for &v in vs {
-            self.f64(v, what)?;
-        }
-        Ok(())
-    }
-
-    fn string(&mut self, s: &str, what: &str) -> std::result::Result<(), ExchangeError> {
-        if s.contains('\n') || s.contains('\r') {
-            return Err(ExchangeError::Invalid {
-                message: format!("'{what}' must not contain line breaks"),
-            });
-        }
-        self.count(s.len(), what)?;
-        self.out.extend_from_slice(s.as_bytes());
-        Ok(())
-    }
-
-    fn narx(&mut self, m: &NarxModel, label: &str) -> std::result::Result<(), ExchangeError> {
-        let net = m.network();
-        self.count(m.orders().input_lags, label)?;
-        self.count(m.orders().output_lags, label)?;
-        self.count(net.n_centers(), label)?;
-        self.f64(net.bias(), label)?;
-        self.vector(net.linear(), label)?;
-        for c in net.centers() {
-            // Center rows are dim-implied: n_centers × dim flat floats.
-            for &v in c {
-                self.f64(v, label)?;
-            }
-        }
-        self.vector(net.widths(), label)?;
-        self.vector(net.weights(), label)?;
+    fn float(&mut self, key: &str, v: f64) -> ExResult<()> {
+        self.out
+            .extend_from_slice(&finite(key, v)?.to_bits().to_le_bytes());
         Ok(())
     }
 }
 
-/// Encodes one model body — everything the text grammar carries between
-/// `name` and the terminator, name excluded (it lives in the section
-/// header).
-fn encode_model(model: &AnyModel) -> std::result::Result<Vec<u8>, ExchangeError> {
-    let mut w = BinWriter::default();
-    match model {
-        AnyModel::PwRbfDriver(m) => {
-            w.f64(m.ts, "ts")?;
-            w.f64(m.vdd, "vdd")?;
-            w.narx(&m.i_high, "i_high")?;
-            w.narx(&m.i_low, "i_low")?;
-            for seq in [&m.up, &m.down] {
-                w.vector(seq.w_high(), "wh")?;
-                w.vector(seq.w_low(), "wl")?;
-            }
-        }
-        AnyModel::Receiver(m) => {
-            w.f64(m.ts, "ts")?;
-            w.f64(m.vdd, "vdd")?;
-            w.count(m.linear.orders().na, "arx")?;
-            w.count(m.linear.orders().nb, "arx")?;
-            w.vector(m.linear.a(), "a")?;
-            w.vector(m.linear.b(), "b")?;
-            w.narx(&m.up, "up")?;
-            w.narx(&m.down, "down")?;
-        }
-        AnyModel::Cr(m) => {
-            w.f64(m.c, "c")?;
-            w.vector(m.static_iv.x(), "iv_x")?;
-            w.vector(m.static_iv.y(), "iv_y")?;
-        }
-        AnyModel::Ibis(m) => {
-            w.f64(m.vdd, "vdd")?;
-            w.f64(m.c_comp, "c_comp")?;
-            w.f64(m.dt, "dt")?;
-            w.vector(m.pullup.x(), "pullup_x")?;
-            w.vector(m.pullup.y(), "pullup_y")?;
-            w.vector(m.pulldown.x(), "pulldown_x")?;
-            w.vector(m.pulldown.y(), "pulldown_y")?;
-            w.vector(&m.ku_rise, "ku_rise")?;
-            w.vector(&m.kd_rise, "kd_rise")?;
-            w.vector(&m.ku_fall, "ku_fall")?;
-            w.vector(&m.kd_fall, "kd_fall")?;
-        }
+impl Codec for BinWriter {
+    fn header(&mut self, _: &str, _: &str) -> ExResult<()> {
+        Ok(())
     }
-    Ok(w.out)
+
+    fn f64(&mut self, key: &str, v: &mut f64) -> ExResult<()> {
+        self.float(key, *v)
+    }
+
+    fn pair(&mut self, key: &str, v: &mut (usize, usize)) -> ExResult<()> {
+        self.count(key, v.0)?;
+        self.count(key, v.1)
+    }
+
+    fn vector(&mut self, key: &str, v: &mut Vec<f64>) -> ExResult<()> {
+        self.count(key, v.len())?;
+        v.iter().try_for_each(|&x| self.float(key, x))
+    }
+
+    fn rbf(&mut self, key: &str, _: usize, n: &mut usize) -> ExResult<()> {
+        self.count(key, *n)
+    }
+
+    fn rows(&mut self, key: &str, _: usize, _: usize, v: &mut Vec<Vec<f64>>) -> ExResult<()> {
+        v.iter().flatten().try_for_each(|&x| self.float(key, x))
+    }
+
+    fn string(&mut self, key: &str, v: &mut String) -> ExResult<()> {
+        one_line(key, v)?;
+        self.count(key, v.len())?;
+        self.out.extend_from_slice(v.as_bytes());
+        Ok(())
+    }
+
+    fn params(
+        &mut self,
+        count_key: &str,
+        key: &str,
+        v: &mut Vec<(String, String)>,
+    ) -> ExResult<()> {
+        self.count(count_key, v.len())?;
+        for (k, value) in v.iter_mut() {
+            check_param(k, value)?;
+            self.string(key, k)?;
+            self.string(key, value)?;
+        }
+        Ok(())
+    }
 }
 
-/// Encodes the provenance block as a `PROV` payload.
-fn encode_provenance(p: &Provenance) -> std::result::Result<Vec<u8>, ExchangeError> {
-    p.check_serializable()?;
-    let mut w = BinWriter::default();
-    w.string(&p.tool, "tool")?;
-    w.string(&p.tool_version, "toolver")?;
-    w.string(&p.config_digest, "digest")?;
-    w.count(p.params.len(), "params")?;
-    for (k, v) in &p.params {
-        w.string(k, "param key")?;
-        w.string(v, "param value")?;
-    }
-    Ok(w.out)
+/// FNV-1a over a section's name bytes followed by its payload.
+fn section_digest(name: &str, payload: &[u8]) -> u64 {
+    let mut input = Vec::with_capacity(name.len() + payload.len());
+    input.extend_from_slice(name.as_bytes());
+    input.extend_from_slice(payload);
+    fnv1a(&input)
 }
 
 /// Appends one section (header + name + payload) to `body`.
 fn push_section(body: &mut Vec<u8>, tag: [u8; 4], kind: u8, name: &str, payload: &[u8]) {
-    let mut digest_input = Vec::with_capacity(name.len() + payload.len());
-    digest_input.extend_from_slice(name.as_bytes());
-    digest_input.extend_from_slice(payload);
     body.extend_from_slice(&tag);
     body.push(kind);
     body.push(0);
     body.extend_from_slice(&(name.len() as u16).to_le_bytes());
     body.extend_from_slice(&(payload.len() as u64).to_le_bytes());
-    body.extend_from_slice(&fnv1a(&digest_input).to_le_bytes());
+    body.extend_from_slice(&section_digest(name, payload).to_le_bytes());
     body.extend_from_slice(name.as_bytes());
     body.extend_from_slice(payload);
 }
@@ -298,62 +239,33 @@ fn push_section(body: &mut Vec<u8>, tag: [u8; 4], kind: u8, name: &str, payload:
 /// non-finite values, over-long names, or models failing their own
 /// validation.
 pub fn save_artifact_bin(artifact: &Artifact) -> Result<Vec<u8>> {
-    match artifact.version {
-        FORMAT_VERSION => {
-            if artifact.provenance.is_some() {
-                return Err(ExchangeError::Invalid {
-                    message: "format v1 cannot carry a provenance block".into(),
-                }
-                .into());
-            }
-            if artifact.models.len() != 1 {
-                return Err(ExchangeError::Invalid {
-                    message: format!(
-                        "format v1 holds exactly one model, got {}",
-                        artifact.models.len()
-                    ),
-                }
-                .into());
-            }
-        }
-        BUNDLE_FORMAT_VERSION => {
-            if artifact.models.is_empty() {
-                return Err(ExchangeError::Invalid {
-                    message: "a bundle must hold at least one model".into(),
-                }
-                .into());
-            }
-        }
-        other => {
-            return Err(ExchangeError::Invalid {
-                message: format!("cannot write unknown format version {other}"),
-            }
-            .into())
-        }
-    }
+    check_shape(
+        artifact.version,
+        artifact.provenance.is_some(),
+        artifact.models.len(),
+    )?;
     let mut body = Vec::new();
     let mut sections = 0u32;
     if let Some(p) = &artifact.provenance {
-        push_section(&mut body, TAG_PROV, 0, "", &encode_provenance(p)?);
+        let mut w = BinWriter::default();
+        p.clone().walk(&mut w)?;
+        push_section(&mut body, TAG_PROV, 0, "", &w.out);
         sections += 1;
     }
     for model in &artifact.models {
         model.validate()?;
         let name = model.name();
         if name.len() > u16::MAX as usize {
-            return Err(ExchangeError::Invalid {
-                message: format!("model name is {} bytes; the format caps 65535", name.len()),
-            }
+            return Err(invalid(format!(
+                "model name is {} bytes; the format caps 65535",
+                name.len()
+            ))
             .into());
         }
-        if name.contains('\n') || name.contains('\r') {
-            return Err(ExchangeError::Invalid {
-                message: "model name must not contain line breaks".into(),
-            }
-            .into());
-        }
-        let payload = encode_model(model)?;
-        push_section(&mut body, TAG_MODL, kind_code(model.kind()), name, &payload);
+        one_line("name", name)?;
+        let mut w = BinWriter::default();
+        encode_body(model, &mut w)?;
+        push_section(&mut body, TAG_MODL, kind_code(model.kind()), name, &w.out);
         sections += 1;
     }
     let mut out = Vec::with_capacity(FILE_HEADER_LEN + body.len());
@@ -374,11 +286,8 @@ pub fn save_artifact_bin(artifact: &Artifact) -> Result<Vec<u8>> {
 ///
 /// [`save_artifact_bin`] failures plus [`ExchangeError::Io`].
 pub fn save_artifact_bin_to_path(artifact: &Artifact, path: impl AsRef<Path>) -> Result<()> {
-    let bytes = save_artifact_bin(artifact)?;
-    std::fs::write(path.as_ref(), bytes).map_err(|e| ExchangeError::Io {
-        path: path.as_ref().display().to_string(),
-        message: e.to_string(),
-    })?;
+    let path = path.as_ref();
+    std::fs::write(path, save_artifact_bin(artifact)?).map_err(io_error(path))?;
     Ok(())
 }
 
@@ -386,11 +295,8 @@ pub fn save_artifact_bin_to_path(artifact: &Artifact, path: impl AsRef<Path>) ->
 // Reader
 // ---------------------------------------------------------------------
 
-type ExResult<T> = std::result::Result<T, ExchangeError>;
-
-/// Little-endian cursor over a byte slice, reporting absolute offsets in
-/// its errors (`base` shifts them when the slice is a section cut out of
-/// a larger file).
+/// Little-endian cursor over one section payload, reporting absolute
+/// offsets in its errors (`base` is the payload's offset in the file).
 struct BinReader<'a> {
     bytes: &'a [u8],
     pos: usize,
@@ -410,11 +316,11 @@ impl<'a> BinReader<'a> {
         self.base + self.pos
     }
 
-    fn take(&mut self, n: usize, what: &str) -> ExResult<&'a [u8]> {
+    fn take(&mut self, n: usize, key: &str) -> ExResult<&'a [u8]> {
         let end = self.pos.checked_add(n).filter(|&e| e <= self.bytes.len());
         let Some(end) = end else {
             return Err(ExchangeError::Truncated {
-                expected: what.to_string(),
+                expected: key.to_string(),
             });
         };
         let slice = &self.bytes[self.pos..end];
@@ -422,100 +328,57 @@ impl<'a> BinReader<'a> {
         Ok(slice)
     }
 
-    fn u32(&mut self, what: &str) -> ExResult<u32> {
-        let raw = self.take(4, what)?;
-        Ok(u32::from_le_bytes(raw.try_into().expect("4 bytes taken")))
-    }
-
-    fn u64(&mut self, what: &str) -> ExResult<u64> {
-        let raw = self.take(8, what)?;
-        Ok(u64::from_le_bytes(raw.try_into().expect("8 bytes taken")))
-    }
-
-    fn count(&mut self, what: &str) -> ExResult<usize> {
+    fn count(&mut self, key: &str) -> ExResult<usize> {
         let offset = self.offset();
-        let v = self.u32(what)? as usize;
+        let raw = self.take(4, key)?;
+        let v = u32::from_le_bytes(raw.try_into().expect("4 bytes taken")) as usize;
         if v > MAX_DECLARED_COUNT {
             return Err(ExchangeError::Corrupt {
                 offset,
-                message: format!("'{what}' count {v} exceeds the format bound"),
+                message: format!("'{key}' count {v} exceeds the format bound"),
             });
         }
         Ok(v)
     }
 
-    fn f64(&mut self, what: &str) -> ExResult<f64> {
+    fn float(&mut self, key: &str) -> ExResult<f64> {
         let offset = self.offset();
-        let v = f64::from_bits(self.u64(what)?);
+        let raw = self.take(8, key)?;
+        let v = f64::from_bits(u64::from_le_bytes(raw.try_into().expect("8 bytes taken")));
         if !v.is_finite() {
             return Err(ExchangeError::NonFinite {
                 line: offset,
-                field: what.to_string(),
+                field: key.to_string(),
             });
         }
         Ok(v)
     }
 
-    fn f64s(&mut self, n: usize, what: &str) -> ExResult<Vec<f64>> {
+    fn floats(&mut self, n: usize, key: &str) -> ExResult<Vec<f64>> {
         // Bound the pre-allocation by the bytes actually present; a lying
         // count runs into Truncated, never a pathological allocation.
         let mut vs = Vec::with_capacity(n.min(self.bytes.len() / 8 + 1));
         for _ in 0..n {
-            vs.push(self.f64(what)?);
+            vs.push(self.float(key)?);
         }
         Ok(vs)
     }
 
-    fn vector(&mut self, what: &str) -> ExResult<Vec<f64>> {
-        let n = self.count(what)?;
-        self.f64s(n, what)
-    }
-
-    fn string(&mut self, what: &str) -> ExResult<String> {
+    fn text(&mut self, key: &str) -> ExResult<String> {
         let offset = self.offset();
-        let n = self.count(what)?;
-        let raw = self.take(n, what)?;
+        let n = self.count(key)?;
+        let raw = self.take(n, key)?;
         let s = std::str::from_utf8(raw).map_err(|_| ExchangeError::Corrupt {
             offset,
-            message: format!("'{what}' is not valid UTF-8"),
+            message: format!("'{key}' is not valid UTF-8"),
         })?;
-        if s.contains('\n') || s.contains('\r') {
+        if s.contains(['\n', '\r']) {
             return Err(ExchangeError::Corrupt {
                 offset,
-                message: format!("'{what}' contains line breaks"),
+                message: format!("'{key}' contains line breaks"),
             });
         }
         Ok(s.to_string())
-    }
-
-    fn narx(&mut self, label: &str) -> ExResult<NarxModel> {
-        let orders = NarxOrders {
-            input_lags: self.count(label)?,
-            output_lags: self.count(label)?,
-        };
-        let dim = orders.dim();
-        let n_centers = self.count(label)?;
-        let offset = self.offset();
-        if dim
-            .checked_mul(n_centers)
-            .is_none_or(|cells| cells > MAX_DECLARED_COUNT)
-        {
-            return Err(ExchangeError::Corrupt {
-                offset,
-                message: format!("'{label}' declares an impossible center block"),
-            });
-        }
-        let bias = self.f64(label)?;
-        let linear = self.vector(label)?;
-        let mut centers = Vec::with_capacity(n_centers.min(1024));
-        for _ in 0..n_centers {
-            centers.push(self.f64s(dim, label)?);
-        }
-        let widths = self.vector(label)?;
-        let weights = self.vector(label)?;
-        let net = RbfNetwork::from_parts(dim, centers, widths, weights, bias, linear)
-            .map_err(super::invalid)?;
-        NarxModel::from_network(orders, net).map_err(super::invalid)
     }
 
     /// Fails unless every byte has been consumed.
@@ -533,125 +396,75 @@ impl<'a> BinReader<'a> {
     }
 }
 
-/// Decodes one `MODL` payload into a model (name from the section
-/// header). The assembled model passes its structural constructors; its
-/// own `validate()` runs in the callers.
-fn decode_model_payload(
-    kind: ModelKind,
-    name: &str,
-    payload: &[u8],
-    base: usize,
-) -> ExResult<AnyModel> {
-    let mut r = BinReader::new(payload, base);
-    let name = name.to_string();
-    let model = match kind {
-        ModelKind::PwRbfDriver => {
-            let ts = r.f64("ts")?;
-            let vdd = r.f64("vdd")?;
-            let i_high = r.narx("i_high")?;
-            let i_low = r.narx("i_low")?;
-            let mut seqs = Vec::with_capacity(2);
-            for label in ["up", "down"] {
-                let wh = r.vector(label)?;
-                let wl = r.vector(label)?;
-                seqs.push(WeightSequence::new(wh, wl).map_err(super::invalid)?);
-            }
-            let down = seqs.pop().expect("two transitions decoded");
-            let up = seqs.pop().expect("two transitions decoded");
-            AnyModel::PwRbfDriver(PwRbfDriverModel {
-                name,
-                ts,
-                vdd,
-                i_high,
-                i_low,
-                up,
-                down,
-            })
-        }
-        ModelKind::Receiver => {
-            let ts = r.f64("ts")?;
-            let vdd = r.f64("vdd")?;
-            let na = r.count("arx")?;
-            let nb = r.count("arx")?;
-            let a = r.vector("a")?;
-            let b = r.vector("b")?;
-            let linear =
-                ArxModel::from_coefficients(ArxOrders { na, nb }, a, b).map_err(super::invalid)?;
-            let up = r.narx("up")?;
-            let down = r.narx("down")?;
-            AnyModel::Receiver(ReceiverModel {
-                name,
-                ts,
-                vdd,
-                linear,
-                up,
-                down,
-            })
-        }
-        ModelKind::CrBaseline => {
-            let c = r.f64("c")?;
-            let x = r.vector("iv_x")?;
-            let y = r.vector("iv_y")?;
-            let static_iv = Pwl::new(x, y).map_err(super::invalid)?;
-            AnyModel::Cr(CrModel::new(name, c, static_iv).map_err(super::invalid)?)
-        }
-        ModelKind::Ibis => {
-            let vdd = r.f64("vdd")?;
-            let c_comp = r.f64("c_comp")?;
-            let dt = r.f64("dt")?;
-            let pullup =
-                Pwl::new(r.vector("pullup_x")?, r.vector("pullup_y")?).map_err(super::invalid)?;
-            let pulldown = Pwl::new(r.vector("pulldown_x")?, r.vector("pulldown_y")?)
-                .map_err(super::invalid)?;
-            let ku_rise = r.vector("ku_rise")?;
-            let kd_rise = r.vector("kd_rise")?;
-            let ku_fall = r.vector("ku_fall")?;
-            let kd_fall = r.vector("kd_fall")?;
-            AnyModel::Ibis(IbisModel {
-                name,
-                vdd,
-                pullup,
-                pulldown,
-                c_comp,
-                dt,
-                ku_rise,
-                kd_rise,
-                ku_fall,
-                kd_fall,
-            })
-        }
-    };
-    r.finish("the model body")?;
-    Ok(model)
-}
+impl Codec for BinReader<'_> {
+    fn header(&mut self, _: &str, _: &str) -> ExResult<()> {
+        Ok(())
+    }
 
-/// Decodes a `PROV` payload.
-fn decode_provenance(payload: &[u8], base: usize) -> ExResult<Provenance> {
-    let mut r = BinReader::new(payload, base);
-    let tool = r.string("tool")?;
-    let tool_version = r.string("toolver")?;
-    let config_digest = r.string("digest")?;
-    let n_params = r.count("params")?;
-    let mut params = Vec::with_capacity(n_params.min(1024));
-    for _ in 0..n_params {
-        let offset = r.offset();
-        let key = r.string("param key")?;
-        if key.is_empty() || key.chars().any(|c| c.is_whitespace()) {
+    fn f64(&mut self, key: &str, v: &mut f64) -> ExResult<()> {
+        *v = self.float(key)?;
+        Ok(())
+    }
+
+    fn pair(&mut self, key: &str, v: &mut (usize, usize)) -> ExResult<()> {
+        *v = (self.count(key)?, self.count(key)?);
+        Ok(())
+    }
+
+    fn vector(&mut self, key: &str, v: &mut Vec<f64>) -> ExResult<()> {
+        let n = self.count(key)?;
+        *v = self.floats(n, key)?;
+        Ok(())
+    }
+
+    fn rbf(&mut self, key: &str, dim: usize, n: &mut usize) -> ExResult<()> {
+        *n = self.count(key)?;
+        if dim
+            .checked_mul(*n)
+            .is_none_or(|cells| cells > MAX_DECLARED_COUNT)
+        {
             return Err(ExchangeError::Corrupt {
-                offset,
-                message: format!("provenance param key '{key}' must be one non-empty token"),
+                offset: self.offset(),
+                message: format!("'{key}' declares an impossible center block"),
             });
         }
-        let value = r.string("param value")?;
-        params.push((key, value));
+        Ok(())
     }
-    r.finish("the provenance block")?;
-    Ok(Provenance {
-        tool,
-        tool_version,
-        config_digest,
-        params,
-    })
+
+    fn rows(&mut self, key: &str, n: usize, dim: usize, v: &mut Vec<Vec<f64>>) -> ExResult<()> {
+        *v = Vec::with_capacity(n.min(1024));
+        for _ in 0..n {
+            v.push(self.floats(dim, key)?);
+        }
+        Ok(())
+    }
+
+    fn string(&mut self, key: &str, v: &mut String) -> ExResult<()> {
+        *v = self.text(key)?;
+        Ok(())
+    }
+
+    fn params(
+        &mut self,
+        count_key: &str,
+        key: &str,
+        v: &mut Vec<(String, String)>,
+    ) -> ExResult<()> {
+        let n = self.count(count_key)?;
+        *v = Vec::with_capacity(n.min(1024));
+        for _ in 0..n {
+            let offset = self.offset();
+            let k = self.text(key)?;
+            if !is_param_key(&k) {
+                return Err(ExchangeError::Corrupt {
+                    offset,
+                    message: format!("provenance param key '{k}' must be one non-empty token"),
+                });
+            }
+            v.push((k, self.text(key)?));
+        }
+        Ok(())
+    }
 }
 
 /// One section located inside a binary container: everything a reader
@@ -699,14 +512,16 @@ fn read_exact_or_truncated<R: Read>(r: &mut R, buf: &mut [u8], what: &str) -> Ex
     })
 }
 
+fn bad_magic(found: &[u8]) -> ExchangeError {
+    ExchangeError::BadMagic {
+        found: found.iter().map(|b| format!("{b:02x}")).collect(),
+    }
+}
+
 /// Parses the fixed file header from its 32 bytes.
 fn parse_file_header(header: &[u8; FILE_HEADER_LEN]) -> ExResult<(u32, u64, u32)> {
     if header[..MAGIC.len()] != MAGIC {
-        let found: String = header[..MAGIC.len()]
-            .iter()
-            .map(|b| format!("{b:02x}"))
-            .collect();
-        return Err(ExchangeError::BadMagic { found });
+        return Err(bad_magic(&header[..MAGIC.len()]));
     }
     let word = |at: usize| u32::from_le_bytes(header[at..at + 4].try_into().expect("4 bytes"));
     let container = word(8);
@@ -794,91 +609,77 @@ fn parse_section_header(
     })
 }
 
-/// Structural walk shared by [`index_bytes`] and [`load_artifact_bin`]:
-/// validates the header and section framing against the byte length
-/// without touching payloads.
-fn index_from_bytes(bytes: &[u8]) -> ExResult<BinIndex> {
-    if bytes.len() < FILE_HEADER_LEN {
-        if !is_binary(bytes) && !bytes.is_empty() {
-            let shown = &bytes[..bytes.len().min(MAGIC.len())];
-            return Err(ExchangeError::BadMagic {
-                found: shown.iter().map(|b| format!("{b:02x}")).collect(),
-            });
-        }
-        return Err(ExchangeError::Truncated {
-            expected: "the 32-byte file header".to_string(),
-        });
-    }
-    let header: &[u8; FILE_HEADER_LEN] = bytes[..FILE_HEADER_LEN].try_into().expect("32 bytes");
-    let (text_version, body_digest, n_sections) = parse_file_header(header)?;
+/// The section walk behind every index: reads the file header, then each
+/// section header and name from `src`, skipping payloads, and validates
+/// the framing against the container length `len` without touching
+/// payload bytes. `io_err` maps a failed skip.
+fn read_index<R: Read + Seek>(
+    src: &mut R,
+    len: u64,
+    io_err: impl Fn(std::io::Error) -> ExchangeError,
+) -> ExResult<BinIndex> {
+    let mut header = [0u8; FILE_HEADER_LEN];
+    read_exact_or_truncated(src, &mut header, "the 32-byte file header")?;
+    let (text_version, body_digest, n_sections) = parse_file_header(&header)?;
     let mut sections = Vec::with_capacity((n_sections as usize).min(1024));
-    let mut pos = FILE_HEADER_LEN;
+    let mut pos = FILE_HEADER_LEN as u64;
     for i in 0..n_sections {
-        let mut r = BinReader::new(bytes, 0);
-        r.pos = pos;
-        let header_bytes = r.take(SECTION_HEADER_LEN, "a section header")?;
-        let header: &[u8; SECTION_HEADER_LEN] = header_bytes.try_into().expect("24 bytes");
-        let name_len = u16::from_le_bytes(header[6..8].try_into().expect("2 bytes")) as usize;
-        let payload_len = u64::from_le_bytes(header[8..16].try_into().expect("8 bytes"));
-        if payload_len as usize > bytes.len() {
+        let mut sh = [0u8; SECTION_HEADER_LEN];
+        read_exact_or_truncated(src, &mut sh, "a section header")?;
+        let name_len = u16::from_le_bytes(sh[6..8].try_into().expect("2 bytes")) as usize;
+        let payload_len = u64::from_le_bytes(sh[8..16].try_into().expect("8 bytes"));
+        let mut name = vec![0u8; name_len];
+        read_exact_or_truncated(src, &mut name, "a section name")?;
+        let payload_offset = pos + (SECTION_HEADER_LEN + name_len) as u64;
+        let end = payload_offset.checked_add(payload_len);
+        if end.is_none_or(|e| e > len) {
             return Err(ExchangeError::Truncated {
                 expected: format!("{payload_len} payload bytes of section {i}"),
             });
         }
-        let name = r.take(name_len, "a section name")?;
-        let section = parse_section_header(header, name, pos, r.pos)?;
-        if section.kind.is_none() && (i != 0) {
+        let section = parse_section_header(&sh, &name, pos as usize, payload_offset as usize)?;
+        // This also rejects a second provenance section.
+        if section.kind.is_none() && i != 0 {
             return Err(ExchangeError::Corrupt {
-                offset: pos,
+                offset: pos as usize,
                 message: "provenance must be the first section".into(),
             });
         }
-        r.take(section.payload_len, "a section payload")?;
-        pos = r.pos;
+        pos = payload_offset + payload_len;
+        if i + 1 < n_sections {
+            // The last payload needs no skip: the trailing-bytes check
+            // below compares the declared end against the length.
+            src.seek_relative(payload_len as i64).map_err(&io_err)?;
+        }
         sections.push(section);
     }
-    if pos != bytes.len() {
+    if pos != len {
         return Err(ExchangeError::Corrupt {
-            offset: pos,
-            message: format!(
-                "{} trailing bytes after the last section",
-                bytes.len() - pos
-            ),
+            offset: pos as usize,
+            message: format!("{} trailing bytes after the last section", len - pos),
         });
     }
-    let index = BinIndex {
+    let has_provenance = sections.first().is_some_and(|s| s.kind.is_none());
+    let n_models = sections.len() - usize::from(has_provenance);
+    check_shape(text_version, has_provenance, n_models)?;
+    Ok(BinIndex {
         text_version,
         body_digest: format!("{body_digest:016x}"),
         sections,
-    };
-    check_shape(&index)?;
-    Ok(index)
+    })
 }
 
-/// The v1/v2 shape rules, shared with the text reader's semantics.
-fn check_shape(index: &BinIndex) -> ExResult<()> {
-    let n_models = index.models().count();
-    let has_prov = index.sections.iter().any(|s| s.kind.is_none());
-    if index.sections.iter().filter(|s| s.kind.is_none()).count() > 1 {
-        return Err(ExchangeError::Corrupt {
-            offset: FILE_HEADER_LEN,
-            message: "more than one provenance section".into(),
-        });
+/// [`read_index`] over a container held in memory.
+fn index_from_bytes(bytes: &[u8]) -> ExResult<BinIndex> {
+    if bytes.len() < FILE_HEADER_LEN && !bytes.is_empty() && !is_binary(bytes) {
+        return Err(bad_magic(&bytes[..bytes.len().min(MAGIC.len())]));
     }
-    if n_models == 0 {
-        return Err(ExchangeError::Invalid {
-            message: "a container must hold at least one model".into(),
-        });
-    }
-    if index.text_version == FORMAT_VERSION && (has_prov || n_models != 1) {
-        return Err(ExchangeError::Invalid {
-            message: format!(
-                "format v1 holds exactly one provenance-free model, got {n_models} model(s){}",
-                if has_prov { " plus provenance" } else { "" }
-            ),
-        });
-    }
-    Ok(())
+    // An in-memory cursor seeks forward without failing.
+    read_index(
+        &mut std::io::Cursor::new(bytes),
+        bytes.len() as u64,
+        invalid,
+    )
 }
 
 /// Builds the section directory of a binary container held in memory.
@@ -920,14 +721,10 @@ pub fn index_path(path: impl AsRef<Path>) -> Result<BinIndex> {
 /// See [`index_path`].
 pub fn index_path_with_len(path: impl AsRef<Path>, known_len: Option<u64>) -> Result<BinIndex> {
     let path = path.as_ref();
-    let io_err = |e: std::io::Error| ExchangeError::Io {
-        path: path.display().to_string(),
-        message: e.to_string(),
-    };
-    let file = std::fs::File::open(path).map_err(io_err)?;
-    let file_len = match known_len {
+    let file = std::fs::File::open(path).map_err(io_error(path))?;
+    let len = match known_len {
         Some(len) => len,
-        None => file.metadata().map_err(io_err)?.len(),
+        None => file.metadata().map_err(io_error(path))?.len(),
     };
     // One buffered reader sized so a typical single-model container's
     // whole header run (file header + section header + name) arrives in
@@ -936,56 +733,7 @@ pub fn index_path_with_len(path: impl AsRef<Path>, known_len: Option<u64>) -> Re
     // stays inside the buffer, so indexing a small file costs an open
     // and a single sub-KiB read.
     let mut file = std::io::BufReader::with_capacity(512, file);
-    let mut header = [0u8; FILE_HEADER_LEN];
-    read_exact_or_truncated(&mut file, &mut header, "the 32-byte file header")?;
-    let (text_version, body_digest, n_sections) = parse_file_header(&header)?;
-    let mut sections = Vec::with_capacity((n_sections as usize).min(1024));
-    let mut pos = FILE_HEADER_LEN as u64;
-    for i in 0..n_sections {
-        let mut sh = [0u8; SECTION_HEADER_LEN];
-        read_exact_or_truncated(&mut file, &mut sh, "a section header")?;
-        let name_len = u16::from_le_bytes(sh[6..8].try_into().expect("2 bytes")) as usize;
-        let payload_len = u64::from_le_bytes(sh[8..16].try_into().expect("8 bytes"));
-        let mut name = vec![0u8; name_len];
-        read_exact_or_truncated(&mut file, &mut name, "a section name")?;
-        let payload_offset = pos + (SECTION_HEADER_LEN + name_len) as u64;
-        let end = payload_offset.checked_add(payload_len);
-        if end.is_none_or(|e| e > file_len) {
-            return Err(ExchangeError::Truncated {
-                expected: format!("{payload_len} payload bytes of section {i}"),
-            }
-            .into());
-        }
-        let section = parse_section_header(&sh, &name, pos as usize, payload_offset as usize)?;
-        if section.kind.is_none() && i != 0 {
-            return Err(ExchangeError::Corrupt {
-                offset: pos as usize,
-                message: "provenance must be the first section".into(),
-            }
-            .into());
-        }
-        pos = payload_offset + payload_len;
-        if i + 1 < n_sections {
-            // The last payload needs no skip: the trailing-bytes check
-            // below compares the declared end against the file length.
-            file.seek_relative(payload_len as i64).map_err(io_err)?;
-        }
-        sections.push(section);
-    }
-    if pos != file_len {
-        return Err(ExchangeError::Corrupt {
-            offset: pos as usize,
-            message: format!("{} trailing bytes after the last section", file_len - pos),
-        }
-        .into());
-    }
-    let index = BinIndex {
-        text_version,
-        body_digest: format!("{body_digest:016x}"),
-        sections,
-    };
-    check_shape(&index)?;
-    Ok(index)
+    Ok(read_index(&mut file, len, io_error(path))?)
 }
 
 /// Verifies one section's digest against the file bytes, then decodes its
@@ -996,7 +744,8 @@ pub fn index_path_with_len(path: impl AsRef<Path>, known_len: Option<u64>) -> Re
 /// # Errors
 ///
 /// [`ExchangeError::DigestMismatch`] on corruption, the decode failures
-/// of the payload grammar, or the model's own validation failure.
+/// of the payload grammar, or [`ExchangeError::Invalid`] when the model
+/// fails its own validation.
 pub fn decode_model(bytes: &[u8], section: &BinSection) -> Result<AnyModel> {
     let Some(kind) = section.kind else {
         return Err(ExchangeError::Invalid {
@@ -1004,10 +753,10 @@ pub fn decode_model(bytes: &[u8], section: &BinSection) -> Result<AnyModel> {
         }
         .into());
     };
-    let payload = section_payload(bytes, section)?;
-    verify_section_digest(section, payload)?;
-    let model = decode_model_payload(kind, &section.name, payload, section.payload_offset)?;
-    model.validate()?;
+    let mut r = section_reader(bytes, section)?;
+    let model = decode_body(kind, section.name.clone(), &mut r)?;
+    r.finish("the model body")?;
+    model.validate().map_err(invalid)?;
     Ok(model)
 }
 
@@ -1023,12 +772,15 @@ pub fn decode_provenance_section(bytes: &[u8], section: &BinSection) -> Result<P
         }
         .into());
     }
-    let payload = section_payload(bytes, section)?;
-    verify_section_digest(section, payload)?;
-    Ok(decode_provenance(payload, section.payload_offset)?)
+    let mut r = section_reader(bytes, section)?;
+    let mut provenance = Provenance::default();
+    provenance.walk(&mut r)?;
+    r.finish("the provenance block")?;
+    Ok(provenance)
 }
 
-fn section_payload<'a>(bytes: &'a [u8], section: &BinSection) -> Result<&'a [u8]> {
+/// A reader over one section's payload, after verifying its digest.
+fn section_reader<'a>(bytes: &'a [u8], section: &BinSection) -> ExResult<BinReader<'a>> {
     let end = section
         .payload_offset
         .checked_add(section.payload_len)
@@ -1036,31 +788,21 @@ fn section_payload<'a>(bytes: &'a [u8], section: &BinSection) -> Result<&'a [u8]
     let Some(end) = end else {
         return Err(ExchangeError::Truncated {
             expected: format!("{} payload bytes", section.payload_len),
-        }
-        .into());
+        });
     };
-    Ok(&bytes[section.payload_offset..end])
-}
-
-fn verify_section_digest(section: &BinSection, payload: &[u8]) -> Result<()> {
-    let mut input = Vec::with_capacity(section.name.len() + payload.len());
-    input.extend_from_slice(section.name.as_bytes());
-    input.extend_from_slice(payload);
-    let found = format!("{:016x}", fnv1a(&input));
+    let payload = &bytes[section.payload_offset..end];
+    let found = format!("{:016x}", section_digest(&section.name, payload));
     if found != section.digest {
-        let what = if section.kind.is_some() {
-            format!("model {}", section.name)
-        } else {
-            "provenance".to_string()
-        };
         return Err(ExchangeError::DigestMismatch {
-            section: what,
+            section: match section.kind {
+                Some(_) => format!("model {}", section.name),
+                None => "provenance".to_string(),
+            },
             expected: section.digest.clone(),
             found,
-        }
-        .into());
+        });
     }
-    Ok(())
+    Ok(BinReader::new(payload, section.payload_offset))
 }
 
 /// Deserializes a whole binary container, verifying the body digest and
@@ -1105,9 +847,6 @@ pub fn load_artifact_bin(bytes: &[u8]) -> Result<Artifact> {
 ///
 /// [`load_artifact_bin`] failures plus [`ExchangeError::Io`].
 pub fn load_artifact_bin_from_path(path: impl AsRef<Path>) -> Result<Artifact> {
-    let bytes = std::fs::read(path.as_ref()).map_err(|e| ExchangeError::Io {
-        path: path.as_ref().display().to_string(),
-        message: e.to_string(),
-    })?;
-    load_artifact_bin(&bytes)
+    let path = path.as_ref();
+    load_artifact_bin(&std::fs::read(path).map_err(io_error(path))?)
 }

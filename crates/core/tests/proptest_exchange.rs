@@ -10,15 +10,21 @@
 //! as [`ExchangeError::Truncated`], and the deterministic fixtures at the
 //! bottom pin the exact typed error for each documented corruption class
 //! (bad magic, flipped digest byte, truncated section).
+//!
+//! The committed golden artifacts under `tests/data/` pin the on-disk
+//! layout itself, and a seeded mutation corpus over them drives both
+//! loaders past the digest checks into the payload decoders.
 
 use macromodel::driver::{PwRbfDriverModel, WeightSequence};
-use macromodel::exchange::binary::{index_bytes, load_artifact_bin, save_artifact_bin, MAGIC};
+use macromodel::exchange::binary::{
+    index_bytes, load_artifact_bin, save_artifact_bin, BinSection, FILE_HEADER_LEN, MAGIC,
+};
 use macromodel::exchange::{
-    load_artifact, load_artifact_bytes, save_artifact, AnyModel, Artifact, ExchangeError,
-    Provenance,
+    content_digest, load_artifact, load_artifact_bytes, save_artifact, AnyModel, Artifact,
+    ExchangeError, Provenance,
 };
 use macromodel::receiver::{CrModel, ReceiverModel};
-use macromodel::Error;
+use macromodel::{Error, Macromodel};
 use numkit::interp::Pwl;
 use proptest::prelude::*;
 use refdev::IbisModel;
@@ -333,5 +339,180 @@ fn fixture_truncated_section_is_typed() {
             assert!(!expected.is_empty());
         }
         other => panic!("expected Truncated, got {other:?}"),
+    }
+}
+
+/// The golden artifacts: one `mdlx 1` file per kind and an `mdlx 2`
+/// bundle of all four with provenance, each with its `.mdlxb` twin. They
+/// hold the models of `Stream(2002)` (driver, receiver, C–R̂, IBIS, in
+/// that order) and are never regenerated: they pin the on-disk layout.
+fn golden() -> Vec<(&'static str, Vec<u8>, Vec<u8>)> {
+    let dir = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/data");
+    ["pwrbf-driver", "receiver", "cr-baseline", "ibis", "bundle"]
+        .into_iter()
+        .map(|stem| {
+            let read = |ext: &str| std::fs::read(dir.join(format!("{stem}.{ext}"))).unwrap();
+            (stem, read("mdlx"), read("mdlxb"))
+        })
+        .collect()
+}
+
+/// Both encodings of every golden artifact load and re-save to the
+/// committed bytes, in both encodings. Round-trip tests cannot see a
+/// layout change made to a writer and its reader together; these can.
+#[test]
+fn golden_fixtures_resave_byte_identically() {
+    for (stem, text, bin) in golden() {
+        for (encoding, bytes) in [("text", &text), ("binary", &bin)] {
+            let artifact = load_artifact_bytes(bytes)
+                .unwrap_or_else(|e| panic!("{stem} ({encoding}) failed to load: {e}"));
+            assert_eq!(
+                save_artifact(&artifact).unwrap().as_bytes(),
+                &text[..],
+                "{stem} ({encoding}) re-saved as text"
+            );
+            assert_eq!(
+                save_artifact_bin(&artifact).unwrap(),
+                bin,
+                "{stem} ({encoding}) re-saved as binary"
+            );
+        }
+    }
+}
+
+/// Seeds of the mutation corpus, fixed so every run replays the same
+/// cases.
+const FUZZ_SEEDS: [u64; 4] = [1, 0x5eed, 0xdead_beef, 2002];
+
+/// Declared counts at, just above, and far above the format bound.
+const COUNT_PROBES: [u32; 3] = [1 << 20, (1 << 20) + 1, u32::MAX];
+
+/// A mutated artifact must load into models that pass their own
+/// validation, or fail with a typed [`ExchangeError`] — never panic.
+fn assert_loads_or_fails_typed(bytes: &[u8], case: &str) {
+    let outcome = std::panic::catch_unwind(|| load_artifact_bytes(bytes))
+        .unwrap_or_else(|_| panic!("{case}: the loader panicked"));
+    match outcome {
+        Ok(artifact) => {
+            for model in &artifact.models {
+                model
+                    .validate()
+                    .unwrap_or_else(|e| panic!("{case}: loaded an invalid model: {e}"));
+            }
+        }
+        Err(Error::Exchange(_)) => {}
+        Err(other) => panic!("{case}: untyped failure {other:?}"),
+    }
+}
+
+fn fnv(bytes: &[u8]) -> u64 {
+    u64::from_str_radix(&content_digest(bytes), 16).unwrap()
+}
+
+/// Re-computes every section digest (over the original framing) and the
+/// body digest, so a mutation reaches the decoders instead of tripping a
+/// digest check.
+fn reseal(bin: &mut [u8], sections: &[BinSection]) {
+    for s in sections {
+        let name_at = s.payload_offset - s.name.len();
+        let digest = fnv(&bin[name_at..s.payload_offset + s.payload_len]);
+        bin[name_at - 8..name_at].copy_from_slice(&digest.to_le_bytes());
+    }
+    let body = fnv(&bin[FILE_HEADER_LEN..]);
+    bin[20..28].copy_from_slice(&body.to_le_bytes());
+}
+
+#[test]
+fn seeded_mutations_of_text_artifacts_fail_typed() {
+    for (stem, text, _) in golden() {
+        for cut in (0..text.len()).filter(|&i| i == 0 || text[i - 1] == b'\n') {
+            assert_loads_or_fails_typed(&text[..cut], &format!("{stem}.mdlx cut at {cut}"));
+        }
+        for seed in FUZZ_SEEDS {
+            let mut s = Stream(seed);
+            for _ in 0..64 {
+                let at = s.index(text.len());
+                let mut m = text.clone();
+                m[at] ^= 1 + s.index(255) as u8;
+                assert_loads_or_fails_typed(&m, &format!("{stem}.mdlx flip at {at}"));
+                let cut = s.index(text.len());
+                assert_loads_or_fails_typed(&text[..cut], &format!("{stem}.mdlx cut at {cut}"));
+            }
+        }
+        // Every integer operand — vector lengths, orders, center and
+        // model counts, the version — set to each probe.
+        let text = String::from_utf8(text).unwrap();
+        let lines: Vec<&str> = text.lines().collect();
+        for (i, line) in lines.iter().enumerate() {
+            let toks: Vec<&str> = line.split(' ').collect();
+            for j in 1..toks.len() {
+                if toks[j].is_empty() || !toks[j].bytes().all(|b| b.is_ascii_digit()) {
+                    continue;
+                }
+                for probe in COUNT_PROBES {
+                    let mut t = toks.clone();
+                    let probe = probe.to_string();
+                    t[j] = &probe;
+                    let mut m = lines.clone();
+                    let edited = t.join(" ");
+                    m[i] = &edited;
+                    let case = format!("{stem}.mdlx line {} token {j} = {probe}", i + 1);
+                    assert_loads_or_fails_typed((m.join("\n") + "\n").as_bytes(), &case);
+                }
+            }
+        }
+    }
+}
+
+#[test]
+fn seeded_mutations_of_binary_artifacts_fail_typed() {
+    for (stem, _, bin) in golden() {
+        let sections = index_bytes(&bin).unwrap().sections;
+        for cut in 0..bin.len() {
+            assert_loads_or_fails_typed(&bin[..cut], &format!("{stem}.mdlxb cut at {cut}"));
+        }
+        for seed in FUZZ_SEEDS {
+            let mut s = Stream(seed);
+            for _ in 0..64 {
+                let at = FILE_HEADER_LEN + s.index(bin.len() - FILE_HEADER_LEN);
+                let mut m = bin.clone();
+                m[at] ^= 1 + s.index(255) as u8;
+                reseal(&mut m, &sections);
+                assert_loads_or_fails_typed(&m, &format!("{stem}.mdlxb flip at {at}"));
+            }
+        }
+        // Every 4-byte window of every payload set to each probe: this
+        // lands on each u32 count field of the schema.
+        for sec in &sections {
+            for at in sec.payload_offset..sec.payload_offset + sec.payload_len - 3 {
+                for probe in COUNT_PROBES {
+                    let mut m = bin.clone();
+                    m[at..at + 4].copy_from_slice(&probe.to_le_bytes());
+                    reseal(&mut m, &sections);
+                    let case = format!("{stem}.mdlxb u32 at {at} = {probe}");
+                    assert_loads_or_fails_typed(&m, &case);
+                }
+            }
+        }
+    }
+}
+
+/// A resealed payload mutation gets past both digests, so the payload
+/// decoder — not the digest check — must be what rejects it.
+#[test]
+fn resealed_count_overflow_reaches_the_payload_decoder() {
+    let (_, _, bin) = golden().remove(2);
+    let sections = index_bytes(&bin).unwrap().sections;
+    // The C–R̂ payload is `f64 c` then the `iv_x` count.
+    let at = sections[0].payload_offset + 8;
+    let mut m = bin.clone();
+    m[at..at + 4].copy_from_slice(&((1u32 << 20) + 1).to_le_bytes());
+    reseal(&mut m, &sections);
+    match load_artifact_bin(&m) {
+        Err(Error::Exchange(ExchangeError::Corrupt { offset, message })) => {
+            assert_eq!(offset, at);
+            assert!(message.contains("iv_x"), "{message}");
+        }
+        other => panic!("expected Corrupt at {at}, got {other:?}"),
     }
 }

@@ -49,22 +49,26 @@ mdl store validate "$store" --fast --json "$report_dir/fleet-validate.json"
 echo "== scenario-matrix sweep"
 mdl store sweep "$store" --fast --json "$report_dir/fleet-sweep.json"
 
-# The binary-container leg: convert two of the fleet artifacts to the
-# .mdlxb container (convert verifies text -> binary -> text byte-identity
-# itself; the cmp below re-asserts it end to end through separate
-# invocations), build a mixed text+binary store with them, and require
-# the sweep to produce the identical report — the container must be a
-# pure encoding change, invisible to every result downstream.
+# The binary-container leg: convert every fleet artifact — all four model
+# kinds, v1 and v2, with and without provenance — to the .mdlxb container
+# and back (convert verifies text -> binary -> text byte-identity itself;
+# the cmp below re-asserts it end to end through separate invocations),
+# build a mixed text+binary store from them, and require the sweep to
+# produce the identical report — the container must be a pure encoding
+# change, invisible to every result downstream.
 echo "== binary container round-trip + mixed-store sweep"
 bin_store="$(mktemp -d)"
 scratch+=("$bin_store")
 cp "$store"/*.mdlx "$bin_store/"
-mdl convert "$bin_store/md1-pwrbf.mdlx" "$bin_store/md1-pwrbf.mdlxb"
-mdl convert "$bin_store/md4-receiver.mdlx" "$bin_store/md4-receiver.mdlxb"
-mdl convert "$bin_store/md1-pwrbf.mdlxb" "$bin_store/md1-pwrbf.roundtrip.mdlx"
-cmp "$bin_store/md1-pwrbf.mdlx" "$bin_store/md1-pwrbf.roundtrip.mdlx"
+for name in md1-pwrbf md1-ibis-corners md4-receiver md4-cr; do
+    mdl convert "$bin_store/$name.mdlx" "$bin_store/$name.mdlxb"
+    mdl convert "$bin_store/$name.mdlxb" "$bin_store/$name.roundtrip.mdlx"
+    cmp "$bin_store/$name.mdlx" "$bin_store/$name.roundtrip.mdlx"
+    rm "$bin_store/$name.roundtrip.mdlx"
+done
+# Serve two entries from each container.
 rm "$bin_store/md1-pwrbf.mdlx" "$bin_store/md4-receiver.mdlx" \
-   "$bin_store/md1-pwrbf.roundtrip.mdlx"
+   "$bin_store/md1-ibis-corners.mdlxb" "$bin_store/md4-cr.mdlxb"
 
 mdl store ls "$bin_store"
 mdl store sweep "$bin_store" --fast --json "$report_dir/fleet-sweep-bin.json"
