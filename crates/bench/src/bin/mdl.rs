@@ -102,13 +102,17 @@ fn parse_opt(args: &mut Vec<String>, key: &str) -> Option<String> {
     Some(args.remove(pos))
 }
 
-fn parse_f64_opt(args: &mut Vec<String>, key: &str) -> Option<f64> {
-    parse_opt(args, key).map(|v| {
-        v.parse().unwrap_or_else(|_| {
-            eprintln!("{key}: '{v}' is not a number");
+/// Parses `key` as a finite number > 0. Zero, negative, non-finite and
+/// non-numeric values are usage errors.
+fn parse_positive_opt(args: &mut Vec<String>, key: &str) -> Option<f64> {
+    let v = parse_opt(args, key)?;
+    match v.parse::<f64>() {
+        Ok(f) if f.is_finite() && f > 0.0 => Some(f),
+        _ => {
+            eprintln!("{key}: expected a finite number > 0, got '{v}'");
             usage();
-        })
-    })
+        }
+    }
 }
 
 /// Parses `key` as a whole number of at least `min`. Negative, fractional,
@@ -421,8 +425,8 @@ fn cmd_lint(mut args: Vec<String>) -> CliResult<()> {
 
 fn cmd_validate(mut args: Vec<String>) -> CliResult<()> {
     let fast = parse_flag(&mut args, "--fast");
-    let rms_limit = parse_f64_opt(&mut args, "--rms-limit");
-    let timing_limit = parse_f64_opt(&mut args, "--timing-limit");
+    let rms_limit = parse_positive_opt(&mut args, "--rms-limit");
+    let timing_limit = parse_positive_opt(&mut args, "--timing-limit");
     let [path] = args.as_slice() else { usage() };
 
     // 1. Load with strict validation, then check the bit-exact re-save
@@ -663,8 +667,8 @@ fn cmd_store(mut args: Vec<String>) -> CliResult<()> {
 fn cmd_simulate(mut args: Vec<String>) -> CliResult<()> {
     let fixture = parse_opt(&mut args, "--fixture");
     let pattern = parse_opt(&mut args, "--pattern").unwrap_or_else(|| "010".into());
-    let bit_time = parse_f64_opt(&mut args, "--bit-time").unwrap_or(4e-9);
-    let t_stop = parse_f64_opt(&mut args, "--t-stop").unwrap_or(12e-9);
+    let bit_time = parse_positive_opt(&mut args, "--bit-time").unwrap_or(4e-9);
+    let t_stop = parse_positive_opt(&mut args, "--t-stop").unwrap_or(12e-9);
     let [path] = args.as_slice() else { usage() };
     let model = load_model_from_path(path)?;
 
@@ -704,7 +708,7 @@ fn cmd_eye(mut args: Vec<String>) -> CliResult<()> {
     if let Some(l) = parse_count_opt(&mut args, "--lanes", 1) {
         w.lanes = l as usize;
     }
-    if let Some(bt) = parse_f64_opt(&mut args, "--bit-time") {
+    if let Some(bt) = parse_positive_opt(&mut args, "--bit-time") {
         w.bit_time = bt;
     }
     let [path] = args.as_slice() else { usage() };
@@ -972,7 +976,7 @@ fn cmd_bench_store(mut args: Vec<String>) -> CliResult<()> {
 
     let json = parse_flag(&mut args, "--json");
     let baseline = parse_opt(&mut args, "--baseline");
-    let min_speedup = parse_f64_opt(&mut args, "--min-speedup");
+    let min_speedup = parse_positive_opt(&mut args, "--min-speedup");
     let mut cfg = StoreBenchConfig::default();
     if let Some(n) = parse_count_opt(&mut args, "--entries", 1) {
         cfg.entries = n as usize;

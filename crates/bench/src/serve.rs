@@ -357,7 +357,7 @@ pub struct CellReport {
 }
 
 impl CellReport {
-    fn failed(model: &dyn Macromodel, scenario: &str, detail: String) -> Self {
+    pub(crate) fn failed(model: &dyn Macromodel, scenario: &str, detail: String) -> Self {
         CellReport {
             model: model.name().to_string(),
             kind: model.kind().tag().to_string(),
@@ -1082,6 +1082,9 @@ pub(crate) fn run_sweep_cell(model: &dyn Macromodel, scenario: &Scenario) -> Cel
     }
 }
 
+/// Scenario name of a [`validate_model`] report.
+pub(crate) const VALIDATE_SCENARIO: &str = "reference-validate";
+
 /// Validates one model against its transistor-level reference with the
 /// standard per-kind fixture and accuracy gate. `rms_limit` / `timing_limit`
 /// override the kind defaults.
@@ -1091,7 +1094,7 @@ pub fn validate_model(
     rms_limit: Option<f64>,
     timing_limit: Option<f64>,
 ) -> CellReport {
-    let scenario = "reference-validate";
+    let scenario = VALIDATE_SCENARIO;
     let t0 = std::time::Instant::now();
     let Some(reference) = reference_for(model) else {
         return CellReport::failed(

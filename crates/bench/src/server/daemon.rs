@@ -769,7 +769,7 @@ fn stats_json(inner: &Arc<Inner>) -> String {
          \"cache\":{{\"hits\":{},\"misses\":{},\"hit_rate\":{},\"entries\":{}}},\
          \"lint\":{{\"errors\":{lint_e},\"warnings\":{lint_w},\"infos\":{lint_i}}},\
          \"reloads\":{},\
-         \"scheduler\":{{\"batches\":{},\"cells\":{},\"max_batch\":{}}},\
+         \"scheduler\":{{\"batches\":{},\"cells\":{},\"max_batch\":{},\"panics\":{}}},\
          \"uptime_s\":{}}}",
         c.generation.load(Ordering::Relaxed),
         generation.models.len(),
@@ -792,6 +792,7 @@ fn stats_json(inner: &Arc<Inner>) -> String {
         sched.batches,
         sched.cells,
         sched.max_batch,
+        sched.panics,
         json_f64(inner.started.elapsed().as_secs_f64()),
     )
 }

@@ -11,8 +11,13 @@
 //! `mpsc` channels and are sent the moment each cell finishes, so a slow
 //! bus-ladder cell never holds a quick `r50` cell's response hostage
 //! beyond the shared batch.
+//!
+//! A cell that panics is caught on its worker: its client gets a failed
+//! [`CellReport`] (`panic: <message>`), the `panics` counter grows, and the
+//! runner keeps serving.
 
 use std::collections::VecDeque;
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::mpsc::Sender;
 use std::sync::{Arc, Condvar, Mutex};
@@ -59,6 +64,8 @@ pub struct SchedulerSnapshot {
     pub cells: u64,
     /// Largest single batch.
     pub max_batch: u64,
+    /// Cells that panicked (each answered with a failed report).
+    pub panics: u64,
 }
 
 /// The shared queue + runner state.
@@ -69,6 +76,7 @@ pub struct Scheduler {
     batches: AtomicU64,
     cells: AtomicU64,
     max_batch: AtomicU64,
+    panics: AtomicU64,
 }
 
 impl Scheduler {
@@ -82,6 +90,7 @@ impl Scheduler {
             batches: AtomicU64::new(0),
             cells: AtomicU64::new(0),
             max_batch: AtomicU64::new(0),
+            panics: AtomicU64::new(0),
         })
     }
 
@@ -114,6 +123,7 @@ impl Scheduler {
             batches: self.batches.load(Ordering::Relaxed),
             cells: self.cells.load(Ordering::Relaxed),
             max_batch: self.max_batch.load(Ordering::Relaxed),
+            panics: self.panics.load(Ordering::Relaxed),
         }
     }
 
@@ -152,11 +162,34 @@ impl Scheduler {
             self.max_batch
                 .fetch_max(batch.len() as u64, Ordering::Relaxed);
             par_map(batch, |job| {
-                let report = run_cell(&job.model, &job.task);
+                let report = catch_unwind(AssertUnwindSafe(|| run_cell(&job.model, &job.task)))
+                    .unwrap_or_else(|payload| {
+                        self.panics.fetch_add(1, Ordering::Relaxed);
+                        let message = payload
+                            .downcast_ref::<&str>()
+                            .map(|s| s.to_string())
+                            .or_else(|| payload.downcast_ref::<String>().cloned())
+                            .unwrap_or_else(|| "non-string payload".into());
+                        CellReport::failed(
+                            job.model.model.as_dyn(),
+                            job.task.name(),
+                            format!("panic: {message}"),
+                        )
+                    });
                 // A dropped receiver means the connection died mid-flight;
                 // the cell still ran to completion, nothing to unwind.
                 job.reply.send(report).ok();
             });
+        }
+    }
+}
+
+impl CellTask {
+    /// The scenario name the task's [`CellReport`] carries.
+    fn name(&self) -> &str {
+        match self {
+            CellTask::Scenario(scenario) => &scenario.name,
+            CellTask::Validate { .. } => crate::serve::VALIDATE_SCENARIO,
         }
     }
 }
@@ -208,6 +241,57 @@ mod tests {
         assert!(snap.max_batch <= MAX_BATCH as u64);
         scheduler.shutdown();
         runner.join().unwrap();
+    }
+
+    #[test]
+    fn panicking_cell_is_reported_and_the_runner_keeps_serving() {
+        use crate::serve::ScenarioKind;
+        use macromodel::{PortStimulus, TestFixture};
+
+        let scheduler = Scheduler::new();
+        let runner = {
+            let s = Arc::clone(&scheduler);
+            std::thread::spawn(move || s.run())
+        };
+        let model = Arc::new(super::super::tests::served_dummy("drv"));
+        // '2' is no bit: building the driver's lane stimulus panics.
+        let bad = Scenario {
+            name: "bad-pattern".into(),
+            applies_to: Applicability::Drivers,
+            kind: ScenarioKind::Fixture {
+                fixture: TestFixture::resistive(50.0),
+                stim: Some(PortStimulus::new("012", 1e-9)),
+                t_stop: 3e-9,
+            },
+        };
+        let good = standard_scenarios(true)
+            .into_iter()
+            .find(|s| s.name == "r50")
+            .unwrap();
+        let (tx, rx) = mpsc::channel();
+        for scenario in [bad, good] {
+            assert!(scheduler.submit(Job {
+                model: Arc::clone(&model),
+                task: CellTask::Scenario(scenario),
+                reply: tx.clone(),
+            }));
+            // One job per batch: the good cell is submitted after the
+            // panic was handled.
+            let report = rx.recv().expect("the runner replies");
+            if report.scenario == "bad-pattern" {
+                assert!(!report.pass);
+                assert!(
+                    report.detail.starts_with("panic: ") && report.detail.contains("'2'"),
+                    "{}",
+                    report.detail
+                );
+            } else {
+                assert!(report.pass, "{}", report.detail);
+            }
+        }
+        assert_eq!(scheduler.snapshot().panics, 1);
+        scheduler.shutdown();
+        runner.join().expect("the runner survives a panicking cell");
     }
 
     #[test]

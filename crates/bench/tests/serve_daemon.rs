@@ -208,6 +208,7 @@ fn daemon_serves_schedules_and_reports_cache_stats() {
         json_u64_value(&stats, "cells").unwrap() >= 9,
         "sweep + singles: {stats}"
     );
+    assert_eq!(json_u64_value(&stats, "panics"), Some(0), "{stats}");
     assert!(stats.contains("\"hit_rate\":"));
 
     // Clean remote shutdown: acknowledged, then the daemon exits.

@@ -263,3 +263,54 @@ fn out_of_range_counts_are_usage_errors() {
         assert_eq!(mdl(args).status.code(), Some(1), "{args:?} must parse");
     }
 }
+
+#[test]
+fn non_positive_float_flags_are_usage_errors() {
+    let missing = temp_dir("floats").join("missing.mdlx");
+    let missing = missing.to_str().unwrap();
+    let rejected: &[&[&str]] = &[
+        &["validate", missing, "--rms-limit", "nan"],
+        &["validate", missing, "--rms-limit", "0"],
+        &["validate", missing, "--timing-limit", "-1e-10"],
+        &["validate", missing, "--timing-limit", "inf"],
+        &["eye", missing, "--bit-time", "-1"],
+        &["eye", missing, "--bit-time", "0"],
+        &["simulate", missing, "--bit-time", "-1"],
+        &["simulate", missing, "--bit-time", "0"],
+        &["simulate", missing, "--bit-time", "nan"],
+        &["simulate", missing, "--t-stop", "-3e-9"],
+        &["simulate", missing, "--t-stop", "x"],
+        &["bench-store", "--min-speedup", "0"],
+    ];
+    for args in rejected {
+        let out = mdl(args);
+        assert_eq!(out.status.code(), Some(2), "{args:?} must be a usage error");
+        let flag = args[args.len() - 2];
+        assert!(
+            String::from_utf8_lossy(&out.stderr).contains(flag),
+            "{args:?}: the error must name {flag}"
+        );
+    }
+    let accepted: &[&[&str]] = &[
+        &[
+            "validate",
+            missing,
+            "--rms-limit",
+            "0.05",
+            "--timing-limit",
+            "1e-10",
+        ],
+        &["eye", missing, "--bit-time", "2e-9"],
+        &[
+            "simulate",
+            missing,
+            "--bit-time",
+            "1e-9",
+            "--t-stop",
+            "3e-9",
+        ],
+    ];
+    for args in accepted {
+        assert_eq!(mdl(args).status.code(), Some(1), "{args:?} must parse");
+    }
+}

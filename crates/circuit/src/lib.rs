@@ -143,7 +143,8 @@ pub type Result<T> = std::result::Result<T, Error>;
 ///   Newton iteration and must not mutate logical state (interior
 ///   mutability for iteration-local limiting caches is permitted).
 /// * `is_nonlinear` states the linearity contract the transient relies on
-///   to freeze linear devices' matrix values (see the method docs).
+///   to freeze linear devices' matrix values and stamp their right-hand
+///   side once per step (see the method docs).
 /// * `init_state` is called once after the DC operating point with the DC
 ///   solution; `accept_step` after every accepted transient step.
 /// * Devices requiring branch unknowns report the count via `num_branches`
@@ -166,16 +167,22 @@ pub trait Device: std::any::Any {
         let _ = base;
     }
 
-    /// Whether the device is nonlinear. A device is *linear* iff, for a
-    /// fixed mode and step `dt`, every matrix value its `stamp` writes is
-    /// independent of the candidate solution `x` and of the time `t`; its
-    /// right-hand side may depend on anything (sources, companion history).
+    /// Whether the device is nonlinear. A device is *linear* iff both hold:
+    ///
+    /// * for a fixed mode and step `dt`, every matrix value its `stamp`
+    ///   writes is independent of the candidate solution `x` and of the
+    ///   time `t`;
+    /// * at a fixed mode (`t` and `dt`) and accepted state (the history set
+    ///   by `init_state` / `accept_step`), its right-hand side is
+    ///   independent of `x`. It may depend on `t`, `dt` and that state
+    ///   (sources, companion history).
     ///
     /// A transient freezes the linear devices' matrix into one
-    /// factorization and re-stamps only their right-hand side each Newton
-    /// iteration. Every row and column a nonlinear device registers becomes
-    /// a port, and nonlinear devices must write matrix values only there
-    /// (see [`workspace`]). Claiming linearity falsely gives wrong results;
+    /// factorization and stamps their right-hand side once per timestep,
+    /// not once per Newton iteration. Every row and column a nonlinear
+    /// device registers becomes a port, and nonlinear devices must write
+    /// matrix values and right-hand-side entries only there (see
+    /// [`workspace`]). Claiming linearity falsely gives wrong results;
     /// claiming nonlinearity falsely only costs speed.
     fn is_nonlinear(&self) -> bool {
         false

@@ -9,7 +9,7 @@
 
 use crate::mna::{EvalCtx, Mode};
 use crate::netlist::Circuit;
-use crate::workspace::{PortFallback, StampTarget, StampWorkspace};
+use crate::workspace::{PortFallback, StampWorkspace};
 use crate::{Error, Result};
 
 /// Absolute voltage convergence tolerance (volts).
@@ -62,6 +62,8 @@ pub fn solve_newton(
     debug_assert_eq!(ws.n(), n);
     let mut x = x0.to_vec();
     let fac_before = ws.stats().factorizations;
+    // Whether this solve's step has been reduced to the ports.
+    let mut step_reduced = false;
 
     for it in 0..MAX_ITER {
         let ctx = EvalCtx {
@@ -70,19 +72,9 @@ pub fn solve_newton(
             mode,
         };
         let on_ports = ws.on_ports(mode, gmin) && {
-            ws.begin_ports();
-            for dev in circuit.devices() {
-                ws.set_target(if dev.is_nonlinear() {
-                    StampTarget::Ports
-                } else {
-                    StampTarget::Discard
-                });
-                dev.stamp(&ctx, ws);
-            }
-            ws.set_target(StampTarget::Matrix);
-            ws.solve_ports()
-                .map_err(|reason| ws.leave_ports(reason))
-                .is_ok()
+            let solved = port_iteration(circuit, &ctx, !step_reduced, ws);
+            step_reduced = solved.is_ok();
+            solved.map_err(|reason| ws.leave_ports(reason)).is_ok()
         };
         if !on_ports {
             ws.begin();
@@ -138,8 +130,34 @@ pub fn solve_newton(
     })
 }
 
+/// One Newton iteration on the port path. A linear device's right-hand side
+/// does not depend on the iterate (the contract of
+/// [`crate::Device::is_nonlinear`]), so the linear devices stamp, and the
+/// interior is swept, only on a step's first iteration (`first`); every
+/// iteration stamps the nonlinear devices into the port system and solves
+/// it.
+fn port_iteration(
+    circuit: &Circuit,
+    ctx: &EvalCtx<'_>,
+    first: bool,
+    ws: &mut StampWorkspace,
+) -> std::result::Result<(), PortFallback> {
+    if first {
+        ws.begin_port_step();
+        for dev in circuit.devices().iter().filter(|d| !d.is_nonlinear()) {
+            dev.stamp(ctx, ws);
+        }
+        ws.finish_port_step()?;
+    }
+    ws.begin_ports();
+    for dev in circuit.devices().iter().filter(|d| d.is_nonlinear()) {
+        dev.stamp(ctx, ws);
+    }
+    ws.solve_ports()
+}
+
 /// Moves the rest of a transient onto the port-partitioned path when the
-/// flop counts favor it over `iterations` Newton iterations (see
+/// flop counts favor it over `steps` timesteps (see
 /// [`StampWorkspace`]'s module docs): stamps the linear devices and gmin at
 /// `mode`, then factors the interior and forms the port Schur complement.
 ///
@@ -155,13 +173,13 @@ pub(crate) fn enter_port_path(
     mode: Mode,
     x: &[f64],
     gmin: f64,
-    iterations: usize,
+    steps: usize,
     ws: &mut StampWorkspace,
 ) -> std::result::Result<bool, PortFallback> {
     let Mode::Tran { dt, .. } = mode else {
         return Ok(false);
     };
-    if !ws.ports_pay_off(iterations) {
+    if !ws.ports_pay_off(steps) {
         return Ok(false);
     }
     ws.begin();
@@ -374,6 +392,22 @@ mod tests {
         assert_eq!(entered, Err(PortFallback::SingularInterior));
         assert_eq!(ws.stats().interior_factorizations, 0);
         assert_eq!(ws.stats().port_fallbacks, 1);
+    }
+
+    #[test]
+    fn stray_port_writes_are_typed() {
+        // Unknown 0 is the source node (interior), 7 the diode's node (a
+        // port).
+        let (entered, mut ws) = try_port_path(&mut diode_ladder(false));
+        assert_eq!(entered, Ok(true));
+        ws.begin_ports();
+        ws.add(7, 7, 1.0);
+        ws.rhs_add(7, 1.0);
+        ws.rhs_add(0, 1.0);
+        assert_eq!(ws.solve_ports(), Err(PortFallback::StrayWrite));
+        ws.begin_ports();
+        ws.add(7, 0, 1.0);
+        assert_eq!(ws.solve_ports(), Err(PortFallback::StrayWrite));
     }
 
     #[test]

@@ -19,7 +19,8 @@
 //!
 //! Very small systems (`n <` [`DENSE_LIMIT`]) keep the dense
 //! [`numkit::lu::LuFactor`] path — the sparse bookkeeping would cost more
-//! than it saves.
+//! than it saves. That factor is refactored in place, so the dense path
+//! allocates nothing per iteration either.
 //!
 //! A device that writes to a position it never registered does not break
 //! anything: the write lands in an overflow list and the pattern grows at
@@ -33,22 +34,27 @@
 //! nonlinear device ([`crate::Device::is_nonlinear`]) registers. Everything
 //! else is *interior*. With a fixed mode and step, the linear devices'
 //! matrix never changes, so the transient can freeze it once
-//! (the `ports` submodule): factor the interior block, form the
-//! dense port Schur complement `S0`, and from then on
+//! (the `ports` submodule): factor the interior block `A_ii`, form the
+//! dense port Schur complement `S0` and the coupling `W = A_ii⁻¹ A_ip`.
+//! Within a timestep a linear device's right-hand side is fixed too (the
+//! contract of [`crate::Device::is_nonlinear`]), so the work splits in two:
 //!
-//! * linear devices write only their right-hand side (their matrix writes
-//!   are dropped — the values are already in the frozen factor);
-//! * nonlinear devices write into a `p × p` port accumulator through an
-//!   O(1) unknown→port table;
-//! * each Newton iteration solves `(S0 + G) x_p = r` with a dense LU plus
-//!   interior triangular sweeps — no sparse refactorization.
+//! * **once per step**, the linear devices write only their right-hand
+//!   side `b` (their matrix writes are dropped — the values are already in
+//!   the frozen factor), and one interior sweep gives `y = A_ii⁻¹ b_i` and
+//!   the reduced port right-hand side `r0 = b_p − A_pi y`;
+//! * **each Newton iteration**, only the nonlinear devices stamp: matrix
+//!   and right-hand side go into a `p × p` port accumulator through an O(1)
+//!   unknown→port table, a dense LU refactored in place solves
+//!   `(S0 + G) x_p = r0 + b_nl`, and `x_i = y − W x_p` gives the interior —
+//!   no sparse refactorization, no interior sweep, no allocation.
 //!
 //! The transient takes this path only when the flop counts of the last
 //! full factorization say it is cheaper (see
-//! `StampWorkspace::ports_pay_off`). A singular interior, a stray
-//! nonlinear write or a singular port system sends the analysis back to the
-//! full path (a typed `PortFallback`, counted in
-//! [`SolveStats::port_fallbacks`]).
+//! `StampWorkspace::ports_pay_off`). A singular interior, a nonlinear write
+//! outside the port block (matrix position or right-hand-side row), or a
+//! singular port system sends the analysis back to the full path (a typed
+//! `PortFallback`, counted in [`SolveStats::port_fallbacks`]).
 
 mod ports;
 
@@ -60,6 +66,11 @@ use ports::PortSolver;
 
 /// Below this unknown count the workspace uses the dense LU path.
 pub const DENSE_LIMIT: usize = 4;
+
+/// Newton iterations `StampWorkspace::ports_pay_off` prices per timestep.
+/// Convergence compares two successive iterates, so any step whose
+/// solution moves takes at least two.
+const STEP_ITERATIONS: u64 = 2;
 
 /// Open-addressing `(row, col) → value-slot` map over the structural
 /// nonzeros of a [`CscPattern`].
@@ -217,13 +228,15 @@ pub struct SolveStats {
     pub port_fallbacks: usize,
 }
 
-/// Where [`StampWorkspace::add`] sends matrix writes.
+/// Where [`StampWorkspace::add`] and [`StampWorkspace::rhs_add`] send
+/// writes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum StampTarget {
-    /// The full system matrix (the full path, and freezing the linear part).
+enum StampTarget {
+    /// The full system (the full path, and freezing the linear part).
     Matrix,
-    /// Nowhere: a linear device on the port path, whose values are already
-    /// in the frozen factor.
+    /// A linear device's step on the port path: matrix writes go nowhere
+    /// (the values are already in the frozen factor), right-hand-side
+    /// writes to the full right-hand side.
     Discard,
     /// The port accumulator: a nonlinear device on the port path.
     Ports,
@@ -240,7 +253,7 @@ struct SparseState {
 }
 
 enum Backend {
-    Dense { mat: Matrix },
+    Dense { mat: Matrix, lu: LuFactor },
     Sparse(Box<SparseState>),
 }
 
@@ -282,6 +295,7 @@ impl StampWorkspace {
         let backend = if n < DENSE_LIMIT {
             Backend::Dense {
                 mat: Matrix::zeros(n, n),
+                lu: LuFactor::default(),
             }
         } else {
             let pattern = CscPattern::from_entries(n, &pb.entries)
@@ -319,6 +333,7 @@ impl StampWorkspace {
             rhs: vec![0.0; n],
             backend: Backend::Dense {
                 mat: Matrix::zeros(n, n),
+                lu: LuFactor::default(),
             },
             stats: SolveStats::default(),
             flops_base: 0,
@@ -380,7 +395,7 @@ impl StampWorkspace {
     pub fn begin(&mut self) {
         self.rhs.iter_mut().for_each(|v| *v = 0.0);
         match &mut self.backend {
-            Backend::Dense { mat } => mat.fill_zero(),
+            Backend::Dense { mat, .. } => mat.fill_zero(),
             Backend::Sparse(state) => {
                 state.values.iter_mut().for_each(|v| *v = 0.0);
                 state.overflow.clear();
@@ -398,7 +413,7 @@ impl StampWorkspace {
         );
         match self.target {
             StampTarget::Matrix => match &mut self.backend {
-                Backend::Dense { mat } => mat.add_at(r, c, v),
+                Backend::Dense { mat, .. } => mat.add_at(r, c, v),
                 Backend::Sparse(state) => match state.slot.get(r, c) {
                     Some(s) => state.values[s] += v,
                     None => state.overflow.push((r, c, v)),
@@ -416,7 +431,10 @@ impl StampWorkspace {
     /// Accumulates `v` into right-hand-side row `r`.
     #[inline]
     pub fn rhs_add(&mut self, r: usize, v: f64) {
-        self.rhs[r] += v;
+        match (self.target, self.port.as_deref_mut()) {
+            (StampTarget::Ports, Some(ps)) => ps.rhs_add(r, v),
+            _ => self.rhs[r] += v,
+        }
     }
 
     /// Read access to the right-hand side (diagnostics and tests).
@@ -428,7 +446,7 @@ impl StampWorkspace {
     /// diagnostics and tests.
     pub fn value_at(&self, r: usize, c: usize) -> f64 {
         match &self.backend {
-            Backend::Dense { mat } => mat.get(r, c),
+            Backend::Dense { mat, .. } => mat.get(r, c),
             Backend::Sparse(state) => {
                 let mut v = state
                     .pattern
@@ -456,25 +474,21 @@ impl StampWorkspace {
         self
     }
 
-    /// Routes subsequent [`StampWorkspace::add`] calls.
-    pub(crate) fn set_target(&mut self, target: StampTarget) {
-        self.target = target;
-    }
-
-    /// Whether factoring the interior once and solving `iterations` Newton
-    /// iterations on the port Schur complement costs fewer flops than a
-    /// full refactorization per iteration.
+    /// Whether factoring the interior once and solving `steps` timesteps on
+    /// the port Schur complement costs fewer flops than a full
+    /// refactorization per Newton iteration, pricing each step at
+    /// [`STEP_ITERATIONS`] iterations.
     ///
     /// The counts come from the live full factorization. A full-path
     /// iteration assembles every structural entry, refactors
     /// ([`SparseLu::refactor_cost`]) and solves over the factor nonzeros. A
-    /// port iteration assembles and factors the dense port matrix
-    /// (`p² + p³/3`), solves it (`p²`), sweeps the interior twice (each
-    /// sweep bounded by the full factor's nonzeros) and applies the coupling
-    /// blocks. Setup costs one factorization plus one sweep per port. False
-    /// on the dense backend, before any factorization, and when every
-    /// unknown is a port.
-    pub(crate) fn ports_pay_off(&self, iterations: usize) -> bool {
+    /// port iteration assembles, factors and solves the dense port matrix
+    /// (`p³/3 + 2p²`) and forms `x_i = y − W x_p` (`ni·p`); each step adds
+    /// one interior sweep (bounded by the full factor's nonzeros) and the
+    /// coupling blocks. Setup costs one factorization plus one sweep per
+    /// port. False on the dense backend, before any factorization, and when
+    /// every unknown is a port.
+    pub(crate) fn ports_pay_off(&self, steps: usize) -> bool {
         let Backend::Sparse(state) = &self.backend else {
             return false;
         };
@@ -494,10 +508,11 @@ impl StampWorkspace {
         }
         let (refactor, nnz) = (lu.refactor_cost(), lu.factor_nnz() as u64);
         let full = state.pattern.nnz() as u64 + refactor + nnz;
-        let port = p * p * p / 3 + 2 * p * p + 2 * nnz + coupling;
+        let port = p * p * p / 3 + 2 * p * p + (n - p) * p;
+        let step = nnz + coupling;
         let setup = refactor + p * (nnz + coupling);
-        let it = iterations as u64;
-        setup + it * port < it * full
+        let (steps, k) = (steps as u64, STEP_ITERATIONS);
+        setup + steps * (step + k * port) < steps * k * full
     }
 
     /// Freezes the matrix stamped since [`StampWorkspace::begin`] — the
@@ -539,25 +554,42 @@ impl StampWorkspace {
         }
     }
 
-    /// Zeroes the right-hand side and resets the port matrix to `S0` for a
-    /// port-path stamping pass.
-    pub(crate) fn begin_ports(&mut self) {
+    /// Zeroes the right-hand side for a port-path step: the linear devices
+    /// stamp next, their matrix writes dropped.
+    pub(crate) fn begin_port_step(&mut self) {
         self.rhs.iter_mut().for_each(|v| *v = 0.0);
-        if let Some(ps) = self.port.as_deref_mut() {
-            ps.begin();
-        }
+        self.target = StampTarget::Discard;
+    }
+
+    /// Finishes a port-path step's linear stamping: one interior sweep
+    /// reduces the linear right-hand side to the ports.
+    ///
+    /// # Errors
+    ///
+    /// The [`PortFallback`] that makes the step unusable; the caller hands
+    /// it to [`StampWorkspace::leave_ports`] and re-solves on the full path.
+    pub(crate) fn finish_port_step(&mut self) -> Result<(), PortFallback> {
+        self.target = StampTarget::Matrix;
+        let ps = self.port.as_deref_mut().expect("port path entered");
+        ps.step(&self.rhs)
+    }
+
+    /// Resets the port matrix to `S0` and the nonlinear right-hand side to
+    /// zero: the nonlinear devices stamp next.
+    pub(crate) fn begin_ports(&mut self) {
+        self.port.as_deref_mut().expect("port path entered").begin();
+        self.target = StampTarget::Ports;
     }
 
     /// Solves a port-path iteration into [`StampWorkspace::solution`].
     ///
     /// # Errors
     ///
-    /// The [`PortFallback`] that makes the iteration unusable; the caller
-    /// hands it to [`StampWorkspace::leave_ports`] and re-solves on the
-    /// full path.
+    /// As [`StampWorkspace::finish_port_step`].
     pub(crate) fn solve_ports(&mut self) -> Result<(), PortFallback> {
+        self.target = StampTarget::Matrix;
         let ps = self.port.as_deref_mut().expect("port path entered");
-        ps.solve(&self.rhs, &mut self.x_out)?;
+        ps.solve(&mut self.x_out)?;
         let p = ps.n_ports() as u64;
         self.stats.port_solves += 1;
         self.flops_base += p * p * p / 3;
@@ -640,8 +672,8 @@ impl StampWorkspace {
             }
         }
         match &mut self.backend {
-            Backend::Dense { mat } => {
-                let lu = LuFactor::new(mat)?;
+            Backend::Dense { mat, lu } => {
+                lu.refactor(mat)?;
                 self.stats.factorizations += 1;
                 if self.stats.symbolic_analyses == 0 {
                     self.stats.symbolic_analyses = 1;
@@ -649,8 +681,7 @@ impl StampWorkspace {
                 let n = self.n as u64;
                 self.stats.factor_nnz = self.n * self.n;
                 self.stats.flops += n * n * n / 3;
-                let x = lu.solve(&self.rhs)?;
-                self.x_out.copy_from_slice(&x);
+                lu.solve_into(&self.rhs, &mut self.x_out)?;
             }
             Backend::Sparse(state) => {
                 let SparseState {

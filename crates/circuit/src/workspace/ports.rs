@@ -5,18 +5,21 @@
 //! ports `p` (every row or column a nonlinear device registers). With a
 //! fixed mode and step, the linear devices' matrix `A` is constant; the
 //! nonlinear devices add a Jacobian `G` that lives entirely in the `p × p`
-//! block:
+//! block, and a right-hand side `b_nl` on port rows:
 //!
 //! ```text
-//! [ A_ii   A_ip     ] [x_i]   [b_i]
-//! [ A_pi   A_pp + G ] [x_p] = [b_p]
+//! [ A_ii   A_ip     ] [x_i]   [b_i       ]
+//! [ A_pi   A_pp + G ] [x_p] = [b_p + b_nl]
 //! ```
 //!
-//! Eliminating `x_i` leaves `(S0 + G) x_p = b_p − A_pi A_ii⁻¹ b_i` with the
-//! constant Schur complement `S0 = A_pp − A_pi A_ii⁻¹ A_ip`. A [`PortSolver`]
-//! factors `A_ii` once, forms `S0`, and then solves each Newton iteration
-//! with one interior sweep, a dense `p × p` LU, and a second interior sweep
-//! for `x_i = A_ii⁻¹ (b_i − A_ip x_p)`.
+//! Eliminating `x_i` leaves `(S0 + G) x_p = r0 + b_nl` with the constant
+//! Schur complement `S0 = A_pp − A_pi A_ii⁻¹ A_ip` and `r0 = b_p − A_pi y`,
+//! `y = A_ii⁻¹ b_i`; then `x_i = y − W x_p` with `W = A_ii⁻¹ A_ip`. A
+//! [`PortSolver`] factors `A_ii` once and forms `S0` and `W` from one
+//! interior sweep per port. The linear right-hand side `b` is fixed within a
+//! timestep, so [`PortSolver::step`] sweeps the interior once per step for
+//! `y` and `r0`; each Newton iteration then costs one dense `p × p` LU plus
+//! the `ni × p` product `W x_p`, with no interior sweep.
 
 use numkit::lu::LuFactor;
 use numkit::sparse::{CscPattern, SparseLu};
@@ -41,7 +44,8 @@ pub(crate) enum PortFallback {
     SingularPorts,
 }
 
-/// The frozen linear interior plus the per-iteration port system.
+/// The frozen linear interior plus the per-step and per-iteration port
+/// systems.
 #[derive(Debug)]
 pub(super) struct PortSolver {
     /// Step the frozen matrix was assembled for.
@@ -57,24 +61,34 @@ pub(super) struct PortSolver {
     lu: SparseLu,
     /// `A_pi` as (port row, interior column, value).
     a_pi: Vec<(u32, u32, f64)>,
-    /// `A_ip` as (interior row, port column, value).
-    a_ip: Vec<(u32, u32, f64)>,
+    /// `W = A_ii⁻¹ A_ip`, row-major `ni × p`.
+    w: Vec<f64>,
     s0: Matrix,
     /// `S0 + G` of the current iteration: reset to `S0` by
     /// [`PortSolver::begin`], then accumulated by nonlinear stamps.
     m: Matrix,
+    /// Factor of `m`, refactored in place each iteration.
+    m_lu: LuFactor,
     /// Set when a nonlinear stamp lands outside the port block.
     stray: bool,
-    bi: Vec<f64>,
+    /// The step's interior solution of the linear part, `A_ii⁻¹ b_i`.
     y: Vec<f64>,
-    xi: Vec<f64>,
+    /// The step's reduced port right-hand side, `b_p − A_pi y`.
+    r0: Vec<f64>,
+    /// The iteration's nonlinear right-hand side, by port.
+    b_nl: Vec<f64>,
+    /// `r0 + b_nl`.
     r: Vec<f64>,
+    /// The iteration's port solution.
+    xp: Vec<f64>,
+    bi: Vec<f64>,
     scratch: Vec<f64>,
 }
 
 impl PortSolver {
     /// Partitions the assembled linear matrix (`pattern`, `values`) by
-    /// `ports` (sorted, unique), factors the interior and forms `S0`.
+    /// `ports` (sorted, unique), factors the interior and forms `S0` and
+    /// `W`.
     ///
     /// # Errors
     ///
@@ -129,14 +143,16 @@ impl PortSolver {
         let lu = SparseLu::factor(&ii_pattern, &ii_values)
             .map_err(|_| PortFallback::SingularInterior)?;
 
-        // S0 = A_pp − A_pi A_ii⁻¹ A_ip, one interior solve per port column.
+        // W = A_ii⁻¹ A_ip and S0 = A_pp − A_pi W, one interior solve per
+        // port column.
         a_ip.sort_unstable_by_key(|&(j, k, _)| (k, j));
         let (mut e, mut col, mut scratch) = (vec![0.0; ni], vec![0.0; ni], vec![0.0; ni]);
+        let mut w = vec![0.0; ni * p];
         let mut start = 0;
         for k in 0..p {
             let end = start + a_ip[start..].partition_point(|&(_, pc, _)| pc as usize == k);
             if start == end {
-                continue; // the port touches no interior unknown
+                continue; // the port touches no interior unknown: W[:, k] = 0
             }
             e.iter_mut().for_each(|v| *v = 0.0);
             for &(j, _, v) in &a_ip[start..end] {
@@ -145,6 +161,9 @@ impl PortSolver {
             start = end;
             lu.solve_into(&e, &mut col, &mut scratch)
                 .map_err(|_| PortFallback::SingularInterior)?;
+            for (j, &v) in col.iter().enumerate() {
+                w[j * p + k] = v;
+            }
             for &(pr, j, v) in &a_pi {
                 s0.add_at(pr as usize, k, -v * col[j as usize]);
             }
@@ -160,14 +179,17 @@ impl PortSolver {
             interior,
             lu,
             a_pi,
-            a_ip,
+            w,
             m: s0.clone(),
             s0,
+            m_lu: LuFactor::default(),
             stray: false,
-            bi: vec![0.0; ni],
             y: vec![0.0; ni],
-            xi: vec![0.0; ni],
+            r0: vec![0.0; p],
+            b_nl: vec![0.0; p],
             r: vec![0.0; p],
+            xp: vec![0.0; p],
+            bi: e,
             scratch,
         })
     }
@@ -187,11 +209,35 @@ impl PortSolver {
         self.lu.total_flops()
     }
 
-    /// Resets the port matrix to `S0` for a fresh stamping pass.
+    /// Takes the step's linear right-hand side `rhs` (every unknown): one
+    /// interior sweep for `y`, then `r0 = b_p − A_pi y`.
+    ///
+    /// # Errors
+    ///
+    /// [`PortFallback::SingularPorts`] if the sweep fails.
+    pub(super) fn step(&mut self, rhs: &[f64]) -> Result<(), PortFallback> {
+        for (b, &i) in self.bi.iter_mut().zip(&self.interior) {
+            *b = rhs[i];
+        }
+        self.lu
+            .solve_into(&self.bi, &mut self.y, &mut self.scratch)
+            .map_err(|_| PortFallback::SingularPorts)?;
+        for (r, &i) in self.r0.iter_mut().zip(&self.ports) {
+            *r = rhs[i];
+        }
+        for &(k, j, v) in &self.a_pi {
+            self.r0[k as usize] -= v * self.y[j as usize];
+        }
+        Ok(())
+    }
+
+    /// Resets the port matrix to `S0` and the nonlinear right-hand side to
+    /// zero for a fresh stamping pass.
     pub(super) fn begin(&mut self) {
         for r in 0..self.ports.len() {
             self.m.row_mut(r).copy_from_slice(self.s0.row(r));
         }
+        self.b_nl.iter_mut().for_each(|v| *v = 0.0);
         self.stray = false;
     }
 
@@ -204,49 +250,51 @@ impl PortSolver {
         }
     }
 
-    /// Solves the stamped iteration against the full right-hand side `rhs`,
-    /// writing every unknown of `x`.
+    /// Accumulates a nonlinear right-hand-side entry on row `r`.
+    #[inline]
+    pub(super) fn rhs_add(&mut self, r: usize, v: f64) {
+        match self.port_of[r] {
+            NONE => self.stray = true,
+            k => self.b_nl[k as usize] += v,
+        }
+    }
+
+    /// Solves the stamped iteration `(S0 + G) x_p = r0 + b_nl`, then
+    /// `x_i = y − W x_p`, writing every unknown of `x`.
     ///
     /// # Errors
     ///
     /// [`PortFallback::StrayWrite`] after a stamp outside the port block;
     /// [`PortFallback::SingularPorts`] for a singular port matrix or a
     /// non-finite solution.
-    pub(super) fn solve(&mut self, rhs: &[f64], x: &mut [f64]) -> Result<(), PortFallback> {
+    pub(super) fn solve(&mut self, x: &mut [f64]) -> Result<(), PortFallback> {
         if self.stray {
             return Err(PortFallback::StrayWrite);
         }
         let p = self.ports.len();
-        for (b, &i) in self.bi.iter_mut().zip(&self.interior) {
-            *b = rhs[i];
-        }
-        self.lu
-            .solve_into(&self.bi, &mut self.y, &mut self.scratch)
-            .map_err(|_| PortFallback::SingularPorts)?;
         if p == 0 {
-            self.xi.copy_from_slice(&self.y);
+            for (&i, &y) in self.interior.iter().zip(&self.y) {
+                x[i] = y;
+            }
         } else {
-            for (r, &i) in self.r.iter_mut().zip(&self.ports) {
-                *r = rhs[i];
+            for ((r, r0), b) in self.r.iter_mut().zip(&self.r0).zip(&self.b_nl) {
+                *r = r0 + b;
             }
-            for &(k, j, v) in &self.a_pi {
-                self.r[k as usize] -= v * self.y[j as usize];
-            }
-            let xp = LuFactor::new(&self.m)
-                .and_then(|lu| lu.solve(&self.r))
+            self.m_lu
+                .refactor(&self.m)
+                .and_then(|()| self.m_lu.solve_into(&self.r, &mut self.xp))
                 .map_err(|_| PortFallback::SingularPorts)?;
-            for &(j, k, v) in &self.a_ip {
-                self.bi[j as usize] -= v * xp[k as usize];
-            }
-            self.lu
-                .solve_into(&self.bi, &mut self.xi, &mut self.scratch)
-                .map_err(|_| PortFallback::SingularPorts)?;
-            for (&v, &i) in xp.iter().zip(&self.ports) {
+            for (&v, &i) in self.xp.iter().zip(&self.ports) {
                 x[i] = v;
             }
-        }
-        for (&v, &i) in self.xi.iter().zip(&self.interior) {
-            x[i] = v;
+            let rows = self.w.chunks_exact(p);
+            for ((&i, &y), w) in self.interior.iter().zip(&self.y).zip(rows) {
+                let mut s = y;
+                for (wk, xk) in w.iter().zip(&self.xp) {
+                    s -= wk * xk;
+                }
+                x[i] = s;
+            }
         }
         if x.iter().all(|v| v.is_finite()) {
             Ok(())

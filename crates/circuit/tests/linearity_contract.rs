@@ -1,10 +1,13 @@
 //! The linearity contract behind the port-partitioned transient path: a
 //! device is linear (`is_nonlinear() == false`) iff, for a fixed mode and
 //! step, its matrix contribution depends on neither the candidate solution
-//! `x` nor the time `t`. The transient freezes linear devices' matrix into
-//! one factorization, so every linear device in `circuit::devices` must
-//! stamp bit-identical matrix values at any two `(x, t)` — even after its
-//! history state has moved on.
+//! `x` nor the time `t`, and, at a fixed mode and accepted state, its
+//! right-hand side does not depend on `x`. The transient freezes linear
+//! devices' matrix into one factorization and stamps their right-hand side
+//! once per step, so every linear device in `circuit::devices` must stamp
+//! bit-identical matrix values at any two `(x, t)` — even after its history
+//! state has moved on — and a bit-identical right-hand side at any two `x`
+//! within one step.
 
 use circuit::devices::{
     Capacitor, CoupledInductors, CurrentSource, Diode, DiodeParams, IdealLine, Inductor, Resistor,
@@ -38,30 +41,47 @@ fn stamp(dev: &dyn Device, x: &[f64], t: f64) -> (Vec<u64>, Vec<f64>) {
     (matrix, ws.rhs().to_vec())
 }
 
+const X1: [f64; N] = [0.3, -0.2, 1e-3, -2e-3, 4e-4];
+const X2: [f64; N] = [1.7, 0.9, -5e-3, 3e-3, -1e-3];
+
+/// Wires `dev` into the test system and initializes its state from a DC
+/// solution.
+fn init(dev: &mut dyn Device) {
+    dev.set_branch_base(BRANCH);
+    dev.init_state(&EvalCtx {
+        x: &X1,
+        n_nodes: N_NODES,
+        mode: Mode::Dc,
+    });
+}
+
 /// Stamps at one `(x, t)`, advances the device's history with a different
 /// solution, and stamps again at another `(x, t)`. Returns whether the
 /// matrix and the right-hand side changed.
 fn matrix_and_rhs_change(dev: &mut dyn Device) -> (bool, bool) {
-    dev.set_branch_base(BRANCH);
-    let x1 = [0.3, -0.2, 1e-3, -2e-3, 4e-4];
-    let x2 = [1.7, 0.9, -5e-3, 3e-3, -1e-3];
-    let dc = EvalCtx {
-        x: &x1,
-        n_nodes: N_NODES,
-        mode: Mode::Dc,
-    };
-    dev.init_state(&dc);
-    let (m1, r1) = stamp(dev, &x1, 3.0 * DT);
+    init(dev);
+    let (m1, r1) = stamp(dev, &X1, 3.0 * DT);
     dev.accept_step(&EvalCtx {
-        x: &x2,
+        x: &X2,
         n_nodes: N_NODES,
         mode: Mode::Tran {
             t: 3.0 * DT,
             dt: DT,
         },
     });
-    let (m2, r2) = stamp(dev, &x2, 40.0 * DT);
+    let (m2, r2) = stamp(dev, &X2, 40.0 * DT);
     (m1 != m2, r1 != r2)
+}
+
+/// Stamps twice within one step (same `(t, dt)`, same accepted state) at
+/// the two iterates `X1` and `X2`. Returns whether the right-hand side
+/// changed in any bit.
+fn rhs_moves_with_the_iterate(dev: &mut dyn Device) -> bool {
+    init(dev);
+    let bits = |rhs: Vec<f64>| rhs.into_iter().map(f64::to_bits).collect::<Vec<_>>();
+    let (_, r1) = stamp(dev, &X1, 5.0 * DT);
+    let (_, r2) = stamp(dev, &X2, 5.0 * DT);
+    bits(r1) != bits(r2)
 }
 
 fn linear_devices() -> Vec<Box<dyn Device>> {
@@ -122,6 +142,17 @@ fn history_and_time_reach_the_right_hand_side() {
 }
 
 #[test]
+fn linear_devices_stamp_an_iterate_independent_rhs() {
+    for mut dev in linear_devices() {
+        assert!(
+            !rhs_moves_with_the_iterate(dev.as_mut()),
+            "{}: right-hand side moved with x within one step",
+            dev.label()
+        );
+    }
+}
+
+#[test]
 fn a_nonlinear_device_fails_the_same_check() {
     let mut d = Diode::new("d", node(1), node(2), DiodeParams::default());
     assert!(d.is_nonlinear());
@@ -129,5 +160,9 @@ fn a_nonlinear_device_fails_the_same_check() {
     assert!(
         matrix_changed,
         "the check must detect an x-dependent matrix"
+    );
+    assert!(
+        rhs_moves_with_the_iterate(&mut d),
+        "the check must detect an x-dependent right-hand side"
     );
 }

@@ -5,16 +5,18 @@
 //! transient Newton iteration a port solve) and agree with
 //! `TranParams::with_dense_solver` to 1e-9 of the waveform peak. Fixed
 //! cases pin the full-path exits: a voltage source across a port (singular
-//! interior, a counted fallback; the typed reason is unit-tested in
-//! `circuit::solver`), a nonlinear write outside the port block
-//! (a counted fallback mid-transient) and a CMOS inverter (nonlinear
-//! throughout, where the flop counts keep the full path).
+//! interior, a counted fallback; the typed reasons are unit-tested in
+//! `circuit::solver`), a nonlinear matrix or right-hand-side write outside
+//! the port block (a counted fallback mid-transient) and a CMOS inverter
+//! (nonlinear throughout, where the flop counts keep the full path).
 
 use circuit::devices::{
     Capacitor, Diode, DiodeParams, IdealLine, Inductor, MosPolarity, Mosfet, MosfetParams,
     Resistor, SourceWaveform, VoltageSource,
 };
-use circuit::{Circuit, Device, EvalCtx, Node, StampWorkspace, TranParams, TranResult, GROUND};
+use circuit::{
+    Circuit, Device, EvalCtx, Node, PatternBuilder, StampWorkspace, TranParams, TranResult, GROUND,
+};
 use proptest::prelude::*;
 
 const DT: f64 = 10e-12;
@@ -251,6 +253,60 @@ fn stray_nonlinear_write_falls_back_and_matches() {
     assert!(
         err <= 1e-9,
         "stray-write fallback vs dense: {err:.3e} of peak"
+    );
+}
+
+/// A diode that registers its own port but also injects a constant current
+/// into a node it never registers: a right-hand-side write on an interior
+/// row.
+struct LeakyDiode {
+    diode: Diode,
+    leak_into: Node,
+}
+
+impl Device for LeakyDiode {
+    fn label(&self) -> &str {
+        self.diode.label()
+    }
+
+    fn is_nonlinear(&self) -> bool {
+        true
+    }
+
+    fn register(&self, pb: &mut PatternBuilder) {
+        self.diode.register(pb);
+    }
+
+    fn stamp(&self, ctx: &EvalCtx<'_>, ws: &mut StampWorkspace) {
+        self.diode.stamp(ctx, ws);
+        let row = ctx.node_index(self.leak_into).expect("not ground");
+        ws.rhs_add(row, 2e-3);
+    }
+}
+
+#[test]
+fn stray_nonlinear_rhs_write_falls_back_and_matches() {
+    let build = || {
+        let (mut ckt, nodes) = clamped_ladder();
+        ckt.add(LeakyDiode {
+            diode: Diode::new("dleak", nodes[9], GROUND, DiodeParams::default()),
+            leak_into: nodes[3],
+        });
+        ckt
+    };
+    let (ckt, got, reference) = against_dense(build);
+    let s = got.solve_stats;
+    // The interior was factored, then the first iteration's right-hand-side
+    // write on row `n3` sent the transient back to the full path for good.
+    assert_eq!(
+        (s.interior_factorizations, s.port_fallbacks, s.port_solves),
+        (1, 1, 0),
+        "{s:?}"
+    );
+    let err = relative_disagreement(&ckt, &got, &reference);
+    assert!(
+        err <= 1e-9,
+        "stray rhs fallback vs dense: {err:.3e} of peak"
     );
 }
 

@@ -17,14 +17,20 @@ use crate::{Error, Matrix, Result};
 /// # Ok(())
 /// # }
 /// ```
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct LuFactor {
-    /// Combined L (strict lower, unit diagonal implied) and U (upper).
-    lu: Matrix,
+    /// Combined L (strict lower, unit diagonal implied) and U (upper),
+    /// row-major `n × n`.
+    lu: Vec<f64>,
+    /// Dimension of the held factorization (0 when there is none).
+    n: usize,
     /// Row permutation: `perm[i]` is the original row stored at position `i`.
     perm: Vec<usize>,
     /// Number of row swaps (for the determinant sign).
     swaps: usize,
+    /// Per-column scales of the last factored matrix, kept so that
+    /// [`LuFactor::refactor`] allocates nothing.
+    col_scale: Vec<f64>,
 }
 
 /// Relative pivot threshold below which a matrix is declared singular.
@@ -39,6 +45,22 @@ impl LuFactor {
     /// * [`Error::Singular`] if a pivot falls below the singularity threshold
     ///   relative to the matrix scale.
     pub fn new(a: &Matrix) -> Result<Self> {
+        let mut f = LuFactor::default();
+        f.refactor(a)?;
+        Ok(f)
+    }
+
+    /// Factorizes `a` into this factor's buffers, replacing what it held.
+    /// Once the factor has held a matrix of this size, no heap allocation
+    /// happens: Newton loops refactor one object per iteration.
+    /// `LuFactor::default()` is an empty factor to start from.
+    ///
+    /// # Errors
+    ///
+    /// Same as [`LuFactor::new`]. After an error the factor holds nothing
+    /// (dimension 0) until the next successful `refactor`.
+    pub fn refactor(&mut self, a: &Matrix) -> Result<()> {
+        self.n = 0;
         if a.rows() != a.cols() {
             return Err(Error::DimensionMismatch {
                 expected: "square matrix".into(),
@@ -52,22 +74,27 @@ impl LuFactor {
         // Per-column scales: badly scaled but solvable systems (e.g. MNA
         // matrices mixing kilo-siemens diode conductances with unit branch
         // entries) must not be declared singular on their small columns.
-        let mut col_scale = vec![f64::MIN_POSITIVE; n];
-        for r in 0..n {
-            for (c, s) in col_scale.iter_mut().enumerate() {
-                *s = s.max(a.get(r, c).abs());
+        let col_scale = &mut self.col_scale;
+        col_scale.clear();
+        col_scale.resize(n, f64::MIN_POSITIVE);
+        for row in a.as_slice().chunks_exact(n) {
+            for (s, v) in col_scale.iter_mut().zip(row) {
+                *s = s.max(v.abs());
             }
         }
-        let mut lu = a.clone();
-        let mut perm: Vec<usize> = (0..n).collect();
-        let mut swaps = 0;
+        let lu = &mut self.lu;
+        lu.clear();
+        lu.extend_from_slice(a.as_slice());
+        self.perm.clear();
+        self.perm.extend(0..n);
+        self.swaps = 0;
 
         for k in 0..n {
             // Partial pivoting: find the largest |a_ik| for i >= k.
             let mut p = k;
-            let mut best = lu.get(k, k).abs();
+            let mut best = lu[k * n + k].abs();
             for i in (k + 1)..n {
-                let v = lu.get(i, k).abs();
+                let v = lu[i * n + k].abs();
                 if v > best {
                     best = v;
                     p = i;
@@ -78,38 +105,31 @@ impl LuFactor {
             }
             if p != k {
                 for c in 0..n {
-                    let tmp = lu.get(k, c);
-                    lu.set(k, c, lu.get(p, c));
-                    lu.set(p, c, tmp);
+                    lu.swap(k * n + c, p * n + c);
                 }
-                perm.swap(k, p);
-                swaps += 1;
+                self.perm.swap(k, p);
+                self.swaps += 1;
             }
-            let pivot = lu.get(k, k);
-            for i in (k + 1)..n {
-                let m = lu.get(i, k) / pivot;
-                lu.set(i, k, m);
+            let pivot = lu[k * n + k];
+            let (upper, lower) = lu.split_at_mut((k + 1) * n);
+            let row_k = &upper[k * n..];
+            for row_i in lower.chunks_exact_mut(n) {
+                let m = row_i[k] / pivot;
+                row_i[k] = m;
                 if m != 0.0 {
-                    for c in (k + 1)..n {
-                        lu.add_at(i, c, -m * lu.get(k, c));
+                    for (a, &u) in row_i[k + 1..].iter_mut().zip(&row_k[k + 1..]) {
+                        *a += -m * u;
                     }
                 }
             }
         }
-        Ok(LuFactor { lu, perm, swaps })
+        self.n = n;
+        Ok(())
     }
 
     /// Dimension of the factored matrix.
     pub fn dim(&self) -> usize {
-        self.lu.rows()
-    }
-
-    /// Row permutation chosen by partial pivoting: `perm()[i]` is the
-    /// original row stored at position `i` of the factorization. Used by
-    /// [`crate::sparse::SparseLu`] to freeze a pivot sequence discovered on
-    /// a representative matrix.
-    pub fn perm(&self) -> &[usize] {
-        &self.perm
+        self.n
     }
 
     /// Solves `A x = b`.
@@ -118,31 +138,46 @@ impl LuFactor {
     ///
     /// Returns [`Error::DimensionMismatch`] if `b.len() != dim()`.
     pub fn solve(&self, b: &[f64]) -> Result<Vec<f64>> {
-        let n = self.dim();
-        if b.len() != n {
+        let mut x = vec![0.0; self.n];
+        self.solve_into(b, &mut x)?;
+        Ok(x)
+    }
+
+    /// Solves `A x = b` into a caller-owned `x`, allocating nothing.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`Error::DimensionMismatch`] unless `b` and `x` both have
+    /// length `dim()`.
+    pub fn solve_into(&self, b: &[f64], x: &mut [f64]) -> Result<()> {
+        let n = self.n;
+        if b.len() != n || x.len() != n {
             return Err(Error::DimensionMismatch {
-                expected: format!("rhs of length {n}"),
-                got: format!("rhs of length {}", b.len()),
+                expected: format!("rhs and solution of length {n}"),
+                got: format!("lengths {} and {}", b.len(), x.len()),
             });
         }
         // Apply permutation, then forward substitution (unit lower).
-        let mut y: Vec<f64> = (0..n).map(|i| b[self.perm[i]]).collect();
-        for i in 1..n {
-            let mut s = y[i];
-            for k in 0..i {
-                s -= self.lu.get(i, k) * y[k];
+        for (xi, &p) in x.iter_mut().zip(&self.perm) {
+            *xi = b[p];
+        }
+        let lu = &self.lu[..n * n];
+        for (i, row) in lu.chunks_exact(n).enumerate().skip(1) {
+            let mut s = x[i];
+            for (l, xk) in row[..i].iter().zip(&x[..i]) {
+                s -= l * xk;
             }
-            y[i] = s;
+            x[i] = s;
         }
         // Back substitution (upper).
-        for i in (0..n).rev() {
-            let mut s = y[i];
-            for k in (i + 1)..n {
-                s -= self.lu.get(i, k) * y[k];
+        for (i, row) in lu.chunks_exact(n).enumerate().rev() {
+            let mut s = x[i];
+            for (u, xk) in row[i + 1..].iter().zip(&x[i + 1..]) {
+                s -= u * xk;
             }
-            y[i] = s / self.lu.get(i, i);
+            x[i] = s / row[i];
         }
-        Ok(y)
+        Ok(())
     }
 
     /// Determinant of the original matrix.
@@ -152,8 +187,8 @@ impl LuFactor {
         } else {
             -1.0
         };
-        for i in 0..self.dim() {
-            d *= self.lu.get(i, i);
+        for i in 0..self.n {
+            d *= self.lu[i * self.n + i];
         }
         d
     }
@@ -235,6 +270,30 @@ mod tests {
         let a = Matrix::identity(3);
         let lu = LuFactor::new(&a).unwrap();
         assert!(lu.solve(&[1.0]).is_err());
+    }
+
+    #[test]
+    fn refactor_matches_new_bit_for_bit() {
+        let a = Matrix::from_rows(&[&[0.0, 2.0, 1.0], &[3.0, 1.0, 4.0], &[1.0, 5.0, 9.0]]).unwrap();
+        let b = Matrix::from_rows(&[&[4.0, 1.0, 0.0], &[1.0, 4.0, 1.0], &[0.0, 1.0, 4.0]]).unwrap();
+        let rhs = [1.0, -2.0, 0.5];
+        // One factor reused across matrices solves exactly like fresh ones.
+        let mut f = LuFactor::default();
+        let mut x = [0.0; 3];
+        for m in [&a, &b, &a] {
+            f.refactor(m).unwrap();
+            f.solve_into(&rhs, &mut x).unwrap();
+            assert_eq!(x.to_vec(), LuFactor::new(m).unwrap().solve(&rhs).unwrap());
+        }
+    }
+
+    #[test]
+    fn failed_refactor_leaves_no_factor() {
+        let mut f = LuFactor::new(&Matrix::identity(2)).unwrap();
+        let singular = Matrix::from_rows(&[&[1.0, 2.0], &[2.0, 4.0]]).unwrap();
+        assert!(f.refactor(&singular).is_err());
+        assert_eq!(f.dim(), 0);
+        assert!(f.solve(&[1.0, 1.0]).is_err());
     }
 
     #[test]
