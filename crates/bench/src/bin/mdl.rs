@@ -55,8 +55,8 @@
 //! a digest-keyed artifact cache ([`emc_bench::server`]); `bench-serve`
 //! fires a mixed load burst at a daemon (spawning one in-process when
 //! given a directory) and reports p50/p95/p99 latency plus throughput;
-//! `bench-eval` times the per-step evaluation runtime (legacy scalar vs
-//! compiled vs batched lanes, [`emc_bench::evalbench`]) and emits
+//! `bench-eval` times the per-step evaluation runtime (one compiled lane
+//! vs batched lanes, [`emc_bench::evalbench`]) and emits
 //! baseline-gate records; `request` is the one-shot protocol client for
 //! scripts.
 
@@ -66,11 +66,13 @@ use emc_bench::serve::{
     McWorkload,
 };
 use emc_bench::server::{self, LoadGenConfig, ServeConfig};
+use emc_bench::BenchRecord;
 use macromodel::exchange::binary::{is_binary, save_artifact_bin, save_artifact_bin_to_path};
 use macromodel::exchange::{
     load_artifact_bytes, load_artifact_from_path, load_model_from_path, save_artifact,
     save_artifact_to_path, AnyModel, Artifact,
 };
+use macromodel::lint::json_str;
 use macromodel::validate::{print_csv, DEFAULT_VALIDATION_DT};
 use macromodel::{ExtractionSession, Macromodel, ModelStore, PortStimulus, TestFixture};
 
@@ -400,8 +402,8 @@ fn cmd_lint(mut args: Vec<String>) -> CliResult<()> {
             }
             out.push_str(&format!(
                 "{{\"path\":{},\"error\":{}}}",
-                emc_bench::serve::json_str(file),
-                emc_bench::serve::json_str(error)
+                json_str(file),
+                json_str(error)
             ));
         }
         out.push_str(&format!("],\"report\":{}}}", report.to_json(&cfg)));
@@ -524,7 +526,6 @@ fn finish_fleet(report: &FleetReport, json: Option<String>) -> CliResult<()> {
 /// tests): load mode, per-entry format/version/bytes/digest, flattened
 /// model list, and the error string of unloadable entries.
 fn store_ls_json(store: &ModelStore) -> String {
-    use emc_bench::serve::json_str;
     let mut out = format!(
         "{{\"root\":{},\"mode\":\"lazy\",\"entries\":[",
         json_str(&store.root().display().to_string())
@@ -911,19 +912,46 @@ fn cmd_bench_serve(mut args: Vec<String>) -> CliResult<()> {
         println!("report written to {path}");
     }
     if let Some(path) = baseline {
-        use std::io::Write as _;
-        let mut f = std::fs::OpenOptions::new()
-            .create(true)
-            .append(true)
-            .open(&path)?;
-        for record in report.baseline_records() {
-            writeln!(f, "{record}")?;
-        }
-        println!("baseline records appended to {path}");
+        append_baseline(&path, report.baseline_records())?;
     }
     if report.request_failures > 0 {
         return Err(format!("{} requests failed", report.request_failures).into());
     }
+    Ok(())
+}
+
+/// Prints bench records (JSON lines with `--json`, else the summary) and
+/// appends them to the `--baseline` file when one is given.
+fn report_bench(
+    records: &[BenchRecord],
+    json: bool,
+    summarize: fn(&[BenchRecord]) -> String,
+    baseline: Option<String>,
+) -> CliResult<()> {
+    if json {
+        for r in records {
+            println!("{}", r.to_json());
+        }
+    } else {
+        print!("{}", summarize(records));
+    }
+    if let Some(path) = baseline {
+        append_baseline(&path, records.iter().map(BenchRecord::to_json))?;
+    }
+    Ok(())
+}
+
+/// Appends baseline-gate JSON lines to `path` (created if missing).
+fn append_baseline(path: &str, lines: impl IntoIterator<Item = String>) -> CliResult<()> {
+    use std::io::Write as _;
+    let mut f = std::fs::OpenOptions::new()
+        .create(true)
+        .append(true)
+        .open(path)?;
+    for line in lines {
+        writeln!(f, "{line}")?;
+    }
+    println!("baseline records appended to {path}");
     Ok(())
 }
 
@@ -950,25 +978,7 @@ fn cmd_bench_eval(mut args: Vec<String>) -> CliResult<()> {
     }
 
     let records = run_eval_bench(&cfg);
-    if json {
-        for r in &records {
-            println!("{}", r.to_json());
-        }
-    } else {
-        print!("{}", summarize(&records));
-    }
-    if let Some(path) = baseline {
-        use std::io::Write as _;
-        let mut f = std::fs::OpenOptions::new()
-            .create(true)
-            .append(true)
-            .open(&path)?;
-        for r in &records {
-            writeln!(f, "{}", r.to_json())?;
-        }
-        println!("baseline records appended to {path}");
-    }
-    Ok(())
+    report_bench(&records, json, summarize, baseline)
 }
 
 fn cmd_bench_store(mut args: Vec<String>) -> CliResult<()> {
@@ -992,24 +1002,7 @@ fn cmd_bench_store(mut args: Vec<String>) -> CliResult<()> {
     }
 
     let records = run_store_bench(&cfg)?;
-    if json {
-        for r in &records {
-            println!("{}", r.to_json());
-        }
-    } else {
-        print!("{}", summarize(&records));
-    }
-    if let Some(path) = baseline {
-        use std::io::Write as _;
-        let mut f = std::fs::OpenOptions::new()
-            .create(true)
-            .append(true)
-            .open(&path)?;
-        for r in &records {
-            writeln!(f, "{}", r.to_json())?;
-        }
-        println!("baseline records appended to {path}");
-    }
+    report_bench(&records, json, summarize, baseline)?;
     if let Some(min) = min_speedup {
         let s = speedup(&records).ok_or("store bench produced no speedup ratio")?;
         if s < min {
@@ -1049,25 +1042,7 @@ fn cmd_bench_eye(mut args: Vec<String>) -> CliResult<()> {
     }
 
     let records = run_eye_bench(&cfg);
-    if json {
-        for r in &records {
-            println!("{}", r.to_json());
-        }
-    } else {
-        print!("{}", summarize(&records));
-    }
-    if let Some(path) = baseline {
-        use std::io::Write as _;
-        let mut f = std::fs::OpenOptions::new()
-            .create(true)
-            .append(true)
-            .open(&path)?;
-        for r in &records {
-            writeln!(f, "{}", r.to_json())?;
-        }
-        println!("baseline records appended to {path}");
-    }
-    Ok(())
+    report_bench(&records, json, summarize, baseline)
 }
 
 fn cmd_request(mut args: Vec<String>) -> CliResult<()> {

@@ -1,11 +1,8 @@
 //! `mdl bench-eval` — the per-step evaluation-runtime microbenchmark.
 //!
 //! Times the innermost loop of every transient: one Newton evaluation plus
-//! one accepted-step commit of a PW-RBF driver, three ways:
+//! one accepted-step commit of a PW-RBF driver, two ways:
 //!
-//! * `eval/driver_step/legacy` — the pre-compile scalar path: per-call
-//!   regressor `Vec` assembly, [`NarxModel::one_step_with_gradient`] over
-//!   `Vec<Vec<f64>>` centers, `rotate_right` history shuffles;
 //! * `eval/driver_step/compiled` — a single-lane
 //!   [`macromodel::evalrt::DriverLanes`] over the flat compiled slab
 //!   (zero allocation per step);
@@ -22,11 +19,12 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use macromodel::driver::{PwRbfDriverModel, WeightSequence};
-use macromodel::evalrt::{settle_narx, CompiledDriver, DriverLanes, LaneStim};
+use macromodel::evalrt::{CompiledDriver, DriverLanes, LaneStim};
+use numkit::rng::SplitMix64;
 use sysid::narx::{NarxModel, NarxOrders};
 use sysid::rbf::RbfNetwork;
 
-use crate::TS;
+use crate::{BenchRecord, TS};
 
 /// Benchmark knobs. [`EvalBenchConfig::default`] matches the committed
 /// `BENCH_eval.json` trajectory — change the defaults and the baseline
@@ -55,53 +53,7 @@ impl Default for EvalBenchConfig {
     }
 }
 
-/// One measured bench: per-step wall time plus derived throughput.
-#[derive(Debug, Clone)]
-pub struct EvalBenchRecord {
-    /// Record id (`eval/driver_step/compiled`, ...).
-    pub bench: String,
-    /// Seconds per (lane-)step: the best of the interleaved repetitions.
-    /// (The field keeps the baseline-gate schema name `median_s`.)
-    pub median_s: f64,
-    /// Steps timed per repetition (lane-steps for batched records).
-    pub samples: usize,
-}
-
-impl EvalBenchRecord {
-    /// Lane-steps per second at the median.
-    pub fn steps_per_s(&self) -> f64 {
-        1.0 / self.median_s
-    }
-
-    /// The baseline-gate JSON line.
-    pub fn to_json(&self) -> String {
-        format!(
-            "{{\"bench\": \"{}\", \"median_s\": {:e}, \"samples\": {}}}",
-            self.bench, self.median_s, self.samples
-        )
-    }
-}
-
-/// A deterministic splitmix-style stream for reproducible model parameters.
-struct ParamStream(u64);
-
-impl ParamStream {
-    fn next_f64(&mut self) -> f64 {
-        self.0 = self.0.wrapping_add(0x9e37_79b9_7f4a_7c15);
-        let mut z = self.0;
-        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-        z ^= z >> 31;
-        (z >> 11) as f64 / (1u64 << 53) as f64
-    }
-
-    /// Uniform in `[lo, hi)`.
-    fn range(&mut self, lo: f64, hi: f64) -> f64 {
-        lo + (hi - lo) * self.next_f64()
-    }
-}
-
-fn bench_narx(centers: usize, stream: &mut ParamStream) -> NarxModel {
+fn bench_narx(centers: usize, stream: &mut SplitMix64) -> NarxModel {
     let orders = NarxOrders::dynamic(1);
     let dim = orders.dim();
     let centers_v: Vec<Vec<f64>> = (0..centers)
@@ -120,7 +72,7 @@ fn bench_narx(centers: usize, stream: &mut ParamStream) -> NarxModel {
 /// input and one output lag), with the 8-sample switching ramps of the
 /// reference extraction.
 pub fn bench_model(centers: usize) -> PwRbfDriverModel {
-    let mut stream = ParamStream(0x5eed_cafe_f00d_0001);
+    let mut stream = SplitMix64::new(0x5eed_cafe_f00d_0001);
     let ramp: Vec<f64> = (0..8).map(|k| k as f64 / 7.0).collect();
     let inv: Vec<f64> = ramp.iter().map(|w| 1.0 - w).collect();
     PwRbfDriverModel {
@@ -131,73 +83,6 @@ pub fn bench_model(centers: usize) -> PwRbfDriverModel {
         i_low: bench_narx(centers, &mut stream),
         up: WeightSequence::new(ramp.clone(), inv.clone()).expect("ramp weights are valid"),
         down: WeightSequence::new(inv, ramp).expect("ramp weights are valid"),
-    }
-}
-
-/// The pre-compile scalar stepper, preserved verbatim as the baseline the
-/// compiled runtime is measured against: per-call regressor `Vec`s, the
-/// nested-`Vec` RBF evaluation, and `rotate_right` history commits —
-/// exactly what the device hot loop did before `evalrt`.
-struct LegacyDriverStepper {
-    model: PwRbfDriverModel,
-    v_past: Vec<f64>,
-    ih_past: Vec<f64>,
-    il_past: Vec<f64>,
-}
-
-impl LegacyDriverStepper {
-    fn new(model: PwRbfDriverModel, v0: f64) -> Self {
-        let lags_v = model
-            .i_high
-            .orders()
-            .input_lags
-            .max(model.i_low.orders().input_lags);
-        let ih0 = settle_narx(&model.i_high, v0);
-        let il0 = settle_narx(&model.i_low, v0);
-        LegacyDriverStepper {
-            v_past: vec![v0; lags_v],
-            ih_past: vec![ih0; model.i_high.orders().output_lags.max(1)],
-            il_past: vec![il0; model.i_low.orders().output_lags.max(1)],
-            model,
-        }
-    }
-
-    fn u_hist(&self, v_now: f64, lags: usize) -> Vec<f64> {
-        let mut u = Vec::with_capacity(lags + 1);
-        u.push(v_now);
-        u.extend_from_slice(&self.v_past[..lags]);
-        u
-    }
-
-    fn step(&self, wh: f64, wl: f64, v: f64) -> (f64, f64) {
-        let (ih, gh) = self.model.i_high.one_step_with_gradient(
-            &self.u_hist(v, self.model.i_high.orders().input_lags),
-            &self.ih_past,
-        );
-        let (il, gl) = self.model.i_low.one_step_with_gradient(
-            &self.u_hist(v, self.model.i_low.orders().input_lags),
-            &self.il_past,
-        );
-        (wh * ih + wl * il, wh * gh + wl * gl)
-    }
-
-    fn commit(&mut self, v: f64) {
-        let ih = self.model.i_high.one_step(
-            &self.u_hist(v, self.model.i_high.orders().input_lags),
-            &self.ih_past,
-        );
-        let il = self.model.i_low.one_step(
-            &self.u_hist(v, self.model.i_low.orders().input_lags),
-            &self.il_past,
-        );
-        self.v_past.rotate_right(1);
-        if !self.v_past.is_empty() {
-            self.v_past[0] = v;
-        }
-        self.ih_past.rotate_right(1);
-        self.ih_past[0] = ih;
-        self.il_past.rotate_right(1);
-        self.il_past[0] = il;
     }
 }
 
@@ -217,27 +102,6 @@ fn wave_table(steps: usize, n_lanes: usize) -> Vec<f64> {
         }
     }
     w
-}
-
-fn time_legacy_once(
-    model: &PwRbfDriverModel,
-    compiled: &CompiledDriver,
-    stim: &LaneStim,
-    wave: &[f64],
-) -> f64 {
-    let steps = wave.len();
-    let mut stepper = LegacyDriverStepper::new(model.clone(), 0.0);
-    let mut acc = 0.0;
-    let start = Instant::now();
-    for (k, &v) in wave.iter().enumerate() {
-        let t = k as f64 * model.ts;
-        let (wh, wl) = compiled.weights_at(stim, t);
-        let (i, g) = stepper.step(wh, wl, black_box(v));
-        acc += i + g;
-        stepper.commit(v);
-    }
-    black_box(acc);
-    start.elapsed().as_secs_f64() / steps as f64
 }
 
 fn time_lanes_once(compiled: &Arc<CompiledDriver>, n_lanes: usize, wave: &[f64]) -> f64 {
@@ -265,25 +129,22 @@ fn time_lanes_once(compiled: &Arc<CompiledDriver>, n_lanes: usize, wave: &[f64])
     start.elapsed().as_secs_f64() / (steps * n_lanes) as f64
 }
 
-/// Runs the three benches and returns their records (legacy, compiled
-/// single-lane, batched lanes — in that order).
+/// Runs the two benches and returns their records (compiled single-lane,
+/// then batched lanes).
 ///
-/// Each repetition runs all three paths back to back and the reported
-/// time is the minimum over repetitions: interleaving exposes every path
-/// to the same transient machine load, and the minimum is the estimator
-/// least sensitive to scheduler noise (the uncontended cost is the
-/// quantity the regression gate should track). One extra untimed warmup
-/// repetition precedes the measured ones.
-pub fn run_eval_bench(cfg: &EvalBenchConfig) -> Vec<EvalBenchRecord> {
-    let model = bench_model(cfg.centers);
-    let compiled = Arc::new(CompiledDriver::compile(&model));
-    let stim = LaneStim::from_pattern("0110", 64.0 * model.ts);
+/// Each repetition runs both paths back to back and the reported time is
+/// the minimum over repetitions: interleaving exposes every path to the
+/// same transient machine load, and the minimum is the estimator least
+/// sensitive to scheduler noise (the uncontended cost is the quantity the
+/// regression gate should track). One extra untimed warmup repetition
+/// precedes the measured ones.
+pub fn run_eval_bench(cfg: &EvalBenchConfig) -> Vec<BenchRecord> {
+    let compiled = Arc::new(CompiledDriver::compile(&bench_model(cfg.centers)));
     let wave1 = wave_table(cfg.steps, 1);
     let wave_n = wave_table(cfg.steps, cfg.lanes);
-    let mut best = [f64::INFINITY; 3];
+    let mut best = [f64::INFINITY; 2];
     for rep in 0..=cfg.reps {
         let t = [
-            time_legacy_once(&model, &compiled, &stim, &wave1),
             time_lanes_once(&compiled, 1, &wave1),
             time_lanes_once(&compiled, cfg.lanes, &wave_n),
         ];
@@ -294,27 +155,22 @@ pub fn run_eval_bench(cfg: &EvalBenchConfig) -> Vec<EvalBenchRecord> {
         }
     }
     vec![
-        EvalBenchRecord {
-            bench: "eval/driver_step/legacy".into(),
+        BenchRecord {
+            bench: "eval/driver_step/compiled".into(),
             median_s: best[0],
             samples: cfg.steps,
         },
-        EvalBenchRecord {
-            bench: "eval/driver_step/compiled".into(),
-            median_s: best[1],
-            samples: cfg.steps,
-        },
-        EvalBenchRecord {
+        BenchRecord {
             bench: format!("eval/driver_step/lanes{}", cfg.lanes),
-            median_s: best[2],
+            median_s: best[1],
             samples: cfg.steps * cfg.lanes,
         },
     ]
 }
 
-/// The human-readable summary: ns/step, steps/s, and the speedups of the
-/// compiled and batched paths over the legacy scalar stepper.
-pub fn summarize(records: &[EvalBenchRecord]) -> String {
+/// The human-readable summary: ns/step, steps/s, and the per-lane speedup
+/// of each batched record over the single compiled lane.
+pub fn summarize(records: &[BenchRecord]) -> String {
     use std::fmt::Write as _;
     let mut out = String::new();
     for r in records {
@@ -323,16 +179,16 @@ pub fn summarize(records: &[EvalBenchRecord]) -> String {
             "{:<28} {:>9.1} ns/step  {:>12.0} steps/s",
             r.bench,
             r.median_s * 1e9,
-            r.steps_per_s()
+            1.0 / r.median_s
         );
     }
-    if let Some(legacy) = records.iter().find(|r| r.bench.ends_with("/legacy")) {
-        for r in records.iter().filter(|r| !r.bench.ends_with("/legacy")) {
+    if let Some(single) = records.iter().find(|r| r.bench.ends_with("/compiled")) {
+        for r in records.iter().filter(|r| r.bench.contains("/lanes")) {
             let _ = writeln!(
                 out,
-                "speedup vs legacy ({}): {:.2}x",
+                "{} vs compiled: {:.2}x",
                 r.bench.rsplit('/').next().unwrap_or(&r.bench),
-                legacy.median_s / r.median_s
+                single.median_s / r.median_s
             );
         }
     }
@@ -344,42 +200,7 @@ mod tests {
     use super::*;
 
     #[test]
-    fn bench_model_compiles_and_steppers_agree() {
-        let model = bench_model(8);
-        let compiled = Arc::new(CompiledDriver::compile(&model));
-        let stim = LaneStim::from_pattern("0110", 64.0 * model.ts);
-        let mut lanes = DriverLanes::new(Arc::clone(&compiled), vec![stim.clone()]);
-        lanes.init_dc(&[0.0]);
-        let mut legacy = LegacyDriverStepper::new(model.clone(), 0.0);
-        let (mut i, mut g) = ([0.0], [0.0]);
-        for k in 0..64 {
-            let t = k as f64 * model.ts;
-            let v = pad_wave(k, 0);
-            lanes.step(t, &[v], &mut i, &mut g);
-            let (wh, wl) = compiled.weights_at(&stim, t);
-            let (ri, rg) = legacy.step(wh, wl, v);
-            assert_eq!(i[0].to_bits(), ri.to_bits(), "current at step {k}");
-            assert_eq!(g[0].to_bits(), rg.to_bits(), "gradient at step {k}");
-            lanes.commit(&[v]);
-            legacy.commit(v);
-        }
-    }
-
-    #[test]
-    fn records_are_baseline_gate_json() {
-        let r = EvalBenchRecord {
-            bench: "eval/driver_step/compiled".into(),
-            median_s: 1.25e-7,
-            samples: 1000,
-        };
-        let line = r.to_json();
-        assert!(line.contains("\"bench\": \"eval/driver_step/compiled\""));
-        assert!(line.contains("\"median_s\": 1.25e-7"));
-        assert!(line.contains("\"samples\": 1000"));
-    }
-
-    #[test]
-    fn tiny_bench_run_produces_three_records() {
+    fn tiny_bench_run_produces_compiled_and_lane_records() {
         let cfg = EvalBenchConfig {
             centers: 4,
             steps: 64,
@@ -387,11 +208,12 @@ mod tests {
             lanes: 3,
         };
         let records = run_eval_bench(&cfg);
-        assert_eq!(records.len(), 3);
+        assert_eq!(records.len(), 2);
         assert!(records.iter().all(|r| r.median_s > 0.0));
-        assert_eq!(records[2].bench, "eval/driver_step/lanes3");
-        assert_eq!(records[2].samples, 64 * 3);
+        assert_eq!(records[0].bench, "eval/driver_step/compiled");
+        assert_eq!(records[1].bench, "eval/driver_step/lanes3");
+        assert_eq!(records[1].samples, 64 * 3);
         let summary = summarize(&records);
-        assert!(summary.contains("speedup vs legacy"));
+        assert!(summary.contains("lanes3 vs compiled"));
     }
 }

@@ -27,7 +27,7 @@ use sysid::narx::{NarxModel, NarxOrders};
 use sysid::rbf::RbfNetwork;
 
 use crate::serve::{run_eye_workload, EyeWorkload};
-use crate::TS;
+use crate::{BenchRecord, TS};
 
 /// Benchmark knobs. [`EyeBenchConfig::default`] matches the committed
 /// `BENCH_eye.json` trajectory — change the defaults and the baseline
@@ -58,28 +58,6 @@ impl Default for EyeBenchConfig {
             lanes: 2,
             reps: 7,
         }
-    }
-}
-
-/// One measured bench in the baseline-gate schema (the `median_s` field
-/// keeps the gate's name; the value is the best-of-reps time).
-#[derive(Debug, Clone)]
-pub struct EyeBenchRecord {
-    /// Record id (`eye/prbs31/gen`, `eye/fold`, `eye/channel`).
-    pub bench: String,
-    /// Seconds per unit (bit, sample, or lane-bit — see the record docs).
-    pub median_s: f64,
-    /// Units timed per repetition.
-    pub samples: usize,
-}
-
-impl EyeBenchRecord {
-    /// The baseline-gate JSON line.
-    pub fn to_json(&self) -> String {
-        format!(
-            "{{\"bench\": \"{}\", \"median_s\": {:e}, \"samples\": {}}}",
-            self.bench, self.median_s, self.samples
-        )
     }
 }
 
@@ -150,7 +128,7 @@ fn time_channel_once(cfg: &EyeBenchConfig) -> f64 {
 /// waveform fold, full channel cell — in that order). Each repetition runs
 /// all three back to back; one extra untimed warmup repetition precedes
 /// the measured ones.
-pub fn run_eye_bench(cfg: &EyeBenchConfig) -> Vec<EyeBenchRecord> {
+pub fn run_eye_bench(cfg: &EyeBenchConfig) -> Vec<BenchRecord> {
     let mut best = [f64::INFINITY; 3];
     let mut fold_samples = 0;
     for rep in 0..=cfg.reps {
@@ -168,17 +146,17 @@ pub fn run_eye_bench(cfg: &EyeBenchConfig) -> Vec<EyeBenchRecord> {
         }
     }
     vec![
-        EyeBenchRecord {
+        BenchRecord {
             bench: "eye/prbs31/gen".into(),
             median_s: best[0],
             samples: cfg.prbs_bits,
         },
-        EyeBenchRecord {
+        BenchRecord {
             bench: "eye/fold".into(),
             median_s: best[1],
             samples: fold_samples,
         },
-        EyeBenchRecord {
+        BenchRecord {
             bench: format!("eye/channel/lanes{}", cfg.lanes),
             median_s: best[2],
             samples: cfg.channel_bits * cfg.lanes,
@@ -187,7 +165,7 @@ pub fn run_eye_bench(cfg: &EyeBenchConfig) -> Vec<EyeBenchRecord> {
 }
 
 /// The human-readable summary: per-unit times and derived throughput.
-pub fn summarize(records: &[EyeBenchRecord]) -> String {
+pub fn summarize(records: &[BenchRecord]) -> String {
     use std::fmt::Write as _;
     let mut out = String::new();
     for r in records {
@@ -206,19 +184,6 @@ pub fn summarize(records: &[EyeBenchRecord]) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn records_are_baseline_gate_json() {
-        let r = EyeBenchRecord {
-            bench: "eye/fold".into(),
-            median_s: 2.5e-8,
-            samples: 64_000,
-        };
-        let line = r.to_json();
-        assert!(line.contains("\"bench\": \"eye/fold\""));
-        assert!(line.contains("\"median_s\": 2.5e-8"));
-        assert!(line.contains("\"samples\": 64000"));
-    }
 
     #[test]
     fn tiny_bench_run_produces_three_records() {

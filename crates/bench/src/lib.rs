@@ -38,6 +38,30 @@ pub type Result<T> = std::result::Result<T, Box<dyn std::error::Error + Send + S
 /// The model sample time used across all experiments (s).
 pub const TS: f64 = 25e-12;
 
+/// One measured microbenchmark in the `scripts/bench-baseline.sh` schema,
+/// as `mdl bench-eval`, `bench-eye` and `bench-store` emit it.
+#[derive(Debug, Clone)]
+pub struct BenchRecord {
+    /// Record id (`eval/driver_step/compiled`, `eye/fold`, ...).
+    pub bench: String,
+    /// Seconds per unit (step, bit, sample, entry or lookup — see each
+    /// bench's docs): the best of the repetitions. The field keeps the
+    /// gate's schema name.
+    pub median_s: f64,
+    /// Units timed per repetition.
+    pub samples: usize,
+}
+
+impl BenchRecord {
+    /// The baseline-gate JSON line.
+    pub fn to_json(&self) -> String {
+        format!(
+            "{{\"bench\": \"{}\", \"median_s\": {:e}, \"samples\": {}}}",
+            self.bench, self.median_s, self.samples
+        )
+    }
+}
+
 /// Maps `f` over `items` on scoped worker threads — the harness for
 /// embarrassingly parallel experiment sweeps (IBIS corners, figure panels,
 /// amplitude sweeps). The last item runs on the calling thread; worker
@@ -723,6 +747,19 @@ pub fn ladder_disagreement(a: &BusLadderRun, reference: &BusLadderRun, stride: u
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn records_are_baseline_gate_json() {
+        let r = BenchRecord {
+            bench: "eval/driver_step/compiled".into(),
+            median_s: 1.25e-7,
+            samples: 1000,
+        };
+        assert_eq!(
+            r.to_json(),
+            "{\"bench\": \"eval/driver_step/compiled\", \"median_s\": 1.25e-7, \"samples\": 1000}"
+        );
+    }
 
     #[test]
     fn fig1_config_default() {

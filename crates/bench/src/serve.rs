@@ -24,6 +24,7 @@ use crate::par_map;
 use circuit::devices::Resistor;
 use circuit::mtl::{expand_coupled_line, CoupledLineSpec};
 use circuit::{Circuit, SolveStats, TranParams, Waveform, GROUND};
+use macromodel::lint::json_str;
 use macromodel::validate::{validate_macromodel, ReferencePort, DEFAULT_VALIDATION_DT};
 use macromodel::{Macromodel, ModelKind, ModelStore, PortStimulus, TestFixture};
 use refdev::{CmosDriverSpec, ReceiverSpec};
@@ -357,13 +358,32 @@ pub struct CellReport {
 }
 
 impl CellReport {
+    /// A cell of `model` that failed with `detail` before it measured
+    /// anything.
     pub(crate) fn failed(model: &dyn Macromodel, scenario: &str, detail: String) -> Self {
+        Self::of(model, scenario, Err(detail))
+    }
+
+    /// A cell of `model` without measurements that passes or fails on
+    /// `gate`; callers fill in what they measured.
+    fn of(model: &dyn Macromodel, scenario: &str, gate: std::result::Result<(), String>) -> Self {
+        Self::gated(model.name().to_string(), model.kind().tag(), scenario, gate)
+    }
+
+    /// A cell without measurements that passes or fails on `gate` (`Err`
+    /// carries the failure detail).
+    fn gated(
+        model: String,
+        kind: &str,
+        scenario: &str,
+        gate: std::result::Result<(), String>,
+    ) -> Self {
         CellReport {
-            model: model.name().to_string(),
-            kind: model.kind().tag().to_string(),
+            model,
+            kind: kind.to_string(),
             scenario: scenario.to_string(),
-            pass: false,
-            detail,
+            pass: gate.is_ok(),
+            detail: gate.err().unwrap_or_default(),
             rms_error: None,
             max_error: None,
             timing_error_s: None,
@@ -680,26 +700,6 @@ impl FleetReport {
         out.push_str("]\n}\n");
         out
     }
-}
-
-/// Quotes and escapes a string as a JSON string literal (shared by the
-/// hand-rolled report emitters — the dependency set has no JSON library).
-pub fn json_str(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
 }
 
 pub(crate) fn json_f64(v: f64) -> String {
@@ -1057,15 +1057,6 @@ pub(crate) fn run_sweep_cell(model: &dyn Macromodel, scenario: &Scenario) -> Cel
                 }
             }
             CellReport {
-                model: model.name().to_string(),
-                kind: model.kind().tag().to_string(),
-                scenario: scenario.name.clone(),
-                pass: gate.is_ok(),
-                detail: gate.err().unwrap_or_default(),
-                rms_error: None,
-                max_error: None,
-                timing_error_s: None,
-                rms_limit: None,
                 samples,
                 v_min,
                 v_max,
@@ -1073,6 +1064,7 @@ pub(crate) fn run_sweep_cell(model: &dyn Macromodel, scenario: &Scenario) -> Cel
                 eye,
                 mc,
                 elapsed_s,
+                ..CellReport::of(model, &scenario.name, gate)
             }
         }
         Err(e) => CellReport {
@@ -1144,24 +1136,21 @@ pub fn validate_model(
         }
     };
     let m = run.metrics;
-    let mut detail = String::new();
+    let mut gate = Ok(());
     if m.rms_error > rms_limit {
-        detail = format!(
+        gate = Err(format!(
             "rms error {:.4} V exceeds limit {:.4} V",
             m.rms_error, rms_limit
-        );
+        ));
     } else if let (Some(limit), Some(te)) = (timing_limit, m.timing_error) {
         if te > limit {
-            detail = format!("timing error {te:.3e} s exceeds limit {limit:.3e} s");
+            gate = Err(format!(
+                "timing error {te:.3e} s exceeds limit {limit:.3e} s"
+            ));
         }
     }
     let (samples, v_min, v_max) = waveform_extrema(std::slice::from_ref(&run.model));
     CellReport {
-        model: model.name().to_string(),
-        kind: model.kind().tag().to_string(),
-        scenario: scenario.to_string(),
-        pass: detail.is_empty(),
-        detail,
         rms_error: Some(m.rms_error),
         max_error: Some(m.max_error),
         timing_error_s: m.timing_error,
@@ -1169,10 +1158,8 @@ pub fn validate_model(
         samples,
         v_min,
         v_max,
-        stats: None,
-        eye: None,
-        mc: None,
         elapsed_s: t0.elapsed().as_secs_f64(),
+        ..CellReport::of(model, scenario, gate)
     }
 }
 
@@ -1253,46 +1240,29 @@ pub fn sweep_store(store: &ModelStore, scenarios: &[Scenario]) -> FleetReport {
             let outcome = run_bus_cell(&drivers, lanes, segments, &pattern, bit_time, t_stop, dt);
             let elapsed_s = t0.elapsed().as_secs_f64();
             let names: Vec<&str> = drivers.iter().map(|m| m.name()).collect();
+            let mixed = |gate| {
+                CellReport::gated(
+                    format!("mixed:{}", names.join("+")),
+                    "mixed",
+                    "bus-mixed",
+                    gate,
+                )
+            };
             let cell = match outcome {
                 Ok((waves, stats)) => {
                     let (samples, v_min, v_max) = waveform_extrema(&waves);
-                    let gate = sanity_gate(&waves);
                     CellReport {
-                        model: format!("mixed:{}", names.join("+")),
-                        kind: "mixed".into(),
-                        scenario: "bus-mixed".into(),
-                        pass: gate.is_ok(),
-                        detail: gate.err().unwrap_or_default(),
-                        rms_error: None,
-                        max_error: None,
-                        timing_error_s: None,
-                        rms_limit: None,
                         samples,
                         v_min,
                         v_max,
                         stats: Some(stats),
-                        eye: None,
-                        mc: None,
                         elapsed_s,
+                        ..mixed(sanity_gate(&waves))
                     }
                 }
                 Err(e) => CellReport {
-                    model: format!("mixed:{}", names.join("+")),
-                    kind: "mixed".into(),
-                    scenario: "bus-mixed".into(),
-                    pass: false,
-                    detail: e.to_string(),
-                    rms_error: None,
-                    max_error: None,
-                    timing_error_s: None,
-                    rms_limit: None,
-                    samples: 0,
-                    v_min: 0.0,
-                    v_max: 0.0,
-                    stats: None,
-                    eye: None,
-                    mc: None,
                     elapsed_s,
+                    ..mixed(Err(e.to_string()))
                 },
             };
             report.cells.push(cell);

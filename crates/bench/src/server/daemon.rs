@@ -35,12 +35,13 @@ use std::sync::{mpsc, Arc, Mutex, RwLock};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
+use macromodel::lint::json_str;
 use macromodel::{
     artifact_digest, load_artifact_bytes, LoadMode, Macromodel, ModelKind, ModelStore,
 };
 
 use crate::serve::{
-    json_f64, json_opt, json_str, mc_summary_json, standard_scenarios, Applicability, CellReport,
+    json_f64, json_opt, mc_summary_json, standard_scenarios, Applicability, CellReport,
     EyeWorkload, McWorkload, Scenario, ScenarioKind,
 };
 

@@ -16,10 +16,11 @@
 use std::path::PathBuf;
 use std::time::Instant;
 
+use macromodel::lint::json_str;
 use numkit::stats::percentile_nearest_rank as percentile;
 
 use crate::par_map;
-use crate::serve::{json_f64, json_str};
+use crate::serve::json_f64;
 
 use super::daemon::Client;
 

@@ -35,6 +35,7 @@ use macromodel::exchange::save_model_to_path;
 use macromodel::{AnyModel, Artifact, LoadMode, ModelStore};
 
 use crate::evalbench::bench_model;
+use crate::BenchRecord;
 
 /// Benchmark knobs. [`StoreBenchConfig::default`] matches the committed
 /// `BENCH_store.json` trajectory — change the defaults and the baseline
@@ -57,28 +58,6 @@ impl Default for StoreBenchConfig {
             centers: 24,
             reps: 3,
         }
-    }
-}
-
-/// One measured bench in the baseline-gate schema.
-#[derive(Debug, Clone)]
-pub struct StoreBenchRecord {
-    /// Record id (`store/open_eager_text`, ...).
-    pub bench: String,
-    /// Seconds per entry (opens) or per lookup (`touch_one`): the best of
-    /// the repetitions. (The field keeps the baseline schema name.)
-    pub median_s: f64,
-    /// Entries opened (or lookups performed) per repetition.
-    pub samples: usize,
-}
-
-impl StoreBenchRecord {
-    /// The baseline-gate JSON line.
-    pub fn to_json(&self) -> String {
-        format!(
-            "{{\"bench\": \"{}\", \"median_s\": {:e}, \"samples\": {}}}",
-            self.bench, self.median_s, self.samples
-        )
     }
 }
 
@@ -212,7 +191,7 @@ fn time_touch_one(dir: &Path, probe: &str) -> crate::Result<f64> {
 ///
 /// Filesystem failures while building the synthetic stores, or a store
 /// that fails its own sanity checks.
-pub fn run_store_bench(cfg: &StoreBenchConfig) -> crate::Result<Vec<StoreBenchRecord>> {
+pub fn run_store_bench(cfg: &StoreBenchConfig) -> crate::Result<Vec<BenchRecord>> {
     let stores = build_stores(cfg)?;
     let mut best = [f64::INFINITY; 3];
     for rep in 0..=cfg.reps {
@@ -228,17 +207,17 @@ pub fn run_store_bench(cfg: &StoreBenchConfig) -> crate::Result<Vec<StoreBenchRe
         }
     }
     Ok(vec![
-        StoreBenchRecord {
+        BenchRecord {
             bench: "store/open_eager_text".into(),
             median_s: best[0],
             samples: cfg.entries,
         },
-        StoreBenchRecord {
+        BenchRecord {
             bench: "store/open_lazy_bin".into(),
             median_s: best[1],
             samples: cfg.entries,
         },
-        StoreBenchRecord {
+        BenchRecord {
             bench: "store/touch_one_bin".into(),
             median_s: best[2],
             samples: 1,
@@ -248,14 +227,14 @@ pub fn run_store_bench(cfg: &StoreBenchConfig) -> crate::Result<Vec<StoreBenchRe
 
 /// Lazy-binary-open speedup over the eager text parse (per entry) — the
 /// tentpole acceptance number.
-pub fn speedup(records: &[StoreBenchRecord]) -> Option<f64> {
+pub fn speedup(records: &[BenchRecord]) -> Option<f64> {
     let eager = records.iter().find(|r| r.bench.ends_with("eager_text"))?;
     let lazy = records.iter().find(|r| r.bench.ends_with("lazy_bin"))?;
     (lazy.median_s > 0.0).then(|| eager.median_s / lazy.median_s)
 }
 
 /// The human-readable summary: µs/entry per path plus the lazy speedup.
-pub fn summarize(records: &[StoreBenchRecord]) -> String {
+pub fn summarize(records: &[BenchRecord]) -> String {
     use std::fmt::Write as _;
     let mut out = String::new();
     for r in records {

@@ -1,13 +1,12 @@
 //! Sampled waveforms and signal-integrity measurements.
 
 use numkit::interp;
-use serde::{Deserialize, Serialize};
 
 /// A sampled real-valued waveform `y(t)` on a strictly increasing time axis.
 ///
 /// Waveforms are the lingua franca between the simulator, the identification
 /// code and the validation metrics.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Waveform {
     t: Vec<f64>,
     y: Vec<f64>,

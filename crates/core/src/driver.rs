@@ -13,7 +13,6 @@
 //! [`estimate_switching_weights`]).
 
 use crate::{Error, Result};
-use serde::{Deserialize, Serialize};
 use sysid::narx::NarxModel;
 
 /// A time-indexed switching weight pair sampled at the model's `ts`.
@@ -22,7 +21,7 @@ use sysid::narx::NarxModel;
 /// [`WeightSequence::new`], so every instance in the program satisfies the
 /// invariants the model-exchange loader and the circuit devices rely on —
 /// matching lengths, at least one sample, finite values.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct WeightSequence {
     /// `w_H(k)` samples, starting at the logic edge.
     w_high: Vec<f64>,
@@ -91,9 +90,8 @@ impl WeightSequence {
     }
 
     fn validate(&self) -> Result<()> {
-        // The constructor enforces these; re-checked here because model
-        // structs are still assembled field-by-field (and may arrive via
-        // deserialization once a real serde backend exists).
+        // `new` enforces these and the samples are private, so this is a
+        // defensive re-check for `PwRbfDriverModel::validate`.
         if self.w_high.len() != self.w_low.len() {
             return Err(Error::InvalidModel {
                 message: format!(
@@ -123,7 +121,7 @@ impl WeightSequence {
 }
 
 /// A complete estimated PW-RBF driver model.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct PwRbfDriverModel {
     /// Source device name.
     pub name: String,
@@ -175,8 +173,9 @@ impl PwRbfDriverModel {
         self.i_high.network().n_centers() + self.i_low.network().n_centers()
     }
 
-    /// Serializes the model to a JSON-like debug string (for archival); the
-    /// canonical serialization is via `serde` (any format).
+    /// A one-line human summary: name, sample time, dynamic order, basis
+    /// function counts and switching-window lengths. The exchange format
+    /// (see [`crate::exchange`]) is the model's serialization.
     pub fn summary(&self) -> String {
         format!(
             "PW-RBF '{}': Ts = {:.3e} s, r = {}, {} + {} basis functions, \

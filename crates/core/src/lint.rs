@@ -283,10 +283,10 @@ impl LintReport {
             }
             first = false;
             out.push_str(&format!(
-                "{{\"code\":\"{}\",\"severity\":\"{sev}\",\"subject\":\"{}\",\"message\":\"{}\"}}",
+                "{{\"code\":\"{}\",\"severity\":\"{sev}\",\"subject\":{},\"message\":{}}}",
                 diag.code,
-                json_escape(&diag.subject),
-                json_escape(&diag.message)
+                json_str(&diag.subject),
+                json_str(&diag.message)
             ));
         }
         let (e, w, i) = self.counts(cfg);
@@ -297,8 +297,12 @@ impl LintReport {
     }
 }
 
-fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
+/// Quotes and escapes a string as a JSON string literal — the one escaper
+/// behind every hand-written JSON emitter in the workspace (lint reports,
+/// fleet reports, daemon responses, load-generator reports).
+pub fn json_str(s: &str) -> String {
+    let mut out = String::with_capacity(s.len() + 2);
+    out.push('"');
     for c in s.chars() {
         match c {
             '"' => out.push_str("\\\""),
@@ -310,6 +314,7 @@ fn json_escape(s: &str) -> String {
             c => out.push(c),
         }
     }
+    out.push('"');
     out
 }
 

@@ -13,12 +13,11 @@
 
 use crate::{Error, Result};
 use numkit::interp::Pwl;
-use serde::{Deserialize, Serialize};
 use sysid::arx::ArxModel;
 use sysid::narx::NarxModel;
 
 /// A complete estimated receiver model.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct ReceiverModel {
     /// Source device name.
     pub name: String,
@@ -100,7 +99,7 @@ impl ReceiverModel {
 
 /// The paper's simple baseline: a shunt capacitor `C` in parallel with a
 /// static nonlinear resistor `i = R̂(v)` tabulated from a DC sweep.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct CrModel {
     /// Source device name.
     pub name: String,

@@ -3,7 +3,8 @@
 //! random models of all four kinds, random lane counts (including counts
 //! that do not divide any SIMD batch width), agreement ≤ 1e-15 at every
 //! step. In practice the agreement is bit-exact; the tolerance guards the
-//! contract without over-pinning it.
+//! contract without over-pinning it, and one fixed driver case pins the
+//! bit-exact agreement.
 
 use std::sync::Arc;
 
@@ -14,32 +15,14 @@ use macromodel::evalrt::{
 };
 use macromodel::receiver::{CrModel, ReceiverModel};
 use numkit::interp::Pwl;
+use numkit::rng::SplitMix64;
 use proptest::prelude::*;
 use refdev::IbisModel;
 use sysid::arx::{ArxModel, ArxOrders};
 use sysid::narx::{NarxModel, NarxOrders};
 use sysid::rbf::RbfNetwork;
 
-/// Deterministic splitmix stream: proptest supplies one seed, the stream
-/// expands it into arbitrarily many model parameters.
-struct Stream(u64);
-
-impl Stream {
-    fn next_f64(&mut self) -> f64 {
-        self.0 = self.0.wrapping_add(0x9e37_79b9_7f4a_7c15);
-        let mut z = self.0;
-        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-        z ^= z >> 31;
-        (z >> 11) as f64 / (1u64 << 53) as f64
-    }
-
-    fn range(&mut self, lo: f64, hi: f64) -> f64 {
-        lo + (hi - lo) * self.next_f64()
-    }
-}
-
-fn rand_narx(s: &mut Stream, r: usize, n_centers: usize) -> NarxModel {
+fn rand_narx(s: &mut SplitMix64, r: usize, n_centers: usize) -> NarxModel {
     let orders = NarxOrders::dynamic(r);
     let dim = orders.dim();
     let centers: Vec<Vec<f64>> = (0..n_centers)
@@ -53,7 +36,7 @@ fn rand_narx(s: &mut Stream, r: usize, n_centers: usize) -> NarxModel {
     NarxModel::from_network(orders, net).unwrap()
 }
 
-fn rand_driver(s: &mut Stream, r: usize, n_centers: usize) -> PwRbfDriverModel {
+fn rand_driver(s: &mut SplitMix64, r: usize, n_centers: usize) -> PwRbfDriverModel {
     let len = 2 + (s.range(0.0, 6.0) as usize);
     let ramp: Vec<f64> = (0..len).map(|k| k as f64 / (len - 1) as f64).collect();
     let inv: Vec<f64> = ramp.iter().map(|w| 1.0 - w).collect();
@@ -69,7 +52,7 @@ fn rand_driver(s: &mut Stream, r: usize, n_centers: usize) -> PwRbfDriverModel {
 }
 
 fn rand_receiver(
-    s: &mut Stream,
+    s: &mut SplitMix64,
     na: usize,
     nb: usize,
     r: usize,
@@ -91,7 +74,7 @@ fn rand_receiver(
 }
 
 /// Strictly increasing breakpoints with random values.
-fn rand_pwl(s: &mut Stream, points: usize) -> Pwl {
+fn rand_pwl(s: &mut SplitMix64, points: usize) -> Pwl {
     let mut x = -1.5;
     let mut xs = Vec::with_capacity(points);
     let mut ys = Vec::with_capacity(points);
@@ -243,6 +226,55 @@ impl ScalarReceiver {
     }
 }
 
+/// The `mdl bench-eval` workload shape — a PW-RBF driver with
+/// `NarxOrders::dynamic(1)` submodels of 8 centers and 8-sample ramps —
+/// stepped 64 times: the compiled lane must equal the scalar reference bit
+/// for bit, not just within the property tests' tolerance.
+#[test]
+fn compiled_driver_matches_scalar_bit_for_bit() {
+    let mut s = SplitMix64::new(0x5eed_cafe_f00d_0001);
+    let narx = |s: &mut SplitMix64| {
+        let orders = NarxOrders::dynamic(1);
+        let dim = orders.dim();
+        let centers: Vec<Vec<f64>> = (0..8)
+            .map(|_| (0..dim).map(|_| s.range(-0.5, 2.3)).collect())
+            .collect();
+        let widths: Vec<f64> = (0..8).map(|_| s.range(0.4, 1.6)).collect();
+        let weights: Vec<f64> = (0..8).map(|_| s.range(-0.03, 0.03)).collect();
+        let linear: Vec<f64> = (0..dim).map(|_| s.range(-0.05, 0.3)).collect();
+        let net = RbfNetwork::from_parts(dim, centers, widths, weights, 0.001, linear).unwrap();
+        NarxModel::from_network(orders, net).unwrap()
+    };
+    let ramp: Vec<f64> = (0..8).map(|k| k as f64 / 7.0).collect();
+    let inv: Vec<f64> = ramp.iter().map(|w| 1.0 - w).collect();
+    let model = PwRbfDriverModel {
+        name: "bench-eval".into(),
+        ts: 25e-12,
+        vdd: 1.8,
+        i_high: narx(&mut s),
+        i_low: narx(&mut s),
+        up: WeightSequence::new(ramp.clone(), inv.clone()).unwrap(),
+        down: WeightSequence::new(inv, ramp).unwrap(),
+    };
+    let compiled = Arc::new(CompiledDriver::compile(&model));
+    let stim = LaneStim::from_pattern("0110", 64.0 * model.ts);
+    let mut lanes = DriverLanes::new(Arc::clone(&compiled), vec![stim.clone()]);
+    lanes.init_dc(&[0.0]);
+    let mut scalar = ScalarDriver::new(model.clone(), 0.0);
+    let (mut i, mut g) = ([0.0], [0.0]);
+    for k in 0..64 {
+        let t = k as f64 * model.ts;
+        let v = 0.9 + 0.9 * (0.13 * k as f64).sin();
+        lanes.step(t, &[v], &mut i, &mut g);
+        let (wh, wl) = compiled.weights_at(&stim, t);
+        let (ri, rg) = scalar.step(wh, wl, v);
+        assert_eq!(i[0].to_bits(), ri.to_bits(), "current at step {k}");
+        assert_eq!(g[0].to_bits(), rg.to_bits(), "gradient at step {k}");
+        lanes.commit(&[v]);
+        scalar.commit(v);
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
@@ -256,7 +288,7 @@ proptest! {
         n_centers in 1usize..6,
         n_lanes in 1usize..10,
     ) {
-        let mut s = Stream(seed);
+        let mut s = SplitMix64::new(seed);
         let model = rand_driver(&mut s, r, n_centers);
         let compiled = Arc::new(CompiledDriver::compile(&model));
         let stims: Vec<LaneStim> = (0..n_lanes)
@@ -302,7 +334,7 @@ proptest! {
         n_centers in 1usize..5,
         n_lanes in 1usize..8,
     ) {
-        let mut s = Stream(seed);
+        let mut s = SplitMix64::new(seed);
         let model = rand_receiver(&mut s, na, nb, r, n_centers);
         let compiled = Arc::new(CompiledReceiver::compile(&model));
         let v0: Vec<f64> = (0..n_lanes).map(|_| s.range(0.0, 1.8)).collect();
@@ -335,7 +367,7 @@ proptest! {
     /// CR baseline batched stepping equals the scalar PWL lookups.
     #[test]
     fn cr_lanes_match_pwl(seed in any::<u64>(), n_lanes in 1usize..10) {
-        let mut s = Stream(seed);
+        let mut s = SplitMix64::new(seed);
         let iv = rand_pwl(&mut s, 5);
         let model = CrModel::new("prop-cr", 1e-12, iv.clone()).unwrap();
         let compiled = CompiledCr::compile(&model);
@@ -352,7 +384,7 @@ proptest! {
     /// IBIS batched stepping equals the scalar two-table output stage.
     #[test]
     fn ibis_lanes_match_output(seed in any::<u64>(), n_lanes in 1usize..10) {
-        let mut s = Stream(seed);
+        let mut s = SplitMix64::new(seed);
         let pullup = rand_pwl(&mut s, 4);
         let pulldown = rand_pwl(&mut s, 4);
         let model = IbisModel {

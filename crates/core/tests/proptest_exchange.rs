@@ -26,36 +26,19 @@ use macromodel::exchange::{
 use macromodel::receiver::{CrModel, ReceiverModel};
 use macromodel::{Error, Macromodel};
 use numkit::interp::Pwl;
+use numkit::rng::SplitMix64;
 use proptest::prelude::*;
 use refdev::IbisModel;
 use sysid::arx::{ArxModel, ArxOrders};
 use sysid::narx::{NarxModel, NarxOrders};
 use sysid::rbf::RbfNetwork;
 
-/// Deterministic splitmix stream expanding one proptest seed into model
-/// parameters (same construction as `proptest_lint.rs`).
-struct Stream(u64);
-
-impl Stream {
-    fn next_f64(&mut self) -> f64 {
-        self.0 = self.0.wrapping_add(0x9e37_79b9_7f4a_7c15);
-        let mut z = self.0;
-        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-        z ^= z >> 31;
-        (z >> 11) as f64 / (1u64 << 53) as f64
-    }
-
-    fn range(&mut self, lo: f64, hi: f64) -> f64 {
-        lo + (hi - lo) * self.next_f64()
-    }
-
-    fn index(&mut self, n: usize) -> usize {
-        (self.next_f64() * n as f64) as usize % n
-    }
+/// A uniform index in `[0, n)`, drawn through `next_f64`.
+fn index(s: &mut SplitMix64, n: usize) -> usize {
+    (s.next_f64() * n as f64) as usize % n
 }
 
-fn narx(s: &mut Stream, r: usize, n_centers: usize) -> NarxModel {
+fn narx(s: &mut SplitMix64, r: usize, n_centers: usize) -> NarxModel {
     let orders = NarxOrders::dynamic(r);
     let dim = orders.dim();
     let mut centers = Vec::with_capacity(n_centers);
@@ -70,7 +53,7 @@ fn narx(s: &mut Stream, r: usize, n_centers: usize) -> NarxModel {
     NarxModel::from_network(orders, net).unwrap()
 }
 
-fn weight_ramp(s: &mut Stream, n: usize) -> WeightSequence {
+fn weight_ramp(s: &mut SplitMix64, n: usize) -> WeightSequence {
     let mut w_high = Vec::with_capacity(n);
     let mut w_low = Vec::with_capacity(n);
     for k in 0..n {
@@ -82,10 +65,10 @@ fn weight_ramp(s: &mut Stream, n: usize) -> WeightSequence {
     WeightSequence::new(w_high, w_low).unwrap()
 }
 
-fn driver(s: &mut Stream, name: &str) -> AnyModel {
-    let (rh, ch) = (1 + s.index(2), 2 + s.index(4));
-    let (rl, cl) = (1 + s.index(2), 2 + s.index(4));
-    let (nu, nd) = (2 + s.index(12), 2 + s.index(12));
+fn driver(s: &mut SplitMix64, name: &str) -> AnyModel {
+    let (rh, ch) = (1 + index(s, 2), 2 + index(s, 4));
+    let (rl, cl) = (1 + index(s, 2), 2 + index(s, 4));
+    let (nu, nd) = (2 + index(s, 12), 2 + index(s, 12));
     AnyModel::PwRbfDriver(PwRbfDriverModel {
         name: name.into(),
         ts: s.range(1e-11, 1e-10),
@@ -97,12 +80,12 @@ fn driver(s: &mut Stream, name: &str) -> AnyModel {
     })
 }
 
-fn receiver(s: &mut Stream, name: &str) -> AnyModel {
-    let na = 1 + s.index(3);
+fn receiver(s: &mut SplitMix64, name: &str) -> AnyModel {
+    let na = 1 + index(s, 3);
     let a: Vec<f64> = (0..na).map(|_| s.range(-0.3, 0.3) / na as f64).collect();
     let orders = ArxOrders { na, nb: 1 };
     let linear = ArxModel::from_coefficients(orders, a, vec![s.range(-0.1, 0.1); 2]).unwrap();
-    let (cu, cd) = (2 + s.index(3), 2 + s.index(3));
+    let (cu, cd) = (2 + index(s, 3), 2 + index(s, 3));
     AnyModel::Receiver(ReceiverModel {
         name: name.into(),
         ts: s.range(1e-11, 1e-10),
@@ -115,7 +98,7 @@ fn receiver(s: &mut Stream, name: &str) -> AnyModel {
 
 /// Strictly increasing breakpoints with monotonic values — a plausible
 /// static I–V table.
-fn pwl(s: &mut Stream, n: usize) -> Pwl {
+fn pwl(s: &mut SplitMix64, n: usize) -> Pwl {
     let mut x = Vec::with_capacity(n);
     let mut y = Vec::with_capacity(n);
     let mut xv = s.range(-2.0, -1.0);
@@ -129,16 +112,16 @@ fn pwl(s: &mut Stream, n: usize) -> Pwl {
     Pwl::new(x, y).unwrap()
 }
 
-fn cr(s: &mut Stream, name: &str) -> AnyModel {
-    let n = 3 + s.index(5);
+fn cr(s: &mut SplitMix64, name: &str) -> AnyModel {
+    let n = 3 + index(s, 5);
     let c = s.range(1e-13, 1e-11);
     AnyModel::Cr(CrModel::new(name, c, pwl(s, n)).unwrap())
 }
 
-fn ibis(s: &mut Stream, name: &str) -> AnyModel {
-    let n = 2 + s.index(8);
-    let (np, nd) = (3 + s.index(4), 3 + s.index(4));
-    let table = |s: &mut Stream| (0..n).map(|_| s.range(0.0, 1.0)).collect::<Vec<f64>>();
+fn ibis(s: &mut SplitMix64, name: &str) -> AnyModel {
+    let n = 2 + index(s, 8);
+    let (np, nd) = (3 + index(s, 4), 3 + index(s, 4));
+    let table = |s: &mut SplitMix64| (0..n).map(|_| s.range(0.0, 1.0)).collect::<Vec<f64>>();
     AnyModel::Ibis(IbisModel {
         name: name.into(),
         vdd: s.range(1.0, 5.0),
@@ -153,8 +136,8 @@ fn ibis(s: &mut Stream, name: &str) -> AnyModel {
     })
 }
 
-fn any_model(s: &mut Stream, name: &str) -> AnyModel {
-    match s.index(4) {
+fn any_model(s: &mut SplitMix64, name: &str) -> AnyModel {
+    match index(s, 4) {
         0 => driver(s, name),
         1 => receiver(s, name),
         2 => cr(s, name),
@@ -190,7 +173,7 @@ proptest! {
     /// text → binary → text byte-identically.
     #[test]
     fn v1_text_binary_text_byte_identity(seed in any::<u64>()) {
-        let mut s = Stream(seed);
+        let mut s = SplitMix64::new(seed);
         let artifact = Artifact::single(any_model(&mut s, "m_v1"));
         assert_byte_exact_roundtrip(&artifact);
     }
@@ -204,7 +187,7 @@ proptest! {
         prov_sel in any::<u32>(),
     ) {
         let with_prov = prov_sel.is_multiple_of(2);
-        let mut s = Stream(seed);
+        let mut s = SplitMix64::new(seed);
         let models: Vec<AnyModel> = (0..n_models)
             .map(|i| any_model(&mut s, &format!("m_{i}")))
             .collect();
@@ -226,7 +209,7 @@ proptest! {
         flip_pos in any::<usize>(),
         flip_bit in any::<u32>(),
     ) {
-        let mut s = Stream(seed);
+        let mut s = SplitMix64::new(seed);
         let artifact = Artifact::single(any_model(&mut s, "victim"));
         let bin = save_artifact_bin(&load_artifact(&save_artifact(&artifact).unwrap()).unwrap())
             .unwrap();
@@ -249,7 +232,7 @@ proptest! {
     /// magic-dispatching loader, never a partial artifact.
     #[test]
     fn truncation_is_typed(seed in any::<u64>(), cut in any::<usize>()) {
-        let mut s = Stream(seed);
+        let mut s = SplitMix64::new(seed);
         let artifact = Artifact::single(any_model(&mut s, "victim"));
         let bin = save_artifact_bin(&load_artifact(&save_artifact(&artifact).unwrap()).unwrap())
             .unwrap();
@@ -264,7 +247,7 @@ proptest! {
 /// A small deterministic binary container shared by the corruption
 /// fixtures below.
 fn fixture_bytes() -> Vec<u8> {
-    let mut s = Stream(7);
+    let mut s = SplitMix64::new(7);
     let artifact = Artifact::bundle(
         vec![cr(&mut s, "fix_a"), ibis(&mut s, "fix_b")],
         Some(Provenance {
@@ -344,7 +327,7 @@ fn fixture_truncated_section_is_typed() {
 
 /// The golden artifacts: one `mdlx 1` file per kind and an `mdlx 2`
 /// bundle of all four with provenance, each with its `.mdlxb` twin. They
-/// hold the models of `Stream(2002)` (driver, receiver, C–R̂, IBIS, in
+/// hold the models of `SplitMix64::new(2002)` (driver, receiver, C–R̂, IBIS, in
 /// that order) and are never regenerated: they pin the on-disk layout.
 fn golden() -> Vec<(&'static str, Vec<u8>, Vec<u8>)> {
     let dir = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/data");
@@ -429,13 +412,13 @@ fn seeded_mutations_of_text_artifacts_fail_typed() {
             assert_loads_or_fails_typed(&text[..cut], &format!("{stem}.mdlx cut at {cut}"));
         }
         for seed in FUZZ_SEEDS {
-            let mut s = Stream(seed);
+            let mut s = SplitMix64::new(seed);
             for _ in 0..64 {
-                let at = s.index(text.len());
+                let at = index(&mut s, text.len());
                 let mut m = text.clone();
-                m[at] ^= 1 + s.index(255) as u8;
+                m[at] ^= 1 + index(&mut s, 255) as u8;
                 assert_loads_or_fails_typed(&m, &format!("{stem}.mdlx flip at {at}"));
-                let cut = s.index(text.len());
+                let cut = index(&mut s, text.len());
                 assert_loads_or_fails_typed(&text[..cut], &format!("{stem}.mdlx cut at {cut}"));
             }
         }
@@ -472,11 +455,11 @@ fn seeded_mutations_of_binary_artifacts_fail_typed() {
             assert_loads_or_fails_typed(&bin[..cut], &format!("{stem}.mdlxb cut at {cut}"));
         }
         for seed in FUZZ_SEEDS {
-            let mut s = Stream(seed);
+            let mut s = SplitMix64::new(seed);
             for _ in 0..64 {
-                let at = FILE_HEADER_LEN + s.index(bin.len() - FILE_HEADER_LEN);
+                let at = FILE_HEADER_LEN + index(&mut s, bin.len() - FILE_HEADER_LEN);
                 let mut m = bin.clone();
-                m[at] ^= 1 + s.index(255) as u8;
+                m[at] ^= 1 + index(&mut s, 255) as u8;
                 reseal(&mut m, &sections);
                 assert_loads_or_fails_typed(&m, &format!("{stem}.mdlxb flip at {at}"));
             }

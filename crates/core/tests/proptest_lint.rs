@@ -9,29 +9,11 @@ use macromodel::driver::{PwRbfDriverModel, WeightSequence};
 use macromodel::exchange::AnyModel;
 use macromodel::lint::{lint_model, lint_model_full};
 use macromodel::receiver::ReceiverModel;
+use numkit::rng::SplitMix64;
 use proptest::prelude::*;
 use sysid::arx::{ArxModel, ArxOrders};
 use sysid::narx::{NarxModel, NarxOrders};
 use sysid::rbf::RbfNetwork;
-
-/// Deterministic splitmix stream expanding one proptest seed into model
-/// parameters.
-struct Stream(u64);
-
-impl Stream {
-    fn next_f64(&mut self) -> f64 {
-        self.0 = self.0.wrapping_add(0x9e37_79b9_7f4a_7c15);
-        let mut z = self.0;
-        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-        z ^= z >> 31;
-        (z >> 11) as f64 / (1u64 << 53) as f64
-    }
-
-    fn range(&mut self, lo: f64, hi: f64) -> f64 {
-        lo + (hi - lo) * self.next_f64()
-    }
-}
 
 /// Monic polynomial with the given real roots, as the coefficient list
 /// `[1, c1, ..., cn]` of `z^n + c1 z^(n-1) + ... + cn`.
@@ -55,7 +37,7 @@ fn arx_with_roots(roots: &[f64]) -> ArxModel {
     ArxModel::from_coefficients(orders, a, vec![0.1, -0.05]).unwrap()
 }
 
-fn stable_narx(s: &mut Stream, r: usize) -> NarxModel {
+fn stable_narx(s: &mut SplitMix64, r: usize) -> NarxModel {
     let orders = NarxOrders::dynamic(r);
     // Input-side weights free, output-feedback tail well inside stability:
     // a single small coefficient per lag keeps the Jury margin comfortable.
@@ -71,7 +53,7 @@ fn stable_narx(s: &mut Stream, r: usize) -> NarxModel {
 
 /// Driver submodel with centers spread across the full supply range, so
 /// coverage and spacing rules stay quiet.
-fn covered_narx(s: &mut Stream, r: usize, vdd: f64, n_centers: usize) -> NarxModel {
+fn covered_narx(s: &mut SplitMix64, r: usize, vdd: f64, n_centers: usize) -> NarxModel {
     let orders = NarxOrders::dynamic(r);
     let dim = orders.dim();
     let mut centers = Vec::with_capacity(n_centers);
@@ -90,7 +72,7 @@ fn covered_narx(s: &mut Stream, r: usize, vdd: f64, n_centers: usize) -> NarxMod
     NarxModel::from_network(orders, net).unwrap()
 }
 
-fn weight_ramp(s: &mut Stream, n: usize, rising: bool) -> WeightSequence {
+fn weight_ramp(s: &mut SplitMix64, n: usize, rising: bool) -> WeightSequence {
     let mut w_high = Vec::with_capacity(n);
     let mut w_low = Vec::with_capacity(n);
     for k in 0..n {
@@ -116,7 +98,7 @@ proptest! {
         na in 1usize..5,
         r in 1usize..3,
     ) {
-        let mut s = Stream(seed);
+        let mut s = SplitMix64::new(seed);
         let roots: Vec<f64> = (0..na).map(|_| s.range(-0.85, 0.85)).collect();
         let model = ReceiverModel {
             name: "rx".into(),
@@ -139,7 +121,7 @@ proptest! {
         na in 1usize..4,
         bad_mag in 0usize..2,
     ) {
-        let mut s = Stream(seed);
+        let mut s = SplitMix64::new(seed);
         let mut roots: Vec<f64> = (0..na).map(|_| s.range(-0.8, 0.8)).collect();
         let bad = s.range(1.05, 1.5) * if bad_mag == 0 { 1.0 } else { -1.0 };
         roots.push(bad);
@@ -166,7 +148,7 @@ proptest! {
         n_centers in 2usize..6,
         window in 2usize..8,
     ) {
-        let mut s = Stream(seed);
+        let mut s = SplitMix64::new(seed);
         let vdd = if s.next_f64() < 0.5 { 1.8 } else { 3.3 };
         let model = PwRbfDriverModel {
             name: "drv".into(),

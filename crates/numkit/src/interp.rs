@@ -1,7 +1,6 @@
 //! 1-D interpolation utilities: piecewise-linear functions and resampling.
 
 use crate::{Error, Result};
-use serde::{Deserialize, Serialize};
 
 /// A piecewise-linear function defined by strictly increasing breakpoints.
 ///
@@ -20,7 +19,7 @@ use serde::{Deserialize, Serialize};
 /// # Ok(())
 /// # }
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Pwl {
     x: Vec<f64>,
     y: Vec<f64>,

@@ -2,7 +2,8 @@
 //!
 //! This crate provides the numerical substrate used by the rest of the
 //! workspace: a dense row-major [`Matrix`], LU / QR / Cholesky factorizations,
-//! linear least squares, 1-D interpolation and basic descriptive statistics.
+//! linear least squares, 1-D interpolation, basic descriptive statistics and
+//! the workspace's one seeded generator ([`rng::SplitMix64`]).
 //!
 //! It is deliberately minimal: the dense paths serve the small systems
 //! (regression problems with a few thousand rows and tens of columns) with
@@ -35,6 +36,7 @@ pub mod lstsq;
 pub mod lu;
 pub mod matrix;
 pub mod qr;
+pub mod rng;
 pub mod sparse;
 pub mod stats;
 pub mod structure;

@@ -1,7 +1,6 @@
 //! Dense row-major matrix type and elementary operations.
 
 use crate::{Error, Result};
-use serde::{Deserialize, Serialize};
 
 /// A dense, row-major matrix of `f64`.
 ///
@@ -19,7 +18,7 @@ use serde::{Deserialize, Serialize};
 /// # Ok(())
 /// # }
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Matrix {
     rows: usize,
     cols: usize,

@@ -25,10 +25,9 @@ use circuit::devices::{Capacitor, Resistor, SourceWaveform, VoltageSource};
 use circuit::mna::{register_conductance, stamp_linearized_current, EvalCtx};
 use circuit::{Circuit, Device, Node, PatternBuilder, StampWorkspace, GROUND};
 use numkit::interp::Pwl;
-use serde::{Deserialize, Serialize};
 
 /// Process corner of an IBIS model.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum IbisCorner {
     /// Weak process, high C, slow edges.
     Slow,
@@ -50,7 +49,7 @@ impl IbisCorner {
 }
 
 /// An extracted IBIS-style model.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct IbisModel {
     /// Source device name.
     pub name: String,

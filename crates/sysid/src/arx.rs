@@ -12,10 +12,9 @@
 
 use crate::{Error, Result};
 use numkit::{lstsq, Matrix};
-use serde::{Deserialize, Serialize};
 
 /// ARX structural orders.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ArxOrders {
     /// Number of output lags (`na >= 0`).
     pub na: usize,
@@ -57,7 +56,7 @@ pub struct FitDiagnostics {
 }
 
 /// An estimated ARX model.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ArxModel {
     orders: ArxOrders,
     /// Output-lag coefficients `a_1..a_na`.

@@ -15,10 +15,9 @@ use crate::ols::{self, OlsStop};
 use crate::rbf::{width_heuristic, RbfNetwork};
 use crate::{Error, Result};
 use numkit::{lstsq, Matrix};
-use serde::{Deserialize, Serialize};
 
 /// Structural orders of a NARX model.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct NarxOrders {
     /// Number of *past* input samples (the present `u(k)` is always used).
     pub input_lags: usize,
@@ -71,7 +70,7 @@ impl Default for RbfTrainConfig {
 }
 
 /// A trained NARX model.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct NarxModel {
     orders: NarxOrders,
     net: RbfNetwork,

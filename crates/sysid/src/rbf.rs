@@ -15,10 +15,9 @@
 //! affine trend).
 
 use crate::{Error, Result};
-use serde::{Deserialize, Serialize};
 
 /// A trained Gaussian RBF network with affine augmentation.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct RbfNetwork {
     dim: usize,
     /// Gaussian centers, each of length `dim`.

@@ -1,5 +1,6 @@
 //! Property-based tests of the identification machinery.
 
+use numkit::rng::SplitMix64;
 use proptest::prelude::*;
 use sysid::arx::{ArxModel, ArxOrders};
 use sysid::flat::{FlatArx, FlatNarx, LaneRing};
@@ -7,26 +8,7 @@ use sysid::narx::{NarxModel, NarxOrders, RbfTrainConfig};
 use sysid::rbf::RbfNetwork;
 use sysid::signals;
 
-/// Deterministic splitmix stream expanding one proptest-supplied seed into
-/// arbitrarily many model parameters.
-struct Stream(u64);
-
-impl Stream {
-    fn next_f64(&mut self) -> f64 {
-        self.0 = self.0.wrapping_add(0x9e37_79b9_7f4a_7c15);
-        let mut z = self.0;
-        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-        z ^= z >> 31;
-        (z >> 11) as f64 / (1u64 << 53) as f64
-    }
-
-    fn range(&mut self, lo: f64, hi: f64) -> f64 {
-        lo + (hi - lo) * self.next_f64()
-    }
-}
-
-fn rand_narx(s: &mut Stream, r: usize, n_centers: usize) -> NarxModel {
+fn rand_narx(s: &mut SplitMix64, r: usize, n_centers: usize) -> NarxModel {
     let orders = NarxOrders::dynamic(r);
     let dim = orders.dim();
     let centers: Vec<Vec<f64>> = (0..n_centers)
@@ -131,7 +113,7 @@ proptest! {
         n_centers in 1usize..6,
         n_lanes in 1usize..10,
     ) {
-        let mut s = Stream(seed);
+        let mut s = SplitMix64::new(seed);
         let model = rand_narx(&mut s, r, n_centers);
         let steps = 60;
         let u: Vec<Vec<f64>> = (0..n_lanes)
@@ -181,7 +163,7 @@ proptest! {
         nb in 0usize..4,
         n_lanes in 1usize..10,
     ) {
-        let mut s = Stream(seed);
+        let mut s = SplitMix64::new(seed);
         // Σ|a| < 0.9: the free-run stays bounded over the window.
         let a: Vec<f64> = (0..na).map(|_| s.range(-0.3, 0.3)).collect();
         let b: Vec<f64> = (0..=nb).map(|_| s.range(-0.5, 0.5)).collect();
