@@ -199,15 +199,33 @@ pub fn summarize(records: &[BenchRecord]) -> String {
 mod tests {
     use super::*;
 
-    #[test]
-    fn tiny_bench_run_produces_compiled_and_lane_records() {
-        let cfg = EvalBenchConfig {
+    fn tiny_cfg() -> EvalBenchConfig {
+        EvalBenchConfig {
             centers: 4,
             steps: 64,
             reps: 1,
             lanes: 3,
-        };
-        let records = run_eval_bench(&cfg);
+        }
+    }
+
+    #[test]
+    fn records_are_baseline_gate_json() {
+        for r in run_eval_bench(&tiny_cfg()) {
+            let line = r.to_json();
+            let head = format!("{{\"bench\": \"{}\", \"median_s\": ", r.bench);
+            let tail = format!(", \"samples\": {}}}", r.samples);
+            let median = line
+                .strip_prefix(&head)
+                .and_then(|rest| rest.strip_suffix(&tail))
+                .unwrap_or_else(|| panic!("not a baseline-gate line: {line}"));
+            assert_eq!(median.parse::<f64>().unwrap(), r.median_s);
+            assert!(r.bench.starts_with("eval/driver_step/"));
+        }
+    }
+
+    #[test]
+    fn tiny_bench_run_produces_compiled_and_lane_records() {
+        let records = run_eval_bench(&tiny_cfg());
         assert_eq!(records.len(), 2);
         assert!(records.iter().all(|r| r.median_s > 0.0));
         assert_eq!(records[0].bench, "eval/driver_step/compiled");

@@ -185,16 +185,34 @@ pub fn summarize(records: &[BenchRecord]) -> String {
 mod tests {
     use super::*;
 
-    #[test]
-    fn tiny_bench_run_produces_three_records() {
-        let cfg = EyeBenchConfig {
+    fn tiny_cfg() -> EyeBenchConfig {
+        EyeBenchConfig {
             prbs_bits: 512,
             fold_bits: 64,
             channel_bits: 8,
             lanes: 2,
             reps: 1,
-        };
-        let records = run_eye_bench(&cfg);
+        }
+    }
+
+    #[test]
+    fn records_are_baseline_gate_json() {
+        for r in run_eye_bench(&tiny_cfg()) {
+            let line = r.to_json();
+            let head = format!("{{\"bench\": \"{}\", \"median_s\": ", r.bench);
+            let tail = format!(", \"samples\": {}}}", r.samples);
+            let median = line
+                .strip_prefix(&head)
+                .and_then(|rest| rest.strip_suffix(&tail))
+                .unwrap_or_else(|| panic!("not a baseline-gate line: {line}"));
+            assert_eq!(median.parse::<f64>().unwrap(), r.median_s);
+            assert!(r.bench.starts_with("eye/"));
+        }
+    }
+
+    #[test]
+    fn tiny_bench_run_produces_three_records() {
+        let records = run_eye_bench(&tiny_cfg());
         assert_eq!(records.len(), 3);
         assert!(records.iter().all(|r| r.median_s > 0.0 && r.samples > 0));
         assert_eq!(records[0].bench, "eye/prbs31/gen");
