@@ -72,7 +72,7 @@ use macromodel::exchange::{
     load_artifact_bytes, load_artifact_from_path, load_model_from_path, save_artifact,
     save_artifact_to_path, AnyModel, Artifact,
 };
-use macromodel::lint::json_str;
+use macromodel::json::{self, Layout, Raw};
 use macromodel::validate::{print_csv, DEFAULT_VALIDATION_DT};
 use macromodel::{ExtractionSession, Macromodel, ModelStore, PortStimulus, TestFixture};
 
@@ -395,18 +395,16 @@ fn cmd_lint(mut args: Vec<String>) -> CliResult<()> {
     }
 
     if json {
-        let mut out = String::from("{\"load_failures\":[");
-        for (i, (file, error)) in load_failures.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(&format!(
-                "{{\"path\":{},\"error\":{}}}",
-                json_str(file),
-                json_str(error)
-            ));
-        }
-        out.push_str(&format!("],\"report\":{}}}", report.to_json(&cfg)));
+        let out = json::object(Layout::Compact, |o| {
+            o.array("load_failures", Layout::Compact, |a| {
+                for (file, error) in &load_failures {
+                    a.object(Layout::Compact, |o| {
+                        o.field("path", file).field("error", error);
+                    });
+                }
+            })
+            .field("report", Raw(report.to_json(&cfg)));
+        });
         println!("{out}");
     } else {
         for (file, error) in &load_failures {
@@ -526,61 +524,49 @@ fn finish_fleet(report: &FleetReport, json: Option<String>) -> CliResult<()> {
 /// tests): load mode, per-entry format/version/bytes/digest, flattened
 /// model list, and the error string of unloadable entries.
 fn store_ls_json(store: &ModelStore) -> String {
-    let mut out = format!(
-        "{{\"root\":{},\"mode\":\"lazy\",\"entries\":[",
-        json_str(&store.root().display().to_string())
-    );
     let mut models = 0usize;
-    for (i, entry) in store.entries().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push_str(&format!(
-            "{{\"path\":{},\"format\":\"{}\"",
-            json_str(&entry.path().display().to_string()),
-            entry.format()
-        ));
-        match (entry.index(), entry.artifact()) {
-            (Ok(index), Ok(artifact)) => {
-                models += index.models.len();
-                out.push_str(&format!(
-                    ",\"version\":{},\"bytes\":{},\"digest\":{},\"models\":[",
-                    index.version,
-                    index.bytes,
-                    json_str(&index.digest)
-                ));
-                for (j, (kind, name)) in index.models.iter().enumerate() {
-                    if j > 0 {
-                        out.push(',');
-                    }
-                    out.push_str(&format!(
-                        "{{\"kind\":{},\"name\":{}}}",
-                        json_str(kind.tag()),
-                        json_str(name)
-                    ));
+    json::object(Layout::Compact, |o| {
+        o.field("root", store.root().display().to_string())
+            .field("mode", "lazy")
+            .array("entries", Layout::Compact, |a| {
+                for entry in store.entries() {
+                    a.object(Layout::Compact, |o| {
+                        o.field("path", entry.path().display().to_string())
+                            .field("format", entry.format().to_string());
+                        match (entry.index(), entry.artifact()) {
+                            (Ok(index), Ok(artifact)) => {
+                                models += index.models.len();
+                                o.field("version", index.version)
+                                    .field("bytes", index.bytes)
+                                    .field("digest", &index.digest)
+                                    .array("models", Layout::Compact, |a| {
+                                        for (kind, name) in &index.models {
+                                            a.object(Layout::Compact, |o| {
+                                                o.field("kind", kind.tag()).field("name", name);
+                                            });
+                                        }
+                                    })
+                                    .field(
+                                        "provenance_digest",
+                                        artifact.provenance.as_ref().map(|p| &p.config_digest),
+                                    )
+                                    .field("error", None::<&str>);
+                            }
+                            (index, artifact) => {
+                                let error = index
+                                    .err()
+                                    .or(artifact.err())
+                                    .expect("one side failed in this branch");
+                                o.field("error", error.to_string());
+                            }
+                        }
+                    });
                 }
-                let prov = artifact
-                    .provenance
-                    .as_ref()
-                    .map(|p| json_str(&p.config_digest))
-                    .unwrap_or_else(|| "null".into());
-                out.push_str(&format!("],\"provenance_digest\":{prov},\"error\":null}}"));
-            }
-            (index, artifact) => {
-                let error = index
-                    .err()
-                    .or(artifact.err())
-                    .expect("one side failed in this branch");
-                out.push_str(&format!(",\"error\":{}}}", json_str(&error.to_string())));
-            }
-        }
-    }
-    out.push_str(&format!(
-        "],\"artifacts\":{},\"models\":{models},\"load_failures\":{}}}",
-        store.len(),
-        store.failures().len()
-    ));
-    out
+            })
+            .field("artifacts", store.len())
+            .field("models", models)
+            .field("load_failures", store.failures().len());
+    })
 }
 
 fn cmd_store(mut args: Vec<String>) -> CliResult<()> {
@@ -668,6 +654,10 @@ fn cmd_store(mut args: Vec<String>) -> CliResult<()> {
 fn cmd_simulate(mut args: Vec<String>) -> CliResult<()> {
     let fixture = parse_opt(&mut args, "--fixture");
     let pattern = parse_opt(&mut args, "--pattern").unwrap_or_else(|| "010".into());
+    if pattern.is_empty() || pattern.chars().any(|c| c != '0' && c != '1') {
+        eprintln!("--pattern: expected a non-empty string of 0s and 1s, got '{pattern}'");
+        usage();
+    }
     let bit_time = parse_positive_opt(&mut args, "--bit-time").unwrap_or(4e-9);
     let t_stop = parse_positive_opt(&mut args, "--t-stop").unwrap_or(12e-9);
     let [path] = args.as_slice() else { usage() };
@@ -912,7 +902,7 @@ fn cmd_bench_serve(mut args: Vec<String>) -> CliResult<()> {
         println!("report written to {path}");
     }
     if let Some(path) = baseline {
-        append_baseline(&path, report.baseline_records())?;
+        append_baseline(&path, &report.baseline_records())?;
     }
     if report.request_failures > 0 {
         return Err(format!("{} requests failed", report.request_failures).into());
@@ -936,20 +926,21 @@ fn report_bench(
         print!("{}", summarize(records));
     }
     if let Some(path) = baseline {
-        append_baseline(&path, records.iter().map(BenchRecord::to_json))?;
+        append_baseline(&path, records)?;
     }
     Ok(())
 }
 
-/// Appends baseline-gate JSON lines to `path` (created if missing).
-fn append_baseline(path: &str, lines: impl IntoIterator<Item = String>) -> CliResult<()> {
+/// Appends records as baseline-gate JSON lines to `path` (created if
+/// missing).
+fn append_baseline(path: &str, records: &[BenchRecord]) -> CliResult<()> {
     use std::io::Write as _;
     let mut f = std::fs::OpenOptions::new()
         .create(true)
         .append(true)
         .open(path)?;
-    for line in lines {
-        writeln!(f, "{line}")?;
+    for r in records {
+        writeln!(f, "{}", r.to_json())?;
     }
     println!("baseline records appended to {path}");
     Ok(())
@@ -1056,7 +1047,10 @@ fn cmd_request(mut args: Vec<String>) -> CliResult<()> {
     let line = args.join(" ");
     let response = server::daemon::request_once(socket.as_ref(), &line)?;
     println!("{response}");
-    if !response.contains("\"ok\":true") {
+    let ok = json::parse(&response)
+        .ok()
+        .and_then(|v| v.get("ok")?.as_bool());
+    if ok != Some(true) {
         return Err("daemon reported an error".into());
     }
     Ok(())

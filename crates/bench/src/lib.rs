@@ -15,6 +15,7 @@ use circuit::devices::{Capacitor, IdealLine, Resistor, SourceWaveform, VoltageSo
 use circuit::mtl::{expand_coupled_line, CoupledLineSpec};
 use circuit::{Circuit, TranParams, Waveform, GROUND};
 use macromodel::device::PwRbfDriver;
+use macromodel::json::{self, Layout};
 use macromodel::pipeline::{
     estimate_cr_baseline, estimate_driver, estimate_receiver, DriverEstimationConfig,
     ReceiverEstimationConfig,
@@ -55,10 +56,11 @@ pub struct BenchRecord {
 impl BenchRecord {
     /// The baseline-gate JSON line.
     pub fn to_json(&self) -> String {
-        format!(
-            "{{\"bench\": \"{}\", \"median_s\": {:e}, \"samples\": {}}}",
-            self.bench, self.median_s, self.samples
-        )
+        json::object(Layout::Spaced, |o| {
+            o.field("bench", &self.bench)
+                .field("median_s", self.median_s)
+                .field("samples", self.samples);
+        })
     }
 }
 
@@ -758,6 +760,15 @@ mod tests {
         assert_eq!(
             r.to_json(),
             "{\"bench\": \"eval/driver_step/compiled\", \"median_s\": 1.25e-7, \"samples\": 1000}"
+        );
+        // A failed timing stays valid JSON.
+        let nan = BenchRecord {
+            median_s: f64::NAN,
+            ..r
+        };
+        assert_eq!(
+            nan.to_json(),
+            "{\"bench\": \"eval/driver_step/compiled\", \"median_s\": null, \"samples\": 1000}"
         );
     }
 

@@ -24,7 +24,7 @@ use crate::par_map;
 use circuit::devices::Resistor;
 use circuit::mtl::{expand_coupled_line, CoupledLineSpec};
 use circuit::{Circuit, SolveStats, TranParams, Waveform, GROUND};
-use macromodel::lint::json_str;
+use macromodel::json::{self, Layout, Raw};
 use macromodel::validate::{validate_macromodel, ReferencePort, DEFAULT_VALIDATION_DT};
 use macromodel::{Macromodel, ModelKind, ModelStore, PortStimulus, TestFixture};
 use refdev::{CmosDriverSpec, ReceiverSpec};
@@ -32,6 +32,7 @@ use si::{
     prbs_pattern, ChannelSpec, EyeAnalyzer, EyeConfig, EyeMetrics, McGates, McParam, McPlan,
     McSummary, PrbsOrder, Termination,
 };
+use std::panic::{catch_unwind, AssertUnwindSafe};
 
 /// Bound on plausible pad voltages (V): every reference device is a 1.8 V
 /// or 3.3 V part, so anything beyond this is a solver or model blow-up,
@@ -370,6 +371,36 @@ impl CellReport {
         Self::gated(model.name().to_string(), model.kind().tag(), scenario, gate)
     }
 
+    /// Writes the cell's fields, as a fleet report lists them.
+    fn write_json(&self, o: &mut json::Object<'_>) {
+        o.field("model", &self.model)
+            .field("kind", &self.kind)
+            .field("scenario", &self.scenario)
+            .field("pass", self.pass)
+            .field("detail", &self.detail)
+            .field("rms_error", self.rms_error)
+            .field("max_error", self.max_error)
+            .field("timing_error_s", self.timing_error_s)
+            .field("rms_limit", self.rms_limit)
+            .field("samples", self.samples)
+            .field("v_min", self.v_min)
+            .field("v_max", self.v_max);
+        match &self.stats {
+            Some(s) => o.object("stats", Layout::Spaced, |o| {
+                o.field("symbolic_analyses", s.symbolic_analyses)
+                    .field("factorizations", s.factorizations)
+                    .field("factor_nnz", s.factor_nnz)
+                    .field("flops", s.flops)
+                    .field("newton_iterations", s.newton_iterations)
+                    .field("unknowns", s.unknowns);
+            }),
+            None => o.field("stats", None::<f64>),
+        };
+        o.field("eye", self.eye.as_ref().map(|e| Raw(e.json())))
+            .field("mc", self.mc.as_ref().map(|m| Raw(mc_summary_json(m))))
+            .field("elapsed_s", self.elapsed_s);
+    }
+
     /// A cell without measurements that passes or fails on `gate` (`Err`
     /// carries the failure detail).
     fn gated(
@@ -419,52 +450,45 @@ pub struct EyeOutcome {
 }
 
 impl EyeOutcome {
-    /// The outcome as one compact JSON object (the `eye` block of cell
-    /// and fleet reports; the `mdl eye --json` payload).
+    /// The outcome as one spaced JSON object (the `eye` block of cell and
+    /// fleet reports; the `mdl eye --json` payload).
     pub fn json(&self) -> String {
         let m = &self.metrics;
-        format!(
-            "{{\"prbs\": {}, \"bits\": {}, \"seed\": {}, \"lanes\": {}, \"worst_lane\": {}, \
-             \"open\": {}, \"eye_height\": {}, \"eye_width_ui\": {}, \"jitter_pp_s\": {}, \
-             \"jitter_rms_s\": {}, \"overshoot\": {}, \"undershoot\": {}, \"v_high\": {}, \
-             \"v_low\": {}, \"crossings\": {}}}",
-            self.prbs,
-            self.bits,
-            self.seed,
-            self.lanes,
-            self.worst_lane,
-            m.open,
-            json_f64(m.eye_height),
-            json_f64(m.eye_width_ui),
-            json_f64(m.jitter_pp_s),
-            json_f64(m.jitter_rms_s),
-            json_f64(m.overshoot),
-            json_f64(m.undershoot),
-            json_f64(m.v_high),
-            json_f64(m.v_low),
-            m.crossings,
-        )
+        json::object(Layout::Spaced, |o| {
+            o.field("prbs", self.prbs)
+                .field("bits", self.bits)
+                .field("seed", self.seed)
+                .field("lanes", self.lanes)
+                .field("worst_lane", self.worst_lane)
+                .field("open", m.open)
+                .field("eye_height", m.eye_height)
+                .field("eye_width_ui", m.eye_width_ui)
+                .field("jitter_pp_s", m.jitter_pp_s)
+                .field("jitter_rms_s", m.jitter_rms_s)
+                .field("overshoot", m.overshoot)
+                .field("undershoot", m.undershoot)
+                .field("v_high", m.v_high)
+                .field("v_low", m.v_low)
+                .field("crossings", m.crossings);
+        })
     }
 }
 
-/// Serializes a Monte-Carlo population summary as one compact JSON object
+/// Serializes a Monte-Carlo population summary as one spaced JSON object
 /// (the `mc` block of cell and fleet reports; the `mdl mc --json` payload).
 pub fn mc_summary_json(s: &McSummary) -> String {
-    format!(
-        "{{\"trials\": {}, \"seed\": {}, \"closed_eyes\": {}, \"eye_height_min\": {}, \
-         \"eye_height_mean\": {}, \"eye_height_q05\": {}, \"eye_width_min_ui\": {}, \
-         \"jitter_pp_q_s\": {}, \"jitter_pp_max_s\": {}, \"pass\": {}}}",
-        s.trials,
-        s.seed,
-        s.closed_eyes,
-        json_f64(s.eye_height_min),
-        json_f64(s.eye_height_mean),
-        json_f64(s.eye_height_q05),
-        json_f64(s.eye_width_min_ui),
-        json_f64(s.jitter_pp_q_s),
-        json_f64(s.jitter_pp_max_s),
-        s.pass,
-    )
+    json::object(Layout::Spaced, |o| {
+        o.field("trials", s.trials)
+            .field("seed", s.seed)
+            .field("closed_eyes", s.closed_eyes)
+            .field("eye_height_min", s.eye_height_min)
+            .field("eye_height_mean", s.eye_height_mean)
+            .field("eye_height_q05", s.eye_height_q05)
+            .field("eye_width_min_ui", s.eye_width_min_ui)
+            .field("jitter_pp_q_s", s.jitter_pp_q_s)
+            .field("jitter_pp_max_s", s.jitter_pp_max_s)
+            .field("pass", s.pass);
+    })
 }
 
 /// One eye-diagram aggregate of a fleet report: the cell identity plus
@@ -573,145 +597,67 @@ impl FleetReport {
         self.failed() == 0 && self.load_failures.is_empty()
     }
 
-    /// Serializes the report as one JSON object (no external dependencies —
-    /// the emitter writes the exact schema the CI trend tooling consumes).
+    /// Serializes the report as one JSON document, one top-level key per
+    /// line (the exact schema the CI trend tooling consumes).
     pub fn to_json(&self) -> String {
-        let mut out = String::with_capacity(4096);
-        out.push_str("{\n");
-        out.push_str(&format!("  \"schema\": {},\n", self.schema));
-        out.push_str(&format!("  \"store\": {},\n", json_str(&self.store_root)));
-        out.push_str(&format!("  \"mode\": {},\n", json_str(&self.mode)));
-        out.push_str(&format!("  \"artifacts\": {},\n", self.artifacts));
-        out.push_str(&format!("  \"models\": {},\n", self.models));
-        out.push_str(&format!("  \"passed\": {},\n", self.passed()));
-        out.push_str(&format!("  \"failed\": {},\n", self.failed()));
-        out.push_str(&format!("  \"all_passed\": {},\n", self.all_passed()));
-        out.push_str("  \"load_failures\": [");
-        for (i, (path, error)) in self.load_failures.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(&format!(
-                "\n    {{\"path\": {}, \"error\": {}}}",
-                json_str(path),
-                json_str(error)
-            ));
-        }
-        if !self.load_failures.is_empty() {
-            out.push_str("\n  ");
-        }
-        out.push_str("],\n  \"lints\": [");
-        for (i, l) in self.lints.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            let codes: Vec<String> = l.codes.iter().map(|c| json_str(c)).collect();
-            out.push_str(&format!(
-                "\n    {{\"model\": {}, \"errors\": {}, \"warnings\": {}, \"infos\": {}, \
-                 \"codes\": [{}]}}",
-                json_str(&l.model),
-                l.errors,
-                l.warnings,
-                l.infos,
-                codes.join(", ")
-            ));
-        }
-        if !self.lints.is_empty() {
-            out.push_str("\n  ");
-        }
-        out.push_str("],\n  \"cells\": [");
-        for (i, c) in self.cells.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str("\n    {");
-            out.push_str(&format!("\"model\": {}, ", json_str(&c.model)));
-            out.push_str(&format!("\"kind\": {}, ", json_str(&c.kind)));
-            out.push_str(&format!("\"scenario\": {}, ", json_str(&c.scenario)));
-            out.push_str(&format!("\"pass\": {}, ", c.pass));
-            out.push_str(&format!("\"detail\": {}, ", json_str(&c.detail)));
-            out.push_str(&format!("\"rms_error\": {}, ", json_opt(c.rms_error)));
-            out.push_str(&format!("\"max_error\": {}, ", json_opt(c.max_error)));
-            out.push_str(&format!(
-                "\"timing_error_s\": {}, ",
-                json_opt(c.timing_error_s)
-            ));
-            out.push_str(&format!("\"rms_limit\": {}, ", json_opt(c.rms_limit)));
-            out.push_str(&format!("\"samples\": {}, ", c.samples));
-            out.push_str(&format!("\"v_min\": {}, ", json_f64(c.v_min)));
-            out.push_str(&format!("\"v_max\": {}, ", json_f64(c.v_max)));
-            match &c.stats {
-                Some(s) => out.push_str(&format!(
-                    "\"stats\": {{\"symbolic_analyses\": {}, \"factorizations\": {}, \
-                     \"factor_nnz\": {}, \"flops\": {}, \"newton_iterations\": {}, \
-                     \"unknowns\": {}}}, ",
-                    s.symbolic_analyses,
-                    s.factorizations,
-                    s.factor_nnz,
-                    s.flops,
-                    s.newton_iterations,
-                    s.unknowns
-                )),
-                None => out.push_str("\"stats\": null, "),
-            }
-            match &c.eye {
-                Some(eye) => out.push_str(&format!("\"eye\": {}, ", eye.json())),
-                None => out.push_str("\"eye\": null, "),
-            }
-            match &c.mc {
-                Some(mc) => out.push_str(&format!("\"mc\": {}, ", mc_summary_json(mc))),
-                None => out.push_str("\"mc\": null, "),
-            }
-            out.push_str(&format!("\"elapsed_s\": {}}}", json_f64(c.elapsed_s)));
-        }
-        if !self.cells.is_empty() {
-            out.push_str("\n  ");
-        }
-        out.push_str("],\n  \"eyes\": [");
-        for (i, e) in self.eyes.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(&format!(
-                "\n    {{\"model\": {}, \"scenario\": {}, \"outcome\": {}}}",
-                json_str(&e.model),
-                json_str(&e.scenario),
-                e.outcome.json()
-            ));
-        }
-        if !self.eyes.is_empty() {
-            out.push_str("\n  ");
-        }
-        out.push_str("],\n  \"mc\": [");
-        for (i, m) in self.mc.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(&format!(
-                "\n    {{\"model\": {}, \"scenario\": {}, \"summary\": {}}}",
-                json_str(&m.model),
-                json_str(&m.scenario),
-                mc_summary_json(&m.summary)
-            ));
-        }
-        if !self.mc.is_empty() {
-            out.push_str("\n  ");
-        }
-        out.push_str("]\n}\n");
+        let mut out = json::object(Layout::Lines, |o| {
+            o.field("schema", self.schema)
+                .field("store", &self.store_root)
+                .field("mode", &self.mode)
+                .field("artifacts", self.artifacts)
+                .field("models", self.models)
+                .field("passed", self.passed())
+                .field("failed", self.failed())
+                .field("all_passed", self.all_passed());
+            o.array("load_failures", Layout::Lines, |a| {
+                for (path, error) in &self.load_failures {
+                    a.object(Layout::Spaced, |o| {
+                        o.field("path", path).field("error", error);
+                    });
+                }
+            });
+            o.array("lints", Layout::Lines, |a| {
+                for l in &self.lints {
+                    a.object(Layout::Spaced, |o| {
+                        o.field("model", &l.model)
+                            .field("errors", l.errors)
+                            .field("warnings", l.warnings)
+                            .field("infos", l.infos)
+                            .array("codes", Layout::Spaced, |a| {
+                                for code in &l.codes {
+                                    a.push(code);
+                                }
+                            });
+                    });
+                }
+            });
+            o.array("cells", Layout::Lines, |a| {
+                for c in &self.cells {
+                    a.object(Layout::Spaced, |o| c.write_json(o));
+                }
+            });
+            o.array("eyes", Layout::Lines, |a| {
+                for e in &self.eyes {
+                    a.object(Layout::Spaced, |o| {
+                        o.field("model", &e.model)
+                            .field("scenario", &e.scenario)
+                            .field("outcome", Raw(e.outcome.json()));
+                    });
+                }
+            });
+            o.array("mc", Layout::Lines, |a| {
+                for m in &self.mc {
+                    a.object(Layout::Spaced, |o| {
+                        o.field("model", &m.model)
+                            .field("scenario", &m.scenario)
+                            .field("summary", Raw(mc_summary_json(&m.summary)));
+                    });
+                }
+            });
+        });
+        out.push('\n');
         out
     }
-}
-
-pub(crate) fn json_f64(v: f64) -> String {
-    if v.is_finite() {
-        format!("{v:e}")
-    } else {
-        "null".into()
-    }
-}
-
-pub(crate) fn json_opt(v: Option<f64>) -> String {
-    v.map_or_else(|| "null".into(), json_f64)
 }
 
 // ---------------------------------------------------------------------
@@ -1167,6 +1113,24 @@ pub fn validate_model(
 // Store-level engines
 // ---------------------------------------------------------------------
 
+/// Runs one cell and catches a panic inside it: the panic becomes the
+/// failed cell `failed` builds from `panic: <message>`, so a bad cell fails
+/// alone instead of unwinding the fan-out that runs it (a store run, or
+/// the daemon scheduler).
+pub(crate) fn run_contained(
+    run: impl FnOnce() -> CellReport,
+    failed: impl FnOnce(String) -> CellReport,
+) -> CellReport {
+    catch_unwind(AssertUnwindSafe(run)).unwrap_or_else(|payload| {
+        let message = payload
+            .downcast_ref::<&str>()
+            .map(|s| s.to_string())
+            .or_else(|| payload.downcast_ref::<String>().cloned())
+            .unwrap_or_else(|| "non-string payload".into());
+        failed(format!("panic: {message}"))
+    })
+}
+
 fn store_header(store: &ModelStore, mode: &str) -> FleetReport {
     // Force every entry to parse first: a lazily opened store reports an
     // empty failure list until its entries are touched, and a fleet report
@@ -1211,7 +1175,12 @@ pub fn sweep_store(store: &ModelStore, scenarios: &[Scenario]) -> FleetReport {
                 .map(move |s| (m.as_dyn(), s))
         })
         .collect();
-    report.cells = par_map(cells, |(m, s)| run_sweep_cell(m, s));
+    report.cells = par_map(cells, |(m, s)| {
+        run_contained(
+            || run_sweep_cell(m, s),
+            |detail| CellReport::failed(m, &s.name, detail),
+        )
+    });
 
     // Mixed-backend bus: every driver model on one net, one cell.
     let drivers: Vec<&dyn Macromodel> = models
@@ -1236,9 +1205,6 @@ pub fn sweep_store(store: &ModelStore, scenarios: &[Scenario]) -> FleetReport {
         {
             let dt = clocks.first().copied().unwrap_or(DEFAULT_VALIDATION_DT);
             let lanes = conductors.max(drivers.len());
-            let t0 = std::time::Instant::now();
-            let outcome = run_bus_cell(&drivers, lanes, segments, &pattern, bit_time, t_stop, dt);
-            let elapsed_s = t0.elapsed().as_secs_f64();
             let names: Vec<&str> = drivers.iter().map(|m| m.name()).collect();
             let mixed = |gate| {
                 CellReport::gated(
@@ -1248,24 +1214,32 @@ pub fn sweep_store(store: &ModelStore, scenarios: &[Scenario]) -> FleetReport {
                     gate,
                 )
             };
-            let cell = match outcome {
-                Ok((waves, stats)) => {
-                    let (samples, v_min, v_max) = waveform_extrema(&waves);
-                    CellReport {
-                        samples,
-                        v_min,
-                        v_max,
-                        stats: Some(stats),
-                        elapsed_s,
-                        ..mixed(sanity_gate(&waves))
+            let run = || {
+                let t0 = std::time::Instant::now();
+                let outcome =
+                    run_bus_cell(&drivers, lanes, segments, &pattern, bit_time, t_stop, dt);
+                let elapsed_s = t0.elapsed().as_secs_f64();
+                match outcome {
+                    Ok((waves, stats)) => {
+                        let (samples, v_min, v_max) = waveform_extrema(&waves);
+                        CellReport {
+                            samples,
+                            v_min,
+                            v_max,
+                            stats: Some(stats),
+                            elapsed_s,
+                            ..mixed(sanity_gate(&waves))
+                        }
                     }
+                    Err(e) => CellReport {
+                        elapsed_s,
+                        ..mixed(Err(e.to_string()))
+                    },
                 }
-                Err(e) => CellReport {
-                    elapsed_s,
-                    ..mixed(Err(e.to_string()))
-                },
             };
-            report.cells.push(cell);
+            report
+                .cells
+                .push(run_contained(run, |detail| mixed(Err(detail))));
         }
     }
     collect_si_aggregates(&mut report);
@@ -1306,12 +1280,17 @@ pub fn validate_store(store: &ModelStore, fast: bool) -> FleetReport {
     let mut report = store_header(store, "validate");
     let models = store.models();
     let duts: Vec<&dyn Macromodel> = models.iter().map(|(_, m)| m.as_dyn()).collect();
-    report.cells = par_map(duts, |m| validate_model(m, fast, None, None));
+    report.cells = par_map(duts, |m| {
+        run_contained(
+            || validate_model(m, fast, None, None),
+            |detail| CellReport::failed(m, VALIDATE_SCENARIO, detail),
+        )
+    });
     report
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use macromodel::driver::{PwRbfDriverModel, WeightSequence};
     use macromodel::exchange::{save_model_to_path, AnyModel};
@@ -1517,24 +1496,326 @@ mod tests {
         assert_eq!(s1.trials, mw.trials);
     }
 
+    /// An eye outcome whose floats cover every class the encoder
+    /// distinguishes: finite, NaN, +inf, -inf and -0.
+    pub(crate) fn golden_eye() -> EyeOutcome {
+        EyeOutcome {
+            prbs: 7,
+            bits: 24,
+            seed: u64::MAX,
+            lanes: 4,
+            worst_lane: 2,
+            metrics: EyeMetrics {
+                open: true,
+                eye_height: 0.8125,
+                eye_width_ui: 0.1 + 0.2,
+                jitter_pp_s: 1.5e-11,
+                jitter_rms_s: f64::NAN,
+                overshoot: f64::INFINITY,
+                undershoot: f64::NEG_INFINITY,
+                v_high: 1.8,
+                v_low: -0.0,
+                crossings: 17,
+                samples: 960,
+            },
+        }
+    }
+
+    pub(crate) fn golden_mc() -> McSummary {
+        McSummary {
+            trials: 8,
+            seed: 0xec0_5eed,
+            closed_eyes: 1,
+            eye_height_min: 5e-324,
+            eye_height_mean: f64::NAN,
+            eye_height_q05: 0.25,
+            eye_width_min_ui: f64::INFINITY,
+            jitter_pp_q_s: 1e-300,
+            jitter_pp_max_s: f64::NEG_INFINITY,
+            pass: false,
+        }
+    }
+
+    /// A failed eye cell with every optional block present and names that
+    /// need escaping.
+    pub(crate) fn golden_cell() -> CellReport {
+        CellReport {
+            rms_error: Some(0.0125),
+            max_error: Some(f64::NAN),
+            timing_error_s: None,
+            rms_limit: Some(f64::INFINITY),
+            samples: 321,
+            v_min: f64::NEG_INFINITY,
+            v_max: 1.8,
+            stats: Some(CellStats {
+                symbolic_analyses: 1,
+                factorizations: 12,
+                factor_nnz: 40,
+                flops: u64::MAX,
+                newton_iterations: 30,
+                unknowns: 9,
+            }),
+            eye: Some(golden_eye()),
+            mc: Some(golden_mc()),
+            elapsed_s: 0.5,
+            ..CellReport::gated(
+                "drv \"q\" \\ é".into(),
+                "pwrbf-driver",
+                "eye-prbs7",
+                Err("line1\nline2\t\u{1}\u{7f}✓".into()),
+            )
+        }
+    }
+
+    fn golden_fleet(populated: bool) -> FleetReport {
+        let mut report = FleetReport {
+            schema: FLEET_REPORT_SCHEMA,
+            store_root: "st\"ore\\dir\n".into(),
+            mode: "sweep".into(),
+            artifacts: 3,
+            models: 2,
+            load_failures: Vec::new(),
+            lints: Vec::new(),
+            cells: Vec::new(),
+            eyes: Vec::new(),
+            mc: Vec::new(),
+        };
+        if populated {
+            report.load_failures = vec![
+                ("bad\u{1}.mdlx".into(), "línea \"3\"".into()),
+                ("b2".into(), "e2".into()),
+            ];
+            let lint = |model: &str, errors, codes: &[&str]| ModelLint {
+                model: model.into(),
+                errors,
+                warnings: 0,
+                infos: 2,
+                codes: codes.iter().map(|c| c.to_string()).collect(),
+            };
+            report.lints = vec![lint("m\"1", 1, &["M001", "M007"]), lint("m2", 0, &[])];
+            report.cells = vec![
+                golden_cell(),
+                CellReport::gated("c\\r".into(), "cr", "pulse", Ok(())),
+            ];
+            collect_si_aggregates(&mut report);
+        }
+        report
+    }
+
+    #[test]
+    fn json_emitters_match_golden_bytes() {
+        assert_eq!(
+            golden_eye().json(),
+            concat!(
+                "{\"prbs\": 7, \"bits\": 24, \"seed\": 18446744073709551615, \"lanes\": 4, ",
+                "\"worst_lane\": 2, \"open\": true, \"eye_height\": 8.125e-1, ",
+                "\"eye_width_ui\": 3.0000000000000004e-1, \"jitter_pp_s\": 1.5e-11, ",
+                "\"jitter_rms_s\": null, \"overshoot\": null, \"undershoot\": null, ",
+                "\"v_high\": 1.8e0, \"v_low\": -0e0, \"crossings\": 17}",
+            )
+        );
+        assert_eq!(
+            mc_summary_json(&golden_mc()),
+            concat!(
+                "{\"trials\": 8, \"seed\": 247488237, \"closed_eyes\": 1, ",
+                "\"eye_height_min\": 5e-324, \"eye_height_mean\": null, ",
+                "\"eye_height_q05\": 2.5e-1, \"eye_width_min_ui\": null, ",
+                "\"jitter_pp_q_s\": 1e-300, \"jitter_pp_max_s\": null, \"pass\": false}",
+            )
+        );
+        assert_eq!(
+            golden_fleet(false).to_json(),
+            concat!(
+                "{\n",
+                "  \"schema\": 2,\n",
+                "  \"store\": \"st\\\"ore\\\\dir\\n\",\n",
+                "  \"mode\": \"sweep\",\n",
+                "  \"artifacts\": 3,\n",
+                "  \"models\": 2,\n",
+                "  \"passed\": 0,\n",
+                "  \"failed\": 0,\n",
+                "  \"all_passed\": true,\n",
+                "  \"load_failures\": [],\n",
+                "  \"lints\": [],\n",
+                "  \"cells\": [],\n",
+                "  \"eyes\": [],\n",
+                "  \"mc\": []\n",
+                "}\n",
+            )
+        );
+        assert_eq!(
+            golden_fleet(true).to_json(),
+            concat!(
+                "{\n",
+                "  \"schema\": 2,\n",
+                "  \"store\": \"st\\\"ore\\\\dir\\n\",\n",
+                "  \"mode\": \"sweep\",\n",
+                "  \"artifacts\": 3,\n",
+                "  \"models\": 2,\n",
+                "  \"passed\": 1,\n",
+                "  \"failed\": 1,\n",
+                "  \"all_passed\": false,\n",
+                "  \"load_failures\": [\n",
+                "    {\"path\": \"bad\\u0001.mdlx\", \"error\": \"línea \\\"3\\\"\"},\n",
+                "    {\"path\": \"b2\", \"error\": \"e2\"}\n",
+                "  ],\n",
+                "  \"lints\": [\n",
+                "    {\"model\": \"m\\\"1\", \"errors\": 1, \"warnings\": 0, \"infos\": 2, ",
+                "\"codes\": [\"M001\", \"M007\"]},\n",
+                "    {\"model\": \"m2\", \"errors\": 0, \"warnings\": 0, \"infos\": 2, ",
+                "\"codes\": []}\n",
+                "  ],\n",
+                "  \"cells\": [\n",
+                "    {\"model\": \"drv \\\"q\\\" \\\\ é\", \"kind\": \"pwrbf-driver\", ",
+                "\"scenario\": \"eye-prbs7\", \"pass\": false, ",
+                "\"detail\": \"line1\\nline2\\t\\u0001\u{7f}✓\", \"rms_error\": 1.25e-2, ",
+                "\"max_error\": null, \"timing_error_s\": null, \"rms_limit\": null, ",
+                "\"samples\": 321, \"v_min\": null, \"v_max\": 1.8e0, ",
+                "\"stats\": {\"symbolic_analyses\": 1, \"factorizations\": 12, ",
+                "\"factor_nnz\": 40, \"flops\": 18446744073709551615, ",
+                "\"newton_iterations\": 30, \"unknowns\": 9}, \"eye\": {\"prbs\": 7, ",
+                "\"bits\": 24, \"seed\": 18446744073709551615, \"lanes\": 4, \"worst_lane\": 2, ",
+                "\"open\": true, \"eye_height\": 8.125e-1, ",
+                "\"eye_width_ui\": 3.0000000000000004e-1, \"jitter_pp_s\": 1.5e-11, ",
+                "\"jitter_rms_s\": null, \"overshoot\": null, \"undershoot\": null, ",
+                "\"v_high\": 1.8e0, \"v_low\": -0e0, \"crossings\": 17}, \"mc\": {\"trials\": 8, ",
+                "\"seed\": 247488237, \"closed_eyes\": 1, \"eye_height_min\": 5e-324, ",
+                "\"eye_height_mean\": null, \"eye_height_q05\": 2.5e-1, ",
+                "\"eye_width_min_ui\": null, \"jitter_pp_q_s\": 1e-300, ",
+                "\"jitter_pp_max_s\": null, \"pass\": false}, \"elapsed_s\": 5e-1},\n",
+                "    {\"model\": \"c\\\\r\", \"kind\": \"cr\", \"scenario\": \"pulse\", \"pass\": true, ",
+                "\"detail\": \"\", \"rms_error\": null, \"max_error\": null, ",
+                "\"timing_error_s\": null, \"rms_limit\": null, \"samples\": 0, \"v_min\": 0e0, ",
+                "\"v_max\": 0e0, \"stats\": null, \"eye\": null, \"mc\": null, ",
+                "\"elapsed_s\": 0e0}\n",
+                "  ],\n",
+                "  \"eyes\": [\n",
+                "    {\"model\": \"drv \\\"q\\\" \\\\ é\", \"scenario\": \"eye-prbs7\", ",
+                "\"outcome\": {\"prbs\": 7, \"bits\": 24, \"seed\": 18446744073709551615, ",
+                "\"lanes\": 4, \"worst_lane\": 2, \"open\": true, \"eye_height\": 8.125e-1, ",
+                "\"eye_width_ui\": 3.0000000000000004e-1, \"jitter_pp_s\": 1.5e-11, ",
+                "\"jitter_rms_s\": null, \"overshoot\": null, \"undershoot\": null, ",
+                "\"v_high\": 1.8e0, \"v_low\": -0e0, \"crossings\": 17}}\n",
+                "  ],\n",
+                "  \"mc\": [\n",
+                "    {\"model\": \"drv \\\"q\\\" \\\\ é\", \"scenario\": \"eye-prbs7\", ",
+                "\"summary\": {\"trials\": 8, \"seed\": 247488237, \"closed_eyes\": 1, ",
+                "\"eye_height_min\": 5e-324, \"eye_height_mean\": null, ",
+                "\"eye_height_q05\": 2.5e-1, \"eye_width_min_ui\": null, ",
+                "\"jitter_pp_q_s\": 1e-300, \"jitter_pp_max_s\": null, \"pass\": false}}\n",
+                "  ]\n",
+                "}\n",
+            )
+        );
+    }
+
+    /// Truncated and byte-flipped goldens parse to `Ok` or a typed error,
+    /// never a panic, and so does nesting past the reader's depth bound.
+    #[test]
+    fn json_reader_survives_mutated_goldens() {
+        let deep = json::MAX_DEPTH + 8;
+        let goldens = [
+            golden_fleet(true).to_json(),
+            golden_fleet(false).to_json(),
+            golden_eye().json(),
+            mc_summary_json(&golden_mc()),
+            "[".repeat(deep) + &"]".repeat(deep),
+        ];
+        let too_deep = json::parse(&goldens[4]).map_err(|e| e.kind);
+        assert_eq!(too_deep, Err(json::JsonErrorKind::TooDeep));
+        let bytes_to_insert = b"\"\\{}[],:-+.eE0u\n\x01\xc3\xa9";
+        let mut rng = numkit::rng::SplitMix64::new(0x15_0e);
+        let (mut ok, mut rejected) = (0, 0);
+        for golden in &goldens {
+            for _ in 0..1000 {
+                let mut bytes = golden.clone().into_bytes();
+                let pick = |rng: &mut numkit::rng::SplitMix64| {
+                    bytes_to_insert[rng.below(bytes_to_insert.len())]
+                };
+                match rng.below(3) {
+                    0 => bytes.truncate(rng.below(bytes.len())),
+                    1 => {
+                        for _ in 0..=rng.below(4) {
+                            let at = rng.below(bytes.len());
+                            bytes[at] = pick(&mut rng);
+                        }
+                    }
+                    _ => {
+                        let at = rng.below(bytes.len());
+                        bytes.insert(at, pick(&mut rng));
+                    }
+                }
+                match json::parse(&String::from_utf8_lossy(&bytes)) {
+                    Ok(_) => ok += 1,
+                    Err(_) => rejected += 1,
+                }
+            }
+        }
+        assert!(ok > 0 && rejected > 0, "{ok} accepted, {rejected} rejected");
+    }
+
     #[test]
     fn json_report_is_well_formed() {
         let store = tmp_store("json", &[dummy_driver("d1"), dummy_cr("c\"quote")]);
         let report = sweep_store(&store, &standard_scenarios(true));
-        let json = report.to_json();
-        assert!(json.contains("\"mode\": \"sweep\""));
-        assert!(json.contains("\"all_passed\": true"));
-        assert!(json.contains("\"lints\""));
-        assert!(json.contains(&format!("\"schema\": {FLEET_REPORT_SCHEMA}")));
-        assert!(json.contains("\"eyes\": ["), "top-level eye aggregates");
-        assert!(json.contains("\"mc\": ["), "top-level MC aggregates");
-        assert!(json.contains("\"eye_height\":"));
-        assert!(json.contains("\"jitter_pp_q_s\":"));
-        assert!(json.contains("c\\\"quote"), "names are escaped");
-        // Balanced braces/brackets (cheap well-formedness proxy given no
-        // JSON parser in the dependency set).
-        assert_eq!(json.matches('{').count(), json.matches('}').count());
-        assert_eq!(json.matches('[').count(), json.matches(']').count());
+        let doc = json::parse(&report.to_json()).expect("the report is valid JSON");
+        let get = |key| doc.get(key).unwrap_or_else(|| panic!("missing {key}"));
+        assert_eq!(get("mode").as_str(), Some("sweep"));
+        assert_eq!(get("all_passed").as_bool(), Some(true));
+        assert_eq!(get("schema").as_u64(), Some(u64::from(FLEET_REPORT_SCHEMA)));
+        let lints = get("lints").as_array().unwrap();
+        let names: Vec<_> = lints.iter().map(|l| l.get("model").unwrap()).collect();
+        assert!(
+            names.iter().any(|n| n.as_str() == Some("c\"quote")),
+            "{names:?}"
+        );
+        let cells = get("cells").as_array().unwrap();
+        assert_eq!(cells.len(), report.cells.len());
+        let eyes = get("eyes").as_array().unwrap();
+        assert_eq!(eyes.len(), 1, "top-level eye aggregates");
+        let height = eyes[0].get("outcome").and_then(|o| o.get("eye_height"));
+        assert_eq!(
+            height.and_then(json::Value::as_f64).map(f64::to_bits),
+            Some(report.eyes[0].outcome.metrics.eye_height.to_bits())
+        );
+        let mc = get("mc").as_array().unwrap();
+        assert_eq!(mc.len(), 1, "top-level MC aggregates");
+        let jitter = mc[0].get("summary").and_then(|s| s.get("jitter_pp_q_s"));
+        assert_eq!(
+            jitter.and_then(json::Value::as_f64).map(f64::to_bits),
+            Some(report.mc[0].summary.jitter_pp_q_s.to_bits())
+        );
+        std::fs::remove_dir_all(store.root()).ok();
+    }
+
+    #[test]
+    fn panicking_sweep_cell_fails_only_itself() {
+        let store = tmp_store("panic", &[dummy_driver("d1")]);
+        // '2' is no bit: building the driver's lane stimulus panics.
+        let bad = Scenario {
+            name: "bad-pattern".into(),
+            applies_to: Applicability::Drivers,
+            kind: ScenarioKind::Fixture {
+                fixture: TestFixture::resistive(50.0),
+                stim: Some(PortStimulus::new("012", 1e-9)),
+                t_stop: 3e-9,
+            },
+        };
+        let r50 = standard_scenarios(true)
+            .into_iter()
+            .find(|s| s.name == "r50")
+            .unwrap();
+        let report = sweep_store(&store, &[bad, r50]);
+        assert_eq!(report.cells.len(), 2);
+        assert_eq!(report.failed(), 1);
+        let bad = &report.cells[0];
+        assert_eq!(bad.scenario, "bad-pattern");
+        assert!(
+            bad.detail.starts_with("panic: ") && bad.detail.contains("'2'"),
+            "{}",
+            bad.detail
+        );
+        assert!(report.cells[1].pass, "{}", report.cells[1].detail);
         std::fs::remove_dir_all(store.root()).ok();
     }
 

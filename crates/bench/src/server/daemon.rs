@@ -35,14 +35,14 @@ use std::sync::{mpsc, Arc, Mutex, RwLock};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use macromodel::lint::json_str;
+use macromodel::json::{self, Layout, Raw};
 use macromodel::{
     artifact_digest, load_artifact_bytes, LoadMode, Macromodel, ModelKind, ModelStore,
 };
 
 use crate::serve::{
-    json_f64, json_opt, mc_summary_json, standard_scenarios, Applicability, CellReport,
-    EyeWorkload, McWorkload, Scenario, ScenarioKind,
+    mc_summary_json, standard_scenarios, Applicability, CellReport, EyeWorkload, McWorkload,
+    Scenario, ScenarioKind,
 };
 
 use super::cache::DigestCache;
@@ -414,11 +414,9 @@ fn handle_conn(inner: &Arc<Inner>, stream: UnixStream) {
 // ---------------------------------------------------------------------
 
 fn error_json(op: &str, message: &str) -> String {
-    format!(
-        "{{\"ok\":false,\"op\":{},\"error\":{}}}",
-        json_str(op),
-        json_str(message)
-    )
+    json::object(Layout::Compact, |o| {
+        o.field("ok", false).field("op", op).field("error", message);
+    })
 }
 
 fn respond(inner: &Arc<Inner>, line: &str) -> (String, bool) {
@@ -436,7 +434,12 @@ fn respond(inner: &Arc<Inner>, line: &str) -> (String, bool) {
         }
         Request::Info { name } => {
             inner.counters.op_info.fetch_add(1, Ordering::Relaxed);
-            info_json(inner, &name)
+            let generation =
+                Arc::clone(&inner.generation.read().expect("generation lock poisoned"));
+            match generation.by_name.get(&name) {
+                Some(&idx) => Ok(info_json(&generation.models[idx])),
+                None => Err(("info", format!("no model named '{name}' in the store"))),
+            }
         }
         Request::Validate { name, fast } => {
             inner.counters.op_validate.fetch_add(1, Ordering::Relaxed);
@@ -525,7 +528,10 @@ fn respond(inner: &Arc<Inner>, line: &str) -> (String, bool) {
         }
         Request::Shutdown => {
             inner.begin_shutdown();
-            return ("{\"ok\":true,\"op\":\"shutdown\"}".to_string(), true);
+            let ack = json::object(Layout::Compact, |o| {
+                o.field("ok", true).field("op", "shutdown");
+            });
+            return (ack, true);
         }
     };
     match response {
@@ -598,102 +604,83 @@ fn run_one(
 }
 
 fn cell_json(op: &str, model: &ServedModel, c: &CellReport) -> String {
-    format!(
-        "{{\"ok\":true,\"op\":{},\"model\":{},\"kind\":{},\"scenario\":{},\"pass\":{},\
-         \"detail\":{},\"digest\":{},\"config_digest\":{},\"rms_error\":{},\"samples\":{},\
-         \"v_min\":{},\"v_max\":{},\"eye\":{},\"mc\":{},\"elapsed_s\":{}}}",
-        json_str(op),
-        json_str(&c.model),
-        json_str(&c.kind),
-        json_str(&c.scenario),
-        c.pass,
-        json_str(&c.detail),
-        json_str(&model.digest),
-        model
-            .config_digest
-            .as_deref()
-            .map_or_else(|| "null".to_string(), json_str),
-        json_opt(c.rms_error),
-        c.samples,
-        json_f64(c.v_min),
-        json_f64(c.v_max),
-        c.eye
-            .as_ref()
-            .map_or_else(|| "null".to_string(), |e| e.json()),
-        c.mc.as_ref()
-            .map_or_else(|| "null".to_string(), mc_summary_json),
-        json_f64(c.elapsed_s),
-    )
+    json::object(Layout::Compact, |o| {
+        o.field("ok", true)
+            .field("op", op)
+            .field("model", &c.model)
+            .field("kind", &c.kind)
+            .field("scenario", &c.scenario)
+            .field("pass", c.pass)
+            .field("detail", &c.detail)
+            .field("digest", &model.digest)
+            .field("config_digest", &model.config_digest)
+            .field("rms_error", c.rms_error)
+            .field("samples", c.samples)
+            .field("v_min", c.v_min)
+            .field("v_max", c.v_max)
+            .field("eye", c.eye.as_ref().map(|e| Raw(e.json())))
+            .field("mc", c.mc.as_ref().map(|m| Raw(mc_summary_json(m))))
+            .field("elapsed_s", c.elapsed_s);
+    })
 }
 
 fn ls_json(inner: &Arc<Inner>) -> String {
     let generation = Arc::clone(&inner.generation.read().expect("generation lock poisoned"));
-    let mut out = format!(
-        "{{\"ok\":true,\"op\":\"ls\",\"generation\":{},\"artifacts\":{},\"models\":[",
-        inner.counters.generation.load(Ordering::Relaxed),
-        generation.artifacts
-    );
-    for (i, m) in generation.models.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push_str(&format!(
-            "{{\"name\":{},\"kind\":{},\"digest\":{},\"config_digest\":{},\"path\":{}}}",
-            json_str(m.model.name()),
-            json_str(m.model.kind().tag()),
-            json_str(&m.digest),
-            m.config_digest
-                .as_deref()
-                .map_or_else(|| "null".to_string(), json_str),
-            json_str(&m.path.display().to_string()),
-        ));
-    }
-    out.push_str("],\"failures\":[");
-    for (i, (path, error)) in generation.failures.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push_str(&format!(
-            "{{\"path\":{},\"error\":{}}}",
-            json_str(path),
-            json_str(error)
-        ));
-    }
-    out.push_str("]}");
-    out
+    json::object(Layout::Compact, |o| {
+        o.field("ok", true)
+            .field("op", "ls")
+            .field(
+                "generation",
+                inner.counters.generation.load(Ordering::Relaxed),
+            )
+            .field("artifacts", generation.artifacts)
+            .array("models", Layout::Compact, |a| {
+                for m in &generation.models {
+                    a.object(Layout::Compact, |o| {
+                        o.field("name", m.model.name())
+                            .field("kind", m.model.kind().tag())
+                            .field("digest", &m.digest)
+                            .field("config_digest", &m.config_digest)
+                            .field("path", m.path.display().to_string());
+                    });
+                }
+            })
+            .array("failures", Layout::Compact, |a| {
+                for (path, error) in &generation.failures {
+                    a.object(Layout::Compact, |o| {
+                        o.field("path", path).field("error", error);
+                    });
+                }
+            });
+    })
 }
 
 fn lint_json(l: &crate::serve::ModelLint) -> String {
-    let codes: Vec<String> = l.codes.iter().map(|c| json_str(c)).collect();
-    format!(
-        "{{\"errors\":{},\"warnings\":{},\"infos\":{},\"codes\":[{}]}}",
-        l.errors,
-        l.warnings,
-        l.infos,
-        codes.join(",")
-    )
+    json::object(Layout::Compact, |o| {
+        o.field("errors", l.errors)
+            .field("warnings", l.warnings)
+            .field("infos", l.infos)
+            .array("codes", Layout::Compact, |a| {
+                for code in &l.codes {
+                    a.push(code);
+                }
+            });
+    })
 }
 
-fn info_json(inner: &Arc<Inner>, name: &str) -> RespResult {
-    let generation = Arc::clone(&inner.generation.read().expect("generation lock poisoned"));
-    let Some(&idx) = generation.by_name.get(name) else {
-        return Err(("info", format!("no model named '{name}' in the store")));
-    };
-    let m = &generation.models[idx];
-    Ok(format!(
-        "{{\"ok\":true,\"op\":\"info\",\"name\":{},\"kind\":{},\"digest\":{},\
-         \"config_digest\":{},\"path\":{},\"sample_time_s\":{},\"summary\":{},\"lint\":{}}}",
-        json_str(m.model.name()),
-        json_str(m.model.kind().tag()),
-        json_str(&m.digest),
-        m.config_digest
-            .as_deref()
-            .map_or_else(|| "null".to_string(), json_str),
-        json_str(&m.path.display().to_string()),
-        json_opt(m.model.sample_time()),
-        json_str(&m.model.summary()),
-        lint_json(&m.lint),
-    ))
+fn info_json(m: &ServedModel) -> String {
+    json::object(Layout::Compact, |o| {
+        o.field("ok", true)
+            .field("op", "info")
+            .field("name", m.model.name())
+            .field("kind", m.model.kind().tag())
+            .field("digest", &m.digest)
+            .field("config_digest", &m.config_digest)
+            .field("path", m.path.display().to_string())
+            .field("sample_time_s", m.model.sample_time())
+            .field("summary", m.model.summary())
+            .field("lint", Raw(lint_json(&m.lint)));
+    })
 }
 
 fn sweep_json(inner: &Arc<Inner>, fast: bool) -> RespResult {
@@ -719,27 +706,26 @@ fn sweep_json(inner: &Arc<Inner>, fast: bool) -> RespResult {
         return Err(("sweep", "scheduler dropped sweep cells".into()));
     }
     let passed = reports.iter().filter(|c| c.pass).count();
-    let mut out = format!(
-        "{{\"ok\":true,\"op\":\"sweep\",\"generation\":{},\"cells\":{},\"passed\":{},\
-         \"failed\":{},\"failing\":[",
-        inner.counters.generation.load(Ordering::Relaxed),
-        reports.len(),
-        passed,
-        reports.len() - passed
-    );
-    for (i, c) in reports.iter().filter(|c| !c.pass).enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push_str(&format!(
-            "{{\"model\":{},\"scenario\":{},\"detail\":{}}}",
-            json_str(&c.model),
-            json_str(&c.scenario),
-            json_str(&c.detail)
-        ));
-    }
-    out.push_str("]}");
-    Ok(out)
+    Ok(json::object(Layout::Compact, |o| {
+        o.field("ok", true)
+            .field("op", "sweep")
+            .field(
+                "generation",
+                inner.counters.generation.load(Ordering::Relaxed),
+            )
+            .field("cells", reports.len())
+            .field("passed", passed)
+            .field("failed", reports.len() - passed)
+            .array("failing", Layout::Compact, |a| {
+                for c in reports.iter().filter(|c| !c.pass) {
+                    a.object(Layout::Compact, |o| {
+                        o.field("model", &c.model)
+                            .field("scenario", &c.scenario)
+                            .field("detail", &c.detail);
+                    });
+                }
+            });
+    }))
 }
 
 fn stats_json(inner: &Arc<Inner>) -> String {
@@ -762,40 +748,48 @@ fn stats_json(inner: &Arc<Inner>) -> String {
             acc.2 + m.lint.infos,
         )
     });
-    format!(
-        "{{\"ok\":true,\"op\":\"stats\",\"generation\":{},\"models\":{},\"artifacts\":{},\
-         \"requests\":{},\"errors\":{},\
-         \"ops\":{{\"ls\":{},\"info\":{},\"validate\":{},\"simulate\":{},\"sweep\":{},\
-         \"eye\":{},\"mc\":{},\"stats\":{}}},\
-         \"cache\":{{\"hits\":{},\"misses\":{},\"hit_rate\":{},\"entries\":{}}},\
-         \"lint\":{{\"errors\":{lint_e},\"warnings\":{lint_w},\"infos\":{lint_i}}},\
-         \"reloads\":{},\
-         \"scheduler\":{{\"batches\":{},\"cells\":{},\"max_batch\":{},\"panics\":{}}},\
-         \"uptime_s\":{}}}",
-        c.generation.load(Ordering::Relaxed),
-        generation.models.len(),
-        generation.artifacts,
-        c.requests.load(Ordering::Relaxed),
-        c.errors.load(Ordering::Relaxed),
-        c.op_ls.load(Ordering::Relaxed),
-        c.op_info.load(Ordering::Relaxed),
-        c.op_validate.load(Ordering::Relaxed),
-        c.op_simulate.load(Ordering::Relaxed),
-        c.op_sweep.load(Ordering::Relaxed),
-        c.op_eye.load(Ordering::Relaxed),
-        c.op_mc.load(Ordering::Relaxed),
-        c.op_stats.load(Ordering::Relaxed),
-        hits,
-        misses,
-        json_f64(hit_rate),
-        inner.cache.lock().expect("artifact cache poisoned").len(),
-        c.reloads.load(Ordering::Relaxed),
-        sched.batches,
-        sched.cells,
-        sched.max_batch,
-        sched.panics,
-        json_f64(inner.started.elapsed().as_secs_f64()),
-    )
+    let load = |counter: &AtomicU64| counter.load(Ordering::Relaxed);
+    json::object(Layout::Compact, |o| {
+        o.field("ok", true)
+            .field("op", "stats")
+            .field("generation", load(&c.generation))
+            .field("models", generation.models.len())
+            .field("artifacts", generation.artifacts)
+            .field("requests", load(&c.requests))
+            .field("errors", load(&c.errors))
+            .object("ops", Layout::Compact, |o| {
+                o.field("ls", load(&c.op_ls))
+                    .field("info", load(&c.op_info))
+                    .field("validate", load(&c.op_validate))
+                    .field("simulate", load(&c.op_simulate))
+                    .field("sweep", load(&c.op_sweep))
+                    .field("eye", load(&c.op_eye))
+                    .field("mc", load(&c.op_mc))
+                    .field("stats", load(&c.op_stats));
+            })
+            .object("cache", Layout::Compact, |o| {
+                o.field("hits", hits)
+                    .field("misses", misses)
+                    .field("hit_rate", hit_rate)
+                    .field(
+                        "entries",
+                        inner.cache.lock().expect("artifact cache poisoned").len(),
+                    );
+            })
+            .object("lint", Layout::Compact, |o| {
+                o.field("errors", lint_e)
+                    .field("warnings", lint_w)
+                    .field("infos", lint_i);
+            })
+            .field("reloads", load(&c.reloads))
+            .object("scheduler", Layout::Compact, |o| {
+                o.field("batches", sched.batches)
+                    .field("cells", sched.cells)
+                    .field("max_batch", sched.max_batch)
+                    .field("panics", sched.panics);
+            })
+            .field("uptime_s", inner.started.elapsed().as_secs_f64());
+    })
 }
 
 /// Connects to a running daemon and performs one framed request/response
@@ -849,5 +843,88 @@ impl Client {
                 "server closed the connection before answering",
             )
         })
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::serve::tests::golden_cell;
+    use crate::serve::ModelLint;
+
+    #[test]
+    fn responses_match_golden_bytes() {
+        assert_eq!(
+            error_json("parse", "bad \"line\"\n\\ é\u{2}"),
+            "{\"ok\":false,\"op\":\"parse\",\"error\":\"bad \\\"line\\\"\\n\\\\ é\\u0002\"}"
+        );
+        let mut model = super::super::tests::served_dummy("d\"1\\é\n");
+        assert_eq!(
+            cell_json("simulate", &model, &golden_cell()),
+            concat!(
+                "{\"ok\":true,\"op\":\"simulate\",\"model\":\"drv \\\"q\\\" \\\\ é\",",
+                "\"kind\":\"pwrbf-driver\",\"scenario\":\"eye-prbs7\",\"pass\":false,",
+                "\"detail\":\"line1\\nline2\\t\\u0001\u{7f}✓\",\"digest\":\"0123456789abcdef\",",
+                "\"config_digest\":null,\"rms_error\":1.25e-2,\"samples\":321,\"v_min\":null,",
+                "\"v_max\":1.8e0,\"eye\":{\"prbs\": 7, \"bits\": 24, ",
+                "\"seed\": 18446744073709551615, \"lanes\": 4, \"worst_lane\": 2, ",
+                "\"open\": true, \"eye_height\": 8.125e-1, ",
+                "\"eye_width_ui\": 3.0000000000000004e-1, \"jitter_pp_s\": 1.5e-11, ",
+                "\"jitter_rms_s\": null, \"overshoot\": null, \"undershoot\": null, ",
+                "\"v_high\": 1.8e0, \"v_low\": -0e0, \"crossings\": 17},\"mc\":{\"trials\": 8, ",
+                "\"seed\": 247488237, \"closed_eyes\": 1, \"eye_height_min\": 5e-324, ",
+                "\"eye_height_mean\": null, \"eye_height_q05\": 2.5e-1, ",
+                "\"eye_width_min_ui\": null, \"jitter_pp_q_s\": 1e-300, ",
+                "\"jitter_pp_max_s\": null, \"pass\": false},\"elapsed_s\":5e-1}",
+            )
+        );
+        assert_eq!(
+            info_json(&model),
+            concat!(
+                "{\"ok\":true,\"op\":\"info\",\"name\":\"d\\\"1\\\\é\\n\",\"kind\":\"pwrbf-driver\",",
+                "\"digest\":\"0123456789abcdef\",\"config_digest\":null,",
+                "\"path\":\"d\\\"1\\\\é\\n.mdlx\",\"sample_time_s\":2.5e-11,",
+                "\"summary\":\"PW-RBF 'd\\\"1\\\\é\\n': Ts = 2.500e-11 s, r = 1, 0 + 0 basis functions, up window 2 samples, down window 2 samples\",\"lint\":{\"errors\":0,\"warnings\":0,\"infos\":0,\"codes\":[]}}",
+            )
+        );
+        model.config_digest = Some("cfg\"d".into());
+        model.lint = ModelLint {
+            model: "x".into(),
+            errors: 1,
+            warnings: 2,
+            infos: 3,
+            codes: vec!["M001".into(), "M\"7".into()],
+        };
+        assert_eq!(
+            cell_json("eye", &model, &golden_cell()),
+            concat!(
+                "{\"ok\":true,\"op\":\"eye\",\"model\":\"drv \\\"q\\\" \\\\ é\",\"kind\":\"pwrbf-driver\",",
+                "\"scenario\":\"eye-prbs7\",\"pass\":false,\"detail\":\"line1\\nline2\\t\\u0001\u{7f}✓\",",
+                "\"digest\":\"0123456789abcdef\",\"config_digest\":\"cfg\\\"d\",",
+                "\"rms_error\":1.25e-2,\"samples\":321,\"v_min\":null,\"v_max\":1.8e0,",
+                "\"eye\":{\"prbs\": 7, \"bits\": 24, \"seed\": 18446744073709551615, ",
+                "\"lanes\": 4, \"worst_lane\": 2, \"open\": true, \"eye_height\": 8.125e-1, ",
+                "\"eye_width_ui\": 3.0000000000000004e-1, \"jitter_pp_s\": 1.5e-11, ",
+                "\"jitter_rms_s\": null, \"overshoot\": null, \"undershoot\": null, ",
+                "\"v_high\": 1.8e0, \"v_low\": -0e0, \"crossings\": 17},\"mc\":{\"trials\": 8, ",
+                "\"seed\": 247488237, \"closed_eyes\": 1, \"eye_height_min\": 5e-324, ",
+                "\"eye_height_mean\": null, \"eye_height_q05\": 2.5e-1, ",
+                "\"eye_width_min_ui\": null, \"jitter_pp_q_s\": 1e-300, ",
+                "\"jitter_pp_max_s\": null, \"pass\": false},\"elapsed_s\":5e-1}",
+            )
+        );
+        assert_eq!(
+            info_json(&model),
+            concat!(
+                "{\"ok\":true,\"op\":\"info\",\"name\":\"d\\\"1\\\\é\\n\",\"kind\":\"pwrbf-driver\",",
+                "\"digest\":\"0123456789abcdef\",\"config_digest\":\"cfg\\\"d\",",
+                "\"path\":\"d\\\"1\\\\é\\n.mdlx\",\"sample_time_s\":2.5e-11,",
+                "\"summary\":\"PW-RBF 'd\\\"1\\\\é\\n': Ts = 2.500e-11 s, r = 1, 0 + 0 basis functions, up window 2 samples, down window 2 samples\",\"lint\":{\"errors\":1,\"warnings\":2,\"infos\":3,\"codes\":[\"M001\",\"M\\\"7\"]}}",
+            )
+        );
+        assert_eq!(
+            lint_json(&model.lint),
+            "{\"errors\":1,\"warnings\":2,\"infos\":3,\"codes\":[\"M001\",\"M\\\"7\"]}"
+        );
     }
 }

@@ -16,11 +16,10 @@
 use std::path::PathBuf;
 use std::time::Instant;
 
-use macromodel::lint::json_str;
+use macromodel::json::{self, Layout, Raw, Value};
 use numkit::stats::percentile_nearest_rank as percentile;
 
-use crate::par_map;
-use crate::serve::json_f64;
+use crate::{par_map, BenchRecord};
 
 use super::daemon::Client;
 
@@ -100,69 +99,48 @@ pub struct LoadReport {
 }
 
 impl LoadReport {
-    /// Serializes the report as one JSON object (same dependency-free
-    /// emitter discipline as [`crate::serve::FleetReport::to_json`]).
+    /// Serializes the report as one JSON document, one top-level key per
+    /// line.
     pub fn to_json(&self) -> String {
-        fn op_json(s: &OpSummary) -> String {
-            format!(
-                "{{\"op\":{},\"count\":{},\"p50_s\":{},\"p95_s\":{},\"p99_s\":{},\
-                 \"mean_s\":{},\"max_s\":{}}}",
-                json_str(&s.op),
-                s.count,
-                json_f64(s.p50_s),
-                json_f64(s.p95_s),
-                json_f64(s.p99_s),
-                json_f64(s.mean_s),
-                json_f64(s.max_s),
-            )
+        fn write_op(o: &mut json::Object<'_>, s: &OpSummary) {
+            o.field("op", &s.op)
+                .field("count", s.count)
+                .field("p50_s", s.p50_s)
+                .field("p95_s", s.p95_s)
+                .field("p99_s", s.p99_s)
+                .field("mean_s", s.mean_s)
+                .field("max_s", s.max_s);
         }
-        let mut out = String::with_capacity(1024);
-        out.push_str("{\n");
-        out.push_str(&format!("  \"total\": {},\n", self.total));
-        out.push_str(&format!(
-            "  \"request_failures\": {},\n",
-            self.request_failures
-        ));
-        out.push_str(&format!("  \"cell_failures\": {},\n", self.cell_failures));
-        out.push_str(&format!("  \"elapsed_s\": {},\n", json_f64(self.elapsed_s)));
-        out.push_str(&format!(
-            "  \"throughput_rps\": {},\n",
-            json_f64(self.throughput_rps)
-        ));
-        out.push_str(&format!("  \"overall\": {},\n", op_json(&self.overall)));
-        out.push_str("  \"per_op\": [");
-        for (i, s) in self.per_op.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str("\n    ");
-            out.push_str(&op_json(s));
-        }
-        if !self.per_op.is_empty() {
-            out.push_str("\n  ");
-        }
-        out.push_str("],\n");
-        match &self.server_stats {
-            // The stats payload is itself JSON — embed it verbatim.
-            Some(stats) => out.push_str(&format!("  \"server_stats\": {stats}\n")),
-            None => out.push_str("  \"server_stats\": null\n"),
-        }
-        out.push_str("}\n");
+        let mut out = json::object(Layout::Lines, |o| {
+            o.field("total", self.total)
+                .field("request_failures", self.request_failures)
+                .field("cell_failures", self.cell_failures)
+                .field("elapsed_s", self.elapsed_s)
+                .field("throughput_rps", self.throughput_rps)
+                .object("overall", Layout::Compact, |o| write_op(o, &self.overall))
+                .array("per_op", Layout::Lines, |a| {
+                    for s in &self.per_op {
+                        a.object(Layout::Compact, |o| write_op(o, s));
+                    }
+                })
+                // The stats payload is itself JSON: embed it verbatim.
+                .field("server_stats", self.server_stats.as_deref().map(Raw));
+        });
+        out.push('\n');
         out
     }
 
-    /// JSON-lines records in the `scripts/bench-baseline.sh` schema
-    /// (`bench` + `median_s`), one per tracked percentile.
-    pub fn baseline_records(&self) -> Vec<String> {
+    /// Records in the `scripts/bench-baseline.sh` schema, one per tracked
+    /// percentile.
+    pub fn baseline_records(&self) -> Vec<BenchRecord> {
         let mut records = Vec::new();
         let mut push = |name: &str, value: f64| {
             if value.is_finite() && value > 0.0 {
-                records.push(format!(
-                    "{{\"bench\": {}, \"median_s\": {}, \"samples\": {}}}",
-                    json_str(name),
-                    json_f64(value),
-                    self.total
-                ));
+                records.push(BenchRecord {
+                    bench: name.to_string(),
+                    median_s: value,
+                    samples: self.total,
+                });
             }
         };
         for s in std::iter::once(&self.overall).chain(&self.per_op) {
@@ -204,25 +182,6 @@ fn summarize(op: &str, latencies: &[f64]) -> OpSummary {
     }
 }
 
-/// Pulls every string value of `"key":"..."` pairs out of a compact JSON
-/// payload — enough of a parser for the daemon's own responses, without a
-/// JSON dependency.
-fn json_string_values(payload: &str, key: &str) -> Vec<String> {
-    let needle = format!("\"{key}\":\"");
-    let mut out = Vec::new();
-    let mut rest = payload;
-    while let Some(pos) = rest.find(&needle) {
-        rest = &rest[pos + needle.len()..];
-        if let Some(end) = rest.find('"') {
-            out.push(rest[..end].to_string());
-            rest = &rest[end + 1..];
-        } else {
-            break;
-        }
-    }
-    out
-}
-
 /// Runs the load burst against a daemon at `cfg.socket_path`.
 ///
 /// # Errors
@@ -233,10 +192,17 @@ pub fn run_load(cfg: &LoadGenConfig) -> crate::Result<LoadReport> {
     // Discover the served inventory first — the burst round-robins
     // simulate/validate targets across every model.
     let inventory = super::daemon::request_once(&cfg.socket_path, "ls")?;
-    if !inventory.contains("\"ok\":true") {
+    let parsed = json::parse(&inventory)?;
+    if parsed.get("ok").and_then(Value::as_bool) != Some(true) {
         return Err(format!("daemon rejected ls: {inventory}").into());
     }
-    let names = json_string_values(&inventory, "name");
+    let names: Vec<String> = parsed
+        .get("models")
+        .and_then(Value::as_array)
+        .unwrap_or_default()
+        .iter()
+        .filter_map(|m| m.get("name").and_then(Value::as_str).map(String::from))
+        .collect();
     if names.is_empty() {
         return Err("daemon serves no models; nothing to bench".into());
     }
@@ -261,11 +227,14 @@ pub fn run_load(cfg: &LoadGenConfig) -> crate::Result<LoadReport> {
                     };
                 let t = Instant::now();
                 let response = conn.request(&line)?;
+                let seconds = t.elapsed().as_secs_f64();
+                let response = json::parse(&response).ok();
+                let flag = |key| response.as_ref()?.get(key)?.as_bool();
                 samples.push(Sample {
                     op,
-                    seconds: t.elapsed().as_secs_f64(),
-                    ok: response.contains("\"ok\":true"),
-                    pass: !response.contains("\"pass\":false"),
+                    seconds,
+                    ok: flag("ok") == Some(true),
+                    pass: flag("pass") != Some(false),
                 });
             }
             Ok(samples)
@@ -324,44 +293,85 @@ mod tests {
     }
 
     #[test]
-    fn json_string_values_extracts_names() {
-        let payload = r#"{"ok":true,"models":[{"name":"d1","kind":"x"},{"name":"d2"}]}"#;
-        assert_eq!(json_string_values(payload, "name"), vec!["d1", "d2"]);
-        assert!(json_string_values(payload, "missing").is_empty());
-    }
-
-    #[test]
     fn report_json_and_baseline_records_are_well_formed() {
-        let summary = |op: &str| OpSummary {
+        let summary = |op: &str, p50_s| OpSummary {
             op: op.into(),
             count: 10,
-            p50_s: 1e-3,
+            p50_s,
             p95_s: 2e-3,
-            p99_s: 3e-3,
+            p99_s: f64::INFINITY,
             mean_s: 1.2e-3,
             max_s: 4e-3,
         };
-        let report = LoadReport {
+        let mut report = LoadReport {
             total: 20,
             request_failures: 0,
             cell_failures: 1,
             elapsed_s: 0.5,
             throughput_rps: 40.0,
-            overall: summary("all"),
-            per_op: vec![summary("simulate"), summary("sweep")],
+            overall: summary("all", 1e-3),
+            per_op: vec![
+                summary("simulate", f64::NAN),
+                summary("s\"w\\é\n\u{1}", 0.0),
+            ],
             server_stats: Some("{\"ok\":true,\"op\":\"stats\"}".into()),
         };
-        let json = report.to_json();
-        assert_eq!(json.matches('{').count(), json.matches('}').count());
-        assert!(json.contains("\"throughput_rps\""));
-        assert!(json.contains("\"server_stats\": {\"ok\":true"));
-        let records = report.baseline_records();
-        assert!(records.iter().any(|r| r.contains("serve/all/p50")));
-        assert!(records
+        assert_eq!(
+            report.to_json(),
+            concat!(
+                "{\n",
+                "  \"total\": 20,\n",
+                "  \"request_failures\": 0,\n",
+                "  \"cell_failures\": 1,\n",
+                "  \"elapsed_s\": 5e-1,\n",
+                "  \"throughput_rps\": 4e1,\n",
+                "  \"overall\": {\"op\":\"all\",\"count\":10,\"p50_s\":1e-3,\"p95_s\":2e-3,",
+                "\"p99_s\":null,\"mean_s\":1.2e-3,\"max_s\":4e-3},\n",
+                "  \"per_op\": [\n",
+                "    {\"op\":\"simulate\",\"count\":10,\"p50_s\":null,\"p95_s\":2e-3,",
+                "\"p99_s\":null,\"mean_s\":1.2e-3,\"max_s\":4e-3},\n",
+                "    {\"op\":\"s\\\"w\\\\é\\n\\u0001\",\"count\":10,\"p50_s\":0e0,\"p95_s\":2e-3,\"p99_s\":null,",
+                "\"mean_s\":1.2e-3,\"max_s\":4e-3}\n",
+                "  ],\n",
+                "  \"server_stats\": {\"ok\":true,\"op\":\"stats\"}\n",
+                "}\n",
+            )
+        );
+        let lines: Vec<String> = report
+            .baseline_records()
             .iter()
-            .any(|r| r.contains("serve/seconds_per_request")));
-        for r in &records {
-            assert!(r.contains("\"median_s\""), "baseline schema key: {r}");
-        }
+            .map(BenchRecord::to_json)
+            .collect();
+        assert_eq!(
+            lines.join("\n"),
+            concat!(
+                "{\"bench\": \"serve/all/p50\", \"median_s\": 1e-3, \"samples\": 20}\n",
+                "{\"bench\": \"serve/all/p95\", \"median_s\": 2e-3, \"samples\": 20}\n",
+                "{\"bench\": \"serve/simulate/p95\", \"median_s\": 2e-3, \"samples\": 20}\n",
+                "{\"bench\": \"serve/s\\\"w\\\\é\\n\\u0001/p95\", \"median_s\": 2e-3, \"samples\": 20}\n",
+                "{\"bench\": \"serve/seconds_per_request\", \"median_s\": 2.5e-2, ",
+                "\"samples\": 20}",
+            )
+        );
+        report.per_op.clear();
+        report.server_stats = None;
+        report.elapsed_s = f64::NAN;
+        report.throughput_rps = f64::NEG_INFINITY;
+        assert_eq!(
+            report.to_json(),
+            concat!(
+                "{\n",
+                "  \"total\": 20,\n",
+                "  \"request_failures\": 0,\n",
+                "  \"cell_failures\": 1,\n",
+                "  \"elapsed_s\": null,\n",
+                "  \"throughput_rps\": null,\n",
+                "  \"overall\": {\"op\":\"all\",\"count\":10,\"p50_s\":1e-3,\"p95_s\":2e-3,",
+                "\"p99_s\":null,\"mean_s\":1.2e-3,\"max_s\":4e-3},\n",
+                "  \"per_op\": [],\n",
+                "  \"server_stats\": null\n",
+                "}\n",
+            )
+        );
     }
 }

@@ -17,14 +17,13 @@
 //! runner keeps serving.
 
 use std::collections::VecDeque;
-use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::mpsc::Sender;
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::Duration;
 
 use crate::par_map;
-use crate::serve::{run_sweep_cell, validate_model, CellReport, Scenario};
+use crate::serve::{run_contained, run_sweep_cell, validate_model, CellReport, Scenario};
 
 use super::ServedModel;
 
@@ -162,20 +161,13 @@ impl Scheduler {
             self.max_batch
                 .fetch_max(batch.len() as u64, Ordering::Relaxed);
             par_map(batch, |job| {
-                let report = catch_unwind(AssertUnwindSafe(|| run_cell(&job.model, &job.task)))
-                    .unwrap_or_else(|payload| {
+                let report = run_contained(
+                    || run_cell(&job.model, &job.task),
+                    |detail| {
                         self.panics.fetch_add(1, Ordering::Relaxed);
-                        let message = payload
-                            .downcast_ref::<&str>()
-                            .map(|s| s.to_string())
-                            .or_else(|| payload.downcast_ref::<String>().cloned())
-                            .unwrap_or_else(|| "non-string payload".into());
-                        CellReport::failed(
-                            job.model.model.as_dyn(),
-                            job.task.name(),
-                            format!("panic: {message}"),
-                        )
-                    });
+                        CellReport::failed(job.model.model.as_dyn(), job.task.name(), detail)
+                    },
+                );
                 // A dropped receiver means the connection died mid-flight;
                 // the cell still ran to completion, nothing to unwind.
                 job.reply.send(report).ok();

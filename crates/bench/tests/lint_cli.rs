@@ -6,6 +6,7 @@
 
 use macromodel::driver::{PwRbfDriverModel, WeightSequence};
 use macromodel::exchange::{save_artifact_to_path, AnyModel, Artifact};
+use macromodel::json::{self, Value};
 use macromodel::receiver::ReceiverModel;
 use std::path::{Path, PathBuf};
 use std::process::{Command, Output};
@@ -198,13 +199,22 @@ fn directory_mode_aggregates_and_json_reports_load_failures() {
     // Machine-readable shape: load failures and the report side by side.
     let out = mdl_lint(&[dir.to_str().unwrap(), "--json"]);
     assert_eq!(out.status.code(), Some(1));
-    let json = String::from_utf8(out.stdout).unwrap();
-    assert!(
-        json.contains("\"load_failures\":[{\"path\":"),
-        "got: {json}"
-    );
-    assert!(json.contains("\"code\":\"M001\""), "got: {json}");
-    assert!(json.contains("\"code\":\"M002\""), "got: {json}");
-    assert!(json.contains("\"errors\":1"), "got: {json}");
+    let text = String::from_utf8(out.stdout).unwrap();
+    let doc = json::parse(&text).unwrap_or_else(|e| panic!("{e}: {text}"));
+    let failures = doc.get("load_failures").and_then(Value::as_array).unwrap();
+    assert_eq!(failures.len(), 1, "got: {text}");
+    let path = failures[0].get("path").and_then(Value::as_str).unwrap();
+    assert!(path.ends_with("garbage.mdlx"), "got: {text}");
+    let report = doc.get("report").unwrap();
+    let codes: Vec<&str> = report
+        .get("diagnostics")
+        .and_then(Value::as_array)
+        .unwrap()
+        .iter()
+        .filter_map(|d| d.get("code")?.as_str())
+        .collect();
+    assert!(codes.contains(&"M001"), "got: {text}");
+    assert!(codes.contains(&"M002"), "got: {text}");
+    assert_eq!(report.get("errors").and_then(Value::as_u64), Some(1));
     std::fs::remove_dir_all(&dir).ok();
 }

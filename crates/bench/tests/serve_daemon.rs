@@ -5,11 +5,12 @@
 
 use emc_bench::par_map;
 use emc_bench::server::daemon::Client;
-use emc_bench::server::{start, ServeConfig};
+use emc_bench::server::{run_load, start, LoadGenConfig, ServeConfig};
 use macromodel::driver::{PwRbfDriverModel, WeightSequence};
 use macromodel::exchange::{
     save_artifact_to_path, save_model_to_path, AnyModel, Artifact, Provenance,
 };
+use macromodel::json::{self, Value};
 use macromodel::{LoadMode, ModelStore};
 use std::path::PathBuf;
 use std::time::{Duration, Instant};
@@ -56,37 +57,18 @@ fn serve_cfg(dir: &std::path::Path, tag: &str, poll_ms: u64) -> ServeConfig {
     cfg
 }
 
-/// Extracts the string value of a `"key":"value"` pair from a compact
-/// JSON payload.
-fn json_str_value(payload: &str, key: &str) -> Option<String> {
-    let needle = format!("\"{key}\":\"");
-    let start = payload.find(&needle)? + needle.len();
-    let end = payload[start..].find('"')?;
-    Some(payload[start..start + end].to_string())
+/// The value at `path` (object keys, outermost first) of a daemon
+/// response.
+fn lookup(response: &str, path: &[&str]) -> Value {
+    let doc = json::parse(response).unwrap_or_else(|e| panic!("{e}: {response}"));
+    path.iter()
+        .try_fold(&doc, |v, key| v.get(key))
+        .unwrap_or_else(|| panic!("no {path:?} in {response}"))
+        .clone()
 }
 
-/// Extracts the raw numeric text of a `"key":N` pair (any JSON number —
-/// returned as text so bit-exact reproducibility can be compared without
-/// parsing).
-fn json_num_field(payload: &str, key: &str) -> Option<String> {
-    let needle = format!("\"{key}\":");
-    let start = payload.find(&needle)? + needle.len();
-    let end = payload[start..]
-        .find([',', '}'])
-        .map(|e| start + e)
-        .unwrap_or(payload.len());
-    Some(payload[start..end].to_string())
-}
-
-/// Extracts the integer value of a `"key":N` pair.
-fn json_u64_value(payload: &str, key: &str) -> Option<u64> {
-    let needle = format!("\"{key}\":");
-    let start = payload.find(&needle)? + needle.len();
-    let digits: String = payload[start..]
-        .chars()
-        .take_while(char::is_ascii_digit)
-        .collect();
-    digits.parse().ok()
+fn digest_of(info: &str) -> String {
+    lookup(info, &["digest"]).as_str().unwrap().to_string()
 }
 
 #[test]
@@ -116,7 +98,7 @@ fn daemon_serves_schedules_and_reports_cache_stats() {
 
     let info = client.request("info drv_a").unwrap();
     assert!(info.contains("\"ok\":true"), "info failed: {info}");
-    let digest = json_str_value(&info, "digest").unwrap();
+    let digest = digest_of(&info);
     assert_eq!(digest.len(), 16, "content digest is 16 hex chars: {digest}");
 
     // Scheduled cells: simulate through the batched scheduler.
@@ -172,13 +154,13 @@ fn daemon_serves_schedules_and_reports_cache_stats() {
         "{eye}"
     );
     assert!(eye.contains("\"open\": true"), "{eye}");
-    let height = json_num_field(&eye, "eye_height").unwrap();
+    let height = |eye: &str| {
+        lookup(eye, &["eye", "eye_height"])
+            .as_f64()
+            .map(f64::to_bits)
+    };
     let eye2 = client.request("eye drv_a --bits 12 --seed 5").unwrap();
-    assert_eq!(
-        json_num_field(&eye2, "eye_height").unwrap(),
-        height,
-        "same seed, same eye"
-    );
+    assert_eq!(height(&eye2), height(&eye), "same seed, same eye");
     let mc = client.request("mc drv_a --trials 3 --seed 9").unwrap();
     assert!(
         mc.contains("\"ok\":true") && mc.contains("\"pass\":true"),
@@ -195,20 +177,24 @@ fn daemon_serves_schedules_and_reports_cache_stats() {
     // Monte-Carlo channel cells), all green.
     let sweep = client.request("sweep --fast").unwrap();
     assert!(sweep.contains("\"ok\":true"), "sweep failed: {sweep}");
-    assert_eq!(json_u64_value(&sweep, "cells"), Some(10));
-    assert_eq!(json_u64_value(&sweep, "failed"), Some(0));
+    assert_eq!(lookup(&sweep, &["cells"]).as_u64(), Some(10));
+    assert_eq!(lookup(&sweep, &["failed"]).as_u64(), Some(0));
 
     // Stats: both artifacts were parse misses at startup, scheduler saw
     // the cells, request counter covers this whole conversation.
     let stats = client.request("stats").unwrap();
     assert!(stats.contains("\"ok\":true"));
-    assert_eq!(json_u64_value(&stats, "misses"), Some(2));
-    assert!(json_u64_value(&stats, "requests").unwrap() >= 9);
+    assert_eq!(lookup(&stats, &["cache", "misses"]).as_u64(), Some(2));
+    assert!(lookup(&stats, &["requests"]).as_u64().unwrap() >= 9);
     assert!(
-        json_u64_value(&stats, "cells").unwrap() >= 9,
+        lookup(&stats, &["scheduler", "cells"]).as_u64().unwrap() >= 9,
         "sweep + singles: {stats}"
     );
-    assert_eq!(json_u64_value(&stats, "panics"), Some(0), "{stats}");
+    assert_eq!(
+        lookup(&stats, &["scheduler", "panics"]).as_u64(),
+        Some(0),
+        "{stats}"
+    );
     assert!(stats.contains("\"hit_rate\":"));
 
     // Clean remote shutdown: acknowledged, then the daemon exits.
@@ -228,7 +214,7 @@ fn hot_reload_swaps_digests_without_dropping_requests() {
     let handle = start(serve_cfg(&dir, "reload", 30)).unwrap();
     let socket = handle.socket_path();
     let mut client = Client::connect(&socket).unwrap();
-    let digest0 = json_str_value(&client.request("info drv").unwrap(), "digest").unwrap();
+    let digest0 = digest_of(&client.request("info drv").unwrap());
 
     // Continuous simulate burst on its own connection while the artifact
     // is overwritten mid-flight.
@@ -257,7 +243,7 @@ fn hot_reload_swaps_digests_without_dropping_requests() {
     save_model_to_path(&dummy_driver("drv", 0.05), &artifact).unwrap();
     let deadline = Instant::now() + Duration::from_secs(10);
     let digest1 = loop {
-        let digest = json_str_value(&client.request("info drv").unwrap(), "digest").unwrap();
+        let digest = digest_of(&client.request("info drv").unwrap());
         if digest != digest0 {
             break digest;
         }
@@ -275,7 +261,10 @@ fn hot_reload_swaps_digests_without_dropping_requests() {
         "hot reload dropped requests: {failures:?}"
     );
     let stats = client.request("stats").unwrap();
-    assert!(json_u64_value(&stats, "reloads").unwrap() >= 1, "{stats}");
+    assert!(
+        lookup(&stats, &["reloads"]).as_u64().unwrap() >= 1,
+        "{stats}"
+    );
 
     // Touch without a content change: the fingerprint poll fires, but the
     // digest cache answers — a reload with zero re-parses.
@@ -285,7 +274,7 @@ fn hot_reload_swaps_digests_without_dropping_requests() {
         std::fs::write(&artifact, &bytes).unwrap();
         std::thread::sleep(Duration::from_millis(60));
         let stats = client.request("stats").unwrap();
-        if json_u64_value(&stats, "hits").unwrap() >= 1 {
+        if lookup(&stats, &["cache", "hits"]).as_u64().unwrap() >= 1 {
             break;
         }
         assert!(
@@ -295,6 +284,23 @@ fn hot_reload_swaps_digests_without_dropping_requests() {
     }
 
     handle.stop();
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn load_generator_targets_models_whose_names_need_escaping() {
+    // The protocol splits request lines on whitespace, so the name holds a
+    // quote but no space.
+    let dir = temp_dir("quoted");
+    save_model_to_path(&dummy_driver("md1\"q", 0.02), dir.join("q.mdlx")).unwrap();
+    let handle = start(serve_cfg(&dir, "quoted", 200)).unwrap();
+    let mut cfg = LoadGenConfig::new(handle.socket_path());
+    cfg.clients = 1;
+    cfg.requests_per_client = 4;
+    let report = run_load(&cfg).unwrap();
+    handle.stop();
+    assert_eq!(report.total, 4);
+    assert_eq!(report.request_failures, 0, "{}", report.to_json());
     std::fs::remove_dir_all(&dir).ok();
 }
 

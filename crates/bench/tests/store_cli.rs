@@ -8,6 +8,7 @@
 use macromodel::driver::{PwRbfDriverModel, WeightSequence};
 use macromodel::exchange::binary::save_artifact_bin_to_path;
 use macromodel::exchange::{save_artifact_to_path, save_model_to_path, AnyModel, Artifact};
+use macromodel::json::{self, Value};
 use std::path::PathBuf;
 use std::process::{Command, Output};
 use sysid::narx::{NarxModel, NarxOrders};
@@ -68,53 +69,53 @@ fn store_ls_json_shape() {
     // completely) while the exit status stays nonzero, same as human mode.
     let text = String::from_utf8(out.stdout).unwrap();
     assert!(!out.status.success(), "unloadable artifact fails ls");
+    let doc = json::parse(&text).unwrap_or_else(|e| panic!("{e}: {text}"));
+    let get = |v: &'_ Value, key: &str| v.get(key).cloned().unwrap_or(Value::Null);
 
     // Document-level shape.
     assert!(
         text.starts_with("{\"root\":"),
         "leads with the root: {text}"
     );
-    assert!(
-        text.contains("\"mode\":\"lazy\""),
-        "documents the load mode: {text}"
-    );
-    assert!(
-        text.contains("\"artifacts\":3"),
-        "counts all entries: {text}"
-    );
-    assert!(
-        text.contains("\"models\":2"),
-        "counts loadable models: {text}"
-    );
-    assert!(
-        text.contains("\"load_failures\":1"),
-        "counts failures: {text}"
-    );
+    assert_eq!(get(&doc, "mode").as_str(), Some("lazy"), "{text}");
+    assert_eq!(get(&doc, "artifacts").as_u64(), Some(3), "{text}");
+    assert_eq!(get(&doc, "models").as_u64(), Some(2), "{text}");
+    assert_eq!(get(&doc, "load_failures").as_u64(), Some(1), "{text}");
 
     // Per-entry shape: formats, versions, models, and the digest/bytes
     // fields that make the listing a usable inventory.
-    assert!(text.contains("\"format\":\"text\""), "{text}");
-    assert!(text.contains("\"format\":\"binary\""), "{text}");
-    assert!(text.contains("\"version\":1"), "{text}");
-    assert!(
-        text.contains("{\"kind\":\"pwrbf-driver\",\"name\":\"text_drv\"}"),
-        "{text}"
-    );
-    assert!(
-        text.contains("{\"kind\":\"pwrbf-driver\",\"name\":\"bin_drv\"}"),
-        "{text}"
-    );
-    assert!(text.contains("\"provenance_digest\":null"), "{text}");
-    assert!(text.contains("\"error\":null"), "{text}");
+    let entries = get(&doc, "entries");
+    let entry = |file: &str| {
+        entries
+            .as_array()
+            .unwrap()
+            .iter()
+            .find(|e| get(e, "path").as_str().unwrap().ends_with(file))
+            .unwrap_or_else(|| panic!("no entry {file}: {text}"))
+            .clone()
+    };
+    for (file, format, name) in [
+        ("text_drv.mdlx", "text", "text_drv"),
+        ("bin_drv.mdlxb", "binary", "bin_drv"),
+    ] {
+        let e = entry(file);
+        assert_eq!(get(&e, "format").as_str(), Some(format), "{text}");
+        assert_eq!(get(&e, "version").as_u64(), Some(1), "{text}");
+        let models = get(&e, "models");
+        let models = models.as_array().unwrap();
+        assert_eq!(models.len(), 1, "{text}");
+        assert_eq!(get(&models[0], "kind").as_str(), Some("pwrbf-driver"));
+        assert_eq!(get(&models[0], "name").as_str(), Some(name));
+        assert_eq!(get(&e, "provenance_digest"), Value::Null, "{text}");
+        assert_eq!(get(&e, "error"), Value::Null, "{text}");
 
-    // Each loadable entry carries its byte size and 16-hex-digit digest.
-    for name in ["text_drv.mdlx", "bin_drv.mdlxb"] {
-        let entry = text.split("{\"path\":").find(|e| e.contains(name)).unwrap();
-        let bytes = entry.split("\"bytes\":").nth(1).unwrap();
-        let bytes: u64 = bytes[..bytes.find(',').unwrap()].parse().unwrap();
-        assert!(bytes > 0, "entry {name} has a real byte size");
-        let digest = entry.split("\"digest\":\"").nth(1).unwrap();
-        let digest = &digest[..digest.find('"').unwrap()];
+        // Each loadable entry carries its byte size and 16-hex-digit digest.
+        assert!(
+            get(&e, "bytes").as_u64().unwrap() > 0,
+            "{file} has a real byte size"
+        );
+        let digest = get(&e, "digest");
+        let digest = digest.as_str().unwrap();
         assert_eq!(
             digest.len(),
             16,
@@ -124,15 +125,11 @@ fn store_ls_json_shape() {
     }
 
     // The broken entry reports its typed error in-band.
-    let broken = text
-        .split("{\"path\":")
-        .find(|e| e.contains("broken.mdlx"))
-        .unwrap();
+    let broken = entry("broken.mdlx");
     assert!(
-        broken.contains("\"error\":\""),
-        "broken entry carries the error: {broken}"
+        !get(&broken, "error").as_str().unwrap().is_empty(),
+        "broken entry carries the error: {text}"
     );
-    assert!(!broken.contains("\"error\":null"), "{broken}");
 }
 
 #[test]
@@ -280,6 +277,8 @@ fn non_positive_float_flags_are_usage_errors() {
         &["simulate", missing, "--bit-time", "nan"],
         &["simulate", missing, "--t-stop", "-3e-9"],
         &["simulate", missing, "--t-stop", "x"],
+        &["simulate", missing, "--pattern", "012"],
+        &["simulate", missing, "--pattern", ""],
         &["bench-store", "--min-speedup", "0"],
     ];
     for args in rejected {

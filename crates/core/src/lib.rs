@@ -17,6 +17,8 @@
 //! * [`evalrt`] — the compiled, allocation-free evaluation runtime: a
 //!   one-time flattening pass per model plus batched multi-lane stepping
 //!   (the hot path behind every device above);
+//! * [`json`] — the one JSON writer and reader behind every report,
+//!   daemon response and bench record;
 //! * [`lint`] — the static diagnostic engine behind `mdl lint`: stable
 //!   `M00x`/`C00x` codes covering model semantics (stability, center
 //!   placement, I–V monotonicity, provenance) and circuit structure
@@ -49,6 +51,7 @@ pub mod device;
 pub mod driver;
 pub mod evalrt;
 pub mod exchange;
+pub mod json;
 pub mod lint;
 pub mod macromodel;
 pub mod modelstore;

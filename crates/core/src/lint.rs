@@ -29,6 +29,7 @@
 //! ```
 
 use crate::exchange::{AnyModel, Artifact};
+use crate::json::{self, Layout};
 use crate::macromodel::{PortStimulus, TestFixture};
 use circuit::Circuit;
 use numkit::interp::Pwl;
@@ -270,52 +271,26 @@ impl LintReport {
         out
     }
 
-    /// Renders the report as a JSON object (no external dependencies).
+    /// Renders the report as a compact JSON object.
     pub fn to_json(&self, cfg: &LintConfig) -> String {
-        let mut out = String::from("{\"diagnostics\":[");
-        let mut first = true;
-        for diag in &self.diagnostics {
-            let Some(sev) = cfg.effective(diag) else {
-                continue;
-            };
-            if !first {
-                out.push(',');
-            }
-            first = false;
-            out.push_str(&format!(
-                "{{\"code\":\"{}\",\"severity\":\"{sev}\",\"subject\":{},\"message\":{}}}",
-                diag.code,
-                json_str(&diag.subject),
-                json_str(&diag.message)
-            ));
-        }
-        let (e, w, i) = self.counts(cfg);
-        out.push_str(&format!(
-            "],\"errors\":{e},\"warnings\":{w},\"infos\":{i}}}"
-        ));
-        out
+        json::object(Layout::Compact, |o| {
+            o.array("diagnostics", Layout::Compact, |a| {
+                for diag in &self.diagnostics {
+                    let Some(sev) = cfg.effective(diag) else {
+                        continue;
+                    };
+                    a.object(Layout::Compact, |o| {
+                        o.field("code", diag.code)
+                            .field("severity", sev.to_string())
+                            .field("subject", &diag.subject)
+                            .field("message", &diag.message);
+                    });
+                }
+            });
+            let (e, w, i) = self.counts(cfg);
+            o.field("errors", e).field("warnings", w).field("infos", i);
+        })
     }
-}
-
-/// Quotes and escapes a string as a JSON string literal — the one escaper
-/// behind every hand-written JSON emitter in the workspace (lint reports,
-/// fleet reports, daemon responses, load-generator reports).
-pub fn json_str(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            '\r' => out.push_str("\\r"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
 }
 
 fn diag(code: &'static str, subject: &str, message: String) -> Diagnostic {
@@ -916,6 +891,49 @@ mod tests {
         cfg.allow("M005");
         assert!(!report.render_human(&cfg).contains("M005"));
         assert!(!report.to_json(&cfg).contains("M005"));
+    }
+
+    #[test]
+    fn json_report_matches_golden_bytes() {
+        let diag = |code, severity, subject: &str, message: &str| Diagnostic {
+            code,
+            severity,
+            subject: subject.into(),
+            message: message.into(),
+        };
+        let report = LintReport {
+            diagnostics: vec![
+                diag("M001", Severity::Error, "md\"1\\x", "line\nnext\u{1b}\té"),
+                diag("M007", Severity::Warn, "w ✓", "weight \"3.0\""),
+                diag("M006", Severity::Info, "", "\r"),
+            ],
+        };
+        let mut cfg = LintConfig::default();
+        assert_eq!(
+            report.to_json(&cfg),
+            concat!(
+                "{\"diagnostics\":[{\"code\":\"M001\",\"severity\":\"error\",",
+                "\"subject\":\"md\\\"1\\\\x\",\"message\":\"line\\nnext\\u001b\\té\"},{\"code\":\"M007\",",
+                "\"severity\":\"warning\",\"subject\":\"w ✓\",",
+                "\"message\":\"weight \\\"3.0\\\"\"},{\"code\":\"M006\",\"severity\":\"info\",",
+                "\"subject\":\"\",\"message\":\"\\r\"}],\"errors\":1,\"warnings\":1,\"infos\":1}",
+            )
+        );
+        cfg.allow("M007");
+        cfg.deny("M006");
+        assert_eq!(
+            report.to_json(&cfg),
+            concat!(
+                "{\"diagnostics\":[{\"code\":\"M001\",\"severity\":\"error\",",
+                "\"subject\":\"md\\\"1\\\\x\",\"message\":\"line\\nnext\\u001b\\té\"},{\"code\":\"M006\",",
+                "\"severity\":\"error\",\"subject\":\"\",\"message\":\"\\r\"}],\"errors\":2,",
+                "\"warnings\":0,\"infos\":0}",
+            )
+        );
+        assert_eq!(
+            LintReport::default().to_json(&cfg),
+            "{\"diagnostics\":[],\"errors\":0,\"warnings\":0,\"infos\":0}"
+        );
     }
 
     #[test]
