@@ -22,6 +22,7 @@ use macromodel::pipeline::{
 };
 use macromodel::validate::ValidationMetrics;
 use macromodel::{CrModel, Macromodel, PortStimulus, PwRbfDriverModel, ReceiverModel, TestFixture};
+use numkit::par;
 use refdev::extraction::{capture_driver, capture_receiver};
 use refdev::ibis::IbisExtractConfig;
 use refdev::{CmosDriverSpec, IbisCorner, IbisModel, ReceiverSpec};
@@ -62,34 +63,6 @@ impl BenchRecord {
                 .field("samples", self.samples);
         })
     }
-}
-
-/// Maps `f` over `items` on scoped worker threads — the harness for
-/// embarrassingly parallel experiment sweeps (IBIS corners, figure panels,
-/// amplitude sweeps). The last item runs on the calling thread; worker
-/// panics are re-raised here.
-pub fn par_map<T, R, F>(items: Vec<T>, f: F) -> Vec<R>
-where
-    T: Send,
-    R: Send,
-    F: Fn(T) -> R + Sync,
-{
-    std::thread::scope(|s| {
-        let f = &f;
-        let mut items = items;
-        let last = items.pop();
-        let handles: Vec<_> = items
-            .into_iter()
-            .map(|item| s.spawn(move || f(item)))
-            .collect();
-        let tail = last.map(f);
-        let mut out: Vec<R> = handles
-            .into_iter()
-            .map(|h| h.join().unwrap_or_else(|p| std::panic::resume_unwind(p)))
-            .collect();
-        out.extend(tail);
-        out
-    })
 }
 
 /// Estimates the PW-RBF model of a driver with the experiment defaults.
@@ -193,11 +166,17 @@ pub fn fig1(cfg: &Fig1Config) -> Result<Fig1Data> {
     let stim = PortStimulus::new("01", cfg.bit_time);
     let fixture = TestFixture::line_cap(cfg.z0, cfg.td, cfg.c_load);
 
-    // Reference on a scoped worker; every macromodel backend — the PW-RBF
-    // model and the three IBIS corners — through the one trait-generic
-    // fixture runner, swept in parallel.
-    let (reference, model_waves) = std::thread::scope(|s| {
-        let reference = s.spawn(|| -> Result<Waveform> {
+    // The reference next to every macromodel backend — the PW-RBF model
+    // and the three IBIS corners — through the one trait-generic fixture
+    // runner, swept in parallel.
+    let backends: Vec<Box<dyn Macromodel>> = vec![
+        Box::new(model.clone()),
+        Box::new(ibis.with_corner(IbisCorner::Typical)?),
+        Box::new(ibis.with_corner(IbisCorner::Slow)?),
+        Box::new(ibis.with_corner(IbisCorner::Fast)?),
+    ];
+    let (reference, model_waves) = par::join(
+        || -> Result<Waveform> {
             let mut load = fig1_load(cfg);
             Ok(capture_driver(
                 &spec,
@@ -210,24 +189,13 @@ pub fn fig1(cfg: &Fig1Config) -> Result<Fig1Data> {
                 cfg.t_stop,
             )?
             .voltage)
-        });
-        let backends: Vec<Box<dyn Macromodel>> = vec![
-            Box::new(model.clone()),
-            Box::new(ibis.with_corner(IbisCorner::Typical)?),
-            Box::new(ibis.with_corner(IbisCorner::Slow)?),
-            Box::new(ibis.with_corner(IbisCorner::Fast)?),
-        ];
-        let (stim, fixture) = (&stim, &fixture);
-        let waves = par_map(backends, move |m| -> Result<Waveform> {
-            Ok(m.simulate_on_load(fixture, Some(stim), TS, cfg.t_stop)?)
-        });
-        Ok::<_, Box<dyn std::error::Error + Send + Sync>>((
-            reference
-                .join()
-                .unwrap_or_else(|p| std::panic::resume_unwind(p)),
-            waves,
-        ))
-    })?;
+        },
+        || {
+            par::map(backends, |m| -> Result<Waveform> {
+                Ok(m.simulate_on_load(&fixture, Some(&stim), TS, cfg.t_stop)?)
+            })
+        },
+    );
     let reference = reference?;
     let mut model_waves = model_waves.into_iter();
     let pwrbf = model_waves.next().expect("four backends")?;
@@ -282,7 +250,7 @@ pub fn fig2() -> Result<Vec<Fig2Panel>> {
     // The three panels are independent fixture sweeps: run them in parallel.
     let spec = &spec;
     let model = &model;
-    let panel_results = par_map(
+    let panel_results = par::map(
         vec![
             ("a", 30.0, 0.5e-9),
             ("b", 120.0, 0.5e-9),
@@ -607,7 +575,7 @@ pub fn fig6(model: Option<ReceiverModel>, cr: Option<CrModel>) -> Result<Vec<Fig
 
     // The three amplitude panels are independent: sweep them in parallel.
     let (spec, model, cr, line_spec) = (&spec, &model, &cr, &line_spec);
-    let panels = par_map(vec![1.9, 2.2, 2.6], move |amplitude| -> Result<Fig6Panel> {
+    let panels = par::map(vec![1.9, 2.2, 2.6], move |amplitude| -> Result<Fig6Panel> {
         let stim = SourceWaveform::Pulse {
             low: 0.0,
             high: amplitude,

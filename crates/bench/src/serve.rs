@@ -6,8 +6,9 @@
 //! across many signal-integrity scenarios. This module is that serving
 //! layer. [`sweep_store`] takes the cartesian product of {stored models} ×
 //! {scenarios that apply to their port direction} and runs every cell as a
-//! transient on [`crate::par_map`] workers, collecting per-cell pass/fail,
-//! waveform sanity, and solver diagnostics ([`circuit::SolveStats`]).
+//! transient on [`numkit::par`] workers (at most one per CPU), collecting
+//! per-cell pass/fail, waveform sanity, and solver diagnostics
+//! ([`circuit::SolveStats`]).
 //! [`validate_store`] re-certifies every model against its transistor-level
 //! reference with per-kind accuracy gates — the CI re-certification pass.
 //! Both produce a [`FleetReport`] that serializes to machine-readable JSON
@@ -20,13 +21,13 @@
 //! assignment when the store holds several driver models, the "many
 //! backends in one net" serving case.
 
-use crate::par_map;
 use circuit::devices::Resistor;
 use circuit::mtl::{expand_coupled_line, CoupledLineSpec};
 use circuit::{Circuit, SolveStats, TranParams, Waveform, GROUND};
 use macromodel::json::{self, Layout, Raw};
 use macromodel::validate::{validate_macromodel, ReferencePort, DEFAULT_VALIDATION_DT};
 use macromodel::{Macromodel, ModelKind, ModelStore, PortStimulus, TestFixture};
+use numkit::par;
 use refdev::{CmosDriverSpec, ReceiverSpec};
 use si::{
     prbs_pattern, ChannelSpec, EyeAnalyzer, EyeConfig, EyeMetrics, McGates, McParam, McPlan,
@@ -1162,88 +1163,103 @@ fn store_header(store: &ModelStore, mode: &str) -> FleetReport {
 /// Runs the full scenario matrix over every model in the store on parallel
 /// workers. When the store holds two or more driver models with a common
 /// sample clock, one extra mixed-backend bus cell runs with the drivers
-/// assigned round-robin to lanes.
+/// assigned round-robin to lanes; it is reported last.
 pub fn sweep_store(store: &ModelStore, scenarios: &[Scenario]) -> FleetReport {
     let mut report = store_header(store, "sweep");
-    let models = store.models();
-    let cells: Vec<(&dyn Macromodel, &Scenario)> = models
-        .iter()
-        .flat_map(|(_, m)| {
+    let models: Vec<&dyn Macromodel> = store
+        .models()
+        .into_iter()
+        .map(|(_, m)| m.as_dyn())
+        .collect();
+    let mixed = mixed_bus_cell(&models, scenarios);
+    // One fan-out. The mixed-bus cell (`None`), the longest, is claimed
+    // first so it overlaps the matrix instead of trailing it.
+    let jobs: Vec<Option<(&dyn Macromodel, &Scenario)>> = mixed
+        .is_some()
+        .then_some(None)
+        .into_iter()
+        .chain(models.iter().flat_map(|&m| {
             scenarios
                 .iter()
-                .filter(|s| s.applies(m.kind()))
-                .map(move |s| (m.as_dyn(), s))
-        })
+                .filter(move |s| s.applies(m.kind()))
+                .map(move |s| Some((m, s)))
+        }))
         .collect();
-    report.cells = par_map(cells, |(m, s)| {
-        run_contained(
+    report.cells = par::map(jobs, |job| match job {
+        Some((m, s)) => run_contained(
             || run_sweep_cell(m, s),
             |detail| CellReport::failed(m, &s.name, detail),
-        )
+        ),
+        None => mixed.as_ref().expect("queued only when planned")(),
     });
+    if mixed.is_some() {
+        report.cells.rotate_left(1);
+    }
+    collect_si_aggregates(&mut report);
+    report
+}
 
-    // Mixed-backend bus: every driver model on one net, one cell.
+/// The mixed-backend bus cell: every driver model on one net. `None`
+/// unless two or more drivers share a sample clock and a bus-ladder
+/// scenario is swept.
+fn mixed_bus_cell<'a>(
+    models: &[&'a dyn Macromodel],
+    scenarios: &[Scenario],
+) -> Option<impl Fn() -> CellReport + Sync + 'a> {
     let drivers: Vec<&dyn Macromodel> = models
         .iter()
-        .map(|(_, m)| m.as_dyn())
+        .copied()
         .filter(|m| m.kind().is_driver())
         .collect();
     let clocks: Vec<f64> = drivers.iter().filter_map(|m| m.sample_time()).collect();
     let common_clock = clocks
         .windows(2)
         .all(|w| ((w[0] - w[1]) / w[0]).abs() < 1e-9);
-    if drivers.len() >= 2 && common_clock {
-        if let Some(ScenarioKind::BusLadder {
-            conductors,
-            segments,
-            pattern,
-            bit_time,
-            t_stop,
-        }) = scenarios
-            .iter()
-            .find_map(|s| matches!(s.kind, ScenarioKind::BusLadder { .. }).then(|| s.kind.clone()))
-        {
-            let dt = clocks.first().copied().unwrap_or(DEFAULT_VALIDATION_DT);
-            let lanes = conductors.max(drivers.len());
-            let names: Vec<&str> = drivers.iter().map(|m| m.name()).collect();
-            let mixed = |gate| {
-                CellReport::gated(
-                    format!("mixed:{}", names.join("+")),
-                    "mixed",
-                    "bus-mixed",
-                    gate,
-                )
-            };
-            let run = || {
-                let t0 = std::time::Instant::now();
-                let outcome =
-                    run_bus_cell(&drivers, lanes, segments, &pattern, bit_time, t_stop, dt);
-                let elapsed_s = t0.elapsed().as_secs_f64();
-                match outcome {
-                    Ok((waves, stats)) => {
-                        let (samples, v_min, v_max) = waveform_extrema(&waves);
-                        CellReport {
-                            samples,
-                            v_min,
-                            v_max,
-                            stats: Some(stats),
-                            elapsed_s,
-                            ..mixed(sanity_gate(&waves))
-                        }
-                    }
-                    Err(e) => CellReport {
-                        elapsed_s,
-                        ..mixed(Err(e.to_string()))
-                    },
-                }
-            };
-            report
-                .cells
-                .push(run_contained(run, |detail| mixed(Err(detail))));
-        }
+    if drivers.len() < 2 || !common_clock {
+        return None;
     }
-    collect_si_aggregates(&mut report);
-    report
+    let Some(ScenarioKind::BusLadder {
+        conductors,
+        segments,
+        pattern,
+        bit_time,
+        t_stop,
+    }) = scenarios
+        .iter()
+        .find_map(|s| matches!(s.kind, ScenarioKind::BusLadder { .. }).then(|| s.kind.clone()))
+    else {
+        return None;
+    };
+    let dt = clocks.first().copied().unwrap_or(DEFAULT_VALIDATION_DT);
+    let lanes = conductors.max(drivers.len());
+    let names: Vec<&str> = drivers.iter().map(|m| m.name()).collect();
+    let model = format!("mixed:{}", names.join("+"));
+    Some(move || {
+        let mixed = |gate| CellReport::gated(model.clone(), "mixed", "bus-mixed", gate);
+        let run = || {
+            let t0 = std::time::Instant::now();
+            let outcome = run_bus_cell(&drivers, lanes, segments, &pattern, bit_time, t_stop, dt);
+            let elapsed_s = t0.elapsed().as_secs_f64();
+            match outcome {
+                Ok((waves, stats)) => {
+                    let (samples, v_min, v_max) = waveform_extrema(&waves);
+                    CellReport {
+                        samples,
+                        v_min,
+                        v_max,
+                        stats: Some(stats),
+                        elapsed_s,
+                        ..mixed(sanity_gate(&waves))
+                    }
+                }
+                Err(e) => CellReport {
+                    elapsed_s,
+                    ..mixed(Err(e.to_string()))
+                },
+            }
+        };
+        run_contained(run, |detail| mixed(Err(detail)))
+    })
 }
 
 /// Lifts the per-cell eye and MC outcomes into the report's top-level
@@ -1280,7 +1296,7 @@ pub fn validate_store(store: &ModelStore, fast: bool) -> FleetReport {
     let mut report = store_header(store, "validate");
     let models = store.models();
     let duts: Vec<&dyn Macromodel> = models.iter().map(|(_, m)| m.as_dyn()).collect();
-    report.cells = par_map(duts, |m| {
+    report.cells = par::map(duts, |m| {
         run_contained(
             || validate_model(m, fast, None, None),
             |detail| CellReport::failed(m, VALIDATE_SCENARIO, detail),
@@ -1420,11 +1436,9 @@ pub(crate) mod tests {
             .lints
             .iter()
             .all(|l| l.errors == 0 && l.warnings == 0 && l.codes.is_empty()));
-        let mixed = report
-            .cells
-            .iter()
-            .find(|c| c.scenario == "bus-mixed")
-            .expect("mixed cell present");
+        // The mixed-bus cell runs first but is reported last.
+        let mixed = report.cells.last().unwrap();
+        assert_eq!(mixed.scenario, "bus-mixed");
         assert!(mixed.model.contains("d1") && mixed.model.contains("d2"));
         let ladder = report
             .cells

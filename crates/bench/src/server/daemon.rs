@@ -122,10 +122,10 @@ struct Inner {
     stop: AtomicBool,
     counters: Counters,
     started: Instant,
-    /// Reader clones of live connections, shut down on stop to unblock
-    /// handler threads parked in `read_frame`.
-    conns: Mutex<Vec<UnixStream>>,
-    conn_threads: Mutex<Vec<JoinHandle<()>>>,
+    /// Live connections: each handler thread with a clone of its stream,
+    /// shut down on stop to unblock a handler parked in `read_frame`.
+    /// Finished pairs are pruned on every accept, which closes the clone.
+    conns: Mutex<Vec<(JoinHandle<()>, UnixStream)>>,
 }
 
 /// A started daemon: join it (runs until a `shutdown` request) or stop it
@@ -158,24 +158,18 @@ impl ServerHandle {
         for t in self.core_threads.drain(..) {
             t.join().ok();
         }
-        for s in self
+        let conns: Vec<_> = self
             .inner
             .conns
             .lock()
             .expect("connection registry poisoned")
             .drain(..)
-        {
-            s.shutdown(std::net::Shutdown::Both).ok();
-        }
-        let handles: Vec<_> = self
-            .inner
-            .conn_threads
-            .lock()
-            .expect("connection threads poisoned")
-            .drain(..)
             .collect();
-        for t in handles {
-            t.join().ok();
+        for (_, stream) in &conns {
+            stream.shutdown(std::net::Shutdown::Both).ok();
+        }
+        for (thread, _) in conns {
+            thread.join().ok();
         }
         std::fs::remove_file(&self.inner.cfg.socket_path).ok();
     }
@@ -222,7 +216,6 @@ pub fn start(cfg: ServeConfig) -> crate::Result<ServerHandle> {
         counters: Counters::default(),
         started: Instant::now(),
         conns: Mutex::new(Vec::new()),
-        conn_threads: Mutex::new(Vec::new()),
     });
     publish_generation(&inner);
 
@@ -361,21 +354,16 @@ fn listener_loop(inner: &Arc<Inner>, listener: UnixListener) {
         match listener.accept() {
             Ok((stream, _addr)) => {
                 stream.set_nonblocking(false).ok();
-                if let Ok(clone) = stream.try_clone() {
-                    inner
-                        .conns
-                        .lock()
-                        .expect("connection registry poisoned")
-                        .push(clone);
-                }
+                // Without a clone to shut down, stop could not unblock the
+                // handler: refuse the connection instead.
+                let Ok(clone) = stream.try_clone() else {
+                    continue;
+                };
                 let handler_inner = Arc::clone(inner);
                 let handle = std::thread::spawn(move || handle_conn(&handler_inner, stream));
-                let mut threads = inner
-                    .conn_threads
-                    .lock()
-                    .expect("connection threads poisoned");
-                threads.retain(|t| !t.is_finished());
-                threads.push(handle);
+                let mut conns = inner.conns.lock().expect("connection registry poisoned");
+                conns.retain(|(thread, _)| !thread.is_finished());
+                conns.push((handle, clone));
             }
             Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
                 std::thread::sleep(Duration::from_millis(20));
@@ -851,6 +839,24 @@ mod tests {
     use super::*;
     use crate::serve::tests::golden_cell;
     use crate::serve::ModelLint;
+
+    #[test]
+    fn closed_connections_leave_the_registry() {
+        let dir = std::env::temp_dir().join(format!("daemon_conns_{}", std::process::id()));
+        std::fs::remove_dir_all(&dir).ok();
+        std::fs::create_dir_all(&dir).unwrap();
+        let handle = start(ServeConfig::new(&dir, dir.join("d.sock"))).unwrap();
+        for _ in 0..100 {
+            let response = request_once(&handle.socket_path(), "ls").unwrap();
+            assert!(response.starts_with("{\"ok\":true"), "{response}");
+        }
+        // A handler exits on its client's EOF and is pruned, with its
+        // stream clone, at a later accept: only the last few can be left.
+        let live = handle.inner.conns.lock().unwrap().len();
+        assert!(live <= 10, "{live} connections still registered");
+        handle.stop();
+        std::fs::remove_dir_all(&dir).ok();
+    }
 
     #[test]
     fn responses_match_golden_bytes() {

@@ -19,7 +19,7 @@ use std::time::Instant;
 use macromodel::json::{self, Layout, Raw, Value};
 use numkit::stats::percentile_nearest_rank as percentile;
 
-use crate::{par_map, BenchRecord};
+use crate::BenchRecord;
 
 use super::daemon::Client;
 
@@ -209,36 +209,47 @@ pub fn run_load(cfg: &LoadGenConfig) -> crate::Result<LoadReport> {
 
     let t0 = Instant::now();
     let names = &names;
-    let per_client: Vec<std::io::Result<Vec<Sample>>> =
-        par_map((0..cfg.clients.max(1)).collect(), move |client| {
-            let mut conn = Client::connect(&cfg.socket_path)?;
-            let mut samples = Vec::with_capacity(cfg.requests_per_client);
-            let fast = if cfg.fast { " --fast" } else { "" };
-            for k in 0..cfg.requests_per_client {
-                let serial = k + 1;
-                let target = &names[(client + k) % names.len()];
-                let (op, line): (&'static str, String) =
-                    if cfg.sweep_every > 0 && serial % cfg.sweep_every == 0 {
-                        ("sweep", format!("sweep{fast}"))
-                    } else if cfg.validate_every > 0 && serial % cfg.validate_every == 0 {
-                        ("validate", format!("validate {target}{fast}"))
-                    } else {
-                        ("simulate", format!("simulate {target}"))
-                    };
-                let t = Instant::now();
-                let response = conn.request(&line)?;
-                let seconds = t.elapsed().as_secs_f64();
-                let response = json::parse(&response).ok();
-                let flag = |key| response.as_ref()?.get(key)?.as_bool();
-                samples.push(Sample {
-                    op,
-                    seconds,
-                    ok: flag("ok") == Some(true),
-                    pass: flag("pass") != Some(false),
-                });
-            }
-            Ok(samples)
-        });
+    // One thread per client, not `numkit::par`: each blocks on its socket,
+    // so a per-CPU bound would shrink the offered concurrency.
+    let per_client: Vec<std::io::Result<Vec<Sample>>> = std::thread::scope(|scope| {
+        let clients: Vec<_> = (0..cfg.clients.max(1))
+            .map(|client| {
+                scope.spawn(move || -> std::io::Result<Vec<Sample>> {
+                    let mut conn = Client::connect(&cfg.socket_path)?;
+                    let mut samples = Vec::with_capacity(cfg.requests_per_client);
+                    let fast = if cfg.fast { " --fast" } else { "" };
+                    for k in 0..cfg.requests_per_client {
+                        let serial = k + 1;
+                        let target = &names[(client + k) % names.len()];
+                        let (op, line): (&'static str, String) =
+                            if cfg.sweep_every > 0 && serial % cfg.sweep_every == 0 {
+                                ("sweep", format!("sweep{fast}"))
+                            } else if cfg.validate_every > 0 && serial % cfg.validate_every == 0 {
+                                ("validate", format!("validate {target}{fast}"))
+                            } else {
+                                ("simulate", format!("simulate {target}"))
+                            };
+                        let t = Instant::now();
+                        let response = conn.request(&line)?;
+                        let seconds = t.elapsed().as_secs_f64();
+                        let response = json::parse(&response).ok();
+                        let flag = |key| response.as_ref()?.get(key)?.as_bool();
+                        samples.push(Sample {
+                            op,
+                            seconds,
+                            ok: flag("ok") == Some(true),
+                            pass: flag("pass") != Some(false),
+                        });
+                    }
+                    Ok(samples)
+                })
+            })
+            .collect();
+        clients
+            .into_iter()
+            .map(|c| c.join().unwrap_or_else(|p| std::panic::resume_unwind(p)))
+            .collect()
+    });
     let elapsed_s = t0.elapsed().as_secs_f64();
 
     let mut samples = Vec::new();

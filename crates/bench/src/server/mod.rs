@@ -6,9 +6,9 @@
 //! a Unix-domain socket:
 //!
 //! * [`protocol`] — the length-framed request/response codec;
-//! * [`scheduler`] — the batched cell scheduler packing queued requests
-//!   onto the [`crate::par_map`] worker pool, grouping same-model cells
-//!   so one worker steps a model's cells back to back;
+//! * [`scheduler`] — the batched cell scheduler mapping queued requests
+//!   onto the [`numkit::par`] workers (at most one per CPU), grouping
+//!   same-model cells so one worker steps a model's cells back to back;
 //! * [`cache`] — the bounded, LRU-evicting digest → parsed-models cache
 //!   behind hot reload;
 //! * [`daemon`] — the daemon itself: generation-swapped inventory,

@@ -1,6 +1,6 @@
 //! The batched request scheduler: connection threads enqueue scenario
-//! cells, one runner thread drains the queue in batches and packs each
-//! batch onto the [`crate::par_map`] worker pool.
+//! cells, one runner thread drains the queue in batches and maps each
+//! batch onto the [`numkit::par`] workers, at most one per CPU.
 //!
 //! Batching is what turns N concurrent single-cell requests into one
 //! parallel sweep instead of N serialized transients: every drain takes
@@ -22,13 +22,13 @@ use std::sync::mpsc::Sender;
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::Duration;
 
-use crate::par_map;
 use crate::serve::{run_contained, run_sweep_cell, validate_model, CellReport, Scenario};
 
 use super::ServedModel;
 
-/// Upper bound on cells drained per batch — bounds the scoped-thread
-/// fan-out of one `par_map` round.
+/// Upper bound on cells one drain takes from the queue. It does not bound
+/// threads: [`numkit::par::map`] runs a batch on at most one worker per
+/// CPU.
 pub const MAX_BATCH: usize = 16;
 
 /// The work a queued cell performs.
@@ -126,8 +126,9 @@ impl Scheduler {
         }
     }
 
-    /// The runner loop: drain batches onto `par_map` until [`shutdown`]
-    /// lands *and* the queue is empty (queued work always completes).
+    /// The runner loop: drain batches onto [`numkit::par::map`] until
+    /// [`shutdown`] lands *and* the queue is empty (queued work always
+    /// completes).
     ///
     /// [`shutdown`]: Scheduler::shutdown
     pub fn run(&self) {
@@ -160,7 +161,7 @@ impl Scheduler {
             self.cells.fetch_add(batch.len() as u64, Ordering::Relaxed);
             self.max_batch
                 .fetch_max(batch.len() as u64, Ordering::Relaxed);
-            par_map(batch, |job| {
+            numkit::par::map(batch, |job| {
                 let report = run_contained(
                     || run_cell(&job.model, &job.task),
                     |detail| {

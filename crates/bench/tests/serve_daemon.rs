@@ -3,7 +3,6 @@
 //! scheduled cells, digest-keyed caching, drop-free hot reload — plus the
 //! lazy-store concurrency guarantees the daemon builds on.
 
-use emc_bench::par_map;
 use emc_bench::server::daemon::Client;
 use emc_bench::server::{run_load, start, LoadGenConfig, ServeConfig};
 use macromodel::driver::{PwRbfDriverModel, WeightSequence};
@@ -438,21 +437,24 @@ fn concurrent_lazy_access_parses_once_and_replays_errors() {
         .find(|e| e.path().ends_with("good.mdlx"))
         .unwrap();
 
-    // Hammer both entries from parallel workers: the OnceLock slot must
+    // Hammer both entries from parallel threads: the OnceLock slot must
     // parse each file exactly once and hand every thread the same memoized
     // result — identical &Artifact for the good file, an identical
-    // replayed error for the corrupt one.
-    let outcomes = par_map((0..16).collect::<Vec<usize>>(), |i| {
-        if i % 2 == 0 {
-            good.artifact()
-                .map(|a| a as *const _ as usize)
-                .map_err(|e| e.to_string())
-        } else {
-            broken
-                .artifact()
-                .map(|a| a as *const _ as usize)
-                .map_err(|e| e.to_string())
-        }
+    // replayed error for the corrupt one. One thread per item, not
+    // `numkit::par`: a per-CPU bound would leave fewer threads racing.
+    let outcomes: Vec<Result<usize, String>> = std::thread::scope(|s| {
+        let racers: Vec<_> = (0..16)
+            .map(|i| {
+                s.spawn(move || {
+                    let entry = if i % 2 == 0 { good } else { broken };
+                    entry
+                        .artifact()
+                        .map(|a| a as *const _ as usize)
+                        .map_err(|e| e.to_string())
+                })
+            })
+            .collect();
+        racers.into_iter().map(|r| r.join().unwrap()).collect()
     });
     let oks: Vec<usize> = outcomes
         .iter()

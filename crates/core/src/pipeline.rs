@@ -26,9 +26,8 @@ use crate::{Error, Result};
 use circuit::devices::{Resistor, SourceWaveform, VoltageSource};
 use circuit::{Waveform, GROUND};
 use numkit::interp::Pwl;
-use refdev::extraction::{capture_driver, capture_receiver, receiver_input_iv};
+use refdev::extraction::{capture_driver, capture_receiver, receiver_input_iv, PortCapture};
 use refdev::{CmosDriverSpec, ReceiverSpec};
-use std::thread;
 use sysid::arx::{ArxModel, ArxOrders};
 use sysid::narx::{NarxModel, NarxOrders, RbfTrainConfig};
 use sysid::signals;
@@ -86,13 +85,6 @@ impl Default for DriverEstimationConfig {
     }
 }
 
-/// Unwraps a scoped worker, re-raising panics on the calling thread.
-fn join_worker<T>(handle: thread::ScopedJoinHandle<'_, T>) -> T {
-    handle
-        .join()
-        .unwrap_or_else(|payload| std::panic::resume_unwind(payload))
-}
-
 /// Identification record of one state submodel (kept for diagnostics).
 #[derive(Debug, Clone)]
 pub struct StateIdRecord {
@@ -139,37 +131,37 @@ impl DriverCaptureKey {
     }
 }
 
-/// One identification capture: the recorded port voltage and current.
-#[derive(Debug, Clone)]
-pub(crate) struct StateCapture {
-    pub(crate) voltage: Waveform,
-    pub(crate) current: Waveform,
-}
-
 /// Every transistor-level waveform the driver estimation needs: the two
 /// state identifications plus the four switching captures (two patterns ×
 /// two identification loads).
 #[derive(Debug, Clone)]
 pub(crate) struct DriverCaptures {
-    pub(crate) high: StateCapture,
-    pub(crate) low: StateCapture,
-    /// `(voltage, current)` per switching capture, aligned with the capture
-    /// grid: `01` on load A / load B, then `10` on load A / load B.
-    pub(crate) c01a: (Vec<f64>, Vec<f64>),
-    pub(crate) c01b: (Vec<f64>, Vec<f64>),
-    pub(crate) c10a: (Vec<f64>, Vec<f64>),
-    pub(crate) c10b: (Vec<f64>, Vec<f64>),
+    pub(crate) high: PortCapture,
+    pub(crate) low: PortCapture,
+    /// The switching captures: `01` on load A / load B, then `10` on
+    /// load A / load B.
+    pub(crate) c01a: PortCapture,
+    pub(crate) c01b: PortCapture,
+    pub(crate) c10a: PortCapture,
+    pub(crate) c10b: PortCapture,
 }
 
 /// Runs the six independent transistor-level captures of the driver
-/// estimation on scoped workers (the expensive half of the pipeline).
+/// estimation on [`numkit::par`] workers (the expensive half of the
+/// pipeline).
 pub(crate) fn run_driver_captures(
     spec: &CmosDriverSpec,
     cfg: &DriverEstimationConfig,
 ) -> Result<DriverCaptures> {
-    let sw = |pattern: &'static str, to_vdd: bool, r: f64| -> Result<(Vec<f64>, Vec<f64>)> {
+    /// One capture: a held logic state (`true` is High), or a switching
+    /// pattern into a resistor to ground or (`true`) to VDD.
+    enum Job {
+        State(bool),
+        Switching(&'static str, bool, f64),
+    }
+    let switching = |pattern: &'static str, to_vdd: bool, r: f64| -> Result<PortCapture> {
         let t_stop = cfg.t_pre + cfg.t_window;
-        let c = capture_driver(
+        capture_driver(
             spec,
             spec.pattern(pattern, cfg.t_pre),
             |ckt, pad| {
@@ -189,33 +181,33 @@ pub(crate) fn run_driver_captures(
             },
             cfg.ts,
             t_stop,
-        )?;
-        Ok((c.voltage.values().to_vec(), c.current.values().to_vec()))
-    };
-    let sw = &sw;
-    let (high, low, c01a, c01b, c10a, c10b) = thread::scope(|s| {
-        let high = s.spawn(|| capture_state(spec, true, cfg));
-        let low = s.spawn(|| capture_state(spec, false, cfg));
-        let c01a = s.spawn(move || sw("01", false, cfg.r_load_a));
-        let c01b = s.spawn(move || sw("01", true, cfg.r_load_b));
-        let c10a = s.spawn(move || sw("10", false, cfg.r_load_a));
-        let c10b = sw("10", true, cfg.r_load_b);
-        (
-            join_worker(high),
-            join_worker(low),
-            join_worker(c01a),
-            join_worker(c01b),
-            join_worker(c10a),
-            c10b,
         )
+        .map_err(Error::from)
+    };
+    // Longest first: the multilevel state identifications outlast the
+    // switching records.
+    let (r_a, r_b) = (cfg.r_load_a, cfg.r_load_b);
+    let jobs = vec![
+        Job::State(true),
+        Job::State(false),
+        Job::Switching("01", false, r_a),
+        Job::Switching("01", true, r_b),
+        Job::Switching("10", false, r_a),
+        Job::Switching("10", true, r_b),
+    ];
+    let caps = numkit::par::map(jobs, |job| match job {
+        Job::State(high) => capture_state(spec, high, cfg),
+        Job::Switching(pattern, to_vdd, r) => switching(pattern, to_vdd, r),
     });
+    let caps: Vec<PortCapture> = caps.into_iter().collect::<Result<_>>()?;
+    let [high, low, c01a, c01b, c10a, c10b] = caps.try_into().expect("six jobs");
     Ok(DriverCaptures {
-        high: high?,
-        low: low?,
-        c01a: c01a?,
-        c01b: c01b?,
-        c10a: c10a?,
-        c10b: c10b?,
+        high,
+        low,
+        c01a,
+        c01b,
+        c10a,
+        c10b,
     })
 }
 
@@ -226,23 +218,23 @@ pub(crate) fn fit_driver_from_captures(
     cfg: &DriverEstimationConfig,
     caps: &DriverCaptures,
 ) -> Result<(PwRbfDriverModel, StateIdRecord, StateIdRecord)> {
-    // --- 1. state submodels (independent fits, one on a scoped worker) ---
-    let (high, low) = thread::scope(|s| {
-        let high = s.spawn(|| fit_state_submodel(&caps.high, cfg));
-        let low = fit_state_submodel(&caps.low, cfg);
-        (join_worker(high), low)
-    });
+    // --- 1. state submodels (independent fits) ---
+    let (high, low) = numkit::par::join(
+        || fit_state_submodel(&caps.high, cfg),
+        || fit_state_submodel(&caps.low, cfg),
+    );
     let (i_high, rec_high) = high?;
     let (i_low, rec_low) = low?;
 
     // --- 2. switching-weight inversion on the two identification loads ---
     let k_edge = (cfg.t_pre / cfg.ts).round() as usize;
     let mut weights = Vec::with_capacity(2);
-    for (captures, anchors) in [
+    for ((a, b), anchors) in [
         ((&caps.c01a, &caps.c01b), ((0.0, 1.0), (1.0, 0.0))),
         ((&caps.c10a, &caps.c10b), ((1.0, 0.0), (0.0, 1.0))),
     ] {
-        let ((v_a, i_a), (v_b, i_b)) = captures;
+        let (v_a, i_a) = (a.voltage.values(), a.current.values());
+        let (v_b, i_b) = (b.voltage.values(), b.current.values());
         // Submodel free runs on the recorded voltages, from settled initial
         // conditions at the first sample.
         let run = |m: &NarxModel, v: &[f64]| -> Vec<f64> {
@@ -328,7 +320,7 @@ fn capture_state(
     spec: &CmosDriverSpec,
     high: bool,
     cfg: &DriverEstimationConfig,
-) -> Result<StateCapture> {
+) -> Result<PortCapture> {
     let lo = -cfg.v_margin;
     let hi = spec.vdd + cfg.v_margin;
     let sig = signals::multilevel(
@@ -346,7 +338,7 @@ fn capture_state(
     })?;
     let t_stop = *times.last().expect("non-empty signal");
     let input_level = if high { spec.vdd } else { 0.0 };
-    let capture = capture_driver(
+    Ok(capture_driver(
         spec,
         SourceWaveform::dc(input_level),
         move |ckt, pad| {
@@ -360,16 +352,12 @@ fn capture_state(
         },
         cfg.ts,
         t_stop,
-    )?;
-    Ok(StateCapture {
-        voltage: capture.voltage,
-        current: capture.current,
-    })
+    )?)
 }
 
 /// Fits one state submodel from its recorded capture.
 fn fit_state_submodel(
-    capture: &StateCapture,
+    capture: &PortCapture,
     cfg: &DriverEstimationConfig,
 ) -> Result<(NarxModel, StateIdRecord)> {
     let v = capture.voltage.values();
@@ -551,7 +539,8 @@ pub(crate) fn protection_signals(vdd: f64, cfg: &ReceiverEstimationConfig) -> (V
     (sig_up, sig_dn)
 }
 
-/// Runs the three independent receiver captures on scoped workers.
+/// Runs the three independent receiver captures on [`numkit::par`]
+/// workers.
 pub(crate) fn run_receiver_captures(
     spec: &ReceiverSpec,
     cfg: &ReceiverEstimationConfig,
@@ -564,12 +553,11 @@ pub(crate) fn run_receiver_captures(
         cfg.edge_samples,
     );
     let (sig_up, sig_dn) = protection_signals(spec.vdd, cfg);
-    let (lin, up, dn) = thread::scope(|s| {
-        let cap_lin = s.spawn(|| capture_rx(spec, lin_sig, cfg.ts));
-        let cap_up = s.spawn(|| capture_rx(spec, sig_up, cfg.ts));
-        let cap_dn = capture_rx(spec, sig_dn, cfg.ts);
-        (join_worker(cap_lin), join_worker(cap_up), cap_dn)
+    // Longest first: the protection staircases outlast the linear steps.
+    let caps = numkit::par::map(vec![sig_up, sig_dn, lin_sig], |sig| {
+        capture_rx(spec, sig, cfg.ts)
     });
+    let [up, dn, lin]: [_; 3] = caps.try_into().expect("three jobs");
     Ok(ReceiverCaptures {
         lin: lin?,
         up: up?,
@@ -690,11 +678,10 @@ pub(crate) struct CrCaptures {
 pub(crate) fn run_cr_captures(spec: &ReceiverSpec, ts: f64) -> Result<CrCaptures> {
     // The step capture (for C) and the DC sweep (for R̂) are independent.
     let sig = signals::step_train(0.1 * spec.vdd, 0.9 * spec.vdd, 6, 40, 6);
-    let (cap, sweep) = thread::scope(|s| {
-        let cap = s.spawn(|| capture_rx(spec, sig, ts));
-        let sweep = receiver_input_iv(spec, (-1.2, spec.vdd + 1.2), 49);
-        (join_worker(cap), sweep)
-    });
+    let (cap, sweep) = numkit::par::join(
+        || capture_rx(spec, sig, ts),
+        || receiver_input_iv(spec, (-1.2, spec.vdd + 1.2), 49),
+    );
     let sweep = sweep?;
     Ok(CrCaptures {
         step: cap?,

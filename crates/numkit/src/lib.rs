@@ -2,8 +2,9 @@
 //!
 //! This crate provides the numerical substrate used by the rest of the
 //! workspace: a dense row-major [`Matrix`], LU / QR / Cholesky factorizations,
-//! linear least squares, 1-D interpolation, basic descriptive statistics and
-//! the workspace's one seeded generator ([`rng::SplitMix64`]).
+//! linear least squares, 1-D interpolation, basic descriptive statistics,
+//! the workspace's one seeded generator ([`rng::SplitMix64`]) and its one
+//! CPU fan-out ([`par`]).
 //!
 //! It is deliberately minimal: the dense paths serve the small systems
 //! (regression problems with a few thousand rows and tens of columns) with
@@ -35,6 +36,7 @@ pub mod interp;
 pub mod lstsq;
 pub mod lu;
 pub mod matrix;
+pub mod par;
 pub mod qr;
 pub mod rng;
 pub mod sparse;

@@ -111,13 +111,11 @@ impl IbisModel {
     pub fn extract(spec: &CmosDriverSpec, cfg: IbisExtractConfig) -> Result<IbisModel> {
         let vdd = spec.vdd;
         let v_range = (-0.5 * vdd, 1.5 * vdd);
-        // The pullup and pulldown table sweeps are independent: one on a
-        // scoped worker, one here.
-        let (pu, pd) = std::thread::scope(|s| {
-            let pu = s.spawn(|| driver_output_iv(spec, true, v_range, cfg.iv_points));
-            let pd = driver_output_iv(spec, false, v_range, cfg.iv_points);
-            (join_worker(pu), pd)
-        });
+        // The pullup and pulldown table sweeps are independent.
+        let (pu, pd) = numkit::par::join(
+            || driver_output_iv(spec, true, v_range, cfg.iv_points),
+            || driver_output_iv(spec, false, v_range, cfg.iv_points),
+        );
         let (pu, pd) = (pu?, pd?);
         let pullup = Pwl::new(pu.voltages.clone(), pu.currents)?;
         let pulldown = Pwl::new(pd.voltages.clone(), pd.currents)?;
@@ -160,18 +158,10 @@ impl IbisModel {
         };
 
         // Four independent V–T waveform captures (rise/fall × two fixtures).
-        let capture = &capture;
-        let (c1r, c2r, c1f, c2f) = std::thread::scope(|s| {
-            let c1r = s.spawn(move || capture(true, false));
-            let c2r = s.spawn(move || capture(true, true));
-            let c1f = s.spawn(move || capture(false, false));
-            let c2f = capture(false, true);
-            (join_worker(c1r), join_worker(c2r), join_worker(c1f), c2f)
-        });
-        let (v1r, i1r) = c1r?;
-        let (v2r, i2r) = c2r?;
-        let (v1f, i1f) = c1f?;
-        let (v2f, i2f) = c2f?;
+        let fixtures = vec![(true, false), (true, true), (false, false), (false, true)];
+        let caps = numkit::par::map(fixtures, |(rising, to_vdd)| capture(rising, to_vdd));
+        let caps: Vec<_> = caps.into_iter().collect::<Result<_>>()?;
+        let [(v1r, i1r), (v2r, i2r), (v1f, i1f), (v2f, i2f)] = caps.try_into().expect("four jobs");
 
         let (ku_rise, kd_rise) =
             solve_switching(&pullup, &pulldown, &v1r, &i1r, &v2r, &i2r, (0.0, 1.0))?;
@@ -295,13 +285,6 @@ impl IbisModel {
         self.instantiate_at(ckt, out, pattern, bit_time);
         out
     }
-}
-
-/// Unwraps a scoped worker, re-raising panics on the calling thread.
-fn join_worker<T>(handle: std::thread::ScopedJoinHandle<'_, T>) -> T {
-    handle
-        .join()
-        .unwrap_or_else(|payload| std::panic::resume_unwind(payload))
 }
 
 /// Per-sample 2×2 solve for the switching coefficients.

@@ -5,6 +5,8 @@
 #
 #   ls / info / simulate / stats   one-shot `mdl request` checks — every
 #                                  response must carry "ok":true
+#   descriptor leak                200 sequential `request ls` calls must
+#                                  not grow the daemon's open descriptors
 #   hot reload                     rewrites an artifact in place and polls
 #                                  until the daemon's reload counter moves
 #                                  without dropping the connection
@@ -35,6 +37,8 @@ mkdir -p "$(dirname "$sock")"
 mdl() {
     cargo run --release -q -p emc-bench --bin mdl -- "$@"
 }
+root="$(cd "$(dirname "$0")/.." && pwd)"
+mdl_bin="${CARGO_TARGET_DIR:-$root/target}/release/mdl"
 
 serve_pid=""
 cleanup() {
@@ -67,6 +71,27 @@ mdl request --socket "$sock" ls
 mdl request --socket "$sock" info md1 >/dev/null
 mdl request --socket "$sock" simulate md1 >/dev/null
 mdl request --socket "$sock" stats >/dev/null
+
+echo "== descriptor leak: 200 sequential requests"
+# $serve_pid is the backgrounded shell; the daemon is the `mdl` process
+# serving this socket. The requests call the built binary directly to keep
+# the loop fast.
+daemon_pid=""
+for pid in $(pgrep -f -- "--socket $sock --poll-ms"); do
+    [ "$(cat "/proc/$pid/comm" 2>/dev/null)" = mdl ] && daemon_pid="$pid"
+done
+[ -n "$daemon_pid" ] || { echo "no mdl process serves $sock" >&2; exit 1; }
+open_fds() { ls "/proc/$daemon_pid/fd" | wc -l; }
+fds_before="$(open_fds)"
+for _ in $(seq 1 200); do
+    "$mdl_bin" request --socket "$sock" ls >/dev/null
+done
+fds_after="$(open_fds)"
+if [ "$fds_after" -gt $((fds_before + 8)) ]; then
+    echo "daemon leaks descriptors: $fds_before -> $fds_after after 200 requests" >&2
+    exit 1
+fi
+echo "descriptors: ok ($fds_before -> $fds_after after 200 requests)"
 
 echo "== hot reload: rewrite an artifact, wait for the daemon to notice"
 reloads() {
