@@ -154,11 +154,6 @@ impl Matrix {
         &self.data
     }
 
-    /// Extracts column `c` as an owned vector.
-    pub fn col_vec(&self, c: usize) -> Vec<f64> {
-        (0..self.rows).map(|r| self.get(r, c)).collect()
-    }
-
     /// Returns the transpose.
     pub fn transpose(&self) -> Matrix {
         let mut t = Matrix::zeros(self.cols, self.rows);
@@ -356,7 +351,6 @@ mod tests {
         assert_eq!(m.cols(), 3);
         assert_eq!(m.get(1, 2), 6.0);
         assert_eq!(m.row(0), &[1.0, 2.0, 3.0]);
-        assert_eq!(m.col_vec(1), vec![2.0, 5.0]);
     }
 
     #[test]

@@ -179,9 +179,26 @@ impl NarxModel {
                 message: format!("u has {} samples, y has {}", u.len(), y.len()),
             });
         }
-        if cfg.max_centers == 0 || cfg.candidate_pool == 0 || cfg.width_scale <= 0.0 {
+        if cfg.max_centers == 0 || cfg.candidate_pool == 0 {
             return Err(Error::InvalidStructure {
-                message: "max_centers, candidate_pool and width_scale must be positive".into(),
+                message: "max_centers and candidate_pool must be positive".into(),
+            });
+        }
+        // `is_finite` also rejects NaN, which a `<= 0.0` check lets through.
+        if !(cfg.width_scale.is_finite() && cfg.width_scale > 0.0) {
+            return Err(Error::InvalidStructure {
+                message: format!(
+                    "width_scale must be finite and positive, got {}",
+                    cfg.width_scale
+                ),
+            });
+        }
+        if !(cfg.ols_tolerance.is_finite() && cfg.ols_tolerance >= 0.0) {
+            return Err(Error::InvalidStructure {
+                message: format!(
+                    "ols_tolerance must be finite and non-negative, got {}",
+                    cfg.ols_tolerance
+                ),
             });
         }
         let start = orders.start();
@@ -228,37 +245,19 @@ impl NarxModel {
         // 3. Candidate centers: uniform stride over the rows, each offered
         // at several widths (multi-scale RBF). Sharp features such as diode
         // knees need narrow units while the broad trend wants wide ones;
-        // OLS picks whichever scale reduces the residual most.
+        // OLS picks whichever scale reduces the residual most (`SCALES`).
         let stride = (n_rows / cfg.candidate_pool).max(1);
         let base_centers: Vec<Vec<f64>> = rows.iter().step_by(stride).cloned().collect();
         let base_width = width_heuristic(&base_centers, cfg.width_scale);
-        const SCALES: [f64; 3] = [1.0, 0.3, 0.1];
-        let mut candidates: Vec<(Vec<f64>, f64)> = Vec::with_capacity(base_centers.len() * 3);
-        for c in &base_centers {
-            for s in SCALES {
-                candidates.push((c.clone(), base_width * s));
-            }
-        }
 
-        // 4–5. OLS selection on the residual. The squared distance is
-        // computed once per base center and shared by all width scales;
-        // far-field responses (exponent beyond ~1e-20) skip the `exp` call
-        // entirely — narrow scales zero out most of the matrix.
-        let mut phi = Matrix::zeros(n_rows, candidates.len());
-        for (r, row) in rows.iter().enumerate() {
-            for (b, cand) in base_centers.iter().enumerate() {
-                let d2: f64 = row.iter().zip(cand).map(|(a, b)| (a - b) * (a - b)).sum();
-                for (si, s) in SCALES.iter().enumerate() {
-                    let w = base_width * s;
-                    let arg = d2 / (2.0 * w * w);
-                    if arg < 46.0 {
-                        phi.set(r, b * SCALES.len() + si, (-arg).exp());
-                    }
-                }
-            }
-        }
+        // 4–5. OLS selection on the residual, over one column-major slab of
+        // Gaussian candidates (`candidate_slab`): candidate `i` is base
+        // center `i / 3` at width `base_width * SCALES[i % 3]`, and its
+        // column is `slab[i * n_rows..(i + 1) * n_rows]`.
+        let slab = candidate_slab(&rows, &base_centers, base_width);
         let sel = ols::select(
-            &phi,
+            &slab,
+            n_rows,
             &resid,
             OlsStop {
                 max_terms: cfg.max_centers,
@@ -268,20 +267,28 @@ impl NarxModel {
         let centers: Vec<Vec<f64>> = sel
             .selected
             .iter()
-            .map(|&i| candidates[i].0.clone())
+            .map(|&i| base_centers[i / SCALES.len()].clone())
             .collect();
-        let widths: Vec<f64> = sel.selected.iter().map(|&i| candidates[i].1).collect();
+        let widths: Vec<f64> = sel
+            .selected
+            .iter()
+            .map(|&i| base_width * SCALES[i % SCALES.len()])
+            .collect();
 
-        // 6. Joint refit: [1 | x | phi_selected].
+        // 6. Joint refit: [1 | x | phi_selected], the Gaussian columns read
+        // straight from the slab.
         let n_cols = 1 + dim + centers.len();
         let mut a_full = Matrix::zeros(n_rows, n_cols);
-        for r in 0..n_rows {
+        for (r, row) in rows.iter().enumerate() {
             a_full.set(r, 0, 1.0);
-            for c in 0..dim {
-                a_full.set(r, c + 1, rows[r][c]);
+            for (c, v) in row.iter().enumerate() {
+                a_full.set(r, c + 1, *v);
             }
-            for (c, &sel_idx) in sel.selected.iter().enumerate() {
-                a_full.set(r, 1 + dim + c, phi.get(r, sel_idx));
+        }
+        for (c, &sel_idx) in sel.selected.iter().enumerate() {
+            let col = &slab[sel_idx * n_rows..(sel_idx + 1) * n_rows];
+            for (r, v) in col.iter().enumerate() {
+                a_full.set(r, 1 + dim + c, *v);
             }
         }
         let full = lstsq::robust_ls(&a_full, &targets)?;
@@ -291,6 +298,39 @@ impl NarxModel {
         let net = RbfNetwork::from_parts(dim, centers, widths, weights, bias, linear)?;
         Ok(NarxModel { orders, net })
     }
+}
+
+/// Width scales at which every base center is offered to OLS.
+const SCALES: [f64; 3] = [1.0, 0.3, 0.1];
+
+/// Gaussian responses of every (base center, width scale) candidate at
+/// every regressor row, as one column-major slab: candidate
+/// `i = b * SCALES.len() + s` (center `b` at width `base_width * SCALES[s]`)
+/// occupies `slab[i * rows.len()..(i + 1) * rows.len()]`.
+///
+/// The squared distance is computed once per (row, center) and shared by
+/// the three width scales, whose columns are written together. Far-field
+/// responses (exponent beyond ~1e-20) skip the `exp` call and stay `+0.0`;
+/// that is about half of each narrowest-scale column.
+fn candidate_slab(rows: &[Vec<f64>], base_centers: &[Vec<f64>], base_width: f64) -> Vec<f64> {
+    let n = rows.len();
+    let mut slab = vec![0.0; base_centers.len() * SCALES.len() * n];
+    for (cand, block) in base_centers
+        .iter()
+        .zip(slab.chunks_exact_mut(SCALES.len() * n))
+    {
+        for (r, row) in rows.iter().enumerate() {
+            let d2: f64 = row.iter().zip(cand).map(|(a, b)| (a - b) * (a - b)).sum();
+            for (si, s) in SCALES.iter().enumerate() {
+                let w = base_width * s;
+                let arg = d2 / (2.0 * w * w);
+                if arg < 46.0 {
+                    block[si * n + r] = (-arg).exp();
+                }
+            }
+        }
+    }
+    slab
 }
 
 /// Fits models of dynamic order `1..=max_r` and returns the one with the
@@ -419,6 +459,139 @@ mod tests {
             ..cfg
         };
         assert!(NarxModel::fit(&[0.0; 50], &[0.0; 50], NarxOrders::dynamic(1), bad).is_err());
+    }
+
+    /// A NaN width scale used to pass the `<= 0.0` check and train a model
+    /// of 1e-12-wide units; NaN or negative OLS tolerances silently ran to
+    /// `max_centers`. All are rejected before any work.
+    #[test]
+    fn fit_rejects_non_finite_or_negative_scales() {
+        let u: Vec<f64> = (0..200).map(|k| (0.1 * k as f64).sin()).collect();
+        let mut y = vec![0.0; u.len()];
+        for k in 1..u.len() {
+            y[k] = 0.5 * y[k - 1] + u[k];
+        }
+        let cfg = RbfTrainConfig::default();
+        for bad in [
+            RbfTrainConfig {
+                width_scale: f64::NAN,
+                ..cfg
+            },
+            RbfTrainConfig {
+                width_scale: f64::INFINITY,
+                ..cfg
+            },
+            RbfTrainConfig {
+                ols_tolerance: f64::NAN,
+                ..cfg
+            },
+            RbfTrainConfig {
+                ols_tolerance: -1.0,
+                ..cfg
+            },
+        ] {
+            let e = NarxModel::fit(&u, &y, NarxOrders::dynamic(1), bad);
+            assert!(
+                matches!(e, Err(Error::InvalidStructure { .. })),
+                "{bad:?} gave {e:?}"
+            );
+        }
+        assert!(NarxModel::fit(&u, &y, NarxOrders::dynamic(1), cfg).is_ok());
+    }
+
+    /// Training series of `fit_golden_bits`: 899 rows, 180 base centers.
+    fn golden_series() -> (Vec<f64>, Vec<f64>) {
+        let u = rich_input(900, 0.3);
+        let y = nonlinear_system(&u);
+        (u, y)
+    }
+
+    /// Bits of every parameter of one default-config fit, recorded before
+    /// the candidate slab and the four-wide OLS kernel replaced the dense
+    /// row-major candidate matrix. Any change to candidate values, their
+    /// order or the OLS arithmetic shows up here.
+    #[test]
+    fn fit_golden_bits() {
+        let (u, y) = golden_series();
+        let model =
+            NarxModel::fit(&u, &y, NarxOrders::dynamic(1), RbfTrainConfig::default()).unwrap();
+        let net = model.network();
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        assert_eq!(net.bias().to_bits(), 0x3fae20368256f34d);
+        assert_eq!(
+            bits(net.linear()),
+            [0x3ff7c8c79e417626, 0xbfe8d3f4e6a0c408, 0x3fe8483c81382699]
+        );
+        assert_eq!(
+            bits(net.weights()),
+            [
+                0xbfd29cb312602bd2,
+                0x40013ed880c2e920,
+                0xbfff5428fe4e5074,
+                0x3fe0f20c30a3a945,
+                0x3fd9f739cbc78d21,
+                0x3f931c10d8fa10a0,
+                0x3fbee832e74d1561,
+                0xbfdb5ab2b46b252b,
+                0xbf9438796477aa29,
+                0x3fd2dc221ee04a6e,
+                0xbfcdaaab927d03ba,
+                0x3fd44335fe2517bd,
+                0x3fcc8e5fff559ac9,
+                0xbfba2c0da4b247fb,
+                0x3fc996632c038fe8,
+            ]
+        );
+        // Every selected unit is at scale 1.0 (`wide`) or 0.3 (`mid`).
+        let wide = 0x3fe4e8459ca8e388;
+        let mid = 0x3fcbe05cd0e12f60;
+        assert_eq!(
+            bits(net.widths()),
+            [wide, wide, wide, mid, wide, mid, wide, wide, mid, wide, wide, wide, wide, mid, mid]
+        );
+        let centers: Vec<Vec<u64>> = net.centers().iter().map(|c| bits(c)).collect();
+        assert_eq!(
+            centers,
+            [
+                [0xbfbc793cfd71933a, 0xbfd359d65d4bbd0a, 0xbff3b23a3830f768],
+                [0xbff1baec8f2552b4, 0xbfedcea0e92b8b8d, 0xbff2fbd78c0e4cf3],
+                [0xbff0709c45337633, 0xbfebd723a530fa2b, 0xbff3c1d63eb83a6f],
+                [0x3ff57900c5ed4e5c, 0x3ff25e0ce149a3b0, 0x0000000000000000],
+                [0xbffbe367d14f37ce, 0xbffbd928d8a1b709, 0xc006fc607c048f08],
+                [0x3fc39b95035305c4, 0x3fd615a9ac1e9be8, 0x3ffe698ff86ed7d7],
+                [0x3ff3429294898cbb, 0x3ff0104bea9e3702, 0x4000b781e8a26f5f],
+                [0x3fcc90d1b8b9f6b6, 0x3fdbadeb048c3547, 0x4001e17b69aa47be],
+                [0x3fe563c1f6980223, 0x3fec1153425a1b52, 0x400b0cf783dd60de],
+                [0x3ff98752b73726a2, 0x3ff71c895426b507, 0x400d336a420adbb4],
+                [0x3fec6148d94d13a2, 0x3ff12e5d39b23542, 0x400f09ec6bb0fc09],
+                [0xbfd19e2a32971ddb, 0xbfdd373358d9e40e, 0xbff53d0c16ccb264],
+                [0x3fd7cd9a4f83ef01, 0x3fe197e49de7cb7a, 0x40011db9401f2a62],
+                [0xbfc0644e38632622, 0x3fac11a8056f50c8, 0x3ff18d622d1bdb17],
+                [0x3ffd72e097b54f05, 0x3ffd258e0458c4b7, 0x40145ccd50a31ffa],
+            ]
+        );
+    }
+
+    /// The golden fit exercises the far-field skip: its narrowest-scale
+    /// candidate columns hold exact zeros, the wide ones none.
+    #[test]
+    fn golden_candidates_are_partly_sparse() {
+        let (u, y) = golden_series();
+        let rows: Vec<Vec<f64>> = (1..y.len())
+            .map(|k| vec![u[k], u[k - 1], y[k - 1]])
+            .collect();
+        let stride = rows.len() / RbfTrainConfig::default().candidate_pool;
+        let base: Vec<Vec<f64>> = rows.iter().step_by(stride).cloned().collect();
+        let slab = candidate_slab(&rows, &base, width_heuristic(&base, 1.0));
+        let zeros = |scale: usize| {
+            slab.chunks_exact(rows.len())
+                .skip(scale)
+                .step_by(SCALES.len())
+                .map(|col| col.iter().filter(|v| **v == 0.0).count())
+                .sum::<usize>()
+        };
+        assert_eq!(zeros(0), 0);
+        assert!(zeros(2) > slab.len() / SCALES.len() / 10, "{}", zeros(2));
     }
 
     #[test]

@@ -12,9 +12,21 @@
 //!
 //! is selected, until either a maximum count is reached or the unexplained
 //! energy drops below a tolerance.
+//!
+//! The candidates arrive as one column-major *slab*: candidate `i` is
+//! `cols[i * rows..(i + 1) * rows]`, so every column is a contiguous slice
+//! and is read in place, never copied. The O(N·M) passes (the initial
+//! `wᵀy` / `wᵀw` statistics and the per-step rank-1 update) run through
+//! a kernel that walks the rows once for four candidate columns with four
+//! independent accumulators. A single dot product is one serial chain of
+//! dependent floating-point adds and runs at add latency; four independent
+//! chains overlap. Each chain still adds its products in row order,
+//! starting from the same value as `Iterator::sum::<f64>`, and Rust never
+//! contracts `a += x * y` into a fused multiply-add, so every statistic is
+//! bit-identical to a plain sequential dot product — and with it every
+//! selection, error ratio and downstream model weight.
 
 use crate::{Error, Result};
-use numkit::Matrix;
 
 /// Outcome of a forward-selection run.
 #[derive(Debug, Clone)]
@@ -45,7 +57,59 @@ impl Default for OlsStop {
     }
 }
 
-/// Selects candidate columns of `p` (N×M) that best explain `y` (length N).
+/// Sequential dot product: one add chain in index order.
+fn dot(a: &[f64], b: &[f64]) -> f64 {
+    a.iter().zip(b).map(|(x, y)| x * y).sum()
+}
+
+/// Four dot products `a[j] · b[j]` in one pass over the rows.
+///
+/// Each accumulator adds its products in row order, starting where
+/// `Iterator::sum::<f64>` starts, so `dot4(a, b)[j]` is bit-identical to
+/// `dot(a[j], b[j])`: the four chains only interleave, they never mix.
+/// All eight slices must have the same length.
+fn dot4(a: [&[f64]; 4], b: [&[f64]; 4]) -> [f64; 4] {
+    let n = a[0].len();
+    // Re-slicing to `n` lets the compiler drop the per-row bounds checks.
+    let (a0, a1, a2, a3) = (&a[0][..n], &a[1][..n], &a[2][..n], &a[3][..n]);
+    let (b0, b1, b2, b3) = (&b[0][..n], &b[1][..n], &b[2][..n], &b[3][..n]);
+    let start: f64 = std::iter::empty::<f64>().sum();
+    let mut s = [start; 4];
+    for r in 0..n {
+        s[0] += a0[r] * b0[r];
+        s[1] += a1[r] * b1[r];
+        s[2] += a2[r] * b2[r];
+        s[3] += a3[r] * b3[r];
+    }
+    s
+}
+
+/// Dots each candidate column `idx` of the slab `cols` (columns of `rows`
+/// values) with `v`, or with itself when `v` is `None`, four columns per
+/// pass, and hands each `(index, dot)` pair to `f` in `idx` order.
+fn dot_columns(
+    v: Option<&[f64]>,
+    cols: &[f64],
+    rows: usize,
+    idx: &[usize],
+    mut f: impl FnMut(usize, f64),
+) {
+    let col = |i: usize| &cols[i * rows..(i + 1) * rows];
+    let mut quads = idx.chunks_exact(4);
+    for q in &mut quads {
+        let c = [col(q[0]), col(q[1]), col(q[2]), col(q[3])];
+        for (&i, d) in q.iter().zip(dot4(v.map_or(c, |v| [v; 4]), c)) {
+            f(i, d);
+        }
+    }
+    for &i in quads.remainder() {
+        f(i, dot(v.unwrap_or(col(i)), col(i)));
+    }
+}
+
+/// Selects candidate columns of the column-major slab `cols` (M columns of
+/// `rows` values each, candidate `i` at `cols[i * rows..(i + 1) * rows]`)
+/// that best explain `y` (length `rows`).
 ///
 /// The error-reduction ratios are maintained *incrementally*: after each
 /// Gram–Schmidt step the cached `wᵀy` / `wᵀw` of every candidate receive a
@@ -55,17 +119,19 @@ impl Default for OlsStop {
 /// the projection of its *original* column — so candidate columns are never
 /// copied or deflated at all. This turns the per-step cost from four O(N)
 /// passes per candidate (deflation write + re-read + two dot products) into
-/// a single read-only dot product.
+/// a single read-only dot product, which runs four columns at a time (see
+/// the module docs for why that stays bit-identical).
 ///
 /// # Errors
 ///
-/// * [`Error::LengthMismatch`] if `y.len() != p.rows()`.
+/// * [`Error::LengthMismatch`] if `y.len() != rows`, or if `cols.len()` is
+///   not a multiple of `rows`.
 /// * [`Error::InvalidStructure`] if `max_terms == 0`.
 /// * [`Error::InsufficientData`] for an empty target.
-pub fn select(p: &Matrix, y: &[f64], stop: OlsStop) -> Result<OlsSelection> {
-    if y.len() != p.rows() {
+pub fn select(cols: &[f64], rows: usize, y: &[f64], stop: OlsStop) -> Result<OlsSelection> {
+    if y.len() != rows {
         return Err(Error::LengthMismatch {
-            message: format!("target length {} != candidate rows {}", y.len(), p.rows()),
+            message: format!("target length {} != candidate rows {rows}", y.len()),
         });
     }
     if stop.max_terms == 0 {
@@ -73,11 +139,19 @@ pub fn select(p: &Matrix, y: &[f64], stop: OlsStop) -> Result<OlsSelection> {
             message: "max_terms must be positive".into(),
         });
     }
-    let n = p.rows();
-    let m = p.cols();
+    let n = rows;
     if n == 0 {
         return Err(Error::InsufficientData { needed: 1, got: 0 });
     }
+    if !cols.len().is_multiple_of(n) {
+        return Err(Error::LengthMismatch {
+            message: format!(
+                "candidate slab length {} is not a multiple of {n} rows",
+                cols.len()
+            ),
+        });
+    }
+    let m = cols.len() / n;
     let yty: f64 = y.iter().map(|v| v * v).sum();
     if yty == 0.0 {
         // Nothing to explain.
@@ -88,18 +162,19 @@ pub fn select(p: &Matrix, y: &[f64], stop: OlsStop) -> Result<OlsSelection> {
         });
     }
 
-    let dot = |a: &[f64], b: &[f64]| -> f64 { a.iter().zip(b).map(|(x, y)| x * y).sum() };
-
-    // Original candidate columns, extracted once (read-only from here on).
-    let cols: Vec<Vec<f64>> = (0..m).map(|c| p.col_vec(c)).collect();
     // Cached statistics of each candidate's *orthogonalized* remainder
     // w_i = p_i - proj_basis(p_i), updated rank-1 after every selection.
-    let mut wty: Vec<f64> = cols.iter().map(|c| dot(c, y)).collect();
-    let mut wtw: Vec<f64> = cols.iter().map(|c| dot(c, c)).collect();
+    let all: Vec<usize> = (0..m).collect();
+    let mut wty = vec![0.0; m];
+    dot_columns(Some(y), cols, n, &all, |i, d| wty[i] = d);
+    let mut wtw = vec![0.0; m];
+    dot_columns(None, cols, n, &all, |i, d| wtw[i] = d);
     let mut available: Vec<bool> = vec![true; m];
     // Materialized orthogonal basis (selected candidates only, ≤ max_terms).
     let mut basis: Vec<Vec<f64>> = Vec::new();
     let mut basis_wtw: Vec<f64> = Vec::new();
+    // Candidates still worth updating, rebuilt before each rank-1 update.
+    let mut active: Vec<usize> = Vec::with_capacity(m);
 
     let mut selected = Vec::new();
     let mut errs = Vec::new();
@@ -125,7 +200,7 @@ pub fn select(p: &Matrix, y: &[f64], stop: OlsStop) -> Result<OlsSelection> {
         available[idx] = false;
         // Materialize the selected orthogonal vector by deflating the
         // original column against the (orthogonal) basis.
-        let mut w_sel = cols[idx].clone();
+        let mut w_sel = cols[idx * n..(idx + 1) * n].to_vec();
         for (wj, &wjw) in basis.iter().zip(&basis_wtw) {
             let proj = dot(wj, &w_sel) / wjw;
             for (wv, bj) in w_sel.iter_mut().zip(wj) {
@@ -151,14 +226,13 @@ pub fn select(p: &Matrix, y: &[f64], stop: OlsStop) -> Result<OlsSelection> {
         // Rank-1 update of the cached statistics. Orthogonality of the
         // basis makes ⟨w_sel, w_i⟩ = ⟨w_sel, p_i⟩, so one dot product with
         // the original column suffices.
-        for i in 0..m {
-            if !available[i] || wtw[i] < 1e-20 {
-                continue;
-            }
-            let proj = dot(&w_sel, &cols[i]) / wtw_sel;
+        active.clear();
+        active.extend((0..m).filter(|&i| available[i] && wtw[i] >= 1e-20));
+        dot_columns(Some(&w_sel), cols, n, &active, |i, d| {
+            let proj = d / wtw_sel;
             wty[i] -= proj * wty_sel;
             wtw[i] = (wtw[i] - proj * proj * wtw_sel).max(0.0);
-        }
+        });
         basis.push(w_sel);
         basis_wtw.push(wtw_sel);
     }
@@ -174,21 +248,27 @@ pub fn select(p: &Matrix, y: &[f64], stop: OlsStop) -> Result<OlsSelection> {
 mod tests {
     use super::*;
 
+    /// Column-major slab of `m` candidates over `n` rows, candidate `c` at
+    /// row `r` being `f(r, c)`.
+    fn slab(n: usize, m: usize, f: impl Fn(usize, usize) -> f64) -> Vec<f64> {
+        (0..m)
+            .flat_map(|c| (0..n).map(move |r| (r, c)))
+            .map(|(r, c)| f(r, c))
+            .collect()
+    }
+
     /// y is exactly column 2 of the candidates: selection must find it first
     /// and explain everything with one term.
     #[test]
     fn picks_exact_match_first() {
         let n = 50;
-        let mut p = Matrix::zeros(n, 3);
-        let mut y = vec![0.0; n];
-        for r in 0..n {
+        let cand = |r: usize, c: usize| {
             let t = r as f64 * 0.1;
-            p.set(r, 0, t.sin());
-            p.set(r, 1, (2.0 * t).cos());
-            p.set(r, 2, (0.5 * t).sin() * t);
-            y[r] = p.get(r, 2);
-        }
-        let sel = select(&p, &y, OlsStop::default()).unwrap();
+            [t.sin(), (2.0 * t).cos(), (0.5 * t).sin() * t][c]
+        };
+        let p = slab(n, 3, cand);
+        let y: Vec<f64> = (0..n).map(|r| cand(r, 2)).collect();
+        let sel = select(&p, n, &y, OlsStop::default()).unwrap();
         assert_eq!(sel.selected[0], 2);
         assert!(sel.residual_ratio < 1e-9);
         assert!(sel.err[0] > 1.0 - 1e-9);
@@ -199,17 +279,20 @@ mod tests {
     #[test]
     fn selects_combination() {
         let n = 80;
-        let mut p = Matrix::zeros(n, 3);
-        let mut y = vec![0.0; n];
-        for r in 0..n {
+        let p = slab(n, 3, |r, c| {
             let t = r as f64 * 0.05;
-            p.set(r, 0, t.sin());
-            p.set(r, 1, (3.0 * t + 0.4).cos());
-            p.set(r, 2, (7.0 * t).sin()); // distractor
-            y[r] = 2.0 * t.sin() - 0.7 * (3.0 * t + 0.4).cos();
-        }
+            // The last column is a distractor.
+            [t.sin(), (3.0 * t + 0.4).cos(), (7.0 * t).sin()][c]
+        });
+        let y: Vec<f64> = (0..n)
+            .map(|r| {
+                let t = r as f64 * 0.05;
+                2.0 * t.sin() - 0.7 * (3.0 * t + 0.4).cos()
+            })
+            .collect();
         let sel = select(
             &p,
+            n,
             &y,
             OlsStop {
                 max_terms: 2,
@@ -226,18 +309,19 @@ mod tests {
     #[test]
     fn tolerance_stops_early() {
         let n = 40;
-        let mut p = Matrix::zeros(n, 4);
-        let mut y = vec![0.0; n];
-        for r in 0..n {
+        let p = slab(n, 4, |r, c| {
             let t = r as f64 * 0.1;
-            p.set(r, 0, t.sin());
-            p.set(r, 1, t.cos());
-            p.set(r, 2, (2.0 * t).sin());
-            p.set(r, 3, (3.0 * t).cos());
-            y[r] = t.sin() + 1e-6 * (3.0 * t).cos();
-        }
+            [t.sin(), t.cos(), (2.0 * t).sin(), (3.0 * t).cos()][c]
+        });
+        let y: Vec<f64> = (0..n)
+            .map(|r| {
+                let t = r as f64 * 0.1;
+                t.sin() + 1e-6 * (3.0 * t).cos()
+            })
+            .collect();
         let sel = select(
             &p,
+            n,
             &y,
             OlsStop {
                 max_terms: 4,
@@ -253,16 +337,14 @@ mod tests {
     fn dependent_columns_skipped() {
         // Two identical columns: only one can be selected.
         let n = 30;
-        let mut p = Matrix::zeros(n, 2);
-        let mut y = vec![0.0; n];
-        for r in 0..n {
-            let t = r as f64;
-            p.set(r, 0, t);
-            p.set(r, 1, t);
-            y[r] = 3.0 * t + ((r % 3) as f64 - 1.0); // not exactly in span
-        }
+        let p = slab(n, 2, |r, _| r as f64);
+        // Not exactly in the span of the columns.
+        let y: Vec<f64> = (0..n)
+            .map(|r| 3.0 * r as f64 + ((r % 3) as f64 - 1.0))
+            .collect();
         let sel = select(
             &p,
+            n,
             &y,
             OlsStop {
                 max_terms: 2,
@@ -275,24 +357,56 @@ mod tests {
 
     #[test]
     fn zero_target_short_circuits() {
-        let p = Matrix::zeros(5, 2);
-        let sel = select(&p, &[0.0; 5], OlsStop::default()).unwrap();
+        let p = vec![0.0; 10];
+        let sel = select(&p, 5, &[0.0; 5], OlsStop::default()).unwrap();
         assert!(sel.selected.is_empty());
         assert_eq!(sel.residual_ratio, 0.0);
     }
 
     #[test]
     fn validation_errors() {
-        let p = Matrix::zeros(5, 2);
-        assert!(select(&p, &[0.0; 4], OlsStop::default()).is_err());
-        assert!(select(
-            &p,
-            &[0.0; 5],
-            OlsStop {
-                max_terms: 0,
-                tolerance: 0.0
-            }
-        )
-        .is_err());
+        let p = vec![0.0; 10];
+        assert!(matches!(
+            select(&p, 5, &[0.0; 4], OlsStop::default()),
+            Err(Error::LengthMismatch { .. })
+        ));
+        assert!(matches!(
+            select(
+                &p,
+                5,
+                &[0.0; 5],
+                OlsStop {
+                    max_terms: 0,
+                    tolerance: 0.0
+                }
+            ),
+            Err(Error::InvalidStructure { .. })
+        ));
+        // A slab that does not split into whole columns.
+        assert!(matches!(
+            select(&p[..9], 5, &[1.0; 5], OlsStop::default()),
+            Err(Error::LengthMismatch { .. })
+        ));
+        assert!(matches!(
+            select(&[], 0, &[], OlsStop::default()),
+            Err(Error::InsufficientData { .. })
+        ));
+    }
+
+    /// The four-wide kernel matches the sequential dot bit for bit,
+    /// signed zeros included.
+    #[test]
+    fn dot4_matches_dot_bitwise() {
+        let a: Vec<f64> = (0..37).map(|k| (k as f64 * 0.7).sin() * 1e3).collect();
+        let b: Vec<f64> = (0..37).map(|k| (k as f64 * 1.3).cos() / 7.0).collect();
+        let neg_zero = vec![-0.0; 37];
+        let pos_zero = vec![0.0; 37];
+        let cols = [&b[..], &neg_zero[..], &pos_zero[..], &a[..]];
+        let d = dot4([&a[..]; 4], cols);
+        for (dj, c) in d.iter().zip(cols) {
+            assert_eq!(dj.to_bits(), dot(&a, c).to_bits());
+        }
+        let e = dot4([&neg_zero[..]; 4], [&pos_zero[..]; 4]);
+        assert_eq!(e[0].to_bits(), dot(&neg_zero, &pos_zero).to_bits());
     }
 }

@@ -1,10 +1,12 @@
 //! Property-based tests of the identification machinery.
 
 use numkit::rng::SplitMix64;
+use numkit::Matrix;
 use proptest::prelude::*;
 use sysid::arx::{ArxModel, ArxOrders};
 use sysid::flat::{FlatArx, FlatNarx, LaneRing};
 use sysid::narx::{NarxModel, NarxOrders, RbfTrainConfig};
+use sysid::ols::{self, OlsSelection, OlsStop};
 use sysid::rbf::RbfNetwork;
 use sysid::signals;
 
@@ -195,4 +197,186 @@ proptest! {
             y_past.push_row(&y);
         }
     }
+}
+
+/// Forward selection as `ols::select` computed it over a dense row-major
+/// candidate matrix: an owned copy of every column and one sequential dot
+/// product per statistic. The oracle for the slab and its four-wide kernel.
+fn select_reference(p: &Matrix, y: &[f64], stop: OlsStop) -> OlsSelection {
+    let (n, m) = (p.rows(), p.cols());
+    let yty: f64 = y.iter().map(|v| v * v).sum();
+    if yty == 0.0 {
+        return OlsSelection {
+            selected: Vec::new(),
+            err: Vec::new(),
+            residual_ratio: 0.0,
+        };
+    }
+    let dot = |a: &[f64], b: &[f64]| -> f64 { a.iter().zip(b).map(|(x, y)| x * y).sum() };
+    let cols: Vec<Vec<f64>> = (0..m)
+        .map(|c| (0..n).map(|r| p.get(r, c)).collect())
+        .collect();
+    let mut wty: Vec<f64> = cols.iter().map(|c| dot(c, y)).collect();
+    let mut wtw: Vec<f64> = cols.iter().map(|c| dot(c, c)).collect();
+    let mut available = vec![true; m];
+    let mut basis: Vec<Vec<f64>> = Vec::new();
+    let mut basis_wtw: Vec<f64> = Vec::new();
+    let (mut selected, mut errs, mut explained) = (Vec::new(), Vec::new(), 0.0);
+    let max_terms = stop.max_terms.min(m).min(n);
+    while selected.len() < max_terms {
+        let mut best: Option<(usize, f64)> = None;
+        for i in 0..m {
+            if !available[i] || wtw[i] < 1e-20 {
+                continue;
+            }
+            let err = wty[i] * wty[i] / (wtw[i] * yty);
+            if best.is_none_or(|(_, e)| err > e) {
+                best = Some((i, err));
+            }
+        }
+        let Some((idx, _)) = best else {
+            break;
+        };
+        available[idx] = false;
+        let mut w_sel = cols[idx].clone();
+        for (wj, &wjw) in basis.iter().zip(&basis_wtw) {
+            let proj = dot(wj, &w_sel) / wjw;
+            for (wv, bj) in w_sel.iter_mut().zip(wj) {
+                *wv -= proj * bj;
+            }
+        }
+        let wtw_sel = dot(&w_sel, &w_sel);
+        if wtw_sel < 1e-20 {
+            wtw[idx] = 0.0;
+            continue;
+        }
+        let wty_sel = dot(&w_sel, y);
+        let err = wty_sel * wty_sel / (wtw_sel * yty);
+        explained += err;
+        selected.push(idx);
+        errs.push(err);
+        if 1.0 - explained < stop.tolerance {
+            break;
+        }
+        for i in 0..m {
+            if !available[i] || wtw[i] < 1e-20 {
+                continue;
+            }
+            let proj = dot(&w_sel, &cols[i]) / wtw_sel;
+            wty[i] -= proj * wty_sel;
+            wtw[i] = (wtw[i] - proj * proj * wtw_sel).max(0.0);
+        }
+        basis.push(w_sel);
+        basis_wtw.push(wtw_sel);
+    }
+    OlsSelection {
+        selected,
+        err: errs,
+        residual_ratio: (1.0 - explained).max(0.0),
+    }
+}
+
+/// One seeded candidate set: `m` columns over `n` rows mixing dense,
+/// Gaussian-bump (far field left at `+0.0`), signed-zero-riddled,
+/// all-zero and duplicated columns.
+fn rand_candidates(s: &mut SplitMix64, n: usize, m: usize) -> Matrix {
+    let mut p = Matrix::zeros(n, m);
+    for c in 0..m {
+        match s.below(5) {
+            0 => (0..n).for_each(|r| p.set(r, c, s.range(-2.0, 2.0))),
+            1 => {
+                let (center, w) = (s.range(0.0, n as f64), s.range(0.5, 6.0));
+                for r in 0..n {
+                    let arg = (r as f64 - center).powi(2) / (2.0 * w * w);
+                    if arg < 46.0 {
+                        p.set(r, c, (-arg).exp());
+                    }
+                }
+            }
+            2 => (0..n).for_each(|r| {
+                let v = match s.below(3) {
+                    0 => 0.0,
+                    1 => -0.0,
+                    _ => s.range(-1.0, 1.0),
+                };
+                p.set(r, c, v);
+            }),
+            3 => (0..n).for_each(|r| p.set(r, c, if s.below(2) == 0 { 0.0 } else { -0.0 })),
+            _ if c > 0 => {
+                let src = s.below(c);
+                (0..n).for_each(|r| p.set(r, c, p.get(r, src)));
+            }
+            _ => {}
+        }
+    }
+    p
+}
+
+/// `ols::select` over the column-major slab, with its four-wide kernel,
+/// reproduces the sequential row-major selection bit for bit: the same
+/// indices, the same error ratios and the same residual, for candidate
+/// counts of every residue mod 4, signed zeros, zero and duplicated
+/// columns, tolerance stops and `max_terms` at or beyond the count.
+#[test]
+fn ols_select_matches_sequential_reference_bitwise() {
+    let mut s = SplitMix64::new(0x0150_1ec7);
+    let (mut early_stops, mut saturated) = (0, 0);
+    for case in 0..96 {
+        let n = 1 + s.below(48);
+        let m = match 4 * s.below(6) + case % 4 {
+            0 => 4,
+            m => m,
+        };
+        let p = rand_candidates(&mut s, n, m);
+        let y: Vec<f64> = match s.below(3) {
+            // Dense noise: selection runs to max_terms.
+            0 => (0..n).map(|_| s.range(-1.0, 1.0)).collect(),
+            // A combination of a few candidates plus a little noise.
+            1 => {
+                let picks: Vec<(usize, f64)> =
+                    (0..3).map(|_| (s.below(m), s.range(-2.0, 2.0))).collect();
+                (0..n)
+                    .map(|r| {
+                        let v: f64 = picks.iter().map(|&(c, a)| a * p.get(r, c)).sum();
+                        v + 1e-4 * s.range(-1.0, 1.0)
+                    })
+                    .collect()
+            }
+            // Exactly one candidate (possibly an all-zero one).
+            _ => {
+                let c = s.below(m);
+                (0..n).map(|r| p.get(r, c)).collect()
+            }
+        };
+        let stop = OlsStop {
+            max_terms: [1, m / 2 + 1, m, m + 3][s.below(4)],
+            tolerance: [0.0, 1e-12, 1e-3, 1e-1][s.below(4)],
+        };
+        let slab: Vec<f64> = (0..m)
+            .flat_map(|c| (0..n).map(move |r| (r, c)))
+            .map(|(r, c)| p.get(r, c))
+            .collect();
+        let got = ols::select(&slab, n, &y, stop).unwrap();
+        let want = select_reference(&p, &y, stop);
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        assert_eq!(got.selected, want.selected, "case {case}: n {n} m {m}");
+        assert_eq!(bits(&got.err), bits(&want.err), "case {case}");
+        assert_eq!(
+            got.residual_ratio.to_bits(),
+            want.residual_ratio.to_bits(),
+            "case {case}"
+        );
+        if want.selected.len() < stop.max_terms.min(m).min(n)
+            && want.residual_ratio < stop.tolerance
+        {
+            early_stops += 1;
+        }
+        if stop.max_terms >= m {
+            saturated += 1;
+        }
+    }
+    assert!(
+        early_stops > 0 && saturated > 0,
+        "{early_stops} {saturated}"
+    );
 }
