@@ -120,18 +120,34 @@ fn parse_positive_opt(args: &mut Vec<String>, key: &str) -> Option<f64> {
 /// Parses `key` as a whole number of at least `min`. Negative, fractional,
 /// non-finite and too-small values are usage errors, never clamped.
 fn parse_count_opt(args: &mut Vec<String>, key: &str, min: u64) -> Option<u64> {
+    parse_bounded_count_opt(args, key, min, u64::MAX)
+}
+
+/// [`parse_count_opt`] with an upper bound too: values above `max` are
+/// usage errors as well.
+fn parse_bounded_count_opt(args: &mut Vec<String>, key: &str, min: u64, max: u64) -> Option<u64> {
     let v = parse_opt(args, key)?;
     let n = v.parse::<u64>().ok().or_else(|| {
         let f: f64 = v.parse().ok()?;
         (f.is_finite() && f >= 0.0 && f.fract() == 0.0 && f < u64::MAX as f64).then_some(f as u64)
     });
     match n {
-        Some(n) if n >= min => Some(n),
-        _ => {
+        Some(n) if (min..=max).contains(&n) => Some(n),
+        _ if max == u64::MAX => {
             eprintln!("{key}: expected a whole number >= {min}, got '{v}'");
             usage();
         }
+        _ => {
+            eprintln!("{key}: expected a whole number in {min}..={max}, got '{v}'");
+            usage();
+        }
     }
+}
+
+/// Parses `--bits` within the eye and Monte-Carlo bounds.
+fn parse_bits_opt(args: &mut Vec<String>) -> Option<usize> {
+    parse_bounded_count_opt(args, "--bits", EyeWorkload::MIN_BITS, EyeWorkload::MAX_BITS)
+        .map(|b| b as usize)
 }
 
 /// Parses a PRBS order tag (7, 15 or 31).
@@ -690,8 +706,8 @@ fn cmd_eye(mut args: Vec<String>) -> CliResult<()> {
     if let Some(p) = parse_prbs_opt(&mut args) {
         w.prbs = p;
     }
-    if let Some(b) = parse_count_opt(&mut args, "--bits", EyeWorkload::MIN_BITS) {
-        w.bits = b as usize;
+    if let Some(b) = parse_bits_opt(&mut args) {
+        w.bits = b;
     }
     if let Some(s) = parse_count_opt(&mut args, "--seed", 0) {
         w.seed = s;
@@ -755,7 +771,12 @@ fn cmd_eye(mut args: Vec<String>) -> CliResult<()> {
 fn cmd_mc(mut args: Vec<String>) -> CliResult<()> {
     let json = parse_flag(&mut args, "--json");
     let mut w = McWorkload::standard(false);
-    if let Some(t) = parse_count_opt(&mut args, "--trials", McWorkload::MIN_TRIALS) {
+    if let Some(t) = parse_bounded_count_opt(
+        &mut args,
+        "--trials",
+        McWorkload::MIN_TRIALS,
+        McWorkload::MAX_TRIALS,
+    ) {
         w.trials = t as usize;
     }
     if let Some(s) = parse_count_opt(&mut args, "--seed", 0) {
@@ -764,8 +785,8 @@ fn cmd_mc(mut args: Vec<String>) -> CliResult<()> {
     if let Some(p) = parse_prbs_opt(&mut args) {
         w.prbs = p;
     }
-    if let Some(b) = parse_count_opt(&mut args, "--bits", EyeWorkload::MIN_BITS) {
-        w.bits = b as usize;
+    if let Some(b) = parse_bits_opt(&mut args) {
+        w.bits = b;
     }
     let [path] = args.as_slice() else { usage() };
     let model = load_model_from_path(path)?;

@@ -153,6 +153,12 @@ impl EyeWorkload {
     /// the `mdl` CLI and the daemon protocol both reject smaller values.
     pub const MIN_BITS: u64 = 4;
 
+    /// Most bits an eye or Monte-Carlo request may simulate per stream
+    /// (about two PRBS-15 periods); the `mdl` CLI and the daemon protocol both
+    /// reject larger values, so one request cannot occupy or exhaust the
+    /// process.
+    pub const MAX_BITS: u64 = 1 << 16;
+
     /// The standard workload: a 4-lane PRBS-7 stream (2 lanes and a
     /// shorter stream under `fast`).
     pub fn standard(fast: bool) -> Self {
@@ -194,6 +200,11 @@ impl McWorkload {
     /// Fewest trials a Monte-Carlo request may ask for; the `mdl` CLI and
     /// the daemon protocol both reject smaller values.
     pub const MIN_TRIALS: u64 = 1;
+
+    /// Most trials a Monte-Carlo request may ask for; the `mdl` CLI and the
+    /// daemon protocol both reject larger values, so one request cannot
+    /// occupy or exhaust the process.
+    pub const MAX_TRIALS: u64 = 1 << 12;
 
     /// The standard sweep: 8 trials (4 under `fast`) of a PRBS-7 stream
     /// over the 2-lane channel parameter space.

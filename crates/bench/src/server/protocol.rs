@@ -178,7 +178,12 @@ pub fn parse_request(line: &str) -> Result<Request, String> {
             if let Some(p) = prbs.filter(|&p| si::PrbsOrder::from_tag(p).is_none()) {
                 return Err(format!("--prbs: expected 7, 15 or 31, got {p}"));
             }
-            let bits = take_count(&mut tokens, "--bits", EyeWorkload::MIN_BITS)?;
+            let bits = take_count(
+                &mut tokens,
+                "--bits",
+                EyeWorkload::MIN_BITS,
+                EyeWorkload::MAX_BITS,
+            )?;
             let seed = take_parsed(&mut tokens, "--seed")?;
             Request::Eye {
                 name: one_name(&mut tokens, verb)?,
@@ -188,7 +193,12 @@ pub fn parse_request(line: &str) -> Result<Request, String> {
             }
         }
         "mc" => {
-            let trials = take_count(&mut tokens, "--trials", McWorkload::MIN_TRIALS)?;
+            let trials = take_count(
+                &mut tokens,
+                "--trials",
+                McWorkload::MIN_TRIALS,
+                McWorkload::MAX_TRIALS,
+            )?;
             let seed = take_parsed(&mut tokens, "--seed")?;
             Request::Mc {
                 name: one_name(&mut tokens, verb)?,
@@ -220,12 +230,17 @@ fn take_parsed<T: std::str::FromStr>(
     }
 }
 
-/// [`take_parsed`] for a count that must be at least `min` — the same
-/// bound the `mdl` CLI enforces for the flag.
-fn take_count(tokens: &mut Vec<&str>, key: &str, min: u64) -> Result<Option<usize>, String> {
+/// [`take_parsed`] for a count in `min..=max` — the same bounds the `mdl`
+/// CLI enforces for the flag.
+fn take_count(
+    tokens: &mut Vec<&str>,
+    key: &str,
+    min: u64,
+    max: u64,
+) -> Result<Option<usize>, String> {
     match take_parsed::<usize>(tokens, key)? {
-        Some(n) if (n as u64) < min => Err(format!(
-            "{key}: expected a whole number >= {min}, got '{n}'"
+        Some(n) if !(min..=max).contains(&(n as u64)) => Err(format!(
+            "{key}: expected a whole number in {min}..={max}, got '{n}'"
         )),
         n => Ok(n),
     }
@@ -357,5 +372,18 @@ mod tests {
         assert!(parse_request("eye md1 --bits 3").is_err());
         assert!(parse_request("eye md1 --prbs 9").is_err());
         assert!(parse_request("eye md1 --bits 4 --prbs 31").is_ok());
+    }
+
+    #[test]
+    fn counts_above_the_workload_bounds_are_rejected() {
+        // Each would ask one cell for terabytes or hours; an allocation
+        // failure aborts the whole daemon, so the bound is checked here.
+        assert!(parse_request("mc md1 --trials 100000000000").is_err());
+        assert!(parse_request("eye md1 --bits 1000000000000").is_err());
+        let (bits, trials) = (EyeWorkload::MAX_BITS, McWorkload::MAX_TRIALS);
+        assert!(parse_request(&format!("eye md1 --bits {bits}")).is_ok());
+        assert!(parse_request(&format!("eye md1 --bits {}", bits + 1)).is_err());
+        assert!(parse_request(&format!("mc md1 --trials {trials}")).is_ok());
+        assert!(parse_request(&format!("mc md1 --trials {}", trials + 1)).is_err());
     }
 }

@@ -205,6 +205,28 @@ fn daemon_serves_schedules_and_reports_cache_stats() {
 }
 
 #[test]
+fn oversized_requests_get_error_replies_and_the_daemon_keeps_serving() {
+    let dir = temp_dir("oversized");
+    save_model_to_path(&dummy_driver("drv_a", 0.02), dir.join("a.mdlx")).unwrap();
+    let handle = start(serve_cfg(&dir, "oversized", 200)).unwrap();
+    let mut client = Client::connect(&handle.socket_path()).unwrap();
+    // Unbounded, the first allocates 800 GB and aborts the process; the
+    // second runs for hours.
+    for bad in [
+        "mc drv_a --trials 100000000000",
+        "eye drv_a --bits 1000000000000",
+    ] {
+        let reply = client.request(bad).unwrap();
+        assert!(reply.contains("\"ok\":false"), "{bad}: {reply}");
+    }
+    let ls = client.request("ls").unwrap();
+    assert!(ls.contains("\"ok\":true"), "still serving: {ls}");
+    assert!(client.request("shutdown").unwrap().contains("\"ok\":true"));
+    handle.join();
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
 fn hot_reload_swaps_digests_without_dropping_requests() {
     let dir = temp_dir("reload");
     let artifact = dir.join("drv.mdlx");

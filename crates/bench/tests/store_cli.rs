@@ -262,6 +262,51 @@ fn out_of_range_counts_are_usage_errors() {
 }
 
 #[test]
+fn counts_above_the_workload_bounds_are_usage_errors() {
+    let missing = temp_dir("maxcounts").join("missing.mdlx");
+    let missing = missing.to_str().unwrap();
+    for args in [
+        ["mc", missing, "--trials", "100000000000"],
+        ["mc", missing, "--trials", "4097"],
+        ["mc", missing, "--bits", "65537"],
+        ["eye", missing, "--bits", "1000000000000"],
+    ] {
+        let out = mdl(&args);
+        assert_eq!(out.status.code(), Some(2), "{args:?} must be a usage error");
+        assert!(String::from_utf8_lossy(&out.stderr).contains(args[2]));
+    }
+    for args in [
+        ["mc", missing, "--trials", "4096"],
+        ["eye", missing, "--bits", "65536"],
+    ] {
+        assert_eq!(mdl(&args).status.code(), Some(1), "{args:?} must parse");
+    }
+}
+
+#[test]
+fn oversized_transients_are_typed_errors() {
+    // A stop time or bit time far beyond the sample time would store more
+    // than `circuit::transient::MAX_STORED_VALUES` solution values (the
+    // first asks for 320 GB); the analysis refuses before allocating and
+    // `mdl` exits 1 with the typed error.
+    let dir = temp_dir("oversized");
+    let path = dir.join("drv.mdlx");
+    save_model_to_path(&driver("drv"), &path).unwrap();
+    let path = path.to_str().unwrap();
+    for args in [
+        ["simulate", path, "--t-stop", "1"],
+        ["simulate", path, "--t-stop", "1e300"],
+        ["eye", path, "--bit-time", "1"],
+    ] {
+        let out = mdl(&args);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{args:?}: {stderr}");
+        assert!(stderr.contains("stored values"), "{args:?}: {stderr}");
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
 fn non_positive_float_flags_are_usage_errors() {
     let missing = temp_dir("floats").join("missing.mdlx");
     let missing = missing.to_str().unwrap();

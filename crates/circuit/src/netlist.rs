@@ -60,6 +60,8 @@ pub struct Circuit {
     /// (parallel to `devices`).
     branch_bases: Vec<usize>,
     n_branches: usize,
+    /// Number of devices before the first nonlinear one, in netlist order.
+    linear_prefix: usize,
     /// Minimum conductance from every node to ground (numerical safety net).
     gmin: f64,
 }
@@ -89,6 +91,7 @@ impl Circuit {
             devices: Vec::new(),
             branch_bases: Vec::new(),
             n_branches: 0,
+            linear_prefix: 0,
             gmin: 1e-12,
         }
     }
@@ -107,6 +110,9 @@ impl Circuit {
     /// nodes and devices may be interleaved freely during construction.
     pub fn add<D: Device + 'static>(&mut self, device: D) -> DeviceId {
         let id = DeviceId(self.devices.len());
+        if self.linear_prefix == id.0 && !device.is_nonlinear() {
+            self.linear_prefix += 1;
+        }
         self.branch_bases.push(self.n_branches);
         self.n_branches += device.num_branches();
         self.devices.push(Box::new(device));
@@ -174,6 +180,13 @@ impl Circuit {
     /// Read access to the device list (for solvers).
     pub(crate) fn devices(&self) -> &[Box<dyn Device>] {
         &self.devices
+    }
+
+    /// Number of devices before the first nonlinear one: within one Newton
+    /// solve their stamps do not change (the contract of
+    /// [`Device::is_nonlinear`]), so the full path stamps them once.
+    pub(crate) fn linear_prefix(&self) -> usize {
+        self.linear_prefix
     }
 
     /// Mutable access to the device list (for solvers).

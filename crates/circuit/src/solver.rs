@@ -64,6 +64,9 @@ pub fn solve_newton(
     let fac_before = ws.stats().factorizations;
     // Whether this solve's step has been reduced to the ports.
     let mut step_reduced = false;
+    // Whether the full path saved the gmin + linear-prefix stamps.
+    let mut prefix_saved = false;
+    let (prefix, rest) = circuit.devices().split_at(circuit.linear_prefix());
 
     for it in 0..MAX_ITER {
         let ctx = EvalCtx {
@@ -77,12 +80,20 @@ pub fn solve_newton(
             solved.map_err(|reason| ws.leave_ports(reason)).is_ok()
         };
         if !on_ports {
-            ws.begin();
-            // gmin from every node to ground.
-            for i in 0..n_v {
-                ws.add(i, i, gmin);
+            // The prefix stamps the same values on every iteration of this
+            // solve: stamp it once, then restore the snapshot.
+            if !(prefix_saved && ws.restore_prefix()) {
+                ws.begin();
+                // gmin from every node to ground.
+                for i in 0..n_v {
+                    ws.add(i, i, gmin);
+                }
+                for dev in prefix {
+                    dev.stamp(&ctx, ws);
+                }
+                prefix_saved = ws.save_prefix();
             }
-            for dev in circuit.devices() {
+            for dev in rest {
                 dev.stamp(&ctx, ws);
             }
             ws.solve().map_err(|_| Error::SingularMatrix {
@@ -408,6 +419,118 @@ mod tests {
         ws.begin_ports();
         ws.add(7, 0, 1.0);
         assert_eq!(ws.solve_ports(), Err(PortFallback::StrayWrite));
+    }
+
+    /// FNV-1a over the little-endian bit patterns of `values`.
+    fn fnv1a_bits<'a>(values: impl IntoIterator<Item = &'a f64>) -> u64 {
+        let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
+        for v in values {
+            for byte in v.to_bits().to_le_bytes() {
+                hash ^= u64::from(byte);
+                hash = hash.wrapping_mul(0x100_0000_01b3);
+            }
+        }
+        hash
+    }
+
+    /// Digest of every stored solution of a 300-step transient, plus its
+    /// Newton iteration count; asserts the run stayed on the full path.
+    fn full_path_transient(ckt: &mut Circuit, params: crate::TranParams) -> (u64, usize) {
+        let res = ckt.transient(params).unwrap();
+        assert_eq!(res.solve_stats.port_solves, 0, "{:?}", res.solve_stats);
+        let digest = fnv1a_bits((0..res.len()).flat_map(|k| res.solution(k)));
+        (digest, res.total_newton_iterations)
+    }
+
+    // Bit-level goldens of the full Newton path. Its stamping and
+    // refactorization may skip work whose inputs did not change, but every
+    // iterate must keep the exact bits of a from-scratch evaluation.
+
+    #[test]
+    fn full_path_golden_clamped_ladder() {
+        // The clamp makes the interior singular, so the port path is
+        // refused and every step restamps and refactors the full system.
+        // Starting discharged makes the early steps take several iterations.
+        let params = crate::TranParams::new(1e-11, 3e-9).with_skip_dc();
+        let (digest, iterations) = full_path_transient(&mut diode_ladder(true), params);
+        assert_eq!(
+            (digest, iterations),
+            (0x39bb_c3c7_64de_7e61, 600),
+            "{digest:#018x}"
+        );
+    }
+
+    #[test]
+    fn full_path_golden_nonlinear_first_device() {
+        use crate::devices::Capacitor;
+        // Same clamped ladder, but the diode is the netlist's first device,
+        // so no linear device precedes a nonlinear one.
+        let mut ckt = Circuit::new();
+        let src = ckt.node("src");
+        let nodes: Vec<_> = (0..12).map(|k| ckt.node(format!("n{k}"))).collect();
+        ckt.add(Diode::new("d", nodes[6], GROUND, DiodeParams::default()));
+        ckt.add(VoltageSource::new(
+            "vs",
+            src,
+            GROUND,
+            SourceWaveform::step(0.0, 1.0, 1e-10),
+        ));
+        ckt.add(VoltageSource::new(
+            "vc",
+            nodes[6],
+            GROUND,
+            SourceWaveform::dc(0.4),
+        ));
+        let mut prev = src;
+        for (k, &n) in nodes.iter().enumerate() {
+            ckt.add(Resistor::new(format!("r{k}"), prev, n, 20.0));
+            ckt.add(Capacitor::new(format!("c{k}"), n, GROUND, 1e-12));
+            prev = n;
+        }
+        let params = crate::TranParams::new(1e-11, 3e-9);
+        let (digest, iterations) = full_path_transient(&mut ckt, params);
+        assert_eq!(
+            (digest, iterations),
+            (0xcea0_deeb_65a6_32bd, 364),
+            "{digest:#018x}"
+        );
+    }
+
+    #[test]
+    fn full_path_golden_linear_dc() {
+        // No nonlinear device: every device precedes the first nonlinear
+        // one. DC always takes the full path.
+        let mut ckt = Circuit::new();
+        let nodes: Vec<_> = (0..10).map(|k| ckt.node(format!("n{k}"))).collect();
+        ckt.add(VoltageSource::new(
+            "v",
+            nodes[0],
+            GROUND,
+            SourceWaveform::dc(1.7),
+        ));
+        for k in 1..nodes.len() {
+            ckt.add(Resistor::new(
+                format!("r{k}"),
+                nodes[k - 1],
+                nodes[k],
+                10.0 + k as f64,
+            ));
+            ckt.add(Resistor::new(
+                format!("g{k}"),
+                nodes[k],
+                GROUND,
+                3e3 / k as f64,
+            ));
+        }
+        ckt.add(CurrentSource::new(
+            "i",
+            GROUND,
+            nodes[5],
+            SourceWaveform::dc(1e-3),
+        ));
+        let x = ckt.dc_operating_point().unwrap();
+        let digest = fnv1a_bits(&x);
+        assert_eq!(digest, 0x524c_084a_2d42_853c, "{digest:#018x}");
     }
 
     #[test]

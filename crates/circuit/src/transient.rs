@@ -6,6 +6,13 @@ use crate::waveform::Waveform;
 use crate::workspace::SolveStats;
 use crate::{solver, Error, Result};
 
+/// Most solution values one transient may store, `(steps + 1) × unknowns`
+/// (2^27 values, 1 GiB of `f64`). A [`TranResult`] keeps the whole history
+/// in memory, so a stop time far beyond the timestep would otherwise abort
+/// the process on a failed allocation; [`run`] rejects such an analysis
+/// before allocating. The Table 1 reference stores 6,001 × 212 ≈ 1.3 M.
+pub const MAX_STORED_VALUES: usize = 1 << 27;
+
 /// Transient analysis parameters.
 #[derive(Debug, Clone, Copy)]
 pub struct TranParams {
@@ -135,7 +142,9 @@ impl TranResult {
 ///
 /// # Errors
 ///
-/// Propagates solver failures annotated with the failing time.
+/// * [`Error::InvalidAnalysis`] for invalid parameters, an empty circuit,
+///   or a history above [`MAX_STORED_VALUES`].
+/// * Solver failures annotated with the failing time.
 pub fn run(circuit: &mut Circuit, params: TranParams) -> Result<TranResult> {
     params.validate()?;
     circuit.finalize();
@@ -145,6 +154,15 @@ pub fn run(circuit: &mut Circuit, params: TranParams) -> Result<TranResult> {
             message: "circuit has no unknowns".into(),
         });
     }
+    let steps = (params.t_stop / params.dt).round();
+    if (steps + 1.0) * n as f64 > MAX_STORED_VALUES as f64 {
+        return Err(Error::InvalidAnalysis {
+            message: format!(
+                "{steps:e} steps of {n} unknowns exceed the limit of {MAX_STORED_VALUES} stored values"
+            ),
+        });
+    }
+    let n_steps = steps as usize;
     // One persistent workspace for the whole analysis: the stamp pattern and
     // the LU symbolic structure are shared between the DC operating point
     // and every timestep.
@@ -172,7 +190,6 @@ pub fn run(circuit: &mut Circuit, params: TranParams) -> Result<TranResult> {
         }
     }
 
-    let n_steps = (params.t_stop / params.dt).round() as usize;
     let mut time = Vec::with_capacity(n_steps + 1);
     let mut solutions = Vec::with_capacity(n_steps + 1);
     time.push(0.0);
@@ -232,6 +249,32 @@ mod tests {
         assert!(TranParams::new(1e-9, 1e-6).validate().is_ok());
         assert!(TranParams::new(1e-9, 1e-6).with_skip_dc().skip_dc);
         assert!(TranParams::new(1e-9, 1e-6).with_dense_solver().dense_solver);
+    }
+
+    #[test]
+    fn oversized_history_is_rejected_before_allocating() {
+        let build = || {
+            let mut ckt = Circuit::new();
+            let a = ckt.node("a");
+            ckt.add(VoltageSource::new("v", a, GROUND, SourceWaveform::dc(1.0)));
+            ckt.add(Resistor::new("r", a, GROUND, 1.0));
+            ckt
+        };
+        // Two unknowns: 2^26 steps store 2^27 + 2 values, one step less is
+        // within the limit (not run: it would allocate 1 GiB).
+        let too_long = TranParams::new(1.0, (1u64 << 26) as f64);
+        assert!(matches!(
+            build().transient(too_long),
+            Err(Error::InvalidAnalysis { .. })
+        ));
+        // Stop times whose step count overflows `usize` are rejected too,
+        // not wrapped or saturated.
+        for t_stop in [1e300, f64::MAX] {
+            let err = build()
+                .transient(TranParams::new(1e-12, t_stop))
+                .unwrap_err();
+            assert!(err.to_string().contains("stored values"), "{err}");
+        }
     }
 
     #[test]

@@ -9,13 +9,23 @@
 //! * at build time ([`crate::Circuit::make_workspace`]) every device
 //!   registers its potential nonzero positions once via
 //!   [`crate::Device::register`], producing a column-compressed pattern;
-//! * on the *full path*, every Newton iteration re-stamps every device
+//! * on the *full path*, every Newton iteration stamps the devices
 //!   through [`StampWorkspace::add`], which resolves `(row, col)` to a
 //!   cached value slot — no per-iteration allocation, no dense `n × n`
-//!   zero-fill;
+//!   zero-fill. The devices before the circuit's first nonlinear one (its
+//!   *linear prefix*, e.g. a whole coupled line) stamp the same values on
+//!   every iteration of one Newton solve (the contract of
+//!   [`crate::Device::is_nonlinear`] at a fixed mode and accepted state).
+//!   So the first full-path iteration of a solve stamps gmin and the
+//!   prefix and saves the values and right-hand side; later iterations
+//!   restore that snapshot and stamp only the rest of the netlist. Every
+//!   slot receives the same additions in the same order as a full
+//!   restamp, so the result is bit-identical. No snapshot is taken on the
+//!   dense backend or when a prefix write overflowed the pattern;
 //! * [`StampWorkspace::solve`] then factors the system with
 //!   [`numkit::sparse::SparseLu`]: one symbolic analysis per circuit, then
-//!   one numeric-only refactorization per iteration.
+//!   one numeric-only refactorization per iteration, which recomputes only
+//!   the columns whose values changed (bit-identical to a full one).
 //!
 //! Very small systems (`n <` [`DENSE_LIMIT`]) keep the dense
 //! [`numkit::lu::LuFactor`] path — the sparse bookkeeping would cost more
@@ -212,9 +222,11 @@ pub struct SolveStats {
     /// fill-in diagnostic (dense backend: `n²`; port path: the interior
     /// factor plus `p²`).
     pub factor_nnz: usize,
-    /// Cumulative numeric factorization work: multiply–adds plus divides,
-    /// summed over every factorization including discarded re-pivot
-    /// attempts (dense factors, including the port matrix: an `n³/3`
+    /// Cumulative numeric factorization work actually performed:
+    /// multiply–adds plus divides, summed over every factorization
+    /// including discarded re-pivot attempts. A sparse refactorization
+    /// counts only the columns it recomputed, so repeated values cost
+    /// nothing here (dense factors, including the port matrix: an `n³/3`
     /// estimate per factorization).
     pub flops: u64,
     /// Interior-block factorizations of the port path: one per analysis
@@ -275,6 +287,11 @@ pub struct StampWorkspace {
     port: Option<Box<PortSolver>>,
     x_out: Vec<f64>,
     scratch: Vec<f64>,
+    /// Values and right-hand side saved by [`StampWorkspace::save_prefix`],
+    /// valid while `prefix_saved` holds.
+    prefix_values: Vec<f64>,
+    prefix_rhs: Vec<f64>,
+    prefix_saved: bool,
 }
 
 impl std::fmt::Debug for StampWorkspace {
@@ -287,28 +304,27 @@ impl std::fmt::Debug for StampWorkspace {
     }
 }
 
+impl Backend {
+    fn dense(n: usize) -> Self {
+        Backend::Dense {
+            mat: Matrix::zeros(n, n),
+            lu: LuFactor::default(),
+        }
+    }
+
+    fn sparse(pattern: CscPattern) -> Self {
+        Backend::Sparse(Box::new(SparseState {
+            values: vec![0.0; pattern.nnz()],
+            slot: SlotMap::build(&pattern),
+            pattern,
+            lu: None,
+            overflow: Vec::new(),
+        }))
+    }
+}
+
 impl StampWorkspace {
-    /// Builds a workspace from a registered pattern. Falls back to the
-    /// dense path for `n <` [`DENSE_LIMIT`].
-    pub fn from_pattern(pb: PatternBuilder) -> Self {
-        let n = pb.n;
-        let backend = if n < DENSE_LIMIT {
-            Backend::Dense {
-                mat: Matrix::zeros(n, n),
-                lu: LuFactor::default(),
-            }
-        } else {
-            let pattern = CscPattern::from_entries(n, &pb.entries)
-                .expect("PatternBuilder validated every entry");
-            let slot = SlotMap::build(&pattern);
-            Backend::Sparse(Box::new(SparseState {
-                values: vec![0.0; pattern.nnz()],
-                slot,
-                pattern,
-                lu: None,
-                overflow: Vec::new(),
-            }))
-        };
+    fn with_backend(n: usize, backend: Backend) -> Self {
         StampWorkspace {
             n,
             rhs: vec![0.0; n],
@@ -320,7 +336,24 @@ impl StampWorkspace {
             port: None,
             x_out: vec![0.0; n],
             scratch: vec![0.0; n],
+            prefix_values: Vec::new(),
+            prefix_rhs: Vec::new(),
+            prefix_saved: false,
         }
+    }
+
+    /// Builds a workspace from a registered pattern. Falls back to the
+    /// dense path for `n <` [`DENSE_LIMIT`].
+    pub fn from_pattern(pb: PatternBuilder) -> Self {
+        let n = pb.n;
+        let backend = if n < DENSE_LIMIT {
+            Backend::dense(n)
+        } else {
+            let pattern = CscPattern::from_entries(n, &pb.entries)
+                .expect("PatternBuilder validated every entry");
+            Backend::sparse(pattern)
+        };
+        Self::with_backend(n, backend)
     }
 
     /// A dense workspace with no registered pattern — the O(n³) reference
@@ -328,21 +361,7 @@ impl StampWorkspace {
     /// golden-agreement runs that compare the sparse solver against the
     /// dense one on the same circuit (see `TranParams::with_dense_solver`).
     pub fn dense(n: usize) -> Self {
-        StampWorkspace {
-            n,
-            rhs: vec![0.0; n],
-            backend: Backend::Dense {
-                mat: Matrix::zeros(n, n),
-                lu: LuFactor::default(),
-            },
-            stats: SolveStats::default(),
-            flops_base: 0,
-            ports: Vec::new(),
-            target: StampTarget::Matrix,
-            port: None,
-            x_out: vec![0.0; n],
-            scratch: vec![0.0; n],
-        }
+        Self::with_backend(n, Backend::dense(n))
     }
 
     /// A recording workspace: the sparse backend with an *empty* registered
@@ -354,25 +373,7 @@ impl StampWorkspace {
     pub fn recording(n: usize) -> Self {
         let pattern =
             CscPattern::from_entries(n, &[]).expect("empty pattern is valid at any dimension");
-        let slot = SlotMap::build(&pattern);
-        StampWorkspace {
-            n,
-            rhs: vec![0.0; n],
-            backend: Backend::Sparse(Box::new(SparseState {
-                values: Vec::new(),
-                slot,
-                pattern,
-                lu: None,
-                overflow: Vec::new(),
-            })),
-            stats: SolveStats::default(),
-            flops_base: 0,
-            ports: Vec::new(),
-            target: StampTarget::Matrix,
-            port: None,
-            x_out: vec![0.0; n],
-            scratch: vec![0.0; n],
-        }
+        Self::with_backend(n, Backend::sparse(pattern))
     }
 
     /// Writes that landed outside the registered pattern since the last
@@ -472,6 +473,38 @@ impl StampWorkspace {
         debug_assert!(ports.windows(2).all(|w| w[0] < w[1]) && ports.iter().all(|&i| i < self.n));
         self.ports = ports;
         self
+    }
+
+    /// Saves the values and right-hand side stamped since
+    /// [`StampWorkspace::begin`] — gmin plus the circuit's linear prefix on
+    /// the full path — for [`StampWorkspace::restore_prefix`]. Returns
+    /// whether a snapshot was taken: none on the dense backend or when a
+    /// write overflowed the pattern.
+    pub(crate) fn save_prefix(&mut self) -> bool {
+        self.prefix_saved = match &self.backend {
+            Backend::Sparse(state) if state.overflow.is_empty() => {
+                self.prefix_values.clone_from(&state.values);
+                self.prefix_rhs.clone_from(&self.rhs);
+                true
+            }
+            _ => false,
+        };
+        self.prefix_saved
+    }
+
+    /// Puts back the snapshot of [`StampWorkspace::save_prefix`], leaving
+    /// the workspace exactly as `begin` plus the prefix stamps would.
+    /// Returns false, and changes nothing, when there is no valid snapshot
+    /// (none taken, or the pattern has grown since).
+    pub(crate) fn restore_prefix(&mut self) -> bool {
+        match &mut self.backend {
+            Backend::Sparse(state) if self.prefix_saved => {
+                state.values.copy_from_slice(&self.prefix_values);
+                self.rhs.copy_from_slice(&self.prefix_rhs);
+                true
+            }
+            _ => false,
+        }
     }
 
     /// Whether factoring the interior once and solving `steps` timesteps on
@@ -657,6 +690,7 @@ impl StampWorkspace {
         *values = new_values;
         *lu = None;
         overflow.clear();
+        self.prefix_saved = false;
     }
 
     /// Factors the stamped system and solves it against the stamped

@@ -24,7 +24,18 @@
 //!    factor nonzeros — there is no dense `n × n` scratch anywhere, so the
 //!    same code path serves ten unknowns and tens of thousands.
 //! 3. [`SparseLu::refactor`] — numeric-only refactorization reusing the
-//!    frozen pattern and pivot order, O(nnz(L + U)) per call.
+//!    frozen pattern and pivot order. `factor` records a replay plan: each
+//!    column's rows as one local list (`U` rows, pivot, `L` rows) and the
+//!    local position of every scatter entry and update target, in
+//!    execution order. A refactor replays it in a buffer the size of the
+//!    longest column, and recomputes only the columns whose inputs changed:
+//!    a value that differs bitwise from the last successful refactor, or a
+//!    recomputed column `j` in `U(:,k)`. Every other column already holds
+//!    exactly what recomputing it would give, and a recomputed column
+//!    performs the same operations in the same order as a full refactor, so
+//!    the factors are bit-identical to recomputing everything. On a circuit
+//!    matrix, where the linear part's values repeat from one Newton
+//!    iteration to the next, that skips much of the work.
 //!
 //! `refactor` monitors pivot quality: when a frozen pivot decays relative to
 //! its column (the matrix values drifted far from the ones the pivot order
@@ -33,8 +44,10 @@
 //! O(n³).
 //!
 //! [`SparseLu::factor_nnz`] and [`SparseLu::total_flops`] expose fill-in and
-//! cumulative numeric work so callers (see `circuit::workspace::SolveStats`)
-//! can watch for ordering or fill regressions.
+//! cumulative numeric work actually performed (skipped columns cost
+//! nothing) so callers (see `circuit::workspace::SolveStats`) can watch for
+//! ordering or fill regressions; [`SparseLu::refactor_cost`] is the
+//! structural cost of recomputing every column.
 
 use crate::{Error, Matrix, Result};
 
@@ -355,14 +368,30 @@ pub struct SparseLu {
     u_vals: Vec<f64>,
     /// U diagonal (pivots).
     diag: Vec<f64>,
-    /// Scatter plan: for permuted column `k`, the (permuted row, value slot)
-    /// pairs of the original matrix entries landing in that column.
-    sc_ptr: Vec<usize>,
-    sc_rows: Vec<usize>,
-    sc_slots: Vec<usize>,
-    /// Dense accumulator (one vector, not a matrix), kept zeroed between
-    /// uses.
-    work: Vec<f64>,
+    /// Column pointers of the factored pattern: the value slots of original
+    /// column `c` are `a_colptr[c]..a_colptr[c + 1]`, and permuted column
+    /// `k` reads original column `colmap[k]`.
+    a_colptr: Vec<usize>,
+    /// Replay plan of [`SparseLu::refactor`]. Column `k` is computed in a
+    /// local buffer holding its rows as one list: `U(:,k)` ascending, then
+    /// the pivot, then `L(:,k)` ascending. `sc_local[slot]` is the local
+    /// position that value slot scatters to.
+    sc_local: Vec<u32>,
+    /// Local update targets in execution order: column `k`'s updates start
+    /// at `upd_ptr[k]`, one per entry of `L(:,j)` for each `j` in `U(:,k)`
+    /// ascending.
+    upd_ptr: Vec<usize>,
+    upd_local: Vec<u32>,
+    /// Column buffer of the longest local list.
+    buf: Vec<f64>,
+    /// Values of the last successful refactor, compared bitwise to skip
+    /// columns whose inputs did not change.
+    last: Vec<f64>,
+    /// Whether column `k` was recomputed by the current refactor.
+    recomputed: Vec<bool>,
+    /// Set by `factor` and by a failed refactor: the next refactor must
+    /// recompute every column.
+    stale: bool,
     /// Cumulative numeric work (multiply–add and divide counts) across the
     /// initial factorization and every refactorization.
     flops: u64,
@@ -577,16 +606,35 @@ impl SparseLu {
             );
         }
 
-        // 4. Scatter plan for refactorizations.
-        let mut sc_ptr = vec![0usize; n + 1];
-        let mut sc_rows = Vec::with_capacity(pattern.nnz());
-        let mut sc_slots = Vec::with_capacity(pattern.nnz());
+        // 4. Replay plan for refactorizations: every scatter and update
+        //    target as a position in its column's local row list. `local`
+        //    maps a permuted row to that position for the current column.
+        let mut local = vec![u32::MAX; n];
+        let mut sc_local = vec![0u32; pattern.nnz()];
+        let mut upd_ptr = vec![0usize; n + 1];
+        let mut upd_local: Vec<u32> = Vec::new();
+        let mut longest = 0;
         for (k, &oc) in colmap.iter().enumerate() {
-            for (r, slot) in pattern.col_entries(oc) {
-                sc_rows.push(pinv[r]);
-                sc_slots.push(slot);
+            let us = &u_rows[u_colptr[k]..u_colptr[k + 1]];
+            let ls = &l_rows[l_colptr[k]..l_colptr[k + 1]];
+            let rows = us.iter().chain(std::iter::once(&k)).chain(ls);
+            for (pos, &r) in rows.clone().enumerate() {
+                local[r] = pos as u32;
             }
-            sc_ptr[k + 1] = sc_rows.len();
+            longest = longest.max(us.len() + 1 + ls.len());
+            for (r, slot) in pattern.col_entries(oc) {
+                sc_local[slot] = local[pinv[r]];
+            }
+            for &j in us {
+                for &r in &l_rows[l_colptr[j]..l_colptr[j + 1]] {
+                    debug_assert_ne!(local[r], u32::MAX, "update outside column {k}");
+                    upd_local.push(local[r]);
+                }
+            }
+            upd_ptr[k + 1] = upd_local.len();
+            for &r in rows {
+                local[r] = u32::MAX;
+            }
         }
 
         Ok(SparseLu {
@@ -600,10 +648,14 @@ impl SparseLu {
             u_rows,
             u_vals,
             diag,
-            sc_ptr,
-            sc_rows,
-            sc_slots,
-            work: x,
+            a_colptr: pattern.col_ptr.clone(),
+            sc_local,
+            upd_ptr,
+            upd_local,
+            buf: vec![0.0; longest],
+            last: values.to_vec(),
+            recomputed: vec![false; n],
+            stale: true,
             flops,
         })
     }
@@ -619,32 +671,38 @@ impl SparseLu {
         self.l_vals.len() + self.u_vals.len() + self.n
     }
 
-    /// Cumulative numeric operations (multiply–adds plus divides) spent in
-    /// [`SparseLu::factor`] and every [`SparseLu::refactor`] on this object.
+    /// Cumulative numeric operations (multiply–adds plus divides) actually
+    /// performed by [`SparseLu::factor`] and every [`SparseLu::refactor`] on
+    /// this object. A refactor adds nothing for the columns it skips and
+    /// nothing for updates by exact zeros, so one call adds at most
+    /// [`SparseLu::refactor_cost`].
     pub fn total_flops(&self) -> u64 {
         self.flops
     }
 
-    /// Multiply–adds plus divides of one [`SparseLu::refactor`] when no
-    /// value is zero — the structural cost of a refactorization, independent
-    /// of the values it last saw (a refactor skips updates by exact zeros, so
-    /// [`SparseLu::total_flops`] under-counts a matrix whose zeros are about
-    /// to fill in).
+    /// Multiply–adds plus divides of one [`SparseLu::refactor`] that
+    /// recomputes every column and meets no zero — the structural cost of a
+    /// refactorization, independent of the values it last saw.
     pub fn refactor_cost(&self) -> u64 {
-        let l_len = |j: usize| (self.l_colptr[j + 1] - self.l_colptr[j]) as u64;
-        (0..self.n)
-            .map(|k| {
-                let updates: u64 = self.u_rows[self.u_colptr[k]..self.u_colptr[k + 1]]
-                    .iter()
-                    .map(|&j| l_len(j))
-                    .sum();
-                updates + l_len(k)
-            })
-            .sum()
+        (self.upd_local.len() + self.l_vals.len()) as u64
     }
 
     /// Numeric-only refactorization: same pattern, same pivot order, new
-    /// values. Left-looking over the frozen column structures.
+    /// values. Left-looking over the frozen column structures, replaying the
+    /// plan recorded by [`SparseLu::factor`] in a small column buffer.
+    ///
+    /// Only columns whose inputs changed are recomputed. Column `k` is
+    /// recomputed when one of its values differs *bitwise* from the last
+    /// successful refactor, or when some `j` in `U(:,k)` was recomputed
+    /// (its `L(:,j)` feeds column `k`). Otherwise every input of column `k`
+    /// is bit-identical to the last successful call, so its stored `L`, `U`
+    /// and pivot are exactly what recomputation would give, and its checks
+    /// would pass again. A recomputed column performs every add, subtract
+    /// and divide in the same order as a from-scratch refactor, so the
+    /// factors are bit-identical either way. The first refactor after
+    /// [`SparseLu::factor`] (whose numeric pass orders operations
+    /// differently) and the first after a failed refactor recompute every
+    /// column.
     ///
     /// # Errors
     ///
@@ -653,35 +711,58 @@ impl SparseLu {
     /// then re-run [`SparseLu::factor`] to choose fresh pivots), and for
     /// non-finite (NaN/inf) input values.
     pub fn refactor(&mut self, values: &[f64]) -> Result<()> {
-        let n = self.n;
-        if values.len() != self.sc_slots.len() {
+        if values.len() != self.sc_local.len() {
             return Err(Error::DimensionMismatch {
-                expected: format!("{} values", self.sc_slots.len()),
+                expected: format!("{} values", self.sc_local.len()),
                 got: format!("{} values", values.len()),
             });
         }
+        // Cleared again only when every column succeeded.
+        let all = std::mem::replace(&mut self.stale, true);
+        let n = self.n;
         let SparseLu {
+            colmap,
             l_colptr,
-            l_rows,
             l_vals,
             u_colptr,
             u_rows,
             u_vals,
             diag,
-            sc_ptr,
-            sc_rows,
-            sc_slots,
-            work: x,
+            a_colptr,
+            sc_local,
+            upd_ptr,
+            upd_local,
+            buf,
+            last,
+            recomputed,
             flops,
             ..
         } = self;
         for k in 0..n {
-            // Scatter column k of A (permuted) into the accumulator.
+            let oc = colmap[k];
+            let (a_lo, a_hi) = (a_colptr[oc], a_colptr[oc + 1]);
+            let a = &values[a_lo..a_hi];
+            let (u_lo, u_hi) = (u_colptr[k], u_colptr[k + 1]);
+            let changed = all
+                || a.iter()
+                    .zip(&last[a_lo..a_hi])
+                    .any(|(v, w)| v.to_bits() != w.to_bits());
+            recomputed[k] = changed || u_rows[u_lo..u_hi].iter().any(|&j| recomputed[j]);
+            if !recomputed[k] {
+                continue;
+            }
+            if changed {
+                last[a_lo..a_hi].copy_from_slice(a);
+            }
+            let nu = u_hi - u_lo;
+            let (l_lo, l_hi) = (l_colptr[k], l_colptr[k + 1]);
+            let col = &mut buf[..nu + 1 + (l_hi - l_lo)];
+            col.fill(0.0);
+            // Scatter column k of A (permuted) into the column buffer.
             let mut colscale = f64::MIN_POSITIVE;
             let mut finite = true;
-            for idx in sc_ptr[k]..sc_ptr[k + 1] {
-                let v = values[sc_slots[idx]];
-                x[sc_rows[idx]] += v;
+            for (&v, &pos) in a.iter().zip(&sc_local[a_lo..a_hi]) {
+                col[pos as usize] += v;
                 colscale = colscale.max(v.abs());
                 finite &= v.is_finite();
             }
@@ -689,54 +770,38 @@ impl SparseLu {
                 // NaN/inf input: reject before it reaches the factors — the
                 // magnitude-based pivot checks below are all false for NaN
                 // and would wave it through.
-                for idx in sc_ptr[k]..sc_ptr[k + 1] {
-                    x[sc_rows[idx]] = 0.0;
-                }
                 return Err(Error::Singular { pivot: k });
             }
             // Left-looking update: consume U entries ascending.
-            for idx in u_colptr[k]..u_colptr[k + 1] {
-                let j = u_rows[idx];
-                let ujk = x[j];
-                u_vals[idx] = ujk;
+            let mut t = upd_ptr[k];
+            for i in 0..nu {
+                let j = u_rows[u_lo + i];
+                let ujk = col[i];
+                u_vals[u_lo + i] = ujk;
+                let (lo, hi) = (l_colptr[j], l_colptr[j + 1]);
                 if ujk != 0.0 {
-                    for l in l_colptr[j]..l_colptr[j + 1] {
-                        x[l_rows[l]] -= l_vals[l] * ujk;
+                    for (lv, &pos) in l_vals[lo..hi].iter().zip(&upd_local[t..t + hi - lo]) {
+                        col[pos as usize] -= lv * ujk;
                     }
-                    *flops += (l_colptr[j + 1] - l_colptr[j]) as u64;
+                    *flops += (hi - lo) as u64;
                 }
+                t += hi - lo;
             }
-            let pivot = x[k];
+            let (pivot, below) = (col[nu], &col[nu + 1..]);
             let mut colmax = pivot.abs();
-            for idx in l_colptr[k]..l_colptr[k + 1] {
-                colmax = colmax.max(x[l_rows[idx]].abs());
+            for v in below {
+                colmax = colmax.max(v.abs());
             }
             if pivot.abs() < SINGULAR_EPS * colscale || pivot.abs() < PIVOT_RTOL * colmax {
-                // Restore the zero invariant of the accumulator before
-                // reporting, so a later refactor starts clean.
-                x[k] = 0.0;
-                for idx in u_colptr[k]..u_colptr[k + 1] {
-                    x[u_rows[idx]] = 0.0;
-                }
-                for idx in l_colptr[k]..l_colptr[k + 1] {
-                    x[l_rows[idx]] = 0.0;
-                }
                 return Err(Error::Singular { pivot: k });
             }
             diag[k] = pivot;
-            for idx in l_colptr[k]..l_colptr[k + 1] {
-                l_vals[idx] = x[l_rows[idx]] / pivot;
+            for (lv, v) in l_vals[l_lo..l_hi].iter_mut().zip(below) {
+                *lv = v / pivot;
             }
-            *flops += (l_colptr[k + 1] - l_colptr[k]) as u64;
-            // Clear the accumulator at exactly the column-k pattern.
-            x[k] = 0.0;
-            for idx in u_colptr[k]..u_colptr[k + 1] {
-                x[u_rows[idx]] = 0.0;
-            }
-            for idx in l_colptr[k]..l_colptr[k + 1] {
-                x[l_rows[idx]] = 0.0;
-            }
+            *flops += (l_hi - l_lo) as u64;
         }
+        self.stale = false;
         Ok(())
     }
 
@@ -1034,6 +1099,183 @@ mod tests {
         assert!((r0 - 1.0).abs() < 1e-10);
         r0 = 4.0 * x[n - 1] - x[n - 2];
         assert!(r0.abs() < 1e-10);
+    }
+
+    /// Test-only copy of the refactor this module used before columns could
+    /// be skipped: a length-`n` accumulator, every column recomputed. Its
+    /// scatter rows come from the pattern and the pivot order, not from the
+    /// replay plan, so the plan is checked rather than trusted.
+    fn full_refactor(lu: &mut SparseLu, pattern: &CscPattern, values: &[f64]) -> Result<()> {
+        let n = lu.n;
+        let mut pinv = vec![0; n];
+        for (k, &r) in lu.rowmap.iter().enumerate() {
+            pinv[r] = k;
+        }
+        let mut x = vec![0.0f64; n];
+        for k in 0..n {
+            let mut colscale = f64::MIN_POSITIVE;
+            let mut finite = true;
+            for (r, slot) in pattern.col_entries(lu.colmap[k]) {
+                let v = values[slot];
+                x[pinv[r]] += v;
+                colscale = colscale.max(v.abs());
+                finite &= v.is_finite();
+            }
+            if !finite {
+                return Err(Error::Singular { pivot: k });
+            }
+            for idx in lu.u_colptr[k]..lu.u_colptr[k + 1] {
+                let j = lu.u_rows[idx];
+                let ujk = x[j];
+                lu.u_vals[idx] = ujk;
+                if ujk != 0.0 {
+                    for l in lu.l_colptr[j]..lu.l_colptr[j + 1] {
+                        x[lu.l_rows[l]] -= lu.l_vals[l] * ujk;
+                    }
+                    lu.flops += (lu.l_colptr[j + 1] - lu.l_colptr[j]) as u64;
+                }
+            }
+            let ls = lu.l_colptr[k]..lu.l_colptr[k + 1];
+            let pivot = x[k];
+            let mut colmax = pivot.abs();
+            for idx in ls.clone() {
+                colmax = colmax.max(x[lu.l_rows[idx]].abs());
+            }
+            if pivot.abs() < SINGULAR_EPS * colscale || pivot.abs() < PIVOT_RTOL * colmax {
+                return Err(Error::Singular { pivot: k });
+            }
+            lu.diag[k] = pivot;
+            for idx in ls.clone() {
+                lu.l_vals[idx] = x[lu.l_rows[idx]] / pivot;
+            }
+            lu.flops += ls.len() as u64;
+            x[k] = 0.0;
+            for idx in lu.u_colptr[k]..lu.u_colptr[k + 1] {
+                x[lu.u_rows[idx]] = 0.0;
+            }
+            for idx in ls {
+                x[lu.l_rows[idx]] = 0.0;
+            }
+        }
+        Ok(())
+    }
+
+    fn factor_bits(lu: &SparseLu) -> Vec<u64> {
+        lu.l_vals
+            .iter()
+            .chain(&lu.u_vals)
+            .chain(&lu.diag)
+            .map(|v| v.to_bits())
+            .collect()
+    }
+
+    #[test]
+    fn partial_refactor_matches_full_refactor_bitwise() {
+        // Seeded edit sequences: nothing, one original column, every value,
+        // a random subset of columns, signed-zero flips, a NaN and a decayed
+        // pivot. After every successful call the stored factors must equal
+        // the full refactor's bit for bit; a failure must fail the same way
+        // and leave the next call recomputing every column.
+        use crate::rng::SplitMix64;
+        let mut rng = SplitMix64::new(0x5eed_0fc0);
+        let n = 30;
+        let mut entries: Vec<(usize, usize)> = (0..n).map(|i| (i, i)).collect();
+        for _ in 0..90 {
+            entries.push((rng.below(n), rng.below(n)));
+        }
+        let pattern = CscPattern::from_entries(n, &entries).unwrap();
+        let fresh = |rng: &mut SplitMix64, r: usize, c: usize| {
+            if r == c {
+                rng.range(3.0, 5.0)
+            } else {
+                rng.range(-1.0, 1.0)
+            }
+        };
+        let mut values = vec![0.0; pattern.nnz()];
+        for c in 0..n {
+            for (r, slot) in pattern.col_entries(c) {
+                values[slot] = fresh(&mut rng, r, c);
+            }
+        }
+        let mut lu = SparseLu::factor(&pattern, &values).unwrap();
+        let mut oracle = lu.clone();
+        let cost = lu.refactor_cost();
+        let mut failures = [0usize; 7];
+        for step in 0..120 {
+            let mut edit = values.clone();
+            match step % 7 {
+                0 => {}
+                1 => {
+                    let c = rng.below(n);
+                    for (r, slot) in pattern.col_entries(c) {
+                        edit[slot] = fresh(&mut rng, r, c);
+                    }
+                }
+                2 => {
+                    for c in 0..n {
+                        for (r, slot) in pattern.col_entries(c) {
+                            edit[slot] = fresh(&mut rng, r, c);
+                        }
+                    }
+                }
+                3 => {
+                    for c in 0..n {
+                        if rng.below(4) == 0 {
+                            for (r, slot) in pattern.col_entries(c) {
+                                edit[slot] = fresh(&mut rng, r, c);
+                            }
+                        }
+                    }
+                }
+                4 => {
+                    // Off-diagonal entries to +0.0 or -0.0: equal as
+                    // numbers, different as bits.
+                    for c in 0..n {
+                        for (r, slot) in pattern.col_entries(c) {
+                            if r != c && rng.below(3) == 0 {
+                                edit[slot] = if edit[slot].to_bits() == 0 { -0.0 } else { 0.0 };
+                            }
+                        }
+                    }
+                }
+                5 => {
+                    let slot = rng.below(edit.len());
+                    edit[slot] = f64::NAN;
+                }
+                _ => {
+                    let c = rng.below(n);
+                    let slot = pattern.index_of(c, c).unwrap();
+                    edit[slot] = 1e-14;
+                }
+            }
+            let before = lu.total_flops();
+            let got = lu.refactor(&edit);
+            let want = full_refactor(&mut oracle, &pattern, &edit);
+            let spent = lu.total_flops() - before;
+            assert!(spent <= cost, "step {step}: {spent} flops > {cost}");
+            match (got, want) {
+                (Ok(()), Ok(())) => {
+                    assert_eq!(factor_bits(&lu), factor_bits(&oracle), "step {step}");
+                    assert!(!lu.stale);
+                    if step % 7 == 0 && step > 0 {
+                        assert_eq!(spent, 0, "step {step}: nothing changed");
+                    }
+                    values = edit;
+                }
+                (Err(Error::Singular { pivot: a }), Err(Error::Singular { pivot: b })) => {
+                    assert_eq!(a, b, "step {step}");
+                    assert!(lu.stale, "step {step}: a failure forces a full recompute");
+                    failures[step % 7] += 1;
+                    // Recover on the last good values, as the oracle does.
+                    lu.refactor(&values).unwrap();
+                    full_refactor(&mut oracle, &pattern, &values).unwrap();
+                    assert_eq!(factor_bits(&lu), factor_bits(&oracle), "step {step}");
+                }
+                (got, want) => panic!("step {step}: {got:?} vs {want:?}"),
+            }
+        }
+        assert_eq!(failures[5], 17, "every NaN fails");
+        assert!(failures[6] > 0, "some decayed pivot fails: {failures:?}");
     }
 
     #[test]

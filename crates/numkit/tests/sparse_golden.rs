@@ -185,3 +185,137 @@ fn singular_matrices_rejected_like_dense() {
     assert!(LuFactor::new(&a).is_err());
     assert!(SparseLu::factor(&pattern, &values).is_err());
 }
+
+/// Bit patterns of `lu`'s solution against `b`.
+fn solve_bits(lu: &SparseLu, b: &[f64]) -> Vec<u64> {
+    lu.solve(b).unwrap().iter().map(|v| v.to_bits()).collect()
+}
+
+/// Re-randomizes every value of original column `c`.
+fn redraw_column(rng: &mut Rng, pattern: &CscPattern, values: &mut [f64], c: usize) {
+    for (r, slot) in pattern.col_entries(c) {
+        values[slot] = if r == c {
+            4.0 + rng.uniform()
+        } else {
+            rng.uniform()
+        };
+    }
+}
+
+/// Numeric work of a refactor that recomputes every column: the first
+/// refactor of a copy taken right after `factor`.
+fn full_refactor(base: &SparseLu, values: &[f64]) -> (SparseLu, u64) {
+    let mut full = base.clone();
+    let before = full.total_flops();
+    full.refactor(values).unwrap();
+    let spent = full.total_flops() - before;
+    (full, spent)
+}
+
+#[test]
+fn partial_refactor_matches_full_recompute() {
+    // A refactor recomputes only the columns whose inputs changed. Over
+    // seeded edit sequences (no change, one column, every column, random
+    // subsets, signed-zero flips) its solutions must match a from-scratch
+    // refactor bit for bit, and it may never spend more than the
+    // structural cost.
+    let mut rng = Rng(0x7a11_ab1e_5eed_0001);
+    for &(n, extra) in &[(12, 30), (40, 200), (64, 500)] {
+        let (pattern, mut values) = random_system(&mut rng, n, extra);
+        let base = SparseLu::factor(&pattern, &values).unwrap();
+        let mut lu = base.clone();
+        let cost = lu.refactor_cost();
+        let b: Vec<f64> = (0..n).map(|_| rng.uniform()).collect();
+        for step in 0..60 {
+            match step % 5 {
+                0 => {}
+                1 => {
+                    let c = rng.below(n);
+                    redraw_column(&mut rng, &pattern, &mut values, c);
+                }
+                2 => values = random_values(&mut rng, &pattern),
+                3 => {
+                    for c in 0..n {
+                        if rng.below(5) == 0 {
+                            redraw_column(&mut rng, &pattern, &mut values, c);
+                        }
+                    }
+                }
+                _ => {
+                    for c in 0..n {
+                        for (r, slot) in pattern.col_entries(c) {
+                            if r != c && rng.below(4) == 0 {
+                                values[slot] = if values[slot].to_bits() == 0 {
+                                    -0.0
+                                } else {
+                                    0.0
+                                };
+                            }
+                        }
+                    }
+                }
+            }
+            let before = lu.total_flops();
+            lu.refactor(&values).unwrap();
+            let spent = lu.total_flops() - before;
+            let (full, full_spent) = full_refactor(&base, &values);
+            assert_eq!(
+                solve_bits(&lu, &b),
+                solve_bits(&full, &b),
+                "n {n} step {step}"
+            );
+            assert!(
+                spent <= full_spent && full_spent <= cost,
+                "n {n} step {step}"
+            );
+            if step == 0 {
+                assert_eq!(spent, full_spent, "the first refactor recomputes all");
+            } else if step % 5 == 0 {
+                assert_eq!(spent, 0, "n {n} step {step}: nothing changed");
+            }
+        }
+    }
+}
+
+#[test]
+fn failed_refactor_forces_a_full_recompute() {
+    let mut rng = Rng(0x0bad_f00d_0000_0021);
+    let (pattern, values) = random_system(&mut rng, 30, 120);
+    let base = SparseLu::factor(&pattern, &values).unwrap();
+    let b: Vec<f64> = (0..30).map(|_| rng.uniform()).collect();
+    let (_, full_spent) = full_refactor(&base, &values);
+    let mut lu = base.clone();
+    lu.refactor(&values).unwrap();
+
+    // A NaN is rejected with the typed error...
+    let mut poisoned = values.clone();
+    poisoned[pattern.nnz() / 2] = f64::NAN;
+    assert!(matches!(
+        lu.refactor(&poisoned),
+        Err(numkit::Error::Singular { .. })
+    ));
+    // ...and the next refactor recomputes every column, even though only
+    // one column differs from the last successful call.
+    let before = lu.total_flops();
+    lu.refactor(&values).unwrap();
+    assert_eq!(lu.total_flops() - before, full_spent);
+    let (full, _) = full_refactor(&base, &values);
+    assert_eq!(solve_bits(&lu, &b), solve_bits(&full, &b));
+
+    // A decayed pivot fails the same way; a fresh `factor` re-pivots, and
+    // the failed object recovers on the next healthy values.
+    let mut decayed = values.clone();
+    for c in 0..30 {
+        decayed[pattern.index_of(c, c).unwrap()] = 1e-14;
+    }
+    assert!(matches!(
+        lu.refactor(&decayed),
+        Err(numkit::Error::Singular { .. })
+    ));
+    let repivoted = SparseLu::factor(&pattern, &decayed).unwrap();
+    assert_matches_dense(&pattern, &decayed, &repivoted, &mut rng);
+    let before = lu.total_flops();
+    lu.refactor(&values).unwrap();
+    assert_eq!(lu.total_flops() - before, full_spent);
+    assert_eq!(solve_bits(&lu, &b), solve_bits(&full, &b));
+}
