@@ -712,7 +712,7 @@ fn cmd_eye(mut args: Vec<String>) -> CliResult<()> {
     if let Some(s) = parse_count_opt(&mut args, "--seed", 0) {
         w.seed = s;
     }
-    if let Some(l) = parse_count_opt(&mut args, "--lanes", 1) {
+    if let Some(l) = parse_bounded_count_opt(&mut args, "--lanes", 1, EyeWorkload::MAX_LANES) {
         w.lanes = l as usize;
     }
     if let Some(bt) = parse_positive_opt(&mut args, "--bit-time") {

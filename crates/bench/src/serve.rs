@@ -159,6 +159,12 @@ impl EyeWorkload {
     /// process.
     pub const MAX_BITS: u64 = 1 << 16;
 
+    /// Most channel lanes an eye request may drive; the `mdl` CLI rejects
+    /// larger values. Memory and time grow with the lane count (64 lanes
+    /// of the standard stream run in about a second), so one request
+    /// cannot exhaust the process.
+    pub const MAX_LANES: u64 = 64;
+
     /// The standard workload: a 4-lane PRBS-7 stream (2 lanes and a
     /// shorter stream under `fast`).
     pub fn standard(fast: bool) -> Self {

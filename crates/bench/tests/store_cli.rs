@@ -270,6 +270,8 @@ fn counts_above_the_workload_bounds_are_usage_errors() {
         ["mc", missing, "--trials", "4097"],
         ["mc", missing, "--bits", "65537"],
         ["eye", missing, "--bits", "1000000000000"],
+        ["eye", missing, "--lanes", "1000000"],
+        ["eye", missing, "--lanes", "65"],
     ] {
         let out = mdl(&args);
         assert_eq!(out.status.code(), Some(2), "{args:?} must be a usage error");
@@ -278,6 +280,7 @@ fn counts_above_the_workload_bounds_are_usage_errors() {
     for args in [
         ["mc", missing, "--trials", "4096"],
         ["eye", missing, "--bits", "65536"],
+        ["eye", missing, "--lanes", "64"],
     ] {
         assert_eq!(mdl(&args).status.code(), Some(1), "{args:?} must parse");
     }

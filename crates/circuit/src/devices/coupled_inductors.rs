@@ -28,6 +28,8 @@ pub struct CoupledInductors {
     branch: usize,
     i_prev: Vec<f64>,
     v_prev: Vec<f64>,
+    /// `accept_step`'s buffer for the new branch currents.
+    i_new: Vec<f64>,
 }
 
 impl CoupledInductors {
@@ -61,6 +63,7 @@ impl CoupledInductors {
             branch: usize::MAX,
             i_prev: vec![0.0; k],
             v_prev: vec![0.0; k],
+            i_new: vec![0.0; k],
         }
     }
 
@@ -134,15 +137,17 @@ impl Device for CoupledInductors {
         if let Mode::Tran { dt, .. } = ctx.mode {
             let k = self.order();
             let f = 2.0 / dt;
-            let i_new: Vec<f64> = (0..k).map(|j| ctx.branch(self.branch + j)).collect();
+            for (j, i) in self.i_new.iter_mut().enumerate() {
+                *i = ctx.branch(self.branch + j);
+            }
             for j in 0..k {
                 let mut v = -self.v_prev[j];
                 for m in 0..k {
-                    v += f * self.l.get(j, m) * (i_new[m] - self.i_prev[m]);
+                    v += f * self.l.get(j, m) * (self.i_new[m] - self.i_prev[m]);
                 }
                 self.v_prev[j] = v;
             }
-            self.i_prev = i_new;
+            std::mem::swap(&mut self.i_prev, &mut self.i_new);
         }
     }
 }

@@ -42,13 +42,29 @@ pub struct NewtonOutcome {
 /// `gmin` is added from every node to ground for numerical robustness.
 /// `ws` is the persistent solver workspace built by
 /// [`Circuit::make_workspace`]; reusing one workspace across calls is what
-/// caches the symbolic LU structure.
+/// caches the symbolic LU structure. Every call stamps the whole netlist
+/// afresh, so the caller may change devices between calls.
 ///
 /// # Errors
 ///
 /// * [`Error::NonConvergence`] when iterations are exhausted.
 /// * [`Error::SingularMatrix`] when the Jacobian cannot be factored.
 pub fn solve_newton(
+    circuit: &Circuit,
+    mode: Mode,
+    x0: &[f64],
+    gmin: f64,
+    analysis: &str,
+    ws: &mut StampWorkspace,
+) -> Result<NewtonOutcome> {
+    ws.forget_prefix();
+    solve_step(circuit, mode, x0, gmin, analysis, ws)
+}
+
+/// [`solve_newton`] for one step of a transient: keeps the linear prefix's
+/// matrix that an earlier step of the same analysis saved (see
+/// [`crate::workspace`]), since no device changes between its steps.
+pub(crate) fn solve_step(
     circuit: &Circuit,
     mode: Mode,
     x0: &[f64],
@@ -64,7 +80,7 @@ pub fn solve_newton(
     let fac_before = ws.stats().factorizations;
     // Whether this solve's step has been reduced to the ports.
     let mut step_reduced = false;
-    // Whether the full path saved the gmin + linear-prefix stamps.
+    // Whether this solve saved the prefix's right-hand side.
     let mut prefix_saved = false;
     let (prefix, rest) = circuit.devices().split_at(circuit.linear_prefix());
 
@@ -83,15 +99,16 @@ pub fn solve_newton(
             // The prefix stamps the same values on every iteration of this
             // solve: stamp it once, then restore the snapshot.
             if !(prefix_saved && ws.restore_prefix()) {
-                ws.begin();
-                // gmin from every node to ground.
-                for i in 0..n_v {
-                    ws.add(i, i, gmin);
+                if !ws.begin_prefix(mode, gmin) {
+                    // gmin from every node to ground.
+                    for i in 0..n_v {
+                        ws.add(i, i, gmin);
+                    }
                 }
                 for dev in prefix {
                     dev.stamp(&ctx, ws);
                 }
-                prefix_saved = ws.save_prefix();
+                prefix_saved = ws.save_prefix(mode, gmin);
             }
             for dev in rest {
                 dev.stamp(&ctx, ws);
@@ -531,6 +548,58 @@ mod tests {
         let x = ckt.dc_operating_point().unwrap();
         let digest = fnv1a_bits(&x);
         assert_eq!(digest, 0x524c_084a_2d42_853c, "{digest:#018x}");
+    }
+
+    /// A linear conductance to ground that a test can change through
+    /// `Circuit::device_mut`.
+    struct Leak {
+        node: crate::Node,
+        g: f64,
+    }
+
+    impl crate::Device for Leak {
+        fn label(&self) -> &str {
+            "leak"
+        }
+
+        fn register(&self, pb: &mut crate::PatternBuilder) {
+            crate::mna::register_conductance(pb, self.node, GROUND);
+        }
+
+        fn stamp(&self, _ctx: &EvalCtx<'_>, ws: &mut StampWorkspace) {
+            crate::mna::stamp_conductance(ws, self.node, GROUND, self.g);
+        }
+    }
+
+    #[test]
+    fn held_workspace_restamps_a_changed_device() {
+        // The leak sits in the linear prefix, before the diode. Changing it
+        // between two solves at the same transient mode on one held
+        // workspace must give the bits of a fresh workspace: no prefix
+        // matrix saved by the first solve may be reused.
+        let mut ckt = Circuit::new();
+        let (a, b, c) = (ckt.node("a"), ckt.node("b"), ckt.node("c"));
+        ckt.add(VoltageSource::new("v", a, GROUND, SourceWaveform::dc(1.0)));
+        ckt.add(Resistor::new("r1", a, b, 100.0));
+        let leak = ckt.add(Leak { node: b, g: 1e-3 });
+        ckt.add(Resistor::new("r2", b, c, 50.0));
+        ckt.add(Diode::new("d", c, GROUND, DiodeParams::default()));
+        let mut ws = ckt.make_workspace();
+        let x0 = ckt.dc_operating_point_ws(&mut ws, None).unwrap();
+        let mode = Mode::Tran {
+            t: 1e-11,
+            dt: 1e-11,
+        };
+        let gmin = ckt.gmin();
+        let bits = |x: &[f64]| x.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        let before = solve_newton(&ckt, mode, &x0, gmin, "t", &mut ws).unwrap();
+        ckt.device_mut::<Leak>(leak).unwrap().g = 2e-2;
+        let held = solve_newton(&ckt, mode, &x0, gmin, "t", &mut ws).unwrap();
+        let mut ws_fresh = ckt.make_workspace();
+        let fresh = solve_newton(&ckt, mode, &x0, gmin, "t", &mut ws_fresh).unwrap();
+        assert_ne!(bits(&before.x), bits(&fresh.x), "the change matters");
+        assert_eq!(bits(&held.x), bits(&fresh.x));
+        assert_eq!(held.iterations, fresh.iterations);
     }
 
     #[test]

@@ -74,12 +74,17 @@ impl TranParams {
     }
 }
 
-/// Result of a transient analysis: the full solution history.
+/// Result of a transient analysis: the full solution history, in one flat
+/// buffer reserved once (`(steps + 1) × unknowns` values, at most
+/// [`MAX_STORED_VALUES`]) so that storing a step allocates nothing.
 #[derive(Debug, Clone)]
 pub struct TranResult {
     time: Vec<f64>,
-    /// `solutions[k]` is the full unknown vector at `time[k]`.
-    solutions: Vec<Vec<f64>>,
+    /// Unknowns per stored solution.
+    n: usize,
+    /// `solutions[k * n..(k + 1) * n]` is the full unknown vector at
+    /// `time[k]`.
+    solutions: Vec<f64>,
     /// Newton iterations summed over all steps (efficiency metric).
     pub total_newton_iterations: usize,
     /// Workspace diagnostics accumulated over the whole analysis (including
@@ -109,8 +114,7 @@ impl TranResult {
         let vals = if node.is_ground() {
             vec![0.0; self.time.len()]
         } else {
-            let i = node.index() - 1;
-            self.solutions.iter().map(|x| x[i]).collect()
+            self.column(node.index() - 1)
         };
         Waveform::from_parts(self.time.clone(), vals)
     }
@@ -123,14 +127,22 @@ impl TranResult {
     ///
     /// Panics if the device has no branch `k`.
     pub fn branch_current(&self, circuit: &Circuit, id: DeviceId, k: usize) -> Waveform {
-        let idx = circuit.branch_index(id, k);
-        let vals = self.solutions.iter().map(|x| x[idx]).collect();
+        let vals = self.column(circuit.branch_index(id, k));
         Waveform::from_parts(self.time.clone(), vals)
     }
 
     /// Raw solution vector at step `k`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `k >= self.len()`.
     pub fn solution(&self, k: usize) -> &[f64] {
-        &self.solutions[k]
+        &self.solutions[k * self.n..(k + 1) * self.n]
+    }
+
+    /// Unknown `i` at every stored step.
+    fn column(&self, i: usize) -> Vec<f64> {
+        self.solutions.chunks_exact(self.n).map(|x| x[i]).collect()
     }
 }
 
@@ -191,9 +203,9 @@ pub fn run(circuit: &mut Circuit, params: TranParams) -> Result<TranResult> {
     }
 
     let mut time = Vec::with_capacity(n_steps + 1);
-    let mut solutions = Vec::with_capacity(n_steps + 1);
+    let mut solutions = Vec::with_capacity((n_steps + 1) * n);
     time.push(0.0);
-    solutions.push(x0.clone());
+    solutions.extend_from_slice(&x0);
 
     let gmin = circuit.gmin();
     let mut x_prev = x0;
@@ -212,7 +224,7 @@ pub fn run(circuit: &mut Circuit, params: TranParams) -> Result<TranResult> {
             // transient then stays on the full path.
             let _ = solver::enter_port_path(circuit, mode, &x_prev, gmin, n_steps + 1 - k, &mut ws);
         }
-        let out = solver::solve_newton(circuit, mode, &x_prev, gmin, "transient", &mut ws)?;
+        let out = solver::solve_step(circuit, mode, &x_prev, gmin, "transient", &mut ws)?;
         total_iters += out.iterations;
         let ctx = EvalCtx {
             x: &out.x,
@@ -223,12 +235,13 @@ pub fn run(circuit: &mut Circuit, params: TranParams) -> Result<TranResult> {
             dev.accept_step(&ctx);
         }
         time.push(t);
-        solutions.push(out.x.clone());
+        solutions.extend_from_slice(&out.x);
         x_prev = out.x;
     }
 
     Ok(TranResult {
         time,
+        n,
         solutions,
         total_newton_iterations: total_iters,
         solve_stats: ws.stats(),

@@ -14,18 +14,27 @@
 //!   cached value slot — no per-iteration allocation, no dense `n × n`
 //!   zero-fill. The devices before the circuit's first nonlinear one (its
 //!   *linear prefix*, e.g. a whole coupled line) stamp the same values on
-//!   every iteration of one Newton solve (the contract of
-//!   [`crate::Device::is_nonlinear`] at a fixed mode and accepted state).
-//!   So the first full-path iteration of a solve stamps gmin and the
-//!   prefix and saves the values and right-hand side; later iterations
-//!   restore that snapshot and stamp only the rest of the netlist. Every
-//!   slot receives the same additions in the same order as a full
-//!   restamp, so the result is bit-identical. No snapshot is taken on the
-//!   dense backend or when a prefix write overflowed the pattern;
+//!   every iteration of one Newton solve, and their matrix values depend
+//!   only on the mode and `dt` (the contract of
+//!   [`crate::Device::is_nonlinear`]). So the first full-path iteration of
+//!   a solve stamps gmin and the prefix and saves the values and
+//!   right-hand side; later iterations restore that snapshot and stamp
+//!   only the rest of the netlist. Within one transient the values,
+//!   keyed by `(dt, gmin)`, also serve every later step: its first
+//!   iteration restores them, zeroes the right-hand side and stamps the
+//!   prefix with its matrix writes discarded, so only the prefix's
+//!   right-hand side is stamped again. Every slot receives the same
+//!   additions in the same order as a full restamp, so the result is
+//!   bit-identical. No snapshot is taken on the dense backend or when a
+//!   prefix write overflowed the pattern, and pattern growth drops it.
+//!   Only the steps of one transient share it: every other solve,
+//!   including each DC operating point, goes through
+//!   [`crate::solver::solve_newton`], which starts from a full stamp since
+//!   a caller may change a device between calls;
 //! * [`StampWorkspace::solve`] then factors the system with
 //!   [`numkit::sparse::SparseLu`]: one symbolic analysis per circuit, then
 //!   one numeric-only refactorization per iteration, which recomputes only
-//!   the columns whose values changed (bit-identical to a full one).
+//!   the columns whose inputs changed (bit-identical to a full one).
 //!
 //! Very small systems (`n <` [`DENSE_LIMIT`]) keep the dense
 //! [`numkit::lu::LuFactor`] path — the sparse bookkeeping would cost more
@@ -287,11 +296,23 @@ pub struct StampWorkspace {
     port: Option<Box<PortSolver>>,
     x_out: Vec<f64>,
     scratch: Vec<f64>,
-    /// Values and right-hand side saved by [`StampWorkspace::save_prefix`],
-    /// valid while `prefix_saved` holds.
+    /// Values and right-hand side saved by [`StampWorkspace::save_prefix`].
     prefix_values: Vec<f64>,
     prefix_rhs: Vec<f64>,
-    prefix_saved: bool,
+    /// The `(dt, gmin)` bits `prefix_values` were stamped at (`dt` is
+    /// `None` at DC), while they are valid.
+    prefix_key: Option<PrefixKey>,
+}
+
+/// `(dt, gmin)` bits of a gmin + linear-prefix stamp; `dt` is `None` at DC.
+type PrefixKey = (Option<u64>, u64);
+
+fn prefix_key(mode: crate::Mode, gmin: f64) -> PrefixKey {
+    let dt = match mode {
+        crate::Mode::Dc => None,
+        crate::Mode::Tran { dt, .. } => Some(dt.to_bits()),
+    };
+    (dt, gmin.to_bits())
 }
 
 impl std::fmt::Debug for StampWorkspace {
@@ -338,7 +359,7 @@ impl StampWorkspace {
             scratch: vec![0.0; n],
             prefix_values: Vec::new(),
             prefix_rhs: Vec::new(),
-            prefix_saved: false,
+            prefix_key: None,
         }
     }
 
@@ -475,36 +496,75 @@ impl StampWorkspace {
         self
     }
 
-    /// Saves the values and right-hand side stamped since
-    /// [`StampWorkspace::begin`] — gmin plus the circuit's linear prefix on
-    /// the full path — for [`StampWorkspace::restore_prefix`]. Returns
-    /// whether a snapshot was taken: none on the dense backend or when a
-    /// write overflowed the pattern.
-    pub(crate) fn save_prefix(&mut self) -> bool {
-        self.prefix_saved = match &self.backend {
+    /// Starts a full-path iteration at `mode` with `gmin`: the caller
+    /// stamps gmin (only when this returns false), then the circuit's linear
+    /// prefix, then calls [`StampWorkspace::save_prefix`].
+    ///
+    /// When the values saved by an earlier step hold for this `dt` and
+    /// `gmin` — a transient's matrix prefix, which depends only on them
+    /// (the contract of [`crate::Device::is_nonlinear`]) — restores them,
+    /// zeroes the right-hand side and discards the prefix's matrix writes,
+    /// so that only its right-hand side is stamped again; returns true.
+    /// Otherwise acts as [`StampWorkspace::begin`] and returns false.
+    pub(crate) fn begin_prefix(&mut self, mode: crate::Mode, gmin: f64) -> bool {
+        match &mut self.backend {
+            Backend::Sparse(state) if self.prefix_key == Some(prefix_key(mode, gmin)) => {
+                state.values.copy_from_slice(&self.prefix_values);
+                self.rhs.iter_mut().for_each(|v| *v = 0.0);
+                self.target = StampTarget::Discard;
+                true
+            }
+            _ => {
+                self.begin();
+                false
+            }
+        }
+    }
+
+    /// Ends the prefix stamping of [`StampWorkspace::begin_prefix`] and
+    /// saves the right-hand side for [`StampWorkspace::restore_prefix`],
+    /// plus the values unless they were just restored. Returns whether a
+    /// snapshot was taken: none on the dense backend or when a write
+    /// overflowed the pattern.
+    pub(crate) fn save_prefix(&mut self, mode: crate::Mode, gmin: f64) -> bool {
+        let restored = self.target == StampTarget::Discard;
+        self.target = StampTarget::Matrix;
+        match &self.backend {
             Backend::Sparse(state) if state.overflow.is_empty() => {
-                self.prefix_values.clone_from(&state.values);
+                if !restored {
+                    self.prefix_values.clone_from(&state.values);
+                    self.prefix_key = Some(prefix_key(mode, gmin));
+                }
                 self.prefix_rhs.clone_from(&self.rhs);
                 true
             }
-            _ => false,
-        };
-        self.prefix_saved
+            _ => {
+                self.prefix_key = None;
+                false
+            }
+        }
     }
 
     /// Puts back the snapshot of [`StampWorkspace::save_prefix`], leaving
-    /// the workspace exactly as `begin` plus the prefix stamps would.
-    /// Returns false, and changes nothing, when there is no valid snapshot
-    /// (none taken, or the pattern has grown since).
+    /// the workspace exactly as `begin` plus the prefix stamps would. The
+    /// caller vouches that the right-hand side was saved in the current
+    /// Newton solve. Returns false, and changes nothing, when there is no
+    /// valid snapshot (none taken, or the pattern has grown since).
     pub(crate) fn restore_prefix(&mut self) -> bool {
         match &mut self.backend {
-            Backend::Sparse(state) if self.prefix_saved => {
+            Backend::Sparse(state) if self.prefix_key.is_some() => {
                 state.values.copy_from_slice(&self.prefix_values);
                 self.rhs.copy_from_slice(&self.prefix_rhs);
                 true
             }
             _ => false,
         }
+    }
+
+    /// Drops the saved prefix: the devices may have changed since it was
+    /// stamped.
+    pub(crate) fn forget_prefix(&mut self) {
+        self.prefix_key = None;
     }
 
     /// Whether factoring the interior once and solving `steps` timesteps on
@@ -690,7 +750,7 @@ impl StampWorkspace {
         *values = new_values;
         *lu = None;
         overflow.clear();
-        self.prefix_saved = false;
+        self.prefix_key = None;
     }
 
     /// Factors the stamped system and solves it against the stamped

@@ -28,14 +28,19 @@
 //!    column's rows as one local list (`U` rows, pivot, `L` rows) and the
 //!    local position of every scatter entry and update target, in
 //!    execution order. A refactor replays it in a buffer the size of the
-//!    longest column, and recomputes only the columns whose inputs changed:
-//!    a value that differs bitwise from the last successful refactor, or a
-//!    recomputed column `j` in `U(:,k)`. Every other column already holds
-//!    exactly what recomputing it would give, and a recomputed column
-//!    performs the same operations in the same order as a full refactor, so
-//!    the factors are bit-identical to recomputing everything. On a circuit
-//!    matrix, where the linear part's values repeat from one Newton
-//!    iteration to the next, that skips much of the work.
+//!    longest column, and recomputes only the columns whose inputs changed.
+//!    Column `k` reads `A(:,k)` and `L(:,j)` for each `j` in `U(:,k)`, and
+//!    nothing else, so it is recomputed when one of its values differs
+//!    bitwise from the last successful refactor, or when a recomputed
+//!    column `j` in `U(:,k)` wrote an `L(:,j)` that differs bitwise from
+//!    the stored one. One pass over the values marks the first kind; the
+//!    second is pushed forward through `U`'s row structure as each `L`
+//!    column is written. Every other column already holds exactly what
+//!    recomputing it would give, and a recomputed column performs the same
+//!    operations in the same order as a full refactor, so the factors are
+//!    bit-identical to recomputing everything. On a circuit matrix, where
+//!    the linear part's values repeat from one Newton iteration to the
+//!    next, that skips much of the work, and a skipped column costs O(1).
 //!
 //! `refactor` monitors pivot quality: when a frozen pivot decays relative to
 //! its column (the matrix values drifted far from the ones the pivot order
@@ -387,8 +392,14 @@ pub struct SparseLu {
     /// Values of the last successful refactor, compared bitwise to skip
     /// columns whose inputs did not change.
     last: Vec<f64>,
-    /// Whether column `k` was recomputed by the current refactor.
-    recomputed: Vec<bool>,
+    /// Permuted column of every value slot.
+    slot_col: Vec<u32>,
+    /// Row structure of `U`: the columns `k` with `j` in `U(:,k)` are
+    /// `ut_cols[ut_ptr[j]..ut_ptr[j + 1]]`, ascending. They read `L(:,j)`.
+    ut_ptr: Vec<usize>,
+    ut_cols: Vec<u32>,
+    /// Columns the current refactor must recompute.
+    dirty: Vec<bool>,
     /// Set by `factor` and by a failed refactor: the next refactor must
     /// recompute every column.
     stale: bool,
@@ -636,6 +647,25 @@ impl SparseLu {
                 local[r] = u32::MAX;
             }
         }
+        let mut slot_col = vec![0u32; pattern.nnz()];
+        for (k, &oc) in colmap.iter().enumerate() {
+            slot_col[pattern.col_ptr[oc]..pattern.col_ptr[oc + 1]].fill(k as u32);
+        }
+        let mut ut_ptr = vec![0usize; n + 1];
+        for &j in &u_rows {
+            ut_ptr[j + 1] += 1;
+        }
+        for j in 0..n {
+            ut_ptr[j + 1] += ut_ptr[j];
+        }
+        let mut fill = ut_ptr.clone();
+        let mut ut_cols = vec![0u32; u_rows.len()];
+        for k in 0..n {
+            for &j in &u_rows[u_colptr[k]..u_colptr[k + 1]] {
+                ut_cols[fill[j]] = k as u32;
+                fill[j] += 1;
+            }
+        }
 
         Ok(SparseLu {
             n,
@@ -654,7 +684,10 @@ impl SparseLu {
             upd_local,
             buf: vec![0.0; longest],
             last: values.to_vec(),
-            recomputed: vec![false; n],
+            slot_col,
+            ut_ptr,
+            ut_cols,
+            dirty: vec![false; n],
             stale: true,
             flops,
         })
@@ -673,7 +706,8 @@ impl SparseLu {
 
     /// Cumulative numeric operations (multiply–adds plus divides) actually
     /// performed by [`SparseLu::factor`] and every [`SparseLu::refactor`] on
-    /// this object. A refactor adds nothing for the columns it skips and
+    /// this object. A refactor adds nothing for the columns it skips (their
+    /// values and the `L` columns they read are bitwise unchanged) and
     /// nothing for updates by exact zeros, so one call adds at most
     /// [`SparseLu::refactor_cost`].
     pub fn total_flops(&self) -> u64 {
@@ -691,18 +725,20 @@ impl SparseLu {
     /// values. Left-looking over the frozen column structures, replaying the
     /// plan recorded by [`SparseLu::factor`] in a small column buffer.
     ///
-    /// Only columns whose inputs changed are recomputed. Column `k` is
-    /// recomputed when one of its values differs *bitwise* from the last
-    /// successful refactor, or when some `j` in `U(:,k)` was recomputed
-    /// (its `L(:,j)` feeds column `k`). Otherwise every input of column `k`
-    /// is bit-identical to the last successful call, so its stored `L`, `U`
-    /// and pivot are exactly what recomputation would give, and its checks
-    /// would pass again. A recomputed column performs every add, subtract
-    /// and divide in the same order as a from-scratch refactor, so the
-    /// factors are bit-identical either way. The first refactor after
-    /// [`SparseLu::factor`] (whose numeric pass orders operations
-    /// differently) and the first after a failed refactor recompute every
-    /// column.
+    /// Only columns whose inputs changed are recomputed. Column `k` reads
+    /// `A(:,k)` and `L(:,j)` for each `j` in `U(:,k)`. It is recomputed when
+    /// one of its values differs *bitwise* from the last successful
+    /// refactor, or when a recomputed column `j` in `U(:,k)` produced an
+    /// `L(:,j)` that differs bitwise from the stored one (a change confined
+    /// to `U(:,j)` or the pivot does not reach column `k`). Otherwise every
+    /// input of column `k` is bit-identical to the last successful call, so
+    /// its stored `L`, `U` and pivot are exactly what recomputation would
+    /// give, and its checks would pass again. A recomputed column performs
+    /// every add, subtract and divide in the same order as a from-scratch
+    /// refactor, so the factors are bit-identical either way. The first
+    /// refactor after [`SparseLu::factor`] (whose numeric pass orders
+    /// operations differently) and the first after a failed refactor
+    /// recompute every column.
     ///
     /// # Errors
     ///
@@ -717,8 +753,6 @@ impl SparseLu {
                 got: format!("{} values", values.len()),
             });
         }
-        // Cleared again only when every column succeeded.
-        let all = std::mem::replace(&mut self.stale, true);
         let n = self.n;
         let SparseLu {
             colmap,
@@ -734,26 +768,35 @@ impl SparseLu {
             upd_local,
             buf,
             last,
-            recomputed,
+            slot_col,
+            ut_ptr,
+            ut_cols,
+            dirty,
+            stale,
             flops,
             ..
         } = self;
+        // Mark the columns whose values changed. `stale` is cleared again
+        // only when every column succeeded.
+        if std::mem::replace(stale, true) {
+            last.copy_from_slice(values);
+            dirty.fill(true);
+        } else {
+            for ((w, &v), &k) in last.iter_mut().zip(values).zip(slot_col.iter()) {
+                if v.to_bits() != w.to_bits() {
+                    *w = v;
+                    dirty[k as usize] = true;
+                }
+            }
+        }
         for k in 0..n {
+            if !std::mem::take(&mut dirty[k]) {
+                continue;
+            }
             let oc = colmap[k];
             let (a_lo, a_hi) = (a_colptr[oc], a_colptr[oc + 1]);
             let a = &values[a_lo..a_hi];
             let (u_lo, u_hi) = (u_colptr[k], u_colptr[k + 1]);
-            let changed = all
-                || a.iter()
-                    .zip(&last[a_lo..a_hi])
-                    .any(|(v, w)| v.to_bits() != w.to_bits());
-            recomputed[k] = changed || u_rows[u_lo..u_hi].iter().any(|&j| recomputed[j]);
-            if !recomputed[k] {
-                continue;
-            }
-            if changed {
-                last[a_lo..a_hi].copy_from_slice(a);
-            }
             let nu = u_hi - u_lo;
             let (l_lo, l_hi) = (l_colptr[k], l_colptr[k + 1]);
             let col = &mut buf[..nu + 1 + (l_hi - l_lo)];
@@ -796,12 +839,21 @@ impl SparseLu {
                 return Err(Error::Singular { pivot: k });
             }
             diag[k] = pivot;
+            let mut moved = false;
             for (lv, v) in l_vals[l_lo..l_hi].iter_mut().zip(below) {
-                *lv = v / pivot;
+                let l = v / pivot;
+                moved |= l.to_bits() != lv.to_bits();
+                *lv = l;
             }
             *flops += (l_hi - l_lo) as u64;
+            if moved {
+                // The columns that read L(:,k) must be recomputed too.
+                for &d in &ut_cols[ut_ptr[k]..ut_ptr[k + 1]] {
+                    dirty[d as usize] = true;
+                }
+            }
         }
-        self.stale = false;
+        *stale = false;
         Ok(())
     }
 
@@ -1101,16 +1153,22 @@ mod tests {
         assert!(r0.abs() < 1e-10);
     }
 
+    /// Permuted row of every original row.
+    fn pinv(lu: &SparseLu) -> Vec<usize> {
+        let mut pinv = vec![0; lu.n];
+        for (k, &r) in lu.rowmap.iter().enumerate() {
+            pinv[r] = k;
+        }
+        pinv
+    }
+
     /// Test-only copy of the refactor this module used before columns could
     /// be skipped: a length-`n` accumulator, every column recomputed. Its
     /// scatter rows come from the pattern and the pivot order, not from the
     /// replay plan, so the plan is checked rather than trusted.
     fn full_refactor(lu: &mut SparseLu, pattern: &CscPattern, values: &[f64]) -> Result<()> {
         let n = lu.n;
-        let mut pinv = vec![0; n];
-        for (k, &r) in lu.rowmap.iter().enumerate() {
-            pinv[r] = k;
-        }
+        let pinv = pinv(lu);
         let mut x = vec![0.0f64; n];
         for k in 0..n {
             let mut colscale = f64::MIN_POSITIVE;
@@ -1172,10 +1230,12 @@ mod tests {
     #[test]
     fn partial_refactor_matches_full_refactor_bitwise() {
         // Seeded edit sequences: nothing, one original column, every value,
-        // a random subset of columns, signed-zero flips, a NaN and a decayed
-        // pivot. After every successful call the stored factors must equal
-        // the full refactor's bit for bit; a failure must fail the same way
-        // and leave the next call recomputing every column.
+        // a random subset of columns, signed-zero flips, a NaN, a decayed
+        // pivot and the `U` part of one column (which may leave its `L`
+        // column bitwise unchanged, so its dependents are skipped). After
+        // every successful call the stored factors must equal the full
+        // refactor's bit for bit; a failure must fail the same way and leave
+        // the next call recomputing every column.
         use crate::rng::SplitMix64;
         let mut rng = SplitMix64::new(0x5eed_0fc0);
         let n = 30;
@@ -1200,10 +1260,11 @@ mod tests {
         let mut lu = SparseLu::factor(&pattern, &values).unwrap();
         let mut oracle = lu.clone();
         let cost = lu.refactor_cost();
-        let mut failures = [0usize; 7];
-        for step in 0..120 {
+        let pinv = pinv(&lu);
+        let mut failures = [0usize; 8];
+        for step in 0..136 {
             let mut edit = values.clone();
-            match step % 7 {
+            match step % 8 {
                 0 => {}
                 1 => {
                     let c = rng.below(n);
@@ -1242,10 +1303,19 @@ mod tests {
                     let slot = rng.below(edit.len());
                     edit[slot] = f64::NAN;
                 }
-                _ => {
+                6 => {
                     let c = rng.below(n);
                     let slot = pattern.index_of(c, c).unwrap();
                     edit[slot] = 1e-14;
+                }
+                _ => {
+                    let k = rng.below(n);
+                    let c = lu.colmap[k];
+                    for (r, slot) in pattern.col_entries(c) {
+                        if pinv[r] < k {
+                            edit[slot] = fresh(&mut rng, r, c);
+                        }
+                    }
                 }
             }
             let before = lu.total_flops();
@@ -1257,7 +1327,8 @@ mod tests {
                 (Ok(()), Ok(())) => {
                     assert_eq!(factor_bits(&lu), factor_bits(&oracle), "step {step}");
                     assert!(!lu.stale);
-                    if step % 7 == 0 && step > 0 {
+                    assert!(lu.dirty.iter().all(|&d| !d), "step {step}");
+                    if step % 8 == 0 && step > 0 {
                         assert_eq!(spent, 0, "step {step}: nothing changed");
                     }
                     values = edit;
@@ -1265,7 +1336,7 @@ mod tests {
                 (Err(Error::Singular { pivot: a }), Err(Error::Singular { pivot: b })) => {
                     assert_eq!(a, b, "step {step}");
                     assert!(lu.stale, "step {step}: a failure forces a full recompute");
-                    failures[step % 7] += 1;
+                    failures[step % 8] += 1;
                     // Recover on the last good values, as the oracle does.
                     lu.refactor(&values).unwrap();
                     full_refactor(&mut oracle, &pattern, &values).unwrap();
@@ -1276,6 +1347,73 @@ mod tests {
         }
         assert_eq!(failures[5], 17, "every NaN fails");
         assert!(failures[6] > 0, "some decayed pivot fails: {failures:?}");
+    }
+
+    #[test]
+    fn unchanged_l_column_skips_its_dependents() {
+        // A chain plus a leaf `m` whose only off-diagonal entry is A(m, 3):
+        // minimum degree eliminates the leaf first, so L(:,leaf) is empty
+        // and A(m, 3) lands in the U part of column 3. Changing it changes
+        // U(:,3) but neither the pivot nor L(:,3), so the columns that read
+        // L(:,3) must be skipped.
+        let m = 8;
+        let n = m + 1;
+        let mut entries: Vec<(usize, usize)> = (0..n).map(|i| (i, i)).collect();
+        for i in 1..m {
+            entries.push((i - 1, i));
+            entries.push((i, i - 1));
+        }
+        entries.push((m, 3));
+        let pattern = CscPattern::from_entries(n, &entries).unwrap();
+        let mut values = vec![0.0; pattern.nnz()];
+        for c in 0..n {
+            for (r, slot) in pattern.col_entries(c) {
+                values[slot] = if r == c {
+                    4.0 + c as f64
+                } else {
+                    -1.0 - 0.1 * r as f64
+                };
+            }
+        }
+        let mut lu = SparseLu::factor(&pattern, &values).unwrap();
+        lu.refactor(&values).unwrap();
+        let pinv = pinv(&lu);
+        let j = pinv[3];
+        let leaf = pinv[m];
+        let empty = |lu: &SparseLu, i: usize| lu.l_colptr[i] == lu.l_colptr[i + 1];
+        assert!(leaf < j && empty(&lu, leaf), "the leaf is eliminated first");
+        let dependents = &lu.ut_cols[lu.ut_ptr[j]..lu.ut_ptr[j + 1]];
+        assert!(!dependents.is_empty(), "some column reads L(:,{j})");
+
+        let slot = pattern.index_of(m, 3).unwrap();
+        values[slot] = 2.5;
+        let before = lu.total_flops();
+        lu.refactor(&values).unwrap();
+        let spent = lu.total_flops() - before;
+        // Column j alone: its updates by nonzero U entries, then its divides.
+        let mut own = (lu.l_colptr[j + 1] - lu.l_colptr[j]) as u64;
+        for idx in lu.u_colptr[j]..lu.u_colptr[j + 1] {
+            let i = lu.u_rows[idx];
+            if lu.u_vals[idx] != 0.0 {
+                own += (lu.l_colptr[i + 1] - lu.l_colptr[i]) as u64;
+            }
+        }
+        let mut full = lu.clone();
+        let before = full.total_flops();
+        full_refactor(&mut full, &pattern, &values).unwrap();
+        let recompute = full.total_flops() - before;
+        assert_eq!(spent, own, "only column {j} is recomputed");
+        assert!(
+            spent < recompute,
+            "{spent} flops, full recompute {recompute}"
+        );
+        assert_eq!(factor_bits(&lu), factor_bits(&full));
+
+        let mut fresh = SparseLu::factor(&pattern, &values).unwrap();
+        fresh.refactor(&values).unwrap();
+        let b: Vec<f64> = (0..n).map(|i| 1.0 + 0.25 * i as f64).collect();
+        let bits = |x: Vec<f64>| x.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(lu.solve(&b).unwrap()), bits(fresh.solve(&b).unwrap()));
     }
 
     #[test]

@@ -3,7 +3,7 @@
 # at REV (in a temporary git worktree) and in the working tree, each in its
 # own target dir outside the repo, then runs untraced pairs in ABBA order
 # (A = REV, B = working tree; odd pairs run A first, even pairs B first) so
-# that host drift lands on both sides evenly.
+# that host drift lands on both sides evenly. Every run uses the same seed.
 #
 # Prints every pair's op_s, setup_s and peak_rss_mb, the number of pairs
 # in which B's op_s is lower, both medians and interquartile ranges, and
@@ -11,18 +11,19 @@
 # fails. `perfbench/Cargo.lock` is left as it was. Not a CI step: it runs
 # 2 x PAIRS x SECONDS of benchmark plus two release builds.
 #
-# Usage: scripts/perf-ab.sh REV [workload] [pairs] [seconds]
-#        (defaults: paper, 8 pairs, 30 s per run; seed 1)
+# Usage: scripts/perf-ab.sh REV [workload] [pairs] [seconds] [seed]
+#        (defaults: paper, 8 pairs, 30 s per run, seed 1)
 set -euo pipefail
 
-if [ $# -lt 1 ] || [ $# -gt 4 ]; then
-    echo "usage: scripts/perf-ab.sh REV [workload] [pairs] [seconds]" >&2
+if [ $# -lt 1 ] || [ $# -gt 5 ]; then
+    echo "usage: scripts/perf-ab.sh REV [workload] [pairs] [seconds] [seed]" >&2
     exit 2
 fi
 rev="$1"
 workload="${2:-paper}"
 pairs="${3:-8}"
 seconds="${4:-30}"
+seed="${5:-1}"
 root="$(git rev-parse --show-toplevel)"
 cd "$root"
 git rev-parse --verify -q "$rev^{commit}" >/dev/null || {
@@ -56,7 +57,7 @@ run_side() {
     local side="$1" tag="$2"
     local log="$work/out/$tag-$side.log"
     if ! (cd "$work/run-$side" && "$work/target-$side/release/perfbench" \
-        --workload "$workload" --seed 1 --seconds "$seconds" --trace 0) >"$log" 2>&1; then
+        --workload "$workload" --seed "$seed" --seconds "$seconds" --trace 0) >"$log" 2>&1; then
         echo "perf-ab: run $tag-$side failed; its output:" >&2
         cat "$log" >&2
         return 1
@@ -74,12 +75,12 @@ for ((i = 1; i <= pairs; i++)); do
     done
 done
 
-python3 - "$results" "$rev" "$workload" "$pairs" "$seconds" <<'EOF'
+python3 - "$results" "$rev" "$workload" "$pairs" "$seconds" "$seed" <<'EOF'
 import json
 import statistics
 import sys
 
-path, rev, workload, pairs, seconds = sys.argv[1:]
+path, rev, workload, pairs, seconds, seed = sys.argv[1:]
 rows = [json.loads(line) for line in open(path) if line.strip()]
 runs = {}
 correct = True
@@ -99,7 +100,7 @@ def quartiles(xs):
 
 wins = 0
 a_op, b_op = [], []
-print(f"perf-ab {workload}: A = {rev}, B = working tree, {pairs} pairs x {seconds} s")
+print(f"perf-ab {workload}: A = {rev}, B = working tree, {pairs} pairs x {seconds} s, seed {seed}")
 print("pair  op_s A    op_s B    change   setup_s A  setup_s B  rss A  rss B")
 for i in range(1, int(pairs) + 1):
     a, b = runs[(i, "a")], runs[(i, "b")]
@@ -121,6 +122,7 @@ print(json.dumps({
     "rev": rev,
     "pairs": int(pairs),
     "seconds": float(seconds),
+    "seed": int(seed),
     "wins_b": wins,
     "median_op_s_a": ma,
     "median_op_s_b": mb,
