@@ -2,6 +2,10 @@
 //! transistor-level vs PW-RBF (paper rule-of-thumb: > 20x speedup; the
 //! exact ratio depends on how much finer the transistor-level timestep
 //! must be than the macromodel sample clock).
+//!
+//! Each time is its own run's wall time. The two runs are independent and
+//! overlap when two CPUs are free (the PW-RBF run on a second thread), so
+//! the program's wall time is about the transistor-level time alone.
 
 use emc_bench::{driver_model, fig4, Fig4Config};
 

@@ -66,16 +66,22 @@ pub struct ServeConfig {
     /// Use the shrunken smoke-test scenario set for `simulate` and as the
     /// `sweep` default.
     pub fast: bool,
+    /// How long a connection may stay silent before the daemon closes it.
+    /// Without a bound, a client that connects and never sends holds a
+    /// handler thread for the daemon's lifetime.
+    pub idle_timeout: Duration,
 }
 
 impl ServeConfig {
-    /// A config with the default 500 ms poll interval and full scenarios.
+    /// A config with the default 500 ms poll interval, full scenarios and
+    /// a 300 s idle-connection timeout.
     pub fn new(store_dir: impl Into<PathBuf>, socket_path: impl Into<PathBuf>) -> Self {
         ServeConfig {
             store_dir: store_dir.into(),
             socket_path: socket_path.into(),
             poll_interval: Duration::from_millis(500),
             fast: false,
+            idle_timeout: Duration::from_secs(300),
         }
     }
 }
@@ -192,8 +198,13 @@ impl Inner {
 ///
 /// # Errors
 ///
-/// Unreadable store directory or an unbindable socket path.
+/// Unreadable store directory, an unbindable socket path, or a zero
+/// `idle_timeout` (sockets reject a zero read timeout, so no connection
+/// could be served).
 pub fn start(cfg: ServeConfig) -> crate::Result<ServerHandle> {
+    if cfg.idle_timeout.is_zero() {
+        return Err("idle_timeout must be positive".into());
+    }
     let store = ModelStore::open_with_mode(&cfg.store_dir, LoadMode::Lazy)?;
     if cfg.socket_path.exists() {
         std::fs::remove_file(&cfg.socket_path)?;
@@ -374,8 +385,22 @@ fn listener_loop(inner: &Arc<Inner>, listener: UnixListener) {
 }
 
 /// One connection: read framed request lines, answer each with one JSON
-/// frame, until EOF, error, or a `shutdown` request.
+/// frame, until EOF, error, a `shutdown` request, or
+/// [`ServeConfig::idle_timeout`] without a byte from the client (the
+/// timed-out read is an error). The socket is then shut down, so the client
+/// sees EOF at once even though the registry still holds a clone of the
+/// stream until the next accept prunes it.
 fn handle_conn(inner: &Arc<Inner>, stream: UnixStream) {
+    if stream
+        .set_read_timeout(Some(inner.cfg.idle_timeout))
+        .is_ok()
+    {
+        serve_conn(inner, &stream);
+    }
+    stream.shutdown(std::net::Shutdown::Both).ok();
+}
+
+fn serve_conn(inner: &Arc<Inner>, stream: &UnixStream) {
     let Ok(read_half) = stream.try_clone() else {
         return;
     };

@@ -226,6 +226,44 @@ fn oversized_requests_get_error_replies_and_the_daemon_keeps_serving() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// A client that connects and stays silent is dropped after the idle
+/// timeout (it reads EOF), while an active connection keeps being served.
+#[test]
+fn idle_connections_are_closed_and_active_ones_keep_serving() {
+    use std::io::Read;
+    let dir = temp_dir("idle");
+    save_model_to_path(&dummy_driver("drv_a", 0.02), dir.join("a.mdlx")).unwrap();
+    let mut cfg = serve_cfg(&dir, "idle", 200);
+    cfg.idle_timeout = Duration::ZERO;
+    assert!(start(cfg.clone()).is_err(), "a zero timeout is rejected");
+    cfg.idle_timeout = Duration::from_millis(200);
+    let handle = start(cfg).unwrap();
+    let mut silent = std::os::unix::net::UnixStream::connect(handle.socket_path()).unwrap();
+    silent
+        .set_read_timeout(Some(Duration::from_secs(5)))
+        .unwrap();
+    let t0 = Instant::now();
+    let eof = std::thread::spawn(move || {
+        let mut buf = [0u8; 16];
+        let n = silent.read(&mut buf).expect("EOF, not a read timeout");
+        (n, t0.elapsed())
+    });
+    // Requests 20 ms apart, well inside the timeout, keep the active
+    // connection open past the point where the silent one is dropped.
+    let mut active = Client::connect(&handle.socket_path()).unwrap();
+    while t0.elapsed() < Duration::from_millis(800) {
+        let ls = active.request("ls").unwrap();
+        assert!(ls.contains("\"ok\":true"), "{ls}");
+        std::thread::sleep(Duration::from_millis(20));
+    }
+    let (n, waited) = eof.join().unwrap();
+    assert_eq!(n, 0, "the silent client reads EOF");
+    assert!(waited < Duration::from_secs(2), "{waited:?}");
+    assert!(active.request("shutdown").unwrap().contains("\"ok\":true"));
+    handle.join();
+    std::fs::remove_dir_all(&dir).ok();
+}
+
 #[test]
 fn hot_reload_swaps_digests_without_dropping_requests() {
     let dir = temp_dir("reload");

@@ -330,9 +330,11 @@ pub struct DriverLanes {
     il_past: LaneRing,
     scratch: EvalScratch,
     /// Voltages of the most recent [`DriverLanes::step`], while the
-    /// submodel values it computed are still valid in scratch. Newton
-    /// accepts the voltages of its own final evaluation, so commit almost
-    /// always reuses them instead of re-evaluating both submodels.
+    /// submodel values it computed are still valid in scratch. A commit at
+    /// exactly these voltages reuses them instead of re-evaluating both
+    /// submodels. In a transient that is rare: Newton evaluates at `x_k`
+    /// and accepts `x_{k+1}`, so the two match only when the last update
+    /// was exactly zero.
     last_v: Vec<f64>,
     last_valid: bool,
 }
@@ -424,10 +426,14 @@ impl DriverLanes {
     /// Advances every lane's history with the converged voltages.
     ///
     /// When `v` is exactly the voltages of the preceding
-    /// [`DriverLanes::step`] — the common case: Newton's final evaluation
-    /// is at the solution it accepts — the submodel values that step
-    /// already computed are pushed directly (the fused value equals the
-    /// value-only evaluation bit for bit), skipping both re-evaluations.
+    /// [`DriverLanes::step`], the submodel values that step already
+    /// computed are pushed directly (the fused value equals the value-only
+    /// evaluation bit for bit), skipping both re-evaluations. This is not
+    /// the common case in a transient: Newton evaluates at the iterate
+    /// `x_k` and accepts the update `x_{k+1}`, so the voltages match only
+    /// when the last update was exactly zero, and commit usually pays a
+    /// second evaluation. A caller that steps and commits at the same `v`
+    /// (as `mdl bench-eval` does) times only the reuse path.
     ///
     /// # Panics
     ///
@@ -667,7 +673,8 @@ impl ReceiverLanes {
     /// Advances every lane's history with the converged voltages. As with
     /// [`DriverLanes::commit`], a commit at exactly the voltages of the
     /// preceding [`ReceiverLanes::step`] reuses that step's staged
-    /// submodel values instead of re-evaluating.
+    /// submodel values instead of re-evaluating. In a transient that
+    /// happens only after an exactly zero Newton update, so it is rare.
     ///
     /// # Panics
     ///

@@ -8,9 +8,22 @@
 //! number of threads running at once differs. The workers are scoped to
 //! the call, so closures and items may borrow from the caller.
 //!
+//! **Nesting runs inline.** A [`map`] or [`join`] called from inside a
+//! `map` worker (the calling thread included), or from either side of a
+//! `join`, runs on the thread that called it: a nested `map` is a serial
+//! loop and a nested `join` runs `a` then `b`. The bound of at most nproc
+//! live workers therefore holds across nesting, not just per call, and a
+//! library routine may use `par` internally without knowing whether its
+//! caller already fans out: called alone it gets every CPU, called from a
+//! fan-out it adds no threads. A thread-local flag marks the workers; a
+//! drop guard restores it, so it survives an unwind. A `map` over one item
+//! runs that item on the caller without setting the flag, so the item's
+//! own nested calls still fan out.
+//!
 //! A panic inside a worker stops that worker only: the other workers keep
 //! claiming items until none are left, and the panic is then re-raised on
-//! the caller with its original payload.
+//! the caller with its original payload. An inline `join` keeps the same
+//! contract: it runs both closures and then re-raises.
 //!
 //! ```
 //! let squares = numkit::par::map((0..10u64).collect(), |x| x * x);
@@ -19,8 +32,9 @@
 //! assert_eq!((a, b), ("left", 2));
 //! ```
 
+use std::cell::Cell;
 use std::num::NonZeroUsize;
-use std::panic::resume_unwind;
+use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 use std::thread;
@@ -29,8 +43,34 @@ fn parallelism() -> usize {
     thread::available_parallelism().map_or(1, NonZeroUsize::get)
 }
 
+thread_local! {
+    /// Set while this thread runs as a `map` worker or a side of a `join`.
+    static IN_WORKER: Cell<bool> = const { Cell::new(false) };
+}
+
+fn in_worker() -> bool {
+    IN_WORKER.with(Cell::get)
+}
+
+/// Marks the current thread as a worker until dropped, then restores the
+/// previous mark — on an unwind too.
+struct WorkerMark(bool);
+
+impl WorkerMark {
+    fn set() -> Self {
+        WorkerMark(IN_WORKER.with(|w| w.replace(true)))
+    }
+}
+
+impl Drop for WorkerMark {
+    fn drop(&mut self) {
+        IN_WORKER.with(|w| w.set(self.0));
+    }
+}
+
 /// Maps `f` over `items` on at most `available_parallelism()` workers and
-/// returns the results in input order.
+/// returns the results in input order. Called from inside a worker, it
+/// runs serially on the calling thread (see the module docs).
 ///
 /// # Panics
 ///
@@ -43,13 +83,14 @@ where
 {
     let n = items.len();
     let workers = parallelism().min(n);
-    if workers <= 1 {
+    if workers <= 1 || in_worker() {
         return items.into_iter().map(f).collect();
     }
     // Each slot is taken exactly once, by the worker that claimed its index.
     let slots: Vec<Mutex<Option<T>>> = items.into_iter().map(|t| Mutex::new(Some(t))).collect();
     let next = AtomicUsize::new(0);
     let work = || {
+        let _mark = WorkerMark::set();
         let mut done = Vec::new();
         loop {
             let i = next.fetch_add(1, Ordering::Relaxed);
@@ -82,7 +123,8 @@ where
 }
 
 /// Runs `a` on a scoped worker and `b` on the calling thread, returning
-/// both results.
+/// both results. Called from inside a worker, or with one CPU, it runs `a`
+/// and then `b` on the calling thread (see the module docs).
 ///
 /// # Panics
 ///
@@ -93,9 +135,20 @@ where
     B: FnOnce() -> RB,
     RA: Send,
 {
-    thread::scope(|s| {
-        let a = s.spawn(a);
+    if in_worker() || parallelism() == 1 {
+        let a = catch_unwind(AssertUnwindSafe(a));
         let b = b();
+        return (a.unwrap_or_else(|p| resume_unwind(p)), b);
+    }
+    thread::scope(|s| {
+        let a = s.spawn(|| {
+            let _mark = WorkerMark::set();
+            a()
+        });
+        let b = {
+            let _mark = WorkerMark::set();
+            b()
+        };
         (a.join().unwrap_or_else(|p| resume_unwind(p)), b)
     })
 }
@@ -114,17 +167,109 @@ mod tests {
         }
     }
 
+    /// Counts the threads inside `body` at once and the peak of that count.
+    #[derive(Default)]
+    struct Live {
+        now: AtomicUsize,
+        peak: AtomicUsize,
+    }
+
+    impl Live {
+        fn run<R>(&self, body: impl FnOnce() -> R) -> R {
+            let now = self.now.fetch_add(1, Ordering::SeqCst) + 1;
+            self.peak.fetch_max(now, Ordering::SeqCst);
+            thread::sleep(Duration::from_millis(2));
+            let r = body();
+            self.now.fetch_sub(1, Ordering::SeqCst);
+            r
+        }
+
+        fn peak(&self) -> usize {
+            self.peak.load(Ordering::SeqCst)
+        }
+    }
+
     #[test]
     fn map_never_runs_more_workers_than_cpus() {
-        let (live, peak) = (AtomicUsize::new(0), AtomicUsize::new(0));
-        map((0..8 * parallelism()).collect(), |_| {
-            let now = live.fetch_add(1, Ordering::SeqCst) + 1;
-            peak.fetch_max(now, Ordering::SeqCst);
-            thread::sleep(Duration::from_millis(2));
-            live.fetch_sub(1, Ordering::SeqCst);
-        });
-        let peak = peak.load(Ordering::SeqCst);
+        let live = Live::default();
+        map((0..8 * parallelism()).collect(), |_| live.run(|| ()));
+        let peak = live.peak();
         assert!(peak >= 1 && peak <= parallelism(), "peak {peak}");
+    }
+
+    /// The bound holds across nesting: a `map` inside a `map`, and a `map`
+    /// on each side of a `join`, run inline on the enclosing workers.
+    #[test]
+    fn nested_calls_never_run_more_workers_than_cpus() {
+        let p = parallelism();
+        let live = Live::default();
+        let inner = |i: usize| map((0..4 * p).collect(), |j| live.run(|| i * 100 + j));
+        let out = map((0..2 * p).collect(), inner);
+        assert!(live.peak() <= p, "map in map: peak {}", live.peak());
+        for (i, row) in out.iter().enumerate() {
+            assert_eq!(*row, (0..4 * p).map(|j| i * 100 + j).collect::<Vec<_>>());
+        }
+
+        let live = Live::default();
+        let (a, b) = join(
+            || map((0..4 * p).collect(), |j| live.run(|| j)),
+            || map((0..4 * p).collect(), |j| live.run(|| 2 * j)),
+        );
+        assert!(live.peak() <= p, "map in join: peak {}", live.peak());
+        assert_eq!(a, (0..4 * p).collect::<Vec<_>>());
+        assert_eq!(b, (0..4 * p).map(|j| 2 * j).collect::<Vec<_>>());
+    }
+
+    /// A panic inside a nested (inline) call reaches the outermost caller
+    /// with its payload; an inline `join` still runs its second closure
+    /// first. Afterwards the caller is no longer marked, and a top-level
+    /// `map` fans out again.
+    #[test]
+    fn nested_panics_reach_the_outer_caller_and_leave_no_mark() {
+        let caught = std::panic::catch_unwind(|| {
+            map((0..4).collect(), |i: usize| {
+                map((0..4).collect(), |j: usize| {
+                    if (i, j) == (2, 1) {
+                        panic!("inner {i}.{j}");
+                    }
+                })
+            })
+        });
+        let payload = caught.expect_err("the nested panic reaches the caller");
+        assert_eq!(payload.downcast_ref::<String>().unwrap(), "inner 2.1");
+
+        let ran_b = AtomicUsize::new(0);
+        let caught = std::panic::catch_unwind(|| {
+            join(
+                || {
+                    join(
+                        || panic!("inner join"),
+                        || ran_b.fetch_add(1, Ordering::SeqCst),
+                    )
+                },
+                || (),
+            )
+        });
+        let payload = caught.expect_err("the nested join panic reaches the caller");
+        assert_eq!(*payload.downcast_ref::<&str>().unwrap(), "inner join");
+        assert_eq!(ran_b.load(Ordering::SeqCst), 1);
+
+        assert!(!in_worker());
+        // Each item waits (up to a generous deadline) until two threads
+        // have run items, so the count does not depend on start-up timing.
+        let threads = Mutex::new(std::collections::HashSet::new());
+        let deadline = std::time::Instant::now() + Duration::from_secs(10);
+        map((0..2 * parallelism()).collect(), |_| {
+            threads.lock().unwrap().insert(thread::current().id());
+            while parallelism() > 1
+                && threads.lock().unwrap().len() < 2
+                && std::time::Instant::now() < deadline
+            {
+                thread::sleep(Duration::from_millis(1));
+            }
+        });
+        let used = threads.lock().unwrap().len();
+        assert_eq!(used > 1, parallelism() > 1, "{used} threads");
     }
 
     #[test]

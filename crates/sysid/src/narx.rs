@@ -312,13 +312,19 @@ const SCALES: [f64; 3] = [1.0, 0.3, 0.1];
 /// the three width scales, whose columns are written together. Far-field
 /// responses (exponent beyond ~1e-20) skip the `exp` call and stay `+0.0`;
 /// that is about half of each narrowest-scale column.
+///
+/// Each base center's block of columns is filled by one
+/// [`numkit::par::map`] item writing into its own part of the one slab
+/// allocated here, so the workers allocate nothing and every value is
+/// computed exactly as a serial loop would compute it.
 fn candidate_slab(rows: &[Vec<f64>], base_centers: &[Vec<f64>], base_width: f64) -> Vec<f64> {
     let n = rows.len();
     let mut slab = vec![0.0; base_centers.len() * SCALES.len() * n];
-    for (cand, block) in base_centers
+    let blocks: Vec<_> = base_centers
         .iter()
         .zip(slab.chunks_exact_mut(SCALES.len() * n))
-    {
+        .collect();
+    numkit::par::map(blocks, |(cand, block)| {
         for (r, row) in rows.iter().enumerate() {
             let d2: f64 = row.iter().zip(cand).map(|(a, b)| (a - b) * (a - b)).sum();
             for (si, s) in SCALES.iter().enumerate() {
@@ -329,7 +335,7 @@ fn candidate_slab(rows: &[Vec<f64>], base_centers: &[Vec<f64>], base_width: f64)
                 }
             }
         }
-    }
+    });
     slab
 }
 
@@ -570,6 +576,40 @@ mod tests {
                 [0x3ffd72e097b54f05, 0x3ffd258e0458c4b7, 0x40145ccd50a31ffa],
             ]
         );
+    }
+
+    /// FNV-1a over the bits of every parameter of `net`.
+    fn network_digest(net: &RbfNetwork) -> u64 {
+        let all = std::iter::once(net.bias())
+            .chain(net.linear().iter().copied())
+            .chain(net.weights().iter().copied())
+            .chain(net.widths().iter().copied())
+            .chain(net.centers().iter().flatten().copied());
+        all.fold(0xcbf2_9ce4_8422_2325, |h, x| {
+            x.to_bits()
+                .to_le_bytes()
+                .iter()
+                .fold(h, |h, &b| (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3))
+        })
+    }
+
+    /// Bits of a fit as large as the md4 receiver's `up` fit (2,558 rows,
+    /// 699 candidates), recorded before candidate building and the OLS
+    /// dot products were split across workers: 2,599 rows and 780
+    /// candidates, so both run on the parallel path.
+    #[test]
+    fn split_size_fit_golden_bits() {
+        let u = rich_input(2600, 0.7);
+        let y = nonlinear_system(&u);
+        let cfg = RbfTrainConfig {
+            candidate_pool: 240,
+            ..RbfTrainConfig::default()
+        };
+        let stride = (u.len() - 1) / cfg.candidate_pool;
+        assert_eq!((u.len() - 1).div_ceil(stride) * SCALES.len(), 780);
+        let model = NarxModel::fit(&u, &y, NarxOrders::dynamic(1), cfg).unwrap();
+        assert_eq!(model.network().centers().len(), 15);
+        assert_eq!(network_digest(model.network()), 0x489e_3093_138a_6eff);
     }
 
     /// The golden fit exercises the far-field skip: its narrowest-scale

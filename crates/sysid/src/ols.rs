@@ -25,6 +25,14 @@
 //! contracts `a += x * y` into a fused multiply-add, so every statistic is
 //! bit-identical to a plain sequential dot product — and with it every
 //! selection, error ratio and downstream model weight.
+//!
+//! A pass large enough to pay for a thread (at least 2^16 multiply-adds in
+//! each half) splits its column list into two halves at a multiple of four
+//! and runs them under [`numkit::par::join`]. Each half writes the dot
+//! products of its own columns into its own part of one preallocated
+//! buffer, so the split allocates nothing and changes no bit. Inside an
+//! enclosing fan-out (the driver fits run `high ‖ low` under `join`) the
+//! halves run inline, one after the other.
 
 use crate::{Error, Result};
 
@@ -84,26 +92,53 @@ fn dot4(a: [&[f64]; 4], b: [&[f64]; 4]) -> [f64; 4] {
     s
 }
 
-/// Dots each candidate column `idx` of the slab `cols` (columns of `rows`
-/// values) with `v`, or with itself when `v` is `None`, four columns per
-/// pass, and hands each `(index, dot)` pair to `f` in `idx` order.
-fn dot_columns(
+/// Multiply-adds each half of a [`dot_columns`] call must hold before the
+/// call splits across two workers; below it the thread start-up costs more
+/// than the second CPU saves.
+const SPLIT_WORK: usize = 1 << 16;
+
+/// Dots each candidate column `idx[k]` of the slab `cols` (columns of
+/// `rows` values) with `v`, or with itself when `v` is `None`, into
+/// `out[k]`.
+///
+/// Columns go four per pass through [`dot4`]. Once each half of `idx`
+/// holds at least [`SPLIT_WORK`] multiply-adds, the list splits at a
+/// multiple of four and the halves run under [`numkit::par::join`], each
+/// writing its own part of `out`. The split keeps every column in the same
+/// group of four and each dot product in its own accumulator, so `out` is
+/// bit-identical either way, and no worker allocates.
+fn dot_columns(v: Option<&[f64]>, cols: &[f64], rows: usize, idx: &[usize], out: &mut [f64]) {
+    debug_assert_eq!(idx.len(), out.len());
+    let half = idx.len() / 8 * 4;
+    if half * rows >= SPLIT_WORK {
+        let (idx_a, idx_b) = idx.split_at(half);
+        let (out_a, out_b) = out.split_at_mut(half);
+        numkit::par::join(
+            || dot_columns_serial(v, cols, rows, idx_a, out_a),
+            || dot_columns_serial(v, cols, rows, idx_b, out_b),
+        );
+    } else {
+        dot_columns_serial(v, cols, rows, idx, out);
+    }
+}
+
+/// [`dot_columns`] on the calling thread.
+fn dot_columns_serial(
     v: Option<&[f64]>,
     cols: &[f64],
     rows: usize,
     idx: &[usize],
-    mut f: impl FnMut(usize, f64),
+    out: &mut [f64],
 ) {
     let col = |i: usize| &cols[i * rows..(i + 1) * rows];
     let mut quads = idx.chunks_exact(4);
-    for q in &mut quads {
+    let mut outs = out.chunks_exact_mut(4);
+    for (q, o) in (&mut quads).zip(&mut outs) {
         let c = [col(q[0]), col(q[1]), col(q[2]), col(q[3])];
-        for (&i, d) in q.iter().zip(dot4(v.map_or(c, |v| [v; 4]), c)) {
-            f(i, d);
-        }
+        o.copy_from_slice(&dot4(v.map_or(c, |v| [v; 4]), c));
     }
-    for &i in quads.remainder() {
-        f(i, dot(v.unwrap_or(col(i)), col(i)));
+    for (&i, o) in quads.remainder().iter().zip(outs.into_remainder()) {
+        *o = dot(v.unwrap_or(col(i)), col(i));
     }
 }
 
@@ -166,15 +201,17 @@ pub fn select(cols: &[f64], rows: usize, y: &[f64], stop: OlsStop) -> Result<Ols
     // w_i = p_i - proj_basis(p_i), updated rank-1 after every selection.
     let all: Vec<usize> = (0..m).collect();
     let mut wty = vec![0.0; m];
-    dot_columns(Some(y), cols, n, &all, |i, d| wty[i] = d);
+    dot_columns(Some(y), cols, n, &all, &mut wty);
     let mut wtw = vec![0.0; m];
-    dot_columns(None, cols, n, &all, |i, d| wtw[i] = d);
+    dot_columns(None, cols, n, &all, &mut wtw);
     let mut available: Vec<bool> = vec![true; m];
     // Materialized orthogonal basis (selected candidates only, ≤ max_terms).
     let mut basis: Vec<Vec<f64>> = Vec::new();
     let mut basis_wtw: Vec<f64> = Vec::new();
-    // Candidates still worth updating, rebuilt before each rank-1 update.
+    // Candidates still worth updating, rebuilt before each rank-1 update,
+    // and their dot products with the newest basis vector.
     let mut active: Vec<usize> = Vec::with_capacity(m);
+    let mut dots: Vec<f64> = Vec::with_capacity(m);
 
     let mut selected = Vec::new();
     let mut errs = Vec::new();
@@ -228,11 +265,13 @@ pub fn select(cols: &[f64], rows: usize, y: &[f64], stop: OlsStop) -> Result<Ols
         // the original column suffices.
         active.clear();
         active.extend((0..m).filter(|&i| available[i] && wtw[i] >= 1e-20));
-        dot_columns(Some(&w_sel), cols, n, &active, |i, d| {
+        dots.resize(active.len(), 0.0);
+        dot_columns(Some(&w_sel), cols, n, &active, &mut dots);
+        for (&i, &d) in active.iter().zip(&dots) {
             let proj = d / wtw_sel;
             wty[i] -= proj * wty_sel;
             wtw[i] = (wtw[i] - proj * proj * wtw_sel).max(0.0);
-        });
+        }
         basis.push(w_sel);
         basis_wtw.push(wtw_sel);
     }

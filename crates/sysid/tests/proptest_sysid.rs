@@ -380,3 +380,45 @@ fn ols_select_matches_sequential_reference_bitwise() {
         "{early_stops} {saturated}"
     );
 }
+
+/// A selection over a slab large enough that `ols::select` splits its
+/// column dot products across workers (600 rows × 480 candidates, about
+/// 2.9e5 multiply-adds per pass), pinned to the bits recorded before the
+/// split existed and checked against the sequential reference.
+#[test]
+fn ols_select_above_split_threshold_golden() {
+    let mut s = SplitMix64::new(0x5b11_7ed0);
+    let (n, m) = (600, 480);
+    let p = rand_candidates(&mut s, n, m);
+    let y: Vec<f64> = (0..n)
+        .map(|r| {
+            let t = r as f64 * 0.01;
+            t.sin() + 0.5 * (3.0 * t).cos() * p.get(r, 7) + 1e-3 * s.range(-1.0, 1.0)
+        })
+        .collect();
+    let slab: Vec<f64> = (0..m)
+        .flat_map(|c| (0..n).map(move |r| (r, c)))
+        .map(|(r, c)| p.get(r, c))
+        .collect();
+    let stop = OlsStop {
+        max_terms: 40,
+        tolerance: 0.0,
+    };
+    let got = ols::select(&slab, n, &y, stop).unwrap();
+    let want = select_reference(&p, &y, stop);
+    let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+    assert_eq!(got.selected, want.selected);
+    assert_eq!(bits(&got.err), bits(&want.err));
+    assert_eq!(got.residual_ratio.to_bits(), want.residual_ratio.to_bits());
+    let digest = got
+        .selected
+        .iter()
+        .map(|&i| i as u64)
+        .chain(got.err.iter().map(|e| e.to_bits()))
+        .chain([got.residual_ratio.to_bits()])
+        .fold(0xcbf2_9ce4_8422_2325_u64, |h, x| {
+            (h ^ x).wrapping_mul(0x0100_0000_01b3)
+        });
+    assert_eq!(got.selected.len(), 40);
+    assert_eq!(digest, 0x5c34_fff2_24a5_03d8);
+}
