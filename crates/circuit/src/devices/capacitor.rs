@@ -76,18 +76,20 @@ impl Device for Capacitor {
     }
 
     fn stamp(&self, ctx: &EvalCtx<'_>, ws: &mut StampWorkspace) {
-        match ctx.mode {
-            Mode::Dc => {
-                // Open circuit at DC: nothing to stamp.
-            }
-            Mode::Tran { dt, .. } => {
-                let geq = 2.0 * self.c / dt;
-                // Trapezoidal: i = geq * v - (geq * v_prev + i_prev)
-                stamp_conductance(ws, self.a, self.b, geq);
-                let hist = geq * self.v_prev + self.i_prev;
-                // `-hist` is a constant current leaving node a.
-                stamp_current_leaving(ws, self.a, self.b, -hist);
-            }
+        // Open circuit at DC: nothing to stamp.
+        if let Mode::Tran { dt, .. } = ctx.mode {
+            // Trapezoidal: i = geq * v - (geq * v_prev + i_prev)
+            stamp_conductance(ws, self.a, self.b, 2.0 * self.c / dt);
+            self.stamp_rhs(ctx, ws);
+        }
+    }
+
+    fn stamp_rhs(&self, ctx: &EvalCtx<'_>, ws: &mut StampWorkspace) {
+        if let Mode::Tran { dt, .. } = ctx.mode {
+            let geq = 2.0 * self.c / dt;
+            let hist = geq * self.v_prev + self.i_prev;
+            // `-hist` is a constant current leaving node a.
+            stamp_current_leaving(ws, self.a, self.b, -hist);
         }
     }
 

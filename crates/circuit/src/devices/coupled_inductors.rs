@@ -108,20 +108,27 @@ impl Device for CoupledInductors {
             stamp_branch_voltage(ws, br, self.a[j], 1.0);
             stamp_branch_voltage(ws, br, self.b[j], -1.0);
         }
-        match ctx.mode {
-            Mode::Dc => { /* rows already read v_aj - v_bj = 0 */ }
-            Mode::Tran { dt, .. } => {
-                let f = 2.0 / dt;
-                for j in 0..k {
-                    let br = self.branch + j;
-                    let mut hist = -self.v_prev[j];
-                    for m in 0..k {
-                        let req = f * self.l.get(j, m);
-                        ws.add(br, self.branch + m, -req);
-                        hist -= req * self.i_prev[m];
-                    }
-                    ws.rhs_add(br, hist);
+        // At DC the rows already read v_aj - v_bj = 0.
+        if let Mode::Tran { dt, .. } = ctx.mode {
+            let f = 2.0 / dt;
+            for j in 0..k {
+                for m in 0..k {
+                    ws.add(self.branch + j, self.branch + m, -(f * self.l.get(j, m)));
                 }
+            }
+            self.stamp_rhs(ctx, ws);
+        }
+    }
+
+    fn stamp_rhs(&self, ctx: &EvalCtx<'_>, ws: &mut StampWorkspace) {
+        if let Mode::Tran { dt, .. } = ctx.mode {
+            let f = 2.0 / dt;
+            for j in 0..self.order() {
+                let mut hist = -self.v_prev[j];
+                for m in 0..self.order() {
+                    hist -= f * self.l.get(j, m) * self.i_prev[m];
+                }
+                ws.rhs_add(self.branch + j, hist);
             }
         }
     }

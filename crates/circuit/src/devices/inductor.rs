@@ -78,16 +78,18 @@ impl Device for Inductor {
         stamp_branch_kcl(ws, self.a, self.b, br);
         stamp_branch_voltage(ws, br, self.a, 1.0);
         stamp_branch_voltage(ws, br, self.b, -1.0);
-        match ctx.mode {
-            Mode::Dc => {
-                // Short circuit: v(a) - v(b) = 0; nothing more to stamp.
-            }
-            Mode::Tran { dt, .. } => {
-                let req = 2.0 * self.l / dt;
-                // v - Req i = -(Req i_prev + v_prev)
-                ws.add(br, br, -req);
-                ws.rhs_add(br, -(req * self.i_prev + self.v_prev));
-            }
+        // At DC a short circuit: v(a) - v(b) = 0; nothing more to stamp.
+        if let Mode::Tran { dt, .. } = ctx.mode {
+            // v - Req i = -(Req i_prev + v_prev)
+            ws.add(br, br, -(2.0 * self.l / dt));
+            self.stamp_rhs(ctx, ws);
+        }
+    }
+
+    fn stamp_rhs(&self, ctx: &EvalCtx<'_>, ws: &mut StampWorkspace) {
+        if let Mode::Tran { dt, .. } = ctx.mode {
+            let req = 2.0 * self.l / dt;
+            ws.rhs_add(self.branch, -(req * self.i_prev + self.v_prev));
         }
     }
 

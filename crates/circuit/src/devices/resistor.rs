@@ -63,6 +63,8 @@ impl Device for Resistor {
     fn stamp(&self, _ctx: &EvalCtx<'_>, ws: &mut StampWorkspace) {
         stamp_conductance(ws, self.a, self.b, self.conductance);
     }
+
+    fn stamp_rhs(&self, _ctx: &EvalCtx<'_>, _ws: &mut StampWorkspace) {}
 }
 
 #[cfg(test)]

@@ -256,7 +256,11 @@ impl Device for VoltageSource {
         stamp_branch_kcl(ws, self.a, self.b, br);
         stamp_branch_voltage(ws, br, self.a, 1.0);
         stamp_branch_voltage(ws, br, self.b, -1.0);
-        ws.rhs_add(br, self.wave.value_at(ctx.mode.time()));
+        self.stamp_rhs(ctx, ws);
+    }
+
+    fn stamp_rhs(&self, ctx: &EvalCtx<'_>, ws: &mut StampWorkspace) {
+        ws.rhs_add(self.branch, self.wave.value_at(ctx.mode.time()));
     }
 }
 

@@ -159,19 +159,25 @@ impl Device for IdealLine {
                 ws.add(br2, br1, 1.0);
                 ws.add(br2, br2, 1.0);
             }
-            Mode::Tran { t, .. } => {
-                let (w1_del, w2_del) = self.waves_at(t - self.td);
+            Mode::Tran { .. } => {
                 // v1 - Z0 i1 = w2(t - Td)
                 stamp_branch_voltage(ws, br1, self.a1, 1.0);
                 stamp_branch_voltage(ws, br1, self.b1, -1.0);
                 ws.add(br1, br1, -self.z0);
-                ws.rhs_add(br1, w2_del);
                 // v2 - Z0 i2 = w1(t - Td)
                 stamp_branch_voltage(ws, br2, self.a2, 1.0);
                 stamp_branch_voltage(ws, br2, self.b2, -1.0);
                 ws.add(br2, br2, -self.z0);
-                ws.rhs_add(br2, w1_del);
+                self.stamp_rhs(ctx, ws);
             }
+        }
+    }
+
+    fn stamp_rhs(&self, ctx: &EvalCtx<'_>, ws: &mut StampWorkspace) {
+        if let Mode::Tran { t, .. } = ctx.mode {
+            let (w1_del, w2_del) = self.waves_at(t - self.td);
+            ws.rhs_add(self.branch, w2_del);
+            ws.rhs_add(self.branch + 1, w1_del);
         }
     }
 

@@ -82,6 +82,16 @@ pub enum Error {
         /// Description of the problem.
         message: String,
     },
+    /// A transient step differs from the sample clock of a discrete-time
+    /// device ([`Device::sample_clock`]).
+    SampleClock {
+        /// Device label.
+        device: String,
+        /// The analysis timestep (seconds).
+        dt: f64,
+        /// The device's sample time (seconds).
+        ts: f64,
+    },
     /// A numerical kernel error that could not be mapped to a more specific
     /// simulator error.
     Numeric(numkit::Error),
@@ -105,6 +115,10 @@ impl std::fmt::Display for Error {
                 write!(f, "invalid parameter on device '{device}': {message}")
             }
             Error::InvalidAnalysis { message } => write!(f, "invalid analysis: {message}"),
+            Error::SampleClock { device, dt, ts } => write!(
+                f,
+                "device '{device}': transient dt = {dt:.3e} s must equal the model sample time Ts = {ts:.3e} s"
+            ),
             Error::Numeric(e) => write!(f, "numeric error: {e}"),
         }
     }
@@ -144,7 +158,12 @@ pub type Result<T> = std::result::Result<T, Error>;
 ///   mutability for iteration-local limiting caches is permitted).
 /// * `is_nonlinear` states the linearity contract the transient relies on
 ///   to freeze linear devices' matrix values and stamp their right-hand
-///   side once per step (see the method docs).
+///   side once per step (see the method docs). It is read once, when the
+///   device is added to a [`Circuit`].
+/// * `stamp_rhs` stamps a linear device's right-hand side alone, where its
+///   matrix values are already in place (see the method docs).
+/// * `sample_clock` names the fixed step of a discrete-time device; a
+///   transient at any other step fails with [`Error::SampleClock`].
 /// * `init_state` is called once after the DC operating point with the DC
 ///   solution; `accept_step` after every accepted transient step.
 /// * Devices requiring branch unknowns report the count via `num_branches`
@@ -196,6 +215,27 @@ pub trait Device: std::any::Any {
     /// Adds the device's linearized MNA contributions.
     fn stamp(&self, ctx: &EvalCtx<'_>, ws: &mut StampWorkspace);
 
+    /// Adds only the right-hand side of [`Device::stamp`] at the same
+    /// `ctx`: exactly the [`StampWorkspace::rhs_add`] calls `stamp` makes,
+    /// in the same order and with bit-identical values, and no matrix
+    /// writes. The solver calls it only on linear devices, and only where
+    /// their matrix values are already in place: the full path's saved
+    /// linear prefix, and each port-path step.
+    ///
+    /// The default calls `stamp`. The solver discards matrix writes at both
+    /// call sites, so a device that does not override this stays correct;
+    /// overriding it only saves the matrix arithmetic.
+    fn stamp_rhs(&self, ctx: &EvalCtx<'_>, ws: &mut StampWorkspace) {
+        self.stamp(ctx, ws);
+    }
+
+    /// The fixed sample time `Ts` (seconds) of a discrete-time device, which
+    /// only a transient with `dt == Ts` (to a relative `1e-6`) may run;
+    /// `None` (the default) for a device that accepts any step.
+    fn sample_clock(&self) -> Option<f64> {
+        None
+    }
+
     /// Called once with the converged DC operating point.
     fn init_state(&mut self, ctx: &EvalCtx<'_>) {
         let _ = ctx;
@@ -235,6 +275,13 @@ mod tests {
         }
         .to_string()
         .contains("dt"));
+        assert!(Error::SampleClock {
+            device: "drv".into(),
+            dt: 5e-11,
+            ts: 2.5e-11
+        }
+        .to_string()
+        .contains("must equal the model sample time"));
         let ne: Error = numkit::Error::EmptyInput.into();
         assert!(ne.to_string().contains("numeric"));
         use std::error::Error as _;

@@ -44,6 +44,10 @@ impl std::fmt::Display for Node {
     }
 }
 
+/// Relative tolerance of a transient step against a device's sample clock
+/// (see [`Device::sample_clock`]).
+const SAMPLE_CLOCK_TOL: f64 = 1e-6;
+
 /// Handle to a device added to a [`Circuit`], used to query branch currents
 /// from analysis results.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -62,6 +66,10 @@ pub struct Circuit {
     n_branches: usize,
     /// Number of devices before the first nonlinear one, in netlist order.
     linear_prefix: usize,
+    /// Indices of the linear and of the nonlinear devices, each in netlist
+    /// order.
+    linear: Vec<usize>,
+    nonlinear: Vec<usize>,
     /// Minimum conductance from every node to ground (numerical safety net).
     gmin: f64,
 }
@@ -92,6 +100,8 @@ impl Circuit {
             branch_bases: Vec::new(),
             n_branches: 0,
             linear_prefix: 0,
+            linear: Vec::new(),
+            nonlinear: Vec::new(),
             gmin: 1e-12,
         }
     }
@@ -108,10 +118,17 @@ impl Circuit {
     ///
     /// Branch unknowns are laid out lazily (see `Circuit::finalize`), so
     /// nodes and devices may be interleaved freely during construction.
+    /// The device's [`Device::is_nonlinear`] is read here, once: the
+    /// solvers walk the linear and nonlinear devices from lists built here.
     pub fn add<D: Device + 'static>(&mut self, device: D) -> DeviceId {
         let id = DeviceId(self.devices.len());
-        if self.linear_prefix == id.0 && !device.is_nonlinear() {
-            self.linear_prefix += 1;
+        if device.is_nonlinear() {
+            self.nonlinear.push(id.0);
+        } else {
+            self.linear.push(id.0);
+            if self.linear_prefix == id.0 {
+                self.linear_prefix += 1;
+            }
         }
         self.branch_bases.push(self.n_branches);
         self.n_branches += device.num_branches();
@@ -189,6 +206,39 @@ impl Circuit {
         self.linear_prefix
     }
 
+    /// Checks a transient step `dt` against every device's sample clock.
+    ///
+    /// # Errors
+    ///
+    /// [`Error::SampleClock`] for the first device whose sample time
+    /// differs from `dt` by more than a relative `1e-6`.
+    pub(crate) fn check_sample_clocks(&self, dt: f64) -> Result<()> {
+        for dev in &self.devices {
+            if let Some(ts) = dev.sample_clock() {
+                // A NaN fails the comparison, and with it the check.
+                let on_clock = ((dt - ts) / ts).abs() < SAMPLE_CLOCK_TOL;
+                if !on_clock {
+                    return Err(Error::SampleClock {
+                        device: dev.label().to_string(),
+                        dt,
+                        ts,
+                    });
+                }
+            }
+        }
+        Ok(())
+    }
+
+    /// The linear devices, in netlist order.
+    pub(crate) fn linear_devices(&self) -> impl Iterator<Item = &dyn Device> {
+        self.linear.iter().map(|&k| &*self.devices[k])
+    }
+
+    /// The nonlinear devices, in netlist order.
+    pub(crate) fn nonlinear_devices(&self) -> impl Iterator<Item = &dyn Device> {
+        self.nonlinear.iter().map(|&k| &*self.devices[k])
+    }
+
     /// Mutable access to the device list (for solvers).
     pub(crate) fn devices_mut(&mut self) -> &mut [Box<dyn Device>] {
         &mut self.devices
@@ -224,10 +274,10 @@ impl Circuit {
             pb.add(i, i);
         }
         let mut ports = Vec::new();
-        for dev in &self.devices {
+        for (k, dev) in self.devices.iter().enumerate() {
             let start = pb.entries().len();
             dev.register(&mut pb);
-            if dev.is_nonlinear() {
+            if self.nonlinear.binary_search(&k).is_ok() {
                 ports.extend(pb.entries()[start..].iter().flat_map(|&(r, c)| [r, c]));
             }
         }

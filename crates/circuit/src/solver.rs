@@ -49,6 +49,8 @@ pub struct NewtonOutcome {
 ///
 /// * [`Error::NonConvergence`] when iterations are exhausted.
 /// * [`Error::SingularMatrix`] when the Jacobian cannot be factored.
+/// * [`Error::SampleClock`] when a transient `mode`'s `dt` differs from a
+///   device's sample clock.
 pub fn solve_newton(
     circuit: &Circuit,
     mode: Mode,
@@ -57,6 +59,9 @@ pub fn solve_newton(
     analysis: &str,
     ws: &mut StampWorkspace,
 ) -> Result<NewtonOutcome> {
+    if let Mode::Tran { dt, .. } = mode {
+        circuit.check_sample_clocks(dt)?;
+    }
     ws.forget_prefix();
     solve_step(circuit, mode, x0, gmin, analysis, ws)
 }
@@ -97,16 +102,22 @@ pub(crate) fn solve_step(
         };
         if !on_ports {
             // The prefix stamps the same values on every iteration of this
-            // solve: stamp it once, then restore the snapshot.
+            // solve: stamp it once, then restore the snapshot. When an
+            // earlier step saved its matrix values at this `dt`, only its
+            // right-hand side is stamped again.
             if !(prefix_saved && ws.restore_prefix()) {
-                if !ws.begin_prefix(mode, gmin) {
+                if ws.begin_prefix(mode, gmin) {
+                    for dev in prefix {
+                        dev.stamp_rhs(&ctx, ws);
+                    }
+                } else {
                     // gmin from every node to ground.
                     for i in 0..n_v {
                         ws.add(i, i, gmin);
                     }
-                }
-                for dev in prefix {
-                    dev.stamp(&ctx, ws);
+                    for dev in prefix {
+                        dev.stamp(&ctx, ws);
+                    }
                 }
                 prefix_saved = ws.save_prefix(mode, gmin);
             }
@@ -160,8 +171,9 @@ pub(crate) fn solve_step(
 
 /// One Newton iteration on the port path. A linear device's right-hand side
 /// does not depend on the iterate (the contract of
-/// [`crate::Device::is_nonlinear`]), so the linear devices stamp, and the
-/// interior is swept, only on a step's first iteration (`first`); every
+/// [`crate::Device::is_nonlinear`]), so the linear devices stamp their
+/// right-hand side, and the interior is swept, only on a step's first
+/// iteration (`first`); their matrix is already in the frozen factor. Every
 /// iteration stamps the nonlinear devices into the port system and solves
 /// it.
 fn port_iteration(
@@ -172,13 +184,13 @@ fn port_iteration(
 ) -> std::result::Result<(), PortFallback> {
     if first {
         ws.begin_port_step();
-        for dev in circuit.devices().iter().filter(|d| !d.is_nonlinear()) {
-            dev.stamp(ctx, ws);
+        for dev in circuit.linear_devices() {
+            dev.stamp_rhs(ctx, ws);
         }
         ws.finish_port_step()?;
     }
     ws.begin_ports();
-    for dev in circuit.devices().iter().filter(|d| d.is_nonlinear()) {
+    for dev in circuit.nonlinear_devices() {
         dev.stamp(ctx, ws);
     }
     ws.solve_ports()
@@ -219,7 +231,7 @@ pub(crate) fn enter_port_path(
         n_nodes: circuit.n_nodes(),
         mode,
     };
-    for dev in circuit.devices().iter().filter(|d| !d.is_nonlinear()) {
+    for dev in circuit.linear_devices() {
         dev.stamp(&ctx, ws);
     }
     ws.freeze_linear(dt, gmin)?;

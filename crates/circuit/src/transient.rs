@@ -156,9 +156,11 @@ impl TranResult {
 ///
 /// * [`Error::InvalidAnalysis`] for invalid parameters, an empty circuit,
 ///   or a history above [`MAX_STORED_VALUES`].
+/// * [`Error::SampleClock`] when `dt` differs from a device's sample clock.
 /// * Solver failures annotated with the failing time.
 pub fn run(circuit: &mut Circuit, params: TranParams) -> Result<TranResult> {
     params.validate()?;
+    circuit.check_sample_clocks(params.dt)?;
     circuit.finalize();
     let n = circuit.unknown_count();
     if n == 0 {

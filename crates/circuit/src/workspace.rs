@@ -21,9 +21,10 @@
 //!   right-hand side; later iterations restore that snapshot and stamp
 //!   only the rest of the netlist. Within one transient the values,
 //!   keyed by `(dt, gmin)`, also serve every later step: its first
-//!   iteration restores them, zeroes the right-hand side and stamps the
-//!   prefix with its matrix writes discarded, so only the prefix's
-//!   right-hand side is stamped again. Every slot receives the same
+//!   iteration restores them, zeroes the right-hand side and has the
+//!   prefix devices stamp only their right-hand side
+//!   ([`crate::Device::stamp_rhs`]; any matrix write they still make is
+//!   discarded). Every slot receives the same
 //!   additions in the same order as a full restamp, so the result is
 //!   bit-identical. No snapshot is taken on the dense backend or when a
 //!   prefix write overflowed the pattern, and pattern growth drops it.
@@ -59,9 +60,10 @@
 //! contract of [`crate::Device::is_nonlinear`]), so the work splits in two:
 //!
 //! * **once per step**, the linear devices write only their right-hand
-//!   side `b` (their matrix writes are dropped — the values are already in
-//!   the frozen factor), and one interior sweep gives `y = A_ii⁻¹ b_i` and
-//!   the reduced port right-hand side `r0 = b_p − A_pi y`;
+//!   side `b` through [`crate::Device::stamp_rhs`] (any matrix write is
+//!   dropped — the values are already in the frozen factor), and one
+//!   interior sweep gives `y = A_ii⁻¹ b_i` and the reduced port right-hand
+//!   side `r0 = b_p − A_pi y`;
 //! * **each Newton iteration**, only the nonlinear devices stamp: matrix
 //!   and right-hand side go into a `p × p` port accumulator through an O(1)
 //!   unknown→port table, a dense LU refactored in place solves
@@ -255,9 +257,10 @@ pub struct SolveStats {
 enum StampTarget {
     /// The full system (the full path, and freezing the linear part).
     Matrix,
-    /// A linear device's step on the port path: matrix writes go nowhere
-    /// (the values are already in the frozen factor), right-hand-side
-    /// writes to the full right-hand side.
+    /// A linear device's right-hand-side stamp, where its matrix values
+    /// are already in place (a port-path step, or a restored prefix):
+    /// matrix writes go nowhere, right-hand-side writes to the full
+    /// right-hand side.
     Discard,
     /// The port accumulator: a nonlinear device on the port path.
     Ports,
@@ -503,8 +506,9 @@ impl StampWorkspace {
     /// When the values saved by an earlier step hold for this `dt` and
     /// `gmin` — a transient's matrix prefix, which depends only on them
     /// (the contract of [`crate::Device::is_nonlinear`]) — restores them,
-    /// zeroes the right-hand side and discards the prefix's matrix writes,
-    /// so that only its right-hand side is stamped again; returns true.
+    /// zeroes the right-hand side and discards matrix writes, so that the
+    /// caller stamps only the prefix's right-hand side
+    /// ([`crate::Device::stamp_rhs`]); returns true.
     /// Otherwise acts as [`StampWorkspace::begin`] and returns false.
     pub(crate) fn begin_prefix(&mut self, mode: crate::Mode, gmin: f64) -> bool {
         match &mut self.backend {
@@ -648,7 +652,7 @@ impl StampWorkspace {
     }
 
     /// Zeroes the right-hand side for a port-path step: the linear devices
-    /// stamp next, their matrix writes dropped.
+    /// stamp their right-hand side next, any matrix write dropped.
     pub(crate) fn begin_port_step(&mut self) {
         self.rhs.iter_mut().for_each(|v| *v = 0.0);
         self.target = StampTarget::Discard;

@@ -8,6 +8,11 @@
 //! bit-identical matrix values at any two `(x, t)` — even after its history
 //! state has moved on — and a bit-identical right-hand side at any two `x`
 //! within one step.
+//!
+//! Where the linear matrix is already in place, the solver stamps only the
+//! right-hand side, through `Device::stamp_rhs`. Its contract is checked
+//! here too: the same `rhs_add` calls as `stamp`, in the same order and
+//! with the same bits, and no matrix writes.
 
 use circuit::devices::{
     Capacitor, CoupledInductors, CurrentSource, Diode, DiodeParams, IdealLine, Inductor, Resistor,
@@ -165,4 +170,101 @@ fn a_nonlinear_device_fails_the_same_check() {
         rhs_moves_with_the_iterate(&mut d),
         "the check must detect an x-dependent right-hand side"
     );
+}
+
+/// Every linear device above, plus coupled banks of order 1 and 3 (the list
+/// holds one of order 2).
+fn rhs_devices() -> Vec<Box<dyn Device>> {
+    let bank = |order: usize| {
+        let l = (0..order * order)
+            .map(|k| match (k / order, k % order) {
+                (j, m) if j == m => 1e-9 * (1.0 + j as f64 / 7.0),
+                (j, m) => 1.3e-10 / (1.0 + (j + m) as f64),
+            })
+            .collect();
+        let l = Matrix::from_vec(order, order, l).unwrap();
+        let a = [node(1), node(2), node(1)];
+        let b = [GROUND, node(1), node(2)];
+        CoupledInductors::new(
+            format!("k{order}"),
+            a[..order].to_vec(),
+            b[..order].to_vec(),
+            l,
+        )
+    };
+    let mut devices = linear_devices();
+    devices.push(Box::new(bank(1)));
+    devices.push(Box::new(bank(3)));
+    devices
+}
+
+/// Right-hand-side bits left by `stamp` (or by `stamp_rhs`, when
+/// `rhs_only`) at `(x, mode)` on a dense workspace whose right-hand side
+/// starts non-zero, so that a change of addition order within a row shows;
+/// plus whether the matrix stayed zero.
+fn rhs_after(dev: &dyn Device, x: &[f64], mode: Mode, rhs_only: bool) -> (Vec<u64>, bool) {
+    let mut ws = StampWorkspace::dense(N);
+    for r in 0..N {
+        ws.rhs_add(r, (r as f64 + 2.0).sqrt() / 7.0);
+    }
+    let ctx = EvalCtx {
+        x,
+        n_nodes: N_NODES,
+        mode,
+    };
+    if rhs_only {
+        dev.stamp_rhs(&ctx, &mut ws);
+    } else {
+        dev.stamp(&ctx, &mut ws);
+    }
+    let matrix_zero = (0..N * N).all(|k| ws.value_at(k / N, k % N) == 0.0);
+    (ws.rhs().iter().map(|v| v.to_bits()).collect(), matrix_zero)
+}
+
+/// Checks the `stamp_rhs` contract of `dev` in its present state, at DC
+/// and at two transient times.
+fn assert_rhs_contract(dev: &dyn Device, state: &str) {
+    let modes = [
+        Mode::Dc,
+        Mode::Tran {
+            t: 5.0 * DT,
+            dt: DT,
+        },
+        Mode::Tran {
+            t: 40.0 * DT,
+            dt: DT,
+        },
+    ];
+    for mode in modes {
+        let (full, _) = rhs_after(dev, &X2, mode, false);
+        let (rhs, matrix_zero) = rhs_after(dev, &X2, mode, true);
+        assert_eq!(
+            rhs,
+            full,
+            "{} {state} at {mode:?}: stamp_rhs differs from stamp",
+            dev.label()
+        );
+        assert!(
+            matrix_zero,
+            "{} {state} at {mode:?}: stamp_rhs wrote the matrix",
+            dev.label()
+        );
+    }
+}
+
+#[test]
+fn stamp_rhs_is_the_right_hand_side_of_stamp() {
+    for mut dev in rhs_devices() {
+        init(dev.as_mut());
+        assert_rhs_contract(dev.as_ref(), "after init_state");
+        dev.accept_step(&EvalCtx {
+            x: &X2,
+            n_nodes: N_NODES,
+            mode: Mode::Tran {
+                t: 3.0 * DT,
+                dt: DT,
+            },
+        });
+        assert_rhs_contract(dev.as_ref(), "after accept_step");
+    }
 }

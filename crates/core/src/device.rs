@@ -4,6 +4,9 @@
 //! step. The discrete-time models advance on their own sample clock `Ts`;
 //! the hosting transient analysis must run with `dt = Ts` (the paper's
 //! models are estimated and exercised at the same fixed sampling time).
+//! Each sampled device reports `Ts` through [`Device::sample_clock`], and a
+//! transient at any other step fails with [`circuit::Error::SampleClock`]
+//! before it solves anything.
 //! Within each step the present port voltage participates in the Newton
 //! iteration through the analytic RBF input gradient.
 //!
@@ -20,21 +23,9 @@ use crate::driver::PwRbfDriverModel;
 use crate::evalrt::{CompiledDriver, CompiledReceiver, DriverLanes, LaneStim, ReceiverLanes};
 use crate::receiver::{CrModel, ReceiverModel};
 use circuit::devices::Capacitor;
-use circuit::mna::{register_conductance, stamp_linearized_current, EvalCtx, Mode};
+use circuit::mna::{register_conductance, stamp_linearized_current, EvalCtx};
 use circuit::{Circuit, Device, Node, PatternBuilder, StampWorkspace, GROUND};
 use numkit::interp::Pwl;
-
-/// Relative tolerance on `dt == Ts`.
-const TS_TOL: f64 = 1e-6;
-
-fn check_sample_clock(label: &str, ts: f64, mode: Mode) {
-    if let Mode::Tran { dt, .. } = mode {
-        assert!(
-            ((dt - ts) / ts).abs() < TS_TOL,
-            "device '{label}': transient dt = {dt:.3e} must equal the model sample time Ts = {ts:.3e}"
-        );
-    }
-}
 
 /// The PW-RBF driver installed as a one-port behavioral element.
 ///
@@ -42,11 +33,6 @@ fn check_sample_clock(label: &str, ts: f64, mode: Mode) {
 /// where both submodels free-run on the (shared) port-voltage history and
 /// their own current histories. Internally this is a single-lane
 /// [`DriverLanes`] over the compiled model.
-///
-/// # Panics
-///
-/// `stamp` panics if the transient step differs from the model sample time
-/// (see the module documentation).
 #[derive(Debug, Clone)]
 pub struct PwRbfDriver {
     label: String,
@@ -94,12 +80,15 @@ impl Device for PwRbfDriver {
         true
     }
 
+    fn sample_clock(&self) -> Option<f64> {
+        Some(self.ts)
+    }
+
     fn register(&self, pb: &mut PatternBuilder) {
         register_conductance(pb, self.out, GROUND);
     }
 
     fn stamp(&self, ctx: &EvalCtx<'_>, ws: &mut StampWorkspace) {
-        check_sample_clock(&self.label, self.ts, ctx.mode);
         let v = [ctx.v(self.out)];
         let (mut i, mut g) = ([0.0], [0.0]);
         self.lanes
@@ -141,10 +130,6 @@ struct BankState {
 /// stay in cache and auto-vectorize across pads. Used by bus-ladder and
 /// scenario-matrix sweeps where every line carries the same driver model
 /// with a different bit pattern.
-///
-/// # Panics
-///
-/// `stamp` panics if the transient step differs from the model sample time.
 #[derive(Debug, Clone)]
 pub struct PwRbfDriverBank {
     label: String,
@@ -201,6 +186,10 @@ impl Device for PwRbfDriverBank {
         true
     }
 
+    fn sample_clock(&self) -> Option<f64> {
+        Some(self.ts)
+    }
+
     fn register(&self, pb: &mut PatternBuilder) {
         for &pad in &self.pads {
             register_conductance(pb, pad, GROUND);
@@ -208,7 +197,6 @@ impl Device for PwRbfDriverBank {
     }
 
     fn stamp(&self, ctx: &EvalCtx<'_>, ws: &mut StampWorkspace) {
-        check_sample_clock(&self.label, self.ts, ctx.mode);
         let st = &mut *self.state.borrow_mut();
         for (l, &pad) in self.pads.iter().enumerate() {
             st.v[l] = ctx.v(pad);
@@ -241,10 +229,6 @@ impl Device for PwRbfDriverBank {
 
 /// The receiver parametric model installed as a one-port load. Internally a
 /// single-lane [`ReceiverLanes`] over the compiled model.
-///
-/// # Panics
-///
-/// `stamp` panics if the transient step differs from the model sample time.
 #[derive(Debug, Clone)]
 pub struct ReceiverModelDevice {
     label: String,
@@ -284,12 +268,15 @@ impl Device for ReceiverModelDevice {
         true
     }
 
+    fn sample_clock(&self) -> Option<f64> {
+        Some(self.ts)
+    }
+
     fn register(&self, pb: &mut PatternBuilder) {
         register_conductance(pb, self.pad, GROUND);
     }
 
     fn stamp(&self, ctx: &EvalCtx<'_>, ws: &mut StampWorkspace) {
-        check_sample_clock(&self.label, self.ts, ctx.mode);
         let v = [ctx.v(self.pad)];
         let (mut i, mut g) = ([0.0], [0.0]);
         self.lanes.borrow_mut().step(&v, &mut i, &mut g);
@@ -376,7 +363,7 @@ mod tests {
     use super::*;
     use crate::driver::WeightSequence;
     use circuit::devices::{Resistor, SourceWaveform, VoltageSource};
-    use circuit::TranParams;
+    use circuit::{Mode, TranParams};
     use sysid::arx::{ArxModel, ArxOrders};
     use sysid::narx::{NarxModel, NarxOrders};
     use sysid::rbf::RbfNetwork;
@@ -453,16 +440,66 @@ mod tests {
         assert_eq!(d.weights_at(5e-9), (0.0, 1.0));
     }
 
+    /// Runs a transient of `ckt` at twice the sample time `ts` and returns
+    /// its error, which must be the typed sample-clock mismatch.
+    fn run_at_double_ts(mut ckt: Circuit, ts: f64) -> circuit::Error {
+        let err = ckt
+            .transient(TranParams::new(2.0 * ts, 2e-9))
+            .expect_err("dt != Ts must fail");
+        match &err {
+            circuit::Error::SampleClock { dt, ts: got, .. } => {
+                assert_eq!((*dt, *got), (2.0 * ts, ts));
+            }
+            other => panic!("expected SampleClock, got {other:?}"),
+        }
+        err
+    }
+
     #[test]
-    #[should_panic(expected = "must equal the model sample time")]
     fn driver_rejects_wrong_dt() {
         let model = synthetic_model(0.05, 1.8, 10);
+        let ts = model.ts;
         let mut ckt = Circuit::new();
         let out = ckt.node("out");
         ckt.add(PwRbfDriver::new(model, out, "01", 1e-9));
         ckt.add(Resistor::new("rl", out, GROUND, 100.0));
-        // dt != ts: must panic inside stamp.
-        let _ = ckt.transient(TranParams::new(10e-12, 2e-9));
+        let err = run_at_double_ts(ckt, ts);
+        assert!(err.to_string().contains("synth_pwrbf"), "{err}");
+    }
+
+    #[test]
+    fn receiver_rejects_wrong_dt() {
+        let ts = 25e-12;
+        let mut ckt = Circuit::new();
+        let pad = ckt.node("pad");
+        ckt.add(Resistor::new("rl", pad, GROUND, 100.0));
+        ckt.add(ReceiverModelDevice::new(
+            synthetic_receiver(2e-12 / ts),
+            pad,
+        ));
+        let err = run_at_double_ts(ckt, ts);
+        assert!(err.to_string().contains("rx_synth_rxmodel"), "{err}");
+    }
+
+    #[test]
+    fn newton_rejects_wrong_dt() {
+        let model = synthetic_model(0.05, 1.8, 10);
+        let ts = model.ts;
+        let mut ckt = Circuit::new();
+        let out = ckt.node("out");
+        ckt.add(PwRbfDriver::new(model, out, "01", 1e-9));
+        ckt.add(Resistor::new("rl", out, GROUND, 100.0));
+        let mut ws = ckt.make_workspace();
+        let x0 = vec![0.0; ckt.unknown_count()];
+        let mode = Mode::Tran {
+            t: 2.0 * ts,
+            dt: 2.0 * ts,
+        };
+        let res = circuit::solver::solve_newton(&ckt, mode, &x0, ckt.gmin(), "t", &mut ws);
+        assert!(
+            matches!(res, Err(circuit::Error::SampleClock { .. })),
+            "{res:?}"
+        );
     }
 
     #[test]

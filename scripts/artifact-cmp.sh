@@ -1,8 +1,9 @@
 #!/usr/bin/env bash
 # Byte-identity check of extracted models against another revision: builds
-# `mdl` at REV (in a temporary git worktree, with its own target dir) and in
-# the working tree, extracts the same artifact list with both binaries and
-# `cmp`s each pair. Exits nonzero on the first difference.
+# `mdl` at REV (exported with `git archive` into a temporary directory, with
+# its own target dir) and in the working tree, extracts the same artifact
+# list with both binaries and `cmp`s each pair. Exits nonzero on the first
+# difference.
 #
 # Use it when a change must leave every extracted model unchanged (numeric
 # refactors of the capture or fitting path). Not a CI step: it builds a
@@ -24,14 +25,10 @@ git rev-parse --verify -q "$rev^{commit}" >/dev/null || {
 }
 
 work="$(mktemp -d)"
-cleanup() {
-    git worktree remove --force "$work/rev" 2>/dev/null || true
-    git worktree prune
-    rm -rf "$work"
-}
-trap cleanup EXIT
+trap 'rm -rf "$work"' EXIT
 
-git worktree add -q --detach "$work/rev" "$rev"
+mkdir "$work/rev"
+git archive "$rev" | tar -x -C "$work/rev"
 echo "building mdl at $rev ..."
 (cd "$work/rev" && CARGO_TARGET_DIR="$work/target" cargo build --release -q -p emc-bench --bin mdl)
 echo "building mdl in the working tree ..."

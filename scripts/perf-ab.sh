@@ -1,14 +1,15 @@
 #!/usr/bin/env bash
 # Paired A/B timing of perfbench against another revision: builds perfbench
-# at REV (in a temporary git worktree) and in the working tree, each in its
-# own target dir outside the repo, then runs untraced pairs in ABBA order
-# (A = REV, B = working tree; odd pairs run A first, even pairs B first) so
-# that host drift lands on both sides evenly. Every run uses the same seed.
+# at REV (exported with `git archive` into a temporary directory) and in the
+# working tree, each in its own target dir outside the repo, then runs
+# untraced pairs in ABBA order (A = REV, B = working tree; odd pairs run A
+# first, even pairs B first) so that host drift lands on both sides evenly.
+# Every run uses the same seed.
 #
 # Prints every pair's op_s, setup_s and peak_rss_mb, the number of pairs
-# in which B's op_s is lower, both medians and interquartile ranges, and
-# one JSON line. Exits nonzero if any run reports `correct: false` or
-# fails. `perfbench/Cargo.lock` is left as it was. Not a CI step: it runs
+# in which B's op_s is lower, and each side's median and interquartile
+# range of all three end-to-end metrics, then one JSON line with the same
+# numbers. Exits nonzero if any run reports `correct: false` or fails. `perfbench/Cargo.lock` is left as it was. Not a CI step: it runs
 # 2 x PAIRS x SECONDS of benchmark plus two release builds.
 #
 # Usage: scripts/perf-ab.sh REV [workload] [pairs] [seconds] [seed]
@@ -36,13 +37,12 @@ lock_saved="$work/Cargo.lock.saved"
 cp perfbench/Cargo.lock "$lock_saved"
 cleanup() {
     cp "$lock_saved" "$root/perfbench/Cargo.lock"
-    git worktree remove --force "$work/rev" 2>/dev/null || true
-    git worktree prune
     rm -rf "$work"
 }
 trap cleanup EXIT
 
-git worktree add -q --detach "$work/rev" "$rev"
+mkdir "$work/rev"
+git archive "$rev" | tar -x -C "$work/rev"
 echo "building perfbench at $rev ..."
 (cd "$work/rev" && cargo build --release --offline -q \
     --manifest-path perfbench/Cargo.toml --target-dir "$work/target-a")
@@ -98,39 +98,46 @@ def quartiles(xs):
     q = statistics.quantiles(xs, n=4, method="inclusive")
     return q[0], q[2]
 
+metrics = ("op_s", "setup_s", "peak_rss_mb")
+series = {(k, s): [] for k in metrics for s in "ab"}
 wins = 0
-a_op, b_op = [], []
 print(f"perf-ab {workload}: A = {rev}, B = working tree, {pairs} pairs x {seconds} s, seed {seed}")
 print("pair  op_s A    op_s B    change   setup_s A  setup_s B  rss A  rss B")
 for i in range(1, int(pairs) + 1):
     a, b = runs[(i, "a")], runs[(i, "b")]
-    a_op.append(a["op_s"])
-    b_op.append(b["op_s"])
+    for k in metrics:
+        series[(k, "a")].append(a[k])
+        series[(k, "b")].append(b[k])
     wins += b["op_s"] < a["op_s"]
     change = (b["op_s"] / a["op_s"] - 1.0) * 100.0
     print(
         f"{i:>4}  {a['op_s']:<8.4f}  {b['op_s']:<8.4f}  {change:+6.1f}%  "
         f"{a['setup_s']:<9.4f}  {b['setup_s']:<9.4f}  {a['peak_rss_mb']:<5.0f}  {b['peak_rss_mb']:.0f}"
     )
-ma, mb = statistics.median(a_op), statistics.median(b_op)
-qa, qb = quartiles(a_op), quartiles(b_op)
-print(f"B faster in {wins}/{pairs} pairs")
-print(f"median op_s: A {ma:.4f} s (IQR {qa[0]:.4f}-{qa[1]:.4f}), "
-      f"B {mb:.4f} s (IQR {qb[0]:.4f}-{qb[1]:.4f}), change {(mb / ma - 1) * 100:+.1f}%")
-print(json.dumps({
+print(f"B faster (op_s) in {wins}/{pairs} pairs")
+summary = {
     "workload": workload,
     "rev": rev,
     "pairs": int(pairs),
     "seconds": float(seconds),
     "seed": int(seed),
     "wins_b": wins,
-    "median_op_s_a": ma,
-    "median_op_s_b": mb,
-    "iqr_op_s_a": list(qa),
-    "iqr_op_s_b": list(qb),
-    "op_s_a": a_op,
-    "op_s_b": b_op,
-    "correct": correct,
-}))
+}
+for k in metrics:
+    xa, xb = series[(k, "a")], series[(k, "b")]
+    ma, mb = statistics.median(xa), statistics.median(xb)
+    qa, qb = quartiles(xa), quartiles(xb)
+    print(f"median {k}: A {ma:.4f} (IQR {qa[0]:.4f}-{qa[1]:.4f}), "
+          f"B {mb:.4f} (IQR {qb[0]:.4f}-{qb[1]:.4f}), change {(mb / ma - 1) * 100:+.1f}%")
+    summary.update({
+        f"median_{k}_a": ma,
+        f"median_{k}_b": mb,
+        f"iqr_{k}_a": list(qa),
+        f"iqr_{k}_b": list(qb),
+        f"{k}_a": xa,
+        f"{k}_b": xb,
+    })
+summary["correct"] = correct
+print(json.dumps(summary))
 sys.exit(0 if correct else 1)
 EOF
