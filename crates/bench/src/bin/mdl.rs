@@ -55,7 +55,7 @@
 //! a digest-keyed artifact cache ([`emc_bench::server`]); `bench-serve`
 //! fires a mixed load burst at a daemon (spawning one in-process when
 //! given a directory) and reports p50/p95/p99 latency plus throughput;
-//! `bench-eval` times the per-step evaluation runtime (one compiled lane
+//! `bench-eval` times the per-step evaluation runtime (one lane
 //! vs batched lanes, [`emc_bench::evalbench`]) and emits
 //! baseline-gate records; `request` is the one-shot protocol client for
 //! scripts.

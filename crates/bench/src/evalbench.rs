@@ -4,8 +4,10 @@
 //! one accepted-step commit of a PW-RBF driver, two ways:
 //!
 //! * `eval/driver_step/compiled` — a single-lane
-//!   [`macromodel::evalrt::DriverLanes`] over the flat compiled slab
-//!   (zero allocation per step);
+//!   [`macromodel::evalrt::DriverLanes`] over the model's center slabs
+//!   (zero allocation per step; the id predates the removal of the
+//!   compile step and is kept so the committed trajectory stays
+//!   comparable);
 //! * `eval/driver_step/lanesN` — N lanes advancing together; `median_s`
 //!   is the per-lane step time, so the record is directly comparable.
 //!
@@ -19,7 +21,7 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use macromodel::driver::{PwRbfDriverModel, WeightSequence};
-use macromodel::evalrt::{CompiledDriver, DriverLanes, LaneStim};
+use macromodel::evalrt::{DriverLanes, LaneStim};
 use numkit::rng::SplitMix64;
 use sysid::narx::{NarxModel, NarxOrders};
 use sysid::rbf::RbfNetwork;
@@ -104,8 +106,8 @@ fn wave_table(steps: usize, n_lanes: usize) -> Vec<f64> {
     w
 }
 
-fn time_lanes_once(compiled: &Arc<CompiledDriver>, n_lanes: usize, wave: &[f64]) -> f64 {
-    let ts = compiled.ts();
+fn time_lanes_once(model: &Arc<PwRbfDriverModel>, n_lanes: usize, wave: &[f64]) -> f64 {
+    let ts = model.ts;
     let steps = wave.len() / n_lanes;
     let stims: Vec<LaneStim> = (0..n_lanes)
         .map(|l| {
@@ -113,7 +115,7 @@ fn time_lanes_once(compiled: &Arc<CompiledDriver>, n_lanes: usize, wave: &[f64])
             LaneStim::from_pattern(pattern, 64.0 * ts)
         })
         .collect();
-    let mut lanes = DriverLanes::new(Arc::clone(compiled), stims);
+    let mut lanes = DriverLanes::new(Arc::clone(model), stims);
     lanes.init_dc(&vec![0.0; n_lanes]);
     let mut i = vec![0.0; n_lanes];
     let mut g = vec![0.0; n_lanes];
@@ -129,7 +131,7 @@ fn time_lanes_once(compiled: &Arc<CompiledDriver>, n_lanes: usize, wave: &[f64])
     start.elapsed().as_secs_f64() / (steps * n_lanes) as f64
 }
 
-/// Runs the two benches and returns their records (compiled single-lane,
+/// Runs the two benches and returns their records (single lane,
 /// then batched lanes).
 ///
 /// Each repetition runs both paths back to back and the reported time is
@@ -139,14 +141,14 @@ fn time_lanes_once(compiled: &Arc<CompiledDriver>, n_lanes: usize, wave: &[f64])
 /// regression gate should track). One extra untimed warmup repetition
 /// precedes the measured ones.
 pub fn run_eval_bench(cfg: &EvalBenchConfig) -> Vec<BenchRecord> {
-    let compiled = Arc::new(CompiledDriver::compile(&bench_model(cfg.centers)));
+    let model = Arc::new(bench_model(cfg.centers));
     let wave1 = wave_table(cfg.steps, 1);
     let wave_n = wave_table(cfg.steps, cfg.lanes);
     let mut best = [f64::INFINITY; 2];
     for rep in 0..=cfg.reps {
         let t = [
-            time_lanes_once(&compiled, 1, &wave1),
-            time_lanes_once(&compiled, cfg.lanes, &wave_n),
+            time_lanes_once(&model, 1, &wave1),
+            time_lanes_once(&model, cfg.lanes, &wave_n),
         ];
         if rep > 0 {
             for (b, t) in best.iter_mut().zip(t) {
@@ -169,7 +171,7 @@ pub fn run_eval_bench(cfg: &EvalBenchConfig) -> Vec<BenchRecord> {
 }
 
 /// The human-readable summary: ns/step, steps/s, and the per-lane speedup
-/// of each batched record over the single compiled lane.
+/// of each batched record over the single lane.
 pub fn summarize(records: &[BenchRecord]) -> String {
     use std::fmt::Write as _;
     let mut out = String::new();

@@ -747,7 +747,7 @@ fn run_bus_cell(
     // Lanes are assigned round-robin to the drivers; lanes sharing a model
     // are installed through `instantiate_lanes`, so backends with a batched
     // evaluation runtime (the PW-RBF driver) step all their lanes together
-    // as one compiled multi-lane device.
+    // as one multi-lane device.
     for (di, model) in drivers.iter().enumerate() {
         let mut pads = Vec::new();
         let mut stims = Vec::new();
@@ -1216,9 +1216,17 @@ pub fn sweep_store(store: &ModelStore, scenarios: &[Scenario]) -> FleetReport {
     report
 }
 
-/// The mixed-backend bus cell: every driver model on one net. `None`
-/// unless two or more drivers share a sample clock and a bus-ladder
-/// scenario is swept.
+/// Most driver models one mixed-bus cell puts on its net, the same cap as
+/// [`EyeWorkload::MAX_LANES`]: the cell's lane count, and so its cost, stays
+/// bounded however many drivers the store holds.
+pub const MIXED_BUS_MAX_DRIVERS: usize = 64;
+
+/// The mixed-backend bus cell: the store's driver models on one net, at
+/// most [`MIXED_BUS_MAX_DRIVERS`] of them. Above the cap the first drivers
+/// in store order (sorted artifact paths, then each artifact's model
+/// order) are kept, so the choice is deterministic. `None` unless two or
+/// more of the kept drivers share a sample clock and a bus-ladder scenario
+/// is swept.
 fn mixed_bus_cell<'a>(
     models: &[&'a dyn Macromodel],
     scenarios: &[Scenario],
@@ -1227,6 +1235,7 @@ fn mixed_bus_cell<'a>(
         .iter()
         .copied()
         .filter(|m| m.kind().is_driver())
+        .take(MIXED_BUS_MAX_DRIVERS)
         .collect();
     let clocks: Vec<f64> = drivers.iter().filter_map(|m| m.sample_time()).collect();
     let common_clock = clocks
@@ -1465,6 +1474,43 @@ pub(crate) mod tests {
         let stats = ladder.stats.expect("ladder cell carries SolveStats");
         assert!(stats.unknowns > 20);
         assert!(stats.factorizations >= 1);
+        std::fs::remove_dir_all(store.root()).ok();
+    }
+
+    /// A store of 100 drivers gets a mixed-bus cell over exactly the first
+    /// 64 of them in store order, and the same 64 on every open.
+    #[test]
+    fn mixed_bus_keeps_the_first_drivers_up_to_the_cap() {
+        let models: Vec<AnyModel> = (0..100).map(|i| dummy_driver(&format!("d{i}"))).collect();
+        let store = tmp_store("mixedcap", &models);
+        let scenarios = vec![Scenario {
+            name: "bus-tiny".into(),
+            applies_to: Applicability::Drivers,
+            kind: ScenarioKind::BusLadder {
+                conductors: 2,
+                segments: 1,
+                pattern: "01".into(),
+                bit_time: 2e-9,
+                t_stop: 1e-10,
+            },
+        }];
+        let expected: Vec<String> = store
+            .models()
+            .iter()
+            .take(MIXED_BUS_MAX_DRIVERS)
+            .map(|(_, m)| m.name().to_string())
+            .collect();
+        // Store order is sorted by path ("m10.mdlx" before "m2.mdlx"), not
+        // by the order the files were written.
+        assert_eq!(expected[..3], ["d0", "d1", "d10"]);
+        let report = sweep_store(&store, &scenarios);
+        let mixed = report.cells.last().unwrap();
+        assert_eq!(mixed.scenario, "bus-mixed");
+        assert!(mixed.pass, "{mixed:?}");
+        assert_eq!(mixed.model, format!("mixed:{}", expected.join("+")));
+        let reopened = ModelStore::open(store.root()).unwrap();
+        let again = sweep_store(&reopened, &scenarios);
+        assert_eq!(again.cells.last().unwrap().model, mixed.model);
         std::fs::remove_dir_all(store.root()).ok();
     }
 

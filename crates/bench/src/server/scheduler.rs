@@ -7,7 +7,7 @@
 //! whatever has accumulated (up to [`MAX_BATCH`]) so queued cells from
 //! different connections share a worker fan-out. Each drained batch is
 //! grouped by model digest so cells of one model run back to back on a
-//! worker (warm compiled-model state). Replies travel back over per-job
+//! worker (warm model state). Replies travel back over per-job
 //! `mpsc` channels and are sent the moment each cell finishes, so a slow
 //! bus-ladder cell never holds a quick `r50` cell's response hostage
 //! beyond the shared batch.
@@ -152,7 +152,7 @@ impl Scheduler {
                 let mut batch: Vec<Job> = q.drain(..n).collect();
                 // Group same-model cells (stable, by artifact digest) so a
                 // worker sweeping its slice of the batch steps one model's
-                // cells back to back over the same compiled parameter slab
+                // cells back to back over the same model parameter slabs
                 // instead of bouncing between models.
                 batch.sort_by(|a, b| a.model.digest.cmp(&b.model.digest));
                 batch

@@ -10,17 +10,17 @@
 //! Within each step the present port voltage participates in the Newton
 //! iteration through the analytic RBF input gradient.
 //!
-//! All sampled devices step through the compiled runtime in [`crate::evalrt`]:
-//! the model is flattened once at construction and the per-iteration
+//! All sampled devices step through the lane banks of [`crate::evalrt`]
+//! over the model itself, shared through `Arc`; the per-iteration
 //! `stamp`/`accept_step` path performs **zero allocations**. The
-//! [`PwRbfDriverBank`] variant advances several pads of one compiled model
-//! as parallel lanes of a single batched evaluation.
+//! [`PwRbfDriverBank`] variant advances several pads of one model as
+//! parallel lanes of a single batched evaluation.
 
 use std::cell::RefCell;
 use std::sync::Arc;
 
 use crate::driver::PwRbfDriverModel;
-use crate::evalrt::{CompiledDriver, CompiledReceiver, DriverLanes, LaneStim, ReceiverLanes};
+use crate::evalrt::{DriverLanes, LaneStim, ReceiverLanes};
 use crate::receiver::{CrModel, ReceiverModel};
 use circuit::devices::Capacitor;
 use circuit::mna::{register_conductance, stamp_linearized_current, EvalCtx};
@@ -32,7 +32,7 @@ use numkit::interp::Pwl;
 /// The device delivers `i(k) = w_H(k) i_H(k) + w_L(k) i_L(k)` into `out`,
 /// where both submodels free-run on the (shared) port-voltage history and
 /// their own current histories. Internally this is a single-lane
-/// [`DriverLanes`] over the compiled model.
+/// [`DriverLanes`] over the model.
 #[derive(Debug, Clone)]
 pub struct PwRbfDriver {
     label: String,
@@ -50,18 +50,12 @@ impl PwRbfDriver {
     /// error) or an invalid model.
     pub fn new(model: PwRbfDriverModel, out: Node, pattern: &str, bit_time: f64) -> Self {
         model.validate().expect("invalid PW-RBF model");
-        let compiled = Arc::new(CompiledDriver::compile(&model));
-        Self::from_compiled(compiled, out, LaneStim::from_pattern(pattern, bit_time))
-    }
-
-    /// Creates a driver over an already-compiled model (shared via `Arc`
-    /// when many instances of one model populate a circuit).
-    pub fn from_compiled(compiled: Arc<CompiledDriver>, out: Node, stim: LaneStim) -> Self {
+        let stim = LaneStim::from_pattern(pattern, bit_time);
         PwRbfDriver {
-            label: format!("{}_pwrbf", compiled.name()),
-            ts: compiled.ts(),
+            label: format!("{}_pwrbf", model.name),
+            ts: model.ts,
             out,
-            lanes: RefCell::new(DriverLanes::new(compiled, vec![stim])),
+            lanes: RefCell::new(DriverLanes::new(Arc::new(model), vec![stim])),
         }
     }
 
@@ -126,7 +120,7 @@ struct BankState {
 /// single batched evaluation (see [`DriverLanes`]).
 ///
 /// Electrically identical to adding one [`PwRbfDriver`] per pad; the lanes
-/// share the compiled parameter slab and step together, so the inner loops
+/// share the model's parameter slabs and step together, so the inner loops
 /// stay in cache and auto-vectorize across pads. Used by bus-ladder and
 /// scenario-matrix sweeps where every line carries the same driver model
 /// with a different bit pattern.
@@ -144,26 +138,17 @@ impl PwRbfDriverBank {
     /// # Panics
     ///
     /// Panics on an invalid model or an empty lane list.
-    pub fn new(model: &PwRbfDriverModel, lanes: Vec<(Node, LaneStim)>) -> Self {
+    pub fn new(model: Arc<PwRbfDriverModel>, lanes: Vec<(Node, LaneStim)>) -> Self {
         model.validate().expect("invalid PW-RBF model");
-        Self::from_compiled(Arc::new(CompiledDriver::compile(model)), lanes)
-    }
-
-    /// Creates a bank over an already-compiled model.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `lanes` is empty.
-    pub fn from_compiled(compiled: Arc<CompiledDriver>, lanes: Vec<(Node, LaneStim)>) -> Self {
         assert!(!lanes.is_empty(), "driver bank requires at least one lane");
         let n = lanes.len();
         let (pads, stims): (Vec<Node>, Vec<LaneStim>) = lanes.into_iter().unzip();
         PwRbfDriverBank {
-            label: format!("{}_pwrbf_bank", compiled.name()),
-            ts: compiled.ts(),
+            label: format!("{}_pwrbf_bank", model.name),
+            ts: model.ts,
             pads,
             state: RefCell::new(BankState {
-                lanes: DriverLanes::new(compiled, stims),
+                lanes: DriverLanes::new(model, stims),
                 v: vec![0.0; n],
                 i: vec![0.0; n],
                 g: vec![0.0; n],
@@ -228,7 +213,7 @@ impl Device for PwRbfDriverBank {
 }
 
 /// The receiver parametric model installed as a one-port load. Internally a
-/// single-lane [`ReceiverLanes`] over the compiled model.
+/// single-lane [`ReceiverLanes`] over the model.
 #[derive(Debug, Clone)]
 pub struct ReceiverModelDevice {
     label: String,
@@ -245,16 +230,11 @@ impl ReceiverModelDevice {
     /// Panics on an invalid model.
     pub fn new(model: ReceiverModel, pad: Node) -> Self {
         model.validate().expect("invalid receiver model");
-        Self::from_compiled(Arc::new(CompiledReceiver::compile(&model)), pad)
-    }
-
-    /// Creates the device over an already-compiled model.
-    pub fn from_compiled(compiled: Arc<CompiledReceiver>, pad: Node) -> Self {
         ReceiverModelDevice {
-            label: format!("{}_rxmodel", compiled.name()),
-            ts: compiled.ts(),
+            label: format!("{}_rxmodel", model.name),
+            ts: model.ts,
             pad,
-            lanes: RefCell::new(ReceiverLanes::new(compiled, 1)),
+            lanes: RefCell::new(ReceiverLanes::new(Arc::new(model), 1)),
         }
     }
 }
@@ -530,7 +510,7 @@ mod tests {
             ckt.add(Resistor::new(format!("r{k}"), pad, GROUND, 75.0));
         }
         let pads: Vec<Node> = lanes.iter().map(|(p, _)| *p).collect();
-        let bank = PwRbfDriverBank::new(&model, lanes);
+        let bank = PwRbfDriverBank::new(Arc::new(model), lanes);
         assert_eq!(bank.n_lanes(), 3);
         ckt.add(bank);
         let res = ckt.transient(TranParams::new(ts, t_stop)).unwrap();

@@ -12,6 +12,7 @@
 //! recorded on two different identification loads (see
 //! [`estimate_switching_weights`]).
 
+use crate::evalrt::LaneStim;
 use crate::{Error, Result};
 use sysid::narx::NarxModel;
 
@@ -171,6 +172,34 @@ impl PwRbfDriverModel {
     /// metric reported in the paper's examples).
     pub fn total_basis_functions(&self) -> usize {
         self.i_high.network().n_centers() + self.i_low.network().n_centers()
+    }
+
+    /// Switching weights `(w_H, w_L)` of one stimulus at absolute time `t`:
+    /// the transition window of the latest edge at or before `t` while it
+    /// lasts, then the settled logic state.
+    pub fn weights_at(&self, stim: &LaneStim, t: f64) -> (f64, f64) {
+        let mut state_high = stim.initial_high;
+        let mut active: Option<(f64, bool)> = None;
+        for e in &stim.edges {
+            if e.t <= t + 1e-18 {
+                state_high = e.rising;
+                active = Some((e.t, e.rising));
+            } else {
+                break;
+            }
+        }
+        if let Some((t0, rising)) = active {
+            let k = ((t - t0) / self.ts).round() as usize;
+            let seq = if rising { &self.up } else { &self.down };
+            if k < seq.len() {
+                return seq.at(k);
+            }
+        }
+        if state_high {
+            (1.0, 0.0)
+        } else {
+            (0.0, 1.0)
+        }
     }
 
     /// A one-line human summary: name, sample time, dynamic order, basis

@@ -1,71 +1,65 @@
-//! `evalrt` — the compiled, allocation-free evaluation runtime.
+//! `evalrt` — batched, allocation-free stepping of the sampled models.
 //!
 //! Per-timestep model evaluation is the innermost loop of every transient
-//! cell (fixtures, bus ladders, the `mdl serve` simulate path). The
-//! estimation-side model structs are built for construction and validation,
-//! not stepping: RBF centers live in `Vec<Vec<f64>>`, regressors and
-//! gradients allocate per call, and histories are shuffled with
-//! `rotate_right`. This module adds a one-time **compile step** per model
-//! that flattens everything into contiguous, fixed-capacity structures
-//! (see [`sysid::flat`]) plus per-instance lane state, so that `step()` and
-//! `commit()` perform **zero allocations** — asserted by a
+//! cell (fixtures, bus ladders, the `mdl serve` simulate path). The models
+//! are their own runtime: each NARX submodel's [`RbfNetwork`] keeps its
+//! centers in one row-major slab with the Gaussian scales precomputed, so a
+//! [`PwRbfDriverModel`] or [`ReceiverModel`] is stepped as it was fitted,
+//! shared through `Arc`, with nothing compiled or copied first. This module
+//! holds the per-instance state:
+//!
+//! * [`DriverLanes`] / [`ReceiverLanes`] — `N` instances of one model
+//!   advancing together. Histories are lane-major [`LaneRing`]s
+//!   (`[history slot][lane]`), so the batched inner loops run over
+//!   contiguous memory and auto-vectorize. A single device is `N = 1`;
+//! * [`EvalScratch`] — staging buffers (lane-major regressor,
+//!   squared-distance row, per-lane values and gradients), allocated once
+//!   per lane bank;
+//! * [`LaneStim`] — one lane's logic edge schedule;
+//! * [`settle_narx`] — the DC fixed point that seeds a submodel's history.
+//!
+//! `step()` and `commit()` perform **zero allocations**, asserted by a
 //! counting-allocator test in `crates/core/tests/zero_alloc_step.rs`.
-//!
-//! # Layers
-//!
-//! * [`CompiledDriver`] / [`CompiledReceiver`] / [`CompiledCr`] /
-//!   [`CompiledIbis`] — immutable flattened parameters, shareable across
-//!   instances (compile once per model, step many lanes);
-//! * [`DriverLanes`] / [`ReceiverLanes`] — the mutable lane state: `N`
-//!   instances of one compiled model advancing together over the flat
-//!   parameter slab. State is **lane-major** (`[history slot][lane]`), so
-//!   the batched inner loops run over contiguous memory and
-//!   auto-vectorize. A single device is simply `N = 1`;
-//! * [`EvalScratch`] — reusable per-instance staging buffers (lane-major
-//!   regressor, squared-distance accumulator, per-lane value/gradient
-//!   rows), allocated once at construction;
-//! * [`compile`] / [`CompiledModel`] — entry point over [`AnyModel`].
+//! [`compile`] / [`CompiledModel`] keep the signature of the compile step
+//! that preceded this design; they only share a copy of the model.
 //!
 //! # Numerical contract
 //!
-//! Compiled stepping reproduces the estimation-side scalar paths
+//! Each lane reproduces the scalar model paths
 //! ([`NarxModel::one_step`](sysid::narx::NarxModel::one_step),
-//! [`ArxModel::one_step`](sysid::arx::ArxModel::one_step), PWL table
-//! lookups) bit-for-bit — every accumulation visits the same terms in the
-//! same order, and the Gaussian exponent is formed from the same
-//! precomputed reciprocal. `tests/proptest_evalrt.rs` asserts ≤ 1e-15
-//! agreement across random models of all four kinds and random lane
-//! counts; in practice the agreement is exact.
+//! [`ArxModel::one_step`](sysid::arx::ArxModel::one_step)) bit for bit:
+//! every accumulation visits the same terms in the same order.
+//! `tests/proptest_evalrt.rs` checks the lanes against oracles that sum
+//! the Gaussians themselves, for random models and lane counts, and
+//! `tests/eval_golden.rs` pins the bits of fixed runs.
+//!
+//! [`RbfNetwork`]: sysid::rbf::RbfNetwork
 
 use std::sync::Arc;
 
 use crate::driver::PwRbfDriverModel;
 use crate::exchange::AnyModel;
-use crate::macromodel::ModelKind;
-use crate::receiver::{CrModel, ReceiverModel};
-use numkit::interp::Pwl;
-use refdev::IbisModel;
-use sysid::flat::{FlatArx, FlatNarx, LaneRing};
+use crate::receiver::ReceiverModel;
+use sysid::lanes::LaneRing;
 use sysid::narx::NarxModel;
 
 /// A scheduled logic edge.
 #[derive(Debug, Clone, Copy)]
-struct Edge {
-    t: f64,
-    rising: bool,
+pub(crate) struct Edge {
+    pub(crate) t: f64,
+    pub(crate) rising: bool,
 }
 
 /// Per-lane logic stimulus: the edge schedule derived from a bit pattern.
 ///
 /// Each lane of a [`DriverLanes`] bank carries its own `LaneStim`, so lanes
-/// of one compiled model can drive different patterns (e.g. the rotated
-/// patterns of a bus ladder).
+/// of one model can drive different patterns (e.g. the rotated patterns of
+/// a bus ladder).
 #[derive(Debug, Clone)]
 pub struct LaneStim {
-    edges: Vec<Edge>,
-    initial_high: bool,
+    pub(crate) edges: Vec<Edge>,
+    pub(crate) initial_high: bool,
 }
-
 impl LaneStim {
     /// Builds the edge schedule for `pattern` (a `0`/`1` string) with the
     /// given bit time.
@@ -136,51 +130,38 @@ impl EvalScratch {
 }
 
 /// Settles a NARX submodel's output by fixed-point iteration at a constant
-/// input (used to initialize histories from a DC operating point). This is
-/// the scalar reference form; [`DriverLanes::init_dc`] uses the equivalent
-/// flat iteration.
-pub fn settle_narx(model: &NarxModel, v: f64) -> f64 {
-    let o = model.orders();
-    let u_hist = vec![v; o.input_lags + 1];
-    let mut y = 0.0;
-    for _ in 0..64 {
-        let y_hist = vec![y; o.output_lags.max(1)];
-        let y_new = model.one_step(&u_hist, &y_hist);
-        if (y_new - y).abs() < 1e-12 {
-            return y_new;
-        }
-        y = y_new;
-    }
-    y
-}
-
-/// Flat fixed-point settle, bit-identical to [`settle_narx`] but writing
-/// the regressor into caller scratch (`x.len() >= narx.dim()`).
-fn settle_flat(narx: &FlatNarx, v: f64, x: &mut [f64]) -> f64 {
-    let dim = narx.dim();
-    let x = &mut x[..dim];
-    x[..narx.input_lags() + 1].fill(v);
-    let mut y = 0.0;
-    for _ in 0..64 {
-        x[narx.input_lags() + 1..].fill(y);
-        let y_new = narx.rbf().eval(x);
-        if (y_new - y).abs() < 1e-12 {
-            return y_new;
-        }
-        y = y_new;
-    }
-    y
-}
-
-/// A [`PwRbfDriverModel`] compiled for flat, batched stepping: both NARX
-/// submodels as [`FlatNarx`] slabs plus the switching-weight tables.
+/// input `v`, to seed its history from a DC operating point. The regressor
+/// is staged in caller scratch (`x.len() >= model.orders().dim()`).
 ///
-/// Compile once, then open any number of [`DriverLanes`] banks over it.
+/// # Panics
+///
+/// Panics if `x` is shorter than the regressor.
+pub fn settle_narx(model: &NarxModel, v: f64, x: &mut [f64]) -> f64 {
+    let o = model.orders();
+    let x = &mut x[..o.dim()];
+    x[..=o.input_lags].fill(v);
+    let mut y = 0.0;
+    for _ in 0..64 {
+        x[o.input_lags + 1..].fill(y);
+        let y_new = model.network().eval(x);
+        if (y_new - y).abs() < 1e-12 {
+            return y_new;
+        }
+        y = y_new;
+    }
+    y
+}
+
+/// `N` lanes of one [`PwRbfDriverModel`] advancing together: lane-major
+/// voltage/current history rings plus reusable scratch. `step` computes the
+/// delivered current and its voltage derivative for every lane in one pass
+/// over each submodel's center slab; `commit` advances the histories with
+/// the converged voltages. Both are zero-allocation.
 ///
 /// ```
 /// use std::sync::Arc;
 /// use macromodel::driver::{PwRbfDriverModel, WeightSequence};
-/// use macromodel::evalrt::{CompiledDriver, DriverLanes, LaneStim};
+/// use macromodel::evalrt::{DriverLanes, LaneStim};
 /// use sysid::narx::{NarxModel, NarxOrders};
 /// use sysid::rbf::RbfNetwork;
 ///
@@ -208,13 +189,12 @@ fn settle_flat(narx: &FlatNarx, v: f64, x: &mut [f64]) -> f64 {
 ///     down: WeightSequence::new(inv, ramp).unwrap(),
 /// };
 ///
-/// // Compile once, step two lanes together with zero allocation.
-/// let compiled = Arc::new(CompiledDriver::compile(&model));
+/// // Share the model, step two lanes together with zero allocation.
 /// let stims = vec![
 ///     LaneStim::from_pattern("01", 1e-9),
 ///     LaneStim::from_pattern("10", 1e-9),
 /// ];
-/// let mut lanes = DriverLanes::new(Arc::clone(&compiled), stims);
+/// let mut lanes = DriverLanes::new(Arc::new(model), stims);
 /// lanes.init_dc(&[0.0, 1.8]);
 /// let (mut i, mut g_out) = ([0.0; 2], [0.0; 2]);
 /// lanes.step(0.0, &[0.0, 1.8], &mut i, &mut g_out);
@@ -222,107 +202,8 @@ fn settle_flat(narx: &FlatNarx, v: f64, x: &mut [f64]) -> f64 {
 /// assert!(i.iter().all(|x| x.is_finite()));
 /// ```
 #[derive(Debug, Clone)]
-pub struct CompiledDriver {
-    name: String,
-    ts: f64,
-    vdd: f64,
-    high: FlatNarx,
-    low: FlatNarx,
-    up: WeightTable,
-    down: WeightTable,
-}
-
-/// A switching-weight window flattened to two parallel rows.
-#[derive(Debug, Clone)]
-struct WeightTable {
-    w_high: Vec<f64>,
-    w_low: Vec<f64>,
-}
-
-impl WeightTable {
-    #[inline]
-    fn at(&self, k: usize) -> (f64, f64) {
-        let i = k.min(self.w_high.len() - 1);
-        (self.w_high[i], self.w_low[i])
-    }
-}
-
-impl CompiledDriver {
-    /// Flattens a validated driver model. One-time cost; the result is
-    /// immutable and shared by every lane bank via `Arc`.
-    pub fn compile(m: &PwRbfDriverModel) -> Self {
-        CompiledDriver {
-            name: m.name.clone(),
-            ts: m.ts,
-            vdd: m.vdd,
-            high: FlatNarx::compile(&m.i_high),
-            low: FlatNarx::compile(&m.i_low),
-            up: WeightTable {
-                w_high: m.up.w_high().to_vec(),
-                w_low: m.up.w_low().to_vec(),
-            },
-            down: WeightTable {
-                w_high: m.down.w_high().to_vec(),
-                w_low: m.down.w_low().to_vec(),
-            },
-        }
-    }
-
-    /// Source model name.
-    pub fn name(&self) -> &str {
-        &self.name
-    }
-
-    /// Model sample time (s).
-    pub fn ts(&self) -> f64 {
-        self.ts
-    }
-
-    /// Supply voltage (V).
-    pub fn vdd(&self) -> f64 {
-        self.vdd
-    }
-
-    /// Largest submodel regressor dimension.
-    fn dim_max(&self) -> usize {
-        self.high.dim().max(self.low.dim())
-    }
-
-    /// Switching weights of one stimulus at absolute time `t`.
-    pub fn weights_at(&self, stim: &LaneStim, t: f64) -> (f64, f64) {
-        let mut state_high = stim.initial_high;
-        let mut active: Option<(f64, bool)> = None;
-        for e in &stim.edges {
-            if e.t <= t + 1e-18 {
-                state_high = e.rising;
-                active = Some((e.t, e.rising));
-            } else {
-                break;
-            }
-        }
-        if let Some((t0, rising)) = active {
-            let k = ((t - t0) / self.ts).round() as usize;
-            let seq = if rising { &self.up } else { &self.down };
-            if k < seq.w_high.len() {
-                return seq.at(k);
-            }
-        }
-        if state_high {
-            (1.0, 0.0)
-        } else {
-            (0.0, 1.0)
-        }
-    }
-}
-
-/// `N` lanes of one [`CompiledDriver`] advancing together: lane-major
-/// voltage/current history rings plus reusable scratch. `step` computes the
-/// delivered current and its voltage derivative for every lane in one pass
-/// over the flat parameter slab; `commit` advances the histories with the
-/// converged voltages. Both are zero-allocation.
-#[derive(Debug, Clone)]
 pub struct DriverLanes {
-    model: Arc<CompiledDriver>,
+    model: Arc<PwRbfDriverModel>,
     stims: Vec<LaneStim>,
     n_lanes: usize,
     v_past: LaneRing,
@@ -345,16 +226,16 @@ impl DriverLanes {
     /// # Panics
     ///
     /// Panics if `stims` is empty.
-    pub fn new(model: Arc<CompiledDriver>, stims: Vec<LaneStim>) -> Self {
+    pub fn new(model: Arc<PwRbfDriverModel>, stims: Vec<LaneStim>) -> Self {
         assert!(!stims.is_empty(), "at least one lane required");
         let n = stims.len();
-        let lags_v = model.high.input_lags().max(model.low.input_lags());
+        let (hi, lo) = (model.i_high.orders(), model.i_low.orders());
         DriverLanes {
             n_lanes: n,
-            v_past: LaneRing::new(lags_v, n),
-            ih_past: LaneRing::new(model.high.output_lags(), n),
-            il_past: LaneRing::new(model.low.output_lags(), n),
-            scratch: EvalScratch::new(model.dim_max(), n),
+            v_past: LaneRing::new(hi.input_lags.max(lo.input_lags), n),
+            ih_past: LaneRing::new(hi.output_lags, n),
+            il_past: LaneRing::new(lo.output_lags, n),
+            scratch: EvalScratch::new(hi.dim().max(lo.dim()), n),
             last_v: vec![0.0; n],
             last_valid: false,
             model,
@@ -367,16 +248,10 @@ impl DriverLanes {
         self.n_lanes
     }
 
-    /// The shared compiled model.
-    pub fn model(&self) -> &Arc<CompiledDriver> {
-        &self.model
-    }
-
     /// Switching weights of lane `lane` at absolute time `t`.
     pub fn weights_at(&self, lane: usize, t: f64) -> (f64, f64) {
         self.model.weights_at(&self.stims[lane], t)
     }
-
     /// Batched Newton evaluation at time `t` and trial voltages `v` (one
     /// per lane): writes the delivered current into `i_out` and its
     /// derivative w.r.t. the lane voltage into `g_out`. Histories are not
@@ -407,14 +282,11 @@ impl DriverLanes {
             s.w0[l] = wh;
             s.w1[l] = wl;
         }
-        model.high.gather_lanes(v, v_past, ih_past, &mut s.x);
-        model
-            .high
-            .step_lanes(&s.x, n, &mut s.d2, &mut s.v0, &mut s.g0);
-        model.low.gather_lanes(v, v_past, il_past, &mut s.x);
-        model
-            .low
-            .step_lanes(&s.x, n, &mut s.d2, &mut s.v1, &mut s.g1);
+        let (hi, lo) = (&model.i_high, &model.i_low);
+        hi.gather_lanes(v, v_past, ih_past, &mut s.x);
+        hi.step_lanes(&s.x, n, &mut s.d2, &mut s.v0, &mut s.g0);
+        lo.gather_lanes(v, v_past, il_past, &mut s.x);
+        lo.step_lanes(&s.x, n, &mut s.d2, &mut s.v1, &mut s.g1);
         for l in 0..n {
             i_out[l] = s.w0[l] * s.v0[l] + s.w1[l] * s.v1[l];
             g_out[l] = s.w0[l] * s.g0[l] + s.w1[l] * s.g1[l];
@@ -457,10 +329,11 @@ impl DriverLanes {
                 .zip(last_v.iter())
                 .all(|(a, b)| a.to_bits() == b.to_bits());
         if !reuse {
-            model.high.gather_lanes(v, v_past, ih_past, &mut s.x);
-            model.high.rbf().eval_lanes(&s.x, n, &mut s.d2, &mut s.v0);
-            model.low.gather_lanes(v, v_past, il_past, &mut s.x);
-            model.low.rbf().eval_lanes(&s.x, n, &mut s.d2, &mut s.v1);
+            let (hi, lo) = (&model.i_high, &model.i_low);
+            hi.gather_lanes(v, v_past, ih_past, &mut s.x);
+            hi.network().eval_lanes(&s.x, n, &mut s.d2, &mut s.v0);
+            lo.gather_lanes(v, v_past, il_past, &mut s.x);
+            lo.network().eval_lanes(&s.x, n, &mut s.d2, &mut s.v1);
         }
         v_past.push_row(v);
         ih_past.push_row(&s.v0);
@@ -479,21 +352,21 @@ impl DriverLanes {
         self.last_valid = false;
         for (l, &v) in v0.iter().enumerate() {
             self.v_past.fill_lane(l, v);
-            let ih = settle_flat(&self.model.high, v, &mut self.scratch.x);
+            let ih = settle_narx(&self.model.i_high, v, &mut self.scratch.x);
             self.ih_past.fill_lane(l, ih);
-            let il = settle_flat(&self.model.low, v, &mut self.scratch.x);
+            let il = settle_narx(&self.model.i_low, v, &mut self.scratch.x);
             self.il_past.fill_lane(l, il);
         }
     }
 }
 
-/// A [`ReceiverModel`] compiled for flat, batched stepping: the linear ARX
-/// part as [`FlatArx`] taps and both protection submodels as [`FlatNarx`]
-/// slabs.
+/// `N` lanes of one [`ReceiverModel`]: the linear ARX part and both
+/// protection submodels stepped together. See [`DriverLanes`] for the
+/// step/commit protocol.
 ///
 /// ```
 /// use std::sync::Arc;
-/// use macromodel::evalrt::{CompiledReceiver, ReceiverLanes};
+/// use macromodel::evalrt::ReceiverLanes;
 /// use macromodel::receiver::ReceiverModel;
 /// use sysid::arx::{ArxModel, ArxOrders};
 /// use sysid::narx::{NarxModel, NarxOrders};
@@ -520,8 +393,7 @@ impl DriverLanes {
 ///     down: zero,
 /// };
 ///
-/// let compiled = Arc::new(CompiledReceiver::compile(&model));
-/// let mut lanes = ReceiverLanes::new(compiled, 3);
+/// let mut lanes = ReceiverLanes::new(Arc::new(model), 3);
 /// lanes.init_dc(&[0.0, 0.9, 1.8]);
 /// let (mut i, mut g) = ([0.0; 3], [0.0; 3]);
 /// lanes.step(&[0.1, 0.9, 1.7], &mut i, &mut g);
@@ -529,58 +401,8 @@ impl DriverLanes {
 /// assert!(i[0] > 0.0 && i[2] < 0.0); // capacitive charge/discharge
 /// ```
 #[derive(Debug, Clone)]
-pub struct CompiledReceiver {
-    name: String,
-    ts: f64,
-    vdd: f64,
-    linear: FlatArx,
-    up: FlatNarx,
-    down: FlatNarx,
-    /// `Σ a_i` and `Σ b_j` of the linear part (DC-gain settle).
-    lin_a_sum: f64,
-    lin_b_sum: f64,
-}
-
-impl CompiledReceiver {
-    /// Flattens a validated receiver model. One-time cost.
-    pub fn compile(m: &ReceiverModel) -> Self {
-        CompiledReceiver {
-            name: m.name.clone(),
-            ts: m.ts,
-            vdd: m.vdd,
-            linear: FlatArx::compile(&m.linear),
-            up: FlatNarx::compile(&m.up),
-            down: FlatNarx::compile(&m.down),
-            lin_a_sum: m.linear.a().iter().sum(),
-            lin_b_sum: m.linear.b().iter().sum(),
-        }
-    }
-
-    /// Source model name.
-    pub fn name(&self) -> &str {
-        &self.name
-    }
-
-    /// Model sample time (s).
-    pub fn ts(&self) -> f64 {
-        self.ts
-    }
-
-    /// Supply voltage (V).
-    pub fn vdd(&self) -> f64 {
-        self.vdd
-    }
-
-    fn dim_max(&self) -> usize {
-        self.up.dim().max(self.down.dim())
-    }
-}
-
-/// `N` lanes of one [`CompiledReceiver`]; see [`DriverLanes`] for the
-/// step/commit protocol.
-#[derive(Debug, Clone)]
 pub struct ReceiverLanes {
-    model: Arc<CompiledReceiver>,
+    model: Arc<ReceiverModel>,
     n_lanes: usize,
     v_past: LaneRing,
     ilin_past: LaneRing,
@@ -599,20 +421,17 @@ impl ReceiverLanes {
     /// # Panics
     ///
     /// Panics if `n_lanes == 0`.
-    pub fn new(model: Arc<CompiledReceiver>, n_lanes: usize) -> Self {
+    pub fn new(model: Arc<ReceiverModel>, n_lanes: usize) -> Self {
         assert!(n_lanes > 0, "at least one lane required");
-        let lags_v = model
-            .linear
-            .nb()
-            .max(model.up.input_lags())
-            .max(model.down.input_lags());
+        let lin = model.linear.orders();
+        let (up, dn) = (model.up.orders(), model.down.orders());
         ReceiverLanes {
             n_lanes,
-            v_past: LaneRing::new(lags_v, n_lanes),
-            ilin_past: LaneRing::new(model.linear.na(), n_lanes),
-            iup_past: LaneRing::new(model.up.output_lags(), n_lanes),
-            idn_past: LaneRing::new(model.down.output_lags(), n_lanes),
-            scratch: EvalScratch::new(model.dim_max(), n_lanes),
+            v_past: LaneRing::new(lin.nb.max(up.input_lags).max(dn.input_lags), n_lanes),
+            ilin_past: LaneRing::new(lin.na, n_lanes),
+            iup_past: LaneRing::new(up.output_lags, n_lanes),
+            idn_past: LaneRing::new(dn.output_lags, n_lanes),
+            scratch: EvalScratch::new(up.dim().max(dn.dim()), n_lanes),
             last_v: vec![0.0; n_lanes],
             last_valid: false,
             model,
@@ -622,11 +441,6 @@ impl ReceiverLanes {
     /// Lane count.
     pub fn n_lanes(&self) -> usize {
         self.n_lanes
-    }
-
-    /// The shared compiled model.
-    pub fn model(&self) -> &Arc<CompiledReceiver> {
-        &self.model
     }
 
     /// Batched Newton evaluation at trial voltages `v`: total port current
@@ -652,16 +466,13 @@ impl ReceiverLanes {
         assert_eq!(v.len(), n, "voltage lane count mismatch");
         assert_eq!(i_out.len(), n, "current lane count mismatch");
         assert_eq!(g_out.len(), n, "gradient lane count mismatch");
+        let (up, dn) = (&model.up, &model.down);
         model.linear.step_lanes(v, v_past, ilin_past, &mut s.v0);
         let g_lin = model.linear.feedthrough();
-        model.up.gather_lanes(v, v_past, iup_past, &mut s.x);
-        model
-            .up
-            .step_lanes(&s.x, n, &mut s.d2, &mut s.v1, &mut s.g1);
-        model.down.gather_lanes(v, v_past, idn_past, &mut s.x);
-        model
-            .down
-            .step_lanes(&s.x, n, &mut s.d2, &mut s.w0, &mut s.w1);
+        up.gather_lanes(v, v_past, iup_past, &mut s.x);
+        up.step_lanes(&s.x, n, &mut s.d2, &mut s.v1, &mut s.g1);
+        dn.gather_lanes(v, v_past, idn_past, &mut s.x);
+        dn.step_lanes(&s.x, n, &mut s.d2, &mut s.w0, &mut s.w1);
         for l in 0..n {
             i_out[l] = s.v0[l] + s.v1[l] + s.w0[l];
             g_out[l] = g_lin + s.g1[l] + s.w1[l];
@@ -698,11 +509,12 @@ impl ReceiverLanes {
                 .zip(last_v.iter())
                 .all(|(a, b)| a.to_bits() == b.to_bits());
         if !reuse {
+            let (up, dn) = (&model.up, &model.down);
             model.linear.step_lanes(v, v_past, ilin_past, &mut s.v0);
-            model.up.gather_lanes(v, v_past, iup_past, &mut s.x);
-            model.up.rbf().eval_lanes(&s.x, n, &mut s.d2, &mut s.v1);
-            model.down.gather_lanes(v, v_past, idn_past, &mut s.x);
-            model.down.rbf().eval_lanes(&s.x, n, &mut s.d2, &mut s.w0);
+            up.gather_lanes(v, v_past, iup_past, &mut s.x);
+            up.network().eval_lanes(&s.x, n, &mut s.d2, &mut s.v1);
+            dn.gather_lanes(v, v_past, idn_past, &mut s.x);
+            dn.network().eval_lanes(&s.x, n, &mut s.d2, &mut s.w0);
         }
         v_past.push_row(v);
         ilin_past.push_row(&s.v0);
@@ -721,204 +533,98 @@ impl ReceiverLanes {
     pub fn init_dc(&mut self, v0: &[f64]) {
         assert_eq!(v0.len(), self.n_lanes, "voltage lane count mismatch");
         self.last_valid = false;
+        // `Σ a_i` and `Σ b_j` of the linear part give its static gain.
+        let a_sum: f64 = self.model.linear.a().iter().sum();
+        let b_sum: f64 = self.model.linear.b().iter().sum();
         for (l, &v) in v0.iter().enumerate() {
             self.v_past.fill_lane(l, v);
-            let dc_gain = if (1.0 - self.model.lin_a_sum).abs() > 1e-9 {
-                self.model.lin_b_sum / (1.0 - self.model.lin_a_sum) * v
+            let dc_gain = if (1.0 - a_sum).abs() > 1e-9 {
+                b_sum / (1.0 - a_sum) * v
             } else {
                 0.0
             };
             self.ilin_past.fill_lane(l, dc_gain);
-            let up0 = settle_flat(&self.model.up, v, &mut self.scratch.x);
+            let up0 = settle_narx(&self.model.up, v, &mut self.scratch.x);
             self.iup_past.fill_lane(l, up0);
-            let dn0 = settle_flat(&self.model.down, v, &mut self.scratch.x);
+            let dn0 = settle_narx(&self.model.down, v, &mut self.scratch.x);
             self.idn_past.fill_lane(l, dn0);
         }
     }
 }
 
-/// A [`CrModel`] compiled for batched evaluation. The PWL table is already
-/// a flat sorted array ([`numkit::interp::Pwl`]); the capacitor part stamps
-/// as a linear element and needs no runtime. Stateless: `step_lanes` is the
-/// whole protocol.
-#[derive(Debug, Clone)]
-pub struct CompiledCr {
-    name: String,
-    c: f64,
-    iv: Pwl,
-}
+/// A model ready for simulation: a shared copy of it. The models are their
+/// own runtime, so there is nothing left to compile.
+pub type CompiledModel = Arc<AnyModel>;
 
-impl CompiledCr {
-    /// Flattens the C–R̂ baseline. One-time cost.
-    pub fn compile(m: &CrModel) -> Self {
-        CompiledCr {
-            name: m.name.clone(),
-            c: m.c,
-            iv: m.static_iv.clone(),
-        }
-    }
-
-    /// Source model name.
-    pub fn name(&self) -> &str {
-        &self.name
-    }
-
-    /// Die capacitance (F).
-    pub fn c(&self) -> f64 {
-        self.c
-    }
-
-    /// Static resistor current and clamped slope for every lane (matches
-    /// the `PwlResistor` device stamp).
-    ///
-    /// # Panics
-    ///
-    /// Panics on lane-count mismatches.
-    pub fn step_lanes(&self, v: &[f64], i_out: &mut [f64], g_out: &mut [f64]) {
-        assert_eq!(v.len(), i_out.len(), "current lane count mismatch");
-        assert_eq!(v.len(), g_out.len(), "gradient lane count mismatch");
-        for (l, &vl) in v.iter().enumerate() {
-            i_out[l] = self.iv.eval(vl);
-            g_out[l] = self.iv.slope(vl).max(0.0);
-        }
-    }
-}
-
-/// An [`IbisModel`] output stage compiled for batched evaluation: static
-/// pullup/pulldown tables (already flat PWL arrays) blended by the
-/// switching coefficients. Stateless like [`CompiledCr`].
-#[derive(Debug, Clone)]
-pub struct CompiledIbis {
-    name: String,
-    vdd: f64,
-    pullup: Pwl,
-    pulldown: Pwl,
-}
-
-impl CompiledIbis {
-    /// Flattens the IBIS baseline's output stage. One-time cost.
-    pub fn compile(m: &IbisModel) -> Self {
-        CompiledIbis {
-            name: m.name.clone(),
-            vdd: m.vdd,
-            pullup: m.pullup.clone(),
-            pulldown: m.pulldown.clone(),
-        }
-    }
-
-    /// Source model name.
-    pub fn name(&self) -> &str {
-        &self.name
-    }
-
-    /// Supply voltage (V).
-    pub fn vdd(&self) -> f64 {
-        self.vdd
-    }
-
-    /// Delivered current and slope at port voltage `v` with switching
-    /// coefficients `(ku, kd)` — the `IbisDriver` stamp expression.
-    #[inline]
-    pub fn output(&self, v: f64, ku: f64, kd: f64) -> (f64, f64) {
-        let i = ku * self.pullup.eval(v) + kd * self.pulldown.eval(v);
-        let g = ku * self.pullup.slope(v) + kd * self.pulldown.slope(v);
-        (i, g)
-    }
-
-    /// Batched [`CompiledIbis::output`] over parallel lanes.
-    ///
-    /// # Panics
-    ///
-    /// Panics on lane-count mismatches.
-    pub fn step_lanes(
-        &self,
-        v: &[f64],
-        ku: &[f64],
-        kd: &[f64],
-        i_out: &mut [f64],
-        g_out: &mut [f64],
-    ) {
-        assert!(
-            v.len() == ku.len() && v.len() == kd.len(),
-            "coefficient lane count mismatch"
-        );
-        assert!(
-            v.len() == i_out.len() && v.len() == g_out.len(),
-            "output lane count mismatch"
-        );
-        for l in 0..v.len() {
-            let (i, g) = self.output(v[l], ku[l], kd[l]);
-            i_out[l] = i;
-            g_out[l] = g;
-        }
-    }
-}
-
-/// A compiled model of any kind; produced by [`compile`].
-#[derive(Debug, Clone)]
-pub enum CompiledModel {
-    /// Compiled PW-RBF driver.
-    PwRbfDriver(CompiledDriver),
-    /// Compiled receiver parametric model.
-    Receiver(CompiledReceiver),
-    /// Compiled C–R̂ baseline.
-    Cr(CompiledCr),
-    /// Compiled IBIS output stage.
-    Ibis(CompiledIbis),
-}
-
-impl CompiledModel {
-    /// The model kind.
-    pub fn kind(&self) -> ModelKind {
-        match self {
-            CompiledModel::PwRbfDriver(_) => ModelKind::PwRbfDriver,
-            CompiledModel::Receiver(_) => ModelKind::Receiver,
-            CompiledModel::Cr(_) => ModelKind::CrBaseline,
-            CompiledModel::Ibis(_) => ModelKind::Ibis,
-        }
-    }
-
-    /// Source model name.
-    pub fn name(&self) -> &str {
-        match self {
-            CompiledModel::PwRbfDriver(m) => m.name(),
-            CompiledModel::Receiver(m) => m.name(),
-            CompiledModel::Cr(m) => m.name(),
-            CompiledModel::Ibis(m) => m.name(),
-        }
-    }
-}
-
-/// Compiles any exchangeable model into its flat runtime form.
+/// Shares a copy of `model` for simulation.
 ///
 /// ```
-/// use macromodel::evalrt::{compile, CompiledModel};
+/// use macromodel::evalrt::compile;
 /// use macromodel::exchange::AnyModel;
 /// use macromodel::receiver::CrModel;
+/// use macromodel::Macromodel;
 /// use numkit::interp::Pwl;
 ///
 /// let iv = Pwl::new(vec![-1.0, 0.0, 1.0], vec![-0.1, 0.0, 0.1]).unwrap();
 /// let model = AnyModel::Cr(CrModel::new("cr", 1e-12, iv).unwrap());
-/// let compiled = compile(&model);
-/// assert!(matches!(compiled, CompiledModel::Cr(_)));
-/// assert_eq!(compiled.name(), "cr");
+/// assert_eq!(compile(&model).name(), "cr");
 /// ```
 pub fn compile(model: &AnyModel) -> CompiledModel {
-    match model {
-        AnyModel::PwRbfDriver(m) => CompiledModel::PwRbfDriver(CompiledDriver::compile(m)),
-        AnyModel::Receiver(m) => CompiledModel::Receiver(CompiledReceiver::compile(m)),
-        AnyModel::Cr(m) => CompiledModel::Cr(CompiledCr::compile(m)),
-        AnyModel::Ibis(m) => CompiledModel::Ibis(CompiledIbis::compile(m)),
-    }
+    Arc::new(model.clone())
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::driver::WeightSequence;
+    use crate::macromodel::{Macromodel, ModelKind};
+    use crate::receiver::CrModel;
+    use numkit::interp::Pwl;
     use sysid::arx::{ArxModel, ArxOrders};
     use sysid::narx::NarxOrders;
     use sysid::rbf::RbfNetwork;
+
+    /// `(value, ∂/∂x[0])` of `net` at `x`, summed here from the public
+    /// parameters with `-1/(2σ²)` formed per call, so the oracles below
+    /// stay independent of the kernels they check.
+    fn reference_eval(net: &RbfNetwork, x: &[f64]) -> (f64, f64) {
+        let mut value = net.bias();
+        for (wj, xj) in net.linear().iter().zip(x) {
+            value += wj * xj;
+        }
+        let mut g0 = net.linear()[0];
+        for (i, c) in net.centers().enumerate() {
+            let w = net.widths()[i];
+            let mut d2 = 0.0;
+            for (xj, cj) in x.iter().zip(c) {
+                let d = xj - cj;
+                d2 += d * d;
+            }
+            let wphi = net.weights()[i] * (d2 * (-1.0 / (2.0 * w * w))).exp();
+            value += wphi;
+            g0 += wphi * ((c[0] - x[0]) * (1.0 / (w * w)));
+        }
+        (value, g0)
+    }
+
+    /// One-step value and `∂/∂u(k)` of `m` from newest-first histories.
+    fn reference_step(m: &NarxModel, u_hist: &[f64], y_hist: &[f64]) -> (f64, f64) {
+        reference_eval(m.network(), &m.regressor(u_hist, y_hist))
+    }
+
+    /// The DC fixed point of `m` at `v`, iterated on [`reference_eval`].
+    fn reference_settle(m: &NarxModel, v: f64) -> f64 {
+        let o = m.orders();
+        let mut y = 0.0;
+        for _ in 0..64 {
+            let y_new = reference_step(m, &vec![v; o.input_lags + 1], &vec![y; o.output_lags]).0;
+            if (y_new - y).abs() < 1e-12 {
+                return y_new;
+            }
+            y = y_new;
+        }
+        y
+    }
 
     fn nonlinear_narx(seed: f64) -> NarxModel {
         let net = RbfNetwork::from_parts(
@@ -951,8 +657,8 @@ mod tests {
         }
     }
 
-    /// Reference single-lane driver stepper built directly on the scalar
-    /// model paths (mirrors the pre-compile device implementation).
+    /// Reference single-lane driver stepper on the oracles above, with
+    /// `Vec` histories shifted by `rotate_right`.
     struct ScalarDriverRef {
         model: PwRbfDriverModel,
         v_past: Vec<f64>,
@@ -967,8 +673,8 @@ mod tests {
                 .orders()
                 .input_lags
                 .max(model.i_low.orders().input_lags);
-            let ih0 = settle_narx(&model.i_high, v0);
-            let il0 = settle_narx(&model.i_low, v0);
+            let ih0 = reference_settle(&model.i_high, v0);
+            let il0 = reference_settle(&model.i_low, v0);
             ScalarDriverRef {
                 v_past: vec![v0; lags_v],
                 ih_past: vec![ih0; model.i_high.orders().output_lags.max(1)],
@@ -984,27 +690,22 @@ mod tests {
             u
         }
 
+        /// `(i_H, ∂i_H/∂v)` and `(i_L, ∂i_L/∂v)` at port voltage `v`.
+        fn parts(&self, v: f64) -> ((f64, f64), (f64, f64)) {
+            let (hi, lo) = (&self.model.i_high, &self.model.i_low);
+            (
+                reference_step(hi, &self.u_hist(v, hi.orders().input_lags), &self.ih_past),
+                reference_step(lo, &self.u_hist(v, lo.orders().input_lags), &self.il_past),
+            )
+        }
+
         fn step(&self, wh: f64, wl: f64, v: f64) -> (f64, f64) {
-            let (ih, gh) = self.model.i_high.one_step_with_gradient(
-                &self.u_hist(v, self.model.i_high.orders().input_lags),
-                &self.ih_past,
-            );
-            let (il, gl) = self.model.i_low.one_step_with_gradient(
-                &self.u_hist(v, self.model.i_low.orders().input_lags),
-                &self.il_past,
-            );
+            let ((ih, gh), (il, gl)) = self.parts(v);
             (wh * ih + wl * il, wh * gh + wl * gl)
         }
 
         fn commit(&mut self, v: f64) {
-            let ih = self.model.i_high.one_step(
-                &self.u_hist(v, self.model.i_high.orders().input_lags),
-                &self.ih_past,
-            );
-            let il = self.model.i_low.one_step(
-                &self.u_hist(v, self.model.i_low.orders().input_lags),
-                &self.il_past,
-            );
+            let ((ih, _), (il, _)) = self.parts(v);
             self.v_past.rotate_right(1);
             if !self.v_past.is_empty() {
                 self.v_past[0] = v;
@@ -1019,14 +720,14 @@ mod tests {
     #[test]
     fn driver_lanes_match_scalar_reference_bitwise() {
         let model = test_driver();
-        let compiled = Arc::new(CompiledDriver::compile(&model));
+        let shared = Arc::new(model.clone());
         let stims = vec![
             LaneStim::from_pattern("0110", 1e-9),
             LaneStim::from_pattern("1010", 1e-9),
             LaneStim::from_pattern("0011", 1e-9),
         ];
         let v0 = [0.0, 1.8, 0.4];
-        let mut lanes = DriverLanes::new(Arc::clone(&compiled), stims.clone());
+        let mut lanes = DriverLanes::new(Arc::clone(&shared), stims.clone());
         lanes.init_dc(&v0);
         let mut refs: Vec<ScalarDriverRef> = v0
             .iter()
@@ -1043,7 +744,7 @@ mod tests {
             }
             lanes.step(t, &v, &mut i, &mut g);
             for (l, r) in refs.iter().enumerate() {
-                let (wh, wl) = compiled.weights_at(&stims[l], t);
+                let (wh, wl) = shared.weights_at(&stims[l], t);
                 let (ri, rg) = r.step(wh, wl, v[l]);
                 assert_eq!(i[l].to_bits(), ri.to_bits(), "i lane {l} step {k}");
                 assert_eq!(g[l].to_bits(), rg.to_bits(), "g lane {l} step {k}");
@@ -1055,8 +756,7 @@ mod tests {
         }
     }
 
-    /// Reference single-lane receiver stepper built directly on the scalar
-    /// model paths (mirrors the pre-compile device implementation).
+    /// Reference single-lane receiver stepper on the oracles above.
     struct ScalarReceiverRef {
         model: ReceiverModel,
         v_past: Vec<f64>,
@@ -1080,8 +780,8 @@ mod tests {
             } else {
                 0.0
             };
-            let up0 = settle_narx(&model.up, v0);
-            let dn0 = settle_narx(&model.down, v0);
+            let up0 = reference_settle(&model.up, v0);
+            let dn0 = reference_settle(&model.down, v0);
             ScalarReceiverRef {
                 v_past: vec![v0; lags_v.max(1)],
                 ilin_past: vec![dc_gain; model.linear.orders().na.max(1)],
@@ -1098,13 +798,10 @@ mod tests {
             let g_lin = self.model.linear.feedthrough();
             let mut u_up = vec![v];
             u_up.extend_from_slice(&self.v_past[..self.model.up.orders().input_lags]);
-            let (i_up, g_up) = self.model.up.one_step_with_gradient(&u_up, &self.iup_past);
+            let (i_up, g_up) = reference_step(&self.model.up, &u_up, &self.iup_past);
             let mut u_dn = vec![v];
             u_dn.extend_from_slice(&self.v_past[..self.model.down.orders().input_lags]);
-            let (i_dn, g_dn) = self
-                .model
-                .down
-                .one_step_with_gradient(&u_dn, &self.idn_past);
+            let (i_dn, g_dn) = reference_step(&self.model.down, &u_dn, &self.idn_past);
             (i_lin, g_lin, i_up, g_up, i_dn, g_dn)
         }
 
@@ -1139,9 +836,8 @@ mod tests {
             up: nonlinear_narx(0.05),
             down: nonlinear_narx(-0.15),
         };
-        let compiled = Arc::new(CompiledReceiver::compile(&model));
         let v0 = [0.0, 1.2];
-        let mut lanes = ReceiverLanes::new(compiled, 2);
+        let mut lanes = ReceiverLanes::new(Arc::new(model.clone()), 2);
         lanes.init_dc(&v0);
         let mut refs: Vec<ScalarReceiverRef> = v0
             .iter()
@@ -1169,13 +865,12 @@ mod tests {
     #[test]
     fn weights_at_matches_schedule() {
         let model = test_driver();
-        let compiled = CompiledDriver::compile(&model);
         let stim = LaneStim::from_pattern("010", 1e-9);
-        assert_eq!(compiled.weights_at(&stim, 0.5e-9), (0.0, 1.0));
-        let (wh, wl) = compiled.weights_at(&stim, 1e-9 + 3.0 * model.ts);
+        assert_eq!(model.weights_at(&stim, 0.5e-9), (0.0, 1.0));
+        let (wh, wl) = model.weights_at(&stim, 1e-9 + 3.0 * model.ts);
         assert!(wh > 0.0 && wh < 1.0 && wl > 0.0 && wl < 1.0);
-        assert_eq!(compiled.weights_at(&stim, 1.9e-9), (1.0, 0.0));
-        assert_eq!(compiled.weights_at(&stim, 5e-9), (0.0, 1.0));
+        assert_eq!(model.weights_at(&stim, 1.9e-9), (1.0, 0.0));
+        assert_eq!(model.weights_at(&stim, 5e-9), (0.0, 1.0));
     }
 
     #[test]
@@ -1187,15 +882,6 @@ mod tests {
         let cr = AnyModel::Cr(CrModel::new("cr", 1e-12, iv).unwrap());
         let compiled = compile(&cr);
         assert_eq!(compiled.kind(), ModelKind::CrBaseline);
-        if let CompiledModel::Cr(c) = &compiled {
-            assert_eq!(c.c(), 1e-12);
-            let (mut i, mut g) = ([0.0; 2], [0.0; 2]);
-            c.step_lanes(&[0.5, -0.5], &mut i, &mut g);
-            assert!((i[0] - 0.05).abs() < 1e-15);
-            assert!((i[1] + 0.05).abs() < 1e-15);
-            assert!(g.iter().all(|&x| x >= 0.0));
-        } else {
-            panic!("expected CR");
-        }
+        assert!(matches!(&*compiled, AnyModel::Cr(c) if c.c == 1e-12));
     }
 }

@@ -605,7 +605,7 @@ impl NarxFields {
             n_centers: net.n_centers(),
             bias: net.bias(),
             linear: net.linear().to_vec(),
-            centers: net.centers().to_vec(),
+            centers: net.centers().map(<[f64]>::to_vec).collect(),
             widths: net.widths().to_vec(),
             weights: net.weights().to_vec(),
         }
@@ -1522,7 +1522,11 @@ mod tests {
         };
         assert_eq!(l.ts, m.ts);
         assert_eq!(l.up.w_high(), m.up.w_high());
-        assert_eq!(l.i_high.network().centers(), m.i_high.network().centers());
+        assert!(l
+            .i_high
+            .network()
+            .centers()
+            .eq(m.i_high.network().centers()));
         assert_eq!(l.i_high.network().weights(), m.i_high.network().weights());
         assert_eq!(l.i_high.network().bias(), m.i_high.network().bias());
         // Loaded and original produce bit-identical predictions.

@@ -14,9 +14,9 @@
 //! * [`device`] — implementations of [`circuit::Device`] that install the
 //!   estimated discrete-time models into the circuit simulator (the paper's
 //!   "SPICE implementation" step);
-//! * [`evalrt`] — the compiled, allocation-free evaluation runtime: a
-//!   one-time flattening pass per model plus batched multi-lane stepping
-//!   (the hot path behind every device above);
+//! * [`evalrt`] — allocation-free, batched multi-lane stepping of the
+//!   sampled models, shared through `Arc` (the hot path behind every
+//!   device above);
 //! * [`json`] — the one JSON writer and reader behind every report,
 //!   daemon response and bench record;
 //! * [`lint`] — the static diagnostic engine behind `mdl lint`: stable
@@ -61,10 +61,7 @@ pub mod session;
 pub mod validate;
 
 pub use driver::PwRbfDriverModel;
-pub use evalrt::{
-    compile, CompiledCr, CompiledDriver, CompiledIbis, CompiledModel, CompiledReceiver,
-    DriverLanes, EvalScratch, LaneStim, ReceiverLanes,
-};
+pub use evalrt::{compile, CompiledModel, DriverLanes, EvalScratch, LaneStim, ReceiverLanes};
 pub use exchange::binary::{
     load_artifact_bin, load_artifact_bin_from_path, save_artifact_bin, save_artifact_bin_to_path,
 };

@@ -343,8 +343,8 @@ fn check_narx_tail(net: &NarxModel, subject: &str, label: &str, out: &mut Vec<Di
 /// pairwise distance below `1e-3 ×` the mean width among width-matched
 /// pairs.
 fn check_center_spacing(net: &RbfNetwork, subject: &str, label: &str, out: &mut Vec<Diagnostic>) {
-    let centers = net.centers();
-    if centers.len() < 2 {
+    let n = net.n_centers();
+    if n < 2 {
         return;
     }
     let mean_width = net.widths().iter().sum::<f64>() / net.widths().len() as f64;
@@ -358,15 +358,16 @@ fn check_center_spacing(net: &RbfNetwork, subject: &str, label: &str, out: &mut 
     let widths = net.widths();
     let mut min_dist = f64::INFINITY;
     let mut pair = (0, 0);
-    for i in 0..centers.len() {
-        for j in (i + 1)..centers.len() {
+    for i in 0..n {
+        for j in (i + 1)..n {
             let dw = (widths[i] - widths[j]).abs();
             if dw > 1e-3 * widths[i].abs().max(widths[j].abs()) {
                 continue;
             }
-            let d = centers[i]
+            let d = net
+                .center(i)
                 .iter()
-                .zip(&centers[j])
+                .zip(net.center(j))
                 .map(|(a, b)| (a - b) * (a - b))
                 .sum::<f64>()
                 .sqrt();

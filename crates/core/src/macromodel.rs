@@ -42,7 +42,7 @@
 
 use crate::device::{PwRbfDriver, PwRbfDriverBank, ReceiverModelDevice};
 use crate::driver::PwRbfDriverModel;
-use crate::evalrt::{CompiledDriver, LaneStim};
+use crate::evalrt::LaneStim;
 use crate::receiver::{CrModel, ReceiverModel};
 use crate::{Error, Result};
 use circuit::devices::{Capacitor, IdealLine, Resistor, SourceWaveform, VoltageSource};
@@ -280,7 +280,7 @@ pub trait Macromodel: Send + Sync {
     fn instantiate(&self, ckt: &mut Circuit, pad: Node, stim: Option<&PortStimulus>) -> Result<()>;
 
     /// Installs the model at several pads of one circuit. Backends with a
-    /// batched runtime (the PW-RBF driver) compile the model once and add a
+    /// batched runtime (the PW-RBF driver) share the model once and add a
     /// single multi-lane device stepping every pad together; the default
     /// falls back to one [`Macromodel::instantiate`] call per pad.
     ///
@@ -388,8 +388,7 @@ impl Macromodel for PwRbfDriverModel {
             let stim = stim.ok_or_else(|| missing_stimulus(&self.name))?;
             bank_lanes.push((pad, LaneStim::from_pattern(&stim.pattern, stim.bit_time)));
         }
-        let compiled = Arc::new(CompiledDriver::compile(self));
-        ckt.add(PwRbfDriverBank::from_compiled(compiled, bank_lanes));
+        ckt.add(PwRbfDriverBank::new(Arc::new(self.clone()), bank_lanes));
         Ok(())
     }
 }

@@ -238,7 +238,7 @@ pub(crate) fn fit_driver_from_captures(
         // Submodel free runs on the recorded voltages, from settled initial
         // conditions at the first sample.
         let run = |m: &NarxModel, v: &[f64]| -> Vec<f64> {
-            let y0 = crate::evalrt::settle_narx(m, v[0]);
+            let y0 = crate::evalrt::settle_narx(m, v[0], &mut vec![0.0; m.orders().dim()]);
             let init = vec![y0; m.orders().start().max(1)];
             m.simulate(v, &init)
         };

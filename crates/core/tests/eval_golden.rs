@@ -12,9 +12,7 @@
 use std::sync::Arc;
 
 use macromodel::driver::{PwRbfDriverModel, WeightSequence};
-use macromodel::evalrt::{
-    settle_narx, CompiledDriver, CompiledReceiver, DriverLanes, LaneStim, ReceiverLanes,
-};
+use macromodel::evalrt::{settle_narx, DriverLanes, LaneStim, ReceiverLanes};
 use macromodel::receiver::ReceiverModel;
 use macromodel::{load_model_from_path, AnyModel};
 use numkit::rng::SplitMix64;
@@ -126,15 +124,15 @@ fn all_narx() -> Vec<NarxModel> {
 }
 
 fn driver_lanes(model: &PwRbfDriverModel, stims: Vec<LaneStim>) -> DriverLanes {
-    DriverLanes::new(Arc::new(CompiledDriver::compile(model)), stims)
+    DriverLanes::new(Arc::new(model.clone()), stims)
 }
 
 fn receiver_lanes(model: &ReceiverModel, n_lanes: usize) -> ReceiverLanes {
-    ReceiverLanes::new(Arc::new(CompiledReceiver::compile(model)), n_lanes)
+    ReceiverLanes::new(Arc::new(model.clone()), n_lanes)
 }
 
 fn settle(model: &NarxModel, v: f64) -> f64 {
-    settle_narx(model, v)
+    settle_narx(model, v, &mut vec![0.0; model.orders().dim()])
 }
 
 #[test]

@@ -1,23 +1,18 @@
-//! Property-based equivalence of the compiled evaluation runtime
-//! ([`macromodel::evalrt`]) against the estimation-side scalar paths:
-//! random models of all four kinds, random lane counts (including counts
-//! that do not divide any SIMD batch width), agreement ≤ 1e-15 at every
-//! step. In practice the agreement is bit-exact; the tolerance guards the
-//! contract without over-pinning it, and one fixed driver case pins the
-//! bit-exact agreement.
+//! Property-based equivalence of the lane banks ([`macromodel::evalrt`])
+//! against scalar oracles that sum the Gaussians themselves from the
+//! public model parameters: random driver and receiver models, random lane
+//! counts (including counts that do not divide any SIMD batch width),
+//! agreement ≤ 1e-15 at every step. In practice the agreement is
+//! bit-exact; the tolerance guards the contract without over-pinning it,
+//! and one fixed driver case pins the bit-exact agreement.
 
 use std::sync::Arc;
 
 use macromodel::driver::{PwRbfDriverModel, WeightSequence};
-use macromodel::evalrt::{
-    settle_narx, CompiledCr, CompiledDriver, CompiledIbis, CompiledReceiver, DriverLanes, LaneStim,
-    ReceiverLanes,
-};
-use macromodel::receiver::{CrModel, ReceiverModel};
-use numkit::interp::Pwl;
+use macromodel::evalrt::{DriverLanes, LaneStim, ReceiverLanes};
+use macromodel::receiver::ReceiverModel;
 use numkit::rng::SplitMix64;
 use proptest::prelude::*;
-use refdev::IbisModel;
 use sysid::arx::{ArxModel, ArxOrders};
 use sysid::narx::{NarxModel, NarxOrders};
 use sysid::rbf::RbfNetwork;
@@ -73,26 +68,54 @@ fn rand_receiver(
     }
 }
 
-/// Strictly increasing breakpoints with random values.
-fn rand_pwl(s: &mut SplitMix64, points: usize) -> Pwl {
-    let mut x = -1.5;
-    let mut xs = Vec::with_capacity(points);
-    let mut ys = Vec::with_capacity(points);
-    for _ in 0..points {
-        x += s.range(0.1, 1.0);
-        xs.push(x);
-        ys.push(s.range(-0.1, 0.1));
-    }
-    Pwl::new(xs, ys).unwrap()
-}
-
 fn close(a: f64, b: f64) -> bool {
     (a - b).abs() <= 1e-15 * b.abs().max(1.0)
 }
 
-/// Scalar single-lane driver stepper on the estimation-side paths
-/// (regressor `Vec`s, `one_step`, `rotate_right`) — the pre-compile
-/// reference.
+/// `(value, ∂/∂x[0])` of `net` at `x`, summed here from the public
+/// parameters with `-1/(2σ²)` formed per call, so the oracles stay
+/// independent of the kernels they check.
+fn reference_eval(net: &RbfNetwork, x: &[f64]) -> (f64, f64) {
+    let mut value = net.bias();
+    for (wj, xj) in net.linear().iter().zip(x) {
+        value += wj * xj;
+    }
+    let mut g0 = net.linear()[0];
+    for (i, c) in net.centers().enumerate() {
+        let w = net.widths()[i];
+        let mut d2 = 0.0;
+        for (xj, cj) in x.iter().zip(c) {
+            let d = xj - cj;
+            d2 += d * d;
+        }
+        let wphi = net.weights()[i] * (d2 * (-1.0 / (2.0 * w * w))).exp();
+        value += wphi;
+        g0 += wphi * ((c[0] - x[0]) * (1.0 / (w * w)));
+    }
+    (value, g0)
+}
+
+/// One-step value and `∂/∂u(k)` of `m` from newest-first histories.
+fn reference_step(m: &NarxModel, u_hist: &[f64], y_hist: &[f64]) -> (f64, f64) {
+    reference_eval(m.network(), &m.regressor(u_hist, y_hist))
+}
+
+/// The DC fixed point of `m` at `v`, iterated on [`reference_eval`].
+fn reference_settle(m: &NarxModel, v: f64) -> f64 {
+    let o = m.orders();
+    let mut y = 0.0;
+    for _ in 0..64 {
+        let y_new = reference_step(m, &vec![v; o.input_lags + 1], &vec![y; o.output_lags]).0;
+        if (y_new - y).abs() < 1e-12 {
+            return y_new;
+        }
+        y = y_new;
+    }
+    y
+}
+
+/// Scalar single-lane driver stepper on the oracles above, with `Vec`
+/// histories shifted by `rotate_right`.
 struct ScalarDriver {
     model: PwRbfDriverModel,
     v_past: Vec<f64>,
@@ -107,8 +130,8 @@ impl ScalarDriver {
             .orders()
             .input_lags
             .max(model.i_low.orders().input_lags);
-        let ih0 = settle_narx(&model.i_high, v0);
-        let il0 = settle_narx(&model.i_low, v0);
+        let ih0 = reference_settle(&model.i_high, v0);
+        let il0 = reference_settle(&model.i_low, v0);
         ScalarDriver {
             v_past: vec![v0; lags_v],
             ih_past: vec![ih0; model.i_high.orders().output_lags.max(1)],
@@ -124,27 +147,22 @@ impl ScalarDriver {
         u
     }
 
+    /// `(i_H, ∂i_H/∂v)` and `(i_L, ∂i_L/∂v)` at port voltage `v`.
+    fn parts(&self, v: f64) -> ((f64, f64), (f64, f64)) {
+        let (hi, lo) = (&self.model.i_high, &self.model.i_low);
+        (
+            reference_step(hi, &self.u_hist(v, hi.orders().input_lags), &self.ih_past),
+            reference_step(lo, &self.u_hist(v, lo.orders().input_lags), &self.il_past),
+        )
+    }
+
     fn step(&self, wh: f64, wl: f64, v: f64) -> (f64, f64) {
-        let (ih, gh) = self.model.i_high.one_step_with_gradient(
-            &self.u_hist(v, self.model.i_high.orders().input_lags),
-            &self.ih_past,
-        );
-        let (il, gl) = self.model.i_low.one_step_with_gradient(
-            &self.u_hist(v, self.model.i_low.orders().input_lags),
-            &self.il_past,
-        );
+        let ((ih, gh), (il, gl)) = self.parts(v);
         (wh * ih + wl * il, wh * gh + wl * gl)
     }
 
     fn commit(&mut self, v: f64) {
-        let ih = self.model.i_high.one_step(
-            &self.u_hist(v, self.model.i_high.orders().input_lags),
-            &self.ih_past,
-        );
-        let il = self.model.i_low.one_step(
-            &self.u_hist(v, self.model.i_low.orders().input_lags),
-            &self.il_past,
-        );
+        let ((ih, _), (il, _)) = self.parts(v);
         self.v_past.rotate_right(1);
         if !self.v_past.is_empty() {
             self.v_past[0] = v;
@@ -156,7 +174,7 @@ impl ScalarDriver {
     }
 }
 
-/// Scalar single-lane receiver stepper on the estimation-side paths.
+/// Scalar single-lane receiver stepper on the oracles above.
 struct ScalarReceiver {
     model: ReceiverModel,
     v_past: Vec<f64>,
@@ -180,8 +198,8 @@ impl ScalarReceiver {
         } else {
             0.0
         };
-        let up0 = settle_narx(&model.up, v0);
-        let dn0 = settle_narx(&model.down, v0);
+        let up0 = reference_settle(&model.up, v0);
+        let dn0 = reference_settle(&model.down, v0);
         ScalarReceiver {
             v_past: vec![v0; lags_v.max(1)],
             ilin_past: vec![dc_gain; model.linear.orders().na.max(1)],
@@ -198,13 +216,10 @@ impl ScalarReceiver {
         let g_lin = self.model.linear.feedthrough();
         let mut u_up = vec![v];
         u_up.extend_from_slice(&self.v_past[..self.model.up.orders().input_lags]);
-        let (i_up, g_up) = self.model.up.one_step_with_gradient(&u_up, &self.iup_past);
+        let (i_up, g_up) = reference_step(&self.model.up, &u_up, &self.iup_past);
         let mut u_dn = vec![v];
         u_dn.extend_from_slice(&self.v_past[..self.model.down.orders().input_lags]);
-        let (i_dn, g_dn) = self
-            .model
-            .down
-            .one_step_with_gradient(&u_dn, &self.idn_past);
+        let (i_dn, g_dn) = reference_step(&self.model.down, &u_dn, &self.idn_past);
         (i_lin, g_lin, i_up, g_up, i_dn, g_dn)
     }
 
@@ -228,8 +243,8 @@ impl ScalarReceiver {
 
 /// The `mdl bench-eval` workload shape — a PW-RBF driver with
 /// `NarxOrders::dynamic(1)` submodels of 8 centers and 8-sample ramps —
-/// stepped 64 times: the compiled lane must equal the scalar reference bit
-/// for bit, not just within the property tests' tolerance.
+/// stepped 64 times: the lane must equal the scalar reference bit for bit,
+/// not just within the property tests' tolerance.
 #[test]
 fn compiled_driver_matches_scalar_bit_for_bit() {
     let mut s = SplitMix64::new(0x5eed_cafe_f00d_0001);
@@ -256,9 +271,8 @@ fn compiled_driver_matches_scalar_bit_for_bit() {
         up: WeightSequence::new(ramp.clone(), inv.clone()).unwrap(),
         down: WeightSequence::new(inv, ramp).unwrap(),
     };
-    let compiled = Arc::new(CompiledDriver::compile(&model));
     let stim = LaneStim::from_pattern("0110", 64.0 * model.ts);
-    let mut lanes = DriverLanes::new(Arc::clone(&compiled), vec![stim.clone()]);
+    let mut lanes = DriverLanes::new(Arc::new(model.clone()), vec![stim.clone()]);
     lanes.init_dc(&[0.0]);
     let mut scalar = ScalarDriver::new(model.clone(), 0.0);
     let (mut i, mut g) = ([0.0], [0.0]);
@@ -266,7 +280,7 @@ fn compiled_driver_matches_scalar_bit_for_bit() {
         let t = k as f64 * model.ts;
         let v = 0.9 + 0.9 * (0.13 * k as f64).sin();
         lanes.step(t, &[v], &mut i, &mut g);
-        let (wh, wl) = compiled.weights_at(&stim, t);
+        let (wh, wl) = model.weights_at(&stim, t);
         let (ri, rg) = scalar.step(wh, wl, v);
         assert_eq!(i[0].to_bits(), ri.to_bits(), "current at step {k}");
         assert_eq!(g[0].to_bits(), rg.to_bits(), "gradient at step {k}");
@@ -290,12 +304,11 @@ proptest! {
     ) {
         let mut s = SplitMix64::new(seed);
         let model = rand_driver(&mut s, r, n_centers);
-        let compiled = Arc::new(CompiledDriver::compile(&model));
         let stims: Vec<LaneStim> = (0..n_lanes)
             .map(|l| LaneStim::from_pattern(if l % 2 == 0 { "0110" } else { "1010" }, 1e-9))
             .collect();
         let v0: Vec<f64> = (0..n_lanes).map(|_| s.range(0.0, 1.8)).collect();
-        let mut lanes = DriverLanes::new(Arc::clone(&compiled), stims.clone());
+        let mut lanes = DriverLanes::new(Arc::new(model.clone()), stims.clone());
         lanes.init_dc(&v0);
         let mut refs: Vec<ScalarDriver> = v0
             .iter()
@@ -311,7 +324,7 @@ proptest! {
             }
             lanes.step(t, &v, &mut i, &mut g);
             for (l, r) in refs.iter().enumerate() {
-                let (wh, wl) = compiled.weights_at(&stims[l], t);
+                let (wh, wl) = model.weights_at(&stims[l], t);
                 let (ri, rg) = r.step(wh, wl, v[l]);
                 prop_assert!(close(i[l], ri), "i lane {l} step {k}: {} vs {}", i[l], ri);
                 prop_assert!(close(g[l], rg), "g lane {l} step {k}: {} vs {}", g[l], rg);
@@ -336,9 +349,8 @@ proptest! {
     ) {
         let mut s = SplitMix64::new(seed);
         let model = rand_receiver(&mut s, na, nb, r, n_centers);
-        let compiled = Arc::new(CompiledReceiver::compile(&model));
         let v0: Vec<f64> = (0..n_lanes).map(|_| s.range(0.0, 1.8)).collect();
-        let mut lanes = ReceiverLanes::new(compiled, n_lanes);
+        let mut lanes = ReceiverLanes::new(Arc::new(model.clone()), n_lanes);
         lanes.init_dc(&v0);
         let mut refs: Vec<ScalarReceiver> = v0
             .iter()
@@ -361,56 +373,6 @@ proptest! {
             for (l, r) in refs.iter_mut().enumerate() {
                 r.commit(v[l]);
             }
-        }
-    }
-
-    /// CR baseline batched stepping equals the scalar PWL lookups.
-    #[test]
-    fn cr_lanes_match_pwl(seed in any::<u64>(), n_lanes in 1usize..10) {
-        let mut s = SplitMix64::new(seed);
-        let iv = rand_pwl(&mut s, 5);
-        let model = CrModel::new("prop-cr", 1e-12, iv.clone()).unwrap();
-        let compiled = CompiledCr::compile(&model);
-        let v: Vec<f64> = (0..n_lanes).map(|_| s.range(-2.0, 3.0)).collect();
-        let mut i = vec![0.0; n_lanes];
-        let mut g = vec![0.0; n_lanes];
-        compiled.step_lanes(&v, &mut i, &mut g);
-        for l in 0..n_lanes {
-            prop_assert!(close(i[l], iv.eval(v[l])), "i lane {l}");
-            prop_assert!(close(g[l], iv.slope(v[l]).max(0.0)), "g lane {l}");
-        }
-    }
-
-    /// IBIS batched stepping equals the scalar two-table output stage.
-    #[test]
-    fn ibis_lanes_match_output(seed in any::<u64>(), n_lanes in 1usize..10) {
-        let mut s = SplitMix64::new(seed);
-        let pullup = rand_pwl(&mut s, 4);
-        let pulldown = rand_pwl(&mut s, 4);
-        let model = IbisModel {
-            name: "prop-ibis".into(),
-            vdd: 1.8,
-            pullup: pullup.clone(),
-            pulldown: pulldown.clone(),
-            c_comp: 1e-12,
-            dt: 25e-12,
-            ku_rise: vec![0.0, 1.0],
-            kd_rise: vec![1.0, 0.0],
-            ku_fall: vec![1.0, 0.0],
-            kd_fall: vec![0.0, 1.0],
-        };
-        let compiled = CompiledIbis::compile(&model);
-        let v: Vec<f64> = (0..n_lanes).map(|_| s.range(-1.0, 3.0)).collect();
-        let ku: Vec<f64> = (0..n_lanes).map(|_| s.range(0.0, 1.0)).collect();
-        let kd: Vec<f64> = ku.iter().map(|k| 1.0 - k).collect();
-        let mut i = vec![0.0; n_lanes];
-        let mut g = vec![0.0; n_lanes];
-        compiled.step_lanes(&v, &ku, &kd, &mut i, &mut g);
-        for l in 0..n_lanes {
-            let ri = ku[l] * pullup.eval(v[l]) + kd[l] * pulldown.eval(v[l]);
-            let rg = ku[l] * pullup.slope(v[l]) + kd[l] * pulldown.slope(v[l]);
-            prop_assert!(close(i[l], ri), "i lane {l}");
-            prop_assert!(close(g[l], rg), "g lane {l}");
         }
     }
 }

@@ -1,7 +1,7 @@
-//! Proof that the compiled evaluation runtime's hot path is
-//! allocation-free: a counting global allocator wraps the system
-//! allocator, and the step/commit loops of every compiled model kind run
-//! with the counter pinned.
+//! Proof that the evaluation runtime's hot path is allocation-free: a
+//! counting global allocator wraps the system allocator, and the
+//! step/commit loops of the driver and receiver lane banks run with the
+//! counter pinned.
 //!
 //! Everything lives in ONE `#[test]` because the counter is process-global
 //! and the libtest harness runs `#[test]` functions on parallel threads —
@@ -12,13 +12,8 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use macromodel::driver::{PwRbfDriverModel, WeightSequence};
-use macromodel::evalrt::{
-    CompiledCr, CompiledDriver, CompiledIbis, CompiledReceiver, DriverLanes, LaneStim,
-    ReceiverLanes,
-};
-use macromodel::receiver::{CrModel, ReceiverModel};
-use numkit::interp::Pwl;
-use refdev::IbisModel;
+use macromodel::evalrt::{DriverLanes, LaneStim, ReceiverLanes};
+use macromodel::receiver::ReceiverModel;
 use sysid::arx::{ArxModel, ArxOrders};
 use sysid::narx::{NarxModel, NarxOrders};
 use sysid::rbf::RbfNetwork;
@@ -91,23 +86,6 @@ fn receiver_model() -> ReceiverModel {
     }
 }
 
-fn ibis_model() -> IbisModel {
-    let pullup = Pwl::new(vec![-1.0, 0.9, 2.8], vec![0.08, 0.04, 0.0]).unwrap();
-    let pulldown = Pwl::new(vec![-1.0, 0.9, 2.8], vec![0.0, -0.04, -0.08]).unwrap();
-    IbisModel {
-        name: "ibis".into(),
-        vdd: 1.8,
-        pullup,
-        pulldown,
-        c_comp: 1e-12,
-        dt: 25e-12,
-        ku_rise: vec![0.0, 0.5, 1.0],
-        kd_rise: vec![1.0, 0.5, 0.0],
-        ku_fall: vec![1.0, 0.5, 0.0],
-        kd_fall: vec![0.0, 0.5, 1.0],
-    }
-}
-
 /// Runs `f` and returns how many allocations it performed.
 fn allocations_during<F: FnMut()>(mut f: F) -> u64 {
     let before = ALLOCATIONS.load(Ordering::Relaxed);
@@ -120,11 +98,11 @@ fn compiled_stepping_never_allocates() {
     // --- PW-RBF driver, single lane and a 3-lane bank ---
     for n_lanes in [1usize, 3] {
         let model = driver_model();
-        let compiled = Arc::new(CompiledDriver::compile(&model));
+        let ts = model.ts;
         let stims: Vec<LaneStim> = (0..n_lanes)
             .map(|l| LaneStim::from_pattern(if l % 2 == 0 { "0110" } else { "1001" }, 1e-9))
             .collect();
-        let mut lanes = DriverLanes::new(Arc::clone(&compiled), stims);
+        let mut lanes = DriverLanes::new(Arc::new(model), stims);
         let v0 = vec![0.0; n_lanes];
         lanes.init_dc(&v0);
         let mut v = v0;
@@ -132,7 +110,7 @@ fn compiled_stepping_never_allocates() {
         let mut g = vec![0.0; n_lanes];
         let count = allocations_during(|| {
             for k in 0..500 {
-                let t = k as f64 * model.ts;
+                let t = k as f64 * ts;
                 for (l, vl) in v.iter_mut().enumerate() {
                     *vl = 0.9 + 0.9 * ((0.13 * k as f64) + l as f64).sin();
                 }
@@ -152,9 +130,7 @@ fn compiled_stepping_never_allocates() {
     }
 
     // --- Receiver, 2 lanes ---
-    let model = receiver_model();
-    let compiled = Arc::new(CompiledReceiver::compile(&model));
-    let mut lanes = ReceiverLanes::new(compiled, 2);
+    let mut lanes = ReceiverLanes::new(Arc::new(receiver_model()), 2);
     lanes.init_dc(&[0.0, 1.2]);
     let (mut i, mut g) = ([0.0; 2], [0.0; 2]);
     let count = allocations_during(|| {
@@ -168,34 +144,4 @@ fn compiled_stepping_never_allocates() {
         }
     });
     assert_eq!(count, 0, "receiver lanes allocated {count} times");
-
-    // --- CR baseline (stateless PWL) ---
-    let iv = Pwl::new(vec![-1.0, 0.0, 1.0], vec![-0.1, 0.0, 0.1]).unwrap();
-    let cr = CompiledCr::compile(&CrModel::new("cr", 1e-12, iv).unwrap());
-    let (mut i, mut g) = ([0.0; 4], [0.0; 4]);
-    let count = allocations_during(|| {
-        for k in 0..500 {
-            let s = (0.1 * k as f64).sin();
-            cr.step_lanes(&[s, -s, 0.5 * s, 1.0 - s], &mut i, &mut g);
-        }
-    });
-    assert_eq!(count, 0, "CR stepping allocated {count} times");
-
-    // --- IBIS output stage ---
-    let ibis = CompiledIbis::compile(&ibis_model());
-    let (mut i, mut g) = ([0.0; 2], [0.0; 2]);
-    let count = allocations_during(|| {
-        for k in 0..500 {
-            let s = 0.9 + 0.9 * (0.13 * k as f64).sin();
-            let ku = (k % 64) as f64 / 63.0;
-            ibis.step_lanes(
-                &[s, 1.8 - s],
-                &[ku, 1.0 - ku],
-                &[1.0 - ku, ku],
-                &mut i,
-                &mut g,
-            );
-        }
-    });
-    assert_eq!(count, 0, "IBIS stepping allocated {count} times");
 }

@@ -10,6 +10,7 @@
 //! on the present input sample `u(k)` (direct feed-through, essential for a
 //! capacitive port current) plus `na` output lags and `nb` extra input lags.
 
+use crate::lanes::LaneRing;
 use crate::{Error, Result};
 use numkit::{lstsq, Matrix};
 
@@ -186,6 +187,51 @@ impl ArxModel {
         acc
     }
 
+    /// One batched step: `out[l] = Σ a_i y(k-1-i) + b_0 u_now[l] + Σ b_j
+    /// u(k-j)`, with the histories read from lane rings (`u_past` holds past
+    /// inputs and `y_past` past outputs, newest first). The rings are not
+    /// advanced: push the accepted step with [`LaneRing::push_row`].
+    ///
+    /// Each lane's result is bit-identical to [`ArxModel::one_step`] on the
+    /// same histories: `a` taps are added before `b` taps, in index order.
+    ///
+    /// ```
+    /// use sysid::arx::{ArxModel, ArxOrders};
+    /// use sysid::lanes::LaneRing;
+    ///
+    /// let m = ArxModel::from_coefficients(ArxOrders { na: 1, nb: 1 }, vec![0.9], vec![1.0, -0.4])
+    ///     .unwrap();
+    /// let (u_past, y_past) = (LaneRing::new(1, 1), LaneRing::new(1, 1));
+    /// let mut out = [0.0];
+    /// m.step_lanes(&[2.0], &u_past, &y_past, &mut out);
+    /// assert_eq!(out[0], m.one_step(&[2.0, 0.0], &[0.0]));
+    /// ```
+    ///
+    /// # Panics
+    ///
+    /// Panics on a lane-count mismatch or rings shallower than the orders.
+    pub fn step_lanes(&self, u_now: &[f64], u_past: &LaneRing, y_past: &LaneRing, out: &mut [f64]) {
+        let ArxOrders { na, nb } = self.orders;
+        assert_eq!(out.len(), u_now.len(), "output lane count mismatch");
+        assert!(na == 0 || y_past.lags() >= na, "y ring too shallow");
+        assert!(nb == 0 || u_past.lags() >= nb, "u ring too shallow");
+        out.fill(0.0);
+        for (i, ai) in self.a.iter().enumerate() {
+            for (o, yl) in out.iter_mut().zip(y_past.row(i)) {
+                *o += ai * yl;
+            }
+        }
+        let b0 = self.b[0];
+        for (o, ul) in out.iter_mut().zip(u_now) {
+            *o += b0 * ul;
+        }
+        for (j, bj) in self.b.iter().enumerate().skip(1) {
+            for (o, ul) in out.iter_mut().zip(u_past.row(j - 1)) {
+                *o += bj * ul;
+            }
+        }
+    }
+
     /// Free-run simulation from zero initial conditions: feeds the model its
     /// own outputs. Returns a vector the same length as `u`.
     pub fn simulate(&self, u: &[f64]) -> Vec<f64> {
@@ -340,6 +386,27 @@ mod tests {
             let pred = m.one_step(&[u[k], u[k - 1]], &[y[k - 1]]);
             assert!((pred - y[k]).abs() < 1e-12);
         }
+    }
+
+    #[test]
+    fn step_lanes_matches_one_step() {
+        let m = ArxModel::from_coefficients(
+            ArxOrders { na: 2, nb: 1 },
+            vec![1.1, -0.4],
+            vec![0.7, 0.2],
+        )
+        .unwrap();
+        let mut u_past = LaneRing::new(1, 2);
+        let mut y_past = LaneRing::new(2, 2);
+        u_past.push_row(&[0.5, -0.1]);
+        y_past.push_row(&[0.2, 0.0]);
+        y_past.push_row(&[0.3, 0.9]); // newest
+        let mut out = [0.0; 2];
+        m.step_lanes(&[1.0, 2.0], &u_past, &y_past, &mut out);
+        let lane0 = m.one_step(&[1.0, 0.5], &[0.3, 0.2]);
+        let lane1 = m.one_step(&[2.0, -0.1], &[0.9, 0.0]);
+        assert_eq!(out[0].to_bits(), lane0.to_bits());
+        assert_eq!(out[1].to_bits(), lane1.to_bits());
     }
 
     #[test]

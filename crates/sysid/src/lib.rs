@@ -5,20 +5,27 @@
 //!
 //! * [`arx`] — linear AutoRegressive models with eXtra input, estimated by
 //!   least squares (Ljung, *System Identification*, 1987);
-//! * [`rbf`] — Gaussian radial-basis-function networks with analytic input
-//!   gradients (Sjöberg et al., *Automatica* 1995);
+//! * [`rbf`] — Gaussian radial-basis-function networks with an analytic
+//!   input gradient (Sjöberg et al., *Automatica* 1995);
 //! * [`ols`] — orthogonal-least-squares forward center selection
 //!   (Chen, Cowan & Grant, IEEE TNN 1991);
 //! * [`narx`] — nonlinear ARX models: an RBF network over lagged inputs and
 //!   outputs, with one-step and free-run simulation;
+//! * [`lanes`] — lane-major history rings, so several instances of one
+//!   model step together;
 //! * [`jury`] — the Jury (Schur–Cohn) stability criterion: exact unit-circle
 //!   root containment by pure arithmetic, used by the static lint rules;
-//! * [`flat`] — compiled, allocation-free evaluation kernels (row-major
-//!   center slabs, ring-buffer histories, lane-major batched stepping) that
-//!   reproduce the scalar paths bit-for-bit;
 //! * [`signals`] — identification signal generators (multilevel staircases,
 //!   step trains, trapezoids);
 //! * [`metrics`] — fit metrics used to select model orders.
+//!
+//! Each model type is also its own runtime: the structures that fitting
+//! produces are the ones circuit simulation steps. An [`rbf::RbfNetwork`]
+//! keeps its centers in one row-major slab with the Gaussian scales
+//! precomputed, and its scalar and lane-batched kernels allocate nothing
+//! and agree bit for bit. [`narx::NarxModel::step_lanes`] and
+//! [`arx::ArxModel::step_lanes`] advance many lanes over [`lanes::LaneRing`]
+//! histories.
 //!
 //! # Example: identify a linear system with ARX
 //!
@@ -42,8 +49,8 @@
 #![forbid(unsafe_code)]
 
 pub mod arx;
-pub mod flat;
 pub mod jury;
+pub mod lanes;
 pub mod metrics;
 pub mod narx;
 pub mod ols;

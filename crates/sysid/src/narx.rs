@@ -11,6 +11,7 @@
 //! voltages and past port currents) and of the receiver protection-circuit
 //! submodels in Stievano et al. (DATE 2002).
 
+use crate::lanes::LaneRing;
 use crate::ols::{self, OlsStop};
 use crate::rbf::{width_heuristic, RbfNetwork};
 use crate::{Error, Result};
@@ -128,11 +129,49 @@ impl NarxModel {
         self.net.eval(&self.regressor(u_hist, y_hist))
     }
 
-    /// One-step prediction plus the derivative with respect to the *present*
-    /// input `u(k)` — the quantity a circuit solver needs for its Jacobian.
-    pub fn one_step_with_gradient(&self, u_hist: &[f64], y_hist: &[f64]) -> (f64, f64) {
-        let x = self.regressor(u_hist, y_hist);
-        (self.net.eval(&x), self.net.grad_component(&x, 0))
+    /// Gathers the lane-major regressor `[u(k); u(k-1)..; y(k-1)..]` of
+    /// every lane into `x` (length ≥ `dim * n_lanes`): row 0 is `u_now`,
+    /// then the past-input ring rows, then the past-output ring rows, each
+    /// a contiguous copy. [`RbfNetwork::eval_lanes`] and
+    /// [`NarxModel::step_lanes`] read it.
+    ///
+    /// # Panics
+    ///
+    /// Panics on lane-count mismatches or rings shallower than the orders.
+    pub fn gather_lanes(&self, u_now: &[f64], u_past: &LaneRing, y_past: &LaneRing, x: &mut [f64]) {
+        let o = self.orders;
+        let n_lanes = u_now.len();
+        assert!(x.len() >= o.dim() * n_lanes, "regressor buffer too short");
+        assert!(
+            o.input_lags == 0 || u_past.lags() >= o.input_lags,
+            "u ring too shallow"
+        );
+        assert!(
+            o.output_lags == 0 || y_past.lags() >= o.output_lags,
+            "y ring too shallow"
+        );
+        x[..n_lanes].copy_from_slice(u_now);
+        for j in 0..o.input_lags {
+            x[(1 + j) * n_lanes..(2 + j) * n_lanes].copy_from_slice(u_past.row(j));
+        }
+        let base = o.input_lags + 1;
+        for j in 0..o.output_lags {
+            x[(base + j) * n_lanes..(base + j + 1) * n_lanes].copy_from_slice(y_past.row(j));
+        }
+    }
+
+    /// Batched one-step value and `∂/∂u(k)` — the derivative a circuit
+    /// solver needs for its Jacobian — over a regressor gathered by
+    /// [`NarxModel::gather_lanes`]; see [`RbfNetwork::eval_grad0_lanes`].
+    pub fn step_lanes(
+        &self,
+        x: &[f64],
+        n_lanes: usize,
+        d2: &mut [f64],
+        out_val: &mut [f64],
+        out_g0: &mut [f64],
+    ) {
+        self.net.eval_grad0_lanes(x, n_lanes, d2, out_val, out_g0);
     }
 
     /// Free-run simulation: the model is fed its own outputs. The first
@@ -432,7 +471,9 @@ mod tests {
             NarxModel::fit(&u, &y, NarxOrders::dynamic(1), RbfTrainConfig::default()).unwrap();
         let u_hist = [0.4, -0.2];
         let y_hist = [0.1];
-        let (f0, g) = model.one_step_with_gradient(&u_hist, &y_hist);
+        let (f0, g) = model
+            .network()
+            .eval_grad0(&model.regressor(&u_hist, &y_hist));
         let h = 1e-6;
         let f1 = model.one_step(&[0.4 + h, -0.2], &y_hist);
         let fd = (f1 - f0) / h;
@@ -555,7 +596,7 @@ mod tests {
             bits(net.widths()),
             [wide, wide, wide, mid, wide, mid, wide, wide, mid, wide, wide, wide, wide, mid, mid]
         );
-        let centers: Vec<Vec<u64>> = net.centers().iter().map(|c| bits(c)).collect();
+        let centers: Vec<Vec<u64>> = net.centers().map(bits).collect();
         assert_eq!(
             centers,
             [
@@ -584,7 +625,7 @@ mod tests {
             .chain(net.linear().iter().copied())
             .chain(net.weights().iter().copied())
             .chain(net.widths().iter().copied())
-            .chain(net.centers().iter().flatten().copied());
+            .chain(net.centers().flatten().copied());
         all.fold(0xcbf2_9ce4_8422_2325, |h, x| {
             x.to_bits()
                 .to_le_bytes()
@@ -608,7 +649,7 @@ mod tests {
         let stride = (u.len() - 1) / cfg.candidate_pool;
         assert_eq!((u.len() - 1).div_ceil(stride) * SCALES.len(), 780);
         let model = NarxModel::fit(&u, &y, NarxOrders::dynamic(1), cfg).unwrap();
-        assert_eq!(model.network().centers().len(), 15);
+        assert_eq!(model.network().n_centers(), 15);
         assert_eq!(network_digest(model.network()), 0x489e_3093_138a_6eff);
     }
 
@@ -632,6 +673,38 @@ mod tests {
         };
         assert_eq!(zeros(0), 0);
         assert!(zeros(2) > slab.len() / SCALES.len() / 10, "{}", zeros(2));
+    }
+
+    #[test]
+    fn gather_and_step_lanes() {
+        let net = RbfNetwork::from_parts(
+            3,
+            vec![vec![0.2, -0.1, 0.5]],
+            vec![0.8],
+            vec![1.5],
+            0.05,
+            vec![1.0, -0.5, 0.25],
+        )
+        .unwrap();
+        let m = NarxModel::from_network(NarxOrders::dynamic(1), net).unwrap();
+        let mut u_past = LaneRing::new(1, 2);
+        let mut y_past = LaneRing::new(1, 2);
+        u_past.push_row(&[0.4, -0.6]);
+        y_past.push_row(&[0.1, 0.7]);
+        let mut x = vec![0.0; 3 * 2];
+        m.gather_lanes(&[1.0, 2.0], &u_past, &y_past, &mut x);
+        assert_eq!(x, vec![1.0, 2.0, 0.4, -0.6, 0.1, 0.7]);
+        let (mut d2, mut v, mut g) = (vec![0.0; 2], vec![0.0; 2], vec![0.0; 2]);
+        m.step_lanes(&x, 2, &mut d2, &mut v, &mut g);
+        for (l, (u, y)) in [([1.0, 0.4], [0.1]), ([2.0, -0.6], [0.7])]
+            .iter()
+            .enumerate()
+        {
+            let (vl, gl) = m.network().eval_grad0(&m.regressor(u, y));
+            assert_eq!(v[l].to_bits(), m.one_step(u, y).to_bits());
+            assert_eq!(v[l].to_bits(), vl.to_bits());
+            assert_eq!(g[l].to_bits(), gl.to_bits());
+        }
     }
 
     #[test]

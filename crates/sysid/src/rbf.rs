@@ -17,14 +17,40 @@
 use crate::{Error, Result};
 
 /// A trained Gaussian RBF network with affine augmentation.
+///
+/// The centers live in one row-major slab, and each unit's exponent scale
+/// `-1/(2σ²)` and gradient factor `1/σ²` are computed once at construction,
+/// so every evaluation — scalar or batched over lanes — walks contiguous
+/// memory and allocates nothing.
+///
+/// ```
+/// use sysid::rbf::RbfNetwork;
+///
+/// let net = RbfNetwork::from_parts(
+///     1,
+///     vec![vec![0.0], vec![1.0]],
+///     vec![0.7, 0.4],
+///     vec![2.0, -1.0],
+///     0.1,
+///     vec![0.3],
+/// )
+/// .unwrap();
+/// let (value, slope) = net.eval_grad0(&[0.25]);
+/// assert_eq!(value, net.eval(&[0.25]));
+/// assert!(slope.is_finite());
+/// ```
 #[derive(Debug, Clone, PartialEq)]
 pub struct RbfNetwork {
     dim: usize,
-    /// Gaussian centers, each of length `dim`.
-    centers: Vec<Vec<f64>>,
+    /// Row-major center slab, `n_centers x dim`.
+    centers: Vec<f64>,
     /// Per-center isotropic widths sigma_i.
     widths: Vec<f64>,
-    /// Gaussian weights, parallel to `centers`.
+    /// Per-center Gaussian exponent scale `-1/(2σ²)`.
+    kscale: Vec<f64>,
+    /// Per-center `1/σ²` (gradient factor).
+    inv_s2: Vec<f64>,
+    /// Gaussian weights, one per center.
     weights: Vec<f64>,
     /// Affine bias.
     bias: f64,
@@ -87,7 +113,9 @@ impl RbfNetwork {
         }
         Ok(RbfNetwork {
             dim,
-            centers,
+            centers: centers.concat(),
+            kscale: widths.iter().map(|w| -1.0 / (2.0 * w * w)).collect(),
+            inv_s2: widths.iter().map(|w| 1.0 / (w * w)).collect(),
             widths,
             weights,
             bias,
@@ -106,11 +134,12 @@ impl RbfNetwork {
             bias.is_finite() && linear.iter().all(|v| v.is_finite()),
             "affine network coefficients must be finite"
         );
-        let dim = linear.len();
         RbfNetwork {
-            dim,
+            dim: linear.len(),
             centers: Vec::new(),
             widths: Vec::new(),
+            kscale: Vec::new(),
+            inv_s2: Vec::new(),
             weights: Vec::new(),
             bias,
             linear,
@@ -124,7 +153,7 @@ impl RbfNetwork {
 
     /// Number of Gaussian units.
     pub fn n_centers(&self) -> usize {
-        self.centers.len()
+        self.weights.len()
     }
 
     /// Per-center Gaussian widths.
@@ -132,12 +161,22 @@ impl RbfNetwork {
         &self.widths
     }
 
-    /// Gaussian centers (each of length [`RbfNetwork::dim`]).
-    pub fn centers(&self) -> &[Vec<f64>] {
-        &self.centers
+    /// Center of Gaussian unit `i` (length [`RbfNetwork::dim`]).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `i >= n_centers`.
+    #[inline]
+    pub fn center(&self, i: usize) -> &[f64] {
+        &self.centers[i * self.dim..(i + 1) * self.dim]
     }
 
-    /// Gaussian weights, parallel to [`RbfNetwork::centers`].
+    /// Gaussian centers in unit order (each of length [`RbfNetwork::dim`]).
+    pub fn centers(&self) -> impl ExactSizeIterator<Item = &[f64]> + '_ {
+        (0..self.n_centers()).map(move |i| self.center(i))
+    }
+
+    /// Gaussian weights, one per center.
     pub fn weights(&self) -> &[f64] {
         &self.weights
     }
@@ -152,26 +191,11 @@ impl RbfNetwork {
         &self.linear
     }
 
-    /// Gaussian activation of unit `i` at input `x`.
-    ///
-    /// The exponent is formed as `d2 * (-1 / (2 sigma^2))` — multiply by a
-    /// reciprocal rather than divide — so the flat compiled runtime
-    /// ([`crate::flat::FlatRbf`]), which precomputes that reciprocal once per
-    /// center, reproduces this value bit-for-bit.
-    #[inline]
-    fn phi(&self, i: usize, x: &[f64]) -> f64 {
-        let c = &self.centers[i];
-        let w = self.widths[i];
-        let k = -1.0 / (2.0 * w * w);
-        let mut d2 = 0.0;
-        for (xj, cj) in x.iter().zip(c) {
-            let d = xj - cj;
-            d2 += d * d;
-        }
-        (d2 * k).exp()
-    }
-
     /// Evaluates the network at `x`.
+    ///
+    /// Terms are added in a fixed order — bias, linear tail, then the
+    /// Gaussian units in index order — and every other kernel of this type
+    /// keeps that order per lane, so they all agree bit for bit.
     ///
     /// # Panics
     ///
@@ -182,61 +206,152 @@ impl RbfNetwork {
         for (wj, xj) in self.linear.iter().zip(x) {
             acc += wj * xj;
         }
-        for i in 0..self.centers.len() {
-            acc += self.weights[i] * self.phi(i, x);
+        for i in 0..self.n_centers() {
+            let mut d2 = 0.0;
+            for (xj, cj) in x.iter().zip(self.center(i)) {
+                let d = xj - cj;
+                d2 += d * d;
+            }
+            acc += self.weights[i] * (d2 * self.kscale[i]).exp();
         }
         acc
     }
 
-    /// Partial derivative of the output with respect to input component `j`
-    /// at `x` (analytic; used for Newton Jacobians in circuit simulation).
+    /// Fused value and derivative with respect to `x[0]` in one pass over
+    /// the centers: the pair every Newton stamp needs, since `x[0]` is the
+    /// present port voltage of a NARX regressor.
     ///
     /// # Panics
     ///
-    /// Panics if `x.len() != dim` or `j >= dim`.
-    pub fn grad_component(&self, x: &[f64], j: usize) -> f64 {
+    /// Panics if `x.len() != dim`.
+    pub fn eval_grad0(&self, x: &[f64]) -> (f64, f64) {
         assert_eq!(x.len(), self.dim, "input dimension mismatch");
-        assert!(j < self.dim, "component out of range");
-        let mut g = self.linear[j];
-        for i in 0..self.centers.len() {
-            let inv_s2 = 1.0 / (self.widths[i] * self.widths[i]);
-            let phi = self.phi(i, x);
-            g += self.weights[i] * phi * ((self.centers[i][j] - x[j]) * inv_s2);
+        let mut acc = self.bias;
+        for (wj, xj) in self.linear.iter().zip(x) {
+            acc += wj * xj;
         }
-        g
+        let mut g = self.linear[0];
+        let x0 = x[0];
+        for i in 0..self.n_centers() {
+            let c = self.center(i);
+            let mut d2 = 0.0;
+            for (xj, cj) in x.iter().zip(c) {
+                let d = xj - cj;
+                d2 += d * d;
+            }
+            let wphi = self.weights[i] * (d2 * self.kscale[i]).exp();
+            acc += wphi;
+            g += wphi * ((c[0] - x0) * self.inv_s2[i]);
+        }
+        (acc, g)
     }
 
-    /// Writes the full gradient at `x` into `out` without allocating.
+    /// Batched fused value + `∂/∂x[0]` over `n_lanes` lanes.
     ///
-    /// This is the form the circuit-coupled Newton solve uses per iteration;
-    /// each Gaussian activation is evaluated once and scattered across all
-    /// components, so the cost is one pass over the center slab instead of
-    /// `dim` passes. Component values are identical (bit-for-bit) to
-    /// [`RbfNetwork::grad_component`]: the per-component accumulation visits
-    /// centers in the same order.
+    /// `x` is lane-major, `dim` rows of `n_lanes` values (`x[j*n_lanes + l]`
+    /// is component `j` of lane `l`); `d2` is scratch of length `n_lanes`;
+    /// `out_val`/`out_g0` receive per-lane value and derivative. Each lane's
+    /// result is bit-identical to [`RbfNetwork::eval_grad0`] on that lane's
+    /// regressor: the inner loops run over lanes, but per-lane accumulation
+    /// order is unchanged.
     ///
     /// # Panics
     ///
-    /// Panics if `x.len() != dim` or `out.len() != dim`.
-    pub fn grad_into(&self, x: &[f64], out: &mut [f64]) {
-        assert_eq!(x.len(), self.dim, "input dimension mismatch");
-        assert_eq!(out.len(), self.dim, "output dimension mismatch");
-        out.copy_from_slice(&self.linear);
-        for i in 0..self.centers.len() {
-            let inv_s2 = 1.0 / (self.widths[i] * self.widths[i]);
-            let wphi = self.weights[i] * self.phi(i, x);
-            for (oj, (cj, xj)) in out.iter_mut().zip(self.centers[i].iter().zip(x)) {
-                *oj += wphi * ((cj - xj) * inv_s2);
+    /// Panics if any slice is shorter than required.
+    pub fn eval_grad0_lanes(
+        &self,
+        x: &[f64],
+        n_lanes: usize,
+        d2: &mut [f64],
+        out_val: &mut [f64],
+        out_g0: &mut [f64],
+    ) {
+        assert!(x.len() >= self.dim * n_lanes, "lane regressor too short");
+        assert!(
+            d2.len() >= n_lanes && out_val.len() >= n_lanes && out_g0.len() >= n_lanes,
+            "lane output buffers too short"
+        );
+        // A single lane's lane-major regressor IS a contiguous scalar
+        // regressor; the scalar kernel keeps its accumulators in registers
+        // instead of round-tripping per-center sums through the staging
+        // rows, which is several times faster at this width (and
+        // bit-identical — same terms, same order).
+        if n_lanes == 1 {
+            let (v, g) = self.eval_grad0(&x[..self.dim]);
+            out_val[0] = v;
+            out_g0[0] = g;
+            return;
+        }
+        let d2 = &mut d2[..n_lanes];
+        let out_val = &mut out_val[..n_lanes];
+        let out_g0 = &mut out_g0[..n_lanes];
+        self.affine_lanes(x, n_lanes, out_val);
+        out_g0.fill(self.linear[0]);
+        let x0 = &x[..n_lanes];
+        for i in 0..self.n_centers() {
+            let c = self.center(i);
+            self.dist2_lanes(c, x, n_lanes, d2);
+            let (wi, ki, inv, c0) = (self.weights[i], self.kscale[i], self.inv_s2[i], c[0]);
+            for l in 0..n_lanes {
+                let wphi = wi * (d2[l] * ki).exp();
+                out_val[l] += wphi;
+                out_g0[l] += wphi * ((c0 - x0[l]) * inv);
             }
         }
     }
 
-    /// Full gradient at `x` (thin allocating wrapper over
-    /// [`RbfNetwork::grad_into`]).
-    pub fn grad(&self, x: &[f64]) -> Vec<f64> {
-        let mut out = vec![0.0; self.dim];
-        self.grad_into(x, &mut out);
-        out
+    /// Batched value-only evaluation over `n_lanes` lanes (layout as in
+    /// [`RbfNetwork::eval_grad0_lanes`]).
+    ///
+    /// # Panics
+    ///
+    /// Panics if any slice is shorter than required.
+    pub fn eval_lanes(&self, x: &[f64], n_lanes: usize, d2: &mut [f64], out_val: &mut [f64]) {
+        assert!(x.len() >= self.dim * n_lanes, "lane regressor too short");
+        assert!(
+            d2.len() >= n_lanes && out_val.len() >= n_lanes,
+            "lane output buffers too short"
+        );
+        // Single lane: the scalar kernel (see eval_grad0_lanes).
+        if n_lanes == 1 {
+            out_val[0] = self.eval(&x[..self.dim]);
+            return;
+        }
+        let d2 = &mut d2[..n_lanes];
+        let out_val = &mut out_val[..n_lanes];
+        self.affine_lanes(x, n_lanes, out_val);
+        for i in 0..self.n_centers() {
+            self.dist2_lanes(self.center(i), x, n_lanes, d2);
+            let (wi, ki) = (self.weights[i], self.kscale[i]);
+            for (o, dl) in out_val.iter_mut().zip(d2.iter()) {
+                *o += wi * (dl * ki).exp();
+            }
+        }
+    }
+
+    /// Bias plus linear tail of every lane into `out`.
+    #[inline]
+    fn affine_lanes(&self, x: &[f64], n_lanes: usize, out: &mut [f64]) {
+        out.fill(self.bias);
+        for (j, wj) in self.linear.iter().enumerate() {
+            let row = &x[j * n_lanes..(j + 1) * n_lanes];
+            for (o, xl) in out.iter_mut().zip(row) {
+                *o += wj * xl;
+            }
+        }
+    }
+
+    /// Squared distance of every lane's regressor to center `c` into `d2`.
+    #[inline]
+    fn dist2_lanes(&self, c: &[f64], x: &[f64], n_lanes: usize, d2: &mut [f64]) {
+        d2.fill(0.0);
+        for (j, cj) in c.iter().enumerate() {
+            let row = &x[j * n_lanes..(j + 1) * n_lanes];
+            for (dl, xl) in d2.iter_mut().zip(row) {
+                let d = xl - cj;
+                *dl += d * d;
+            }
+        }
     }
 }
 
@@ -306,7 +421,7 @@ mod tests {
     fn affine_network() {
         let net = RbfNetwork::affine(1.0, vec![2.0, 3.0]);
         assert_eq!(net.eval(&[1.0, 1.0]), 6.0);
-        assert_eq!(net.grad(&[0.0, 0.0]), vec![2.0, 3.0]);
+        assert_eq!(net.eval_grad0(&[0.0, 0.0]), (1.0, 2.0));
         assert_eq!(net.n_centers(), 0);
         assert_eq!(net.dim(), 2);
     }
@@ -316,13 +431,10 @@ mod tests {
         let net = simple_net();
         let h = 1e-6;
         for x in [[0.2, 0.7], [1.5, -0.3], [0.0, 0.0]] {
-            for j in 0..2 {
-                let mut xp = x;
-                xp[j] += h;
-                let fd = (net.eval(&xp) - net.eval(&x)) / h;
-                let an = net.grad_component(&x, j);
-                assert!((fd - an).abs() < 1e-5, "fd {fd} vs analytic {an}");
-            }
+            let fd = (net.eval(&[x[0] + h, x[1]]) - net.eval(&x)) / h;
+            let (value, an) = net.eval_grad0(&x);
+            assert_eq!(value.to_bits(), net.eval(&x).to_bits());
+            assert!((fd - an).abs() < 1e-5, "fd {fd} vs analytic {an}");
         }
     }
 
@@ -463,18 +575,74 @@ mod tests {
         }
     }
 
+    fn net_2d() -> RbfNetwork {
+        RbfNetwork::from_parts(
+            2,
+            vec![vec![0.1, -0.4], vec![1.2, 0.8], vec![-0.7, 0.3]],
+            vec![0.5, 0.9, 1.3],
+            vec![2.0, -1.0, 0.4],
+            0.1,
+            vec![0.3, -0.2],
+        )
+        .unwrap()
+    }
+
+    /// The kernels against a Gaussian sum written out here from the public
+    /// parameters, forming `-1/(2σ²)` per call as the network did before it
+    /// precomputed the scales: bit-identical, not just close.
     #[test]
-    fn grad_into_matches_grad_components() {
-        let net = simple_net();
-        for x in [[0.2, 0.7], [1.5, -0.3], [0.0, 0.0], [-2.0, 4.0]] {
-            let mut out = [0.0; 2];
-            net.grad_into(&x, &mut out);
-            let g = net.grad(&x);
-            for j in 0..2 {
-                let gc = net.grad_component(&x, j);
-                assert_eq!(out[j].to_bits(), gc.to_bits());
-                assert_eq!(g[j].to_bits(), gc.to_bits());
+    fn kernels_match_reference_sum_bitwise() {
+        let net = net_2d();
+        assert_eq!(net.center(1), &[1.2, 0.8]);
+        for x in [[0.0, 0.0], [0.3, -0.9], [2.0, 1.5], [-4.0, 0.2]] {
+            let mut value = net.bias();
+            for (wj, xj) in net.linear().iter().zip(&x) {
+                value += wj * xj;
             }
+            let mut g0 = net.linear()[0];
+            for (i, c) in net.centers().enumerate() {
+                let w = net.widths()[i];
+                let d2 = (x[0] - c[0]) * (x[0] - c[0]) + (x[1] - c[1]) * (x[1] - c[1]);
+                let wphi = net.weights()[i] * (d2 * (-1.0 / (2.0 * w * w))).exp();
+                value += wphi;
+                g0 += wphi * ((c[0] - x[0]) * (1.0 / (w * w)));
+            }
+            assert_eq!(net.eval(&x).to_bits(), value.to_bits());
+            let (v, g) = net.eval_grad0(&x);
+            assert_eq!(v.to_bits(), value.to_bits());
+            assert_eq!(g.to_bits(), g0.to_bits());
+        }
+    }
+
+    #[test]
+    fn lanes_match_single_lane_bitwise() {
+        let net = net_2d();
+        // 5 lanes (deliberately not a power of two), lane-major regressor.
+        let lanes = 5usize;
+        let xs = [
+            [0.0, 0.0],
+            [0.3, -0.9],
+            [2.0, 1.5],
+            [-4.0, 0.2],
+            [0.77, 0.13],
+        ];
+        let mut x = vec![0.0; 2 * lanes];
+        for (l, xi) in xs.iter().enumerate() {
+            x[l] = xi[0];
+            x[lanes + l] = xi[1];
+        }
+        let mut d2 = vec![0.0; lanes];
+        let mut val = vec![0.0; lanes];
+        let mut g0 = vec![0.0; lanes];
+        net.eval_grad0_lanes(&x, lanes, &mut d2, &mut val, &mut g0);
+        for (l, xi) in xs.iter().enumerate() {
+            let (v, g) = net.eval_grad0(xi);
+            assert_eq!(val[l].to_bits(), v.to_bits(), "lane {l}");
+            assert_eq!(g0[l].to_bits(), g.to_bits(), "lane {l}");
+        }
+        net.eval_lanes(&x, lanes, &mut d2, &mut val);
+        for (l, xi) in xs.iter().enumerate() {
+            assert_eq!(val[l].to_bits(), net.eval(xi).to_bits(), "lane {l}");
         }
     }
 }

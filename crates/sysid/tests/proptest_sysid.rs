@@ -4,7 +4,7 @@ use numkit::rng::SplitMix64;
 use numkit::Matrix;
 use proptest::prelude::*;
 use sysid::arx::{ArxModel, ArxOrders};
-use sysid::flat::{FlatArx, FlatNarx, LaneRing};
+use sysid::lanes::LaneRing;
 use sysid::narx::{NarxModel, NarxOrders, RbfTrainConfig};
 use sysid::ols::{self, OlsSelection, OlsStop};
 use sysid::rbf::RbfNetwork;
@@ -104,7 +104,7 @@ proptest! {
         prop_assert!((min - lo).abs() < 1e-9 && (max - hi).abs() < 1e-9);
     }
 
-    /// A multi-lane [`FlatNarx`] free-run reproduces the scalar
+    /// A multi-lane [`NarxModel::step_lanes`] free-run reproduces the scalar
     /// [`NarxModel::simulate`] path ≤ 1e-15 for random models, lane counts
     /// (including counts that do not divide any SIMD batch width), and
     /// per-lane input sequences.
@@ -124,11 +124,11 @@ proptest! {
         // Scalar reference: per-lane free-run with zero initial history.
         let reference: Vec<Vec<f64>> = u.iter().map(|ul| model.simulate(ul, &[])).collect();
 
-        let flat = FlatNarx::compile(&model);
-        let start = model.orders().start();
-        let mut u_past = LaneRing::new(flat.input_lags(), n_lanes);
-        let mut y_past = LaneRing::new(flat.output_lags(), n_lanes);
-        let mut x = vec![0.0; flat.dim() * n_lanes];
+        let o = model.orders();
+        let start = o.start();
+        let mut u_past = LaneRing::new(o.input_lags, n_lanes);
+        let mut y_past = LaneRing::new(o.output_lags, n_lanes);
+        let mut x = vec![0.0; o.dim() * n_lanes];
         let mut d2 = vec![0.0; n_lanes];
         let mut y = vec![0.0; n_lanes];
         let mut g = vec![0.0; n_lanes];
@@ -141,8 +141,8 @@ proptest! {
                 // simulate() takes these samples from y_init (zeros here).
                 y.fill(0.0);
             } else {
-                flat.gather_lanes(&u_now, &u_past, &y_past, &mut x);
-                flat.step_lanes(&x, n_lanes, &mut d2, &mut y, &mut g);
+                model.gather_lanes(&u_now, &u_past, &y_past, &mut x);
+                model.step_lanes(&x, n_lanes, &mut d2, &mut y, &mut g);
             }
             for (l, refl) in reference.iter().enumerate() {
                 let e = (y[l] - refl[k]).abs();
@@ -156,7 +156,7 @@ proptest! {
         }
     }
 
-    /// A multi-lane [`FlatArx`] free-run reproduces the scalar
+    /// A multi-lane [`ArxModel::step_lanes`] free-run reproduces the scalar
     /// [`ArxModel::simulate`] path (zero-padded implicit histories) ≤ 1e-15.
     #[test]
     fn flat_arx_free_run_matches_simulate(
@@ -176,16 +176,15 @@ proptest! {
             .collect();
         let reference: Vec<Vec<f64>> = u.iter().map(|ul| model.simulate(ul)).collect();
 
-        let flat = FlatArx::compile(&model);
-        let mut u_past = LaneRing::new(flat.nb(), n_lanes);
-        let mut y_past = LaneRing::new(flat.na(), n_lanes);
+        let mut u_past = LaneRing::new(nb, n_lanes);
+        let mut y_past = LaneRing::new(na, n_lanes);
         let mut y = vec![0.0; n_lanes];
         let mut u_now = vec![0.0; n_lanes];
         for k in 0..steps {
             for (l, ul) in u.iter().enumerate() {
                 u_now[l] = ul[k];
             }
-            flat.step_lanes(&u_now, &u_past, &y_past, &mut y);
+            model.step_lanes(&u_now, &u_past, &y_past, &mut y);
             for (l, refl) in reference.iter().enumerate() {
                 let e = (y[l] - refl[k]).abs();
                 prop_assert!(

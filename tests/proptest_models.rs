@@ -106,7 +106,7 @@ proptest! {
         ).unwrap();
         let h = 1e-6;
         let fd = (net.eval(&[x + h]) - net.eval(&[x - h])) / (2.0 * h);
-        let an = net.grad_component(&[x], 0);
+        let an = net.eval_grad0(&[x]).1;
         prop_assert!((fd - an).abs() < 1e-5 * (1.0 + an.abs()), "fd {} vs {}", fd, an);
     }
 }
