@@ -4,23 +4,24 @@
 //!
 //! ```text
 //! mdl extract <md1|md2|md3|md4> [--kind pwrbf|ibis|receiver|cr]
-//!             [--out PATH] [--fast] [--v2] [--corners]
-//! mdl info <file.mdlx>
+//!             [--out PATH] [--fast] [--v2] [--corners] [--bin]
+//! mdl convert <in.mdlx|in.mdlxb> <out> [--to text|binary]
+//! mdl info <file.mdlx|file.mdlxb>
 //! mdl lint <file.mdlx>|<dir> [--json] [--deny CODE] [--allow CODE]
-//! mdl validate <file.mdlx> [--rms-limit V] [--timing-limit S] [--fast]
+//! mdl validate <file.mdlx|file.mdlxb> [--rms-limit V] [--timing-limit S] [--fast]
 //! mdl simulate <file.mdlx> [--fixture r50|linecap|pulse]
 //!              [--pattern BITS] [--bit-time S] [--t-stop S]
 //! mdl eye <file.mdlx> [--prbs 7|15|31] [--bits N] [--seed S]
 //!         [--lanes N] [--bit-time S] [--json]
 //! mdl mc <file.mdlx> [--trials N] [--seed S] [--prbs 7|15|31]
 //!        [--bits N] [--json]
-//! mdl store ls <dir>
+//! mdl store ls <dir> [--json]
 //! mdl store validate <dir> [--fast] [--json PATH]
 //! mdl store sweep <dir> [--fast] [--json PATH]
 //! mdl serve <dir> --socket PATH [--poll-ms N] [--fast]
-//! mdl bench-serve <dir>|--socket PATH [--clients N] [--requests N] [--json PATH]
-//! mdl bench-eval [--steps N] [--reps N] [--lanes N] [--centers N] [--json] [--baseline PATH]
-//! mdl bench-eye [--prbs-bits N] [--fold-bits N] [--channel-bits N] [--lanes N] [--reps N] [--json] [--baseline PATH]
+//! mdl bench-serve <dir>|--socket PATH [--clients N] [--requests N]
+//!                 [--sweep-every N] [--validate-every N] [--json PATH]
+//!                 [--baseline PATH] [--full]
 //! mdl request --socket PATH <request line...>
 //! ```
 //!
@@ -55,10 +56,9 @@
 //! a digest-keyed artifact cache ([`emc_bench::server`]); `bench-serve`
 //! fires a mixed load burst at a daemon (spawning one in-process when
 //! given a directory) and reports p50/p95/p99 latency plus throughput;
-//! `bench-eval` times the per-step evaluation runtime (one lane
-//! vs batched lanes, [`emc_bench::evalbench`]) and emits
-//! baseline-gate records; `request` is the one-shot protocol client for
-//! scripts.
+//! `request` is the one-shot protocol client for scripts. The
+//! microbenches (evaluation runtime, eye layers, store I/O) are `cargo
+//! bench` targets, run through `scripts/bench-baseline.sh NAME`.
 
 use emc_bench::serve::{
     driver_spec, mc_summary_json, receiver_spec, run_eye_workload, run_mc_workload,
@@ -80,7 +80,7 @@ type CliResult<T> = Result<T, Box<dyn std::error::Error + Send + Sync>>;
 
 fn usage() -> ! {
     eprintln!(
-        "usage:\n  mdl extract <md1|md2|md3|md4> [--kind pwrbf|ibis|receiver|cr] [--out PATH] [--fast] [--v2] [--corners] [--bin]\n  mdl convert <in.mdlx|in.mdlxb> <out> [--to text|binary]\n  mdl info <file.mdlx|file.mdlxb>\n  mdl lint <file.mdlx>|<dir> [--json] [--deny CODE] [--allow CODE]\n  mdl validate <file.mdlx|file.mdlxb> [--rms-limit V] [--timing-limit S] [--fast]\n  mdl simulate <file.mdlx> [--fixture r50|linecap|pulse] [--pattern BITS] [--bit-time S] [--t-stop S]\n  mdl eye <file.mdlx> [--prbs 7|15|31] [--bits N] [--seed S] [--lanes N] [--bit-time S] [--json]\n  mdl mc <file.mdlx> [--trials N] [--seed S] [--prbs 7|15|31] [--bits N] [--json]\n  mdl store ls <dir> [--json]\n  mdl store validate <dir> [--fast] [--json PATH]\n  mdl store sweep <dir> [--fast] [--json PATH]\n  mdl serve <dir> --socket PATH [--poll-ms N] [--fast]\n  mdl bench-serve <dir>|--socket PATH [--clients N] [--requests N] [--sweep-every N] [--validate-every N] [--json PATH] [--baseline PATH] [--full]\n  mdl bench-eval [--steps N] [--reps N] [--lanes N] [--centers N] [--json] [--baseline PATH]\n  mdl bench-eye [--prbs-bits N] [--fold-bits N] [--channel-bits N] [--lanes N] [--reps N] [--json] [--baseline PATH]\n  mdl bench-store [--entries N] [--centers N] [--reps N] [--min-speedup X] [--json] [--baseline PATH]\n  mdl request --socket PATH <request line...>"
+        "usage:\n  mdl extract <md1|md2|md3|md4> [--kind pwrbf|ibis|receiver|cr] [--out PATH] [--fast] [--v2] [--corners] [--bin]\n  mdl convert <in.mdlx|in.mdlxb> <out> [--to text|binary]\n  mdl info <file.mdlx|file.mdlxb>\n  mdl lint <file.mdlx>|<dir> [--json] [--deny CODE] [--allow CODE]\n  mdl validate <file.mdlx|file.mdlxb> [--rms-limit V] [--timing-limit S] [--fast]\n  mdl simulate <file.mdlx> [--fixture r50|linecap|pulse] [--pattern BITS] [--bit-time S] [--t-stop S]\n  mdl eye <file.mdlx> [--prbs 7|15|31] [--bits N] [--seed S] [--lanes N] [--bit-time S] [--json]\n  mdl mc <file.mdlx> [--trials N] [--seed S] [--prbs 7|15|31] [--bits N] [--json]\n  mdl store ls <dir> [--json]\n  mdl store validate <dir> [--fast] [--json PATH]\n  mdl store sweep <dir> [--fast] [--json PATH]\n  mdl serve <dir> --socket PATH [--poll-ms N] [--fast]\n  mdl bench-serve <dir>|--socket PATH [--clients N] [--requests N] [--sweep-every N] [--validate-every N] [--json PATH] [--baseline PATH] [--full]\n  mdl request --socket PATH <request line...>"
     );
     std::process::exit(2);
 }
@@ -931,27 +931,6 @@ fn cmd_bench_serve(mut args: Vec<String>) -> CliResult<()> {
     Ok(())
 }
 
-/// Prints bench records (JSON lines with `--json`, else the summary) and
-/// appends them to the `--baseline` file when one is given.
-fn report_bench(
-    records: &[BenchRecord],
-    json: bool,
-    summarize: fn(&[BenchRecord]) -> String,
-    baseline: Option<String>,
-) -> CliResult<()> {
-    if json {
-        for r in records {
-            println!("{}", r.to_json());
-        }
-    } else {
-        print!("{}", summarize(records));
-    }
-    if let Some(path) = baseline {
-        append_baseline(&path, records)?;
-    }
-    Ok(())
-}
-
 /// Appends records as baseline-gate JSON lines to `path` (created if
 /// missing).
 fn append_baseline(path: &str, records: &[BenchRecord]) -> CliResult<()> {
@@ -965,96 +944,6 @@ fn append_baseline(path: &str, records: &[BenchRecord]) -> CliResult<()> {
     }
     println!("baseline records appended to {path}");
     Ok(())
-}
-
-fn cmd_bench_eval(mut args: Vec<String>) -> CliResult<()> {
-    use emc_bench::evalbench::{run_eval_bench, summarize, EvalBenchConfig};
-
-    let json = parse_flag(&mut args, "--json");
-    let baseline = parse_opt(&mut args, "--baseline");
-    let mut cfg = EvalBenchConfig::default();
-    if let Some(n) = parse_count_opt(&mut args, "--steps", 1) {
-        cfg.steps = n as usize;
-    }
-    if let Some(n) = parse_count_opt(&mut args, "--reps", 1) {
-        cfg.reps = n as usize;
-    }
-    if let Some(n) = parse_count_opt(&mut args, "--lanes", 1) {
-        cfg.lanes = n as usize;
-    }
-    if let Some(n) = parse_count_opt(&mut args, "--centers", 1) {
-        cfg.centers = n as usize;
-    }
-    if !args.is_empty() {
-        usage();
-    }
-
-    let records = run_eval_bench(&cfg);
-    report_bench(&records, json, summarize, baseline)
-}
-
-fn cmd_bench_store(mut args: Vec<String>) -> CliResult<()> {
-    use emc_bench::storebench::{run_store_bench, speedup, summarize, StoreBenchConfig};
-
-    let json = parse_flag(&mut args, "--json");
-    let baseline = parse_opt(&mut args, "--baseline");
-    let min_speedup = parse_positive_opt(&mut args, "--min-speedup");
-    let mut cfg = StoreBenchConfig::default();
-    if let Some(n) = parse_count_opt(&mut args, "--entries", 1) {
-        cfg.entries = n as usize;
-    }
-    if let Some(n) = parse_count_opt(&mut args, "--centers", 1) {
-        cfg.centers = n as usize;
-    }
-    if let Some(n) = parse_count_opt(&mut args, "--reps", 1) {
-        cfg.reps = n as usize;
-    }
-    if !args.is_empty() {
-        usage();
-    }
-
-    let records = run_store_bench(&cfg)?;
-    report_bench(&records, json, summarize, baseline)?;
-    if let Some(min) = min_speedup {
-        let s = speedup(&records).ok_or("store bench produced no speedup ratio")?;
-        if s < min {
-            return Err(format!(
-                "lazy binary open speedup {s:.1}x is below the required {min:.1}x"
-            )
-            .into());
-        }
-        println!("speedup gate ok: {s:.1}x >= {min:.1}x");
-    }
-    Ok(())
-}
-
-fn cmd_bench_eye(mut args: Vec<String>) -> CliResult<()> {
-    use emc_bench::eyebench::{run_eye_bench, summarize, EyeBenchConfig};
-
-    let json = parse_flag(&mut args, "--json");
-    let baseline = parse_opt(&mut args, "--baseline");
-    let mut cfg = EyeBenchConfig::default();
-    if let Some(n) = parse_count_opt(&mut args, "--prbs-bits", 1) {
-        cfg.prbs_bits = n as usize;
-    }
-    if let Some(n) = parse_count_opt(&mut args, "--fold-bits", 4) {
-        cfg.fold_bits = n as usize;
-    }
-    if let Some(n) = parse_count_opt(&mut args, "--channel-bits", 4) {
-        cfg.channel_bits = n as usize;
-    }
-    if let Some(n) = parse_count_opt(&mut args, "--lanes", 1) {
-        cfg.lanes = n as usize;
-    }
-    if let Some(n) = parse_count_opt(&mut args, "--reps", 1) {
-        cfg.reps = n as usize;
-    }
-    if !args.is_empty() {
-        usage();
-    }
-
-    let records = run_eye_bench(&cfg);
-    report_bench(&records, json, summarize, baseline)
 }
 
 fn cmd_request(mut args: Vec<String>) -> CliResult<()> {
@@ -1095,9 +984,6 @@ fn main() {
         "store" => cmd_store(args),
         "serve" => cmd_serve(args),
         "bench-serve" => cmd_bench_serve(args),
-        "bench-eval" => cmd_bench_eval(args),
-        "bench-eye" => cmd_bench_eye(args),
-        "bench-store" => cmd_bench_store(args),
         "request" => cmd_request(args),
         _ => usage(),
     };

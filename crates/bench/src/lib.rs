@@ -40,17 +40,18 @@ pub type Result<T> = std::result::Result<T, Box<dyn std::error::Error + Send + S
 /// The model sample time used across all experiments (s).
 pub const TS: f64 = 25e-12;
 
-/// One measured microbenchmark in the `scripts/bench-baseline.sh` schema,
-/// as `mdl bench-eval`, `bench-eye` and `bench-store` emit it.
+/// One load-bench percentile in the `scripts/bench-baseline.sh` record
+/// schema, as `mdl bench-serve --baseline` appends it to
+/// `BENCH_serve.json`. The microbenches (`cargo bench`) write the same
+/// schema through the criterion stand-in.
 #[derive(Debug, Clone)]
 pub struct BenchRecord {
-    /// Record id (`eval/driver_step/compiled`, `eye/fold`, ...).
+    /// Record id (`serve/sweep/p50`, `serve/seconds_per_request`, ...).
     pub bench: String,
-    /// Seconds per unit (step, bit, sample, entry or lookup — see each
-    /// bench's docs): the best of the repetitions. The field keeps the
-    /// gate's schema name.
+    /// Seconds per request at the record's percentile. The field keeps
+    /// the gate's schema name.
     pub median_s: f64,
-    /// Units timed per repetition.
+    /// Requests in the burst.
     pub samples: usize,
 }
 

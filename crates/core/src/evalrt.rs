@@ -305,7 +305,7 @@ impl DriverLanes {
     /// `x_k` and accepts the update `x_{k+1}`, so the voltages match only
     /// when the last update was exactly zero, and commit usually pays a
     /// second evaluation. A caller that steps and commits at the same `v`
-    /// (as `mdl bench-eval` does) times only the reuse path.
+    /// (as `cargo bench --bench eval` does) times only the reuse path.
     ///
     /// # Panics
     ///

@@ -24,8 +24,8 @@
 //! name lookup straight to the one file holding the model and leave every
 //! other entry unopened. Text entries fall back to a full parse for their
 //! index, so a 1 000-artifact binary tree opens orders of magnitude
-//! faster than the same tree in text — `mdl bench-store` measures exactly
-//! this gap.
+//! faster than the same tree in text — `cargo bench --bench store`
+//! (`scripts/bench-baseline.sh store`) measures exactly this gap.
 //!
 //! The store indexes by model name ([`ModelStore::get`]) and kind
 //! ([`ModelStore::of_kind`]) across every model of every artifact, and

@@ -241,7 +241,7 @@ impl ScalarReceiver {
     }
 }
 
-/// The `mdl bench-eval` workload shape — a PW-RBF driver with
+/// The `cargo bench --bench eval` workload shape — a PW-RBF driver with
 /// `NarxOrders::dynamic(1)` submodels of 8 centers and 8-sample ramps —
 /// stepped 64 times: the lane must equal the scalar reference bit for bit,
 /// not just within the property tests' tolerance.

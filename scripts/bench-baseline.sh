@@ -1,24 +1,17 @@
 #!/usr/bin/env bash
-# Bench-trajectory tracking: runs a criterion bench, compares each fresh
-# median against the CONFIRMED best in BENCH_<name>.json, and FAILS on a
-# regression beyond the limit (default 25 %, override with
-# BENCH_REGRESSION_LIMIT, percent). Passing runs append their records, so
-# the committed file accumulates a per-run trajectory.
+# Bench-trajectory tracking: runs `cargo bench -p emc-bench --bench NAME`
+# (every microbench is a criterion-stand-in target), then
+# `scripts/bench-gate.py` compares each fresh record's minimum against the
+# confirmed best in BENCH_<NAME>.json and FAILS on a regression beyond the
+# limit (default 25 %, override with BENCH_REGRESSION_LIMIT, percent).
+# Passing runs append their records, so the committed file accumulates a
+# per-run trajectory. A bench target that checks a floor of its own (the
+# store bench's >= 10x lazy-open speedup) fails the run before the gate.
 #
-# "Confirmed best" is the minimum over rolling median-of-3 windows of the
-# committed trajectory: a speedup only tightens the gate once two
-# neighbouring runs corroborate it, so a single lucky outlier run cannot
-# ratchet the baseline below what the machine can actually sustain — while
-# still comparing against the best confirmed level ever committed, so a
-# sequence of sub-limit slowdowns can never compound either.
-#
-# The criterion stub appends one JSON object per benchmark when
+# The criterion stand-in appends one JSON object per benchmark when
 # BENCH_BASELINE_JSON is set; this script drives it through a temp file.
-# The `eval` and `eye` benches are not criterion benches: they run through
-# the release `mdl bench-eval` / `mdl bench-eye` subcommands, which append
-# the same record schema via their --baseline flag.
 #
-# Usage: scripts/bench-baseline.sh [bench-name]   (default: table1)
+# Usage: scripts/bench-baseline.sh [NAME]   (default: table1)
 set -euo pipefail
 
 bench="${1:-table1}"
@@ -30,89 +23,9 @@ limit="${BENCH_REGRESSION_LIMIT:-25}"
 fresh="$(mktemp)"
 trap 'rm -f "$fresh"' EXIT
 
-if [ "$bench" = "eval" ]; then
-    cargo run --release -q -p emc-bench --bin mdl -- bench-eval --baseline "$fresh"
-elif [ "$bench" = "eye" ]; then
-    cargo run --release -q -p emc-bench --bin mdl -- bench-eye --baseline "$fresh"
-elif [ "$bench" = "store" ]; then
-    # The store bench also enforces the absolute tentpole floor (lazy
-    # binary open >= 10x the eager text parse) on top of the relative
-    # trajectory gate below.
-    cargo run --release -q -p emc-bench --bin mdl -- bench-store --min-speedup 10 --baseline "$fresh"
-else
-    BENCH_BASELINE_JSON="$fresh" cargo bench -p emc-bench --bench "$bench"
-fi
+BENCH_BASELINE_JSON="$fresh" cargo bench -p emc-bench --bench "$bench"
 
-python3 - "$committed" "$fresh" "$limit" <<'EOF'
-import json
-import sys
-
-committed_path, fresh_path, limit = sys.argv[1], sys.argv[2], float(sys.argv[3])
-
-def read_records(path):
-    records = []
-    try:
-        with open(path) as f:
-            for line in f:
-                line = line.strip()
-                if line:
-                    records.append(json.loads(line))
-    except FileNotFoundError:
-        pass
-    return records
-
-committed = read_records(committed_path)
-fresh = read_records(fresh_path)
-if not fresh:
-    sys.exit(f"no fresh bench records in {fresh_path}")
-
-# Baseline per bench id: the confirmed best — the minimum over rolling
-# median-of-3 windows of the committed trajectory. Comparing against the
-# latest record would let sub-limit slowdowns compound run over run;
-# comparing against the single best-ever median lets one lucky outlier
-# run ratchet the gate permanently below sustainable performance. The
-# median-of-3 requires two neighbouring runs to corroborate a speedup
-# before it tightens the gate. With fewer than three committed records
-# the plain minimum is the only option.
-history = {}
-for rec in committed:
-    history.setdefault(rec["bench"], []).append(rec["median_s"])
-
-baseline = {}
-for name, medians in history.items():
-    if len(medians) < 3:
-        baseline[name] = min(medians)
-    else:
-        baseline[name] = min(
-            sorted(medians[i : i + 3])[1] for i in range(len(medians) - 2)
-        )
-
-failed = False
-for rec in fresh:
-    name, median = rec["bench"], rec["median_s"]
-    base_median = baseline.get(name)
-    if base_median is None:
-        print(f"{name}: no committed baseline, recording {median:.4e} s")
-        continue
-    delta_pct = 100.0 * (median - base_median) / base_median
-    verdict = "ok"
-    if delta_pct > limit:
-        verdict = f"REGRESSION (> {limit:.0f}% limit)"
-        failed = True
-    print(
-        f"{name}: {median:.4e} s vs confirmed best {base_median:.4e} s "
-        f"({delta_pct:+.1f}%) {verdict}"
-    )
-
-if failed:
-    sys.exit(1)
-
-# Append the passing run so the committed file accumulates a trajectory.
-with open(committed_path, "a") as f:
-    for rec in fresh:
-        f.write(json.dumps(rec, separators=(",", ":")) + "\n")
-print(f"trajectory appended to {committed_path} ({len(fresh)} record(s))")
-EOF
+python3 "$(dirname "$0")/bench-gate.py" "$committed" "$fresh" "$limit"
 
 echo "baseline trajectory:"
 cat "$committed"

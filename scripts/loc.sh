@@ -1,8 +1,10 @@
 #!/usr/bin/env bash
 # Non-test code lines per crate: every `.rs` file under each crate's `src/`
-# (the umbrella crate's `src/` included), minus blank lines, `//` comment
-# lines (doc comments too) and `#[cfg(test)]` items. `tests/`, `benches/`
-# and `examples/` are not counted. With REV, the same count is taken of
+# and `benches/` (the umbrella crate and the `vendor/*` stand-ins
+# included), minus blank lines, `//` comment lines (doc comments too) and
+# `#[cfg(test)]` items. `tests/` and `examples/` are not counted, so code
+# moving between a crate's library and its bench targets shows as moved,
+# not deleted. With REV, the same count is taken of
 # REV (exported with `git archive` into a temporary directory) and each
 # crate's delta is printed beside it.
 #
@@ -62,21 +64,26 @@ def code_lines(path):
 
 
 def crates(tree):
-    """`{crate: lines}` for the umbrella crate and every `crates/*`."""
-    dirs = [("(root)", os.path.join(tree, "src"))]
-    base = os.path.join(tree, "crates")
-    if os.path.isdir(base):
-        for name in sorted(os.listdir(base)):
-            dirs.append((name, os.path.join(base, name, "src")))
+    """`{crate: lines}` for the umbrella crate, every `crates/*` and every
+    `vendor/*`, each counting its `src/` and `benches/`."""
+    dirs = [("(root)", tree)]
+    for group in ("crates", "vendor"):
+        base = os.path.join(tree, group)
+        if os.path.isdir(base):
+            for name in sorted(os.listdir(base)):
+                dirs.append((name, os.path.join(base, name)))
     out = {}
-    for name, src in dirs:
-        if not os.path.isdir(src):
+    for name, crate in dirs:
+        roots = [os.path.join(crate, d) for d in ("src", "benches")]
+        roots = [r for r in roots if os.path.isdir(r)]
+        if not roots:
             continue
         total = 0
-        for parent, _, files in os.walk(src):
-            for f in files:
-                if f.endswith(".rs"):
-                    total += code_lines(os.path.join(parent, f))
+        for root in roots:
+            for parent, _, files in os.walk(root):
+                for f in files:
+                    if f.endswith(".rs"):
+                        total += code_lines(os.path.join(parent, f))
         out[name] = total
     return out
 
