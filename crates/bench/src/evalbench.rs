@@ -107,6 +107,37 @@ impl LaneRun {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use criterion::{BatchSize, Criterion, Throughput};
+
+    #[test]
+    fn records_are_baseline_gate_json() {
+        // The `eval` bench target's group on a tiny wave.
+        let model = Arc::new(bench_model(4));
+        let mut c = Criterion::default();
+        let mut g = c.benchmark_group("eval/driver_step");
+        g.sample_size(3);
+        for (id, n_lanes) in [("compiled", 1), ("lanes8", 8)] {
+            let wave = wave_table(64, n_lanes);
+            g.throughput(Throughput::Elements((64 * n_lanes) as u64));
+            g.bench_function(id, |b| {
+                b.iter_batched(
+                    || LaneRun::new(&model, n_lanes),
+                    |mut run| (run.drive(&wave), run),
+                    BatchSize::LargeInput,
+                )
+            });
+        }
+        g.finish();
+        let ids: Vec<&str> = c.records().iter().map(|r| r.bench.as_str()).collect();
+        assert_eq!(
+            ids,
+            ["eval/driver_step/compiled", "eval/driver_step/lanes8"]
+        );
+        for r in c.records() {
+            assert_eq!(r.samples, 3);
+            crate::tests::assert_gate_json(r);
+        }
+    }
 
     #[test]
     fn tiny_lane_runs_step_every_lane() {

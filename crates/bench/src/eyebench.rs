@@ -73,6 +73,30 @@ impl Fold {
 mod tests {
     use super::*;
     use crate::serve::{run_eye_workload, EyeWorkload};
+    use criterion::{BatchSize, Criterion, Throughput};
+
+    #[test]
+    fn records_are_baseline_gate_json() {
+        // The `eye` bench target's group on tiny sizes.
+        let mut c = Criterion::default();
+        let mut g = c.benchmark_group("eye");
+        g.sample_size(3);
+        g.throughput(Throughput::Elements(512));
+        g.bench_function("prbs31/gen", |b| {
+            b.iter(|| prbs_pattern(PrbsOrder::P31, 512, 1))
+        });
+        g.throughput(Throughput::Elements((64 * 32 + 1) as u64));
+        g.bench_function("fold", |b| {
+            b.iter_batched(|| Fold::new(64), |mut f| f.run(), BatchSize::LargeInput)
+        });
+        g.finish();
+        let ids: Vec<&str> = c.records().iter().map(|r| r.bench.as_str()).collect();
+        assert_eq!(ids, ["eye/prbs31/gen", "eye/fold"]);
+        for r in c.records() {
+            assert_eq!(r.samples, 3);
+            crate::tests::assert_gate_json(r);
+        }
+    }
 
     #[test]
     fn tiny_workloads_run() {

@@ -724,6 +724,36 @@ pub fn ladder_disagreement(a: &BusLadderRun, reference: &BusLadderRun, stride: u
 mod tests {
     use super::*;
 
+    /// Asserts that `r` writes the criterion stand-in's baseline-gate
+    /// line, every field reading back bit for bit, from a real timing.
+    pub(crate) fn assert_gate_json(r: &criterion::Record) {
+        let line = r.to_json();
+        let fields = line
+            .strip_prefix(&format!("{{\"bench\":\"{}\",", r.bench))
+            .and_then(|rest| rest.strip_suffix(&format!(",\"samples\":{}}}", r.samples)))
+            .unwrap_or_else(|| panic!("not a baseline-gate line: {line}"));
+        let stats: Vec<(&str, f64)> = fields
+            .split(',')
+            .map(|kv| {
+                let (k, v) = kv.split_once(':').unwrap();
+                (k, v.parse().unwrap())
+            })
+            .collect();
+        assert_eq!(
+            stats,
+            [
+                ("\"median_s\"", r.median_s),
+                ("\"min_s\"", r.min_s),
+                ("\"max_s\"", r.max_s)
+            ],
+            "{line}"
+        );
+        assert!(
+            0.0 < r.min_s && r.min_s <= r.median_s && r.median_s <= r.max_s,
+            "{line}"
+        );
+    }
+
     #[test]
     fn records_are_baseline_gate_json() {
         let r = BenchRecord {
