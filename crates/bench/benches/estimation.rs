@@ -3,14 +3,16 @@
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use emc_bench::{cr_model, receiver_model};
-use macromodel::pipeline::{estimate_driver, DriverEstimationConfig};
+use macromodel::pipeline::DriverEstimationConfig;
+use macromodel::ExtractionSession;
 use sysid::narx::RbfTrainConfig;
 
 fn bench_estimation(c: &mut Criterion) {
     let mut g = c.benchmark_group("estimation");
     g.sample_size(10);
 
-    // Reduced-size driver estimation (same pipeline, smaller signals).
+    // Reduced-size driver estimation (same pipeline, smaller signals). A
+    // fresh session per iteration, so every sample pays for the captures.
     let cfg = DriverEstimationConfig {
         n_levels: 24,
         dwell: 16,
@@ -25,7 +27,12 @@ fn bench_estimation(c: &mut Criterion) {
         ..Default::default()
     };
     g.bench_function("driver_md1_reduced", |b| {
-        b.iter(|| estimate_driver(&refdev::md1(), cfg).expect("estimation"))
+        b.iter(|| {
+            ExtractionSession::for_driver(refdev::md1())
+                .config(cfg)
+                .run()
+                .expect("estimation")
+        })
     });
 
     g.bench_function("receiver_md4", |b| {

@@ -11,10 +11,15 @@
 //! them and the baseline gate compares unlike workloads. On top of that
 //! relative gate, the bench fails unless the lazy binary open's minimum
 //! is at least [`MIN_SPEEDUP`] times faster per entry than the eager
-//! text parse's.
+//! text parse's. The floor reads both minima from [`FLOOR_PAIRS`]
+//! alternated (eager, lazy) runs after the group, on the same fixtures,
+//! so a change in the host's speed between the group's back-to-back
+//! benches cannot decide it.
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion, Throughput};
 use emc_bench::storebench::BenchStores;
+use std::hint::black_box;
+use std::time::Instant;
 
 /// Artifact files per store.
 const ENTRIES: usize = 1000;
@@ -23,6 +28,21 @@ const ENTRIES: usize = 1000;
 const CENTERS: usize = 24;
 /// The floor on eager-text over lazy-binary time per entry.
 const MIN_SPEEDUP: f64 = 10.0;
+/// Alternated (eager, lazy) runs the floor's minima are taken from. The
+/// ratio sits near the floor on a 2-CPU host (10.1–11.5x), so the minima
+/// need many pairs to settle: over 25 runs there, the ratio after 10 pairs
+/// read under 10x 4 times, after 40 pairs never.
+const FLOOR_PAIRS: usize = 40;
+
+/// Wall time of one call (s); the result is dropped after the clock stops,
+/// as `iter_batched` does.
+fn time<T>(f: impl FnOnce() -> T) -> f64 {
+    let t0 = Instant::now();
+    let out = black_box(f());
+    let s = t0.elapsed().as_secs_f64();
+    drop(out);
+    s
+}
 
 fn bench_store(c: &mut Criterion) {
     let stores = BenchStores::build(ENTRIES, CENTERS).expect("bench stores are written");
@@ -43,15 +63,16 @@ fn bench_store(c: &mut Criterion) {
     });
     g.finish();
 
-    let min_s = |id: &str| {
-        c.records()
-            .iter()
-            .find(|r| r.bench == id)
-            .map(|r| r.min_s)
-            .expect("the group recorded the bench")
-    };
-    let speedup = min_s("store/open_eager_text") / min_s("store/open_lazy_bin");
-    println!("lazy binary open speedup vs eager text: {speedup:.1}x (floor {MIN_SPEEDUP}x)");
+    let (mut eager, mut lazy) = (f64::INFINITY, f64::INFINITY);
+    for _ in 0..FLOOR_PAIRS {
+        eager = eager.min(time(|| stores.open_eager_text()));
+        lazy = lazy.min(time(|| stores.open_lazy_bin()));
+    }
+    let speedup = eager / lazy;
+    println!(
+        "lazy binary open speedup vs eager text: {speedup:.1}x over {FLOOR_PAIRS} \
+         alternated pairs (floor {MIN_SPEEDUP}x)"
+    );
     assert!(
         speedup >= MIN_SPEEDUP,
         "lazy binary open speedup {speedup:.1}x is below the required {MIN_SPEEDUP}x"

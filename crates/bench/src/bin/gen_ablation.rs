@@ -5,8 +5,8 @@
 //! reference).
 
 use emc_bench::Result;
-use macromodel::pipeline::{estimate_driver, DriverEstimationConfig};
-use macromodel::validate::{line_cap_load, validate_driver};
+use macromodel::pipeline::DriverEstimationConfig;
+use macromodel::{ExtractionSession, PortStimulus, TestFixture};
 use sysid::narx::RbfTrainConfig;
 
 fn main() -> Result<()> {
@@ -20,17 +20,13 @@ fn main() -> Result<()> {
     // A badly configured variant may produce a model that makes the Newton
     // iteration diverge — that is itself an ablation result, so report it
     // instead of aborting the sweep.
+    let fixture = TestFixture::line_cap(50.0, 0.8e-9, 10e-12);
+    let stim = PortStimulus::new("01", 4e-9);
     let run = |label: &str, cfg: DriverEstimationConfig| -> Result<()> {
-        let outcome = estimate_driver(&spec, cfg).and_then(|model| {
-            validate_driver(
-                &spec,
-                &model,
-                "01",
-                4e-9,
-                12e-9,
-                line_cap_load(50.0, 0.8e-9, 10e-12),
-            )
-        });
+        let outcome = ExtractionSession::for_driver(spec.clone())
+            .config(cfg)
+            .run()
+            .and_then(|est| est.validate_against_reference(&fixture, Some(&stim), 12e-9, None));
         match outcome {
             Ok(v) => println!(
                 "{:<34} {:>9.1} {:>9.1} {:>10}",

@@ -2,13 +2,15 @@
 //! errors of the PW-RBF models across all driver validation fixtures
 //! (paper: always below ~30 ps, typically 5 ps, at Ts = 25-50 ps).
 //!
-//! The first block is backend-generic: every driver macromodel in the
-//! [`ModelRegistry`] (the PW-RBF model *and* the IBIS baseline) is run
-//! through the same trait-based validation harness.
+//! The first block is backend-generic: every MD1 driver macromodel (the
+//! PW-RBF model *and* the IBIS baseline) is run through the same
+//! trait-based validation harness on the same [`TestFixture`].
 
 use emc_bench::{driver_model, fig1, fig2, Fig1Config};
-use macromodel::validate::{resistive_load, validate_driver, AccuracyRow};
-use macromodel::ModelRegistry;
+use macromodel::validate::{
+    validate_macromodel, AccuracyRow, ReferencePort, DEFAULT_VALIDATION_DT,
+};
+use macromodel::{Macromodel, PortStimulus, TestFixture};
 use refdev::ibis::IbisExtractConfig;
 use refdev::IbisModel;
 
@@ -20,17 +22,27 @@ fn main() -> emc_bench::Result<()> {
     println!("Section 5 — accuracy & efficiency (Ts = 25 ps)");
     println!("  estimation CPU time (MD1): {est_s:.2} s (paper: ~10 s on a Pentium-II 350)");
 
-    // Every estimated backend for MD1 under one registry; the validation
-    // loop below never names a concrete model type.
-    let mut registry = ModelRegistry::new();
-    registry.register(md1_model);
+    // Every estimated backend for MD1 in one list; the validation loop
+    // below never names a concrete model type.
     let mut ibis = IbisModel::extract(&spec, IbisExtractConfig::default())?;
     ibis.name = "md1-ibis".into();
-    registry.register(ibis);
+    let backends: Vec<Box<dyn Macromodel>> = vec![Box::new(md1_model), Box::new(ibis)];
 
+    let reference = ReferencePort::Driver(spec.clone());
+    let fixture = TestFixture::resistive(50.0);
+    let stim = PortStimulus::new("010", 4e-9);
     let mut rows: Vec<AccuracyRow> = Vec::new();
-    for model in registry.iter() {
-        let v = validate_driver(&spec, model, "010", 4e-9, 12e-9, resistive_load(50.0))?;
+    for model in &backends {
+        let dt = model.sample_time().unwrap_or(DEFAULT_VALIDATION_DT);
+        let v = validate_macromodel(
+            &reference,
+            model.as_ref(),
+            &fixture,
+            Some(&stim),
+            dt,
+            12e-9,
+            0.5 * spec.vdd,
+        )?;
         rows.push(AccuracyRow {
             label: format!("{}-r50", model.name()),
             metrics: v.metrics,

@@ -127,18 +127,10 @@ fn parse_count_opt(args: &mut Vec<String>, key: &str, min: u64) -> Option<u64> {
 /// usage errors as well.
 fn parse_bounded_count_opt(args: &mut Vec<String>, key: &str, min: u64, max: u64) -> Option<u64> {
     let v = parse_opt(args, key)?;
-    let n = v.parse::<u64>().ok().or_else(|| {
-        let f: f64 = v.parse().ok()?;
-        (f.is_finite() && f >= 0.0 && f.fract() == 0.0 && f < u64::MAX as f64).then_some(f as u64)
-    });
-    match n {
-        Some(n) if (min..=max).contains(&n) => Some(n),
-        _ if max == u64::MAX => {
-            eprintln!("{key}: expected a whole number >= {min}, got '{v}'");
-            usage();
-        }
-        _ => {
-            eprintln!("{key}: expected a whole number in {min}..={max}, got '{v}'");
+    match emc_bench::parse_count(key, &v, min, max) {
+        Ok(n) => Some(n),
+        Err(msg) => {
+            eprintln!("{msg}");
             usage();
         }
     }

@@ -16,12 +16,11 @@ use circuit::mtl::{expand_coupled_line, CoupledLineSpec};
 use circuit::{Circuit, TranParams, Waveform, GROUND};
 use macromodel::device::PwRbfDriver;
 use macromodel::json::{self, Layout};
-use macromodel::pipeline::{
-    estimate_cr_baseline, estimate_driver, estimate_receiver, DriverEstimationConfig,
-    ReceiverEstimationConfig,
-};
 use macromodel::validate::ValidationMetrics;
-use macromodel::{CrModel, Macromodel, PortStimulus, PwRbfDriverModel, ReceiverModel, TestFixture};
+use macromodel::{
+    AnyModel, CrModel, ExtractionSession, Macromodel, PortStimulus, PwRbfDriverModel,
+    ReceiverModel, TestFixture,
+};
 use numkit::par;
 use refdev::extraction::{capture_driver, capture_receiver};
 use refdev::ibis::IbisExtractConfig;
@@ -66,27 +65,63 @@ impl BenchRecord {
     }
 }
 
-/// Estimates the PW-RBF model of a driver with the experiment defaults.
-pub fn driver_model(spec: &CmosDriverSpec) -> Result<PwRbfDriverModel> {
-    Ok(estimate_driver(spec, DriverEstimationConfig::default())?)
+/// Parses `v`, the value of `key`, as a whole number in `min..=max`: plain
+/// digits or a finite, integral float (`1e3`). This is the one count
+/// grammar of `mdl` flags and daemon request lines; negative, fractional,
+/// non-finite and out-of-range values are errors, never clamped.
+///
+/// # Errors
+///
+/// A usage message naming `key`, the bounds and the rejected value.
+pub fn parse_count(key: &str, v: &str, min: u64, max: u64) -> std::result::Result<u64, String> {
+    let n = v.parse::<u64>().ok().or_else(|| {
+        let f: f64 = v.parse().ok()?;
+        (f.is_finite() && f >= 0.0 && f.fract() == 0.0 && f < u64::MAX as f64).then_some(f as u64)
+    });
+    match n {
+        Some(n) if (min..=max).contains(&n) => Ok(n),
+        _ if max == u64::MAX => Err(format!(
+            "{key}: expected a whole number >= {min}, got '{v}'"
+        )),
+        _ => Err(format!(
+            "{key}: expected a whole number in {min}..={max}, got '{v}'"
+        )),
+    }
 }
 
-/// Estimates the receiver parametric model with the experiment defaults.
+/// Estimates the PW-RBF model of a driver with the experiment defaults.
+pub fn driver_model(spec: &CmosDriverSpec) -> Result<PwRbfDriverModel> {
+    match ExtractionSession::for_driver(spec.clone())
+        .run()?
+        .into_model()
+    {
+        AnyModel::PwRbfDriver(m) => Ok(m),
+        _ => unreachable!("a driver session yields a driver model"),
+    }
+}
+
+/// Estimates the receiver parametric model with the experiment defaults:
+/// ARX order 3 and 40 levels of 64 samples.
 pub fn receiver_model(spec: &ReceiverSpec) -> Result<ReceiverModel> {
-    Ok(estimate_receiver(
-        spec,
-        ReceiverEstimationConfig {
-            n_levels: 40,
-            dwell: 64,
-            r_lin: 3,
-            ..Default::default()
-        },
-    )?)
+    let est = ExtractionSession::for_receiver(spec.clone())
+        .orders(3, 2, 3)
+        .excitation(40, 64, 6)
+        .run()?;
+    match est.into_model() {
+        AnyModel::Receiver(m) => Ok(m),
+        _ => unreachable!("a receiver session yields a receiver model"),
+    }
 }
 
 /// Estimates the C–R̂ baseline with the experiment defaults.
 pub fn cr_model(spec: &ReceiverSpec) -> Result<CrModel> {
-    Ok(estimate_cr_baseline(spec, TS)?)
+    let est = ExtractionSession::for_cr_baseline(spec.clone())
+        .sample_time(TS)
+        .run()?;
+    match est.into_model() {
+        AnyModel::Cr(m) => Ok(m),
+        _ => unreachable!("a C-R session yields a C-R model"),
+    }
 }
 
 // ---------------------------------------------------------------------
@@ -139,22 +174,6 @@ pub struct Fig1Data {
     pub metrics_ibis: ValidationMetrics,
 }
 
-fn fig1_load(cfg: &Fig1Config) -> impl FnMut(&mut Circuit, circuit::Node) + '_ {
-    move |ckt, pad| {
-        let far = ckt.node("fig1_far");
-        ckt.add(IdealLine::new(
-            "fig1_line",
-            pad,
-            GROUND,
-            far,
-            GROUND,
-            cfg.z0,
-            cfg.td,
-        ));
-        ckt.add(Capacitor::new("fig1_cl", far, GROUND, cfg.c_load));
-    }
-}
-
 /// Runs the Fig. 1 experiment.
 ///
 /// # Errors
@@ -178,12 +197,11 @@ pub fn fig1(cfg: &Fig1Config) -> Result<Fig1Data> {
     ];
     let (reference, model_waves) = par::join(
         || -> Result<Waveform> {
-            let mut load = fig1_load(cfg);
             Ok(capture_driver(
                 &spec,
                 spec.pattern("01", cfg.bit_time),
                 |ckt, pad| {
-                    load(ckt, pad);
+                    fixture.install(ckt, pad);
                     Ok(())
                 },
                 TS,

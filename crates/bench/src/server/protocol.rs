@@ -174,17 +174,22 @@ pub fn parse_request(line: &str) -> Result<Request, String> {
             fast: take_flag(&mut tokens, "--fast"),
         },
         "eye" => {
-            let prbs = take_parsed(&mut tokens, "--prbs")?;
-            if let Some(p) = prbs.filter(|&p| si::PrbsOrder::from_tag(p).is_none()) {
-                return Err(format!("--prbs: expected 7, 15 or 31, got {p}"));
-            }
+            let prbs = take_count(&mut tokens, "--prbs", 0, u64::MAX)?
+                .map(|p| {
+                    u32::try_from(p)
+                        .ok()
+                        .filter(|&t| si::PrbsOrder::from_tag(t).is_some())
+                        .ok_or_else(|| format!("--prbs: expected 7, 15 or 31, got {p}"))
+                })
+                .transpose()?;
             let bits = take_count(
                 &mut tokens,
                 "--bits",
                 EyeWorkload::MIN_BITS,
                 EyeWorkload::MAX_BITS,
-            )?;
-            let seed = take_parsed(&mut tokens, "--seed")?;
+            )?
+            .map(|b| b as usize);
+            let seed = take_count(&mut tokens, "--seed", 0, u64::MAX)?;
             Request::Eye {
                 name: one_name(&mut tokens, verb)?,
                 prbs,
@@ -198,8 +203,9 @@ pub fn parse_request(line: &str) -> Result<Request, String> {
                 "--trials",
                 McWorkload::MIN_TRIALS,
                 McWorkload::MAX_TRIALS,
-            )?;
-            let seed = take_parsed(&mut tokens, "--seed")?;
+            )?
+            .map(|t| t as usize);
+            let seed = take_count(&mut tokens, "--seed", 0, u64::MAX)?;
             Request::Mc {
                 name: one_name(&mut tokens, verb)?,
                 trials,
@@ -216,34 +222,17 @@ pub fn parse_request(line: &str) -> Result<Request, String> {
     Ok(req)
 }
 
-/// [`take_opt`] plus a parse of the value into `T`.
-fn take_parsed<T: std::str::FromStr>(
-    tokens: &mut Vec<&str>,
-    key: &str,
-) -> Result<Option<T>, String> {
-    match take_opt(tokens, key)? {
-        None => Ok(None),
-        Some(v) => v
-            .parse()
-            .map(Some)
-            .map_err(|_| format!("{key} value '{v}' does not parse")),
-    }
-}
-
-/// [`take_parsed`] for a count in `min..=max` — the same bounds the `mdl`
-/// CLI enforces for the flag.
+/// [`take_opt`] for a count in `min..=max`, through the same grammar and
+/// bounds the `mdl` CLI enforces for the flag ([`crate::parse_count`]).
 fn take_count(
     tokens: &mut Vec<&str>,
     key: &str,
     min: u64,
     max: u64,
-) -> Result<Option<usize>, String> {
-    match take_parsed::<usize>(tokens, key)? {
-        Some(n) if !(min..=max).contains(&(n as u64)) => Err(format!(
-            "{key}: expected a whole number in {min}..={max}, got '{n}'"
-        )),
-        n => Ok(n),
-    }
+) -> Result<Option<u64>, String> {
+    take_opt(tokens, key)?
+        .map(|v| crate::parse_count(key, &v, min, max))
+        .transpose()
 }
 
 fn one_name(tokens: &mut Vec<&str>, verb: &str) -> Result<String, String> {
@@ -372,6 +361,41 @@ mod tests {
         assert!(parse_request("eye md1 --bits 3").is_err());
         assert!(parse_request("eye md1 --prbs 9").is_err());
         assert!(parse_request("eye md1 --bits 4 --prbs 31").is_ok());
+    }
+
+    #[test]
+    fn counts_share_the_cli_grammar() {
+        // Integral floats parse like the `mdl` flags do.
+        assert_eq!(
+            parse_request("eye md1 --bits 1e1 --seed 1e3").unwrap(),
+            Request::Eye {
+                name: "md1".into(),
+                prbs: None,
+                bits: Some(10),
+                seed: Some(1000)
+            }
+        );
+        assert_eq!(
+            parse_request("mc md1 --trials 1.2e1 --seed 7.0").unwrap(),
+            Request::Mc {
+                name: "md1".into(),
+                trials: Some(12),
+                seed: Some(7)
+            }
+        );
+        assert!(parse_request("eye md1 --prbs 1.5e1").is_ok());
+        // Fractional, negative and non-finite counts stay errors.
+        for bad in ["10.5", "-1", "inf", "NaN", "1e400"] {
+            assert!(
+                parse_request(&format!("eye md1 --bits {bad}")).is_err(),
+                "{bad}"
+            );
+            assert!(
+                parse_request(&format!("mc md1 --seed {bad}")).is_err(),
+                "{bad}"
+            );
+        }
+        assert!(parse_request("eye md1 --prbs 4294967303").is_err());
     }
 
     #[test]

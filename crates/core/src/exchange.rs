@@ -92,13 +92,13 @@
 //! ```no_run
 //! use macromodel::exchange::binary::save_artifact_bin_to_path;
 //! use macromodel::exchange::{
-//!     load_artifact_auto_from_path, load_model_from_path, save_model_to_path, AnyModel, Artifact,
+//!     load_artifact_auto_from_path, load_model_from_path, save_model_to_path, Artifact,
 //! };
-//! use macromodel::pipeline::{estimate_driver, DriverEstimationConfig};
+//! use macromodel::ExtractionSession;
 //!
 //! # fn main() -> Result<(), macromodel::Error> {
-//! let model = estimate_driver(&refdev::md1(), DriverEstimationConfig::default())?;
-//! save_model_to_path(&AnyModel::from(model), "md1.mdlx")?;
+//! let estimated = ExtractionSession::for_driver(refdev::md1()).run()?;
+//! save_model_to_path(estimated.model(), "md1.mdlx")?;
 //! let loaded = load_model_from_path("md1.mdlx")?;
 //! println!("{}", macromodel::Macromodel::summary(&loaded));
 //!

@@ -23,23 +23,32 @@
 //!   `M00x`/`C00x` codes covering model semantics (stability, center
 //!   placement, I–V monotonicity, provenance) and circuit structure
 //!   (structural rank, pattern consistency);
-//! * [`pipeline`] — end-to-end estimation from transistor-level reference
-//!   devices: identification-signal synthesis, waveform capture, submodel
-//!   training, weight inversion;
-//! * [`validate`] — reference-vs-model comparison harness and the Section-5
-//!   accuracy metrics (threshold-crossing timing error).
+//! * [`pipeline`] — the estimation configs and stages: identification-signal
+//!   synthesis, waveform capture, submodel training, weight inversion;
+//! * [`session`] — [`ExtractionSession`], the one entry point that runs the
+//!   pipeline on a transistor-level reference device;
+//! * [`validate`] — reference-vs-model comparison on a [`TestFixture`] and
+//!   the Section-5 accuracy metrics (threshold-crossing timing error).
 //!
 //! # Quickstart
 //!
 //! See `examples/quickstart.rs` at the workspace root, or:
 //!
 //! ```no_run
-//! use macromodel::pipeline::{estimate_driver, DriverEstimationConfig};
+//! use macromodel::{AnyModel, ExtractionSession, PortStimulus, TestFixture};
 //!
 //! # fn main() -> Result<(), macromodel::Error> {
-//! let spec = refdev::md1();
-//! let model = estimate_driver(&spec, DriverEstimationConfig::default())?;
-//! println!("{} centers in the high submodel", model.i_high.network().n_centers());
+//! let estimated = ExtractionSession::for_driver(refdev::md1()).run()?;
+//! if let AnyModel::PwRbfDriver(model) = estimated.model() {
+//!     println!("{} centers in the high submodel", model.i_high.network().n_centers());
+//! }
+//! let check = estimated.validate_against_reference(
+//!     &TestFixture::line_cap(50.0, 0.8e-9, 10e-12),
+//!     Some(&PortStimulus::new("01", 4e-9)),
+//!     12e-9,
+//!     None,
+//! )?;
+//! println!("timing error: {:?} s", check.metrics.timing_error);
 //! # Ok(())
 //! # }
 //! ```
@@ -71,7 +80,7 @@ pub use exchange::{
     save_artifact_to_path, save_model, save_model_to_path, AnyModel, Artifact, Provenance,
 };
 pub use lint::{lint_artifact, lint_model, lint_model_full, LintConfig, LintReport, Severity};
-pub use macromodel::{Macromodel, ModelKind, ModelRegistry, PortStimulus, TestFixture};
+pub use macromodel::{Macromodel, ModelKind, PortStimulus, TestFixture};
 pub use modelstore::{
     ArtifactFormat, EntryIndex, FileFingerprint, LoadMode, ModelStore, StoreEntry, StoreFailure,
     StoreRefresh,

@@ -12,22 +12,22 @@
 //! * the IBIS comparison baseline ([`refdev::IbisModel`]).
 //!
 //! Consumers (the validation harness, the figure/bench generators, the
-//! `mdl` CLI) hold `&dyn Macromodel` and never special-case a backend.
-//! [`ModelRegistry`] collects heterogeneous models under their names so
-//! sweeps over backends become iteration. [`TestFixture`] describes the
-//! standard one-port validation networks as data, which keeps
+//! `mdl` CLI) hold `&dyn Macromodel` and never special-case a backend; a
+//! sweep over backends iterates a `Vec<Box<dyn Macromodel>>` or a
+//! [`crate::ModelStore`]. [`TestFixture`] describes the standard one-port
+//! validation networks as data, which keeps
 //! [`Macromodel::simulate_on_load`] object-safe.
 //!
 //! # Example
 //!
 //! ```no_run
 //! use macromodel::macromodel::{Macromodel, PortStimulus, TestFixture};
-//! use macromodel::pipeline::{estimate_driver, DriverEstimationConfig};
+//! use macromodel::ExtractionSession;
 //!
 //! # fn main() -> Result<(), macromodel::Error> {
-//! let model = estimate_driver(&refdev::md1(), DriverEstimationConfig::default())?;
+//! let estimated = ExtractionSession::for_driver(refdev::md1()).run()?;
 //! // Any backend behind the same calls:
-//! let m: &dyn Macromodel = &model;
+//! let m: &dyn Macromodel = estimated.as_dyn();
 //! println!("{} [{}]", m.summary(), m.kind());
 //! let wave = m.simulate_on_load(
 //!     &TestFixture::resistive(50.0),
@@ -537,63 +537,6 @@ impl Macromodel for IbisModel {
     }
 }
 
-/// A named collection of heterogeneous macromodels.
-///
-/// Backends register under their model name; harnesses iterate without
-/// knowing the concrete types. Registering a name twice replaces the
-/// earlier entry (latest estimation wins).
-#[derive(Default)]
-pub struct ModelRegistry {
-    models: Vec<Box<dyn Macromodel>>,
-}
-
-impl ModelRegistry {
-    /// Creates an empty registry.
-    pub fn new() -> Self {
-        ModelRegistry::default()
-    }
-
-    /// Registers a model under [`Macromodel::name`], replacing any earlier
-    /// entry with the same name.
-    pub fn register(&mut self, model: impl Macromodel + 'static) {
-        self.register_boxed(Box::new(model));
-    }
-
-    /// Registers an already boxed model.
-    pub fn register_boxed(&mut self, model: Box<dyn Macromodel>) {
-        self.models.retain(|m| m.name() != model.name());
-        self.models.push(model);
-    }
-
-    /// Looks a model up by name.
-    pub fn get(&self, name: &str) -> Option<&dyn Macromodel> {
-        self.models
-            .iter()
-            .find(|m| m.name() == name)
-            .map(|m| m.as_ref())
-    }
-
-    /// Iterates over every registered model in registration order.
-    pub fn iter(&self) -> impl Iterator<Item = &dyn Macromodel> {
-        self.models.iter().map(|m| m.as_ref())
-    }
-
-    /// Iterates over the models of one kind.
-    pub fn of_kind(&self, kind: ModelKind) -> impl Iterator<Item = &dyn Macromodel> {
-        self.iter().filter(move |m| m.kind() == kind)
-    }
-
-    /// Number of registered models.
-    pub fn len(&self) -> usize {
-        self.models.len()
-    }
-
-    /// Whether the registry is empty.
-    pub fn is_empty(&self) -> bool {
-        self.models.is_empty()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -687,25 +630,5 @@ mod tests {
         // Divider against the 0.1 A/V static resistor: v = 0.5/6 at the top.
         let v_end = wave.sample_at(1.3e-9);
         assert!((v_end - 0.5 / 6.0).abs() < 5e-3, "v_end {v_end}");
-    }
-
-    #[test]
-    fn registry_named_lookup_and_replacement() {
-        let mut reg = ModelRegistry::new();
-        assert!(reg.is_empty());
-        reg.register(dummy_driver("a"));
-        reg.register(dummy_driver("b"));
-        assert_eq!(reg.len(), 2);
-        assert!(reg.get("a").is_some());
-        assert!(reg.get("c").is_none());
-        assert_eq!(reg.of_kind(ModelKind::PwRbfDriver).count(), 2);
-        assert_eq!(reg.of_kind(ModelKind::Receiver).count(), 0);
-        // Same name replaces.
-        let mut newer = dummy_driver("a");
-        newer.vdd = 3.3;
-        reg.register(newer);
-        assert_eq!(reg.len(), 2);
-        let got = reg.get("a").unwrap();
-        assert_eq!(got.metadata()["vdd"], "3.3");
     }
 }

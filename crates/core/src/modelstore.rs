@@ -28,8 +28,8 @@
 //! (`scripts/bench-baseline.sh store`) measures exactly this gap.
 //!
 //! The store indexes by model name ([`ModelStore::get`]) and kind
-//! ([`ModelStore::of_kind`]) across every model of every artifact, and
-//! flattens into a [`ModelRegistry`] for trait-generic harnesses.
+//! ([`ModelStore::of_kind`]) across every model of every artifact;
+//! [`ModelStore::models`] hands trait-generic harnesses every model.
 //!
 //! # Example
 //!
@@ -53,7 +53,7 @@
 use crate::exchange::{
     binary, content_digest, load_artifact_auto_from_path, AnyModel, Artifact, ExchangeError,
 };
-use crate::macromodel::{Macromodel, ModelKind, ModelRegistry};
+use crate::macromodel::{Macromodel, ModelKind};
 use crate::{Error, Result};
 use std::path::{Path, PathBuf};
 use std::sync::OnceLock;
@@ -487,17 +487,6 @@ impl ModelStore {
             .filter(|m| m.kind() == kind)
             .collect()
     }
-
-    /// Flattens the store into a [`ModelRegistry`] (clones every model;
-    /// registry semantics apply — a duplicated name keeps the later entry,
-    /// i.e. the lexicographically later path).
-    pub fn to_registry(&self) -> ModelRegistry {
-        let mut reg = ModelRegistry::new();
-        for (_, m) in self.models() {
-            reg.register(m.clone());
-        }
-        reg
-    }
 }
 
 /// Outcome of one [`ModelStore::refresh`] reconciliation pass, in sorted
@@ -645,9 +634,7 @@ mod tests {
         assert_eq!(store.of_kind(ModelKind::PwRbfDriver).len(), 3);
         assert_eq!(store.of_kind(ModelKind::CrBaseline).len(), 1);
         assert_eq!(store.of_kind(ModelKind::Ibis).len(), 0);
-        let reg = store.to_registry();
-        assert_eq!(reg.len(), 4);
-        assert!(reg.get("cr_b").is_some());
+        assert!(store.get("cr_b").is_some());
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -871,7 +858,6 @@ mod tests {
         let store = ModelStore::open(&dir).unwrap();
         assert!(store.is_empty());
         assert!(store.models().is_empty());
-        assert!(store.to_registry().is_empty());
         std::fs::remove_dir_all(&dir).ok();
     }
 }

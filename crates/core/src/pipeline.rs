@@ -19,6 +19,9 @@
 //!    into the protection regions, on the residual after the linear part;
 //! 3. the C–R̂ baseline takes `C` from the linear fit and `R̂(v)` from a DC
 //!    sweep.
+//!
+//! This module holds the estimation configs and the capture and fit
+//! stages; [`crate::ExtractionSession`] is the entry point that runs them.
 
 use crate::driver::{estimate_switching_weights, PwRbfDriverModel};
 use crate::receiver::{CrModel, ReceiverModel};
@@ -268,50 +271,55 @@ pub(crate) fn fit_driver_from_captures(
     Ok((model, rec_high, rec_low))
 }
 
-/// Validates the non-capture configuration fields of a driver estimation.
-pub(crate) fn check_driver_config(cfg: &DriverEstimationConfig) -> Result<()> {
-    if cfg.ts <= 0.0 || cfg.order == 0 {
-        return Err(Error::InvalidModel {
-            message: "ts must be positive and order at least 1".into(),
-        });
-    }
-    Ok(())
+/// Checks the sample time and the multilevel excitation shape shared by the
+/// driver and receiver estimations: the identification-signal generators in
+/// [`sysid::signals`] assert these, so a bad config must stop here, before
+/// any capture runs. `[lo, hi]` is the excitation range (V).
+fn check_excitation(
+    ts: f64,
+    n_levels: usize,
+    dwell: usize,
+    edge_samples: usize,
+    lo: f64,
+    hi: f64,
+) -> Result<()> {
+    let message = if !(ts > 0.0 && ts.is_finite()) {
+        format!("ts must be positive and finite, got {ts}")
+    } else if n_levels == 0 || dwell == 0 {
+        format!("n_levels and dwell must be at least 1, got {n_levels} and {dwell}")
+    } else if edge_samples >= dwell {
+        format!("edge_samples ({edge_samples}) must be shorter than dwell ({dwell})")
+    } else if !(lo.is_finite() && hi.is_finite() && hi > lo) {
+        format!("excitation range [{lo}, {hi}] V is empty")
+    } else {
+        return Ok(());
+    };
+    Err(Error::InvalidModel { message })
 }
 
-/// Estimates a PW-RBF driver model from a transistor-level reference.
-///
-/// Thin wrapper over [`crate::ExtractionSession::for_driver`]; prefer the
-/// session builder, which can also reuse captures between runs, validate,
-/// and save the result.
-///
-/// # Errors
-///
-/// Returns [`Error::Estimation`] with the failing stage, or propagates
-/// simulation/identification errors.
-pub fn estimate_driver(
-    spec: &CmosDriverSpec,
-    cfg: DriverEstimationConfig,
-) -> Result<PwRbfDriverModel> {
-    let (model, _, _) = estimate_driver_with_records(spec, cfg)?;
-    Ok(model)
-}
-
-/// Like [`estimate_driver`], additionally returning the identification
-/// records of the High and Low submodels.
-///
-/// Thin wrapper over [`crate::ExtractionSession::for_driver`].
-///
-/// # Errors
-///
-/// See [`estimate_driver`].
-pub fn estimate_driver_with_records(
-    spec: &CmosDriverSpec,
-    cfg: DriverEstimationConfig,
-) -> Result<(PwRbfDriverModel, StateIdRecord, StateIdRecord)> {
-    crate::session::ExtractionSession::for_driver(spec.clone())
-        .config(cfg)
-        .run()?
-        .into_driver_parts()
+/// Validates a driver estimation config for a device with supply `vdd`.
+/// The weight inversion reads the switching captures from the edge at
+/// `t_pre` on, so the window after it must be a positive duration.
+pub(crate) fn check_driver_config(cfg: &DriverEstimationConfig, vdd: f64) -> Result<()> {
+    check_excitation(
+        cfg.ts,
+        cfg.n_levels,
+        cfg.dwell,
+        cfg.edge_samples,
+        -cfg.v_margin,
+        vdd + cfg.v_margin,
+    )?;
+    let message = if cfg.order == 0 {
+        "order must be at least 1".to_string()
+    } else if !(cfg.t_pre >= 0.0 && cfg.t_window > 0.0 && (cfg.t_pre + cfg.t_window).is_finite()) {
+        format!(
+            "t_pre must be >= 0 and t_window > 0, both finite, got {} and {}",
+            cfg.t_pre, cfg.t_window
+        )
+    } else {
+        return Ok(());
+    };
+    Err(Error::InvalidModel { message })
 }
 
 /// Captures one state identification (driver held High or Low, pad excited
@@ -565,37 +573,25 @@ pub(crate) fn run_receiver_captures(
     })
 }
 
-/// Validates the non-capture configuration fields of a receiver estimation.
-pub(crate) fn check_receiver_config(cfg: &ReceiverEstimationConfig) -> Result<()> {
-    if cfg.ts <= 0.0 {
+/// Validates a receiver estimation config for a device with supply `vdd`.
+/// The protection signals focus on `[vdd, vdd + v_over]` and
+/// `[-v_over, 0]`, so `v_over` must be positive (the range check has
+/// already rejected a non-finite one).
+pub(crate) fn check_receiver_config(cfg: &ReceiverEstimationConfig, vdd: f64) -> Result<()> {
+    check_excitation(
+        cfg.ts,
+        cfg.n_levels,
+        cfg.dwell,
+        cfg.edge_samples,
+        -cfg.v_over,
+        vdd + cfg.v_over,
+    )?;
+    if cfg.v_over <= 0.0 {
         return Err(Error::InvalidModel {
-            message: "ts must be positive".into(),
+            message: format!("v_over must be positive, got {}", cfg.v_over),
         });
     }
     Ok(())
-}
-
-/// Estimates the full receiver parametric model (equation 2).
-///
-/// Thin wrapper over [`crate::ExtractionSession::for_receiver`]; prefer the
-/// session builder, which can also reuse captures between runs, validate,
-/// and save the result.
-///
-/// # Errors
-///
-/// Returns [`Error::Estimation`] / identification errors from the stages.
-pub fn estimate_receiver(
-    spec: &ReceiverSpec,
-    cfg: ReceiverEstimationConfig,
-) -> Result<ReceiverModel> {
-    match crate::session::ExtractionSession::for_receiver(spec.clone())
-        .config(cfg)
-        .run()?
-        .into_model()
-    {
-        crate::AnyModel::Receiver(m) => Ok(m),
-        _ => unreachable!("receiver session produces a receiver model"),
-    }
 }
 
 /// Fits the receiver model from recorded captures. The fits stay
@@ -709,28 +705,10 @@ pub(crate) fn fit_cr_from_captures(
     CrModel::new(format!("{}_cr", spec.name), c, static_iv)
 }
 
-/// Builds the paper's C–R̂ baseline for a receiver: `C` from a low-order
-/// linear fit inside the rails, `R̂(v)` from a DC sweep.
-///
-/// Thin wrapper over [`crate::ExtractionSession::for_cr_baseline`].
-///
-/// # Errors
-///
-/// Propagates capture and fit failures.
-pub fn estimate_cr_baseline(spec: &ReceiverSpec, ts: f64) -> Result<CrModel> {
-    match crate::session::ExtractionSession::for_cr_baseline(spec.clone())
-        .sample_time(ts)
-        .run()?
-        .into_model()
-    {
-        crate::AnyModel::Cr(m) => Ok(m),
-        _ => unreachable!("C-R session produces a C-R model"),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{AnyModel, ExtractionSession};
     use refdev::{md1, md4};
 
     fn fast_driver_cfg() -> DriverEstimationConfig {
@@ -751,8 +729,14 @@ mod tests {
 
     #[test]
     fn driver_estimation_end_to_end() {
-        let spec = md1();
-        let (model, rec_h, rec_l) = estimate_driver_with_records(&spec, fast_driver_cfg()).unwrap();
+        let est = ExtractionSession::for_driver(md1())
+            .config(fast_driver_cfg())
+            .run()
+            .unwrap();
+        let (rec_h, rec_l) = est.records().expect("driver sessions keep records");
+        let AnyModel::PwRbfDriver(model) = est.model() else {
+            panic!("driver session yields a driver model");
+        };
         assert!(model.validate().is_ok());
         // Submodels fit their own identification data well.
         assert!(rec_h.nmse < 0.05, "high NMSE {}", rec_h.nmse);
@@ -770,12 +754,14 @@ mod tests {
             ts: 0.0,
             ..Default::default()
         };
-        assert!(estimate_driver(&md1(), cfg).is_err());
+        let mut session = ExtractionSession::for_driver(md1()).config(cfg);
+        assert!(session.run().is_err());
         let cfg = DriverEstimationConfig {
             order: 0,
             ..Default::default()
         };
-        assert!(estimate_driver(&md1(), cfg).is_err());
+        let mut session = session.config(cfg);
+        assert!(session.run().is_err());
     }
 
     #[test]
@@ -786,7 +772,13 @@ mod tests {
             dwell: 16,
             ..Default::default()
         };
-        let model = estimate_receiver(&spec, cfg).unwrap();
+        let est = ExtractionSession::for_receiver(spec.clone())
+            .config(cfg)
+            .run()
+            .unwrap();
+        let AnyModel::Receiver(model) = est.model() else {
+            panic!("receiver session yields a receiver model");
+        };
         assert!(model.validate().is_ok());
         // Static behaviour: inside the rails the total current at steady
         // state is (near) zero; above VDD the up model dominates.
@@ -841,7 +833,13 @@ mod tests {
     #[test]
     fn cr_baseline_extraction() {
         let spec = md4();
-        let cr = estimate_cr_baseline(&spec, 25e-12).unwrap();
+        let est = ExtractionSession::for_cr_baseline(spec.clone())
+            .sample_time(25e-12)
+            .run()
+            .unwrap();
+        let AnyModel::Cr(cr) = est.model() else {
+            panic!("C-R session yields a C-R model");
+        };
         // The estimated C is within a factor of two of the physical total
         // (the gate RC hides part of it at this sample rate).
         let c_phys = spec.total_capacitance();

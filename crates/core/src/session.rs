@@ -1,26 +1,40 @@
-//! Builder-style extraction sessions: one reusable object per estimation
-//! campaign.
+//! Builder-style extraction sessions: the one entry point of model
+//! estimation, one reusable object per estimation campaign.
 //!
-//! The free functions ([`crate::pipeline::estimate_driver`] and friends)
-//! answer "give me a model once"; a session answers the real workflow —
-//! estimate, inspect, tweak a hyperparameter, re-estimate, validate, save:
+//! A session answers the whole workflow — estimate, inspect, tweak a
+//! hyperparameter, re-estimate, validate, save. [`DriverSession::config`]
+//! and [`ReceiverSession::config`] take the whole estimation config, and
+//! [`DriverSession::run`] rejects a bad one with [`crate::Error::InvalidModel`]
+//! before any capture runs:
 //!
 //! ```no_run
-//! use macromodel::ExtractionSession;
+//! use macromodel::pipeline::DriverEstimationConfig;
+//! use macromodel::{ExtractionSession, PortStimulus, TestFixture};
 //!
 //! # fn main() -> Result<(), macromodel::Error> {
-//! let mut session = ExtractionSession::for_driver(refdev::md1())
-//!     .thresholds(1e-7)
-//!     .windows(2e-9, 4e-9);
+//! let cfg = DriverEstimationConfig {
+//!     t_pre: 2e-9,
+//!     t_window: 4e-9,
+//!     ..Default::default()
+//! };
+//! let mut session = ExtractionSession::for_driver(refdev::md1()).config(cfg);
 //! let estimated = session.run()?;
 //! let check = estimated.validate_against_reference(
-//!     &macromodel::TestFixture::resistive(50.0),
-//!     Some(&macromodel::PortStimulus::new("010", 4e-9)),
+//!     &TestFixture::resistive(50.0),
+//!     Some(&PortStimulus::new("010", 4e-9)),
 //!     12e-9,
 //!     None,
 //! )?;
 //! println!("rms {} V", check.metrics.rms_error);
 //! estimated.save("md1.mdlx")?;
+//!
+//! // A fit-only change (here the OLS stop) reuses the captures.
+//! let mut rbf = cfg.rbf;
+//! rbf.ols_tolerance = 1e-6;
+//! let mut session = session.config(DriverEstimationConfig { rbf, ..cfg });
+//! let refit = session.run()?;
+//! assert_eq!(session.capture_runs(), 1);
+//! println!("{}", refit.summary());
 //! # Ok(())
 //! # }
 //! ```
@@ -36,8 +50,7 @@
 //! each transient holds a single factorization workspace for its whole run.
 
 use crate::exchange::{
-    config_digest, save_artifact_to_path, save_model, save_model_to_path, AnyModel, Artifact,
-    Provenance,
+    config_digest, save_artifact_to_path, save_model_to_path, AnyModel, Artifact, Provenance,
 };
 use crate::macromodel::{Macromodel, PortStimulus, TestFixture};
 use crate::pipeline::{
@@ -47,12 +60,11 @@ use crate::pipeline::{
     ReceiverCaptures, ReceiverEstimationConfig, StateIdRecord,
 };
 use crate::validate::{validate_macromodel, DriverValidation, ReferencePort};
-use crate::{driver::PwRbfDriverModel, Error, Result};
+use crate::{Error, Result};
 use circuit::{Circuit, Node};
 use refdev::ibis::IbisExtractConfig;
 use refdev::{CmosDriverSpec, IbisModel, ReceiverSpec};
 use std::path::Path;
-use sysid::narx::RbfTrainConfig;
 
 /// Entry point of the builder API: picks the estimation target.
 pub struct ExtractionSession;
@@ -147,15 +159,6 @@ impl EstimatedModel {
         self.model.summary()
     }
 
-    /// Serializes the artifact to exchange text (see [`crate::exchange`]).
-    ///
-    /// # Errors
-    ///
-    /// See [`save_model`].
-    pub fn to_exchange_string(&self) -> Result<String> {
-        save_model(&self.model)
-    }
-
     /// Saves the artifact to a `.mdlx` file in the v1 single-model format.
     ///
     /// # Errors
@@ -229,21 +232,6 @@ impl EstimatedModel {
             threshold,
         )
     }
-
-    /// Splits a driver estimation into its classic
-    /// `(model, high record, low record)` triple.
-    pub(crate) fn into_driver_parts(
-        self,
-    ) -> Result<(PwRbfDriverModel, StateIdRecord, StateIdRecord)> {
-        let EstimatedModel { model, records, .. } = self;
-        let AnyModel::PwRbfDriver(m) = model else {
-            return Err(Error::InvalidModel {
-                message: "not a driver estimation".into(),
-            });
-        };
-        let (rec_h, rec_l) = records.expect("driver sessions keep identification records");
-        Ok((m, rec_h, rec_l))
-    }
 }
 
 /// Builder/session for PW-RBF driver extraction.
@@ -264,31 +252,6 @@ impl DriverSession {
         self
     }
 
-    /// Model sample time (s).
-    pub fn sample_time(mut self, ts: f64) -> Self {
-        self.cfg.ts = ts;
-        self
-    }
-
-    /// Dynamic order `r` of the state submodels.
-    pub fn order(mut self, r: usize) -> Self {
-        self.cfg.order = r;
-        self
-    }
-
-    /// RBF training configuration (centers, widths, OLS stop).
-    pub fn rbf(mut self, rbf: RbfTrainConfig) -> Self {
-        self.cfg.rbf = rbf;
-        self
-    }
-
-    /// Identification-quality thresholds: the OLS stopping tolerance on the
-    /// unexplained energy fraction (fit-phase only — captures are reused).
-    pub fn thresholds(mut self, ols_tolerance: f64) -> Self {
-        self.cfg.rbf.ols_tolerance = ols_tolerance;
-        self
-    }
-
     /// Switching-capture windows: settling time before the edge and
     /// captured transition window after it (s).
     pub fn windows(mut self, t_pre: f64, t_window: f64) -> Self {
@@ -305,25 +268,6 @@ impl DriverSession {
         self
     }
 
-    /// Excitation margin beyond the rails (V).
-    pub fn margin(mut self, v_margin: f64) -> Self {
-        self.cfg.v_margin = v_margin;
-        self
-    }
-
-    /// The two identification loads (Ω to ground, Ω to VDD).
-    pub fn loads(mut self, r_load_a: f64, r_load_b: f64) -> Self {
-        self.cfg.r_load_a = r_load_a;
-        self.cfg.r_load_b = r_load_b;
-        self
-    }
-
-    /// Seed of the multilevel signal generator.
-    pub fn seed(mut self, seed: u64) -> Self {
-        self.cfg.seed = seed;
-        self
-    }
-
     /// Number of fresh capture passes performed so far (diagnostic: stays
     /// at 1 across re-runs that only change fit parameters).
     pub fn capture_runs(&self) -> usize {
@@ -337,7 +281,7 @@ impl DriverSession {
     ///
     /// Propagates configuration, simulation and identification failures.
     pub fn run(&mut self) -> Result<EstimatedModel> {
-        check_driver_config(&self.cfg)?;
+        check_driver_config(&self.cfg, self.spec.vdd)?;
         let key = DriverCaptureKey::of(&self.cfg);
         if !matches!(&self.cache, Some((k, _)) if *k == key) {
             let caps = run_driver_captures(&self.spec, &self.cfg)?;
@@ -370,12 +314,6 @@ impl ReceiverSession {
         self
     }
 
-    /// Model sample time (s).
-    pub fn sample_time(mut self, ts: f64) -> Self {
-        self.cfg.ts = ts;
-        self
-    }
-
     /// Submodel orders: linear ARX, up-protection, down-protection.
     pub fn orders(mut self, r_lin: usize, r_up: usize, r_down: usize) -> Self {
         self.cfg.r_lin = r_lin;
@@ -384,36 +322,11 @@ impl ReceiverSession {
         self
     }
 
-    /// RBF training configuration.
-    pub fn rbf(mut self, rbf: RbfTrainConfig) -> Self {
-        self.cfg.rbf = rbf;
-        self
-    }
-
-    /// Identification-quality thresholds: the OLS stopping tolerance
-    /// (fit-phase only — captures are reused).
-    pub fn thresholds(mut self, ols_tolerance: f64) -> Self {
-        self.cfg.rbf.ols_tolerance = ols_tolerance;
-        self
-    }
-
     /// Multilevel identification-signal shape.
     pub fn excitation(mut self, n_levels: usize, dwell: usize, edge_samples: usize) -> Self {
         self.cfg.n_levels = n_levels;
         self.cfg.dwell = dwell;
         self.cfg.edge_samples = edge_samples;
-        self
-    }
-
-    /// Overdrive beyond the rails for the protection signals (V).
-    pub fn overdrive(mut self, v_over: f64) -> Self {
-        self.cfg.v_over = v_over;
-        self
-    }
-
-    /// Seed of the multilevel generator.
-    pub fn seed(mut self, seed: u64) -> Self {
-        self.cfg.seed = seed;
         self
     }
 
@@ -428,7 +341,7 @@ impl ReceiverSession {
     ///
     /// Propagates configuration, simulation and identification failures.
     pub fn run(&mut self) -> Result<EstimatedModel> {
-        check_receiver_config(&self.cfg)?;
+        check_receiver_config(&self.cfg, self.spec.vdd)?;
         let key = ReceiverCaptureKey::of(&self.cfg);
         if !matches!(&self.cache, Some((k, _)) if *k == key) {
             let caps = run_receiver_captures(&self.spec, &self.cfg)?;
@@ -515,12 +428,6 @@ impl IbisSession {
         self
     }
 
-    /// Fixture resistance of the V–T waveform captures (Ω).
-    pub fn fixture(mut self, r: f64) -> Self {
-        self.cfg.r_fixture = r;
-        self
-    }
-
     /// Switching-table resolution and captured edge duration (s).
     pub fn tables(mut self, dt: f64, t_table: f64) -> Self {
         self.cfg.dt = dt;
@@ -553,6 +460,7 @@ impl IbisSession {
 mod tests {
     use super::*;
     use crate::macromodel::ModelKind;
+    use sysid::narx::RbfTrainConfig;
 
     fn fast_cfg() -> DriverEstimationConfig {
         DriverEstimationConfig {
@@ -579,7 +487,14 @@ mod tests {
         assert!(est1.records().is_some());
 
         // Fit-only change: the OLS threshold. No new captures.
-        session = session.thresholds(1e-5);
+        let cfg = fast_cfg();
+        session = session.config(DriverEstimationConfig {
+            rbf: RbfTrainConfig {
+                ols_tolerance: 1e-5,
+                ..cfg.rbf
+            },
+            ..cfg
+        });
         let est2 = session.run().unwrap();
         assert_eq!(session.capture_runs(), 1);
         // A looser stop can only shrink the center set.
@@ -613,7 +528,7 @@ mod tests {
         let mut session = ExtractionSession::for_driver(refdev::md1()).config(fast_cfg());
         let est = session.run().unwrap();
         // Exchange text round-trips.
-        let text = est.to_exchange_string().unwrap();
+        let text = crate::exchange::save_model(est.model()).unwrap();
         let loaded = crate::exchange::load_model(&text).unwrap();
         assert_eq!(loaded.name(), est.as_dyn().name());
         // Reference validation runs end-to-end on a resistive fixture.
@@ -646,11 +561,89 @@ mod tests {
 
     #[test]
     fn sessions_reject_bad_configs() {
-        let mut s = ExtractionSession::for_driver(refdev::md1()).sample_time(0.0);
+        let mut s = ExtractionSession::for_driver(refdev::md1()).config(DriverEstimationConfig {
+            ts: 0.0,
+            ..Default::default()
+        });
         assert!(s.run().is_err());
-        let mut s = ExtractionSession::for_receiver(refdev::md4()).sample_time(-1.0);
+        let mut s =
+            ExtractionSession::for_receiver(refdev::md4()).config(ReceiverEstimationConfig {
+                ts: -1.0,
+                ..Default::default()
+            });
         assert!(s.run().is_err());
         let mut s = ExtractionSession::for_cr_baseline(refdev::md4()).sample_time(f64::NAN);
         assert!(s.run().is_err());
+    }
+
+    /// Runs a driver and a receiver session on configs edited by `drv` and
+    /// `rx` and expects both to stop with a typed error before any capture.
+    fn assert_rejected(
+        drv: impl FnOnce(&mut DriverEstimationConfig),
+        rx: impl FnOnce(&mut ReceiverEstimationConfig),
+    ) {
+        let mut cfg = DriverEstimationConfig::default();
+        drv(&mut cfg);
+        let mut s = ExtractionSession::for_driver(refdev::md1()).config(cfg);
+        assert!(
+            matches!(s.run(), Err(Error::InvalidModel { .. })),
+            "driver config {cfg:?} accepted"
+        );
+        assert_eq!(s.capture_runs(), 0);
+        let mut cfg = ReceiverEstimationConfig::default();
+        rx(&mut cfg);
+        let mut s = ExtractionSession::for_receiver(refdev::md4()).config(cfg);
+        assert!(
+            matches!(s.run(), Err(Error::InvalidModel { .. })),
+            "receiver config {cfg:?} accepted"
+        );
+        assert_eq!(s.capture_runs(), 0);
+    }
+
+    #[test]
+    fn zero_dwell_is_a_typed_error() {
+        assert_rejected(|c| c.dwell = 0, |c| c.dwell = 0);
+    }
+
+    #[test]
+    fn edges_as_long_as_the_dwell_are_a_typed_error() {
+        assert_rejected(
+            |c| c.edge_samples = c.dwell,
+            |c| c.edge_samples = c.dwell + 3,
+        );
+    }
+
+    #[test]
+    fn zero_levels_are_a_typed_error() {
+        assert_rejected(|c| c.n_levels = 0, |c| c.n_levels = 0);
+    }
+
+    #[test]
+    fn an_empty_excitation_range_is_a_typed_error() {
+        // md1 runs at 3.3 V, so a -2 V margin turns the excitation range
+        // `[-v_margin, vdd + v_margin]` into the empty [2, 1.3] V; a
+        // non-positive overdrive leaves no protection region to excite.
+        assert_rejected(|c| c.v_margin = -2.0, |c| c.v_over = 0.0);
+        assert_rejected(|c| c.v_margin = f64::NAN, |c| c.v_over = -0.5);
+    }
+
+    #[test]
+    fn a_negative_switching_window_is_a_typed_error() {
+        for (t_pre, t_window) in [(2e-9, -1e-9), (f64::NAN, 4e-9)] {
+            let mut s =
+                ExtractionSession::for_driver(refdev::md1()).config(DriverEstimationConfig {
+                    t_pre,
+                    t_window,
+                    ..Default::default()
+                });
+            assert!(matches!(s.run(), Err(Error::InvalidModel { .. })));
+            assert_eq!(s.capture_runs(), 0);
+        }
+    }
+
+    #[test]
+    fn non_finite_sample_times_are_a_typed_error() {
+        assert_rejected(|c| c.ts = f64::NAN, |c| c.ts = f64::NAN);
+        assert_rejected(|c| c.ts = f64::INFINITY, |c| c.ts = f64::INFINITY);
     }
 }

@@ -1,13 +1,15 @@
 //! Reference-vs-model validation harness and Section-5 accuracy metrics.
 //!
-//! The harness is backend-generic: it compares *any* [`Macromodel`]
-//! implementation (PW-RBF, receiver parametric, C–R̂, IBIS) against its
-//! transistor-level reference on the same load network.
+//! The harness is backend-generic: [`validate_macromodel`] compares *any*
+//! [`Macromodel`] implementation (PW-RBF, receiver parametric, C–R̂, IBIS)
+//! against its transistor-level reference on the same [`TestFixture`].
+//! [`crate::EstimatedModel::validate_against_reference`] calls it with the
+//! reference the model was estimated from.
 
 use crate::macromodel::{Macromodel, PortStimulus, TestFixture};
 use crate::{Error, Result};
 use circuit::waveform::{max_difference, rms_difference, timing_error};
-use circuit::{Circuit, Node, TranParams, Waveform, GROUND};
+use circuit::Waveform;
 use refdev::extraction::{capture_driver, capture_receiver};
 use refdev::{CmosDriverSpec, ReceiverSpec};
 
@@ -141,112 +143,6 @@ pub fn validate_macromodel(
     })
 }
 
-/// Runs the transistor-level reference and a driver macromodel (any backend
-/// implementing [`Macromodel`]) against the *same* load network and
-/// compares the pad voltages.
-///
-/// `load` is invoked once per simulation with the circuit and the pad/output
-/// node; it must build identical load networks both times (it receives a
-/// fresh circuit each time). For the standard fixtures prefer
-/// [`validate_macromodel`], which takes a [`TestFixture`] description.
-///
-/// # Errors
-///
-/// Propagates simulation failures from either run.
-pub fn validate_driver<F>(
-    spec: &CmosDriverSpec,
-    model: &dyn Macromodel,
-    pattern: &str,
-    bit_time: f64,
-    t_stop: f64,
-    mut load: F,
-) -> Result<DriverValidation>
-where
-    F: FnMut(&mut Circuit, Node) -> Result<()>,
-{
-    let dt = model.sample_time().unwrap_or(DEFAULT_VALIDATION_DT);
-    // Reference run (transistor level), sampled at the model clock so the
-    // comparison grids line up.
-    let reference = capture_driver(
-        spec,
-        spec.pattern(pattern, bit_time),
-        |ckt, pad| {
-            load(ckt, pad).map_err(|e| refdev::Error::InvalidSpec {
-                message: format!("load construction failed: {e}"),
-            })?;
-            Ok(())
-        },
-        dt,
-        t_stop,
-    )?;
-
-    // Macromodel run, through the unified trait.
-    let mut ckt = Circuit::new();
-    let out = ckt.node(format!("{}_out", model.name()));
-    let stim = PortStimulus::new(pattern, bit_time);
-    model.instantiate(&mut ckt, out, Some(&stim))?;
-    load(&mut ckt, out)?;
-    let res = ckt.transient(TranParams::new(dt, t_stop))?;
-    let v_model = res.voltage(out);
-
-    let metrics = ValidationMetrics::between(&v_model, &reference.voltage, 0.5 * spec.vdd);
-    Ok(DriverValidation {
-        reference: reference.voltage,
-        model: v_model,
-        metrics,
-    })
-}
-
-/// Convenience: a resistive load to ground.
-pub fn resistive_load(r: f64) -> impl FnMut(&mut Circuit, Node) -> Result<()> {
-    move |ckt, pad| {
-        ckt.add(circuit::devices::Resistor::new("val_rload", pad, GROUND, r));
-        Ok(())
-    }
-}
-
-/// Convenience: an ideal transmission line terminated by a capacitor — the
-/// Fig. 1 validation fixture.
-pub fn line_cap_load(
-    z0: f64,
-    td: f64,
-    c_load: f64,
-) -> impl FnMut(&mut Circuit, Node) -> Result<()> {
-    move |ckt, pad| {
-        let far = ckt.node("val_far");
-        ckt.add(circuit::devices::IdealLine::new(
-            "val_line", pad, GROUND, far, GROUND, z0, td,
-        ));
-        ckt.add(circuit::devices::Capacitor::new(
-            "val_cload",
-            far,
-            GROUND,
-            c_load,
-        ));
-        Ok(())
-    }
-}
-
-/// Runs a stimulus waveform through an arbitrary one-port circuit builder —
-/// generic scaffolding used by the receiver figures, where the "device under
-/// test" side varies (reference, parametric model, C–R̂ model).
-///
-/// Builds a fresh circuit, lets `build` install everything (sources, lines,
-/// device) and returns the voltage at the node `build` returns.
-///
-/// # Errors
-///
-/// Propagates simulation failures.
-pub fn run_fixture<F>(dt: f64, t_stop: f64, build: F) -> Result<Waveform>
-where
-    F: FnOnce(&mut Circuit) -> Result<Node>,
-{
-    let mut ckt = Circuit::new();
-    let probe_node = build(&mut ckt)?;
-    let res = ckt.transient(TranParams::new(dt, t_stop))?;
-    Ok(res.voltage(probe_node))
-}
-
 /// Per-experiment accuracy summary row (EXPERIMENTS.md bookkeeping).
 #[derive(Debug, Clone)]
 pub struct AccuracyRow {
@@ -335,20 +231,5 @@ mod tests {
             },
         };
         assert!(row.to_string().contains("n/a"));
-    }
-
-    #[test]
-    fn run_fixture_simple_divider() {
-        use circuit::devices::{Resistor, SourceWaveform, VoltageSource};
-        let v = run_fixture(1e-10, 1e-8, |ckt| {
-            let a = ckt.node("a");
-            let b = ckt.node("b");
-            ckt.add(VoltageSource::new("v", a, GROUND, SourceWaveform::dc(2.0)));
-            ckt.add(Resistor::new("r1", a, b, 100.0));
-            ckt.add(Resistor::new("r2", b, GROUND, 100.0));
-            Ok(b)
-        })
-        .unwrap();
-        assert!((v.values().last().unwrap() - 1.0).abs() < 1e-6);
     }
 }

@@ -10,7 +10,12 @@ use emc_io_macromodel::prelude::*;
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let spec = refdev::md3();
     println!("estimating PW-RBF model of {} ...", spec.name);
-    let model = estimate_driver(&spec, DriverEstimationConfig::default())?;
+    let AnyModel::PwRbfDriver(model) = ExtractionSession::for_driver(spec.clone())
+        .run()?
+        .into_model()
+    else {
+        unreachable!("a driver session yields a driver model");
+    };
     let ts = model.ts;
 
     let line_spec = CoupledLineSpec::mcm_date02();

@@ -16,7 +16,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let spec = refdev::md1();
 
     println!("estimating PW-RBF model of {} ...", spec.name);
-    let pwrbf = estimate_driver(&spec, DriverEstimationConfig::default())?;
+    let pwrbf = ExtractionSession::for_driver(spec.clone()).run()?;
+    let ts = pwrbf
+        .as_dyn()
+        .sample_time()
+        .expect("PW-RBF models are sampled");
 
     println!("extracting IBIS model (I-V sweeps + two V-T waveforms) ...");
     let ibis = IbisModel::extract(&spec, IbisExtractConfig::default())?;
@@ -25,14 +29,13 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let (z0, td, c_load) = (50.0, 0.8e-9, 10e-12);
     let (bit_time, t_stop) = (4e-9, 12e-9);
 
-    // Reference waveform.
-    let reference = validate_driver(
-        &spec,
-        &pwrbf,
-        "01",
-        bit_time,
+    // PW-RBF against the transistor-level reference (also the reference
+    // waveform the IBIS corners are scored against).
+    let reference = pwrbf.validate_against_reference(
+        &TestFixture::line_cap(z0, td, c_load),
+        Some(&PortStimulus::new("01", bit_time)),
         t_stop,
-        line_cap_load(z0, td, c_load),
+        None,
     )?;
     println!(
         "PW-RBF        : rms {:.1} mV, max {:.1} mV, timing {}",
@@ -48,7 +51,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         let far = ckt.node("far");
         ckt.add(IdealLine::new("line", out, GROUND, far, GROUND, z0, td));
         ckt.add(Capacitor::new("cl", far, GROUND, c_load));
-        let res = ckt.transient(TranParams::new(pwrbf.ts, t_stop))?;
+        let res = ckt.transient(TranParams::new(ts, t_stop))?;
         let v = res.voltage(out);
         let m = ValidationMetrics::between(&v, &reference.reference, 0.5 * spec.vdd);
         println!(

@@ -9,8 +9,9 @@ use emc_io_macromodel::prelude::*;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     // 1. Extract the PW-RBF macromodel of the MD1 driver with a builder
-    //    session. Re-running the session after tweaking a fit parameter
-    //    (e.g. `.thresholds(...)`) reuses the transistor-level captures.
+    //    session. Re-running the session after a `config` change that
+    //    touches only fit parameters (orders, centers, the OLS threshold)
+    //    reuses the transistor-level captures.
     let mut session = ExtractionSession::for_driver(md1())
         .excitation(40, 20, 6)
         .windows(1.5e-9, 3.5e-9);

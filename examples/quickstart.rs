@@ -16,22 +16,23 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     //    submodels from multilevel identification signals, switching
     //    weights by two-load linear inversion.
     let t0 = std::time::Instant::now();
-    let model = estimate_driver(&spec, DriverEstimationConfig::default())?;
+    let estimated = ExtractionSession::for_driver(spec)
+        .config(DriverEstimationConfig::default())
+        .run()?;
     println!(
         "estimated in {:.2} s: {}",
         t0.elapsed().as_secs_f64(),
-        model.summary()
+        estimated.summary()
     );
 
     // 3. Validate on a load the model has never seen: an ideal 50 Ω,
-    //    0.8 ns transmission line terminated by 10 pF (the Fig. 1 fixture).
-    let run = validate_driver(
-        &spec,
-        &model,
-        "01",
-        4e-9,
+    //    0.8 ns transmission line terminated by 10 pF (the Fig. 1 fixture),
+    //    against the transistor-level reference the model came from.
+    let run = estimated.validate_against_reference(
+        &TestFixture::line_cap(50.0, 0.8e-9, 10e-12),
+        Some(&PortStimulus::new("01", 4e-9)),
         12e-9,
-        line_cap_load(50.0, 0.8e-9, 10e-12),
+        None,
     )?;
     println!(
         "validation vs transistor level: rms {:.1} mV, max {:.1} mV",

@@ -1,32 +1,50 @@
 //! Receiver modeling (Fig. 5/6): estimate the parametric receiver model
 //! (linear ARX + up/down RBF protection submodels) and the simple C–R̂
-//! baseline, then compare both against the transistor-level reference on a
-//! lossy-line fixture that exercises the protection circuits.
+//! baseline with extraction sessions, validate both on the standard
+//! pulse-through-resistor [`TestFixture`], then compare them against the
+//! transistor-level reference on a lossy-line fixture that exercises the
+//! protection circuits.
 //!
 //! Run with: `cargo run --example receiver_modeling --release`
 
 use circuit::mtl::{expand_coupled_line, CoupledLineSpec};
 use emc_io_macromodel::prelude::*;
-use macromodel::pipeline::estimate_cr_baseline;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let spec = refdev::md4();
     println!("estimating parametric receiver model of {} ...", spec.name);
-    let model = estimate_receiver(
-        &spec,
-        ReceiverEstimationConfig {
+    let model = ExtractionSession::for_receiver(spec.clone())
+        .config(ReceiverEstimationConfig {
             n_levels: 40,
             dwell: 64,
             r_lin: 3,
             ..Default::default()
-        },
-    )?;
+        })
+        .run()?;
     println!("  {}", model.summary());
-    let cr = estimate_cr_baseline(&spec, model.ts)?;
-    println!(
-        "  C-R baseline: C = {:.2} pF + static PWL resistor",
-        cr.c * 1e12
-    );
+    let ts = model
+        .as_dyn()
+        .sample_time()
+        .expect("receiver models are sampled");
+    let cr = ExtractionSession::for_cr_baseline(spec.clone())
+        .sample_time(ts)
+        .run()?;
+    println!("  {}", cr.summary());
+
+    // Both models against their reference on a 60 ohm series pulse that
+    // reaches above VDD.
+    let fixture = TestFixture::series_pulse(60.0, 0.0, 2.4, 0.4e-9, 0.1e-9, 2e-9, 0.1e-9);
+    for est in [&model, &cr] {
+        let m = est
+            .validate_against_reference(&fixture, None, 4e-9, None)?
+            .metrics;
+        println!(
+            "  {:<12} on the series-pulse fixture: rms {:.1} mV, max {:.1} mV",
+            est.as_dyn().kind(),
+            m.rms_error * 1e3,
+            m.max_error * 1e3
+        );
+    }
 
     // Fixture: 10 cm lossy line driven through 50 ohms by a pulse whose
     // amplitude exceeds VDD, so the up-protection circuit conducts.
@@ -41,7 +59,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         fall: 100e-12,
     };
     let t_stop = 8e-9;
-    let ts = model.ts;
 
     let run = |dut: &dyn Fn(
         &mut Circuit,
@@ -59,22 +76,13 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         Ok(res.voltage(far))
     };
 
-    let rx = spec.clone();
-    let reference = run(&move |ckt, far| {
-        let ports = rx.instantiate(ckt)?;
+    let reference = run(&|ckt, far| {
+        let ports = spec.instantiate(ckt)?;
         ckt.add(Resistor::new("j", far, ports.pad, 1e-3));
         Ok(())
     })?;
-    let m = model.clone();
-    let parametric = run(&move |ckt, far| {
-        ckt.add(ReceiverModelDevice::new(m.clone(), far));
-        Ok(())
-    })?;
-    let c = cr.clone();
-    let cr_wave = run(&move |ckt, far| {
-        c.instantiate(ckt, far);
-        Ok(())
-    })?;
+    let parametric = run(&|ckt, far| Ok(model.instantiate(ckt, far, None)?))?;
+    let cr_wave = run(&|ckt, far| Ok(cr.instantiate(ckt, far, None)?))?;
 
     let mp = ValidationMetrics::between(&parametric, &reference, 0.5 * spec.vdd);
     let mc = ValidationMetrics::between(&cr_wave, &reference, 0.5 * spec.vdd);

@@ -20,13 +20,18 @@
 //! use emc_io_macromodel::prelude::*;
 //!
 //! # fn main() -> Result<(), Box<dyn std::error::Error>> {
-//! // 1. Take a transistor-level reference device.
-//! let spec = refdev::md1();
-//! // 2. Estimate its PW-RBF macromodel.
-//! let model = estimate_driver(&spec, DriverEstimationConfig::default())?;
-//! // 3. Validate on a transmission-line load.
-//! let run = validate_driver(&spec, &model, "01", 4e-9, 12e-9,
-//!                           line_cap_load(50.0, 0.8e-9, 10e-12))?;
+//! // 1. Take a transistor-level reference device and estimate its
+//! //    PW-RBF macromodel.
+//! let estimated = ExtractionSession::for_driver(md1())
+//!     .config(DriverEstimationConfig::default())
+//!     .run()?;
+//! // 2. Validate it against the reference on a transmission-line load.
+//! let run = estimated.validate_against_reference(
+//!     &TestFixture::line_cap(50.0, 0.8e-9, 10e-12),
+//!     Some(&PortStimulus::new("01", 4e-9)),
+//!     12e-9,
+//!     None,
+//! )?;
 //! println!("timing error: {:?} s", run.metrics.timing_error);
 //! # Ok(())
 //! # }
@@ -54,16 +59,11 @@ pub mod prelude {
         save_artifact_to_path, save_model, save_model_to_path, Artifact, Provenance,
     };
     pub use macromodel::modelstore::{LoadMode, ModelStore};
-    pub use macromodel::pipeline::{
-        estimate_cr_baseline, estimate_driver, estimate_receiver, DriverEstimationConfig,
-        ReceiverEstimationConfig,
-    };
-    pub use macromodel::validate::{
-        line_cap_load, resistive_load, validate_driver, validate_macromodel, ValidationMetrics,
-    };
+    pub use macromodel::pipeline::{DriverEstimationConfig, ReceiverEstimationConfig};
+    pub use macromodel::validate::{validate_macromodel, ValidationMetrics};
     pub use macromodel::{
-        AnyModel, CrModel, EstimatedModel, ExtractionSession, Macromodel, ModelKind, ModelRegistry,
-        PortStimulus, PwRbfDriverModel, ReceiverModel, TestFixture,
+        AnyModel, CrModel, EstimatedModel, ExtractionSession, Macromodel, ModelKind, PortStimulus,
+        PwRbfDriverModel, ReceiverModel, TestFixture,
     };
     pub use refdev::{md1, md2, md3, md4, IbisCorner, IbisModel};
 }

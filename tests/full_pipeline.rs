@@ -21,6 +21,31 @@ fn fast_cfg() -> DriverEstimationConfig {
     }
 }
 
+/// Estimates a driver with [`fast_cfg`] through an extraction session.
+fn estimate_fast(spec: &refdev::CmosDriverSpec) -> EstimatedModel {
+    ExtractionSession::for_driver(spec.clone())
+        .config(fast_cfg())
+        .run()
+        .expect("estimation")
+}
+
+/// The receiver parametric model of `spec`, through an extraction session.
+fn receiver_model(spec: &refdev::ReceiverSpec) -> ReceiverModel {
+    let est = ExtractionSession::for_receiver(spec.clone())
+        .config(ReceiverEstimationConfig {
+            n_levels: 30,
+            dwell: 48,
+            r_lin: 3,
+            ..Default::default()
+        })
+        .run()
+        .expect("estimation");
+    let AnyModel::Receiver(model) = est.into_model() else {
+        panic!("a receiver session yields a receiver model");
+    };
+    model
+}
+
 /// Driver flow: estimate from MD1 and validate on a resistive load that was
 /// never part of identification. The paper's Section-5 claim is a timing
 /// error below ~30 ps; we assert a conservative 60 ps for the reduced
@@ -28,8 +53,13 @@ fn fast_cfg() -> DriverEstimationConfig {
 #[test]
 fn driver_pipeline_md1_resistive() {
     let spec = refdev::md1();
-    let model = estimate_driver(&spec, fast_cfg()).expect("estimation");
-    let run = validate_driver(&spec, &model, "010", 4e-9, 12e-9, resistive_load(75.0))
+    let run = estimate_fast(&spec)
+        .validate_against_reference(
+            &TestFixture::resistive(75.0),
+            Some(&PortStimulus::new("010", 4e-9)),
+            12e-9,
+            None,
+        )
         .expect("validation");
     assert!(
         run.metrics.rms_error < 0.05 * spec.vdd,
@@ -45,16 +75,14 @@ fn driver_pipeline_md1_resistive() {
 #[test]
 fn driver_pipeline_md1_line_cap() {
     let spec = refdev::md1();
-    let model = estimate_driver(&spec, fast_cfg()).expect("estimation");
-    let run = validate_driver(
-        &spec,
-        &model,
-        "01",
-        4e-9,
-        12e-9,
-        line_cap_load(50.0, 0.8e-9, 10e-12),
-    )
-    .expect("validation");
+    let run = estimate_fast(&spec)
+        .validate_against_reference(
+            &TestFixture::line_cap(50.0, 0.8e-9, 10e-12),
+            Some(&PortStimulus::new("01", 4e-9)),
+            12e-9,
+            None,
+        )
+        .expect("validation");
     assert!(
         run.metrics.rms_error < 0.06 * spec.vdd,
         "rms {} V",
@@ -71,9 +99,18 @@ fn driver_pipeline_md1_line_cap() {
 #[test]
 fn driver_pipeline_md2() {
     let spec = refdev::md2();
-    let model = estimate_driver(&spec, fast_cfg()).expect("estimation");
+    let est = estimate_fast(&spec);
+    let AnyModel::PwRbfDriver(model) = est.model() else {
+        panic!("a driver session yields a driver model");
+    };
     assert_eq!(model.vdd, 1.8);
-    let run = validate_driver(&spec, &model, "010", 2e-9, 6e-9, resistive_load(60.0))
+    let run = est
+        .validate_against_reference(
+            &TestFixture::resistive(60.0),
+            Some(&PortStimulus::new("010", 2e-9)),
+            6e-9,
+            None,
+        )
         .expect("validation");
     assert!(
         run.metrics.rms_error < 0.05 * spec.vdd,
@@ -88,16 +125,7 @@ fn driver_pipeline_md2() {
 #[test]
 fn receiver_pipeline_md4() {
     let spec = refdev::md4();
-    let model = estimate_receiver(
-        &spec,
-        ReceiverEstimationConfig {
-            n_levels: 30,
-            dwell: 48,
-            r_lin: 3,
-            ..Default::default()
-        },
-    )
-    .expect("estimation");
+    let model = receiver_model(&spec);
     let ts = model.ts;
 
     let run = |with_model: bool| -> Waveform {
@@ -158,17 +186,14 @@ fn receiver_pipeline_md4() {
 #[test]
 fn parametric_beats_cr_baseline() {
     let spec = refdev::md4();
-    let model = estimate_receiver(
-        &spec,
-        ReceiverEstimationConfig {
-            n_levels: 30,
-            dwell: 48,
-            r_lin: 3,
-            ..Default::default()
-        },
-    )
-    .expect("estimation");
-    let cr = estimate_cr_baseline(&spec, model.ts).expect("cr estimation");
+    let model = receiver_model(&spec);
+    let est = ExtractionSession::for_cr_baseline(spec.clone())
+        .sample_time(model.ts)
+        .run()
+        .expect("cr estimation");
+    let AnyModel::Cr(cr) = est.into_model() else {
+        panic!("a C-R session yields a C-R model");
+    };
     let ts = model.ts;
 
     let stim = || SourceWaveform::Pulse {
@@ -233,8 +258,9 @@ fn parametric_beats_cr_baseline() {
 /// round trips are covered by the `exchange` tests.)
 #[test]
 fn model_structural_invariants() {
-    let spec = refdev::md1();
-    let model = estimate_driver(&spec, fast_cfg()).expect("estimation");
+    let AnyModel::PwRbfDriver(model) = estimate_fast(&refdev::md1()).into_model() else {
+        panic!("a driver session yields a driver model");
+    };
     assert!(model.validate().is_ok());
     let copy = model.clone();
     assert_eq!(copy.up.len(), model.up.len());

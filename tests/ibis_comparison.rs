@@ -10,23 +10,28 @@ fn pwrbf_beats_ibis_on_reactive_load() {
     let spec = refdev::md1();
     // Full estimation configuration: this test asserts the paper's headline
     // accuracy ordering, so both models get their best-quality extraction.
-    let pwrbf =
-        estimate_driver(&spec, DriverEstimationConfig::default()).expect("pwrbf estimation");
+    let pwrbf = ExtractionSession::for_driver(spec.clone())
+        .config(DriverEstimationConfig::default())
+        .run()
+        .expect("pwrbf estimation");
+    let ts = pwrbf
+        .as_dyn()
+        .sample_time()
+        .expect("PW-RBF models are sampled");
     let ibis = IbisModel::extract(&spec, IbisExtractConfig::default()).expect("ibis extraction");
 
     let (z0, td, c_load) = (50.0, 0.8e-9, 10e-12);
     let (bit_time, t_stop) = (4e-9, 12e-9);
 
     // PW-RBF validation (also produces the shared reference waveform).
-    let run = validate_driver(
-        &spec,
-        &pwrbf,
-        "01",
-        bit_time,
-        t_stop,
-        line_cap_load(z0, td, c_load),
-    )
-    .expect("pwrbf validation");
+    let run = pwrbf
+        .validate_against_reference(
+            &TestFixture::line_cap(z0, td, c_load),
+            Some(&PortStimulus::new("01", bit_time)),
+            t_stop,
+            None,
+        )
+        .expect("pwrbf validation");
 
     // IBIS typical corner through the same fixture.
     let v_ibis = {
@@ -36,7 +41,7 @@ fn pwrbf_beats_ibis_on_reactive_load() {
         ckt.add(IdealLine::new("line", out, GROUND, far, GROUND, z0, td));
         ckt.add(Capacitor::new("cl", far, GROUND, c_load));
         let res = ckt
-            .transient(TranParams::new(pwrbf.ts, t_stop))
+            .transient(TranParams::new(ts, t_stop))
             .expect("ibis tran");
         res.voltage(out)
     };

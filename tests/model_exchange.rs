@@ -189,18 +189,35 @@ fn v1_compatibility_and_crlf_normalization_on_estimated_artifacts() {
 }
 
 /// A loaded artifact drives the generic validation harness exactly like the
-/// in-memory model (acceptance: `validate_driver` is backend-generic).
+/// in-memory model (acceptance: `validate_macromodel` is backend-generic).
 #[test]
 fn loaded_artifact_validates_like_the_original() {
-    use macromodel::validate::{resistive_load, validate_driver};
+    use macromodel::validate::{validate_macromodel, ReferencePort};
     let spec = refdev::md1();
-    let model = macromodel::pipeline::estimate_driver(&spec, fast_cfg()).expect("estimation");
-    let loaded = round_trip(&AnyModel::from(model.clone()));
+    let est = ExtractionSession::for_driver(spec.clone())
+        .config(fast_cfg())
+        .run()
+        .expect("estimation");
+    let loaded = round_trip(est.model());
 
-    let run_a = validate_driver(&spec, &model, "010", 4e-9, 12e-9, resistive_load(75.0))
+    let run_a = est
+        .validate_against_reference(
+            &TestFixture::resistive(75.0),
+            Some(&PortStimulus::new("010", 4e-9)),
+            12e-9,
+            None,
+        )
         .expect("in-memory validation");
-    let run_b = validate_driver(&spec, &loaded, "010", 4e-9, 12e-9, resistive_load(75.0))
-        .expect("loaded validation");
+    let run_b = validate_macromodel(
+        &ReferencePort::Driver(spec.clone()),
+        &loaded,
+        &TestFixture::resistive(75.0),
+        Some(&PortStimulus::new("010", 4e-9)),
+        loaded.sample_time().expect("sampled model"),
+        12e-9,
+        0.5 * spec.vdd,
+    )
+    .expect("loaded validation");
     assert!(max_diff(&run_a.model, &run_b.model) <= 1e-12);
     assert!((run_a.metrics.rms_error - run_b.metrics.rms_error).abs() <= 1e-12);
 }

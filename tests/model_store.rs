@@ -158,10 +158,9 @@ fn fleet_store_validates_and_sweeps_green() {
         );
     }
 
-    // A registry flattened from the store serves lookups by name.
-    let registry = store.to_registry();
-    assert!(registry.get("md1").is_some());
-    assert!(registry.get("md1_Slow").is_some());
-    assert!(registry.get("md4_cr").is_some());
+    // The store serves lookups by name across every artifact.
+    assert!(store.get("md1").is_some());
+    assert!(store.get("md1_Slow").is_some());
+    assert!(store.get("md4_cr").is_some());
     std::fs::remove_dir_all(&dir).ok();
 }

@@ -25,19 +25,24 @@ fn quickstart_smoke() {
         t_window: 3.5e-9,
         ..Default::default()
     };
-    let model = estimate_driver(&spec, cfg).expect("estimation");
+    let est = ExtractionSession::for_driver(spec.clone())
+        .config(cfg)
+        .run()
+        .expect("estimation");
+    let AnyModel::PwRbfDriver(model) = est.model() else {
+        panic!("a driver session yields a driver model");
+    };
     assert_eq!(model.vdd, spec.vdd);
     assert!(model.validate().is_ok());
 
-    let run = validate_driver(
-        &spec,
-        &model,
-        "01",
-        4e-9,
-        12e-9,
-        line_cap_load(50.0, 0.8e-9, 10e-12),
-    )
-    .expect("validation");
+    let run = est
+        .validate_against_reference(
+            &TestFixture::line_cap(50.0, 0.8e-9, 10e-12),
+            Some(&PortStimulus::new("01", 4e-9)),
+            12e-9,
+            None,
+        )
+        .expect("validation");
     // Generous sanity bounds for the tiny config: the predicted pad voltage
     // must track the reference within a fraction of the supply.
     assert!(
