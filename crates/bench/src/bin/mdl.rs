@@ -19,9 +19,6 @@
 //! mdl store validate <dir> [--fast] [--json PATH]
 //! mdl store sweep <dir> [--fast] [--json PATH]
 //! mdl serve <dir> --socket PATH [--poll-ms N] [--fast]
-//! mdl bench-serve <dir>|--socket PATH [--clients N] [--requests N]
-//!                 [--sweep-every N] [--validate-every N] [--json PATH]
-//!                 [--baseline PATH] [--full]
 //! mdl request --socket PATH <request line...>
 //! ```
 //!
@@ -53,20 +50,19 @@
 //! after `extract` works from the files alone — no re-estimation.
 //!
 //! `serve` keeps a store resident behind a Unix socket with hot reload and
-//! a digest-keyed artifact cache ([`emc_bench::server`]); `bench-serve`
-//! fires a mixed load burst at a daemon (spawning one in-process when
-//! given a directory) and reports p50/p95/p99 latency plus throughput;
-//! `request` is the one-shot protocol client for scripts. The
-//! microbenches (evaluation runtime, eye layers, store I/O) are `cargo
-//! bench` targets, run through `scripts/bench-baseline.sh NAME`.
+//! a digest-keyed artifact cache ([`emc_bench::server`]); `request` is
+//! the one-shot protocol client for scripts, exiting 0 on an `"ok":true`
+//! reply and 1 otherwise. Daemon latency is measured by `perfbench
+//! --workload serve`. The microbenches (evaluation runtime, eye layers,
+//! store I/O) are `cargo bench` targets, run through
+//! `scripts/bench-baseline.sh NAME`.
 
 use emc_bench::serve::{
     driver_spec, mc_summary_json, receiver_spec, run_eye_workload, run_mc_workload,
     standard_scenarios, sweep_store, validate_model, validate_store, EyeWorkload, FleetReport,
     McWorkload,
 };
-use emc_bench::server::{self, LoadGenConfig, ServeConfig};
-use emc_bench::BenchRecord;
+use emc_bench::server::{self, ServeConfig};
 use macromodel::exchange::binary::{is_binary, save_artifact_bin, save_artifact_bin_to_path};
 use macromodel::exchange::{
     load_artifact_bytes, load_artifact_from_path, load_model_from_path, save_artifact,
@@ -80,7 +76,7 @@ type CliResult<T> = Result<T, Box<dyn std::error::Error + Send + Sync>>;
 
 fn usage() -> ! {
     eprintln!(
-        "usage:\n  mdl extract <md1|md2|md3|md4> [--kind pwrbf|ibis|receiver|cr] [--out PATH] [--fast] [--v2] [--corners] [--bin]\n  mdl convert <in.mdlx|in.mdlxb> <out> [--to text|binary]\n  mdl info <file.mdlx|file.mdlxb>\n  mdl lint <file.mdlx>|<dir> [--json] [--deny CODE] [--allow CODE]\n  mdl validate <file.mdlx|file.mdlxb> [--rms-limit V] [--timing-limit S] [--fast]\n  mdl simulate <file.mdlx> [--fixture r50|linecap|pulse] [--pattern BITS] [--bit-time S] [--t-stop S]\n  mdl eye <file.mdlx> [--prbs 7|15|31] [--bits N] [--seed S] [--lanes N] [--bit-time S] [--json]\n  mdl mc <file.mdlx> [--trials N] [--seed S] [--prbs 7|15|31] [--bits N] [--json]\n  mdl store ls <dir> [--json]\n  mdl store validate <dir> [--fast] [--json PATH]\n  mdl store sweep <dir> [--fast] [--json PATH]\n  mdl serve <dir> --socket PATH [--poll-ms N] [--fast]\n  mdl bench-serve <dir>|--socket PATH [--clients N] [--requests N] [--sweep-every N] [--validate-every N] [--json PATH] [--baseline PATH] [--full]\n  mdl request --socket PATH <request line...>"
+        "usage:\n  mdl extract <md1|md2|md3|md4> [--kind pwrbf|ibis|receiver|cr] [--out PATH] [--fast] [--v2] [--corners] [--bin]\n  mdl convert <in.mdlx|in.mdlxb> <out> [--to text|binary]\n  mdl info <file.mdlx|file.mdlxb>\n  mdl lint <file.mdlx>|<dir> [--json] [--deny CODE] [--allow CODE]\n  mdl validate <file.mdlx|file.mdlxb> [--rms-limit V] [--timing-limit S] [--fast]\n  mdl simulate <file.mdlx> [--fixture r50|linecap|pulse] [--pattern BITS] [--bit-time S] [--t-stop S]\n  mdl eye <file.mdlx> [--prbs 7|15|31] [--bits N] [--seed S] [--lanes N] [--bit-time S] [--json]\n  mdl mc <file.mdlx> [--trials N] [--seed S] [--prbs 7|15|31] [--bits N] [--json]\n  mdl store ls <dir> [--json]\n  mdl store validate <dir> [--fast] [--json PATH]\n  mdl store sweep <dir> [--fast] [--json PATH]\n  mdl serve <dir> --socket PATH [--poll-ms N] [--fast]\n  mdl request --socket PATH <request line...>"
     );
     std::process::exit(2);
 }
@@ -845,99 +841,6 @@ fn cmd_serve(mut args: Vec<String>) -> CliResult<()> {
     Ok(())
 }
 
-fn cmd_bench_serve(mut args: Vec<String>) -> CliResult<()> {
-    let full = parse_flag(&mut args, "--full");
-    let socket = parse_opt(&mut args, "--socket");
-    let clients = parse_count_opt(&mut args, "--clients", 1).map(|v| v as usize);
-    let requests = parse_count_opt(&mut args, "--requests", 1).map(|v| v as usize);
-    // 0 disables the periodic sweep / validate requests.
-    let sweep_every = parse_count_opt(&mut args, "--sweep-every", 0).map(|v| v as usize);
-    let validate_every = parse_count_opt(&mut args, "--validate-every", 0).map(|v| v as usize);
-    let json = parse_opt(&mut args, "--json");
-    let baseline = parse_opt(&mut args, "--baseline");
-
-    // Either bench an already-running daemon (--socket) or spawn one
-    // in-process over the given store directory for the duration.
-    let (socket_path, handle) = match (socket, args.as_slice()) {
-        (Some(sock), []) => (std::path::PathBuf::from(sock), None),
-        (None, [dir]) => {
-            let sock =
-                std::env::temp_dir().join(format!("mdl-bench-serve-{}.sock", std::process::id()));
-            let mut cfg = ServeConfig::new(dir, &sock);
-            cfg.poll_interval = std::time::Duration::from_millis(200);
-            cfg.fast = !full;
-            (sock, Some(server::start(cfg)?))
-        }
-        _ => usage(),
-    };
-
-    let mut cfg = LoadGenConfig::new(&socket_path);
-    cfg.fast = !full;
-    if let Some(n) = clients {
-        cfg.clients = n;
-    }
-    if let Some(n) = requests {
-        cfg.requests_per_client = n;
-    }
-    if let Some(n) = sweep_every {
-        cfg.sweep_every = n;
-    }
-    if let Some(n) = validate_every {
-        cfg.validate_every = n;
-    }
-    let result = server::run_load(&cfg);
-    if let Some(handle) = handle {
-        handle.stop();
-    }
-    let report = result?;
-
-    println!(
-        "bench-serve: {} requests over {} clients in {:.2} s ({:.1} req/s)",
-        report.total, cfg.clients, report.elapsed_s, report.throughput_rps
-    );
-    for s in std::iter::once(&report.overall).chain(&report.per_op) {
-        println!(
-            "  {:<9} n={:<4} p50 {:.1} ms  p95 {:.1} ms  p99 {:.1} ms  max {:.1} ms",
-            s.op,
-            s.count,
-            s.p50_s * 1e3,
-            s.p95_s * 1e3,
-            s.p99_s * 1e3,
-            s.max_s * 1e3
-        );
-    }
-    println!(
-        "  request failures {}  cell failures {}",
-        report.request_failures, report.cell_failures
-    );
-    if let Some(path) = json {
-        std::fs::write(&path, report.to_json())?;
-        println!("report written to {path}");
-    }
-    if let Some(path) = baseline {
-        append_baseline(&path, &report.baseline_records())?;
-    }
-    if report.request_failures > 0 {
-        return Err(format!("{} requests failed", report.request_failures).into());
-    }
-    Ok(())
-}
-
-/// Appends records as baseline-gate JSON lines to `path` (created if
-/// missing).
-fn append_baseline(path: &str, records: &[BenchRecord]) -> CliResult<()> {
-    use std::io::Write as _;
-    let mut f = std::fs::OpenOptions::new()
-        .create(true)
-        .append(true)
-        .open(path)?;
-    for r in records {
-        writeln!(f, "{}", r.to_json())?;
-    }
-    println!("baseline records appended to {path}");
-    Ok(())
-}
-
 fn cmd_request(mut args: Vec<String>) -> CliResult<()> {
     let socket = parse_opt(&mut args, "--socket").unwrap_or_else(|| {
         eprintln!("request needs --socket PATH");
@@ -975,7 +878,6 @@ fn main() {
         "mc" => cmd_mc(args),
         "store" => cmd_store(args),
         "serve" => cmd_serve(args),
-        "bench-serve" => cmd_bench_serve(args),
         "request" => cmd_request(args),
         _ => usage(),
     };

@@ -15,7 +15,6 @@ use circuit::devices::{Capacitor, IdealLine, Resistor, SourceWaveform, VoltageSo
 use circuit::mtl::{expand_coupled_line, CoupledLineSpec};
 use circuit::{Circuit, TranParams, Waveform, GROUND};
 use macromodel::device::PwRbfDriver;
-use macromodel::json::{self, Layout};
 use macromodel::validate::ValidationMetrics;
 use macromodel::{
     AnyModel, CrModel, ExtractionSession, Macromodel, PortStimulus, PwRbfDriverModel,
@@ -38,32 +37,6 @@ pub type Result<T> = std::result::Result<T, Box<dyn std::error::Error + Send + S
 
 /// The model sample time used across all experiments (s).
 pub const TS: f64 = 25e-12;
-
-/// One load-bench percentile in the `scripts/bench-baseline.sh` record
-/// schema, as `mdl bench-serve --baseline` appends it to
-/// `BENCH_serve.json`. The microbenches (`cargo bench`) write the same
-/// schema through the criterion stand-in.
-#[derive(Debug, Clone)]
-pub struct BenchRecord {
-    /// Record id (`serve/sweep/p50`, `serve/seconds_per_request`, ...).
-    pub bench: String,
-    /// Seconds per request at the record's percentile. The field keeps
-    /// the gate's schema name.
-    pub median_s: f64,
-    /// Requests in the burst.
-    pub samples: usize,
-}
-
-impl BenchRecord {
-    /// The baseline-gate JSON line.
-    pub fn to_json(&self) -> String {
-        json::object(Layout::Spaced, |o| {
-            o.field("bench", &self.bench)
-                .field("median_s", self.median_s)
-                .field("samples", self.samples);
-        })
-    }
-}
 
 /// Parses `v`, the value of `key`, as a whole number in `min..=max`: plain
 /// digits or a finite, integral float (`1e3`). This is the one count
@@ -769,28 +742,6 @@ mod tests {
         assert!(
             0.0 < r.min_s && r.min_s <= r.median_s && r.median_s <= r.max_s,
             "{line}"
-        );
-    }
-
-    #[test]
-    fn records_are_baseline_gate_json() {
-        let r = BenchRecord {
-            bench: "eval/driver_step/compiled".into(),
-            median_s: 1.25e-7,
-            samples: 1000,
-        };
-        assert_eq!(
-            r.to_json(),
-            "{\"bench\": \"eval/driver_step/compiled\", \"median_s\": 1.25e-7, \"samples\": 1000}"
-        );
-        // A failed timing stays valid JSON.
-        let nan = BenchRecord {
-            median_s: f64::NAN,
-            ..r
-        };
-        assert_eq!(
-            nan.to_json(),
-            "{\"bench\": \"eval/driver_step/compiled\", \"median_s\": null, \"samples\": 1000}"
         );
     }
 

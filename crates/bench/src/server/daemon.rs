@@ -806,7 +806,7 @@ fn stats_json(inner: &Arc<Inner>) -> String {
 }
 
 /// Connects to a running daemon and performs one framed request/response
-/// round trip (shared by the CLI one-shot client and the load generator).
+/// round trip: the one-shot client behind `mdl request`.
 ///
 /// # Errors
 ///

@@ -13,9 +13,8 @@
 //!   behind hot reload;
 //! * [`daemon`] — the daemon itself: generation-swapped inventory,
 //!   content-digest artifact cache, mtime/len polling hot reload, and the
-//!   connection loops;
-//! * [`loadgen`] — the `mdl bench-serve` load generator measuring
-//!   p50/p95/p99 latency and throughput against a running daemon.
+//!   connection loops, plus [`daemon::Client`], the framed-protocol
+//!   client behind `mdl request`.
 //!
 //! Hot reload is drop-free by construction: the inventory is an immutable
 //! generation behind an `RwLock<Arc<_>>`, every in-flight request holds
@@ -26,12 +25,10 @@
 
 pub mod cache;
 pub mod daemon;
-pub mod loadgen;
 pub mod protocol;
 pub mod scheduler;
 
 pub use daemon::{start, ServeConfig, ServerHandle};
-pub use loadgen::{run_load, LoadGenConfig, LoadReport};
 
 use crate::serve::ModelLint;
 use macromodel::AnyModel;

@@ -4,7 +4,7 @@
 //! lazy-store concurrency guarantees the daemon builds on.
 
 use emc_bench::server::daemon::Client;
-use emc_bench::server::{run_load, start, LoadGenConfig, ServeConfig};
+use emc_bench::server::{start, ServeConfig};
 use macromodel::driver::{PwRbfDriverModel, WeightSequence};
 use macromodel::exchange::{
     save_artifact_to_path, save_model_to_path, AnyModel, Artifact, Provenance,
@@ -347,19 +347,64 @@ fn hot_reload_swaps_digests_without_dropping_requests() {
 }
 
 #[test]
-fn load_generator_targets_models_whose_names_need_escaping() {
+fn client_reaches_models_whose_names_need_escaping() {
     // The protocol splits request lines on whitespace, so the name holds a
     // quote but no space.
+    let name = "md1\"q";
     let dir = temp_dir("quoted");
-    save_model_to_path(&dummy_driver("md1\"q", 0.02), dir.join("q.mdlx")).unwrap();
+    save_model_to_path(&dummy_driver(name, 0.02), dir.join("q.mdlx")).unwrap();
     let handle = start(serve_cfg(&dir, "quoted", 200)).unwrap();
-    let mut cfg = LoadGenConfig::new(handle.socket_path());
-    cfg.clients = 1;
-    cfg.requests_per_client = 4;
-    let report = run_load(&cfg).unwrap();
+    let mut client = Client::connect(&handle.socket_path()).unwrap();
+
+    // The inventory escapes the quote, and the reader gets the name back.
+    let ls = client.request("ls").unwrap();
+    let models = lookup(&ls, &["models"]);
+    let names: Vec<&str> = models
+        .as_array()
+        .unwrap()
+        .iter()
+        .filter_map(|m| m.get("name")?.as_str())
+        .collect();
+    assert_eq!(names, [name], "{ls}");
+
+    for line in [format!("info {name}"), format!("simulate {name}")] {
+        let reply = client.request(&line).unwrap();
+        assert_eq!(
+            lookup(&reply, &["ok"]).as_bool(),
+            Some(true),
+            "{line}: {reply}"
+        );
+    }
     handle.stop();
-    assert_eq!(report.total, 4);
-    assert_eq!(report.request_failures, 0, "{}", report.to_json());
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// Runs the built `mdl request` against `socket` and returns its exit
+/// status.
+fn mdl_request(socket: &std::path::Path, line: &[&str]) -> Option<i32> {
+    std::process::Command::new(env!("CARGO_BIN_EXE_mdl"))
+        .arg("request")
+        .arg("--socket")
+        .arg(socket)
+        .args(line)
+        .output()
+        .unwrap()
+        .status
+        .code()
+}
+
+#[test]
+fn mdl_request_exit_status_follows_the_reply() {
+    // Scripts (`scripts/serve-smoke.sh`) fail on the exit status alone.
+    let dir = temp_dir("request_cli");
+    save_model_to_path(&dummy_driver("drv_a", 0.02), dir.join("a.mdlx")).unwrap();
+    let handle = start(serve_cfg(&dir, "request_cli", 200)).unwrap();
+    let socket = handle.socket_path();
+    assert_eq!(mdl_request(&socket, &["info", "drv_a"]), Some(0));
+    assert_eq!(mdl_request(&socket, &["info", "nosuch"]), Some(1));
+    handle.stop();
+    // Nothing listens on the socket any more.
+    assert_eq!(mdl_request(&socket, &["ls"]), Some(1));
     std::fs::remove_dir_all(&dir).ok();
 }
 

@@ -232,7 +232,6 @@ fn out_of_range_counts_are_usage_errors() {
         &["eye", missing, "--lanes", "0"],
         &["eye", missing, "--prbs", "8"],
         &["eye", missing, "--seed", "inf"],
-        &["bench-serve", "--socket", "x.sock", "--clients", "0"],
         &["serve", "dir", "--socket", "x.sock", "--poll-ms", "0"],
     ];
     for args in rejected {
@@ -257,9 +256,10 @@ fn out_of_range_counts_are_usage_errors() {
 
 #[test]
 fn removed_bench_subcommands_are_usage_errors() {
-    // The microbenches are `cargo bench` targets; a script still calling
-    // the old subcommands must fail loudly.
-    for cmd in ["bench-eval", "bench-eye", "bench-store"] {
+    // The microbenches are `cargo bench` targets and daemon latency is
+    // perfbench's `serve` workload; a script still calling the old
+    // subcommands must fail loudly.
+    for cmd in ["bench-eval", "bench-eye", "bench-store", "bench-serve"] {
         let out = mdl(&[cmd]);
         assert_eq!(out.status.code(), Some(2), "{cmd} must be a usage error");
         let stderr = String::from_utf8_lossy(&out.stderr);

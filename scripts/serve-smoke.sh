@@ -10,14 +10,16 @@
 #   hot reload                     rewrites an artifact in place and polls
 #                                  until the daemon's reload counter moves
 #                                  without dropping the connection
-#   bench-serve                    a mixed simulate/validate/sweep burst;
-#                                  p50/p95/p99 latency and throughput land
-#                                  in $SERVE_REPORT_DIR/serve-bench.json
-#                                  for upload as a workflow artifact
+#   concurrent burst               4 background loops of 24 `mdl request`
+#                                  calls each (simulate, a validate every
+#                                  8th, a sweep every 16th) round-robin
+#                                  over the served models; the daemon's
+#                                  final `stats` is printed
 #
 # The daemon is told to shut down over the socket; the script fails if any
-# request errors, the reload never surfaces, or the load burst sees a
-# single failed request.
+# request errors, the reload never surfaces, or any request of the burst
+# comes back "ok":false. Daemon latency is measured by
+# `perfbench --workload serve`, not here.
 #
 # Usage: scripts/serve-smoke.sh [store-dir]
 set -euo pipefail
@@ -29,8 +31,6 @@ if [ -z "$store" ]; then
 else
     cleanup_store=0
 fi
-report_dir="${SERVE_REPORT_DIR:-serve-reports}"
-mkdir -p "$report_dir"
 sock="$(mktemp -u)/serve-smoke.sock"
 mkdir -p "$(dirname "$sock")"
 
@@ -115,13 +115,42 @@ fi
 mdl request --socket "$sock" simulate md1 >/dev/null
 echo "hot reload: ok (reloads $before -> $after)"
 
-echo "== latency burst (bench-serve)"
-mdl bench-serve --socket "$sock" --clients 4 --requests 24 \
-    --json "$report_dir/serve-bench.json"
+echo "== concurrent burst: 4 clients x 24 requests"
+# Served model names, in inventory order.
+mapfile -t models < <("$mdl_bin" request --socket "$sock" ls \
+    | grep -o '"name":"[^"]*"' | sed 's/^"name":"//; s/"$//')
+[ "${#models[@]}" -gt 0 ] || { echo "daemon serves no models" >&2; exit 1; }
+client_loop() {
+    local client="$1" k serial target line
+    for k in $(seq 0 23); do
+        serial=$((k + 1))
+        target="${models[$(((client + k) % ${#models[@]}))]}"
+        if [ $((serial % 16)) -eq 0 ]; then
+            line="sweep --fast"
+        elif [ $((serial % 8)) -eq 0 ]; then
+            line="validate $target --fast"
+        else
+            line="simulate $target"
+        fi
+        "$mdl_bin" request --socket "$sock" "$line" >/dev/null \
+            || { echo "client $client: '$line' failed" >&2; return 1; }
+    done
+}
+pids=()
+for client in 0 1 2 3; do
+    client_loop "$client" &
+    pids+=("$!")
+done
+failed=0
+for pid in "${pids[@]}"; do
+    wait "$pid" || failed=1
+done
+[ "$failed" = 0 ] || { echo "burst: a request failed" >&2; exit 1; }
+mdl request --socket "$sock" stats
 
 echo "== shutdown over the socket"
 mdl request --socket "$sock" shutdown >/dev/null
 wait "$serve_pid"
 serve_pid=""
 
-echo "model server: ok (latency report in $report_dir/serve-bench.json)"
+echo "model server: ok"
