@@ -5,7 +5,7 @@ use circuit::devices::{Capacitor, IdealLine, Resistor, SourceWaveform, VoltageSo
 use circuit::{Circuit, TranParams, GROUND};
 use criterion::{criterion_group, criterion_main, Criterion};
 use emc_bench::{cr_model, driver_model, receiver_model, TS};
-use macromodel::device::{PwRbfDriver, ReceiverModelDevice};
+use macromodel::{Macromodel, PortStimulus};
 
 fn bench_figures(c: &mut Criterion) {
     let md1 = driver_model(&refdev::md1()).expect("md1 estimation");
@@ -21,7 +21,8 @@ fn bench_figures(c: &mut Criterion) {
         b.iter(|| {
             let mut ckt = Circuit::new();
             let out = ckt.node("out");
-            ckt.add(PwRbfDriver::new(md1.clone(), out, "01", 4e-9));
+            md1.instantiate(&mut ckt, out, Some(&PortStimulus::new("01", 4e-9)))
+                .expect("install");
             let far = ckt.node("far");
             ckt.add(IdealLine::new("l", out, GROUND, far, GROUND, 50.0, 0.8e-9));
             ckt.add(Capacitor::new("c", far, GROUND, 10e-12));
@@ -34,7 +35,8 @@ fn bench_figures(c: &mut Criterion) {
         b.iter(|| {
             let mut ckt = Circuit::new();
             let out = ckt.node("out");
-            ckt.add(PwRbfDriver::new(md2.clone(), out, "010", 1e-9));
+            md2.instantiate(&mut ckt, out, Some(&PortStimulus::new("010", 1e-9)))
+                .expect("install");
             let far = ckt.node("far");
             ckt.add(IdealLine::new("l", out, GROUND, far, GROUND, 120.0, 0.5e-9));
             ckt.add(Capacitor::new("c", far, GROUND, 5e-12));
@@ -62,7 +64,7 @@ fn bench_figures(c: &mut Criterion) {
             ));
             let pad = ckt.node("pad");
             ckt.add(Resistor::new("rs", s, pad, 60.0));
-            ckt.add(ReceiverModelDevice::new(rx.clone(), pad));
+            rx.instantiate(&mut ckt, pad, None).expect("install");
             ckt.transient(TranParams::new(TS, 3e-9)).expect("tran")
         })
     });
@@ -87,7 +89,7 @@ fn bench_figures(c: &mut Criterion) {
             ));
             let pad = ckt.node("pad");
             ckt.add(Resistor::new("rs", s, pad, 60.0));
-            cr.instantiate(&mut ckt, pad);
+            cr.instantiate(&mut ckt, pad, None).expect("install");
             ckt.transient(TranParams::new(TS, 3e-9)).expect("tran")
         })
     });

@@ -14,7 +14,6 @@
 use circuit::devices::{Capacitor, IdealLine, Resistor, SourceWaveform, VoltageSource};
 use circuit::mtl::{expand_coupled_line, CoupledLineSpec};
 use circuit::{Circuit, TranParams, Waveform, GROUND};
-use macromodel::device::PwRbfDriver;
 use macromodel::validate::ValidationMetrics;
 use macromodel::{
     AnyModel, CrModel, ExtractionSession, Macromodel, PortStimulus, PwRbfDriverModel,
@@ -274,7 +273,7 @@ pub fn fig2() -> Result<Vec<Fig2Panel>> {
             let pwrbf = {
                 let mut ckt = Circuit::new();
                 let out = ckt.node("out");
-                ckt.add(PwRbfDriver::new(model.clone(), out, "010", bit));
+                model.instantiate(&mut ckt, out, Some(&PortStimulus::new("010", bit)))?;
                 let far = build(&mut ckt, out);
                 let res = ckt.transient(TranParams::new(TS, t_stop))?;
                 res.voltage(far)
@@ -390,14 +389,11 @@ pub fn fig4(cfg: &Fig4Config, model: Option<PwRbfDriverModel>) -> Result<Fig4Dat
         let mut ckt = Circuit::new();
         let line = expand_coupled_line(&mut ckt, &line_spec, cfg.segments, f_band)?;
         let out1 = ckt.node("drv1");
-        ckt.add(PwRbfDriver::new(
-            model.clone(),
-            out1,
-            cfg.pattern_active,
-            cfg.bit_time,
-        ));
+        let active = PortStimulus::new(cfg.pattern_active, cfg.bit_time);
+        model.instantiate(&mut ckt, out1, Some(&active))?;
         let out2 = ckt.node("drv2");
-        ckt.add(PwRbfDriver::new(model, out2, &quiet_pattern, cfg.bit_time));
+        let quiet = PortStimulus::new(quiet_pattern.as_str(), cfg.bit_time);
+        model.instantiate(&mut ckt, out2, Some(&quiet))?;
         ckt.add(Resistor::new("j1", out1, line.near[0], 1e-3));
         ckt.add(Resistor::new("j2", out2, line.near[1], 1e-3));
         ckt.add(Capacitor::new("ct1", line.far[0], GROUND, cfg.c_term));

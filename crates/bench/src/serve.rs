@@ -23,7 +23,7 @@
 
 use circuit::devices::Resistor;
 use circuit::mtl::{expand_coupled_line, CoupledLineSpec};
-use circuit::{Circuit, SolveStats, TranParams, Waveform, GROUND};
+use circuit::{Circuit, TranParams, TranResult, Waveform, GROUND};
 use macromodel::json::{self, Layout, Raw};
 use macromodel::validate::{validate_macromodel, ReferencePort, DEFAULT_VALIDATION_DT};
 use macromodel::{Macromodel, ModelKind, ModelStore, PortStimulus, TestFixture};
@@ -309,7 +309,7 @@ pub fn standard_scenarios(fast: bool) -> Vec<Scenario> {
 // ---------------------------------------------------------------------
 
 /// Solver diagnostics of one cell's transient.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, Default)]
 pub struct CellStats {
     /// Symbolic analyses (a well-behaved cell needs exactly one).
     pub symbolic_analyses: usize,
@@ -326,15 +326,28 @@ pub struct CellStats {
 }
 
 impl CellStats {
-    fn new(stats: SolveStats, newton_iterations: usize, unknowns: usize) -> Self {
+    /// The diagnostics of a finished transient `res` of `ckt`.
+    fn of(res: &TranResult, ckt: &Circuit) -> Self {
+        let s = res.solve_stats;
         CellStats {
-            symbolic_analyses: stats.symbolic_analyses,
-            factorizations: stats.factorizations,
-            factor_nnz: stats.factor_nnz,
-            flops: stats.flops,
-            newton_iterations,
-            unknowns,
+            symbolic_analyses: s.symbolic_analyses,
+            factorizations: s.factorizations,
+            factor_nnz: s.factor_nnz,
+            flops: s.flops,
+            newton_iterations: res.total_newton_iterations,
+            unknowns: ckt.unknown_count(),
         }
+    }
+
+    /// Folds in another transient's diagnostics: counts add, sizes
+    /// (`factor_nnz`, `unknowns`) keep the larger.
+    fn merge(&mut self, other: &CellStats) {
+        self.symbolic_analyses += other.symbolic_analyses;
+        self.factorizations += other.factorizations;
+        self.factor_nnz = self.factor_nnz.max(other.factor_nnz);
+        self.flops += other.flops;
+        self.newton_iterations += other.newton_iterations;
+        self.unknowns = self.unknowns.max(other.unknowns);
     }
 }
 
@@ -780,12 +793,7 @@ fn run_bus_cell(
     }
     let res = ckt.transient(TranParams::new(dt, t_stop))?;
     let waves: Vec<Waveform> = (0..conductors).map(|j| res.voltage(line.far[j])).collect();
-    let stats = CellStats::new(
-        res.solve_stats,
-        res.total_newton_iterations,
-        ckt.unknown_count(),
-    );
-    Ok((waves, stats))
+    Ok((waves, CellStats::of(&res, &ckt)))
 }
 
 /// Runs the eye workload: every channel lane driven by an instance of
@@ -831,11 +839,7 @@ pub fn run_eye_workload(
     model.instantiate_lanes(&mut ckt, &lanes)?;
     let res = ckt.transient(TranParams::new(dt, w.t_stop()))?;
     let waves: Vec<Waveform> = ports.far.iter().map(|&far| res.voltage(far)).collect();
-    let stats = CellStats::new(
-        res.solve_stats,
-        res.total_newton_iterations,
-        ckt.unknown_count(),
-    );
+    let stats = CellStats::of(&res, &ckt);
     // Worst lane: any closed eye beats every open one; among open eyes the
     // smallest height. Re-analyze it last so the analyzer's raster matches
     // the reported metrics.
@@ -891,7 +895,7 @@ pub fn run_mc_workload(
     let mut analyzer = EyeAnalyzer::new(EyeConfig::new(w.bit_time));
     let mut waves = Vec::with_capacity(trials.len());
     let mut metrics = Vec::with_capacity(trials.len());
-    let mut agg: Option<CellStats> = None;
+    let mut stats = CellStats::default();
     for trial in &trials {
         let mut spec = ChannelSpec::new(2);
         spec.segments = 2;
@@ -915,32 +919,9 @@ pub fn run_mc_workload(
         let wave = res.voltage(ports.far[0]);
         metrics.push(analyzer.analyze(&wave));
         waves.push(wave);
-        let s = CellStats::new(
-            res.solve_stats,
-            res.total_newton_iterations,
-            ckt.unknown_count(),
-        );
-        agg = Some(match agg {
-            None => s,
-            Some(a) => CellStats {
-                symbolic_analyses: a.symbolic_analyses + s.symbolic_analyses,
-                factorizations: a.factorizations + s.factorizations,
-                factor_nnz: a.factor_nnz.max(s.factor_nnz),
-                flops: a.flops + s.flops,
-                newton_iterations: a.newton_iterations + s.newton_iterations,
-                unknowns: a.unknowns.max(s.unknowns),
-            },
-        });
+        stats.merge(&CellStats::of(&res, &ckt));
     }
     let summary = McSummary::from_metrics(&metrics, &w.gates, w.seed);
-    let stats = agg.unwrap_or(CellStats {
-        symbolic_analyses: 0,
-        factorizations: 0,
-        factor_nnz: 0,
-        flops: 0,
-        newton_iterations: 0,
-        unknowns: 0,
-    });
     Ok((waves, stats, summary))
 }
 
@@ -961,12 +942,7 @@ pub(crate) fn run_sweep_cell(model: &dyn Macromodel, scenario: &Scenario) -> Cel
             fixture.install(&mut ckt, pad);
             model.instantiate(&mut ckt, pad, stim.as_ref())?;
             let res = ckt.transient(TranParams::new(dt, *t_stop))?;
-            let stats = CellStats::new(
-                res.solve_stats,
-                res.total_newton_iterations,
-                ckt.unknown_count(),
-            );
-            Ok((vec![res.voltage(pad)], stats))
+            Ok((vec![res.voltage(pad)], CellStats::of(&res, &ckt)))
         })(),
         ScenarioKind::BusLadder {
             conductors,
@@ -1868,7 +1844,8 @@ pub(crate) mod tests {
     #[test]
     fn panicking_sweep_cell_fails_only_itself() {
         let store = tmp_store("panic", &[dummy_driver("d1")]);
-        // '2' is no bit: building the driver's lane stimulus panics.
+        // '2' is no bit: the install rejects the stimulus with a typed
+        // error, so the cell fails without panicking.
         let bad = Scenario {
             name: "bad-pattern".into(),
             applies_to: Applicability::Drivers,
@@ -1878,21 +1855,41 @@ pub(crate) mod tests {
                 t_stop: 3e-9,
             },
         };
+        // A conductor-less bus indexes an empty line: the cell panics.
+        let empty_bus = Scenario {
+            name: "empty-bus".into(),
+            applies_to: Applicability::Drivers,
+            kind: ScenarioKind::BusLadder {
+                conductors: 0,
+                segments: 1,
+                pattern: "01".into(),
+                bit_time: 1e-9,
+                t_stop: 3e-9,
+            },
+        };
         let r50 = standard_scenarios(true)
             .into_iter()
             .find(|s| s.name == "r50")
             .unwrap();
-        let report = sweep_store(&store, &[bad, r50]);
-        assert_eq!(report.cells.len(), 2);
-        assert_eq!(report.failed(), 1);
+        let report = sweep_store(&store, &[bad, empty_bus, r50]);
+        assert_eq!(report.cells.len(), 3);
+        assert_eq!(report.failed(), 2);
         let bad = &report.cells[0];
         assert_eq!(bad.scenario, "bad-pattern");
         assert!(
-            bad.detail.starts_with("panic: ") && bad.detail.contains("'2'"),
+            !bad.detail.starts_with("panic: ") && bad.detail.contains("\"012\""),
             "{}",
             bad.detail
         );
-        assert!(report.cells[1].pass, "{}", report.cells[1].detail);
+        let panicked = &report.cells[1];
+        assert_eq!(panicked.scenario, "empty-bus");
+        assert!(
+            panicked.detail.starts_with("panic: ")
+                && panicked.detail.contains("index out of bounds"),
+            "{}",
+            panicked.detail
+        );
+        assert!(report.cells[2].pass, "{}", report.cells[2].detail);
         std::fs::remove_dir_all(store.root()).ok();
     }
 

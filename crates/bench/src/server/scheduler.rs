@@ -239,7 +239,6 @@ mod tests {
     #[test]
     fn panicking_cell_is_reported_and_the_runner_keeps_serving() {
         use crate::serve::ScenarioKind;
-        use macromodel::{PortStimulus, TestFixture};
 
         let scheduler = Scheduler::new();
         let runner = {
@@ -247,13 +246,15 @@ mod tests {
             std::thread::spawn(move || s.run())
         };
         let model = Arc::new(super::super::tests::served_dummy("drv"));
-        // '2' is no bit: building the driver's lane stimulus panics.
+        // A conductor-less bus indexes an empty line: the cell panics.
         let bad = Scenario {
-            name: "bad-pattern".into(),
+            name: "empty-bus".into(),
             applies_to: Applicability::Drivers,
-            kind: ScenarioKind::Fixture {
-                fixture: TestFixture::resistive(50.0),
-                stim: Some(PortStimulus::new("012", 1e-9)),
+            kind: ScenarioKind::BusLadder {
+                conductors: 0,
+                segments: 1,
+                pattern: "01".into(),
+                bit_time: 1e-9,
                 t_stop: 3e-9,
             },
         };
@@ -271,10 +272,11 @@ mod tests {
             // One job per batch: the good cell is submitted after the
             // panic was handled.
             let report = rx.recv().expect("the runner replies");
-            if report.scenario == "bad-pattern" {
+            if report.scenario == "empty-bus" {
                 assert!(!report.pass);
                 assert!(
-                    report.detail.starts_with("panic: ") && report.detail.contains("'2'"),
+                    report.detail.starts_with("panic: ")
+                        && report.detail.contains("index out of bounds"),
                     "{}",
                     report.detail
                 );

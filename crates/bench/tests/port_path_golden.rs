@@ -129,3 +129,51 @@ fn receiver_pulse_cell_is_bit_stable() {
         got.0
     );
 }
+
+/// The md1 driver on the fast `r50` and `linecap` fixture cells, built the
+/// way the sweep builds a fixture cell: pad node, fixture, one single-pad
+/// install, transient at `Ts`.
+#[test]
+fn driver_fixture_cells_are_bit_stable() {
+    let model = md1();
+    let ts = sample_time(model);
+    let mut got = Vec::new();
+    for name in ["r50", "linecap"] {
+        let scenario = standard_scenarios(true)
+            .into_iter()
+            .find(|s| s.name == name)
+            .expect("standard driver scenario");
+        let ScenarioKind::Fixture {
+            fixture,
+            stim,
+            t_stop,
+        } = scenario.kind
+        else {
+            panic!("{name} is a fixture cell");
+        };
+        let mut ckt = Circuit::new();
+        let pad = ckt.node(format!("{}_pad", model.name()));
+        fixture.install(&mut ckt, pad);
+        model
+            .instantiate(&mut ckt, pad, stim.as_ref())
+            .expect("driver installs");
+        let res = ckt
+            .transient(TranParams::new(ts, t_stop))
+            .expect("fixture run");
+        let s = res.solve_stats;
+        got.push((
+            fnv1a_bits(&[res.voltage(pad)]),
+            res.total_newton_iterations,
+            s.factorizations,
+            s.flops,
+        ));
+    }
+    assert_eq!(
+        got,
+        vec![
+            (0xeb9e_1f3a_67f2_1fd8, 498, 500, 0),
+            (0xbf3d_789c_7cf5_3bfd, 395, 3, 14),
+        ],
+        "{got:x?}"
+    );
+}

@@ -249,7 +249,7 @@ mod tests {
 
     #[test]
     fn order_accessor() {
-        let l = Matrix::identity(2).scaled(1e-6);
+        let l = Matrix::from_rows(&[&[1e-6, 0.0], &[0.0, 1e-6]]).unwrap();
         let b = CoupledInductors::new("b", vec![GROUND, GROUND], vec![GROUND, GROUND], l);
         assert_eq!(b.order(), 2);
         assert_eq!(b.num_branches(), 2);

@@ -56,17 +56,6 @@ impl Waveform {
         interp::lerp_at(&self.t, &self.y, t)
     }
 
-    /// Resamples onto a uniform grid with step `dt` starting at the first
-    /// time point.
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`numkit::Error`] for invalid inputs.
-    pub fn resample(&self, dt: f64) -> Result<Waveform, numkit::Error> {
-        let (t, y) = interp::resample_uniform(&self.t, &self.y, dt)?;
-        Ok(Waveform { t, y })
-    }
-
     /// Returns the sub-waveform on `[t0, t1]` (inclusive of samples inside).
     pub fn window(&self, t0: f64, t1: f64) -> Waveform {
         let mut t = Vec::new();
@@ -208,14 +197,6 @@ mod tests {
         assert_eq!(sub.values(), &[2.0, 3.0, 4.0]);
         let neg = w.map(|v| -v);
         assert_eq!(neg.values()[10], -10.0);
-    }
-
-    #[test]
-    fn resample_works() {
-        let w = ramp();
-        let r = w.resample(0.5).unwrap();
-        assert_eq!(r.len(), 21);
-        assert_eq!(r.sample_at(3.25), 3.25);
     }
 
     #[test]

@@ -12,142 +12,74 @@
 //!
 //! All sampled devices step through the lane banks of [`crate::evalrt`]
 //! over the model itself, shared through `Arc`; the per-iteration
-//! `stamp`/`accept_step` path performs **zero allocations**. The
-//! [`PwRbfDriverBank`] variant advances several pads of one model as
-//! parallel lanes of a single batched evaluation.
+//! `stamp`/`accept_step` path performs **zero allocations**. One
+//! [`PwRbfDriver`] advances every pad of one model as parallel lanes of a
+//! single batched evaluation.
+//!
+//! Models enter a circuit through [`Macromodel::instantiate`] (one pad) or
+//! [`Macromodel::instantiate_lanes`] (several pads), which validate the
+//! model and its stimulus and add the devices below; there is one device
+//! per model family.
+//!
+//! [`Macromodel::instantiate`]: crate::Macromodel::instantiate
+//! [`Macromodel::instantiate_lanes`]: crate::Macromodel::instantiate_lanes
 
 use std::cell::RefCell;
 use std::sync::Arc;
 
 use crate::driver::PwRbfDriverModel;
 use crate::evalrt::{DriverLanes, LaneStim, ReceiverLanes};
-use crate::receiver::{CrModel, ReceiverModel};
-use circuit::devices::Capacitor;
+use crate::receiver::ReceiverModel;
 use circuit::mna::{register_conductance, stamp_linearized_current, EvalCtx};
-use circuit::{Circuit, Device, Node, PatternBuilder, StampWorkspace, GROUND};
+use circuit::{Device, Node, PatternBuilder, StampWorkspace, GROUND};
 use numkit::interp::Pwl;
 
-/// The PW-RBF driver installed as a one-port behavioral element.
-///
-/// The device delivers `i(k) = w_H(k) i_H(k) + w_L(k) i_L(k)` into `out`,
-/// where both submodels free-run on the (shared) port-voltage history and
-/// their own current histories. Internally this is a single-lane
-/// [`DriverLanes`] over the model.
-#[derive(Debug, Clone)]
-pub struct PwRbfDriver {
-    label: String,
-    ts: f64,
-    out: Node,
-    lanes: RefCell<DriverLanes>,
-}
-
-impl PwRbfDriver {
-    /// Creates a driver producing `pattern` with the given bit time.
-    ///
-    /// # Panics
-    ///
-    /// Panics on an empty or non-`0`/`1` pattern (experiment definition
-    /// error) or an invalid model.
-    pub fn new(model: PwRbfDriverModel, out: Node, pattern: &str, bit_time: f64) -> Self {
-        model.validate().expect("invalid PW-RBF model");
-        let stim = LaneStim::from_pattern(pattern, bit_time);
-        PwRbfDriver {
-            label: format!("{}_pwrbf", model.name),
-            ts: model.ts,
-            out,
-            lanes: RefCell::new(DriverLanes::new(Arc::new(model), vec![stim])),
-        }
-    }
-
-    /// Switching weights at absolute time `t`.
-    pub fn weights_at(&self, t: f64) -> (f64, f64) {
-        self.lanes.borrow().weights_at(0, t)
-    }
-}
-
-impl Device for PwRbfDriver {
-    fn label(&self) -> &str {
-        &self.label
-    }
-
-    fn is_nonlinear(&self) -> bool {
-        true
-    }
-
-    fn sample_clock(&self) -> Option<f64> {
-        Some(self.ts)
-    }
-
-    fn register(&self, pb: &mut PatternBuilder) {
-        register_conductance(pb, self.out, GROUND);
-    }
-
-    fn stamp(&self, ctx: &EvalCtx<'_>, ws: &mut StampWorkspace) {
-        let v = [ctx.v(self.out)];
-        let (mut i, mut g) = ([0.0], [0.0]);
-        self.lanes
-            .borrow_mut()
-            .step(ctx.mode.time(), &v, &mut i, &mut g);
-        // The device injects i into the node.
-        stamp_linearized_current(ws, self.out, GROUND, -i[0], -g[0], v[0]);
-    }
-
-    fn init_state(&mut self, ctx: &EvalCtx<'_>) {
-        let v0 = [ctx.v(self.out)];
-        self.lanes.get_mut().init_dc(&v0);
-    }
-
-    fn accept_step(&mut self, ctx: &EvalCtx<'_>) {
-        if !ctx.mode.is_tran() {
-            return;
-        }
-        let v = [ctx.v(self.out)];
-        self.lanes.get_mut().commit(&v);
-    }
-}
-
-/// Mutable bank state: the lane bank plus the per-stamp staging rows, all
+/// Mutable driver state: the lane bank plus the per-stamp staging rows, all
 /// behind one `RefCell` so `stamp(&self)` can step without allocating.
 #[derive(Debug, Clone)]
-struct BankState {
+struct DriverState {
     lanes: DriverLanes,
     v: Vec<f64>,
     i: Vec<f64>,
     g: Vec<f64>,
 }
 
-/// Several PW-RBF drivers of **one** model advancing as parallel lanes of a
-/// single batched evaluation (see [`DriverLanes`]).
+/// The PW-RBF driver installed as a behavioral element at one or more pads
+/// of **one** model, each pad a lane of a single batched evaluation (see
+/// [`DriverLanes`]).
 ///
-/// Electrically identical to adding one [`PwRbfDriver`] per pad; the lanes
-/// share the model's parameter slabs and step together, so the inner loops
-/// stay in cache and auto-vectorize across pads. Used by bus-ladder and
-/// scenario-matrix sweeps where every line carries the same driver model
-/// with a different bit pattern.
+/// Each lane delivers `i(k) = w_H(k) i_H(k) + w_L(k) i_L(k)` into its pad,
+/// where both submodels free-run on that pad's voltage history and their
+/// own current histories. The lanes share the model's parameter slabs and
+/// step together, so the inner loops stay in cache and auto-vectorize
+/// across pads; a single pad is a one-lane driver.
 #[derive(Debug, Clone)]
-pub struct PwRbfDriverBank {
+pub struct PwRbfDriver {
     label: String,
     ts: f64,
     pads: Vec<Node>,
-    state: RefCell<BankState>,
+    state: RefCell<DriverState>,
 }
 
-impl PwRbfDriverBank {
-    /// Creates a bank driving each `(pad, stimulus)` lane.
+impl PwRbfDriver {
+    /// Creates a driver stepping each `(pad, stimulus)` lane.
     ///
     /// # Panics
     ///
     /// Panics on an invalid model or an empty lane list.
     pub fn new(model: Arc<PwRbfDriverModel>, lanes: Vec<(Node, LaneStim)>) -> Self {
         model.validate().expect("invalid PW-RBF model");
-        assert!(!lanes.is_empty(), "driver bank requires at least one lane");
+        assert!(
+            !lanes.is_empty(),
+            "PW-RBF driver requires at least one lane"
+        );
         let n = lanes.len();
         let (pads, stims): (Vec<Node>, Vec<LaneStim>) = lanes.into_iter().unzip();
-        PwRbfDriverBank {
-            label: format!("{}_pwrbf_bank", model.name),
+        PwRbfDriver {
+            label: format!("{}_pwrbf", model.name),
             ts: model.ts,
             pads,
-            state: RefCell::new(BankState {
+            state: RefCell::new(DriverState {
                 lanes: DriverLanes::new(model, stims),
                 v: vec![0.0; n],
                 i: vec![0.0; n],
@@ -155,14 +87,9 @@ impl PwRbfDriverBank {
             }),
         }
     }
-
-    /// Number of pads (lanes).
-    pub fn n_lanes(&self) -> usize {
-        self.pads.len()
-    }
 }
 
-impl Device for PwRbfDriverBank {
+impl Device for PwRbfDriver {
     fn label(&self) -> &str {
         &self.label
     }
@@ -279,7 +206,7 @@ impl Device for ReceiverModelDevice {
 }
 
 /// A static nonlinear resistor defined by a PWL I–V table (current into the
-/// device versus port voltage). Together with a [`Capacitor`] this realizes
+/// device versus port voltage). Together with a shunt capacitor this realizes
 /// the paper's C–R̂ baseline receiver.
 #[derive(Debug, Clone)]
 pub struct PwlResistor {
@@ -320,30 +247,14 @@ impl Device for PwlResistor {
     }
 }
 
-impl CrModel {
-    /// Installs the C–R̂ model at `pad`: a shunt capacitor plus the static
-    /// PWL resistor.
-    pub fn instantiate(&self, ckt: &mut Circuit, pad: Node) {
-        ckt.add(Capacitor::new(
-            format!("{}_c", self.name),
-            pad,
-            GROUND,
-            self.c,
-        ));
-        ckt.add(PwlResistor::new(
-            format!("{}_rhat", self.name),
-            pad,
-            self.static_iv.clone(),
-        ));
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::driver::WeightSequence;
+    use crate::macromodel::{Macromodel, PortStimulus};
+    use crate::receiver::CrModel;
     use circuit::devices::{Resistor, SourceWaveform, VoltageSource};
-    use circuit::{Mode, TranParams};
+    use circuit::{Circuit, Mode, TranParams};
     use sysid::arx::{ArxModel, ArxOrders};
     use sysid::narx::{NarxModel, NarxOrders};
     use sysid::rbf::RbfNetwork;
@@ -385,7 +296,9 @@ mod tests {
         let ts = model.ts;
         let mut ckt = Circuit::new();
         let out = ckt.node("out");
-        ckt.add(PwRbfDriver::new(model, out, "01", 2e-9));
+        model
+            .instantiate(&mut ckt, out, Some(&PortStimulus::new("01", 2e-9)))
+            .unwrap();
         ckt.add(Resistor::new("rl", out, GROUND, 100.0));
         let res = ckt.transient(TranParams::new(ts, 6e-9)).unwrap();
         let v = res.voltage(out);
@@ -403,21 +316,6 @@ mod tests {
         assert!(!t10.is_empty() && !t90.is_empty());
         let rise = t90[0].time - t10[0].time;
         assert!(rise > 3.0 * ts && rise < 25.0 * ts, "rise {rise:.3e}");
-    }
-
-    #[test]
-    fn driver_weights_schedule() {
-        let model = synthetic_model(0.05, 1.8, 10);
-        let ts = model.ts;
-        let d = PwRbfDriver::new(model, Node::from_raw(1), "010", 1e-9);
-        assert_eq!(d.weights_at(0.5e-9), (0.0, 1.0));
-        // During the up window at 1 ns.
-        let (wh, wl) = d.weights_at(1e-9 + 5.0 * ts);
-        assert!(wh > 0.0 && wh < 1.0 && wl > 0.0 && wl < 1.0);
-        // Steady high after the window but before the down edge.
-        assert_eq!(d.weights_at(1.9e-9), (1.0, 0.0));
-        // Steady low long after the down edge.
-        assert_eq!(d.weights_at(5e-9), (0.0, 1.0));
     }
 
     /// Runs a transient of `ckt` at twice the sample time `ts` and returns
@@ -441,7 +339,9 @@ mod tests {
         let ts = model.ts;
         let mut ckt = Circuit::new();
         let out = ckt.node("out");
-        ckt.add(PwRbfDriver::new(model, out, "01", 1e-9));
+        model
+            .instantiate(&mut ckt, out, Some(&PortStimulus::new("01", 1e-9)))
+            .unwrap();
         ckt.add(Resistor::new("rl", out, GROUND, 100.0));
         let err = run_at_double_ts(ckt, ts);
         assert!(err.to_string().contains("synth_pwrbf"), "{err}");
@@ -467,7 +367,9 @@ mod tests {
         let ts = model.ts;
         let mut ckt = Circuit::new();
         let out = ckt.node("out");
-        ckt.add(PwRbfDriver::new(model, out, "01", 1e-9));
+        model
+            .instantiate(&mut ckt, out, Some(&PortStimulus::new("01", 1e-9)))
+            .unwrap();
         ckt.add(Resistor::new("rl", out, GROUND, 100.0));
         let mut ws = ckt.make_workspace();
         let x0 = vec![0.0; ckt.unknown_count()];
@@ -490,29 +392,33 @@ mod tests {
         let bit_time = 1e-9;
         let t_stop = 4e-9;
 
-        // Reference: one PwRbfDriver per line.
+        let stims: Vec<PortStimulus> = patterns
+            .iter()
+            .map(|p| PortStimulus::new(*p, bit_time))
+            .collect();
+
+        // Reference: one single-pad install per line.
         let mut ref_ckt = Circuit::new();
         let mut ref_pads = Vec::new();
-        for (k, pat) in patterns.iter().enumerate() {
+        for (k, stim) in stims.iter().enumerate() {
             let pad = ref_ckt.node(format!("p{k}"));
-            ref_ckt.add(PwRbfDriver::new(model.clone(), pad, pat, bit_time));
+            model.instantiate(&mut ref_ckt, pad, Some(stim)).unwrap();
             ref_ckt.add(Resistor::new(format!("r{k}"), pad, GROUND, 75.0));
             ref_pads.push(pad);
         }
         let ref_res = ref_ckt.transient(TranParams::new(ts, t_stop)).unwrap();
 
-        // Bank: same three lines as lanes of one device.
+        // The same three lines as lanes of one multi-pad install.
         let mut ckt = Circuit::new();
         let mut lanes = Vec::new();
-        for (k, pat) in patterns.iter().enumerate() {
+        for (k, stim) in stims.iter().enumerate() {
             let pad = ckt.node(format!("p{k}"));
-            lanes.push((pad, LaneStim::from_pattern(pat, bit_time)));
+            lanes.push((pad, Some(stim)));
             ckt.add(Resistor::new(format!("r{k}"), pad, GROUND, 75.0));
         }
+        model.instantiate_lanes(&mut ckt, &lanes).unwrap();
+        assert_eq!(ckt.n_devices(), 4, "one resistor per line plus one driver");
         let pads: Vec<Node> = lanes.iter().map(|(p, _)| *p).collect();
-        let bank = PwRbfDriverBank::new(Arc::new(model), lanes);
-        assert_eq!(bank.n_lanes(), 3);
-        ckt.add(bank);
         let res = ckt.transient(TranParams::new(ts, t_stop)).unwrap();
 
         for (k, (&pad, &ref_pad)) in pads.iter().zip(&ref_pads).enumerate() {
@@ -610,7 +516,7 @@ mod tests {
             SourceWaveform::step(0.0, 0.5, 0.2e-9),
         ));
         ckt.add(Resistor::new("rs", src, pad, 50.0));
-        model.instantiate(&mut ckt, pad);
+        model.instantiate(&mut ckt, pad, None).unwrap();
         let res = ckt.transient(TranParams::new(10e-12, 2e-9)).unwrap();
         let v_end = res.voltage(pad).sample_at(1.9e-9);
         // Static resistor draws 0.1 A/V * v; divider with the 50 Ω source:

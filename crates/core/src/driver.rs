@@ -163,11 +163,6 @@ impl PwRbfDriverModel {
         Ok(())
     }
 
-    /// Duration of the longer transition window (s).
-    pub fn window_duration(&self) -> f64 {
-        self.ts * self.up.len().max(self.down.len()) as f64
-    }
-
     /// Total number of Gaussian units across both submodels (model size
     /// metric reported in the paper's examples).
     pub fn total_basis_functions(&self) -> usize {
@@ -329,7 +324,6 @@ mod tests {
     fn model_validation_and_accessors() {
         let m = dummy_model();
         assert!(m.validate().is_ok());
-        assert!((m.window_duration() - 75e-12).abs() < 1e-18);
         assert_eq!(m.total_basis_functions(), 0);
         assert!(m.summary().contains("PW-RBF 'test'"));
         let mut bad = dummy_model();

@@ -248,10 +248,6 @@ impl DriverLanes {
         self.n_lanes
     }
 
-    /// Switching weights of lane `lane` at absolute time `t`.
-    pub fn weights_at(&self, lane: usize, t: f64) -> (f64, f64) {
-        self.model.weights_at(&self.stims[lane], t)
-    }
     /// Batched Newton evaluation at time `t` and trial voltages `v` (one
     /// per lane): writes the delivered current into `i_out` and its
     /// derivative w.r.t. the lane voltage into `g_out`. Histories are not

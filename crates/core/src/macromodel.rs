@@ -40,7 +40,7 @@
 //! # }
 //! ```
 
-use crate::device::{PwRbfDriver, PwRbfDriverBank, ReceiverModelDevice};
+use crate::device::{PwRbfDriver, PwlResistor, ReceiverModelDevice};
 use crate::driver::PwRbfDriverModel;
 use crate::evalrt::LaneStim;
 use crate::receiver::{CrModel, ReceiverModel};
@@ -232,10 +232,26 @@ impl TestFixture {
     }
 }
 
-fn missing_stimulus(name: &str) -> Error {
-    Error::InvalidModel {
-        message: format!("driver model '{name}' needs a PortStimulus to be instantiated"),
+/// The stimulus a driver model `name` runs, checked: present, a non-empty
+/// `0`/`1` pattern and a positive, finite bit time.
+fn driver_stimulus<'a>(name: &str, stim: Option<&'a PortStimulus>) -> Result<&'a PortStimulus> {
+    let invalid = |what: String| Error::InvalidModel {
+        message: format!("driver model '{name}': {what}"),
+    };
+    let stim = stim.ok_or_else(|| invalid("needs a PortStimulus to be instantiated".into()))?;
+    if stim.pattern.is_empty() || stim.pattern.bytes().any(|b| b != b'0' && b != b'1') {
+        return Err(invalid(format!(
+            "stimulus pattern {:?} must be a non-empty string of '0'/'1'",
+            stim.pattern
+        )));
     }
+    if !(stim.bit_time.is_finite() && stim.bit_time > 0.0) {
+        return Err(invalid(format!(
+            "stimulus bit_time {} must be positive and finite",
+            stim.bit_time
+        )));
+    }
+    Ok(stim)
 }
 
 /// The unified, object-safe interface every estimated macromodel backend
@@ -270,13 +286,16 @@ pub trait Macromodel: Send + Sync {
     /// Returns the first violated constraint.
     fn validate(&self) -> Result<()>;
 
-    /// Installs the model as a one-port device at `pad`. Driver kinds
-    /// ([`ModelKind::is_driver`]) require a stimulus; load kinds ignore it.
+    /// Installs the model as a one-port device at `pad`. This (with
+    /// [`Macromodel::instantiate_lanes`]) is the only way a macromodel enters
+    /// a circuit. Driver kinds ([`ModelKind::is_driver`]) require a
+    /// stimulus; load kinds ignore it.
     ///
     /// # Errors
     ///
-    /// Returns [`Error::InvalidModel`] for an invalid model or a missing
-    /// driver stimulus.
+    /// Returns [`Error::InvalidModel`] for an invalid model, or for a driver
+    /// stimulus that is missing, has an empty or non-`0`/`1` pattern, or a
+    /// bit time that is not positive and finite.
     fn instantiate(&self, ckt: &mut Circuit, pad: Node, stim: Option<&PortStimulus>) -> Result<()>;
 
     /// Installs the model at several pads of one circuit. Backends with a
@@ -286,8 +305,7 @@ pub trait Macromodel: Send + Sync {
     ///
     /// # Errors
     ///
-    /// Returns [`Error::InvalidModel`] for an invalid model or a missing
-    /// driver stimulus.
+    /// As [`Macromodel::instantiate`], for any lane.
     fn instantiate_lanes(
         &self,
         ckt: &mut Circuit,
@@ -363,15 +381,7 @@ impl Macromodel for PwRbfDriverModel {
     }
 
     fn instantiate(&self, ckt: &mut Circuit, pad: Node, stim: Option<&PortStimulus>) -> Result<()> {
-        PwRbfDriverModel::validate(self)?;
-        let stim = stim.ok_or_else(|| missing_stimulus(&self.name))?;
-        ckt.add(PwRbfDriver::new(
-            self.clone(),
-            pad,
-            &stim.pattern,
-            stim.bit_time,
-        ));
-        Ok(())
+        self.instantiate_lanes(ckt, &[(pad, stim)])
     }
 
     fn instantiate_lanes(
@@ -383,12 +393,14 @@ impl Macromodel for PwRbfDriverModel {
             return Ok(());
         }
         PwRbfDriverModel::validate(self)?;
-        let mut bank_lanes = Vec::with_capacity(lanes.len());
-        for &(pad, stim) in lanes {
-            let stim = stim.ok_or_else(|| missing_stimulus(&self.name))?;
-            bank_lanes.push((pad, LaneStim::from_pattern(&stim.pattern, stim.bit_time)));
-        }
-        ckt.add(PwRbfDriverBank::new(Arc::new(self.clone()), bank_lanes));
+        let lanes = lanes
+            .iter()
+            .map(|&(pad, stim)| {
+                let stim = driver_stimulus(&self.name, stim)?;
+                Ok((pad, LaneStim::from_pattern(&stim.pattern, stim.bit_time)))
+            })
+            .collect::<Result<Vec<_>>>()?;
+        ckt.add(PwRbfDriver::new(Arc::new(self.clone()), lanes));
         Ok(())
     }
 }
@@ -490,7 +502,17 @@ impl Macromodel for CrModel {
         _stim: Option<&PortStimulus>,
     ) -> Result<()> {
         Macromodel::validate(self)?;
-        CrModel::instantiate(self, ckt, pad);
+        ckt.add(Capacitor::new(
+            format!("{}_c", self.name),
+            pad,
+            GROUND,
+            self.c,
+        ));
+        ckt.add(PwlResistor::new(
+            format!("{}_rhat", self.name),
+            pad,
+            self.static_iv.clone(),
+        ));
         Ok(())
     }
 }
@@ -531,7 +553,7 @@ impl Macromodel for IbisModel {
 
     fn instantiate(&self, ckt: &mut Circuit, pad: Node, stim: Option<&PortStimulus>) -> Result<()> {
         IbisModel::validate(self)?;
-        let stim = stim.ok_or_else(|| missing_stimulus(&self.name))?;
+        let stim = driver_stimulus(&self.name, stim)?;
         self.instantiate_at(ckt, pad, &stim.pattern, stim.bit_time);
         Ok(())
     }
@@ -594,6 +616,52 @@ mod tests {
             m.instantiate(&mut ckt, pad, None),
             Err(Error::InvalidModel { .. })
         ));
+    }
+
+    fn dummy_ibis(name: &str) -> IbisModel {
+        IbisModel {
+            name: name.into(),
+            vdd: 3.3,
+            pullup: Pwl::new(vec![-1.0, 1.0, 4.0], vec![0.08, 0.04, -0.05]).unwrap(),
+            pulldown: Pwl::new(vec![-1.0, 1.0, 4.0], vec![-0.06, 0.01, 0.09]).unwrap(),
+            c_comp: 3e-12,
+            dt: 50e-12,
+            ku_rise: vec![0.0, 0.5, 1.0],
+            kd_rise: vec![1.0, 0.5, 0.0],
+            ku_fall: vec![1.0, 0.4, 0.0],
+            kd_fall: vec![0.0, 0.6, 1.0],
+        }
+    }
+
+    #[test]
+    fn malformed_stimulus_is_a_typed_error() {
+        let cases = [
+            ("", 1e-9, "pattern"),
+            ("01x", 1e-9, "pattern"),
+            ("01", 0.0, "bit_time"),
+            ("01", -1e-9, "bit_time"),
+            ("01", f64::NAN, "bit_time"),
+            ("01", f64::INFINITY, "bit_time"),
+        ];
+        let driver = dummy_driver("drv_bad");
+        let ibis = dummy_ibis("ibis_bad");
+        let models: [&dyn Macromodel; 2] = [&driver, &ibis];
+        for m in models {
+            for (pattern, bit_time, field) in cases {
+                let stim = PortStimulus::new(pattern, bit_time);
+                let mut ckt = Circuit::new();
+                let pad = ckt.node("pad");
+                match m.instantiate(&mut ckt, pad, Some(&stim)) {
+                    Err(Error::InvalidModel { message }) => assert!(
+                        message.contains(m.name()) && message.contains(field),
+                        "{}: {pattern:?} @ {bit_time}: {message}",
+                        m.name()
+                    ),
+                    other => panic!("{}: {pattern:?} @ {bit_time}: {other:?}", m.name()),
+                }
+                assert_eq!(ckt.n_devices(), 0, "nothing installed on error");
+            }
+        }
     }
 
     #[test]

@@ -58,15 +58,6 @@ impl ReceiverModel {
         Ok(())
     }
 
-    /// Largest dynamic order across the three submodels (determines how
-    /// much history the circuit device must keep).
-    pub fn max_order(&self) -> usize {
-        let lin = self.linear.orders().na.max(self.linear.orders().nb);
-        let up = self.up.orders().start();
-        let down = self.down.orders().start();
-        lin.max(up).max(down)
-    }
-
     /// Free-run simulation of the full model on a sampled voltage record:
     /// each submodel is fed the voltage and its own past outputs.
     pub fn simulate(&self, v: &[f64]) -> Vec<f64> {
@@ -171,7 +162,6 @@ mod tests {
     fn receiver_validation() {
         let m = dummy_receiver();
         assert!(m.validate().is_ok());
-        assert_eq!(m.max_order(), 1);
         assert!(m.summary().contains("ARX(1,1)"));
         let mut bad = dummy_receiver();
         bad.ts = -1.0;

@@ -61,7 +61,6 @@ use crate::pipeline::{
 };
 use crate::validate::{validate_macromodel, DriverValidation, ReferencePort};
 use crate::{Error, Result};
-use circuit::{Circuit, Node};
 use refdev::ibis::IbisExtractConfig;
 use refdev::{CmosDriverSpec, IbisModel, ReceiverSpec};
 use std::path::Path;
@@ -187,20 +186,6 @@ impl EstimatedModel {
     /// See [`crate::exchange::save_artifact_to_path`].
     pub fn save_v2(&self, path: impl AsRef<Path>) -> Result<()> {
         save_artifact_to_path(&self.to_artifact(), path)
-    }
-
-    /// Installs the artifact as a one-port device at `pad`.
-    ///
-    /// # Errors
-    ///
-    /// See [`Macromodel::instantiate`].
-    pub fn instantiate(
-        &self,
-        ckt: &mut Circuit,
-        pad: Node,
-        stim: Option<&PortStimulus>,
-    ) -> Result<()> {
-        self.model.instantiate(ckt, pad, stim)
     }
 
     /// Runs the transistor-level reference and the estimated model against

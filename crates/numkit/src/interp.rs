@@ -145,44 +145,6 @@ pub fn lerp_at(xs: &[f64], ys: &[f64], x: f64) -> f64 {
     y0 + (y1 - y0) * (x - x0) / (x1 - x0)
 }
 
-/// Resamples a sampled signal `(t, y)` onto a uniform grid with step `dt`
-/// starting at `t[0]`, using linear interpolation.
-///
-/// Returns `(t_uniform, y_uniform)`.
-///
-/// # Errors
-///
-/// * [`Error::EmptyInput`] if inputs are empty or `dt <= 0`.
-/// * [`Error::DimensionMismatch`] if lengths differ.
-/// * [`Error::NonMonotonicAbscissa`] if `t` is not strictly increasing.
-pub fn resample_uniform(t: &[f64], y: &[f64], dt: f64) -> Result<(Vec<f64>, Vec<f64>)> {
-    if t.is_empty() || dt <= 0.0 {
-        return Err(Error::EmptyInput);
-    }
-    if t.len() != y.len() {
-        return Err(Error::DimensionMismatch {
-            expected: format!("y of length {}", t.len()),
-            got: format!("y of length {}", y.len()),
-        });
-    }
-    for i in 1..t.len() {
-        if t[i] <= t[i - 1] {
-            return Err(Error::NonMonotonicAbscissa { index: i });
-        }
-    }
-    let t0 = t[0];
-    let t_end = t[t.len() - 1];
-    let n = ((t_end - t0) / dt).floor() as usize + 1;
-    let mut tu = Vec::with_capacity(n);
-    let mut yu = Vec::with_capacity(n);
-    for k in 0..n {
-        let tk = t0 + k as f64 * dt;
-        tu.push(tk);
-        yu.push(lerp_at(t, y, tk));
-    }
-    Ok((tu, yu))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -288,25 +250,5 @@ mod tests {
         assert_eq!(lerp_at(&xs, &ys, -1.0), 0.0);
         assert_eq!(lerp_at(&xs, &ys, 5.0), 0.0);
         assert_eq!(lerp_at(&[], &[], 1.0), 0.0);
-    }
-
-    #[test]
-    fn resample_uniform_linear_signal() {
-        // A linear signal is reproduced exactly by linear interpolation.
-        let t = [0.0, 0.3, 1.0, 1.4, 2.0];
-        let y: Vec<f64> = t.iter().map(|&x| 3.0 * x + 1.0).collect();
-        let (tu, yu) = resample_uniform(&t, &y, 0.25).unwrap();
-        assert_eq!(tu.len(), 9);
-        for (tk, yk) in tu.iter().zip(&yu) {
-            assert!((yk - (3.0 * tk + 1.0)).abs() < 1e-12);
-        }
-    }
-
-    #[test]
-    fn resample_validation() {
-        assert!(resample_uniform(&[], &[], 0.1).is_err());
-        assert!(resample_uniform(&[0.0, 1.0], &[0.0], 0.1).is_err());
-        assert!(resample_uniform(&[0.0, 1.0], &[0.0, 1.0], 0.0).is_err());
-        assert!(resample_uniform(&[1.0, 0.0], &[0.0, 1.0], 0.1).is_err());
     }
 }

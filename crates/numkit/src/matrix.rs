@@ -250,30 +250,11 @@ impl Matrix {
         })
     }
 
-    /// Multiplies every element by a scalar, in place.
-    pub fn scale_in_place(&mut self, s: f64) {
-        for v in &mut self.data {
-            *v *= s;
-        }
-    }
-
-    /// Returns a scaled copy `s * self`.
-    pub fn scaled(&self, s: f64) -> Matrix {
-        let mut m = self.clone();
-        m.scale_in_place(s);
-        m
-    }
-
     /// Sets every element to zero, keeping the allocation.
     pub fn fill_zero(&mut self) {
         for v in &mut self.data {
             *v = 0.0;
         }
-    }
-
-    /// Frobenius norm.
-    pub fn frobenius_norm(&self) -> f64 {
-        self.data.iter().map(|v| v * v).sum::<f64>().sqrt()
     }
 
     /// Maximum absolute element (infinity norm of the flattened matrix).
@@ -420,7 +401,8 @@ mod tests {
     fn add_sub_scale() {
         let m = abc();
         let s = m.add(&m).unwrap();
-        assert_eq!(s, m.scaled(2.0));
+        let doubled = Matrix::from_rows(&[&[2.0, 4.0, 6.0], &[8.0, 10.0, 12.0]]).unwrap();
+        assert_eq!(s, doubled);
         let d = s.sub(&m).unwrap();
         assert_eq!(d, m);
     }
@@ -438,7 +420,6 @@ mod tests {
     #[test]
     fn norms() {
         let m = Matrix::from_rows(&[&[3.0, -4.0]]).unwrap();
-        assert!((m.frobenius_norm() - 5.0).abs() < 1e-15);
         assert_eq!(m.max_abs(), 4.0);
     }
 

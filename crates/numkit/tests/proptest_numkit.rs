@@ -189,20 +189,6 @@ proptest! {
     }
 
     #[test]
-    fn resample_preserves_linear(ts in prop::collection::vec(0.001f64..0.5, 3..20), dt in 0.01f64..0.3) {
-        // Build strictly increasing time axis from positive increments.
-        let mut t = vec![0.0];
-        for d in &ts {
-            t.push(t.last().unwrap() + d);
-        }
-        let y: Vec<f64> = t.iter().map(|&x| -2.0 * x + 0.7).collect();
-        let (tu, yu) = interp::resample_uniform(&t, &y, dt).unwrap();
-        for (tk, yk) in tu.iter().zip(&yu) {
-            prop_assert!((yk - (-2.0 * tk + 0.7)).abs() < 1e-10);
-        }
-    }
-
-    #[test]
     fn polyfit_reproduces_line(c0 in -5.0f64..5.0, c1 in -5.0f64..5.0) {
         let xs: Vec<f64> = (0..10).map(|i| i as f64 * 0.37).collect();
         let ys: Vec<f64> = xs.iter().map(|&x| c0 + c1 * x).collect();

@@ -88,13 +88,6 @@ impl CmosDriverSpec {
         Ok(())
     }
 
-    /// Effective output resistance scale of the final stage (used to pick
-    /// sensible identification loads): `1 / (beta_n (vdd - vt))`.
-    pub fn nominal_output_resistance(&self) -> f64 {
-        let beta = self.nmos_unit.beta() * self.wl_final_n;
-        1.0 / (beta * (self.vdd - self.nmos_unit.vt0).max(0.1))
-    }
-
     /// Instantiates the driver into `ckt`, driving the logic input with
     /// `input`. Returns the port nodes.
     ///
@@ -343,7 +336,6 @@ mod tests {
     fn presets_validate() {
         for spec in [md1(), md2(), md3()] {
             assert!(spec.validate().is_ok(), "{} invalid", spec.name);
-            assert!(spec.nominal_output_resistance() > 0.0);
         }
     }
 

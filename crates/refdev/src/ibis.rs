@@ -268,6 +268,12 @@ impl IbisModel {
     }
 
     /// Installs the output stage and `C_comp` at an existing node `pad`.
+    /// Outside this crate the model enters a circuit through the
+    /// macromodel trait, which checks the pattern and bit time first.
+    ///
+    /// # Panics
+    ///
+    /// Panics on an empty or non-`0`/`1` pattern (see [`IbisDriver::new`]).
     pub fn instantiate_at(&self, ckt: &mut Circuit, pad: Node, pattern: &str, bit_time: f64) {
         ckt.add(IbisDriver::new(self.clone(), pad, pattern, bit_time));
         ckt.add(Capacitor::new(
@@ -276,14 +282,6 @@ impl IbisModel {
             GROUND,
             self.c_comp,
         ));
-    }
-
-    /// Installs the model into `ckt` as a driver running `pattern` with the
-    /// given bit time. Returns the output node.
-    pub fn instantiate(&self, ckt: &mut Circuit, pattern: &str, bit_time: f64) -> Node {
-        let out = ckt.node(format!("{}_out", self.name));
-        self.instantiate_at(ckt, out, pattern, bit_time);
-        out
     }
 }
 
@@ -347,8 +345,8 @@ struct Edge {
 }
 
 /// The IBIS output stage as a circuit device (static tables + switching
-/// coefficients). Pair with an explicit `C_comp` capacitor — or use
-/// [`IbisModel::instantiate`], which adds both.
+/// coefficients). [`IbisModel::instantiate_at`] adds it together with the
+/// model's `C_comp` capacitor.
 #[derive(Debug, Clone)]
 pub struct IbisDriver {
     label: String,
@@ -557,7 +555,8 @@ mod tests {
         .unwrap();
         // IBIS model into the same fixture.
         let mut ckt = Circuit::new();
-        let out = model.instantiate(&mut ckt, "01", 3e-9);
+        let out = ckt.node(format!("{}_out", model.name));
+        model.instantiate_at(&mut ckt, out, "01", 3e-9);
         ckt.add(Resistor::new("r", out, GROUND, 50.0));
         let res = ckt.transient(TranParams::new(50e-12, 6e-9)).unwrap();
         let v_ibis = res.voltage(out);

@@ -52,14 +52,17 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let mut ckt = Circuit::new();
     let line = expand_coupled_line(&mut ckt, &line_spec, segments, (1e8, 2e10))?;
     let d1 = ckt.node("drv1");
-    ckt.add(PwRbfDriver::new(
-        model.clone(),
+    model.instantiate(
+        &mut ckt,
         d1,
-        pattern_active,
-        bit_time,
-    ));
+        Some(&PortStimulus::new(pattern_active, bit_time)),
+    )?;
     let d2 = ckt.node("drv2");
-    ckt.add(PwRbfDriver::new(model, d2, pattern_quiet, bit_time));
+    model.instantiate(
+        &mut ckt,
+        d2,
+        Some(&PortStimulus::new(pattern_quiet, bit_time)),
+    )?;
     ckt.add(Resistor::new("j1", d1, line.near[0], 1e-3));
     ckt.add(Resistor::new("j2", d2, line.near[1], 1e-3));
     ckt.add(Capacitor::new("c1", line.far[0], GROUND, 1e-12));

@@ -47,7 +47,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     for corner in [IbisCorner::Slow, IbisCorner::Typical, IbisCorner::Fast] {
         let model = ibis.with_corner(corner)?;
         let mut ckt = Circuit::new();
-        let out = model.instantiate(&mut ckt, "01", bit_time);
+        let out = ckt.node(format!("{}_out", model.name));
+        model.instantiate(&mut ckt, out, Some(&PortStimulus::new("01", bit_time)))?;
         let far = ckt.node("far");
         ckt.add(IdealLine::new("line", out, GROUND, far, GROUND, z0, td));
         ckt.add(Capacitor::new("cl", far, GROUND, c_load));

@@ -81,8 +81,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         ckt.add(Resistor::new("j", far, ports.pad, 1e-3));
         Ok(())
     })?;
-    let parametric = run(&|ckt, far| Ok(model.instantiate(ckt, far, None)?))?;
-    let cr_wave = run(&|ckt, far| Ok(cr.instantiate(ckt, far, None)?))?;
+    let parametric = run(&|ckt, far| Ok(model.as_dyn().instantiate(ckt, far, None)?))?;
+    let cr_wave = run(&|ckt, far| Ok(cr.as_dyn().instantiate(ckt, far, None)?))?;
 
     let mp = ValidationMetrics::between(&parametric, &reference, 0.5 * spec.vdd);
     let mc = ValidationMetrics::between(&cr_wave, &reference, 0.5 * spec.vdd);

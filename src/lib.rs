@@ -53,7 +53,6 @@ pub mod prelude {
         VoltageSource,
     };
     pub use circuit::{Circuit, TranParams, Waveform, GROUND};
-    pub use macromodel::device::{PwRbfDriver, ReceiverModelDevice};
     pub use macromodel::exchange::{
         load_artifact, load_artifact_from_path, load_model, load_model_from_path, save_artifact,
         save_artifact_to_path, save_model, save_model_to_path, Artifact, Provenance,

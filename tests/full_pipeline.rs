@@ -143,7 +143,7 @@ fn receiver_pipeline_md4() {
             ckt.add(VoltageSource::new("vs", s, GROUND, stim));
             let pad = ckt.node("pad");
             ckt.add(Resistor::new("rs", s, pad, 60.0));
-            ckt.add(ReceiverModelDevice::new(model.clone(), pad));
+            model.instantiate(&mut ckt, pad, None).expect("install");
             let res = ckt.transient(TranParams::new(ts, 4e-9)).expect("tran");
             res.voltage(pad)
         } else {
@@ -219,13 +219,13 @@ fn parametric_beats_cr_baseline() {
     .expect("capture")
     .current;
 
-    let run = |install: &dyn Fn(&mut Circuit, circuit::Node)| -> Waveform {
+    let run = |dut: &dyn Macromodel| -> Waveform {
         let mut ckt = Circuit::new();
         let s = ckt.node("src");
         ckt.add(VoltageSource::new("vs", s, GROUND, stim()));
         let pad = ckt.node("pad");
         ckt.add(Resistor::new("rs", s, pad, 60.0));
-        install(&mut ckt, pad);
+        dut.instantiate(&mut ckt, pad, None).expect("install");
         let res = ckt.transient(TranParams::new(ts, 3e-9)).expect("tran");
         let vs = res.voltage(s);
         let vp = res.voltage(pad);
@@ -237,14 +237,8 @@ fn parametric_beats_cr_baseline() {
             .collect();
         Waveform::from_parts(vs.times().to_vec(), i)
     };
-    let m = model.clone();
-    let i_param = run(&move |ckt, pad| {
-        ckt.add(ReceiverModelDevice::new(m.clone(), pad));
-    });
-    let c = cr.clone();
-    let i_cr = run(&move |ckt, pad| {
-        c.instantiate(ckt, pad);
-    });
+    let i_param = run(&model);
+    let i_cr = run(&cr);
     let err_param = circuit::waveform::rms_difference(&reference, &i_param);
     let err_cr = circuit::waveform::rms_difference(&reference, &i_cr);
     assert!(

@@ -36,7 +36,9 @@ fn pwrbf_beats_ibis_on_reactive_load() {
     // IBIS typical corner through the same fixture.
     let v_ibis = {
         let mut ckt = Circuit::new();
-        let out = ibis.instantiate(&mut ckt, "01", bit_time);
+        let out = ckt.node(format!("{}_out", ibis.name));
+        ibis.instantiate(&mut ckt, out, Some(&PortStimulus::new("01", bit_time)))
+            .expect("ibis install");
         let far = ckt.node("far");
         ckt.add(IdealLine::new("line", out, GROUND, far, GROUND, z0, td));
         ckt.add(Capacitor::new("cl", far, GROUND, c_load));
@@ -87,7 +89,10 @@ fn ibis_corners_are_ordered() {
     let cross = |corner: IbisCorner| -> f64 {
         let model = ibis.with_corner(corner).expect("corner");
         let mut ckt = Circuit::new();
-        let out = model.instantiate(&mut ckt, "01", 3e-9);
+        let out = ckt.node(format!("{}_out", model.name));
+        model
+            .instantiate(&mut ckt, out, Some(&PortStimulus::new("01", 3e-9)))
+            .expect("ibis install");
         ckt.add(Resistor::new("rl", out, GROUND, 50.0));
         let res = ckt.transient(TranParams::new(25e-12, 6e-9)).expect("tran");
         let v = res.voltage(out);
