@@ -1,11 +1,11 @@
 //! Criterion bench of the artifact I/O behind the binary container
 //! ([`emc_bench::storebench`]) on a 1 000-entry synthetic fleet:
 //!
-//! * `store/open_eager_text` — eager open of the text tree, per entry;
-//! * `store/open_lazy_bin` — lazy open plus a full header index of the
-//!   binary tree, per entry;
-//! * `store/touch_one_bin` — lazy binary open plus one lookup, per
-//!   lookup.
+//! * `store/open_eager_text` — open plus `load_all` of the text tree, per
+//!   entry;
+//! * `store/open_lazy_bin` — open plus a full header index of the binary
+//!   tree, per entry;
+//! * `store/touch_one_bin` — binary open plus one lookup, per lookup.
 //!
 //! The sizes match the committed `BENCH_store.json` trajectory: change
 //! them and the baseline gate compares unlike workloads. On top of that

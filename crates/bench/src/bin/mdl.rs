@@ -49,10 +49,10 @@
 //! reports with `--json` and exit nonzero on any failing cell. Everything
 //! after `extract` works from the files alone — no re-estimation.
 //!
-//! `serve` keeps a store resident behind a Unix socket with hot reload and
-//! a digest-keyed artifact cache ([`emc_bench::server`]); `request` is
-//! the one-shot protocol client for scripts, exiting 0 on an `"ok":true`
-//! reply and 1 otherwise. Daemon latency is measured by `perfbench
+//! `serve` keeps a store resident behind a Unix socket with hot reload
+//! that re-parses only the artifacts whose path or bytes changed
+//! ([`emc_bench::server`]); `request` is the one-shot protocol client for
+//! scripts, exiting 0 on an `"ok":true` reply and 1 otherwise. Daemon latency is measured by `perfbench
 //! --workload serve`. The microbenches (evaluation runtime, eye layers,
 //! store I/O) are `cargo bench` targets, run through
 //! `scripts/bench-baseline.sh NAME`.
@@ -140,17 +140,11 @@ fn parse_bits_opt(args: &mut Vec<String>) -> Option<usize> {
 
 /// Parses a PRBS order tag (7, 15 or 31).
 fn parse_prbs_opt(args: &mut Vec<String>) -> Option<u32> {
-    parse_count_opt(args, "--prbs", 0).map(|p| {
-        match u32::try_from(p)
-            .ok()
-            .filter(|&t| si::PrbsOrder::from_tag(t).is_some())
-        {
-            Some(tag) => tag,
-            None => {
-                eprintln!("--prbs: expected 7, 15 or 31, got {p}");
-                usage();
-            }
-        }
+    parse_opt(args, "--prbs").map(|v| {
+        emc_bench::parse_prbs(&v).unwrap_or_else(|msg| {
+            eprintln!("{msg}");
+            usage();
+        })
     })
 }
 
@@ -381,7 +375,7 @@ fn cmd_lint(mut args: Vec<String>) -> CliResult<()> {
     let mut report = LintReport::default();
     let mut load_failures: Vec<(String, String)> = Vec::new();
     if std::fs::metadata(path)?.is_dir() {
-        let store = ModelStore::open_with_mode(path, macromodel::LoadMode::Eager)?;
+        let store = ModelStore::open(path)?;
         for entry in store.entries() {
             let file = entry.path().display().to_string();
             match entry.artifact() {
@@ -536,7 +530,7 @@ fn store_ls_json(store: &ModelStore) -> String {
                 for entry in store.entries() {
                     a.object(Layout::Compact, |o| {
                         o.field("path", entry.path().display().to_string())
-                            .field("format", entry.format().to_string());
+                            .field("format", entry.format().map(|f| f.to_string()));
                         match (entry.index(), entry.artifact()) {
                             (Ok(index), Ok(artifact)) => {
                                 models += index.models.len();
@@ -588,16 +582,11 @@ fn cmd_store(mut args: Vec<String>) -> CliResult<()> {
         parse_opt(&mut args, "--json")
     };
     let [dir] = args.as_slice() else { usage() };
-    // `ls` opens lazily — binary entries inventory from their section
-    // headers — then forces a full integrity pass entry by entry (a
-    // listing that hides corrupt artifacts is worse than a slow one);
-    // the fleet engines force a full load in their report header anyway.
-    let mode = if sub == "ls" {
-        macromodel::LoadMode::Lazy
-    } else {
-        macromodel::LoadMode::Eager
-    };
-    let store = ModelStore::open_with_mode(dir, mode)?;
+    // The open only scans: `ls` inventories binary entries from their
+    // section headers, then forces a full integrity pass entry by entry (a
+    // listing that hides corrupt artifacts is worse than a slow one); the
+    // fleet engines force a full load in their report header.
+    let store = ModelStore::open(dir)?;
     match sub.as_str() {
         "ls" => {
             if json_flag {

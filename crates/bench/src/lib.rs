@@ -61,6 +61,21 @@ pub fn parse_count(key: &str, v: &str, min: u64, max: u64) -> std::result::Resul
     }
 }
 
+/// Parses `v`, the value of `--prbs`, as a PRBS order tag: 7, 15 or 31,
+/// written in [`parse_count`]'s grammar. The one tag check of `mdl` flags
+/// and daemon request lines.
+///
+/// # Errors
+///
+/// A usage message naming `--prbs` and the rejected value.
+pub fn parse_prbs(v: &str) -> std::result::Result<u32, String> {
+    let p = parse_count("--prbs", v, 0, u64::MAX)?;
+    u32::try_from(p)
+        .ok()
+        .filter(|&t| si::PrbsOrder::from_tag(t).is_some())
+        .ok_or_else(|| format!("--prbs: expected 7, 15 or 31, got {p}"))
+}
+
 /// Estimates the PW-RBF model of a driver with the experiment defaults.
 pub fn driver_model(spec: &CmosDriverSpec) -> Result<PwRbfDriverModel> {
     match ExtractionSession::for_driver(spec.clone())
@@ -650,9 +665,10 @@ pub fn run_bus_ladder(
     dense_reference: bool,
 ) -> Result<BusLadderRun> {
     let spec = CoupledLineSpec::bus(conductors, 0.2);
-    let z0 = spec.z0(0);
     let mut ckt = Circuit::new();
     let line = expand_coupled_line(&mut ckt, &spec, segments, (1e7, 2e10))?;
+    // After the expansion, which rejects a bus without conductors.
+    let z0 = spec.z0(0);
     for j in 0..conductors {
         let src = ckt.node(format!("src{j}"));
         // Staggered edges so every driver actually switches within the
@@ -738,6 +754,22 @@ mod tests {
         assert!(
             0.0 < r.min_s && r.min_s <= r.median_s && r.median_s <= r.max_s,
             "{line}"
+        );
+    }
+
+    #[test]
+    fn prbs_tags_are_7_15_or_31_in_the_count_grammar() {
+        for (v, tag) in [("7", 7), ("15", 15), ("31", 31), ("3.1e1", 31)] {
+            assert_eq!(parse_prbs(v), Ok(tag), "{v}");
+        }
+        for v in ["0", "8", "4294967303", "-7", "7.5", "nine", ""] {
+            let e = parse_prbs(v).unwrap_err();
+            assert!(e.starts_with("--prbs: expected "), "{v}: {e}");
+        }
+        // 2^32 + 7 must not wrap to the valid tag 7.
+        assert_eq!(
+            parse_prbs("4294967303").unwrap_err(),
+            "--prbs: expected 7, 15 or 31, got 4294967303"
         );
     }
 

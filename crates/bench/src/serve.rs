@@ -754,9 +754,10 @@ fn run_bus_cell(
     dt: f64,
 ) -> crate::Result<(Vec<Waveform>, CellStats)> {
     let spec = CoupledLineSpec::bus(conductors, 0.1);
-    let z0 = spec.z0(0);
     let mut ckt = Circuit::new();
     let line = expand_coupled_line(&mut ckt, &spec, segments, (1e7, 2e10))?;
+    // After the expansion, which rejects a bus without conductors.
+    let z0 = spec.z0(0);
     // Lanes are assigned round-robin to the drivers; lanes sharing a model
     // are installed through `instantiate_lanes`, so backends with a batched
     // evaluation runtime (the PW-RBF driver) step all their lanes together
@@ -1855,7 +1856,8 @@ pub(crate) mod tests {
                 t_stop: 3e-9,
             },
         };
-        // A conductor-less bus indexes an empty line: the cell panics.
+        // A conductor-less bus is rejected by the line expansion: a typed
+        // failure, no panic.
         let empty_bus = Scenario {
             name: "empty-bus".into(),
             applies_to: Applicability::Drivers,
@@ -1867,13 +1869,23 @@ pub(crate) mod tests {
                 t_stop: 3e-9,
             },
         };
+        // A zero-ohm load trips `Resistor::new`'s assertion: the cell panics.
+        let zero_ohm = Scenario {
+            name: "zero-ohm".into(),
+            applies_to: Applicability::Drivers,
+            kind: ScenarioKind::Fixture {
+                fixture: TestFixture::resistive(0.0),
+                stim: Some(PortStimulus::new("01", 1e-9)),
+                t_stop: 3e-9,
+            },
+        };
         let r50 = standard_scenarios(true)
             .into_iter()
             .find(|s| s.name == "r50")
             .unwrap();
-        let report = sweep_store(&store, &[bad, empty_bus, r50]);
-        assert_eq!(report.cells.len(), 3);
-        assert_eq!(report.failed(), 2);
+        let report = sweep_store(&store, &[bad, empty_bus, zero_ohm, r50]);
+        assert_eq!(report.cells.len(), 4);
+        assert_eq!(report.failed(), 3);
         let bad = &report.cells[0];
         assert_eq!(bad.scenario, "bad-pattern");
         assert!(
@@ -1881,15 +1893,22 @@ pub(crate) mod tests {
             "{}",
             bad.detail
         );
-        let panicked = &report.cells[1];
-        assert_eq!(panicked.scenario, "empty-bus");
+        let empty = &report.cells[1];
+        assert_eq!(empty.scenario, "empty-bus");
+        assert!(
+            !empty.detail.starts_with("panic: ") && empty.detail.contains("coupled line"),
+            "{}",
+            empty.detail
+        );
+        let panicked = &report.cells[2];
+        assert_eq!(panicked.scenario, "zero-ohm");
         assert!(
             panicked.detail.starts_with("panic: ")
-                && panicked.detail.contains("index out of bounds"),
+                && panicked.detail.contains("resistance must be positive"),
             "{}",
             panicked.detail
         );
-        assert!(report.cells[2].pass, "{}", report.cells[2].detail);
+        assert!(report.cells[3].pass, "{}", report.cells[3].detail);
         std::fs::remove_dir_all(store.root()).ok();
     }
 

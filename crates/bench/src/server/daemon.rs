@@ -16,13 +16,15 @@
 //! generation without invalidating anything in flight — the old instance
 //! lives until its last request releases it.
 //!
-//! Parsing is keyed by **artifact digest**
-//! ([`macromodel::artifact_digest`]): for text files the FNV-1a hash of
-//! the raw bytes, for binary `.mdlxb` containers the body digest embedded
-//! in the file header (a fixed-offset read — no hash pass at all). A
-//! reload therefore only re-parses artifacts whose bytes actually
-//! changed; a `touch`ed but identical file is a cache hit, and the
-//! `stats` request reports the hit/miss counters.
+//! The store is only scanned and polled here, never asked to parse; a
+//! reload reads every artifact and keys it by **path and artifact
+//! digest** ([`macromodel::artifact_digest`]: for text files the FNV-1a
+//! hash of the raw bytes, for binary `.mdlxb` containers the body digest
+//! embedded in the file header — a fixed-offset read, no hash pass). An
+//! artifact the live generation already serves under the same key keeps
+//! its parsed models, so a reload re-parses only artifacts whose bytes
+//! changed or that moved; a `touch`ed but identical file is a cache hit,
+//! and the `stats` request reports the hit/miss counters.
 //!
 //! [`FileFingerprint`]: macromodel::FileFingerprint
 
@@ -36,23 +38,16 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use macromodel::json::{self, Layout, Raw};
-use macromodel::{
-    artifact_digest, load_artifact_bytes, LoadMode, Macromodel, ModelKind, ModelStore,
-};
+use macromodel::{artifact_digest, load_artifact_bytes, Macromodel, ModelKind, ModelStore};
 
 use crate::serve::{
     mc_summary_json, standard_scenarios, Applicability, CellReport, EyeWorkload, McWorkload,
     Scenario, ScenarioKind,
 };
 
-use super::cache::DigestCache;
 use super::protocol::{self, Request};
 use super::scheduler::{CellTask, Job, Scheduler};
 use super::ServedModel;
-
-/// Bound on live digest-cache entries; least-recently-used digests are
-/// evicted past this.
-const CACHE_CAP: usize = 128;
 
 /// Daemon configuration.
 #[derive(Debug, Clone)]
@@ -94,6 +89,9 @@ struct Generation {
     by_name: HashMap<String, usize>,
     /// `.mdlx` files scanned.
     artifacts: usize,
+    /// Artifacts whose models this generation serves: the memo the next
+    /// reload draws its cache hits from.
+    loaded: usize,
     /// Unreadable or unparsable files: `(path, error)`.
     failures: Vec<(String, String)>,
 }
@@ -120,10 +118,6 @@ struct Inner {
     cfg: ServeConfig,
     store: Mutex<ModelStore>,
     generation: RwLock<Arc<Generation>>,
-    /// Content digest → parsed artifact models, LRU-bounded. Shared across
-    /// generations: the hot-reload path only pays a parse for bytes it has
-    /// never seen recently.
-    cache: Mutex<DigestCache>,
     scheduler: Arc<Scheduler>,
     stop: AtomicBool,
     counters: Counters,
@@ -205,7 +199,7 @@ pub fn start(cfg: ServeConfig) -> crate::Result<ServerHandle> {
     if cfg.idle_timeout.is_zero() {
         return Err("idle_timeout must be positive".into());
     }
-    let store = ModelStore::open_with_mode(&cfg.store_dir, LoadMode::Lazy)?;
+    let store = ModelStore::open(&cfg.store_dir)?;
     if cfg.socket_path.exists() {
         std::fs::remove_file(&cfg.socket_path)?;
     }
@@ -219,9 +213,9 @@ pub fn start(cfg: ServeConfig) -> crate::Result<ServerHandle> {
             models: Vec::new(),
             by_name: HashMap::new(),
             artifacts: 0,
+            loaded: 0,
             failures: Vec::new(),
         })),
-        cache: Mutex::new(DigestCache::new(CACHE_CAP)),
         scheduler: Scheduler::new(),
         stop: AtomicBool::new(false),
         counters: Counters::default(),
@@ -250,12 +244,15 @@ pub fn start(cfg: ServeConfig) -> crate::Result<ServerHandle> {
 }
 
 // ---------------------------------------------------------------------
-// Generation building — the digest-keyed cache
+// Generation building
 // ---------------------------------------------------------------------
 
 /// Builds a generation from the store's current entry list and swaps it
-/// into place. Parse work is skipped for every file whose content digest
-/// is already cached.
+/// into place. An artifact the live generation serves from the same path
+/// with the same content digest keeps its models (a cache hit); every
+/// other artifact is parsed and linted (a miss). Only `start` and the
+/// watcher thread publish, one after the other, so the live generation
+/// cannot change underneath.
 fn publish_generation(inner: &Inner) {
     let (paths, mut failures) = {
         let store = inner.store.lock().expect("store poisoned");
@@ -270,10 +267,20 @@ fn publish_generation(inner: &Inner) {
         (paths, failures)
     };
 
+    let live = Arc::clone(&inner.generation.read().expect("generation lock poisoned"));
+    // Path → (digest, models) of every artifact the live generation serves.
+    let mut reusable: HashMap<&Path, (&str, Vec<Arc<ServedModel>>)> = HashMap::new();
+    for m in &live.models {
+        reusable
+            .entry(&m.path)
+            .or_insert_with(|| (&m.digest, Vec::new()))
+            .1
+            .push(Arc::clone(m));
+    }
     let mut models: Vec<Arc<ServedModel>> = Vec::new();
     let mut by_name = HashMap::new();
     let artifacts = paths.len();
-    let mut cache = inner.cache.lock().expect("artifact cache poisoned");
+    let mut loaded = 0;
     for path in paths {
         let bytes = match std::fs::read(&path) {
             Ok(b) => b,
@@ -282,56 +289,58 @@ fn publish_generation(inner: &Inner) {
                 continue;
             }
         };
-        // Binary containers carry their body digest in the header, so a
-        // cache key costs a fixed-offset read instead of a hash pass.
+        // Binary containers carry their body digest in the header, so the
+        // reuse key costs a fixed-offset read instead of a hash pass.
         let digest = artifact_digest(&bytes);
-        let served = if let Some(cached) = cache.get(&digest) {
-            inner.counters.cache_hits.fetch_add(1, Ordering::Relaxed);
-            cached
-        } else {
-            let parsed = load_artifact_bytes(&bytes).map_err(|e| e.to_string());
-            let artifact = match parsed {
-                Ok(a) => a,
-                Err(e) => {
-                    failures.push((path.display().to_string(), e));
-                    continue;
-                }
-            };
-            inner.counters.cache_misses.fetch_add(1, Ordering::Relaxed);
-            let config_digest = artifact
-                .provenance
-                .as_ref()
-                .map(|p| p.config_digest.clone());
-            let served: Vec<Arc<ServedModel>> = artifact
-                .models
-                .into_iter()
-                .map(|model| {
-                    // Lint once per parse; cache hits carry the summary
-                    // along with the models (same bytes, same findings).
-                    let lint = crate::serve::ModelLint::of(model.name(), &model);
-                    Arc::new(ServedModel {
-                        lint,
-                        model,
-                        digest: digest.clone(),
-                        config_digest: config_digest.clone(),
-                        path: path.clone(),
+        let served = match reusable.remove(path.as_path()) {
+            Some((live_digest, served)) if live_digest == digest => {
+                inner.counters.cache_hits.fetch_add(1, Ordering::Relaxed);
+                served
+            }
+            _ => {
+                let parsed = load_artifact_bytes(&bytes).map_err(|e| e.to_string());
+                let artifact = match parsed {
+                    Ok(a) => a,
+                    Err(e) => {
+                        failures.push((path.display().to_string(), e));
+                        continue;
+                    }
+                };
+                inner.counters.cache_misses.fetch_add(1, Ordering::Relaxed);
+                let config_digest = artifact
+                    .provenance
+                    .as_ref()
+                    .map(|p| p.config_digest.clone());
+                artifact
+                    .models
+                    .into_iter()
+                    .map(|model| {
+                        // Lint once per parse; cache hits carry the summary
+                        // along with the models (same bytes, same findings).
+                        let lint = crate::serve::ModelLint::of(model.name(), &model);
+                        Arc::new(ServedModel {
+                            lint,
+                            model,
+                            digest: digest.clone(),
+                            config_digest: config_digest.clone(),
+                            path: path.clone(),
+                        })
                     })
-                })
-                .collect();
-            cache.insert(digest.clone(), served.clone());
-            served
+                    .collect()
+            }
         };
+        loaded += 1;
         for m in served {
             by_name.insert(m.model.name().to_string(), models.len());
             models.push(m);
         }
     }
-    drop(cache);
 
     *inner.generation.write().expect("generation lock poisoned") = Arc::new(Generation {
         models,
         by_name,
         artifacts,
+        loaded,
         failures,
     });
     inner.counters.generation.fetch_add(1, Ordering::Relaxed);
@@ -784,10 +793,7 @@ fn stats_json(inner: &Arc<Inner>) -> String {
                 o.field("hits", hits)
                     .field("misses", misses)
                     .field("hit_rate", hit_rate)
-                    .field(
-                        "entries",
-                        inner.cache.lock().expect("artifact cache poisoned").len(),
-                    );
+                    .field("entries", generation.loaded);
             })
             .object("lint", Layout::Compact, |o| {
                 o.field("errors", lint_e)

@@ -9,12 +9,11 @@
 //! * [`scheduler`] — the batched cell scheduler mapping queued requests
 //!   onto the [`numkit::par`] workers (at most one per CPU), grouping
 //!   same-model cells so one worker steps a model's cells back to back;
-//! * [`cache`] — the bounded, LRU-evicting digest → parsed-models cache
-//!   behind hot reload;
-//! * [`daemon`] — the daemon itself: generation-swapped inventory,
-//!   content-digest artifact cache, mtime/len polling hot reload, and the
-//!   connection loops, plus [`daemon::Client`], the framed-protocol
-//!   client behind `mdl request`.
+//! * [`daemon`] — the daemon itself: generation-swapped inventory, whose
+//!   live generation is the parse memo of the next reload (an artifact at
+//!   the same path with the same content digest keeps its parsed models),
+//!   mtime/len polling hot reload, and the connection loops, plus
+//!   [`daemon::Client`], the framed-protocol client behind `mdl request`.
 //!
 //! Hot reload is drop-free by construction: the inventory is an immutable
 //! generation behind an `RwLock<Arc<_>>`, every in-flight request holds
@@ -23,7 +22,6 @@
 //! admitted before the swap finish on the artifacts they started with;
 //! requests after it see the fresh bytes.
 
-pub mod cache;
 pub mod daemon;
 pub mod protocol;
 pub mod scheduler;
@@ -40,8 +38,8 @@ use std::path::PathBuf;
 pub struct ServedModel {
     /// The parsed model.
     pub model: AnyModel,
-    /// Content digest of the source artifact's raw bytes — the cache key,
-    /// computable without parsing.
+    /// Content digest of the source artifact's raw bytes — with `path`,
+    /// the reload's reuse key, computable without parsing.
     pub digest: String,
     /// Provenance `config_digest` of the artifact (v2 bundles only).
     pub config_digest: Option<String>,

@@ -174,13 +174,8 @@ pub fn parse_request(line: &str) -> Result<Request, String> {
             fast: take_flag(&mut tokens, "--fast"),
         },
         "eye" => {
-            let prbs = take_count(&mut tokens, "--prbs", 0, u64::MAX)?
-                .map(|p| {
-                    u32::try_from(p)
-                        .ok()
-                        .filter(|&t| si::PrbsOrder::from_tag(t).is_some())
-                        .ok_or_else(|| format!("--prbs: expected 7, 15 or 31, got {p}"))
-                })
+            let prbs = take_opt(&mut tokens, "--prbs")?
+                .map(|v| crate::parse_prbs(&v))
                 .transpose()?;
             let bits = take_count(
                 &mut tokens,

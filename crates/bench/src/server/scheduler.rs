@@ -198,8 +198,8 @@ fn run_cell(model: &ServedModel, task: &CellTask) -> CellReport {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::serve::{standard_scenarios, Applicability};
-    use macromodel::Macromodel;
+    use crate::serve::{standard_scenarios, Applicability, ScenarioKind};
+    use macromodel::{Macromodel, PortStimulus, TestFixture};
     use std::sync::mpsc;
 
     #[test]
@@ -238,16 +238,24 @@ mod tests {
 
     #[test]
     fn panicking_cell_is_reported_and_the_runner_keeps_serving() {
-        use crate::serve::ScenarioKind;
-
         let scheduler = Scheduler::new();
         let runner = {
             let s = Arc::clone(&scheduler);
             std::thread::spawn(move || s.run())
         };
         let model = Arc::new(super::super::tests::served_dummy("drv"));
-        // A conductor-less bus indexes an empty line: the cell panics.
-        let bad = Scenario {
+        // A zero-ohm load trips `Resistor::new`'s assertion: the cell panics.
+        let panicking = Scenario {
+            name: "zero-ohm".into(),
+            applies_to: Applicability::Drivers,
+            kind: ScenarioKind::Fixture {
+                fixture: TestFixture::resistive(0.0),
+                stim: Some(PortStimulus::new("01", 1e-9)),
+                t_stop: 3e-9,
+            },
+        };
+        // A conductor-less bus is a typed failure, no panic.
+        let empty_bus = Scenario {
             name: "empty-bus".into(),
             applies_to: Applicability::Drivers,
             kind: ScenarioKind::BusLadder {
@@ -263,25 +271,31 @@ mod tests {
             .find(|s| s.name == "r50")
             .unwrap();
         let (tx, rx) = mpsc::channel();
-        for scenario in [bad, good] {
+        for scenario in [panicking, empty_bus, good] {
             assert!(scheduler.submit(Job {
                 model: Arc::clone(&model),
                 task: CellTask::Scenario(scenario),
                 reply: tx.clone(),
             }));
-            // One job per batch: the good cell is submitted after the
-            // panic was handled.
+            // One job per batch: each cell is submitted after the previous
+            // one was handled.
             let report = rx.recv().expect("the runner replies");
-            if report.scenario == "empty-bus" {
-                assert!(!report.pass);
-                assert!(
-                    report.detail.starts_with("panic: ")
-                        && report.detail.contains("index out of bounds"),
+            match report.scenario.as_str() {
+                "zero-ohm" => assert!(
+                    !report.pass
+                        && report.detail.starts_with("panic: ")
+                        && report.detail.contains("resistance must be positive"),
                     "{}",
                     report.detail
-                );
-            } else {
-                assert!(report.pass, "{}", report.detail);
+                ),
+                "empty-bus" => assert!(
+                    !report.pass
+                        && !report.detail.starts_with("panic: ")
+                        && report.detail.contains("coupled line"),
+                    "{}",
+                    report.detail
+                ),
+                _ => assert!(report.pass, "{}", report.detail),
             }
         }
         assert_eq!(scheduler.snapshot().panics, 1);

@@ -3,14 +3,14 @@
 //! text `.mdlx` and once as binary `.mdlxb` — and the three ways of
 //! opening them that one sample times:
 //!
-//! * [`BenchStores::open_eager_text`] — [`ModelStore::open`] on the text
-//!   tree: every file fully parsed up front (the pre-container status
-//!   quo);
-//! * [`BenchStores::open_lazy_bin`] — a lazy open of the binary tree plus
+//! * [`BenchStores::open_eager_text`] — [`ModelStore::open`] plus
+//!   [`ModelStore::load_all`] on the text tree: every file fully parsed up
+//!   front (the pre-container status quo);
+//! * [`BenchStores::open_lazy_bin`] — an open of the binary tree plus
 //!   [`macromodel::StoreEntry::index`] on every entry: the whole
 //!   inventory (names, kinds, digests, byte sizes) from section headers
 //!   alone, no model payload ever decoded;
-//! * [`BenchStores::touch_one_bin`] — a lazy binary open followed by one
+//! * [`BenchStores::touch_one_bin`] — a binary open followed by one
 //!   [`ModelStore::get`]: the time-to-first-model, materializing exactly
 //!   one artifact out of the whole tree.
 
@@ -20,7 +20,7 @@ use std::path::PathBuf;
 use macromodel::driver::{PwRbfDriverModel, WeightSequence};
 use macromodel::exchange::binary::save_artifact_bin_to_path;
 use macromodel::exchange::save_model_to_path;
-use macromodel::{AnyModel, Artifact, LoadMode, ModelStore};
+use macromodel::{AnyModel, Artifact, ModelStore};
 
 use crate::evalbench::bench_model;
 
@@ -97,19 +97,18 @@ impl BenchStores {
         Ok(stores)
     }
 
-    /// One eager text open: every file parsed during the scan.
+    /// One text open plus [`ModelStore::load_all`]: every file parsed.
     pub fn open_eager_text(&self) -> ModelStore {
         let store = ModelStore::open(&self.text_dir).expect("text store opens");
-        black_box(store.len());
+        black_box(store.load_all().len());
         store
     }
 
-    /// One lazy binary open plus a full section-header index pass — the
+    /// One binary open plus a full section-header index pass — the
     /// complete inventory with zero payload decodes. Returns the store and
     /// the number of models indexed.
     pub fn open_lazy_bin(&self) -> (ModelStore, usize) {
-        let store =
-            ModelStore::open_with_mode(&self.bin_dir, LoadMode::Lazy).expect("binary store opens");
+        let store = ModelStore::open(&self.bin_dir).expect("binary store opens");
         let mut models = 0usize;
         for entry in store.entries() {
             models += entry.index().expect("binary entry indexes").models.len();
@@ -117,12 +116,11 @@ impl BenchStores {
         (store, black_box(models))
     }
 
-    /// One lazy binary open followed by one name lookup: the index pass
+    /// One binary open followed by one name lookup: the index pass
     /// routes the lookup and exactly one artifact decodes. Returns the
     /// store and whether the probe was found.
     pub fn touch_one_bin(&self) -> (ModelStore, bool) {
-        let store =
-            ModelStore::open_with_mode(&self.bin_dir, LoadMode::Lazy).expect("binary store opens");
+        let store = ModelStore::open(&self.bin_dir).expect("binary store opens");
         let found = black_box(store.get(&self.probe).is_some());
         (store, found)
     }

@@ -1,7 +1,8 @@
 //! End-to-end daemon integration: a real store directory served over a
 //! real Unix socket, exercised through the framed protocol — inventory,
-//! scheduled cells, digest-keyed caching, drop-free hot reload — plus the
-//! lazy-store concurrency guarantees the daemon builds on.
+//! scheduled cells, reuse of unchanged artifacts across reloads, drop-free
+//! hot reload — plus the lazy-store concurrency guarantees the daemon
+//! builds on.
 
 use emc_bench::server::daemon::Client;
 use emc_bench::server::{start, ServeConfig};
@@ -10,7 +11,7 @@ use macromodel::exchange::{
     save_artifact_to_path, save_model_to_path, AnyModel, Artifact, Provenance,
 };
 use macromodel::json::{self, Value};
-use macromodel::{LoadMode, ModelStore};
+use macromodel::ModelStore;
 use std::path::PathBuf;
 use std::time::{Duration, Instant};
 use sysid::narx::{NarxModel, NarxOrders};
@@ -346,6 +347,79 @@ fn hot_reload_swaps_digests_without_dropping_requests() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// Polls `stats` until the daemon has published generation `n`.
+fn await_generation(client: &mut Client, n: u64) -> String {
+    let deadline = Instant::now() + Duration::from_secs(10);
+    loop {
+        let stats = client.request("stats").unwrap();
+        if lookup(&stats, &["generation"]).as_u64().unwrap() >= n {
+            return stats;
+        }
+        assert!(
+            Instant::now() < deadline,
+            "generation {n} never published: {stats}"
+        );
+        std::thread::sleep(Duration::from_millis(20));
+    }
+}
+
+/// The `path` of every model in an `ls` reply, in inventory order.
+fn ls_paths(client: &mut Client) -> Vec<String> {
+    let ls = client.request("ls").unwrap();
+    lookup(&ls, &["models"])
+        .as_array()
+        .unwrap()
+        .iter()
+        .map(|m| m.get("path").unwrap().as_str().unwrap().to_string())
+        .collect()
+}
+
+#[test]
+fn renamed_artifact_is_served_from_its_new_path() {
+    let dir = temp_dir("rename");
+    save_model_to_path(&dummy_driver("drv_a", 0.02), dir.join("a.mdlx")).unwrap();
+    let handle = start(serve_cfg(&dir, "rename", 30)).unwrap();
+    let mut client = Client::connect(&handle.socket_path()).unwrap();
+    let path_of = |client: &mut Client| {
+        let info = client.request("info drv_a").unwrap();
+        lookup(&info, &["path"]).as_str().unwrap().to_string()
+    };
+    assert!(path_of(&mut client).ends_with("a.mdlx"));
+
+    // Same bytes, new path: the model must not be served from a file that
+    // no longer exists.
+    std::fs::rename(dir.join("a.mdlx"), dir.join("z.mdlx")).unwrap();
+    let stats = await_generation(&mut client, 2);
+    let z = dir.join("z.mdlx").display().to_string();
+    assert_eq!(path_of(&mut client), z);
+    assert_eq!(ls_paths(&mut client), std::slice::from_ref(&z));
+    assert_eq!(
+        lookup(&stats, &["cache", "hits"]).as_u64(),
+        Some(0),
+        "{stats}"
+    );
+    assert_eq!(
+        lookup(&stats, &["cache", "misses"]).as_u64(),
+        Some(2),
+        "{stats}"
+    );
+    assert_eq!(
+        lookup(&stats, &["cache", "entries"]).as_u64(),
+        Some(1),
+        "{stats}"
+    );
+
+    // A copy of the same bytes is served from its own path.
+    std::fs::copy(dir.join("z.mdlx"), dir.join("c.mdlx")).unwrap();
+    await_generation(&mut client, 3);
+    let c = dir.join("c.mdlx").display().to_string();
+    assert_eq!(ls_paths(&mut client), [c, z.clone()]);
+    assert_eq!(path_of(&mut client), z, "the later path wins the name");
+
+    handle.stop();
+    std::fs::remove_dir_all(&dir).ok();
+}
+
 #[test]
 fn client_reaches_models_whose_names_need_escaping() {
     // The protocol splits request lines on whitespace, so the name holds a
@@ -498,7 +572,7 @@ fn lazy_store_surfaces_failures_once_entries_are_touched() {
     save_model_to_path(&dummy_driver("good", 0.02), dir.join("good.mdlx")).unwrap();
     std::fs::write(dir.join("broken.mdlx"), "mdlx 1 pwrbf-driver\njunk\n").unwrap();
 
-    let store = ModelStore::open_with_mode(&dir, LoadMode::Lazy).unwrap();
+    let store = ModelStore::open(&dir).unwrap();
     // The documented (and previously misleading) behavior: nothing parsed,
     // so nothing reported yet — the store *looks* healthy.
     assert!(
@@ -531,7 +605,7 @@ fn concurrent_lazy_access_parses_once_and_replays_errors() {
     save_model_to_path(&dummy_driver("good", 0.02), dir.join("good.mdlx")).unwrap();
     std::fs::write(dir.join("broken.mdlx"), "mdlx 1 pwrbf-driver\njunk\n").unwrap();
 
-    let store = ModelStore::open_with_mode(&dir, LoadMode::Lazy).unwrap();
+    let store = ModelStore::open(&dir).unwrap();
     let entries: Vec<_> = store.entries().collect();
     let broken = entries
         .iter()

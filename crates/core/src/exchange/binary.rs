@@ -67,7 +67,7 @@ use super::{
 };
 use crate::macromodel::{Macromodel, ModelKind};
 use crate::Result;
-use std::io::{Read, Seek};
+use std::io::{BufRead, Read, Seek};
 use std::path::Path;
 
 /// Leading magic of every binary container.
@@ -706,34 +706,59 @@ pub fn index_bytes(bytes: &[u8]) -> Result<BinIndex> {
 ///
 /// See [`index_bytes`], plus [`ExchangeError::Io`].
 pub fn index_path(path: impl AsRef<Path>) -> Result<BinIndex> {
-    index_path_with_len(path, None)
+    match probe_path(path, None)? {
+        Probe::Binary(index) => index,
+        Probe::Other(bytes) => index_bytes(&bytes),
+    }
 }
 
-/// [`index_path`] with the file length supplied by a caller that already
-/// statted the file (a store scan captures it in the fingerprint); saves
-/// the `fstat` per file, which is a measurable share of a 1 000-entry
-/// lazy open. The length is only a framing bound — a wrong value surfaces
-/// as [`ExchangeError::Truncated`] / [`ExchangeError::Corrupt`], exactly
-/// as if the file had changed size underneath a plain [`index_path`].
+/// What [`probe_path`] found in a file.
+#[derive(Debug)]
+pub enum Probe {
+    /// The file starts with [`MAGIC`]: its section directory, or the
+    /// framing error that stopped the walk.
+    Binary(Result<BinIndex>),
+    /// Any other file, read whole: exchange text, or bytes no loader
+    /// accepts.
+    Other(Vec<u8>),
+}
+
+/// Opens `path` once and decides on its leading bytes, as
+/// [`super::load_artifact_bytes`] does: a binary container is indexed as
+/// [`index_path`] indexes it, anything else is read whole for the text
+/// loader. `known_len` is the file length from a caller that already
+/// statted the file (a store scan captures it in the fingerprint); it
+/// saves the `fstat` per binary file, a measurable share of a 1 000-entry
+/// store index. The length is only a framing bound — a wrong value
+/// surfaces as [`ExchangeError::Truncated`] / [`ExchangeError::Corrupt`],
+/// exactly as if the file had changed size underneath.
 ///
 /// # Errors
 ///
-/// See [`index_path`].
-pub fn index_path_with_len(path: impl AsRef<Path>, known_len: Option<u64>) -> Result<BinIndex> {
+/// [`ExchangeError::Io`] when the file cannot be opened or read before
+/// the format is decided.
+pub fn probe_path(path: impl AsRef<Path>, known_len: Option<u64>) -> Result<Probe> {
     let path = path.as_ref();
     let file = std::fs::File::open(path).map_err(io_error(path))?;
-    let len = match known_len {
-        Some(len) => len,
-        None => file.metadata().map_err(io_error(path))?.len(),
-    };
     // One buffered reader sized so a typical single-model container's
     // whole header run (file header + section header + name) arrives in
-    // one read without copying kilobytes of payload along with it;
-    // `seek_relative` skips payloads without a syscall while the target
-    // stays inside the buffer, so indexing a small file costs an open
-    // and a single sub-KiB read.
-    let mut file = std::io::BufReader::with_capacity(512, file);
-    Ok(read_index(&mut file, len, io_error(path))?)
+    // the read that peeks at the magic, without copying kilobytes of
+    // payload along with it; `seek_relative` skips payloads without a
+    // syscall while the target stays inside the buffer, so indexing a
+    // small file costs an open and a single sub-KiB read.
+    let mut src = std::io::BufReader::with_capacity(512, file);
+    if !is_binary(src.fill_buf().map_err(io_error(path))?) {
+        let mut bytes = Vec::with_capacity(known_len.unwrap_or(0) as usize);
+        src.read_to_end(&mut bytes).map_err(io_error(path))?;
+        // A first read shorter than the magic does not decide the format.
+        if is_binary(&bytes) {
+            return Ok(Probe::Binary(index_bytes(&bytes)));
+        }
+        return Ok(Probe::Other(bytes));
+    }
+    let len = known_len.map_or_else(|| src.get_ref().metadata().map(|m| m.len()), Ok);
+    let index = read_index(&mut src, len.map_err(io_error(path))?, io_error(path));
+    Ok(Probe::Binary(index.map_err(Into::into)))
 }
 
 /// Verifies one section's digest against the file bytes, then decodes its

@@ -82,8 +82,7 @@ pub use exchange::{
 pub use lint::{lint_artifact, lint_model, lint_model_full, LintConfig, LintReport, Severity};
 pub use macromodel::{Macromodel, ModelKind, PortStimulus, TestFixture};
 pub use modelstore::{
-    ArtifactFormat, EntryIndex, FileFingerprint, LoadMode, ModelStore, StoreEntry, StoreFailure,
-    StoreRefresh,
+    ArtifactFormat, EntryIndex, FileFingerprint, ModelStore, StoreEntry, StoreFailure, StoreRefresh,
 };
 pub use receiver::{CrModel, ReceiverModel};
 pub use session::{EstimatedModel, ExtractionSession};

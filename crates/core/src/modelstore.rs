@@ -3,28 +3,23 @@
 //!
 //! [`ModelStore::open`] scans a directory (recursively, in a deterministic
 //! sorted order) for text `.mdlx` and binary `.mdlxb` files side by side
-//! and loads each through the format-dispatching
-//! [`crate::exchange::load_artifact_auto_from_path`] — v1 single-model
-//! files, v2 provenance-stamped bundles, and binary containers in one
-//! tree. A file that fails to load does **not** abort the scan: its typed
-//! error is collected in [`ModelStore::failures`], so one corrupt
-//! artifact never takes the rest of the fleet down with it.
+//! — v1 single-model files, v2 provenance-stamped bundles, and binary
+//! containers in one tree — and records their paths. Each artifact is
+//! parsed on first touch ([`StoreEntry::artifact`]) and memoized; the
+//! loader picks the container by the file's leading bytes, not its
+//! extension. A file that fails to load does **not** take the rest of the
+//! fleet down with it: its typed error is memoized and reported by
+//! [`ModelStore::failures`]. [`ModelStore::load_all`] parses every entry
+//! and returns the complete failure list.
 //!
-//! Two load modes:
-//!
-//! * [`LoadMode::Eager`] (the [`ModelStore::open`] default) — every file is
-//!   parsed during the scan; load errors are available immediately.
-//! * [`LoadMode::Lazy`] — the scan only records paths; each artifact is
-//!   parsed on first access ([`StoreEntry::artifact`]) and memoized. Use
-//!   this when a harness touches a few models out of a large library.
-//!
-//! Lazy mode pairs with the binary container: [`StoreEntry::index`] reads
-//! only a binary file's section headers (a few dozen bytes per model, via
-//! seeks — payloads are never touched), so [`ModelStore::get`] can route a
-//! name lookup straight to the one file holding the model and leave every
-//! other entry unopened. Text entries fall back to a full parse for their
-//! index, so a 1 000-artifact binary tree opens orders of magnitude
-//! faster than the same tree in text — `cargo bench --bench store`
+//! Parsing on touch pairs with the binary container: [`StoreEntry::index`]
+//! reads only a binary file's section headers (a few dozen bytes per
+//! model, via seeks — payloads are never touched), so [`ModelStore::get`]
+//! can route a name lookup straight to the one file holding the model and
+//! leave every other entry unopened. A text entry's index is a full parse
+//! of the bytes it read, memoized as the entry's artifact, so a
+//! 1 000-artifact binary tree indexes orders of magnitude faster than the
+//! same tree in text — `cargo bench --bench store`
 //! (`scripts/bench-baseline.sh store`) measures exactly this gap.
 //!
 //! The store indexes by model name ([`ModelStore::get`]) and kind
@@ -38,7 +33,7 @@
 //!
 //! # fn main() -> Result<(), macromodel::Error> {
 //! let store = ModelStore::open("artifacts/")?;
-//! for failure in store.failures() {
+//! for failure in store.load_all() {
 //!     eprintln!("skipping {}: {}", failure.path.display(), failure.error);
 //! }
 //! for (path, model) in store.models() {
@@ -50,8 +45,10 @@
 //! # }
 //! ```
 
+use crate::exchange::binary::{self, Probe};
 use crate::exchange::{
-    binary, content_digest, load_artifact_auto_from_path, AnyModel, Artifact, ExchangeError,
+    content_digest, load_artifact_auto_from_path, load_artifact_bytes, AnyModel, Artifact,
+    ExchangeError,
 };
 use crate::macromodel::{Macromodel, ModelKind};
 use crate::{Error, Result};
@@ -62,15 +59,6 @@ use std::time::SystemTime;
 /// Directory-nesting bound of the store scan — far deeper than any sane
 /// artifact layout, shallow enough to break symlink cycles.
 const MAX_SCAN_DEPTH: usize = 32;
-
-/// When the store parses artifact files.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum LoadMode {
-    /// Parse every file during [`ModelStore::open`].
-    Eager,
-    /// Record paths during the scan; parse on first access.
-    Lazy,
-}
 
 /// An artifact file that failed to index or load, with its typed error.
 #[derive(Debug, Clone)]
@@ -107,12 +95,12 @@ impl FileFingerprint {
     }
 }
 
-/// On-disk representation of a store entry.
+/// On-disk representation of a store entry, decided by its leading bytes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ArtifactFormat {
-    /// Line-oriented `mdlx` text (`.mdlx`).
+    /// Line-oriented `mdlx` text (conventionally `.mdlx`).
     Text,
-    /// The length-framed binary container (`.mdlxb`).
+    /// The length-framed binary container (conventionally `.mdlxb`).
     Binary,
 }
 
@@ -155,28 +143,24 @@ impl EntryIndex {
 /// One `.mdlx` / `.mdlxb` file in the store.
 pub struct StoreEntry {
     path: PathBuf,
-    format: ArtifactFormat,
     /// Fingerprint captured at scan time (`None` when the stat failed —
     /// the parse will surface the real error on access).
     fingerprint: Option<FileFingerprint>,
+    /// The container the leading bytes announce, set when indexing opened
+    /// the file.
+    format: OnceLock<ArtifactFormat>,
     /// Section-header catalog, memoized on first access.
     index: OnceLock<std::result::Result<EntryIndex, Error>>,
-    /// Parse result, memoized on first access (pre-filled in eager mode).
+    /// Parse result, memoized on first access.
     slot: OnceLock<std::result::Result<Artifact, Error>>,
 }
 
 impl StoreEntry {
     fn new(path: PathBuf) -> Self {
-        let fingerprint = FileFingerprint::of(&path).ok();
-        let format = if path.extension().is_some_and(|ext| ext == "mdlxb") {
-            ArtifactFormat::Binary
-        } else {
-            ArtifactFormat::Text
-        };
         StoreEntry {
+            fingerprint: FileFingerprint::of(&path).ok(),
             path,
-            format,
-            fingerprint,
+            format: OnceLock::new(),
             index: OnceLock::new(),
             slot: OnceLock::new(),
         }
@@ -192,17 +176,17 @@ impl StoreEntry {
         self.fingerprint
     }
 
-    /// Text or binary, judged by extension at scan time (the loaders judge
-    /// by content, so a mislabeled file still loads — or fails — on its
-    /// actual bytes).
-    pub fn format(&self) -> ArtifactFormat {
-        self.format
+    /// Text or binary, judged by the file's leading bytes as the loader
+    /// judges them, whatever the extension says. Indexes the entry first;
+    /// `None` when the file could not be read.
+    pub fn format(&self) -> Option<ArtifactFormat> {
+        let _ = self.index();
+        self.format.get().copied()
     }
 
     /// The memoized failure of this entry, if indexing or parsing was
     /// attempted and failed. `None` means "fine so far" *or* "not touched
-    /// yet" — a lazy store cannot know a file is corrupt before touching
-    /// it.
+    /// yet" — the store cannot know a file is corrupt before touching it.
     pub fn failure(&self) -> Option<StoreFailure> {
         let error = match (self.slot.get(), self.index.get()) {
             (Some(Err(e)), _) => e,
@@ -215,64 +199,66 @@ impl StoreEntry {
         })
     }
 
-    /// Whether the artifact has been parsed yet (always true in eager
-    /// mode; in lazy mode, true after the first [`StoreEntry::artifact`]
-    /// call). Indexing alone does not count as loaded.
+    /// Whether the artifact has been parsed yet: true after the first
+    /// [`StoreEntry::artifact`] call, or after indexing a text entry (its
+    /// index is a full parse). Indexing a binary entry does not count as
+    /// loaded.
     pub fn is_loaded(&self) -> bool {
         self.slot.get().is_some()
     }
 
     /// The entry's cheap catalog — model names/kinds, byte length, digest
-    /// — memoized on first access. For a binary entry this reads only the
-    /// file and section headers (seeking past payloads, no decoding, no
-    /// hashing: the digest is the one embedded in the header). For a text
-    /// entry it reads and parses the whole file (memoizing the parse into
-    /// the artifact slot, so the work is not repeated) and hashes the
-    /// bytes.
+    /// — memoized on first access. The file's leading bytes decide the
+    /// container, as they do for the loader. For a binary entry this reads
+    /// only the file and section headers (seeking past payloads, no
+    /// decoding, no hashing: the digest is the one embedded in the
+    /// header). For a text entry it reads the whole file once, hashes the
+    /// bytes and parses them, memoizing the parse as the entry's artifact.
     ///
     /// # Errors
     ///
     /// The index/load failure, replayed on every access.
     pub fn index(&self) -> Result<&EntryIndex> {
         self.index
-            .get_or_init(|| match self.format {
-                ArtifactFormat::Binary => {
-                    let len = self.fingerprint.map(|f| f.len);
-                    let index = binary::index_path_with_len(&self.path, len)?;
-                    let bytes = len
-                        .or_else(|| FileFingerprint::of(&self.path).ok().map(|f| f.len))
-                        .unwrap_or(0);
-                    Ok(EntryIndex {
-                        format: ArtifactFormat::Binary,
-                        version: index.text_version,
-                        bytes,
-                        digest: index.body_digest,
-                        models: index
-                            .sections
-                            .iter()
-                            .filter_map(|s| s.kind.map(|k| (k, s.name.clone())))
-                            .collect(),
-                    })
-                }
-                ArtifactFormat::Text => {
-                    let raw = std::fs::read(&self.path).map_err(|e| ExchangeError::Io {
-                        path: self.path.display().to_string(),
-                        message: e.to_string(),
-                    })?;
-                    let digest = content_digest(&raw);
-                    let bytes = raw.len() as u64;
-                    let artifact = self.artifact()?;
-                    Ok(EntryIndex {
-                        format: ArtifactFormat::Text,
-                        version: artifact.version,
-                        bytes,
-                        digest,
-                        models: artifact
-                            .models
-                            .iter()
-                            .map(|m| (m.kind(), m.name().to_string()))
-                            .collect(),
-                    })
+            .get_or_init(|| {
+                let len = self.fingerprint.map(|f| f.len);
+                match binary::probe_path(&self.path, len)? {
+                    Probe::Binary(index) => {
+                        let _ = self.format.set(ArtifactFormat::Binary);
+                        let index = index?;
+                        Ok(EntryIndex {
+                            format: ArtifactFormat::Binary,
+                            version: index.text_version,
+                            bytes: len
+                                .or_else(|| FileFingerprint::of(&self.path).ok().map(|f| f.len))
+                                .unwrap_or(0),
+                            digest: index.body_digest,
+                            models: index
+                                .sections
+                                .iter()
+                                .filter_map(|s| s.kind.map(|k| (k, s.name.clone())))
+                                .collect(),
+                        })
+                    }
+                    Probe::Other(raw) => {
+                        let _ = self.format.set(ArtifactFormat::Text);
+                        let artifact = self
+                            .slot
+                            .get_or_init(|| load_artifact_bytes(&raw))
+                            .as_ref()
+                            .map_err(Error::clone)?;
+                        Ok(EntryIndex {
+                            format: ArtifactFormat::Text,
+                            version: artifact.version,
+                            bytes: raw.len() as u64,
+                            digest: content_digest(&raw),
+                            models: artifact
+                                .models
+                                .iter()
+                                .map(|m| (m.kind(), m.name().to_string()))
+                                .collect(),
+                        })
+                    }
                 }
             })
             .as_ref()
@@ -317,8 +303,10 @@ pub struct ModelStore {
 }
 
 impl ModelStore {
-    /// Opens a store eagerly: scans `dir` recursively for `.mdlx` and
-    /// `.mdlxb` files and parses each one. Per-file load errors are collected, not fatal.
+    /// Opens a store: scans `dir` recursively for `.mdlx` and `.mdlxb`
+    /// files and records them; each is parsed on first touch, and
+    /// [`ModelStore::load_all`] parses them all. Per-file load errors are
+    /// collected, not fatal.
     ///
     /// # Errors
     ///
@@ -326,37 +314,20 @@ impl ModelStore {
     /// (unreadable *sub*directories degrade to [`ModelStore::failures`]
     /// entries instead).
     pub fn open(dir: impl AsRef<Path>) -> Result<ModelStore> {
-        ModelStore::open_with_mode(dir, LoadMode::Eager)
-    }
-
-    /// Opens a store in the given [`LoadMode`].
-    ///
-    /// # Errors
-    ///
-    /// [`ExchangeError::Io`] when the root directory itself cannot be read.
-    pub fn open_with_mode(dir: impl AsRef<Path>, mode: LoadMode) -> Result<ModelStore> {
         let root = dir.as_ref().to_path_buf();
-        let mut files = Vec::new();
-        let mut scan_failures = Vec::new();
         // The root must be readable — an unopenable store is an error, not
         // an empty one.
         std::fs::read_dir(&root).map_err(|e| ExchangeError::Io {
             path: root.display().to_string(),
             message: e.to_string(),
         })?;
-        scan_dir(&root, 0, &mut files, &mut scan_failures);
-        files.sort();
-        let entries: Vec<StoreEntry> = files.into_iter().map(StoreEntry::new).collect();
-        if mode == LoadMode::Eager {
-            for e in &entries {
-                let _ = e.artifact();
-            }
-        }
-        Ok(ModelStore {
+        let mut store = ModelStore {
             root,
-            entries,
-            scan_failures,
-        })
+            entries: Vec::new(),
+            scan_failures: Vec::new(),
+        };
+        store.refresh();
+        Ok(store)
     }
 
     /// The scanned directory.
@@ -379,10 +350,9 @@ impl ModelStore {
         self.entries.iter()
     }
 
-    /// The scan failures plus the load failures among the *parsed* entries,
-    /// collected from the memoized [`StoreEntry`] slots — every entry in
-    /// eager mode; in lazy mode only the entries accessed so far. A lazy
-    /// store therefore reports an empty list right after open even when
+    /// The scan failures plus the load failures among the entries touched
+    /// so far, collected from the memoized [`StoreEntry`] slots. A store
+    /// therefore reports an empty list right after open even when
     /// artifacts are corrupt: health checks (`mdl store ls`, fleet report
     /// headers) must force parsing first via [`ModelStore::load_all`] or by
     /// iterating [`StoreEntry::artifact`], or the fleet looks misleadingly
@@ -395,8 +365,7 @@ impl ModelStore {
             .collect()
     }
 
-    /// Forces every entry to parse (a no-op in eager mode) and returns the
-    /// complete failure list.
+    /// Forces every entry to parse and returns the complete failure list.
     pub fn load_all(&self) -> Vec<StoreFailure> {
         for e in &self.entries {
             let _ = e.artifact();
@@ -413,36 +382,37 @@ impl ModelStore {
     /// This is the store side of daemon hot-reload: a watcher thread calls
     /// `refresh` on a poll interval and re-serves whatever changed, while
     /// in-flight requests keep whatever `Arc`-cloned instances they already
-    /// hold. Entries are parsed lazily after a refresh regardless of the
-    /// original open mode — the caller decides what to touch.
+    /// hold. New and changed entries are parsed on their next touch, as
+    /// after [`ModelStore::open`] — the caller decides what to touch.
     pub fn refresh(&mut self) -> StoreRefresh {
         let mut files = Vec::new();
         let mut scan_failures = Vec::new();
         scan_dir(&self.root, 0, &mut files, &mut scan_failures);
         files.sort();
         let mut outcome = StoreRefresh::default();
-        let old: std::collections::BTreeMap<PathBuf, StoreEntry> =
+        let mut kept: std::collections::BTreeMap<PathBuf, StoreEntry> =
             std::mem::take(&mut self.entries)
                 .into_iter()
                 .map(|e| (e.path.clone(), e))
                 .collect();
-        let mut kept: std::collections::BTreeMap<PathBuf, StoreEntry> = old;
-        for path in &files {
-            match kept.remove(path) {
-                Some(entry) => {
-                    let fresh = FileFingerprint::of(path).ok();
-                    if fresh == entry.fingerprint && fresh.is_some() {
-                        self.entries.push(entry);
-                    } else {
-                        outcome.changed.push(path.clone());
-                        self.entries.push(StoreEntry::new(path.clone()));
-                    }
+        for path in files {
+            let entry = match kept.remove(&path) {
+                Some(entry)
+                    if entry.fingerprint.is_some()
+                        && FileFingerprint::of(&path).ok() == entry.fingerprint =>
+                {
+                    entry
+                }
+                Some(_) => {
+                    outcome.changed.push(path.clone());
+                    StoreEntry::new(path)
                 }
                 None => {
                     outcome.added.push(path.clone());
-                    self.entries.push(StoreEntry::new(path.clone()));
+                    StoreEntry::new(path)
                 }
-            }
+            };
+            self.entries.push(entry);
         }
         outcome.removed = kept.into_keys().collect();
         self.scan_failures = scan_failures;
@@ -451,7 +421,7 @@ impl ModelStore {
 
     /// Every successfully loaded model, flattened across artifacts (a v2
     /// bundle contributes each of its members), with its source path.
-    /// Forces lazy entries to load.
+    /// Forces every entry to load.
     pub fn models(&self) -> Vec<(&Path, &AnyModel)> {
         let mut out = Vec::new();
         for e in &self.entries {
@@ -465,7 +435,7 @@ impl ModelStore {
     /// Looks a model up by [`Macromodel::name`] across every artifact,
     /// consulting each entry's cheap [`StoreEntry::index`] first and
     /// materializing only the artifact that actually holds the name. In a
-    /// lazy binary store this touches model payloads in exactly one file;
+    /// binary store this touches model payloads in exactly one file;
     /// text entries still parse while being indexed (their format has no
     /// skippable framing), stopping at the first match.
     pub fn get(&self, name: &str) -> Option<&AnyModel> {
@@ -479,7 +449,7 @@ impl ModelStore {
         })
     }
 
-    /// The models of one kind, in scan order. Forces lazy entries to load.
+    /// The models of one kind, in scan order. Forces every entry to load.
     pub fn of_kind(&self, kind: ModelKind) -> Vec<&AnyModel> {
         self.models()
             .into_iter()
@@ -539,7 +509,7 @@ fn scan_dir(dir: &Path, depth: usize, out: &mut Vec<PathBuf>, failures: &mut Vec
         let path = entry.path();
         // DirEntry::file_type comes straight from the directory read on
         // Unix — asking the path would re-stat every file, which at
-        // thousands of entries is a measurable share of a lazy open.
+        // thousands of entries is a measurable share of an index pass.
         let is_dir = entry
             .file_type()
             .map(|t| t.is_dir())
@@ -617,12 +587,12 @@ mod tests {
     }
 
     #[test]
-    fn eager_open_collects_models_and_failures() {
-        let dir = build_store("eager");
+    fn load_all_collects_models_and_failures() {
+        let dir = build_store("loadall");
         let store = ModelStore::open(&dir).unwrap();
         assert_eq!(store.len(), 4, "four .mdlx files scanned");
+        let failures = store.load_all();
         assert!(store.entries().all(StoreEntry::is_loaded));
-        let failures = store.failures();
         assert_eq!(failures.len(), 1);
         assert!(failures[0].path.ends_with("broken.mdlx"));
         assert!(matches!(failures[0].error, Error::Exchange(_)));
@@ -641,7 +611,7 @@ mod tests {
     #[test]
     fn lazy_open_defers_parsing() {
         let dir = build_store("lazy");
-        let store = ModelStore::open_with_mode(&dir, LoadMode::Lazy).unwrap();
+        let store = ModelStore::open(&dir).unwrap();
         assert_eq!(store.len(), 4);
         assert!(store.entries().all(|e| !e.is_loaded()));
         assert!(store.failures().is_empty(), "nothing parsed yet");
@@ -660,7 +630,7 @@ mod tests {
     #[test]
     fn lazy_get_stops_at_first_match() {
         let dir = build_store("lazyget");
-        let store = ModelStore::open_with_mode(&dir, LoadMode::Lazy).unwrap();
+        let store = ModelStore::open(&dir).unwrap();
         // "a.mdlx" sorts first and holds drv_a: the lookup parses only it.
         assert!(store.get("drv_a").is_some());
         assert_eq!(store.entries().filter(|e| e.is_loaded()).count(), 1);
@@ -692,7 +662,7 @@ mod tests {
         save_model_to_path(&dummy_driver("drv_a"), dir.join("a.mdlx")).unwrap();
         save_model_to_path(&dummy_cr("cr_b"), dir.join("b.mdlx")).unwrap();
 
-        let mut store = ModelStore::open_with_mode(&dir, LoadMode::Lazy).unwrap();
+        let mut store = ModelStore::open(&dir).unwrap();
         store.load_all();
         assert!(!store.refresh().any(), "no churn, no outcome");
         assert!(
@@ -770,7 +740,7 @@ mod tests {
     #[test]
     fn lazy_binary_lookup_touches_only_the_matching_file() {
         let dir = build_mixed_store("lazybin");
-        let store = ModelStore::open_with_mode(&dir, LoadMode::Lazy).unwrap();
+        let store = ModelStore::open(&dir).unwrap();
         // The bundle sorts last (sub/c.mdlxb); finding one of its models
         // must index the earlier binaries without materializing them, and
         // may only fully parse files whose index lists the name.
@@ -791,7 +761,7 @@ mod tests {
     #[test]
     fn entry_index_reports_format_version_digest_and_models() {
         let dir = build_mixed_store("index");
-        let store = ModelStore::open_with_mode(&dir, LoadMode::Lazy).unwrap();
+        let store = ModelStore::open(&dir).unwrap();
         let by_name = |name: &str| {
             store
                 .entries()
@@ -825,18 +795,49 @@ mod tests {
     #[test]
     fn broken_binary_surfaces_through_index_and_failures() {
         let dir = build_mixed_store("brokenbin");
-        let store = ModelStore::open_with_mode(&dir, LoadMode::Lazy).unwrap();
+        let store = ModelStore::open(&dir).unwrap();
         assert!(store.failures().is_empty(), "untouched store reports clean");
         let broken = store
             .entries()
             .find(|e| e.path().ends_with("broken.mdlxb"))
             .unwrap();
-        assert_eq!(broken.format(), ArtifactFormat::Binary);
+        assert_eq!(broken.format(), Some(ArtifactFormat::Binary));
         // The flipped byte lives in a payload, so the cheap index still
         // succeeds — materialization is what checks digests.
         assert!(broken.index().is_ok());
         assert!(broken.artifact().is_err());
         assert_eq!(store.failures().len(), 1);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn mislabeled_containers_index_as_their_bytes() {
+        use crate::exchange::binary::save_artifact_bin_to_path;
+        let dir = std::env::temp_dir().join(format!("mdlx_store_labels_{}", std::process::id()));
+        std::fs::remove_dir_all(&dir).ok();
+        std::fs::create_dir_all(&dir).unwrap();
+        // Text under the binary extension, binary under the text one.
+        save_model_to_path(&dummy_driver("drv_m"), dir.join("m.mdlxb")).unwrap();
+        save_artifact_bin_to_path(&Artifact::single(dummy_cr("cr_n")), dir.join("n.mdlx")).unwrap();
+        let store = ModelStore::open(&dir).unwrap();
+        assert!(store.get("drv_m").is_some());
+        assert!(store.get("cr_n").is_some());
+        assert!(store.failures().is_empty(), "{:?}", store.failures());
+        let entry = |name: &str| store.entries().find(|e| e.path().ends_with(name)).unwrap();
+        let text = entry("m.mdlxb");
+        assert_eq!(text.format(), Some(ArtifactFormat::Text));
+        let index = text.index().unwrap();
+        assert_eq!(index.format, ArtifactFormat::Text);
+        let raw = std::fs::read(dir.join("m.mdlxb")).unwrap();
+        assert_eq!(index.digest, content_digest(&raw));
+        let bin = entry("n.mdlx");
+        assert_eq!(bin.format(), Some(ArtifactFormat::Binary));
+        let index = bin.index().unwrap();
+        assert_eq!(index.format, ArtifactFormat::Binary);
+        let raw = std::fs::read(dir.join("n.mdlx")).unwrap();
+        assert_eq!(index.digest, binary::embedded_digest(&raw).unwrap());
+        assert!(store.load_all().is_empty());
+        assert_eq!(store.models().len(), 2);
         std::fs::remove_dir_all(&dir).ok();
     }
 

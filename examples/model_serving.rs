@@ -37,14 +37,15 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         dir.join("md1-ibis-corners.mdlx"),
     )?;
 
-    // 2. Open the store: every artifact parsed, errors collected per file.
+    // 2. Open the store and parse every artifact, errors collected per file.
     let store = ModelStore::open(&dir)?;
+    let failures = store.load_all();
     println!(
         "store {}: {} artifacts, {} models, {} load failures",
         store.root().display(),
         store.len(),
         store.models().len(),
-        store.failures().len()
+        failures.len()
     );
     for (path, model) in store.models() {
         println!(

@@ -7,9 +7,10 @@
 #                                  response must carry "ok":true
 #   descriptor leak                200 sequential `request ls` calls must
 #                                  not grow the daemon's open descriptors
-#   hot reload                     rewrites an artifact in place and polls
-#                                  until the daemon's reload counter moves
-#                                  without dropping the connection
+#   hot reload                     touches an artifact without changing its
+#                                  bytes and polls until the daemon reloads
+#                                  it as a cache hit; then renames one and
+#                                  polls until `info` names the new path
 #   concurrent burst               4 background loops of 24 `mdl request`
 #                                  calls each (simulate, a validate every
 #                                  8th, a sweep every 16th) round-robin
@@ -17,8 +18,9 @@
 #                                  final `stats` is printed
 #
 # The daemon is told to shut down over the socket; the script fails if any
-# request errors, the reload never surfaces, or any request of the burst
-# comes back "ok":false. Daemon latency is measured by
+# request errors, a reload never surfaces (or re-parses unchanged bytes, or
+# keeps a renamed artifact's old path), or any request of the burst comes
+# back "ok":false. Daemon latency is measured by
 # `perfbench --workload serve`, not here.
 #
 # Usage: scripts/serve-smoke.sh [store-dir]
@@ -93,27 +95,52 @@ if [ "$fds_after" -gt $((fds_before + 8)) ]; then
 fi
 echo "descriptors: ok ($fds_before -> $fds_after after 200 requests)"
 
-echo "== hot reload: rewrite an artifact, wait for the daemon to notice"
-reloads() {
-    mdl request --socket "$sock" stats | sed -n 's/.*"reloads":\([0-9]*\).*/\1/p'
+echo "== hot reload: touch an artifact, wait for the daemon to notice"
+# A counter from the daemon's `stats` reply: reloads, or hits/misses.
+stat() {
+    "$mdl_bin" request --socket "$sock" stats | sed -n "s/.*\"$1\":\([0-9]*\).*/\1/p"
 }
-before="$(reloads)"
+# Polls (5 s at most) until counter $1 exceeds $2.
+await_stat() {
+    local value
+    for _ in $(seq 1 50); do
+        value="$(stat "$1")"
+        [ "$value" -gt "$2" ] && return 0
+        sleep 0.1
+    done
+    return 1
+}
+reloads="$(stat reloads)"
+hits="$(stat hits)"
 touch -d '2001-01-01 00:00:00' "$store/md1-pwrbf.mdlx" 2>/dev/null \
     || touch -t 200101010000 "$store/md1-pwrbf.mdlx"
-after="$before"
+await_stat reloads "$reloads" \
+    || { echo "daemon never registered the artifact rewrite" >&2; exit 1; }
+# The bytes did not change, so the reload must reuse the parsed models
+# (a cache hit) and the model must still answer.
+await_stat hits "$hits" \
+    || { echo "identical rewrite was not a cache hit: $(stat hits) hits" >&2; exit 1; }
+mdl request --socket "$sock" simulate md1 >/dev/null
+echo "hot reload: ok (reloads $reloads -> $(stat reloads), hits $hits -> $(stat hits))"
+
+echo "== hot reload: rename an artifact, wait for the new path"
+reloads="$(stat reloads)"
+mv "$store/md1-pwrbf.mdlx" "$store/md1-renamed.mdlx"
+await_stat reloads "$reloads" \
+    || { echo "daemon never registered the rename" >&2; exit 1; }
+renamed=0
 for _ in $(seq 1 50); do
-    after="$(reloads)"
-    [ "$after" -gt "$before" ] && break
+    if "$mdl_bin" request --socket "$sock" info md1 | grep -q '"path":"[^"]*/md1-renamed.mdlx"'; then
+        renamed=1
+        break
+    fi
     sleep 0.1
 done
-if [ "$after" -le "$before" ]; then
-    echo "daemon never registered the artifact rewrite" >&2
+if [ "$renamed" != 1 ]; then
+    echo "daemon serves md1 from its old path: $(mdl request --socket "$sock" info md1)" >&2
     exit 1
 fi
-# The bytes did not change, so the reload must have been a cache hit and
-# the model must still answer.
-mdl request --socket "$sock" simulate md1 >/dev/null
-echo "hot reload: ok (reloads $before -> $after)"
+echo "rename: ok (md1 served from md1-renamed.mdlx)"
 
 echo "== concurrent burst: 4 clients x 24 requests"
 # Served model names, in inventory order.

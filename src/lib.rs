@@ -57,7 +57,7 @@ pub mod prelude {
         load_artifact, load_artifact_from_path, load_model, load_model_from_path, save_artifact,
         save_artifact_to_path, save_model, save_model_to_path, Artifact, Provenance,
     };
-    pub use macromodel::modelstore::{LoadMode, ModelStore};
+    pub use macromodel::modelstore::ModelStore;
     pub use macromodel::pipeline::{DriverEstimationConfig, ReceiverEstimationConfig};
     pub use macromodel::validate::{validate_macromodel, ValidationMetrics};
     pub use macromodel::{

@@ -83,7 +83,7 @@ fn fleet_store_validates_and_sweeps_green() {
     let dir = build_fleet_store();
     let store = ModelStore::open(&dir).unwrap();
     assert_eq!(store.len(), 4, "four artifact files");
-    assert!(store.failures().is_empty());
+    assert!(store.load_all().is_empty());
     assert_eq!(store.models().len(), 6, "bundle flattened into six models");
     for kind in ModelKind::ALL {
         assert!(
