@@ -7,13 +7,13 @@
 //!             [--out PATH] [--fast] [--v2] [--corners] [--bin]
 //! mdl convert <in.mdlx|in.mdlxb> <out> [--to text|binary]
 //! mdl info <file.mdlx|file.mdlxb>
-//! mdl lint <file.mdlx>|<dir> [--json] [--deny CODE] [--allow CODE]
+//! mdl lint <file.mdlx|file.mdlxb>|<dir> [--json] [--deny CODE] [--allow CODE]
 //! mdl validate <file.mdlx|file.mdlxb> [--rms-limit V] [--timing-limit S] [--fast]
-//! mdl simulate <file.mdlx> [--fixture r50|linecap|pulse]
+//! mdl simulate <file.mdlx|file.mdlxb> [--fixture r50|linecap|pulse]
 //!              [--pattern BITS] [--bit-time S] [--t-stop S]
-//! mdl eye <file.mdlx> [--prbs 7|15|31] [--bits N] [--seed S]
+//! mdl eye <file.mdlx|file.mdlxb> [--prbs 7|15|31] [--bits N] [--seed S]
 //!         [--lanes N] [--bit-time S] [--json]
-//! mdl mc <file.mdlx> [--trials N] [--seed S] [--prbs 7|15|31]
+//! mdl mc <file.mdlx|file.mdlxb> [--trials N] [--seed S] [--prbs 7|15|31]
 //!        [--bits N] [--json]
 //! mdl store ls <dir> [--json]
 //! mdl store validate <dir> [--fast] [--json PATH]
@@ -65,8 +65,8 @@ use emc_bench::serve::{
 use emc_bench::server::{self, ServeConfig};
 use macromodel::exchange::binary::{is_binary, save_artifact_bin, save_artifact_bin_to_path};
 use macromodel::exchange::{
-    load_artifact_bytes, load_artifact_from_path, load_model_from_path, save_artifact,
-    save_artifact_to_path, AnyModel, Artifact,
+    load_artifact_auto_from_path, load_artifact_bytes, save_artifact, save_artifact_to_path,
+    AnyModel, Artifact,
 };
 use macromodel::json::{self, Layout, Raw};
 use macromodel::validate::{print_csv, DEFAULT_VALIDATION_DT};
@@ -76,7 +76,7 @@ type CliResult<T> = Result<T, Box<dyn std::error::Error + Send + Sync>>;
 
 fn usage() -> ! {
     eprintln!(
-        "usage:\n  mdl extract <md1|md2|md3|md4> [--kind pwrbf|ibis|receiver|cr] [--out PATH] [--fast] [--v2] [--corners] [--bin]\n  mdl convert <in.mdlx|in.mdlxb> <out> [--to text|binary]\n  mdl info <file.mdlx|file.mdlxb>\n  mdl lint <file.mdlx>|<dir> [--json] [--deny CODE] [--allow CODE]\n  mdl validate <file.mdlx|file.mdlxb> [--rms-limit V] [--timing-limit S] [--fast]\n  mdl simulate <file.mdlx> [--fixture r50|linecap|pulse] [--pattern BITS] [--bit-time S] [--t-stop S]\n  mdl eye <file.mdlx> [--prbs 7|15|31] [--bits N] [--seed S] [--lanes N] [--bit-time S] [--json]\n  mdl mc <file.mdlx> [--trials N] [--seed S] [--prbs 7|15|31] [--bits N] [--json]\n  mdl store ls <dir> [--json]\n  mdl store validate <dir> [--fast] [--json PATH]\n  mdl store sweep <dir> [--fast] [--json PATH]\n  mdl serve <dir> --socket PATH [--poll-ms N] [--fast]\n  mdl request --socket PATH <request line...>"
+        "usage:\n  mdl extract <md1|md2|md3|md4> [--kind pwrbf|ibis|receiver|cr] [--out PATH] [--fast] [--v2] [--corners] [--bin]\n  mdl convert <in.mdlx|in.mdlxb> <out> [--to text|binary]\n  mdl info <file.mdlx|file.mdlxb>\n  mdl lint <file.mdlx|file.mdlxb>|<dir> [--json] [--deny CODE] [--allow CODE]\n  mdl validate <file.mdlx|file.mdlxb> [--rms-limit V] [--timing-limit S] [--fast]\n  mdl simulate <file.mdlx|file.mdlxb> [--fixture r50|linecap|pulse] [--pattern BITS] [--bit-time S] [--t-stop S]\n  mdl eye <file.mdlx|file.mdlxb> [--prbs 7|15|31] [--bits N] [--seed S] [--lanes N] [--bit-time S] [--json]\n  mdl mc <file.mdlx|file.mdlxb> [--trials N] [--seed S] [--prbs 7|15|31] [--bits N] [--json]\n  mdl store ls <dir> [--json]\n  mdl store validate <dir> [--fast] [--json PATH]\n  mdl store sweep <dir> [--fast] [--json PATH]\n  mdl serve <dir> --socket PATH [--poll-ms N] [--fast]\n  mdl request --socket PATH <request line...>"
     );
     std::process::exit(2);
 }
@@ -389,7 +389,7 @@ fn cmd_lint(mut args: Vec<String>) -> CliResult<()> {
             }
         }
     } else {
-        report = lint_artifact(&load_artifact_from_path(path)?);
+        report = lint_artifact(&load_artifact_auto_from_path(path)?);
     }
 
     if json {
@@ -654,7 +654,7 @@ fn cmd_simulate(mut args: Vec<String>) -> CliResult<()> {
     let bit_time = parse_positive_opt(&mut args, "--bit-time").unwrap_or(4e-9);
     let t_stop = parse_positive_opt(&mut args, "--t-stop").unwrap_or(12e-9);
     let [path] = args.as_slice() else { usage() };
-    let model = load_model_from_path(path)?;
+    let model = load_artifact_auto_from_path(path)?.into_single()?;
 
     let fixture = match fixture.as_deref() {
         None | Some("r50") => TestFixture::resistive(50.0),
@@ -696,7 +696,7 @@ fn cmd_eye(mut args: Vec<String>) -> CliResult<()> {
         w.bit_time = bt;
     }
     let [path] = args.as_slice() else { usage() };
-    let model = load_model_from_path(path)?;
+    let model = load_artifact_auto_from_path(path)?.into_single()?;
     if !model.kind().is_driver() {
         return Err(format!("eye requires a driver model, got {}", model.kind().tag()).into());
     }
@@ -766,7 +766,7 @@ fn cmd_mc(mut args: Vec<String>) -> CliResult<()> {
         w.bits = b;
     }
     let [path] = args.as_slice() else { usage() };
-    let model = load_model_from_path(path)?;
+    let model = load_artifact_auto_from_path(path)?.into_single()?;
     if !model.kind().is_driver() {
         return Err(format!("mc requires a driver model, got {}", model.kind().tag()).into());
     }

@@ -367,3 +367,52 @@ fn non_positive_float_flags_are_usage_errors() {
         assert_eq!(mdl(args).status.code(), Some(1), "{args:?} must parse");
     }
 }
+
+/// Runs `mdl <sub> FILE <flags>` on the same driver saved as `.mdlx` and as
+/// `.mdlxb`, and asserts both runs print the same bytes and exit alike.
+fn same_output_for_both_containers(tag: &str, sub: &str, flags: &[&str]) -> Output {
+    let dir = temp_dir(tag);
+    let text = dir.join("drv.mdlx");
+    let bin = dir.join("drv.mdlxb");
+    save_model_to_path(&driver("drv"), &text).unwrap();
+    save_artifact_bin_to_path(&Artifact::single(driver("drv")), &bin).unwrap();
+    let run = |path: &PathBuf| {
+        let mut args = vec![sub, path.to_str().unwrap()];
+        args.extend_from_slice(flags);
+        mdl(&args)
+    };
+    let (from_text, from_bin) = (run(&text), run(&bin));
+    let stderr = String::from_utf8_lossy(&from_bin.stderr);
+    assert_eq!(
+        from_bin.status.code(),
+        from_text.status.code(),
+        "{sub}: {stderr}"
+    );
+    assert_eq!(from_bin.stdout, from_text.stdout, "{sub}: {stderr}");
+    assert_eq!(from_bin.stderr, from_text.stderr, "{sub}");
+    assert!(!from_text.stdout.is_empty(), "{sub} printed nothing");
+    std::fs::remove_dir_all(&dir).ok();
+    from_text
+}
+
+#[test]
+fn lint_reads_binary_artifacts() {
+    let out = same_output_for_both_containers("lint_bin", "lint", &["--json"]);
+    assert_eq!(out.status.code(), Some(0));
+}
+
+#[test]
+fn simulate_reads_binary_artifacts() {
+    let out = same_output_for_both_containers("simulate_bin", "simulate", &["--t-stop", "2e-9"]);
+    assert_eq!(out.status.code(), Some(0));
+}
+
+#[test]
+fn eye_reads_binary_artifacts() {
+    same_output_for_both_containers("eye_bin", "eye", &["--bits", "64", "--json"]);
+}
+
+#[test]
+fn mc_reads_binary_artifacts() {
+    same_output_for_both_containers("mc_bin", "mc", &["--trials", "2", "--bits", "64", "--json"]);
+}

@@ -49,7 +49,7 @@ pub mod workspace;
 
 pub use mna::{EvalCtx, Mode};
 pub use netlist::{Circuit, DeviceId, Node, GROUND};
-pub use transient::{TranParams, TranResult};
+pub use transient::{ProbedResult, TranParams, TranResult};
 pub use waveform::Waveform;
 pub use workspace::{PatternBuilder, SolveStats, StampWorkspace};
 

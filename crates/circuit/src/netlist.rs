@@ -1,7 +1,7 @@
 //! Circuit container: nodes, devices and analysis entry points.
 
 use crate::workspace::{PatternBuilder, StampWorkspace};
-use crate::{solver, transient, Device, Error, Result, TranParams, TranResult};
+use crate::{solver, transient, Device, Error, ProbedResult, Result, TranParams, TranResult};
 
 /// A circuit node handle.
 ///
@@ -327,6 +327,22 @@ impl Circuit {
     /// Propagates DC/Newton failures and invalid parameter errors.
     pub fn transient(&mut self, params: TranParams) -> Result<TranResult> {
         transient::run(self, params)
+    }
+
+    /// Runs the same transient analysis as [`Circuit::transient`] but keeps
+    /// only the voltages of `probes`, one waveform per probe in probe order
+    /// (see [`transient::run_probed`]).
+    ///
+    /// # Errors
+    ///
+    /// Those of [`Circuit::transient`], and [`Error::InvalidAnalysis`] for
+    /// a probe that is not a node of this circuit.
+    pub fn transient_probed(
+        &mut self,
+        params: TranParams,
+        probes: &[Node],
+    ) -> Result<ProbedResult> {
+        transient::run_probed(self, params, probes)
     }
 }
 

@@ -6,11 +6,12 @@ use crate::waveform::Waveform;
 use crate::workspace::SolveStats;
 use crate::{solver, Error, Result};
 
-/// Most solution values one transient may store, `(steps + 1) × unknowns`
-/// (2^27 values, 1 GiB of `f64`). A [`TranResult`] keeps the whole history
+/// Most solution values one transient may store: `(steps + 1) × unknowns`
+/// for a full history ([`run`]), `(steps + 1) × probes` for a probed one
+/// ([`run_probed`]); 2^27 values, 1 GiB of `f64`. The stored history stays
 /// in memory, so a stop time far beyond the timestep would otherwise abort
-/// the process on a failed allocation; [`run`] rejects such an analysis
-/// before allocating. The Table 1 reference stores 6,001 × 212 ≈ 1.3 M.
+/// the process on a failed allocation; both reject such an analysis before
+/// allocating. The Table 1 reference probes 2 nodes over 6,001 steps.
 pub const MAX_STORED_VALUES: usize = 1 << 27;
 
 /// Transient analysis parameters.
@@ -80,7 +81,7 @@ impl TranParams {
 #[derive(Debug, Clone)]
 pub struct TranResult {
     time: Vec<f64>,
-    /// Unknowns per stored solution.
+    /// Values per stored step (every unknown, unless probed).
     n: usize,
     /// `solutions[k * n..(k + 1) * n]` is the full unknown vector at
     /// `time[k]`.
@@ -146,7 +147,22 @@ impl TranResult {
     }
 }
 
-/// Runs the transient analysis on `circuit`.
+/// Result of a probed transient ([`run_probed`]): the voltage of each
+/// probed node, and nothing else, so a node that was not kept cannot be
+/// asked for.
+#[derive(Debug, Clone)]
+pub struct ProbedResult {
+    /// Voltage waveform of each probe, in the order the probes were given.
+    pub voltages: Vec<Waveform>,
+    /// Newton iterations summed over all steps (efficiency metric).
+    pub total_newton_iterations: usize,
+    /// Workspace diagnostics accumulated over the whole analysis, as in
+    /// [`TranResult::solve_stats`].
+    pub solve_stats: SolveStats,
+}
+
+/// Runs the transient analysis on `circuit` and keeps the full solution
+/// history.
 ///
 /// Sequence: DC operating point (unless skipped) → device state
 /// initialization → fixed-step trapezoidal time stepping with per-step
@@ -159,6 +175,40 @@ impl TranResult {
 /// * [`Error::SampleClock`] when `dt` differs from a device's sample clock.
 /// * Solver failures annotated with the failing time.
 pub fn run(circuit: &mut Circuit, params: TranParams) -> Result<TranResult> {
+    step(circuit, params, None)
+}
+
+/// Runs the same analysis as [`run`] but stores only the voltages of
+/// `probes`, `(steps + 1) × probes.len()` values. Every stored sample is
+/// bit-identical to the matching sample of the full history.
+///
+/// # Errors
+///
+/// Those of [`run`], and [`Error::InvalidAnalysis`] for a probe that is
+/// not a node of `circuit`.
+pub fn run_probed(
+    circuit: &mut Circuit,
+    params: TranParams,
+    probes: &[Node],
+) -> Result<ProbedResult> {
+    // The stored "solutions" are the probes' voltages, one column each;
+    // this history never leaves the function.
+    let res = step(circuit, params, Some(probes))?;
+    let voltages = (0..probes.len())
+        .map(|p| Waveform::from_parts(res.time.clone(), res.column(p)))
+        .collect();
+    Ok(ProbedResult {
+        voltages,
+        total_newton_iterations: res.total_newton_iterations,
+        solve_stats: res.solve_stats,
+    })
+}
+
+/// The one stepping loop behind [`run`] and [`run_probed`]. It stores the
+/// whole unknown vector at every step, or with `probes` only the voltage
+/// of each probe (in probe order; ground reads `0.0`), as the columns of
+/// the returned history.
+fn step(circuit: &mut Circuit, params: TranParams, probes: Option<&[Node]>) -> Result<TranResult> {
     params.validate()?;
     circuit.check_sample_clocks(params.dt)?;
     circuit.finalize();
@@ -168,15 +218,38 @@ pub fn run(circuit: &mut Circuit, params: TranParams) -> Result<TranResult> {
             message: "circuit has no unknowns".into(),
         });
     }
+    let n_nodes = circuit.n_nodes();
+    // The unknown each probe reads; `None` is ground.
+    let kept: Option<Vec<Option<usize>>> = probes
+        .map(|probes| {
+            probes
+                .iter()
+                .map(|node| match node.index() {
+                    0 => Ok(None),
+                    i if i < n_nodes => Ok(Some(i - 1)),
+                    i => Err(Error::InvalidAnalysis {
+                        message: format!(
+                            "probe node {i} is not a node of this circuit ({n_nodes} nodes)"
+                        ),
+                    }),
+                })
+                .collect()
+        })
+        .transpose()?;
+    let per_step = kept.as_ref().map_or(n, Vec::len);
     let steps = (params.t_stop / params.dt).round();
-    if (steps + 1.0) * n as f64 > MAX_STORED_VALUES as f64 {
+    if (steps + 1.0) * per_step as f64 > MAX_STORED_VALUES as f64 {
         return Err(Error::InvalidAnalysis {
             message: format!(
-                "{steps:e} steps of {n} unknowns exceed the limit of {MAX_STORED_VALUES} stored values"
+                "{steps:e} steps of {per_step} values exceed the limit of {MAX_STORED_VALUES} stored values"
             ),
         });
     }
     let n_steps = steps as usize;
+    let store = |solutions: &mut Vec<f64>, x: &[f64]| match &kept {
+        None => solutions.extend_from_slice(x),
+        Some(kept) => solutions.extend(kept.iter().map(|i| i.map_or(0.0, |i| x[i]))),
+    };
     // One persistent workspace for the whole analysis: the stamp pattern and
     // the LU symbolic structure are shared between the DC operating point
     // and every timestep.
@@ -192,7 +265,6 @@ pub fn run(circuit: &mut Circuit, params: TranParams) -> Result<TranResult> {
     } else {
         solver::dc_operating_point_ws(circuit, &mut ws, None)?
     };
-    let n_nodes = circuit.n_nodes();
     {
         let ctx = EvalCtx {
             x: &x0,
@@ -205,9 +277,9 @@ pub fn run(circuit: &mut Circuit, params: TranParams) -> Result<TranResult> {
     }
 
     let mut time = Vec::with_capacity(n_steps + 1);
-    let mut solutions = Vec::with_capacity((n_steps + 1) * n);
+    let mut solutions = Vec::with_capacity((n_steps + 1) * per_step);
     time.push(0.0);
-    solutions.extend_from_slice(&x0);
+    store(&mut solutions, &x0);
 
     let gmin = circuit.gmin();
     let mut x_prev = x0;
@@ -237,13 +309,13 @@ pub fn run(circuit: &mut Circuit, params: TranParams) -> Result<TranResult> {
             dev.accept_step(&ctx);
         }
         time.push(t);
-        solutions.extend_from_slice(&out.x);
+        store(&mut solutions, &out.x);
         x_prev = out.x;
     }
 
     Ok(TranResult {
         time,
-        n,
+        n: per_step,
         solutions,
         total_newton_iterations: total_iters,
         solve_stats: ws.stats(),
@@ -290,6 +362,98 @@ mod tests {
                 .unwrap_err();
             assert!(err.to_string().contains("stored values"), "{err}");
         }
+    }
+
+    /// A source-driven RC ladder with a diode to ground at node 6; with
+    /// `clamp` a DC source straight across the diode pushes the transient
+    /// off the port path onto the full path. Returns the ladder's nodes.
+    fn diode_ladder(clamp: bool) -> (Circuit, Vec<Node>) {
+        use crate::devices::{Diode, DiodeParams};
+        let mut ckt = Circuit::new();
+        let src = ckt.node("src");
+        ckt.add(VoltageSource::new(
+            "vs",
+            src,
+            GROUND,
+            SourceWaveform::step(0.0, 1.0, 1e-10),
+        ));
+        let mut nodes = vec![src];
+        for k in 0..12 {
+            let n = ckt.node(format!("n{k}"));
+            ckt.add(Resistor::new(format!("r{k}"), nodes[k], n, 20.0));
+            ckt.add(Capacitor::new(format!("c{k}"), n, GROUND, 1e-12));
+            if k == 6 {
+                ckt.add(Diode::new("d", n, GROUND, DiodeParams::default()));
+                if clamp {
+                    ckt.add(VoltageSource::new("vc", n, GROUND, SourceWaveform::dc(0.4)));
+                }
+            }
+            nodes.push(n);
+        }
+        (ckt, nodes)
+    }
+
+    /// A probed run stores exactly the full history's columns of its
+    /// probes, bit for bit, on both solve paths; ground reads zero and a
+    /// probe may repeat.
+    #[test]
+    fn probed_waveforms_equal_full_history_columns() {
+        let params = TranParams::new(1e-11, 3e-9);
+        for (clamp, port_path) in [(false, true), (true, false)] {
+            let (mut full_ckt, nodes) = diode_ladder(clamp);
+            let full = full_ckt.transient(params).unwrap();
+            assert_eq!(
+                full.solve_stats.port_solves > 0,
+                port_path,
+                "{:?}",
+                full.solve_stats
+            );
+            let probes = [nodes[12], GROUND, nodes[7], nodes[0], nodes[12]];
+            let probed = diode_ladder(clamp)
+                .0
+                .transient_probed(params, &probes)
+                .unwrap();
+            assert_eq!(probed.solve_stats, full.solve_stats);
+            assert_eq!(probed.total_newton_iterations, full.total_newton_iterations);
+            assert_eq!(probed.voltages.len(), probes.len());
+            let bits =
+                |w: &Waveform| -> Vec<u64> { w.values().iter().map(|v| v.to_bits()).collect() };
+            for (wave, &node) in probed.voltages.iter().zip(&probes) {
+                let want = full.voltage(node);
+                assert_eq!(wave.times(), want.times());
+                assert_eq!(bits(wave), bits(&want), "clamp {clamp}, node {node}");
+            }
+            assert!(probed.voltages[0].values().iter().any(|&v| v > 0.1));
+        }
+    }
+
+    /// A probe must be a node of the analysed circuit, and the storage
+    /// limit counts probes, not unknowns.
+    #[test]
+    fn probes_are_checked_and_counted_before_allocating() {
+        let build = || {
+            let mut ckt = Circuit::new();
+            let a = ckt.node("a");
+            ckt.add(VoltageSource::new("v", a, GROUND, SourceWaveform::dc(1.0)));
+            ckt.add(Resistor::new("r", a, GROUND, 1.0));
+            (ckt, a)
+        };
+        let (mut ckt, a) = build();
+        let err = ckt
+            .transient_probed(TranParams::new(1e-9, 1e-8), &[a, Node::from_raw(2)])
+            .unwrap_err();
+        assert!(matches!(err, Error::InvalidAnalysis { .. }), "{err}");
+        // Two unknowns over 5e7 steps fit the limit (not run); three probes
+        // of the same length do not.
+        let long = TranParams::new(1.0, 5e7);
+        assert!(2.0 * 5e7 < MAX_STORED_VALUES as f64);
+        let err = build().0.transient_probed(long, &[a, a, a]).unwrap_err();
+        assert!(err.to_string().contains("stored values"), "{err}");
+        let ok = build()
+            .0
+            .transient_probed(TranParams::new(1e-9, 1e-8), &[])
+            .unwrap();
+        assert!(ok.voltages.is_empty());
     }
 
     #[test]

@@ -32,7 +32,7 @@ use numkit::interp::Pwl;
 use refdev::extraction::{capture_driver, capture_receiver, receiver_input_iv, PortCapture};
 use refdev::{CmosDriverSpec, ReceiverSpec};
 use sysid::arx::{ArxModel, ArxOrders};
-use sysid::narx::{NarxModel, NarxOrders, RbfTrainConfig};
+use sysid::narx::{with_slab, NarxModel, NarxOrders, RbfTrainConfig};
 use sysid::signals;
 
 /// Configuration of the driver estimation pipeline.
@@ -222,10 +222,18 @@ pub(crate) fn fit_driver_from_captures(
     caps: &DriverCaptures,
 ) -> Result<(PwRbfDriverModel, StateIdRecord, StateIdRecord)> {
     // --- 1. state submodels (independent fits) ---
-    let (high, low) = numkit::par::join(
-        || fit_state_submodel(&caps.high, cfg),
-        || fit_state_submodel(&caps.low, cfg),
-    );
+    // Both candidate slabs share one scratch region, split between the two
+    // concurrent fits.
+    let orders = NarxOrders::dynamic(cfg.order);
+    let len_high = NarxModel::slab_len(caps.high.current.len(), orders, cfg.rbf);
+    let len_low = NarxModel::slab_len(caps.low.current.len(), orders, cfg.rbf);
+    let (high, low) = with_slab(len_high + len_low, |slab| {
+        let (slab_high, slab_low) = slab.split_at_mut(len_high);
+        numkit::par::join(
+            || fit_state_submodel(&caps.high, cfg, slab_high),
+            || fit_state_submodel(&caps.low, cfg, slab_low),
+        )
+    });
     let (i_high, rec_high) = high?;
     let (i_low, rec_low) = low?;
 
@@ -363,14 +371,16 @@ fn capture_state(
     )?)
 }
 
-/// Fits one state submodel from its recorded capture.
+/// Fits one state submodel from its recorded capture, with its candidate
+/// slab in `slab` (see [`NarxModel::fit_in`]).
 fn fit_state_submodel(
     capture: &PortCapture,
     cfg: &DriverEstimationConfig,
+    slab: &mut [f64],
 ) -> Result<(NarxModel, StateIdRecord)> {
     let v = capture.voltage.values();
     let i = capture.current.values();
-    let narx = NarxModel::fit(v, i, NarxOrders::dynamic(cfg.order), cfg.rbf)?;
+    let narx = NarxModel::fit_in(v, i, NarxOrders::dynamic(cfg.order), cfg.rbf, slab)?;
     // Self-consistency metric on the identification data.
     let sim = narx.simulate(v, &i[..cfg.order.max(1)]);
     let nmse = numkit::stats::nmse(&sim, i);
@@ -620,36 +630,37 @@ pub(crate) fn fit_receiver_from_captures(
     // absorbs the residual after the linear part, `down` what remains.
     // Inside the rails both are taught to be (near) zero by construction.
     let (v_up, i_up) = &caps.up;
-    let lin_up = linear.simulate(v_up);
-    let resid_up: Vec<f64> = i_up.iter().zip(&lin_up).map(|(a, b)| a - b).collect();
-    let up = NarxModel::fit(
-        v_up,
-        &resid_up,
-        NarxOrders {
-            input_lags: cfg.r_up,
-            output_lags: 0,
-        },
-        cfg.rbf,
-    )?;
-
     let (v_dn, i_dn) = &caps.dn;
-    let lin_dn = linear.simulate(v_dn);
-    let up_dn = up.simulate(v_dn, &[]);
-    let resid_dn: Vec<f64> = i_dn
-        .iter()
-        .zip(&lin_dn)
-        .zip(&up_dn)
-        .map(|((a, b), c)| a - b - c)
-        .collect();
-    let down = NarxModel::fit(
-        v_dn,
-        &resid_dn,
-        NarxOrders {
-            input_lags: cfg.r_down,
-            output_lags: 0,
-        },
+    let up_orders = NarxOrders {
+        input_lags: cfg.r_up,
+        output_lags: 0,
+    };
+    let down_orders = NarxOrders {
+        input_lags: cfg.r_down,
+        output_lags: 0,
+    };
+    // One scratch region holds the `up` slab and then the `down` slab.
+    let len = NarxModel::slab_len(i_up.len(), up_orders, cfg.rbf).max(NarxModel::slab_len(
+        i_dn.len(),
+        down_orders,
         cfg.rbf,
-    )?;
+    ));
+    let (up, down) = with_slab(len, |slab| -> Result<_> {
+        let lin_up = linear.simulate(v_up);
+        let resid_up: Vec<f64> = i_up.iter().zip(&lin_up).map(|(a, b)| a - b).collect();
+        let up = NarxModel::fit_in(v_up, &resid_up, up_orders, cfg.rbf, slab)?;
+
+        let lin_dn = linear.simulate(v_dn);
+        let up_dn = up.simulate(v_dn, &[]);
+        let resid_dn: Vec<f64> = i_dn
+            .iter()
+            .zip(&lin_dn)
+            .zip(&up_dn)
+            .map(|((a, b), c)| a - b - c)
+            .collect();
+        let down = NarxModel::fit_in(v_dn, &resid_dn, down_orders, cfg.rbf, slab)?;
+        Ok((up, down))
+    })?;
 
     let model = ReceiverModel {
         name: spec.name.to_string(),

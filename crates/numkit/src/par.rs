@@ -6,7 +6,8 @@
 //! order from a shared counter and the results come back in input order,
 //! so callers see the same values a serial loop would produce; only the
 //! number of threads running at once differs. The workers are scoped to
-//! the call, so closures and items may borrow from the caller.
+//! the call, so closures and items may borrow from the caller. The CPU
+//! count is read once per process.
 //!
 //! **Nesting runs inline.** A [`map`] or [`join`] called from inside a
 //! `map` worker (the calling thread included), or from either side of a
@@ -36,11 +37,14 @@ use std::cell::Cell;
 use std::num::NonZeroUsize;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
+use std::sync::{Mutex, OnceLock};
 use std::thread;
 
+/// [`thread::available_parallelism`], read once per process: each call
+/// reads the cgroup limits anew, and std's docs advise caching it.
 fn parallelism() -> usize {
-    thread::available_parallelism().map_or(1, NonZeroUsize::get)
+    static CPUS: OnceLock<usize> = OnceLock::new();
+    *CPUS.get_or_init(|| thread::available_parallelism().map_or(1, NonZeroUsize::get))
 }
 
 thread_local! {
@@ -82,8 +86,8 @@ where
     F: Fn(T) -> R + Sync,
 {
     let n = items.len();
-    let workers = parallelism().min(n);
-    if workers <= 1 || in_worker() {
+    let workers = if in_worker() { 1 } else { parallelism().min(n) };
+    if workers <= 1 {
         return items.into_iter().map(f).collect();
     }
     // Each slot is taken exactly once, by the worker that claimed its index.

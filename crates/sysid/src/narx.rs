@@ -10,12 +10,22 @@
 //! PW-RBF driver model (port current as a function of present + past port
 //! voltages and past port currents) and of the receiver protection-circuit
 //! submodels in Stievano et al. (DATE 2002).
+//!
+//! Training scores every Gaussian candidate at every regressor row in one
+//! column-major *candidate slab* (`rows × candidates` values: 6.2 MB for a
+//! PW-RBF state fit, 14.3 MB for an md4 protection fit). The slab is
+//! scratch: [`NarxModel::fit`] borrows the process-wide buffer of
+//! [`with_slab`], which is kept and grows to the largest slab asked for,
+//! and [`NarxModel::fit_in`] writes into a caller's buffer of at least
+//! [`NarxModel::slab_len`] values, so several fits can share one region.
+//! Either way the model is bit-identical to a fit on a fresh buffer.
 
 use crate::lanes::LaneRing;
 use crate::ols::{self, OlsStop};
 use crate::rbf::{width_heuristic, RbfNetwork};
 use crate::{Error, Result};
 use numkit::{lstsq, Matrix};
+use std::sync::{Mutex, TryLockError};
 
 /// Structural orders of a NARX model.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -207,12 +217,44 @@ impl NarxModel {
     /// 5. OLS-select Gaussian units on the affine residual;
     /// 6. refit all weights (bias + linear + Gaussian) jointly.
     ///
+    /// The candidate slab lives in the process-wide scratch of
+    /// [`with_slab`]; [`NarxModel::fit_in`] takes a caller's buffer instead.
+    ///
     /// # Errors
     ///
     /// * [`Error::LengthMismatch`] if `u` and `y` differ in length.
     /// * [`Error::InsufficientData`] if too few rows are available.
     /// * [`Error::InvalidStructure`] for a degenerate configuration.
     pub fn fit(u: &[f64], y: &[f64], orders: NarxOrders, cfg: RbfTrainConfig) -> Result<Self> {
+        with_slab(Self::slab_len(y.len(), orders, cfg), |slab| {
+            Self::fit_in(u, y, orders, cfg, slab)
+        })
+    }
+
+    /// Length of the candidate slab a fit over `samples` samples builds:
+    /// `rows × candidates` values, with `rows = samples - orders.start()`.
+    /// [`NarxModel::fit_in`] needs a buffer at least this long.
+    pub fn slab_len(samples: usize, orders: NarxOrders, cfg: RbfTrainConfig) -> usize {
+        let n_rows = samples.saturating_sub(orders.start());
+        base_center_stride(n_rows, cfg.candidate_pool).1 * SCALES.len() * n_rows
+    }
+
+    /// [`NarxModel::fit`] with the candidate slab written into the first
+    /// [`NarxModel::slab_len`] values of `slab`. The buffer's contents are
+    /// scratch: they are overwritten before they are read, so the model is
+    /// bit-identical whatever `slab` held.
+    ///
+    /// # Errors
+    ///
+    /// Those of [`NarxModel::fit`], and [`Error::LengthMismatch`] if `slab`
+    /// is shorter than [`NarxModel::slab_len`].
+    pub fn fit_in(
+        u: &[f64],
+        y: &[f64],
+        orders: NarxOrders,
+        cfg: RbfTrainConfig,
+        slab: &mut [f64],
+    ) -> Result<Self> {
         if u.len() != y.len() {
             return Err(Error::LengthMismatch {
                 message: format!("u has {} samples, y has {}", u.len(), y.len()),
@@ -249,6 +291,16 @@ impl NarxModel {
                 got: y.len(),
             });
         }
+        let slab_len = Self::slab_len(y.len(), orders, cfg);
+        if slab.len() < slab_len {
+            return Err(Error::LengthMismatch {
+                message: format!(
+                    "candidate slab holds {} values, the fit needs {slab_len}",
+                    slab.len()
+                ),
+            });
+        }
+        let slab = &mut slab[..slab_len];
 
         // 1. Regressor rows and targets.
         let mut rows = Vec::with_capacity(n_rows);
@@ -285,7 +337,7 @@ impl NarxModel {
         // at several widths (multi-scale RBF). Sharp features such as diode
         // knees need narrow units while the broad trend wants wide ones;
         // OLS picks whichever scale reduces the residual most (`SCALES`).
-        let stride = (n_rows / cfg.candidate_pool).max(1);
+        let (stride, _) = base_center_stride(n_rows, cfg.candidate_pool);
         let base_centers: Vec<Vec<f64>> = rows.iter().step_by(stride).cloned().collect();
         let base_width = width_heuristic(&base_centers, cfg.width_scale);
 
@@ -293,9 +345,9 @@ impl NarxModel {
         // Gaussian candidates (`candidate_slab`): candidate `i` is base
         // center `i / 3` at width `base_width * SCALES[i % 3]`, and its
         // column is `slab[i * n_rows..(i + 1) * n_rows]`.
-        let slab = candidate_slab(&rows, &base_centers, base_width);
+        candidate_slab(&rows, &base_centers, base_width, slab);
         let sel = ols::select(
-            &slab,
+            slab,
             n_rows,
             &resid,
             OlsStop {
@@ -342,28 +394,40 @@ impl NarxModel {
 /// Width scales at which every base center is offered to OLS.
 const SCALES: [f64; 3] = [1.0, 0.3, 0.1];
 
-/// Gaussian responses of every (base center, width scale) candidate at
-/// every regressor row, as one column-major slab: candidate
+/// Stride and count of the base centers a fit draws from `n_rows`
+/// regressor rows (every `stride`-th row, about `candidate_pool` of them).
+/// [`NarxModel::fit_in`] draws them and [`NarxModel::slab_len`] sizes the
+/// slab from this one rule.
+fn base_center_stride(n_rows: usize, candidate_pool: usize) -> (usize, usize) {
+    let stride = (n_rows / candidate_pool.max(1)).max(1);
+    (stride, n_rows.div_ceil(stride))
+}
+
+/// Writes the Gaussian response of every (base center, width scale)
+/// candidate at every regressor row into `slab`, column-major: candidate
 /// `i = b * SCALES.len() + s` (center `b` at width `base_width * SCALES[s]`)
-/// occupies `slab[i * rows.len()..(i + 1) * rows.len()]`.
+/// occupies `slab[i * rows.len()..(i + 1) * rows.len()]`, and `slab` holds
+/// exactly those columns.
 ///
 /// The squared distance is computed once per (row, center) and shared by
 /// the three width scales, whose columns are written together. Far-field
 /// responses (exponent beyond ~1e-20) skip the `exp` call and stay `+0.0`;
-/// that is about half of each narrowest-scale column.
+/// that is about half of each narrowest-scale column. Each block is
+/// zero-filled first, so a reused buffer gives the same bits as a fresh one.
 ///
 /// Each base center's block of columns is filled by one
-/// [`numkit::par::map`] item writing into its own part of the one slab
-/// allocated here, so the workers allocate nothing and every value is
-/// computed exactly as a serial loop would compute it.
-fn candidate_slab(rows: &[Vec<f64>], base_centers: &[Vec<f64>], base_width: f64) -> Vec<f64> {
+/// [`numkit::par::map`] item writing into its own part of `slab`, so the
+/// workers allocate nothing and every value is computed exactly as a serial
+/// loop would compute it.
+fn candidate_slab(rows: &[Vec<f64>], base_centers: &[Vec<f64>], base_width: f64, slab: &mut [f64]) {
     let n = rows.len();
-    let mut slab = vec![0.0; base_centers.len() * SCALES.len() * n];
+    debug_assert_eq!(slab.len(), base_centers.len() * SCALES.len() * n);
     let blocks: Vec<_> = base_centers
         .iter()
         .zip(slab.chunks_exact_mut(SCALES.len() * n))
         .collect();
     numkit::par::map(blocks, |(cand, block)| {
+        block.fill(0.0);
         for (r, row) in rows.iter().enumerate() {
             let d2: f64 = row.iter().zip(cand).map(|(a, b)| (a - b) * (a - b)).sum();
             for (si, s) in SCALES.iter().enumerate() {
@@ -375,7 +439,38 @@ fn candidate_slab(rows: &[Vec<f64>], base_centers: &[Vec<f64>], base_width: f64)
             }
         }
     });
-    slab
+}
+
+/// The process-wide candidate scratch of [`with_slab`]: the largest slab
+/// the process has needed so far, kept for the next fit.
+static SLAB: Mutex<Vec<f64>> = Mutex::new(Vec::new());
+
+/// Runs `f` on a scratch buffer of `len` values (contents unspecified) and
+/// returns its result.
+///
+/// The buffer is one process-wide allocation that is kept between calls
+/// and grows to the largest `len` asked for: growing drops the old buffer
+/// before allocating the new one, and never copies. A caller that finds the
+/// scratch in use (another thread's fit, or a nested call) gets a fresh
+/// buffer instead, so results never depend on who holds the scratch.
+///
+/// Keeping one slab resident bounds the process's memory by what it needs,
+/// not by what the allocator keeps: a fit slab of 6–14 MB that is freed
+/// stays resident in whichever allocator arena held it, so slabs freed per
+/// fit add up across arenas.
+pub fn with_slab<R>(len: usize, f: impl FnOnce(&mut [f64]) -> R) -> R {
+    let mut scratch = match SLAB.try_lock() {
+        Ok(guard) => guard,
+        // A panic inside an earlier `f` leaves nothing to repair: the
+        // contents are scratch.
+        Err(TryLockError::Poisoned(poisoned)) => poisoned.into_inner(),
+        Err(TryLockError::WouldBlock) => return f(&mut vec![0.0; len]),
+    };
+    if scratch.len() < len {
+        *scratch = Vec::new();
+        *scratch = vec![0.0; len];
+    }
+    f(&mut scratch[..len])
 }
 
 /// Fits models of dynamic order `1..=max_r` and returns the one with the
@@ -663,7 +758,8 @@ mod tests {
             .collect();
         let stride = rows.len() / RbfTrainConfig::default().candidate_pool;
         let base: Vec<Vec<f64>> = rows.iter().step_by(stride).cloned().collect();
-        let slab = candidate_slab(&rows, &base, width_heuristic(&base, 1.0));
+        let mut slab = vec![0.0; base.len() * SCALES.len() * rows.len()];
+        candidate_slab(&rows, &base, width_heuristic(&base, 1.0), &mut slab);
         let zeros = |scale: usize| {
             slab.chunks_exact(rows.len())
                 .skip(scale)
@@ -673,6 +769,57 @@ mod tests {
         };
         assert_eq!(zeros(0), 0);
         assert!(zeros(2) > slab.len() / SCALES.len() / 10, "{}", zeros(2));
+    }
+
+    /// A fit on a reused buffer full of garbage (NaN, and longer than the
+    /// fit needs) is bit-identical to a fit on the shared scratch and to
+    /// one on a fresh zeroed buffer; a buffer one value short is a typed
+    /// error.
+    #[test]
+    fn fit_in_dirty_scratch_matches_fit_bit_for_bit() {
+        let (u, y) = golden_series();
+        let (orders, cfg) = (NarxOrders::dynamic(1), RbfTrainConfig::default());
+        let len = NarxModel::slab_len(y.len(), orders, cfg);
+        assert_eq!(len, 899 * 180 * SCALES.len());
+        let reference = network_digest(NarxModel::fit(&u, &y, orders, cfg).unwrap().network());
+        let mut dirty = vec![f64::NAN; len + 17];
+        let mut fresh = vec![0.0; len];
+        for slab in [&mut dirty[..], &mut fresh[..]] {
+            let model = NarxModel::fit_in(&u, &y, orders, cfg, slab).unwrap();
+            assert_eq!(network_digest(model.network()), reference);
+        }
+        // The dirty buffer's tail past the slab is left alone.
+        assert!(dirty[len..].iter().all(|v| v.is_nan()));
+        let short = NarxModel::fit_in(&u, &y, orders, cfg, &mut fresh[..len - 1]);
+        assert!(
+            matches!(short, Err(Error::LengthMismatch { .. })),
+            "{short:?}"
+        );
+    }
+
+    /// A caller that finds the scratch taken — here a second thread asking
+    /// while the first still holds it — gets its own buffer, and neither
+    /// sees the other's writes.
+    #[test]
+    fn concurrent_with_slab_callers_get_distinct_buffers() {
+        let (outer, inner) = with_slab(64, |a| {
+            a.fill(1.0);
+            let inner = std::thread::scope(|s| {
+                s.spawn(|| {
+                    with_slab(64, |b| {
+                        b.fill(2.0);
+                        b.as_ptr() as usize
+                    })
+                })
+                .join()
+                .unwrap()
+            });
+            assert!(a.iter().all(|&v| v == 1.0));
+            (a.as_ptr() as usize, inner)
+        });
+        assert_ne!(outer, inner);
+        // A nested call on the same thread cannot take the scratch either.
+        with_slab(8, |a| with_slab(8, |b| assert_ne!(a.as_ptr(), b.as_ptr())));
     }
 
     #[test]

@@ -15,7 +15,9 @@
 //!
 //! The candidates arrive as one column-major *slab*: candidate `i` is
 //! `cols[i * rows..(i + 1) * rows]`, so every column is a contiguous slice
-//! and is read in place, never copied. The O(N·M) passes (the initial
+//! and is read in place, never copied. [`select`] only reads the slab, so
+//! the caller owns it and may reuse it across fits (the NARX trainer keeps
+//! one process-wide slab, see [`crate::narx::with_slab`]). The O(N·M) passes (the initial
 //! `wᵀy` / `wᵀw` statistics and the per-step rank-1 update) run through
 //! a kernel that walks the rows once for four candidate columns with four
 //! independent accumulators. A single dot product is one serial chain of

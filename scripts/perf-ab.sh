@@ -7,10 +7,13 @@
 # Every run uses the same seed.
 #
 # Prints every pair's op_s, setup_s and peak_rss_mb, the number of pairs
-# in which B's op_s is lower, and each side's median and interquartile
-# range of all three end-to-end metrics, then one JSON line with the same
-# numbers. Exits nonzero if any run reports `correct: false` or fails. `perfbench/Cargo.lock` is left as it was. Not a CI step: it runs
-# 2 x PAIRS x SECONDS of benchmark plus two release builds.
+# in which B's op_s is lower, each side's median and interquartile range
+# of all three end-to-end metrics, and each side's minimum and maximum
+# peak_rss_mb (a side whose runs fall into two memory modes shows a wide
+# range there), then one JSON line with the same numbers. Exits nonzero if
+# any run reports `correct: false` or fails. `perfbench/Cargo.lock` is left
+# as it was. Not a CI step: it runs 2 x PAIRS x SECONDS of benchmark plus
+# two release builds.
 #
 # Usage: scripts/perf-ab.sh REV [workload] [pairs] [seconds] [seed]
 #        (defaults: paper, 8 pairs, 30 s per run, seed 1)
@@ -127,8 +130,17 @@ for k in metrics:
     xa, xb = series[(k, "a")], series[(k, "b")]
     ma, mb = statistics.median(xa), statistics.median(xb)
     qa, qb = quartiles(xa), quartiles(xb)
-    print(f"median {k}: A {ma:.4f} (IQR {qa[0]:.4f}-{qa[1]:.4f}), "
-          f"B {mb:.4f} (IQR {qb[0]:.4f}-{qb[1]:.4f}), change {(mb / ma - 1) * 100:+.1f}%")
+    line = (f"median {k}: A {ma:.4f} (IQR {qa[0]:.4f}-{qa[1]:.4f}), "
+            f"B {mb:.4f} (IQR {qb[0]:.4f}-{qb[1]:.4f}), change {(mb / ma - 1) * 100:+.1f}%")
+    if k == "peak_rss_mb":
+        line += f"; range A {min(xa):.1f}-{max(xa):.1f}, B {min(xb):.1f}-{max(xb):.1f}"
+        summary.update({
+            "min_peak_rss_mb_a": min(xa),
+            "max_peak_rss_mb_a": max(xa),
+            "min_peak_rss_mb_b": min(xb),
+            "max_peak_rss_mb_b": max(xb),
+        })
+    print(line)
     summary.update({
         f"median_{k}_a": ma,
         f"median_{k}_b": mb,
