@@ -23,7 +23,7 @@
 
 use circuit::devices::Resistor;
 use circuit::mtl::{expand_coupled_line, CoupledLineSpec};
-use circuit::{Circuit, TranParams, TranResult, Waveform, GROUND};
+use circuit::{Circuit, ProbedResult, TranParams, Waveform, GROUND};
 use macromodel::json::{self, Layout, Raw};
 use macromodel::validate::{validate_macromodel, ReferencePort, DEFAULT_VALIDATION_DT};
 use macromodel::{Macromodel, ModelKind, ModelStore, PortStimulus, TestFixture};
@@ -182,6 +182,14 @@ impl EyeWorkload {
     pub fn t_stop(&self) -> f64 {
         self.bits as f64 * self.bit_time
     }
+
+    /// Checks `bits` and `lanes` against the bounds above and `bit_time`
+    /// for a positive, finite unit interval.
+    fn check(&self) -> crate::Result<()> {
+        check_count("bits", self.bits, Self::MIN_BITS, Self::MAX_BITS)?;
+        check_count("lanes", self.lanes, 1, Self::MAX_LANES)?;
+        check_bit_time(self.bit_time)
+    }
 }
 
 /// Parameters of one Monte-Carlo channel sweep.
@@ -223,6 +231,38 @@ impl McWorkload {
             bit_time: 2e-9,
             gates: McGates::default(),
         }
+    }
+
+    /// Checks `trials` and `bits` against their bounds (those of
+    /// [`EyeWorkload`] for `bits`) and `bit_time` for a positive, finite
+    /// unit interval.
+    fn check(&self) -> crate::Result<()> {
+        check_count("trials", self.trials, Self::MIN_TRIALS, Self::MAX_TRIALS)?;
+        check_count(
+            "bits",
+            self.bits,
+            EyeWorkload::MIN_BITS,
+            EyeWorkload::MAX_BITS,
+        )?;
+        check_bit_time(self.bit_time)
+    }
+}
+
+/// `value`, the workload's `field`, must lie in `min..=max`.
+fn check_count(field: &str, value: usize, min: u64, max: u64) -> crate::Result<()> {
+    if (min..=max).contains(&(value as u64)) {
+        Ok(())
+    } else {
+        Err(format!("{field}: expected a whole number in {min}..={max}, got {value}").into())
+    }
+}
+
+/// A workload's unit interval must be finite and positive.
+fn check_bit_time(bit_time: f64) -> crate::Result<()> {
+    if bit_time.is_finite() && bit_time > 0.0 {
+        Ok(())
+    } else {
+        Err(format!("bit_time: expected a finite number > 0 s, got {bit_time}").into())
     }
 }
 
@@ -326,8 +366,8 @@ pub struct CellStats {
 }
 
 impl CellStats {
-    /// The diagnostics of a finished transient `res` of `ckt`.
-    fn of(res: &TranResult, ckt: &Circuit) -> Self {
+    /// The diagnostics of a finished probed transient `res` of `ckt`.
+    fn of(res: &ProbedResult, ckt: &Circuit) -> Self {
         let s = res.solve_stats;
         CellStats {
             symbolic_analyses: s.symbolic_analyses,
@@ -792,9 +832,9 @@ fn run_bus_cell(
             .collect();
         model.instantiate_lanes(&mut ckt, &lanes)?;
     }
-    let res = ckt.transient(TranParams::new(dt, t_stop))?;
-    let waves: Vec<Waveform> = (0..conductors).map(|j| res.voltage(line.far[j])).collect();
-    Ok((waves, CellStats::of(&res, &ckt)))
+    let res = ckt.transient_probed(TranParams::new(dt, t_stop), &line.far)?;
+    let stats = CellStats::of(&res, &ckt);
+    Ok((res.voltages, stats))
 }
 
 /// Runs the eye workload: every channel lane driven by an instance of
@@ -804,13 +844,17 @@ fn run_bus_cell(
 ///
 /// # Errors
 ///
-/// An unknown PRBS tag, a degenerate channel, or a failed transient.
+/// `bits` or `lanes` outside [`EyeWorkload::MIN_BITS`]`..=`
+/// [`EyeWorkload::MAX_BITS`] or `1..=`[`EyeWorkload::MAX_LANES`], a
+/// `bit_time` that is not finite and positive, an unknown PRBS tag, a
+/// degenerate channel, or a failed transient.
 pub fn run_eye_workload(
     model: &dyn Macromodel,
     w: &EyeWorkload,
     dt: f64,
     analyzer: &mut EyeAnalyzer,
 ) -> crate::Result<(Vec<Waveform>, CellStats, EyeOutcome)> {
+    w.check()?;
     let order = PrbsOrder::from_tag(w.prbs)
         .ok_or_else(|| format!("unknown PRBS order tag {} (expected 7, 15 or 31)", w.prbs))?;
     let mut spec = ChannelSpec::new(w.lanes);
@@ -838,9 +882,9 @@ pub fn run_eye_workload(
         .map(|(&pad, stim)| (pad, Some(stim)))
         .collect();
     model.instantiate_lanes(&mut ckt, &lanes)?;
-    let res = ckt.transient(TranParams::new(dt, w.t_stop()))?;
-    let waves: Vec<Waveform> = ports.far.iter().map(|&far| res.voltage(far)).collect();
+    let res = ckt.transient_probed(TranParams::new(dt, w.t_stop()), &ports.far)?;
     let stats = CellStats::of(&res, &ckt);
+    let waves = res.voltages;
     // Worst lane: any closed eye beats every open one; among open eyes the
     // smallest height. Re-analyze it last so the analyzer's raster matches
     // the reported metrics.
@@ -874,12 +918,16 @@ pub fn run_eye_workload(
 ///
 /// # Errors
 ///
-/// An unknown PRBS tag, a degenerate plan, or a failed trial transient.
+/// `trials` outside [`McWorkload::MIN_TRIALS`]`..=`
+/// [`McWorkload::MAX_TRIALS`], `bits` outside the [`EyeWorkload`] bounds,
+/// a `bit_time` that is not finite and positive, an unknown PRBS tag, a
+/// degenerate plan, or a failed trial transient.
 pub fn run_mc_workload(
     model: &dyn Macromodel,
     w: &McWorkload,
     dt: f64,
 ) -> crate::Result<(Vec<Waveform>, CellStats, McSummary)> {
+    w.check()?;
     let order = PrbsOrder::from_tag(w.prbs)
         .ok_or_else(|| format!("unknown PRBS order tag {} (expected 7, 15 or 31)", w.prbs))?;
     let plan = McPlan::new(
@@ -916,11 +964,10 @@ pub fn run_mc_workload(
         let stim = PortStimulus::new(prbs_pattern(order, w.bits, trial.seed), w.bit_time);
         model.instantiate_lanes(&mut ckt, &[(pad, Some(&stim))])?;
         let t_stop = w.bits as f64 * w.bit_time;
-        let res = ckt.transient(TranParams::new(dt, t_stop))?;
-        let wave = res.voltage(ports.far[0]);
-        metrics.push(analyzer.analyze(&wave));
-        waves.push(wave);
+        let mut res = ckt.transient_probed(TranParams::new(dt, t_stop), &ports.far[..1])?;
         stats.merge(&CellStats::of(&res, &ckt));
+        metrics.push(analyzer.analyze(&res.voltages[0]));
+        waves.append(&mut res.voltages);
     }
     let summary = McSummary::from_metrics(&metrics, &w.gates, w.seed);
     Ok((waves, stats, summary))
@@ -942,8 +989,9 @@ pub(crate) fn run_sweep_cell(model: &dyn Macromodel, scenario: &Scenario) -> Cel
             let pad = ckt.node(format!("{}_pad", model.name()));
             fixture.install(&mut ckt, pad);
             model.instantiate(&mut ckt, pad, stim.as_ref())?;
-            let res = ckt.transient(TranParams::new(dt, *t_stop))?;
-            Ok((vec![res.voltage(pad)], CellStats::of(&res, &ckt)))
+            let res = ckt.transient_probed(TranParams::new(dt, *t_stop), &[pad])?;
+            let stats = CellStats::of(&res, &ckt);
+            Ok((res.voltages, stats))
         })(),
         ScenarioKind::BusLadder {
             conductors,
@@ -960,13 +1008,14 @@ pub(crate) fn run_sweep_cell(model: &dyn Macromodel, scenario: &Scenario) -> Cel
             *t_stop,
             dt,
         ),
-        ScenarioKind::Eye(w) => {
+        // Checked before the analyzer, which panics on a bad `bit_time`.
+        ScenarioKind::Eye(w) => w.check().and_then(|()| {
             let mut analyzer = EyeAnalyzer::new(EyeConfig::new(w.bit_time));
             run_eye_workload(model, w, dt, &mut analyzer).map(|(waves, stats, outcome)| {
                 eye = Some(outcome);
                 (waves, stats)
             })
-        }
+        }),
         ScenarioKind::MonteCarlo(w) => {
             run_mc_workload(model, w, dt).map(|(waves, stats, summary)| {
                 mc = Some(summary);
@@ -1126,7 +1175,12 @@ pub(crate) fn run_contained(
     })
 }
 
+/// The head every store engine runs first: it hands the fit scratch back
+/// ([`sysid::narx::release_slab`]; a store run never fits, so a slab kept
+/// from extraction would only sit under the run's cells) and loads and
+/// lints every entry.
 fn store_header(store: &ModelStore, mode: &str) -> FleetReport {
+    sysid::narx::release_slab();
     // Force every entry to parse first: a lazily opened store reports an
     // empty failure list until its entries are touched, and a fleet report
     // must never call a store healthy it hasn't actually loaded.
@@ -1548,6 +1602,98 @@ pub(crate) mod tests {
         assert_eq!(s1.eye_height_min.to_bits(), s2.eye_height_min.to_bits());
         assert_eq!(s1.jitter_pp_q_s.to_bits(), s2.jitter_pp_q_s.to_bits());
         assert_eq!(s1.trials, mw.trials);
+    }
+
+    /// The error `run_eye_workload` refuses `w` with (on a valid driver and
+    /// analyzer, so only the workload can be at fault).
+    fn eye_error(w: EyeWorkload) -> String {
+        let AnyModel::PwRbfDriver(d) = dummy_driver("degenerate") else {
+            unreachable!()
+        };
+        let mut analyzer = EyeAnalyzer::new(EyeConfig::new(2e-9));
+        run_eye_workload(&d, &w, 25e-12, &mut analyzer)
+            .unwrap_err()
+            .to_string()
+    }
+
+    /// The error `run_mc_workload` refuses `w` with.
+    fn mc_error(w: McWorkload) -> String {
+        let AnyModel::PwRbfDriver(d) = dummy_driver("degenerate") else {
+            unreachable!()
+        };
+        run_mc_workload(&d, &w, 25e-12).unwrap_err().to_string()
+    }
+
+    #[test]
+    fn mc_workload_rejects_trials_out_of_bounds() {
+        for trials in [0, 4097] {
+            let w = McWorkload {
+                trials,
+                ..McWorkload::standard(true)
+            };
+            assert_eq!(
+                mc_error(w),
+                format!("trials: expected a whole number in 1..=4096, got {trials}")
+            );
+        }
+    }
+
+    #[test]
+    fn workloads_reject_bits_out_of_bounds() {
+        for bits in [0, 3, 65537] {
+            let want = format!("bits: expected a whole number in 4..=65536, got {bits}");
+            let eye = EyeWorkload {
+                bits,
+                ..EyeWorkload::standard(true)
+            };
+            assert_eq!(eye_error(eye), want);
+            let mc = McWorkload {
+                bits,
+                ..McWorkload::standard(true)
+            };
+            assert_eq!(mc_error(mc), want);
+        }
+    }
+
+    #[test]
+    fn eye_workload_rejects_lanes_out_of_bounds() {
+        for lanes in [0, 65] {
+            let w = EyeWorkload {
+                lanes,
+                ..EyeWorkload::standard(true)
+            };
+            assert_eq!(
+                eye_error(w),
+                format!("lanes: expected a whole number in 1..=64, got {lanes}")
+            );
+        }
+    }
+
+    #[test]
+    fn workloads_reject_a_degenerate_bit_time() {
+        let AnyModel::PwRbfDriver(d) = dummy_driver("degenerate") else {
+            unreachable!()
+        };
+        for bit_time in [f64::NAN, 0.0, -2e-9, f64::INFINITY] {
+            let want = format!("bit_time: expected a finite number > 0 s, got {bit_time}");
+            let eye = EyeWorkload {
+                bit_time,
+                ..EyeWorkload::standard(true)
+            };
+            // A sweep cell fails with the same message, not a panic.
+            let scenario = Scenario {
+                name: "eye".into(),
+                applies_to: Applicability::Drivers,
+                kind: ScenarioKind::Eye(eye.clone()),
+            };
+            assert_eq!(run_sweep_cell(&d, &scenario).detail, want);
+            assert_eq!(eye_error(eye), want);
+            let mc = McWorkload {
+                bit_time,
+                ..McWorkload::standard(true)
+            };
+            assert_eq!(mc_error(mc), want);
+        }
     }
 
     /// An eye outcome whose floats cover every class the encoder

@@ -15,17 +15,19 @@
 //! column-major *candidate slab* (`rows × candidates` values: 6.2 MB for a
 //! PW-RBF state fit, 14.3 MB for an md4 protection fit). The slab is
 //! scratch: [`NarxModel::fit`] borrows the process-wide buffer of
-//! [`with_slab`], which is kept and grows to the largest slab asked for,
-//! and [`NarxModel::fit_in`] writes into a caller's buffer of at least
-//! [`NarxModel::slab_len`] values, so several fits can share one region.
-//! Either way the model is bit-identical to a fit on a fresh buffer.
+//! [`with_slab`], which is kept between fits and grows to the largest slab
+//! asked for, and [`NarxModel::fit_in`] writes into a caller's buffer of at
+//! least [`NarxModel::slab_len`] values, so several fits can share one
+//! region. Either way the model is bit-identical to a fit on a fresh
+//! buffer. A process done fitting hands the kept buffer back with
+//! [`release_slab`].
 
 use crate::lanes::LaneRing;
 use crate::ols::{self, OlsStop};
 use crate::rbf::{width_heuristic, RbfNetwork};
 use crate::{Error, Result};
 use numkit::{lstsq, Matrix};
-use std::sync::{Mutex, TryLockError};
+use std::sync::{Mutex, MutexGuard, TryLockError};
 
 /// Structural orders of a NARX model.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -442,35 +444,66 @@ fn candidate_slab(rows: &[Vec<f64>], base_centers: &[Vec<f64>], base_width: f64,
 }
 
 /// The process-wide candidate scratch of [`with_slab`]: the largest slab
-/// the process has needed so far, kept for the next fit.
+/// the process has needed since it started or since [`release_slab`].
 static SLAB: Mutex<Vec<f64>> = Mutex::new(Vec::new());
 
 /// Runs `f` on a scratch buffer of `len` values (contents unspecified) and
 /// returns its result.
 ///
 /// The buffer is one process-wide allocation that is kept between calls
-/// and grows to the largest `len` asked for: growing drops the old buffer
-/// before allocating the new one, and never copies. A caller that finds the
-/// scratch in use (another thread's fit, or a nested call) gets a fresh
-/// buffer instead, so results never depend on who holds the scratch.
+/// until [`release_slab`] hands it back, and grows to the largest `len`
+/// asked for: growing drops the old buffer before allocating the new one,
+/// and never copies. A caller that finds the scratch in use (another
+/// thread's fit, or a nested call) gets a fresh buffer instead, so results
+/// never depend on who holds the scratch.
 ///
 /// Keeping one slab resident bounds the process's memory by what it needs,
 /// not by what the allocator keeps: a fit slab of 6–14 MB that is freed
 /// stays resident in whichever allocator arena held it, so slabs freed per
 /// fit add up across arenas.
 pub fn with_slab<R>(len: usize, f: impl FnOnce(&mut [f64]) -> R) -> R {
-    let mut scratch = match SLAB.try_lock() {
-        Ok(guard) => guard,
-        // A panic inside an earlier `f` leaves nothing to repair: the
-        // contents are scratch.
-        Err(TryLockError::Poisoned(poisoned)) => poisoned.into_inner(),
-        Err(TryLockError::WouldBlock) => return f(&mut vec![0.0; len]),
+    with_scratch(&SLAB, len, f)
+}
+
+/// Drops the buffer behind [`with_slab`] and returns how many values it
+/// held; the next [`with_slab`] call allocates its buffer afresh, once.
+///
+/// For a process that has finished fitting and goes on to other work: the
+/// slab is one large allocation, so dropping it returns its pages to the
+/// operating system instead of leaving them resident under that work.
+/// Releasing between fits would defeat the reuse [`with_slab`] exists for.
+/// If another thread holds the scratch, nothing is freed, 0 is returned and
+/// the call does not wait.
+pub fn release_slab() -> usize {
+    release(&SLAB)
+}
+
+/// Takes `scratch` if no one holds it. A panic inside an earlier caller
+/// leaves nothing to repair, so a poisoned lock is taken as it is: the
+/// contents are scratch.
+fn try_take(scratch: &Mutex<Vec<f64>>) -> Option<MutexGuard<'_, Vec<f64>>> {
+    match scratch.try_lock() {
+        Ok(guard) => Some(guard),
+        Err(TryLockError::Poisoned(poisoned)) => Some(poisoned.into_inner()),
+        Err(TryLockError::WouldBlock) => None,
+    }
+}
+
+/// [`with_slab`] over the buffer in `slab`.
+fn with_scratch<R>(slab: &Mutex<Vec<f64>>, len: usize, f: impl FnOnce(&mut [f64]) -> R) -> R {
+    let Some(mut scratch) = try_take(slab) else {
+        return f(&mut vec![0.0; len]);
     };
     if scratch.len() < len {
         *scratch = Vec::new();
         *scratch = vec![0.0; len];
     }
     f(&mut scratch[..len])
+}
+
+/// [`release_slab`] of the buffer in `scratch`.
+fn release(scratch: &Mutex<Vec<f64>>) -> usize {
+    try_take(scratch).map_or(0, |mut held| std::mem::take(&mut *held).len())
 }
 
 /// Fits models of dynamic order `1..=max_r` and returns the one with the
@@ -820,6 +853,63 @@ mod tests {
         assert_ne!(outer, inner);
         // A nested call on the same thread cannot take the scratch either.
         with_slab(8, |a| with_slab(8, |b| assert_ne!(a.as_ptr(), b.as_ptr())));
+    }
+
+    /// A release hands back the whole kept buffer and reports its length;
+    /// a second release, or one on a scratch that was never grown, frees
+    /// nothing. A poisoned scratch is released like any other.
+    #[test]
+    fn release_returns_the_held_length_once() {
+        let scratch = Mutex::new(Vec::new());
+        assert_eq!(release(&scratch), 0);
+        with_scratch(&scratch, 40, |s| s.fill(1.0));
+        with_scratch(&scratch, 24, |s| s.fill(2.0));
+        assert_eq!(release(&scratch), 40);
+        assert_eq!(release(&scratch), 0);
+        // The next caller grows the buffer again.
+        with_scratch(&scratch, 16, |s| assert_eq!(s.len(), 16));
+        let _ = std::panic::catch_unwind(|| with_scratch(&scratch, 8, |_| panic!("in a fit")));
+        assert!(scratch.is_poisoned());
+        assert_eq!(release(&scratch), 16);
+    }
+
+    /// Fits on either side of a release of the shared scratch are
+    /// bit-identical.
+    #[test]
+    fn fit_after_release_matches_fit_before() {
+        let (u, y) = golden_series();
+        let (orders, cfg) = (NarxOrders::dynamic(1), RbfTrainConfig::default());
+        let before = network_digest(NarxModel::fit(&u, &y, orders, cfg).unwrap().network());
+        release_slab();
+        let after = network_digest(NarxModel::fit(&u, &y, orders, cfg).unwrap().network());
+        assert_eq!(before, after);
+    }
+
+    /// A release while another thread holds the scratch returns 0 at once
+    /// and leaves the holder's buffer intact. (A local scratch: other tests'
+    /// fits take the shared one at times of their own.)
+    #[test]
+    fn release_while_held_frees_nothing_and_does_not_block() {
+        let (held_tx, held_rx) = std::sync::mpsc::channel();
+        let (done_tx, done_rx) = std::sync::mpsc::channel::<()>();
+        let scratch = &Mutex::new(Vec::new());
+        std::thread::scope(|s| {
+            let holder = s.spawn(move || {
+                with_scratch(scratch, 32, |b| {
+                    b.fill(3.0);
+                    held_tx.send(()).unwrap();
+                    done_rx.recv().unwrap();
+                    b.iter().all(|&v| v == 3.0)
+                })
+            });
+            held_rx.recv().unwrap();
+            // The holder waits for `done`, so a blocking release would hang
+            // here instead of returning.
+            assert_eq!(release(scratch), 0);
+            done_tx.send(()).unwrap();
+            assert!(holder.join().unwrap());
+        });
+        assert_eq!(release(scratch), 32);
     }
 
     #[test]

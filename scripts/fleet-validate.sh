@@ -8,7 +8,9 @@
 #   validate  batch re-certification of every model against its
 #             transistor-level reference, per-kind accuracy gates
 #   sweep     the scenario matrix (fixtures + bus ladders + mixed-backend
-#             bus) with per-cell pass/fail and SolveStats
+#             bus) with per-cell pass/fail and SolveStats; its peak
+#             resident memory is printed by scripts/peak-rss.py (a report,
+#             not a gate)
 #
 # Both engine passes write machine-readable JSON reports into
 # $FLEET_REPORT_DIR (default: fleet-reports/) for upload as a workflow
@@ -33,6 +35,7 @@ mkdir -p "$report_dir"
 mdl() {
     cargo run --release -q -p emc-bench --bin mdl -- "$@"
 }
+scripts_dir="$(cd "$(dirname "$0")" && pwd)"
 
 echo "== extracting the standard fleet into $store"
 mdl extract md1 --fast --out "$store/md1-pwrbf.mdlx"
@@ -47,7 +50,11 @@ echo "== batch validation against transistor-level references"
 mdl store validate "$store" --fast --json "$report_dir/fleet-validate.json"
 
 echo "== scenario-matrix sweep"
-mdl store sweep "$store" --fast --json "$report_dir/fleet-sweep.json"
+# The built binary, not `cargo run`, so the peak is the sweep's own.
+target_dir="$(cargo metadata --format-version 1 --no-deps |
+    python3 -c 'import json, sys; print(json.load(sys.stdin)["target_directory"])')"
+python3 -S "$scripts_dir/peak-rss.py" "$target_dir/release/mdl" \
+    store sweep "$store" --fast --json "$report_dir/fleet-sweep.json"
 
 # The binary-container leg: convert every fleet artifact — all four model
 # kinds, v1 and v2, with and without provenance — to the .mdlxb container
