@@ -2,6 +2,11 @@
 //! innermost loop of every transient, one Newton evaluation plus one
 //! accepted-step commit of a PW-RBF driver, on one lane or N lanes
 //! advancing together.
+//!
+//! [`CASES`] are the bench ids. The original ones commit at the step's
+//! voltages, so the commit reuses the step's submodel values; the
+//! `_moved` ones commit [`COMMIT_OFFSET`] away, so the commit evaluates
+//! both submodels again, as nearly every commit of a transient does.
 
 use std::hint::black_box;
 use std::sync::Arc;
@@ -60,18 +65,37 @@ pub fn wave_table(steps: usize, n_lanes: usize) -> Vec<f64> {
     w
 }
 
+/// The bench cases: id, lane count, and whether the commit moves off the
+/// step's voltages. `compiled` is the single lane (the id predates the
+/// removal of the compile step); ids are kept so the committed trajectory
+/// stays comparable.
+pub const CASES: [(&str, usize, bool); 6] = [
+    ("compiled", 1, false),
+    ("lanes2", 2, false),
+    ("lanes8", 8, false),
+    ("lanes1_moved", 1, true),
+    ("lanes2_moved", 2, true),
+    ("lanes8_moved", 8, true),
+];
+
+/// How far a moved commit lies from the step's voltages (1 mV).
+pub const COMMIT_OFFSET: f64 = 1e-3;
+
 /// One sample's input: `n_lanes` driver lanes settled at 0 V and their
 /// output buffers.
 pub struct LaneRun {
     lanes: DriverLanes,
     ts: f64,
+    moved: bool,
     i: Vec<f64>,
     g: Vec<f64>,
+    v_commit: Vec<f64>,
 }
 
 impl LaneRun {
-    /// Builds the lanes (the untimed setup).
-    pub fn new(model: &Arc<PwRbfDriverModel>, n_lanes: usize) -> LaneRun {
+    /// Builds the lanes (the untimed setup). A `moved` run commits each
+    /// step [`COMMIT_OFFSET`] above its voltages.
+    pub fn new(model: &Arc<PwRbfDriverModel>, n_lanes: usize, moved: bool) -> LaneRun {
         let stims: Vec<LaneStim> = (0..n_lanes)
             .map(|l| {
                 let pattern = if l % 2 == 0 { "0110" } else { "1001" };
@@ -83,8 +107,10 @@ impl LaneRun {
         LaneRun {
             lanes,
             ts: model.ts,
+            moved,
             i: vec![0.0; n_lanes],
             g: vec![0.0; n_lanes],
+            v_commit: vec![0.0; n_lanes],
         }
     }
 
@@ -98,7 +124,14 @@ impl LaneRun {
             self.lanes
                 .step(k as f64 * self.ts, black_box(v), &mut self.i, &mut self.g);
             acc += self.i[0] + self.g[n_lanes - 1];
-            self.lanes.commit(v);
+            if self.moved {
+                for (c, x) in self.v_commit.iter_mut().zip(v) {
+                    *c = x + COMMIT_OFFSET;
+                }
+                self.lanes.commit(&self.v_commit);
+            } else {
+                self.lanes.commit(v);
+            }
         }
         acc
     }
@@ -116,12 +149,12 @@ mod tests {
         let mut c = Criterion::default();
         let mut g = c.benchmark_group("eval/driver_step");
         g.sample_size(3);
-        for (id, n_lanes) in [("compiled", 1), ("lanes8", 8)] {
+        for (id, n_lanes, moved) in CASES {
             let wave = wave_table(64, n_lanes);
             g.throughput(Throughput::Elements((64 * n_lanes) as u64));
             g.bench_function(id, |b| {
                 b.iter_batched(
-                    || LaneRun::new(&model, n_lanes),
+                    || LaneRun::new(&model, n_lanes, moved),
                     |mut run| (run.drive(&wave), run),
                     BatchSize::LargeInput,
                 )
@@ -131,7 +164,14 @@ mod tests {
         let ids: Vec<&str> = c.records().iter().map(|r| r.bench.as_str()).collect();
         assert_eq!(
             ids,
-            ["eval/driver_step/compiled", "eval/driver_step/lanes8"]
+            [
+                "eval/driver_step/compiled",
+                "eval/driver_step/lanes2",
+                "eval/driver_step/lanes8",
+                "eval/driver_step/lanes1_moved",
+                "eval/driver_step/lanes2_moved",
+                "eval/driver_step/lanes8_moved",
+            ]
         );
         for r in c.records() {
             assert_eq!(r.samples, 3);
@@ -142,15 +182,15 @@ mod tests {
     #[test]
     fn tiny_lane_runs_step_every_lane() {
         let model = Arc::new(bench_model(4));
-        for n_lanes in [1, 3] {
+        for (n_lanes, moved) in [(1, false), (3, false), (3, true)] {
             let wave = wave_table(64, n_lanes);
             assert_eq!(wave.len(), 64 * n_lanes);
-            let mut run = LaneRun::new(&model, n_lanes);
+            let mut run = LaneRun::new(&model, n_lanes, moved);
             let acc = run.drive(&wave);
             assert!(acc.is_finite() && acc != 0.0, "{n_lanes} lanes: {acc}");
             // The same input replays bit for bit.
             assert_eq!(
-                LaneRun::new(&model, n_lanes).drive(&wave).to_bits(),
+                LaneRun::new(&model, n_lanes, moved).drive(&wave).to_bits(),
                 acc.to_bits()
             );
         }

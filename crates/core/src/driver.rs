@@ -173,24 +173,22 @@ impl PwRbfDriverModel {
     /// the transition window of the latest edge at or before `t` while it
     /// lasts, then the settled logic state.
     pub fn weights_at(&self, stim: &LaneStim, t: f64) -> (f64, f64) {
-        let mut state_high = stim.initial_high;
-        let mut active: Option<(f64, bool)> = None;
-        for e in &stim.edges {
-            if e.t <= t + 1e-18 {
-                state_high = e.rising;
-                active = Some((e.t, e.rising));
-            } else {
-                break;
+        // The edges are in time order, so those at or before `t` are a
+        // prefix: a binary search, not a scan from the first edge on every
+        // Newton iteration.
+        let n = stim.edges.partition_point(|e| e.t <= t + 1e-18);
+        let high = match stim.edges[..n].last() {
+            Some(e) => {
+                let k = ((t - e.t) / self.ts).round() as usize;
+                let seq = if e.rising { &self.up } else { &self.down };
+                if k < seq.len() {
+                    return seq.at(k);
+                }
+                e.rising
             }
-        }
-        if let Some((t0, rising)) = active {
-            let k = ((t - t0) / self.ts).round() as usize;
-            let seq = if rising { &self.up } else { &self.down };
-            if k < seq.len() {
-                return seq.at(k);
-            }
-        }
-        if state_high {
+            None => stim.initial_high,
+        };
+        if high {
             (1.0, 0.0)
         } else {
             (0.0, 1.0)

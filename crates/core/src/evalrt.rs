@@ -10,8 +10,12 @@
 //!
 //! * [`DriverLanes`] / [`ReceiverLanes`] — `N` instances of one model
 //!   advancing together. Histories are lane-major [`LaneRing`]s
-//!   (`[history slot][lane]`), so the batched inner loops run over
-//!   contiguous memory and auto-vectorize. A single device is `N = 1`;
+//!   (`[history slot][lane]`), gathered into one lane-major regressor
+//!   block per submodel. Below 8 lanes the RBF kernels evaluate that
+//!   block lane by lane on the scalar kernel; from 8 up their inner loops
+//!   run over lanes (see
+//!   [`RbfNetwork::eval_grad0_lanes`](sysid::rbf::RbfNetwork::eval_grad0_lanes)).
+//!   A single device is `N = 1`;
 //! * [`EvalScratch`] — staging buffers (lane-major regressor,
 //!   squared-distance row, per-lane values and gradients), allocated once
 //!   per lane bank;
@@ -27,8 +31,9 @@
 //!
 //! Each lane reproduces the scalar model paths
 //! ([`NarxModel::one_step`](sysid::narx::NarxModel::one_step),
-//! [`ArxModel::one_step`](sysid::arx::ArxModel::one_step)) bit for bit:
-//! every accumulation visits the same terms in the same order.
+//! [`ArxModel::one_step`](sysid::arx::ArxModel::one_step)) bit for bit,
+//! whichever kernel the lane count picks: every accumulation visits the
+//! same terms in the same order.
 //! `tests/proptest_evalrt.rs` checks the lanes against oracles that sum
 //! the Gaussians themselves, for random models and lane counts, and
 //! `tests/eval_golden.rs` pins the bits of fixed runs.
@@ -66,9 +71,11 @@ impl LaneStim {
     ///
     /// # Panics
     ///
-    /// Panics on an empty pattern or a non-`0`/`1` character (experiment
-    /// definition error).
+    /// Panics on an empty pattern, a non-`0`/`1` character or a bit time
+    /// that is not positive (experiment definition errors): the edges must
+    /// come out in time order for [`PwRbfDriverModel::weights_at`].
     pub fn from_pattern(pattern: &str, bit_time: f64) -> Self {
+        assert!(bit_time > 0.0, "bit time must be positive, got {bit_time}");
         let bits: Vec<bool> = pattern
             .chars()
             .map(|c| match c {
@@ -154,9 +161,10 @@ pub fn settle_narx(model: &NarxModel, v: f64, x: &mut [f64]) -> f64 {
 
 /// `N` lanes of one [`PwRbfDriverModel`] advancing together: lane-major
 /// voltage/current history rings plus reusable scratch. `step` computes the
-/// delivered current and its voltage derivative for every lane in one pass
-/// over each submodel's center slab; `commit` advances the histories with
-/// the converged voltages. Both are zero-allocation.
+/// delivered current and its voltage derivative for every lane, `commit`
+/// advances the histories with the converged voltages; both evaluate each
+/// submodel once for all lanes through the batched RBF kernels. Both are
+/// zero-allocation.
 ///
 /// ```
 /// use std::sync::Arc;
@@ -301,7 +309,8 @@ impl DriverLanes {
     /// `x_k` and accepts the update `x_{k+1}`, so the voltages match only
     /// when the last update was exactly zero, and commit usually pays a
     /// second evaluation. A caller that steps and commits at the same `v`
-    /// (as `cargo bench --bench eval` does) times only the reuse path.
+    /// times only the reuse path; `cargo bench --bench eval` times both
+    /// (its `_moved` ids commit 1 mV off).
     ///
     /// # Panics
     ///
@@ -867,6 +876,66 @@ mod tests {
         assert!(wh > 0.0 && wh < 1.0 && wl > 0.0 && wl < 1.0);
         assert_eq!(model.weights_at(&stim, 1.9e-9), (1.0, 0.0));
         assert_eq!(model.weights_at(&stim, 5e-9), (0.0, 1.0));
+    }
+
+    /// The edge lookup of `weights_at` as the linear scan it replaced.
+    fn weights_by_scan(model: &PwRbfDriverModel, stim: &LaneStim, t: f64) -> (f64, f64) {
+        let mut state_high = stim.initial_high;
+        let mut active: Option<(f64, bool)> = None;
+        for e in &stim.edges {
+            if e.t <= t + 1e-18 {
+                state_high = e.rising;
+                active = Some((e.t, e.rising));
+            } else {
+                break;
+            }
+        }
+        if let Some((t0, rising)) = active {
+            let k = ((t - t0) / model.ts).round() as usize;
+            let seq = if rising { &model.up } else { &model.down };
+            if k < seq.len() {
+                return seq.at(k);
+            }
+        }
+        if state_high {
+            (1.0, 0.0)
+        } else {
+            (0.0, 1.0)
+        }
+    }
+
+    /// Before the first edge, at and within 1e-18 s of every edge, through
+    /// each transition window and past the last edge.
+    #[test]
+    fn weights_at_matches_a_linear_scan() {
+        let model = test_driver();
+        for pattern in ["0110100111010001", "1011000"] {
+            let stim = LaneStim::from_pattern(pattern, 7.0 * model.ts / 3.0);
+            let mut times = vec![-1e-9, 0.0, 1e-18];
+            for e in &stim.edges {
+                for off in [
+                    -2e-18, -1.5e-18, -1e-18, -0.5e-18, 0.0, 0.5e-18, 1e-18, 2e-18,
+                ] {
+                    times.push(e.t + off);
+                }
+                times.extend((1..12).map(|k| e.t + k as f64 * 0.45 * model.ts));
+            }
+            times.push(1e-6);
+            for t in times {
+                let (got, want) = (
+                    model.weights_at(&stim, t),
+                    weights_by_scan(&model, &stim, t),
+                );
+                assert_eq!(got.0.to_bits(), want.0.to_bits(), "{pattern} at {t:e}");
+                assert_eq!(got.1.to_bits(), want.1.to_bits(), "{pattern} at {t:e}");
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "bit time must be positive")]
+    fn from_pattern_rejects_a_negative_bit_time() {
+        LaneStim::from_pattern("0101", -1e-9);
     }
 
     #[test]

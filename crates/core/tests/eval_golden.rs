@@ -170,32 +170,47 @@ fn settle_golden() {
     assert_eq!(fnv(&out), 0x2325_c969_d3c2_b7b5);
 }
 
-/// Steps at one voltage and commits at another, so every commit
-/// evaluates the submodels afresh instead of reusing the step's values.
-#[test]
-fn driver_lanes_golden() {
+/// Digest of an `n_lanes` driver run on both driver models: `init_dc`,
+/// then 100 steps, each committed 1 mV above the step's voltages so every
+/// commit evaluates the submodels afresh instead of reusing the step's
+/// values.
+fn driver_lanes_digest(n_lanes: usize) -> u64 {
     let mut out = Vec::new();
     for model in [fixture_driver(), synth_driver()] {
         let ts = model.ts;
-        let stims = ["0110", "1010", "0011"]
-            .iter()
-            .map(|p| LaneStim::from_pattern(p, 24.0 * ts))
+        let stims = (0..n_lanes)
+            .map(|l| LaneStim::from_pattern(["0110", "1010", "0011", "1100"][l % 4], 24.0 * ts))
             .collect();
         let mut lanes = driver_lanes(&model, stims);
-        lanes.init_dc(&[0.0, model.vdd, 0.4]);
-        let (mut i, mut g) = ([0.0; 3], [0.0; 3]);
+        let v0: Vec<f64> = (0..n_lanes).map(|l| [0.0, model.vdd, 0.4][l % 3]).collect();
+        lanes.init_dc(&v0);
+        let (mut i, mut g) = (vec![0.0; n_lanes], vec![0.0; n_lanes]);
         for k in 0..100 {
-            let v: Vec<f64> = (0..3)
+            let v: Vec<f64> = (0..n_lanes)
                 .map(|l| 0.9 + 1.0 * (0.17 * k as f64 + l as f64).sin())
                 .collect();
             lanes.step(k as f64 * ts, &v, &mut i, &mut g);
-            out.extend(i);
-            out.extend(g);
+            out.extend(&i);
+            out.extend(&g);
             let v_commit: Vec<f64> = v.iter().map(|x| x + 1e-3).collect();
             lanes.commit(&v_commit);
         }
     }
-    assert_eq!(fnv(&out), 0x55d6_a54b_ef25_9dd0);
+    fnv(&out)
+}
+
+#[test]
+fn driver_lanes_golden() {
+    assert_eq!(driver_lanes_digest(3), 0x55d6_a54b_ef25_9dd0);
+}
+
+/// Two lanes, as an eye cell or a fast bus ladder drives, and twelve:
+/// either side of the width where the RBF kernels stop evaluating lane by
+/// lane and switch to lane-major loops.
+#[test]
+fn driver_lanes_golden_2_and_12() {
+    assert_eq!(driver_lanes_digest(2), 0xe7fa_79a2_c930_7eef);
+    assert_eq!(driver_lanes_digest(12), 0x06c3_df1b_f782_453d);
 }
 
 /// The receiver counterpart of [`driver_lanes_golden`].

@@ -3,12 +3,13 @@
 //! step/commit loops of the driver and receiver lane banks run with the
 //! counter pinned.
 //!
-//! Everything lives in ONE `#[test]` because the counter is process-global
-//! and the libtest harness runs `#[test]` functions on parallel threads —
-//! a second test allocating concurrently would false-positive the check.
+//! The counter is per thread: the harness's own threads allocate while a
+//! test runs (a process-wide count failed about one run in five on a debug
+//! build), and only the allocations of the thread stepping the lanes are
+//! under test.
 
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::cell::Cell;
 use std::sync::Arc;
 
 use macromodel::driver::{PwRbfDriverModel, WeightSequence};
@@ -20,11 +21,23 @@ use sysid::rbf::RbfNetwork;
 
 struct CountingAlloc;
 
-static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
+thread_local! {
+    /// Allocations made by this thread. Const-initialised with no
+    /// destructor, so reading it from inside the allocator allocates
+    /// nothing.
+    static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
+}
 
+fn count_one() {
+    ALLOCATIONS.with(|n| n.set(n.get() + 1));
+}
+
+// SAFETY: every method passes its arguments unchanged to `System`, which
+// upholds the `GlobalAlloc` contract; the counter beside it neither
+// allocates nor panics (a thread-local `Cell` with no destructor).
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        count_one();
         System.alloc(layout)
     }
 
@@ -33,7 +46,7 @@ unsafe impl GlobalAlloc for CountingAlloc {
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        count_one();
         System.realloc(ptr, layout, new_size)
     }
 }
@@ -86,11 +99,11 @@ fn receiver_model() -> ReceiverModel {
     }
 }
 
-/// Runs `f` and returns how many allocations it performed.
+/// Runs `f` and returns how many allocations this thread performed in it.
 fn allocations_during<F: FnMut()>(mut f: F) -> u64 {
-    let before = ALLOCATIONS.load(Ordering::Relaxed);
+    let before = ALLOCATIONS.with(Cell::get);
     f();
-    ALLOCATIONS.load(Ordering::Relaxed) - before
+    ALLOCATIONS.with(Cell::get) - before
 }
 
 #[test]

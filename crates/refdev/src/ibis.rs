@@ -273,7 +273,8 @@ impl IbisModel {
     ///
     /// # Panics
     ///
-    /// Panics on an empty or non-`0`/`1` pattern (see [`IbisDriver::new`]).
+    /// Panics on an empty or non-`0`/`1` pattern or a bit time that is not
+    /// positive (see [`IbisDriver::new`]).
     pub fn instantiate_at(&self, ckt: &mut Circuit, pad: Node, pattern: &str, bit_time: f64) {
         ckt.add(IbisDriver::new(self.clone(), pad, pattern, bit_time));
         ckt.add(Capacitor::new(
@@ -362,8 +363,10 @@ impl IbisDriver {
     /// # Panics
     ///
     /// Panics on an invalid pattern string (see
-    /// [`SourceWaveform::bit_pattern`] for the convention).
+    /// [`SourceWaveform::bit_pattern`] for the convention) or a bit time
+    /// that is not positive: the edge lookup needs the edges in time order.
     pub fn new(model: IbisModel, out: Node, pattern: &str, bit_time: f64) -> Self {
+        assert!(bit_time > 0.0, "bit time must be positive, got {bit_time}");
         let bits: Vec<bool> = pattern
             .chars()
             .map(|c| match c {
@@ -393,36 +396,31 @@ impl IbisDriver {
 
     /// Switching coefficients at absolute time `t`.
     fn ku_kd_at(&self, t: f64) -> (f64, f64) {
-        // Find the most recent edge at or before t.
-        let mut state_high = self.initial_high;
-        let mut active: Option<(f64, bool)> = None;
-        for e in &self.edges {
-            if e.t <= t {
-                state_high = e.rising;
-                active = Some((e.t, e.rising));
-            } else {
-                break;
+        // The most recent edge at or before t; the edges are in time order.
+        let n = self.edges.partition_point(|e| e.t <= t);
+        let high = match self.edges[..n].last() {
+            Some(e) => {
+                let tau = t - e.t;
+                if tau < self.model.table_duration() {
+                    let (ku_tab, kd_tab) = if e.rising {
+                        (&self.model.ku_rise, &self.model.kd_rise)
+                    } else {
+                        (&self.model.ku_fall, &self.model.kd_fall)
+                    };
+                    let idx = tau / self.model.dt;
+                    let k0 = (idx.floor() as usize).min(ku_tab.len() - 1);
+                    let k1 = (k0 + 1).min(ku_tab.len() - 1);
+                    let f = (idx - k0 as f64).clamp(0.0, 1.0);
+                    return (
+                        ku_tab[k0] + f * (ku_tab[k1] - ku_tab[k0]),
+                        kd_tab[k0] + f * (kd_tab[k1] - kd_tab[k0]),
+                    );
+                }
+                e.rising
             }
-        }
-        if let Some((t0, rising)) = active {
-            let tau = t - t0;
-            if tau < self.model.table_duration() {
-                let (ku_tab, kd_tab) = if rising {
-                    (&self.model.ku_rise, &self.model.kd_rise)
-                } else {
-                    (&self.model.ku_fall, &self.model.kd_fall)
-                };
-                let idx = tau / self.model.dt;
-                let k0 = (idx.floor() as usize).min(ku_tab.len() - 1);
-                let k1 = (k0 + 1).min(ku_tab.len() - 1);
-                let f = (idx - k0 as f64).clamp(0.0, 1.0);
-                return (
-                    ku_tab[k0] + f * (ku_tab[k1] - ku_tab[k0]),
-                    kd_tab[k0] + f * (kd_tab[k1] - kd_tab[k0]),
-                );
-            }
-        }
-        if state_high {
+            None => self.initial_high,
+        };
+        if high {
             (1.0, 0.0)
         } else {
             (0.0, 1.0)
@@ -577,6 +575,65 @@ mod tests {
         // Long after the falling edge at 10 ns: low again.
         let (ku, kd) = d.ku_kd_at(10e-9 + model.table_duration() + 1e-9);
         assert_eq!((ku, kd), (0.0, 1.0));
+    }
+
+    /// The edge lookup of `ku_kd_at` as the linear scan it replaced.
+    fn ku_kd_by_scan(d: &IbisDriver, t: f64) -> (f64, f64) {
+        let mut state_high = d.initial_high;
+        let mut active: Option<(f64, bool)> = None;
+        for e in &d.edges {
+            if e.t <= t {
+                state_high = e.rising;
+                active = Some((e.t, e.rising));
+            } else {
+                break;
+            }
+        }
+        if let Some((t0, rising)) = active {
+            let tau = t - t0;
+            if tau < d.model.table_duration() {
+                let (ku_tab, kd_tab) = if rising {
+                    (&d.model.ku_rise, &d.model.kd_rise)
+                } else {
+                    (&d.model.ku_fall, &d.model.kd_fall)
+                };
+                let idx = tau / d.model.dt;
+                let k0 = (idx.floor() as usize).min(ku_tab.len() - 1);
+                let k1 = (k0 + 1).min(ku_tab.len() - 1);
+                let f = (idx - k0 as f64).clamp(0.0, 1.0);
+                return (
+                    ku_tab[k0] + f * (ku_tab[k1] - ku_tab[k0]),
+                    kd_tab[k0] + f * (kd_tab[k1] - kd_tab[k0]),
+                );
+            }
+        }
+        if state_high {
+            (1.0, 0.0)
+        } else {
+            (0.0, 1.0)
+        }
+    }
+
+    #[test]
+    fn ku_kd_at_matches_a_linear_scan() {
+        let model = IbisModel::extract(&md1(), small_cfg()).unwrap();
+        let dt = model.dt;
+        for pattern in ["0110100111010001", "1011000"] {
+            let d = IbisDriver::new(model.clone(), Node::from_raw(1), pattern, 0.7e-9 / 3.0);
+            let mut times = vec![-1e-9, 0.0, 1e-18];
+            for e in &d.edges {
+                for off in [-2e-18, -1e-18, -0.5e-18, 0.0, 0.5e-18, 1e-18] {
+                    times.push(e.t + off);
+                }
+                times.extend((1..12).map(|k| e.t + k as f64 * 0.37 * dt));
+            }
+            times.push(20e-9);
+            for t in times {
+                let (got, want) = (d.ku_kd_at(t), ku_kd_by_scan(&d, t));
+                assert_eq!(got.0.to_bits(), want.0.to_bits(), "{pattern} at {t:e}");
+                assert_eq!(got.1.to_bits(), want.1.to_bits(), "{pattern} at {t:e}");
+            }
+        }
     }
 
     #[test]

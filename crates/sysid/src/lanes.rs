@@ -5,8 +5,10 @@
 //! the fastest-varying index, so gathering one lag for every lane is a
 //! contiguous copy and the batched kernels
 //! ([`RbfNetwork::eval_grad0_lanes`](crate::rbf::RbfNetwork::eval_grad0_lanes),
-//! [`ArxModel::step_lanes`](crate::arx::ArxModel::step_lanes)) run their
-//! inner loops over contiguous memory.
+//! [`ArxModel::step_lanes`](crate::arx::ArxModel::step_lanes)) can run
+//! their inner loops over contiguous memory. The RBF kernels do so from 8
+//! lanes up; below that they copy out each lane's regressor and run the
+//! scalar kernel, which is faster on a few lanes.
 
 /// Lane-major ring buffer: `lags` history slots × `n_lanes` lanes, newest
 /// slot first. `push_row` rotates the head instead of shuffling data, so

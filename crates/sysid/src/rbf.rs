@@ -16,12 +16,29 @@
 
 use crate::{Error, Result};
 
+/// Lane count from which [`RbfNetwork::eval_grad0_lanes`] and
+/// [`RbfNetwork::eval_lanes`] run their lane-major loops; below it they
+/// evaluate lane by lane on the scalar kernel. Measured per lane-evaluation
+/// on dim-5, 15-center networks: the lane-major loops cost 2.9× the scalar
+/// kernel at 2 lanes, about the same at 8 and 10–25 % less from 10 lanes
+/// up. On the eval bench's dim-3, 24-center driver an 8-lane step already
+/// costs about 30 % less per lane than a single-lane one.
+const LANE_MAJOR_MIN: usize = 8;
+
+/// Longest regressor the lane-by-lane path copies into a stack buffer.
+/// Read in place at stride `n_lanes` the scalar kernel ran 7–10 % slower
+/// than on a contiguous copy; longer regressors (dynamic order above 7)
+/// keep the lane-major loops at every width above one.
+const GATHER_MAX_DIM: usize = 16;
+
 /// A trained Gaussian RBF network with affine augmentation.
 ///
 /// The centers live in one row-major slab, and each unit's exponent scale
 /// `-1/(2σ²)` and gradient factor `1/σ²` are computed once at construction,
-/// so every evaluation — scalar or batched over lanes — walks contiguous
-/// memory and allocates nothing.
+/// so every evaluation walks contiguous memory and allocates nothing. The
+/// batched kernels run a few lanes one by one through the scalar kernel
+/// and wider banks through loops over lanes; every path adds the same
+/// terms in the same order, so all agree bit for bit.
 ///
 /// ```
 /// use sysid::rbf::RbfNetwork;
@@ -202,19 +219,7 @@ impl RbfNetwork {
     /// Panics if `x.len() != dim` (programming error in the caller).
     pub fn eval(&self, x: &[f64]) -> f64 {
         assert_eq!(x.len(), self.dim, "input dimension mismatch");
-        let mut acc = self.bias;
-        for (wj, xj) in self.linear.iter().zip(x) {
-            acc += wj * xj;
-        }
-        for i in 0..self.n_centers() {
-            let mut d2 = 0.0;
-            for (xj, cj) in x.iter().zip(self.center(i)) {
-                let d = xj - cj;
-                d2 += d * d;
-            }
-            acc += self.weights[i] * (d2 * self.kscale[i]).exp();
-        }
-        acc
+        self.eval_with::<false>(x).0
     }
 
     /// Fused value and derivative with respect to `x[0]` in one pass over
@@ -226,34 +231,25 @@ impl RbfNetwork {
     /// Panics if `x.len() != dim`.
     pub fn eval_grad0(&self, x: &[f64]) -> (f64, f64) {
         assert_eq!(x.len(), self.dim, "input dimension mismatch");
-        let mut acc = self.bias;
-        for (wj, xj) in self.linear.iter().zip(x) {
-            acc += wj * xj;
-        }
-        let mut g = self.linear[0];
-        let x0 = x[0];
-        for i in 0..self.n_centers() {
-            let c = self.center(i);
-            let mut d2 = 0.0;
-            for (xj, cj) in x.iter().zip(c) {
-                let d = xj - cj;
-                d2 += d * d;
-            }
-            let wphi = self.weights[i] * (d2 * self.kscale[i]).exp();
-            acc += wphi;
-            g += wphi * ((c[0] - x0) * self.inv_s2[i]);
-        }
-        (acc, g)
+        self.eval_with::<true>(x)
     }
 
     /// Batched fused value + `∂/∂x[0]` over `n_lanes` lanes.
     ///
     /// `x` is lane-major, `dim` rows of `n_lanes` values (`x[j*n_lanes + l]`
     /// is component `j` of lane `l`); `d2` is scratch of length `n_lanes`;
-    /// `out_val`/`out_g0` receive per-lane value and derivative. Each lane's
-    /// result is bit-identical to [`RbfNetwork::eval_grad0`] on that lane's
-    /// regressor: the inner loops run over lanes, but per-lane accumulation
-    /// order is unchanged.
+    /// `out_val`/`out_g0` receive per-lane value and derivative.
+    ///
+    /// Below a crossover width (8 lanes) each lane runs the scalar kernel
+    /// of [`RbfNetwork::eval_grad0`] on a stack copy of its regressor (a
+    /// single lane's regressor is contiguous already): its sums stay in
+    /// registers, where the lane-major loops round-trip them through `d2`
+    /// and the output rows once per center, which costs more than it saves
+    /// on a few lanes. From the crossover up, and for regressors longer
+    /// than 16 on more than one lane, the inner loops run over lanes.
+    /// Either way each lane adds the same terms in the same order as
+    /// `eval_grad0` on that lane's regressor, so its result is
+    /// bit-identical.
     ///
     /// # Panics
     ///
@@ -271,20 +267,16 @@ impl RbfNetwork {
             d2.len() >= n_lanes && out_val.len() >= n_lanes && out_g0.len() >= n_lanes,
             "lane output buffers too short"
         );
-        // A single lane's lane-major regressor IS a contiguous scalar
-        // regressor; the scalar kernel keeps its accumulators in registers
-        // instead of round-tripping per-center sums through the staging
-        // rows, which is several times faster at this width (and
-        // bit-identical — same terms, same order).
-        if n_lanes == 1 {
-            let (v, g) = self.eval_grad0(&x[..self.dim]);
-            out_val[0] = v;
-            out_g0[0] = g;
+        let out_val = &mut out_val[..n_lanes];
+        let out_g0 = &mut out_g0[..n_lanes];
+        if self.lane_by_lane(n_lanes) {
+            let mut buf = [0.0; GATHER_MAX_DIM];
+            for (l, (v, g)) in out_val.iter_mut().zip(out_g0.iter_mut()).enumerate() {
+                (*v, *g) = self.eval_with::<true>(self.lane(x, n_lanes, l, &mut buf));
+            }
             return;
         }
         let d2 = &mut d2[..n_lanes];
-        let out_val = &mut out_val[..n_lanes];
-        let out_g0 = &mut out_g0[..n_lanes];
         self.affine_lanes(x, n_lanes, out_val);
         out_g0.fill(self.linear[0]);
         let x0 = &x[..n_lanes];
@@ -300,8 +292,8 @@ impl RbfNetwork {
         }
     }
 
-    /// Batched value-only evaluation over `n_lanes` lanes (layout as in
-    /// [`RbfNetwork::eval_grad0_lanes`]).
+    /// Batched value-only evaluation over `n_lanes` lanes (layout and
+    /// dispatch as in [`RbfNetwork::eval_grad0_lanes`]).
     ///
     /// # Panics
     ///
@@ -312,13 +304,17 @@ impl RbfNetwork {
             d2.len() >= n_lanes && out_val.len() >= n_lanes,
             "lane output buffers too short"
         );
-        // Single lane: the scalar kernel (see eval_grad0_lanes).
-        if n_lanes == 1 {
-            out_val[0] = self.eval(&x[..self.dim]);
+        let out_val = &mut out_val[..n_lanes];
+        if self.lane_by_lane(n_lanes) {
+            let mut buf = [0.0; GATHER_MAX_DIM];
+            for (l, v) in out_val.iter_mut().enumerate() {
+                *v = self
+                    .eval_with::<false>(self.lane(x, n_lanes, l, &mut buf))
+                    .0;
+            }
             return;
         }
         let d2 = &mut d2[..n_lanes];
-        let out_val = &mut out_val[..n_lanes];
         self.affine_lanes(x, n_lanes, out_val);
         for i in 0..self.n_centers() {
             self.dist2_lanes(self.center(i), x, n_lanes, d2);
@@ -327,6 +323,59 @@ impl RbfNetwork {
                 *o += wi * (dl * ki).exp();
             }
         }
+    }
+
+    /// Whether the batched kernels evaluate `n_lanes` lanes one by one on
+    /// the scalar kernel: a single lane always (its lane-major regressor is
+    /// contiguous), and fewer than [`LANE_MAJOR_MIN`] lanes whose
+    /// regressors fit the stack buffer [`RbfNetwork::lane`] copies them
+    /// into.
+    #[inline]
+    fn lane_by_lane(&self, n_lanes: usize) -> bool {
+        n_lanes == 1 || (n_lanes < LANE_MAJOR_MIN && self.dim <= GATHER_MAX_DIM)
+    }
+
+    /// Lane `l`'s regressor out of the lane-major block `x`: the block
+    /// itself for a single lane, else copied into `buf`.
+    #[inline]
+    fn lane<'a>(&self, x: &'a [f64], n_lanes: usize, l: usize, buf: &'a mut [f64]) -> &'a [f64] {
+        if n_lanes == 1 {
+            return &x[..self.dim];
+        }
+        let xl = &mut buf[..self.dim];
+        for (j, v) in xl.iter_mut().enumerate() {
+            *v = x[j * n_lanes + l];
+        }
+        xl
+    }
+
+    /// The scalar kernel: the value at `x` and, when `GRAD`, `∂/∂x[0]`
+    /// (else 0).
+    #[inline(always)]
+    fn eval_with<const GRAD: bool>(&self, x: &[f64]) -> (f64, f64) {
+        let mut acc = self.bias;
+        for (wj, xj) in self.linear.iter().zip(x) {
+            acc += wj * xj;
+        }
+        let (mut g, x0) = if GRAD {
+            (self.linear[0], x[0])
+        } else {
+            (0.0, 0.0)
+        };
+        for i in 0..self.n_centers() {
+            let c = self.center(i);
+            let mut d2 = 0.0;
+            for (xj, cj) in x.iter().zip(c) {
+                let d = xj - cj;
+                d2 += d * d;
+            }
+            let wphi = self.weights[i] * (d2 * self.kscale[i]).exp();
+            acc += wphi;
+            if GRAD {
+                g += wphi * ((c[0] - x0) * self.inv_s2[i]);
+            }
+        }
+        (acc, g)
     }
 
     /// Bias plus linear tail of every lane into `out`.
@@ -614,35 +663,70 @@ mod tests {
         }
     }
 
+    /// A seeded network sized like the extracted driver submodels: dim 5,
+    /// 16 centers.
+    fn net_5d() -> RbfNetwork {
+        let mut s = numkit::rng::SplitMix64::new(0x6c61_6e65_7331);
+        let dim = 5;
+        let centers = (0..16)
+            .map(|_| (0..dim).map(|_| s.range(-0.5, 2.3)).collect())
+            .collect();
+        let widths = (0..16).map(|_| s.range(0.4, 1.6)).collect();
+        let weights = (0..16).map(|_| s.range(-0.03, 0.03)).collect();
+        let linear = (0..dim).map(|_| s.range(-0.05, 0.3)).collect();
+        RbfNetwork::from_parts(dim, centers, widths, weights, 0.001, linear).unwrap()
+    }
+
+    /// Every width from 1 to 64, on both sides of the scalar/lane-major
+    /// crossover: each lane of the batched kernels equals the scalar kernel
+    /// on that lane's regressor, bit for bit. The 2-input affine network
+    /// covers no Gaussians, the 20-input one a regressor too long for the
+    /// lane-by-lane copy.
     #[test]
     fn lanes_match_single_lane_bitwise() {
-        let net = net_2d();
-        // 5 lanes (deliberately not a power of two), lane-major regressor.
-        let lanes = 5usize;
-        let xs = [
-            [0.0, 0.0],
-            [0.3, -0.9],
-            [2.0, 1.5],
-            [-4.0, 0.2],
-            [0.77, 0.13],
-        ];
-        let mut x = vec![0.0; 2 * lanes];
-        for (l, xi) in xs.iter().enumerate() {
-            x[l] = xi[0];
-            x[lanes + l] = xi[1];
-        }
-        let mut d2 = vec![0.0; lanes];
-        let mut val = vec![0.0; lanes];
-        let mut g0 = vec![0.0; lanes];
-        net.eval_grad0_lanes(&x, lanes, &mut d2, &mut val, &mut g0);
-        for (l, xi) in xs.iter().enumerate() {
-            let (v, g) = net.eval_grad0(xi);
-            assert_eq!(val[l].to_bits(), v.to_bits(), "lane {l}");
-            assert_eq!(g0[l].to_bits(), g.to_bits(), "lane {l}");
-        }
-        net.eval_lanes(&x, lanes, &mut d2, &mut val);
-        for (l, xi) in xs.iter().enumerate() {
-            assert_eq!(val[l].to_bits(), net.eval(xi).to_bits(), "lane {l}");
+        let mut s = numkit::rng::SplitMix64::new(7);
+        let wide = RbfNetwork::from_parts(
+            20,
+            (0..3).map(|i| vec![0.1 * i as f64; 20]).collect(),
+            vec![1.5, 2.0, 2.5],
+            vec![0.02, -0.01, 0.03],
+            0.001,
+            (0..20).map(|j| 0.01 * j as f64).collect(),
+        )
+        .unwrap();
+        let affine = RbfNetwork::affine(0.1, vec![0.3, -0.2]);
+        for net in [net_2d(), net_5d(), wide, affine] {
+            let dim = net.dim();
+            for lanes in 1..=64usize {
+                let xs: Vec<Vec<f64>> = (0..lanes)
+                    .map(|_| (0..dim).map(|_| s.range(-1.0, 2.8)).collect())
+                    .collect();
+                // Lane-major regressor, with a poisoned tail past the last row.
+                let mut x = vec![f64::NAN; dim * lanes + 3];
+                for (l, xl) in xs.iter().enumerate() {
+                    for (j, v) in xl.iter().enumerate() {
+                        x[j * lanes + l] = *v;
+                    }
+                }
+                let mut d2 = vec![0.0; lanes];
+                let mut val = vec![0.0; lanes + 1];
+                let mut g0 = vec![0.0; lanes + 1];
+                net.eval_grad0_lanes(&x, lanes, &mut d2, &mut val, &mut g0);
+                for (l, xl) in xs.iter().enumerate() {
+                    let (v, g) = net.eval_grad0(xl);
+                    assert_eq!(val[l].to_bits(), v.to_bits(), "{lanes} lanes, lane {l}");
+                    assert_eq!(g0[l].to_bits(), g.to_bits(), "{lanes} lanes, lane {l}");
+                }
+                assert_eq!((val[lanes], g0[lanes]), (0.0, 0.0), "wrote past the lanes");
+                net.eval_lanes(&x, lanes, &mut d2, &mut val);
+                for (l, xl) in xs.iter().enumerate() {
+                    assert_eq!(
+                        val[l].to_bits(),
+                        net.eval(xl).to_bits(),
+                        "{lanes} lanes, lane {l}"
+                    );
+                }
+            }
         }
     }
 }
