@@ -23,7 +23,7 @@ usage() {
     echo "usage: scripts/sample-profile.sh [-m MANIFEST] [-n ROWS] BIN [ARGS...]" >&2
     exit 2
 }
-manifest=Cargo.toml
+manifest=
 rows=30
 while getopts m:n: opt; do
     case "$opt" in
@@ -39,6 +39,7 @@ shift
 
 root="$(git rev-parse --show-toplevel)"
 scripts="$root/scripts"
+manifest="${manifest:-$root/Cargo.toml}"
 manifest="$(cd "$(dirname "$manifest")" && pwd)/$(basename "$manifest")"
 target="$root/target/sample-profile"
 work="$(mktemp -d)"
