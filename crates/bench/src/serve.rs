@@ -419,6 +419,10 @@ pub struct CellReport {
     pub v_min: f64,
     /// Largest probed voltage (V).
     pub v_max: f64,
+    /// FNV-1a over the bit patterns of every probed sample (0 for a cell
+    /// that failed before it probed anything). Pins a cell's waveforms bit
+    /// for bit; not part of the JSON report.
+    pub wave_digest: u64,
     /// Solver diagnostics of the model-side transient.
     pub stats: Option<CellStats>,
     /// Eye-diagram outcome (eye cells only).
@@ -493,6 +497,7 @@ impl CellReport {
             samples: 0,
             v_min: 0.0,
             v_max: 0.0,
+            wave_digest: 0,
             stats: None,
             eye: None,
             mc: None,
@@ -735,20 +740,27 @@ impl FleetReport {
 // Cell runners
 // ---------------------------------------------------------------------
 
-fn waveform_extrema(waves: &[Waveform]) -> (usize, f64, f64) {
+/// Sample count, extrema and bit digest of the probed waveforms, in one
+/// pass. The digest is FNV-1a over the little-endian `f64::to_bits` of
+/// every sample, in probe order.
+fn waveform_summary(waves: &[Waveform]) -> (usize, f64, f64, u64) {
     let mut n = 0;
     let (mut lo, mut hi) = (f64::INFINITY, f64::NEG_INFINITY);
+    let mut digest: u64 = 0xcbf2_9ce4_8422_2325;
     for w in waves {
         for &v in w.values() {
             n += 1;
             lo = lo.min(v);
             hi = hi.max(v);
+            for byte in v.to_bits().to_le_bytes() {
+                digest = (digest ^ u64::from(byte)).wrapping_mul(0x100_0000_01b3);
+            }
         }
     }
     if n == 0 {
-        (0, 0.0, 0.0)
+        (0, 0.0, 0.0, digest)
     } else {
-        (n, lo, hi)
+        (n, lo, hi, digest)
     }
 }
 
@@ -1026,7 +1038,7 @@ pub(crate) fn run_sweep_cell(model: &dyn Macromodel, scenario: &Scenario) -> Cel
     let elapsed_s = t0.elapsed().as_secs_f64();
     match outcome {
         Ok((waves, stats)) => {
-            let (samples, v_min, v_max) = waveform_extrema(&waves);
+            let (samples, v_min, v_max, wave_digest) = waveform_summary(&waves);
             // Waveform sanity first; eye and MC cells additionally gate on
             // their signal-integrity outcome.
             let mut gate = sanity_gate(&waves);
@@ -1050,6 +1062,7 @@ pub(crate) fn run_sweep_cell(model: &dyn Macromodel, scenario: &Scenario) -> Cel
                 samples,
                 v_min,
                 v_max,
+                wave_digest,
                 stats: Some(stats),
                 eye,
                 mc,
@@ -1139,7 +1152,7 @@ pub fn validate_model(
             ));
         }
     }
-    let (samples, v_min, v_max) = waveform_extrema(std::slice::from_ref(&run.model));
+    let (samples, v_min, v_max, wave_digest) = waveform_summary(std::slice::from_ref(&run.model));
     CellReport {
         rms_error: Some(m.rms_error),
         max_error: Some(m.max_error),
@@ -1148,6 +1161,7 @@ pub fn validate_model(
         samples,
         v_min,
         v_max,
+        wave_digest,
         elapsed_s: t0.elapsed().as_secs_f64(),
         ..CellReport::of(model, scenario, gate)
     }
@@ -1299,11 +1313,12 @@ fn mixed_bus_cell<'a>(
             let elapsed_s = t0.elapsed().as_secs_f64();
             match outcome {
                 Ok((waves, stats)) => {
-                    let (samples, v_min, v_max) = waveform_extrema(&waves);
+                    let (samples, v_min, v_max, wave_digest) = waveform_summary(&waves);
                     CellReport {
                         samples,
                         v_min,
                         v_max,
+                        wave_digest,
                         stats: Some(stats),
                         elapsed_s,
                         ..mixed(sanity_gate(&waves))
