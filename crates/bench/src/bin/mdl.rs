@@ -63,10 +63,9 @@ use emc_bench::serve::{
     McWorkload,
 };
 use emc_bench::server::{self, ServeConfig};
-use macromodel::exchange::binary::{is_binary, save_artifact_bin, save_artifact_bin_to_path};
 use macromodel::exchange::{
-    load_artifact_auto_from_path, load_artifact_bytes, save_artifact, save_artifact_to_path,
-    AnyModel, Artifact,
+    load_artifact_bytes, load_artifact_from_path, save_artifact_as, save_artifact_bytes, AnyModel,
+    Artifact, ArtifactFormat,
 };
 use macromodel::json::{self, Layout, Raw};
 use macromodel::validate::{print_csv, DEFAULT_VALIDATION_DT};
@@ -156,18 +155,6 @@ fn parse_multi_opt(args: &mut Vec<String>, key: &str) -> Vec<String> {
     out
 }
 
-/// Saves an artifact in the chosen container (text `mdlx` or the binary
-/// `mdlxb` framing) — the artifact's own version (1 or 2) rides along in
-/// either case.
-fn save_any(artifact: &Artifact, path: &str, bin: bool) -> CliResult<()> {
-    if bin {
-        save_artifact_bin_to_path(artifact, path)?;
-    } else {
-        save_artifact_to_path(artifact, path)?;
-    }
-    Ok(())
-}
-
 fn cmd_convert(mut args: Vec<String>) -> CliResult<()> {
     let to = parse_opt(&mut args, "--to");
     let [input, output] = args.as_slice() else {
@@ -175,46 +162,40 @@ fn cmd_convert(mut args: Vec<String>) -> CliResult<()> {
     };
     let original = std::fs::read(input)?;
     let artifact = load_artifact_bytes(&original)?;
-    let to_binary = match to.as_deref() {
-        Some("binary" | "bin") => true,
-        Some("text") => false,
+    let to = match to.as_deref() {
+        Some("binary" | "bin") => ArtifactFormat::Binary,
+        Some("text") => ArtifactFormat::Text,
         Some(other) => {
             eprintln!("--to must be 'text' or 'binary', got '{other}'");
             usage();
         }
-        None => std::path::Path::new(output)
+        None if std::path::Path::new(output)
             .extension()
-            .is_some_and(|ext| ext == "mdlxb"),
+            .is_some_and(|ext| ext == "mdlxb") =>
+        {
+            ArtifactFormat::Binary
+        }
+        None => ArtifactFormat::Text,
     };
-    save_any(&artifact, output, to_binary)?;
+    save_artifact_as(&artifact, to, output)?;
 
     // Prove the detour is lossless before reporting success: load the
     // converted file back and re-save it in the *source* container — the
     // bytes must reproduce the input exactly (both writers are
     // deterministic and floats travel as identical bit patterns).
+    let from = ArtifactFormat::of(&original);
     let converted = std::fs::read(output)?;
     let back = load_artifact_bytes(&converted)?;
-    let round_trip = if is_binary(&original) {
-        save_artifact_bin(&back)?
-    } else {
-        save_artifact(&back)?.into_bytes()
-    };
-    if round_trip != original {
+    if save_artifact_bytes(&back, from)? != original {
         return Err(format!(
             "round-trip through {output} is not byte-identical to {input}; not trusting the conversion"
         )
         .into());
     }
     println!(
-        "converted {input} ({} bytes, {}) -> {output} ({} bytes, {}); round-trip verified",
+        "converted {input} ({} bytes, {from}) -> {output} ({} bytes, {to}); round-trip verified",
         original.len(),
-        if is_binary(&original) {
-            "binary"
-        } else {
-            "text"
-        },
         converted.len(),
-        if to_binary { "binary" } else { "text" },
     );
     Ok(())
 }
@@ -223,7 +204,11 @@ fn cmd_extract(mut args: Vec<String>) -> CliResult<()> {
     let fast = parse_flag(&mut args, "--fast");
     let v2 = parse_flag(&mut args, "--v2");
     let corners = parse_flag(&mut args, "--corners");
-    let bin = parse_flag(&mut args, "--bin");
+    let format = if parse_flag(&mut args, "--bin") {
+        ArtifactFormat::Binary
+    } else {
+        ArtifactFormat::Text
+    };
     let kind = parse_opt(&mut args, "--kind");
     let out = parse_opt(&mut args, "--out");
     let [device] = args.as_slice() else { usage() };
@@ -236,7 +221,10 @@ fn cmd_extract(mut args: Vec<String>) -> CliResult<()> {
     if corners && kind != "ibis" {
         return Err("--corners requires --kind ibis".into());
     }
-    let ext = if bin { "mdlxb" } else { "mdlx" };
+    let ext = match format {
+        ArtifactFormat::Binary => "mdlxb",
+        ArtifactFormat::Text => "mdlx",
+    };
     let out = out.unwrap_or_else(|| format!("{device}-{kind}.{ext}"));
 
     let t0 = std::time::Instant::now();
@@ -306,11 +294,11 @@ fn cmd_extract(mut args: Vec<String>) -> CliResult<()> {
             .provenance()
             .clone()
             .with_param("corners", "Typical,Slow,Fast");
-        save_any(&Artifact::bundle(models, Some(provenance)), &out, bin)?;
+        save_artifact_as(&Artifact::bundle(models, Some(provenance)), format, &out)?;
     } else if v2 {
-        save_any(&estimated.to_artifact(), &out, bin)?;
+        save_artifact_as(&estimated.to_artifact(), format, &out)?;
     } else {
-        save_any(&Artifact::single(estimated.model().clone()), &out, bin)?;
+        save_artifact_as(&Artifact::single(estimated.model().clone()), format, &out)?;
     }
     println!("extracted {} in {est_s:.2} s", estimated.summary());
     println!("saved {out}");
@@ -324,10 +312,9 @@ fn cmd_info(args: Vec<String>) -> CliResult<()> {
     println!(
         "format    mdlx {}{}",
         artifact.version,
-        if is_binary(&bytes) {
-            " (binary container)"
-        } else {
-            ""
+        match ArtifactFormat::of(&bytes) {
+            ArtifactFormat::Binary => " (binary container)",
+            ArtifactFormat::Text => "",
         }
     );
     if let Some(p) = &artifact.provenance {
@@ -389,7 +376,7 @@ fn cmd_lint(mut args: Vec<String>) -> CliResult<()> {
             }
         }
     } else {
-        report = lint_artifact(&load_artifact_auto_from_path(path)?);
+        report = lint_artifact(&load_artifact_from_path(path)?);
     }
 
     if json {
@@ -432,19 +419,18 @@ fn cmd_validate(mut args: Vec<String>) -> CliResult<()> {
     // text or binary container alike).
     let original = std::fs::read(path)?;
     let artifact = load_artifact_bytes(&original)?;
-    let re_saved = if is_binary(&original) {
-        save_artifact_bin(&artifact)?
-    } else {
-        save_artifact(&artifact)?.into_bytes()
-    };
-    if re_saved != original {
+    let format = ArtifactFormat::of(&original);
+    if save_artifact_bytes(&artifact, format)? != original {
         return Err(format!("{path}: re-save is not byte-identical to the artifact").into());
     }
     println!(
         "round-trip  ok ({} bytes, mdlx {}{}, bit-exact re-save)",
         original.len(),
         artifact.version,
-        if is_binary(&original) { " binary" } else { "" }
+        match format {
+            ArtifactFormat::Binary => " binary",
+            ArtifactFormat::Text => "",
+        }
     );
 
     // 2. Re-simulate every bundled model against its transistor-level
@@ -654,7 +640,7 @@ fn cmd_simulate(mut args: Vec<String>) -> CliResult<()> {
     let bit_time = parse_positive_opt(&mut args, "--bit-time").unwrap_or(4e-9);
     let t_stop = parse_positive_opt(&mut args, "--t-stop").unwrap_or(12e-9);
     let [path] = args.as_slice() else { usage() };
-    let model = load_artifact_auto_from_path(path)?.into_single()?;
+    let model = load_artifact_from_path(path)?.into_single()?;
 
     let fixture = match fixture.as_deref() {
         None | Some("r50") => TestFixture::resistive(50.0),
@@ -696,7 +682,7 @@ fn cmd_eye(mut args: Vec<String>) -> CliResult<()> {
         w.bit_time = bt;
     }
     let [path] = args.as_slice() else { usage() };
-    let model = load_artifact_auto_from_path(path)?.into_single()?;
+    let model = load_artifact_from_path(path)?.into_single()?;
     if !model.kind().is_driver() {
         return Err(format!("eye requires a driver model, got {}", model.kind().tag()).into());
     }
@@ -766,7 +752,7 @@ fn cmd_mc(mut args: Vec<String>) -> CliResult<()> {
         w.bits = b;
     }
     let [path] = args.as_slice() else { usage() };
-    let model = load_artifact_auto_from_path(path)?.into_single()?;
+    let model = load_artifact_from_path(path)?.into_single()?;
     if !model.kind().is_driver() {
         return Err(format!("mc requires a driver model, got {}", model.kind().tag()).into());
     }

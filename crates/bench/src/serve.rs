@@ -1381,7 +1381,7 @@ pub fn validate_store(store: &ModelStore, fast: bool) -> FleetReport {
 pub(crate) mod tests {
     use super::*;
     use macromodel::driver::{PwRbfDriverModel, WeightSequence};
-    use macromodel::exchange::{save_model_to_path, AnyModel};
+    use macromodel::exchange::{save_artifact_as, AnyModel, Artifact, ArtifactFormat};
     use macromodel::receiver::CrModel;
     use numkit::interp::Pwl;
     use sysid::narx::{NarxModel, NarxOrders};
@@ -1425,7 +1425,13 @@ pub(crate) mod tests {
         std::fs::remove_dir_all(&dir).ok();
         std::fs::create_dir_all(&dir).unwrap();
         for (i, m) in models.iter().enumerate() {
-            save_model_to_path(m, dir.join(format!("m{i}.mdlx"))).unwrap();
+            let artifact = Artifact::single(m.clone());
+            save_artifact_as(
+                &artifact,
+                ArtifactFormat::Text,
+                dir.join(format!("m{i}.mdlx")),
+            )
+            .unwrap();
         }
         ModelStore::open(&dir).unwrap()
     }
@@ -2078,7 +2084,8 @@ pub(crate) mod tests {
         let dir = std::env::temp_dir().join(format!("serve_store_bad_{}", std::process::id()));
         std::fs::remove_dir_all(&dir).ok();
         std::fs::create_dir_all(&dir).unwrap();
-        save_model_to_path(&dummy_driver("d1"), dir.join("ok.mdlx")).unwrap();
+        let artifact = Artifact::single(dummy_driver("d1"));
+        save_artifact_as(&artifact, ArtifactFormat::Text, dir.join("ok.mdlx")).unwrap();
         std::fs::write(dir.join("bad.mdlx"), "mdlx 1 pwrbf-driver\njunk\n").unwrap();
         let store = ModelStore::open(&dir).unwrap();
         let report = sweep_store(&store, &standard_scenarios(true));

@@ -18,8 +18,7 @@ use std::hint::black_box;
 use std::path::PathBuf;
 
 use macromodel::driver::{PwRbfDriverModel, WeightSequence};
-use macromodel::exchange::binary::save_artifact_bin_to_path;
-use macromodel::exchange::save_model_to_path;
+use macromodel::exchange::{save_artifact_as, ArtifactFormat};
 use macromodel::{AnyModel, Artifact, ModelStore};
 
 use crate::evalbench::bench_model;
@@ -87,12 +86,11 @@ impl BenchStores {
         for i in 0..entries {
             let mut model = base.clone();
             model.name = format!("drv_{i:05}");
-            let model = AnyModel::PwRbfDriver(model);
-            save_model_to_path(&model, stores.text_dir.join(format!("drv_{i:05}.mdlx")))?;
-            save_artifact_bin_to_path(
-                &Artifact::single(model),
-                stores.bin_dir.join(format!("drv_{i:05}.mdlxb")),
-            )?;
+            let artifact = Artifact::single(AnyModel::PwRbfDriver(model));
+            let text = stores.text_dir.join(format!("drv_{i:05}.mdlx"));
+            save_artifact_as(&artifact, ArtifactFormat::Text, text)?;
+            let bin = stores.bin_dir.join(format!("drv_{i:05}.mdlxb"));
+            save_artifact_as(&artifact, ArtifactFormat::Binary, bin)?;
         }
         Ok(stores)
     }

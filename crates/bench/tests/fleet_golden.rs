@@ -16,8 +16,7 @@
 use emc_bench::serve::{
     driver_spec, receiver_spec, standard_scenarios, sweep_store, validate_store, FleetReport,
 };
-use macromodel::exchange::binary::save_artifact_bin_to_path;
-use macromodel::exchange::{save_artifact_to_path, AnyModel, Artifact};
+use macromodel::exchange::{save_artifact_as, AnyModel, Artifact, ArtifactFormat};
 use macromodel::{ExtractionSession, ModelStore};
 
 fn fnv1a(bytes: &[u8]) -> u64 {
@@ -39,8 +38,9 @@ fn build_store(dir: &std::path::Path) {
         .windows(1.5e-9, 3e-9)
         .run()
         .expect("md1 PW-RBF extraction");
-    save_artifact_bin_to_path(
+    save_artifact_as(
         &Artifact::single(pwrbf.into_model()),
+        ArtifactFormat::Binary,
         dir.join("md1-pwrbf.mdlxb"),
     )
     .unwrap();
@@ -63,8 +63,9 @@ fn build_store(dir: &std::path::Path) {
         .provenance()
         .clone()
         .with_param("corners", "Typical,Slow,Fast");
-    save_artifact_to_path(
+    save_artifact_as(
         &Artifact::bundle(corners.to_vec(), Some(provenance)),
+        ArtifactFormat::Text,
         dir.join("md1-ibis-corners.mdlx"),
     )
     .unwrap();
@@ -74,12 +75,22 @@ fn build_store(dir: &std::path::Path) {
         .excitation(24, 16, 6)
         .run()
         .expect("md4 receiver extraction");
-    save_artifact_bin_to_path(&receiver.to_artifact(), dir.join("md4-receiver.mdlxb")).unwrap();
+    save_artifact_as(
+        &receiver.to_artifact(),
+        ArtifactFormat::Binary,
+        dir.join("md4-receiver.mdlxb"),
+    )
+    .unwrap();
 
     let cr = ExtractionSession::for_cr_baseline(md4)
         .run()
         .expect("md4 C-R extraction");
-    save_artifact_to_path(&Artifact::single(cr.into_model()), dir.join("md4-cr.mdlx")).unwrap();
+    save_artifact_as(
+        &Artifact::single(cr.into_model()),
+        ArtifactFormat::Text,
+        dir.join("md4-cr.mdlx"),
+    )
+    .unwrap();
 }
 
 /// Digest of the report's JSON without the volatile fields.

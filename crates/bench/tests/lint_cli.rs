@@ -5,7 +5,7 @@
 //! is present, 2 for usage errors.
 
 use macromodel::driver::{PwRbfDriverModel, WeightSequence};
-use macromodel::exchange::{save_artifact_to_path, AnyModel, Artifact};
+use macromodel::exchange::{save_artifact_as, AnyModel, Artifact, ArtifactFormat};
 use macromodel::json::{self, Value};
 use macromodel::receiver::ReceiverModel;
 use std::path::{Path, PathBuf};
@@ -100,7 +100,7 @@ fn marginal_receiver(name: &str) -> AnyModel {
 
 fn save(dir: &Path, file: &str, model: AnyModel) -> PathBuf {
     let path = dir.join(file);
-    save_artifact_to_path(&Artifact::single(model), &path).unwrap();
+    save_artifact_as(&Artifact::single(model), ArtifactFormat::Text, &path).unwrap();
     path
 }
 

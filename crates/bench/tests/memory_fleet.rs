@@ -14,7 +14,7 @@
 #![cfg(all(target_os = "linux", target_env = "gnu"))]
 
 use emc_bench::serve::{standard_scenarios, sweep_store};
-use macromodel::exchange::save_model_to_path;
+use macromodel::exchange::{save_artifact_as, Artifact, ArtifactFormat};
 use macromodel::{ExtractionSession, ModelStore};
 
 /// Resident set size a swept process may keep (MB).
@@ -50,7 +50,12 @@ fn sweep_runs_without_the_fit_scratch() {
     ];
     for (i, model) in models.into_iter().enumerate() {
         let model = model.unwrap().into_model();
-        save_model_to_path(&model, dir.join(format!("m{i}.mdlx"))).unwrap();
+        save_artifact_as(
+            &Artifact::single(model),
+            ArtifactFormat::Text,
+            dir.join(format!("m{i}.mdlx")),
+        )
+        .unwrap();
     }
     let store = ModelStore::open(&dir).unwrap();
     let report = sweep_store(&store, &standard_scenarios(true));

@@ -18,7 +18,7 @@ use emc_bench::serve::{
     run_eye_workload, run_mc_workload, standard_scenarios, CellStats, EyeWorkload, McWorkload,
     ScenarioKind,
 };
-use macromodel::exchange::{load_model_from_path, AnyModel};
+use macromodel::exchange::{load_artifact_from_path, AnyModel};
 use macromodel::Macromodel;
 use si::{EyeAnalyzer, EyeConfig};
 
@@ -38,7 +38,9 @@ fn fixture(name: &str) -> AnyModel {
     let path = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
         .join("../core/tests/data")
         .join(name);
-    load_model_from_path(&path).expect("committed golden artifact loads")
+    load_artifact_from_path(&path)
+        .and_then(|a| a.into_single())
+        .expect("committed golden artifact loads")
 }
 
 /// The md1 driver model, estimated once per test binary.

@@ -7,9 +7,7 @@
 use emc_bench::server::daemon::Client;
 use emc_bench::server::{start, ServeConfig};
 use macromodel::driver::{PwRbfDriverModel, WeightSequence};
-use macromodel::exchange::{
-    save_artifact_to_path, save_model_to_path, AnyModel, Artifact, Provenance,
-};
+use macromodel::exchange::{save_artifact_as, AnyModel, Artifact, ArtifactFormat, Provenance};
 use macromodel::json::{self, Value};
 use macromodel::ModelStore;
 use std::path::PathBuf;
@@ -74,12 +72,18 @@ fn digest_of(info: &str) -> String {
 #[test]
 fn daemon_serves_schedules_and_reports_cache_stats() {
     let dir = temp_dir("basic");
-    save_model_to_path(&dummy_driver("drv_a", 0.02), dir.join("a.mdlx")).unwrap();
-    save_artifact_to_path(
+    save_artifact_as(
+        &Artifact::single(dummy_driver("drv_a", 0.02)),
+        ArtifactFormat::Text,
+        dir.join("a.mdlx"),
+    )
+    .unwrap();
+    save_artifact_as(
         &Artifact::bundle(
             vec![dummy_driver("drv_b", 0.03)],
             Some(Provenance::new("cfg-digest-b")),
         ),
+        ArtifactFormat::Text,
         dir.join("b.mdlx"),
     )
     .unwrap();
@@ -208,7 +212,12 @@ fn daemon_serves_schedules_and_reports_cache_stats() {
 #[test]
 fn oversized_requests_get_error_replies_and_the_daemon_keeps_serving() {
     let dir = temp_dir("oversized");
-    save_model_to_path(&dummy_driver("drv_a", 0.02), dir.join("a.mdlx")).unwrap();
+    save_artifact_as(
+        &Artifact::single(dummy_driver("drv_a", 0.02)),
+        ArtifactFormat::Text,
+        dir.join("a.mdlx"),
+    )
+    .unwrap();
     let handle = start(serve_cfg(&dir, "oversized", 200)).unwrap();
     let mut client = Client::connect(&handle.socket_path()).unwrap();
     // Unbounded, the first allocates 800 GB and aborts the process; the
@@ -233,7 +242,12 @@ fn oversized_requests_get_error_replies_and_the_daemon_keeps_serving() {
 fn idle_connections_are_closed_and_active_ones_keep_serving() {
     use std::io::Read;
     let dir = temp_dir("idle");
-    save_model_to_path(&dummy_driver("drv_a", 0.02), dir.join("a.mdlx")).unwrap();
+    save_artifact_as(
+        &Artifact::single(dummy_driver("drv_a", 0.02)),
+        ArtifactFormat::Text,
+        dir.join("a.mdlx"),
+    )
+    .unwrap();
     let mut cfg = serve_cfg(&dir, "idle", 200);
     cfg.idle_timeout = Duration::ZERO;
     assert!(start(cfg.clone()).is_err(), "a zero timeout is rejected");
@@ -269,7 +283,12 @@ fn idle_connections_are_closed_and_active_ones_keep_serving() {
 fn hot_reload_swaps_digests_without_dropping_requests() {
     let dir = temp_dir("reload");
     let artifact = dir.join("drv.mdlx");
-    save_model_to_path(&dummy_driver("drv", 0.02), &artifact).unwrap();
+    save_artifact_as(
+        &Artifact::single(dummy_driver("drv", 0.02)),
+        ArtifactFormat::Text,
+        &artifact,
+    )
+    .unwrap();
 
     let handle = start(serve_cfg(&dir, "reload", 30)).unwrap();
     let socket = handle.socket_path();
@@ -300,7 +319,12 @@ fn hot_reload_swaps_digests_without_dropping_requests() {
     // Overwrite with different content mid-burst: the next generation must
     // serve the new digest.
     std::thread::sleep(Duration::from_millis(100));
-    save_model_to_path(&dummy_driver("drv", 0.05), &artifact).unwrap();
+    save_artifact_as(
+        &Artifact::single(dummy_driver("drv", 0.05)),
+        ArtifactFormat::Text,
+        &artifact,
+    )
+    .unwrap();
     let deadline = Instant::now() + Duration::from_secs(10);
     let digest1 = loop {
         let digest = digest_of(&client.request("info drv").unwrap());
@@ -377,7 +401,12 @@ fn ls_paths(client: &mut Client) -> Vec<String> {
 #[test]
 fn renamed_artifact_is_served_from_its_new_path() {
     let dir = temp_dir("rename");
-    save_model_to_path(&dummy_driver("drv_a", 0.02), dir.join("a.mdlx")).unwrap();
+    save_artifact_as(
+        &Artifact::single(dummy_driver("drv_a", 0.02)),
+        ArtifactFormat::Text,
+        dir.join("a.mdlx"),
+    )
+    .unwrap();
     let handle = start(serve_cfg(&dir, "rename", 30)).unwrap();
     let mut client = Client::connect(&handle.socket_path()).unwrap();
     let path_of = |client: &mut Client| {
@@ -426,7 +455,12 @@ fn client_reaches_models_whose_names_need_escaping() {
     // quote but no space.
     let name = "md1\"q";
     let dir = temp_dir("quoted");
-    save_model_to_path(&dummy_driver(name, 0.02), dir.join("q.mdlx")).unwrap();
+    save_artifact_as(
+        &Artifact::single(dummy_driver(name, 0.02)),
+        ArtifactFormat::Text,
+        dir.join("q.mdlx"),
+    )
+    .unwrap();
     let handle = start(serve_cfg(&dir, "quoted", 200)).unwrap();
     let mut client = Client::connect(&handle.socket_path()).unwrap();
 
@@ -471,7 +505,12 @@ fn mdl_request(socket: &std::path::Path, line: &[&str]) -> Option<i32> {
 fn mdl_request_exit_status_follows_the_reply() {
     // Scripts (`scripts/serve-smoke.sh`) fail on the exit status alone.
     let dir = temp_dir("request_cli");
-    save_model_to_path(&dummy_driver("drv_a", 0.02), dir.join("a.mdlx")).unwrap();
+    save_artifact_as(
+        &Artifact::single(dummy_driver("drv_a", 0.02)),
+        ArtifactFormat::Text,
+        dir.join("a.mdlx"),
+    )
+    .unwrap();
     let handle = start(serve_cfg(&dir, "request_cli", 200)).unwrap();
     let socket = handle.socket_path();
     assert_eq!(mdl_request(&socket, &["info", "drv_a"]), Some(0));
@@ -496,9 +535,19 @@ fn hot_weight_driver(name: &str) -> AnyModel {
 #[test]
 fn hot_reload_surfaces_lint_findings_without_dropping_requests() {
     let dir = temp_dir("lint");
-    save_model_to_path(&dummy_driver("drv_ok", 0.02), dir.join("ok.mdlx")).unwrap();
+    save_artifact_as(
+        &Artifact::single(dummy_driver("drv_ok", 0.02)),
+        ArtifactFormat::Text,
+        dir.join("ok.mdlx"),
+    )
+    .unwrap();
     let bad_path = dir.join("bad.mdlx");
-    save_model_to_path(&dummy_driver("drv_bad", 0.03), &bad_path).unwrap();
+    save_artifact_as(
+        &Artifact::single(dummy_driver("drv_bad", 0.03)),
+        ArtifactFormat::Text,
+        &bad_path,
+    )
+    .unwrap();
 
     let handle = start(serve_cfg(&dir, "lint", 30)).unwrap();
     let socket = handle.socket_path();
@@ -534,7 +583,12 @@ fn hot_reload_surfaces_lint_findings_without_dropping_requests() {
     // Swap the defective artifact in mid-burst and wait for the daemon to
     // republish with its lint findings.
     std::thread::sleep(Duration::from_millis(100));
-    save_model_to_path(&hot_weight_driver("drv_bad"), &bad_path).unwrap();
+    save_artifact_as(
+        &Artifact::single(hot_weight_driver("drv_bad")),
+        ArtifactFormat::Text,
+        &bad_path,
+    )
+    .unwrap();
     let deadline = Instant::now() + Duration::from_secs(10);
     loop {
         let stats = client.request("stats").unwrap();
@@ -569,7 +623,12 @@ fn hot_reload_surfaces_lint_findings_without_dropping_requests() {
 #[test]
 fn lazy_store_surfaces_failures_once_entries_are_touched() {
     let dir = temp_dir("lazyfail");
-    save_model_to_path(&dummy_driver("good", 0.02), dir.join("good.mdlx")).unwrap();
+    save_artifact_as(
+        &Artifact::single(dummy_driver("good", 0.02)),
+        ArtifactFormat::Text,
+        dir.join("good.mdlx"),
+    )
+    .unwrap();
     std::fs::write(dir.join("broken.mdlx"), "mdlx 1 pwrbf-driver\njunk\n").unwrap();
 
     let store = ModelStore::open(&dir).unwrap();
@@ -602,7 +661,12 @@ fn lazy_store_surfaces_failures_once_entries_are_touched() {
 #[test]
 fn concurrent_lazy_access_parses_once_and_replays_errors() {
     let dir = temp_dir("lazyconc");
-    save_model_to_path(&dummy_driver("good", 0.02), dir.join("good.mdlx")).unwrap();
+    save_artifact_as(
+        &Artifact::single(dummy_driver("good", 0.02)),
+        ArtifactFormat::Text,
+        dir.join("good.mdlx"),
+    )
+    .unwrap();
     std::fs::write(dir.join("broken.mdlx"), "mdlx 1 pwrbf-driver\njunk\n").unwrap();
 
     let store = ModelStore::open(&dir).unwrap();

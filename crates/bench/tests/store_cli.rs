@@ -6,8 +6,7 @@
 //! count flags: out-of-range values exit 2 instead of being clamped.
 
 use macromodel::driver::{PwRbfDriverModel, WeightSequence};
-use macromodel::exchange::binary::save_artifact_bin_to_path;
-use macromodel::exchange::{save_artifact_to_path, save_model_to_path, AnyModel, Artifact};
+use macromodel::exchange::{save_artifact_as, AnyModel, Artifact, ArtifactFormat};
 use macromodel::json::{self, Value};
 use std::path::PathBuf;
 use std::process::{Command, Output};
@@ -51,9 +50,15 @@ fn driver(name: &str) -> AnyModel {
 /// file — the three cases every listing has to represent.
 fn mixed_store(tag: &str) -> PathBuf {
     let dir = temp_dir(tag);
-    save_model_to_path(&driver("text_drv"), dir.join("text_drv.mdlx")).unwrap();
-    save_artifact_bin_to_path(
+    save_artifact_as(
+        &Artifact::single(driver("text_drv")),
+        ArtifactFormat::Text,
+        dir.join("text_drv.mdlx"),
+    )
+    .unwrap();
+    save_artifact_as(
         &Artifact::single(driver("bin_drv")),
+        ArtifactFormat::Binary,
         dir.join("bin_drv.mdlxb"),
     )
     .unwrap();
@@ -154,7 +159,12 @@ fn convert_round_trips_byte_exactly() {
     let text_path = dir.join("m.mdlx");
     let bin_path = dir.join("m.mdlxb");
     let back_path = dir.join("m.back.mdlx");
-    save_model_to_path(&driver("conv"), &text_path).unwrap();
+    save_artifact_as(
+        &Artifact::single(driver("conv")),
+        ArtifactFormat::Text,
+        &text_path,
+    )
+    .unwrap();
 
     let out = mdl(&[
         "convert",
@@ -192,7 +202,7 @@ fn convert_v2_bundle_round_trips() {
     let bin_path = dir.join("b.mdlxb");
     let back_path = dir.join("b.back.mdlx");
     let artifact = Artifact::bundle(vec![driver("a"), driver("b")], None);
-    save_artifact_to_path(&artifact, &text_path).unwrap();
+    save_artifact_as(&artifact, ArtifactFormat::Text, &text_path).unwrap();
 
     assert!(mdl(&[
         "convert",
@@ -301,7 +311,12 @@ fn oversized_transients_are_typed_errors() {
     // `mdl` exits 1 with the typed error.
     let dir = temp_dir("oversized");
     let path = dir.join("drv.mdlx");
-    save_model_to_path(&driver("drv"), &path).unwrap();
+    save_artifact_as(
+        &Artifact::single(driver("drv")),
+        ArtifactFormat::Text,
+        &path,
+    )
+    .unwrap();
     let path = path.to_str().unwrap();
     for args in [
         ["simulate", path, "--t-stop", "1"],
@@ -374,8 +389,18 @@ fn same_output_for_both_containers(tag: &str, sub: &str, flags: &[&str]) -> Outp
     let dir = temp_dir(tag);
     let text = dir.join("drv.mdlx");
     let bin = dir.join("drv.mdlxb");
-    save_model_to_path(&driver("drv"), &text).unwrap();
-    save_artifact_bin_to_path(&Artifact::single(driver("drv")), &bin).unwrap();
+    save_artifact_as(
+        &Artifact::single(driver("drv")),
+        ArtifactFormat::Text,
+        &text,
+    )
+    .unwrap();
+    save_artifact_as(
+        &Artifact::single(driver("drv")),
+        ArtifactFormat::Binary,
+        &bin,
+    )
+    .unwrap();
     let run = |path: &PathBuf| {
         let mut args = vec![sub, path.to_str().unwrap()];
         args.extend_from_slice(flags);

@@ -3,8 +3,12 @@
 //! An estimated macromodel is only useful if it can be shipped: extracted
 //! once, saved, and loaded by a downstream simulation that never sees the
 //! transistor-level device. This module defines the on-disk artifact —
-//! a line-oriented, human-auditable text format — and the [`save_model`] /
-//! [`load_model`] pair with strict validation on load.
+//! a line-oriented, human-auditable text format and a length-framed binary
+//! container — with one way in and one way out: [`load_artifact_bytes`] /
+//! [`load_artifact_from_path`] read either container, deciding which from
+//! the leading bytes ([`ArtifactFormat::of`]), and [`save_artifact_bytes`] /
+//! [`save_artifact_as`] write the container an [`ArtifactFormat`] names.
+//! Loading validates strictly.
 //!
 //! # Format
 //!
@@ -25,7 +29,7 @@
 //!   fields;
 //! * every numeric value must be finite ([`ExchangeError::NonFinite`])
 //!   and the assembled model must pass its structural validation before
-//!   [`load_model`] returns.
+//!   the loader returns.
 //!
 //! Each kind's record sequence is declared once, as a fields struct and
 //! its `KindFields::walk`; the text codec here and the binary codec in
@@ -35,12 +39,12 @@
 //! # Format versions
 //!
 //! * **`mdlx 1`** — one model per file, exactly the grammar above. This is
-//!   still what [`save_model`] writes, so existing artifacts remain
+//!   what an [`Artifact::single`] saves as, so existing artifacts remain
 //!   byte-identical under save → load → save.
 //! * **`mdlx 2`** — a *bundle*: an optional provenance block (extraction
 //!   config digest, tool version, creation parameters) followed by one or
 //!   more embedded models (driver + receiver + corner variants in one
-//!   file). Written by [`save_artifact`] for [`Artifact::bundle`] values:
+//!   file). Written for [`Artifact::bundle`] values:
 //!
 //! ```text
 //! mdlx 2 bundle
@@ -63,7 +67,7 @@
 //! end
 //! ```
 //!
-//! [`load_artifact`] reads both versions (v1 files load as single-model
+//! The loaders read both versions (v1 files load as single-model
 //! artifacts); a version tag beyond `2` fails with
 //! [`ExchangeError::UnsupportedVersion`] instead of being misparsed. The
 //! lexer tolerates CRLF line endings and trailing blank lines — artifacts
@@ -79,8 +83,8 @@
 //! submodule: a fixed 32-byte file header, then one section per
 //! provenance block / model, each framed by its byte length and guarded
 //! by an FNV-1a 64 digest, so a reader can inventory or verify a file
-//! without decoding payloads. [`load_artifact_bytes`] dispatches on the
-//! leading magic and accepts either encoding; text ⇄ binary conversion
+//! without decoding payloads. The loaders dispatch on the leading magic
+//! and accept either encoding; text ⇄ binary conversion
 //! is lossless and byte-exact in both directions because text floats use
 //! shortest round-trip notation and binary floats are the raw IEEE-754
 //! bits. The normative specification of all three encodings — grammar,
@@ -90,23 +94,19 @@
 //! # Example
 //!
 //! ```no_run
-//! use macromodel::exchange::binary::save_artifact_bin_to_path;
-//! use macromodel::exchange::{
-//!     load_artifact_auto_from_path, load_model_from_path, save_model_to_path, Artifact,
-//! };
+//! use macromodel::exchange::{load_artifact_from_path, save_artifact_as, ArtifactFormat};
 //! use macromodel::ExtractionSession;
 //!
 //! # fn main() -> Result<(), macromodel::Error> {
-//! let estimated = ExtractionSession::for_driver(refdev::md1()).run()?;
-//! save_model_to_path(estimated.model(), "md1.mdlx")?;
-//! let loaded = load_model_from_path("md1.mdlx")?;
+//! let artifact = ExtractionSession::for_driver(refdev::md1()).run()?.to_artifact();
+//! save_artifact_as(&artifact, ArtifactFormat::Text, "md1.mdlx")?;
+//! let loaded = load_artifact_from_path("md1.mdlx")?.into_single()?;
 //! println!("{}", macromodel::Macromodel::summary(&loaded));
 //!
-//! // The same artifact in binary framing; the auto loader dispatches on
-//! // the leading magic, so both paths read back identically.
-//! save_artifact_bin_to_path(&Artifact::single(loaded), "md1.mdlxb")?;
-//! let artifact = load_artifact_auto_from_path("md1.mdlxb")?;
-//! assert_eq!(artifact.models.len(), 1);
+//! // The same artifact in binary framing; the loader decides the container
+//! // from the leading bytes, so both files read back identically.
+//! save_artifact_as(&artifact, ArtifactFormat::Binary, "md1.mdlxb")?;
+//! assert_eq!(load_artifact_from_path("md1.mdlxb")?.models.len(), 1);
 //! # Ok(())
 //! # }
 //! ```
@@ -171,8 +171,8 @@ pub enum ExchangeError {
         /// The record key that was expected next.
         expected: String,
     },
-    /// The records parsed but assemble into an invalid model, or the model
-    /// handed to [`save_model`] is not serializable (e.g. a multi-line
+    /// The records parsed but assemble into an invalid model, or the
+    /// artifact handed to a saver is not serializable (e.g. a multi-line
     /// name).
     Invalid {
         /// Description of the violation.
@@ -459,8 +459,7 @@ pub struct Artifact {
 }
 
 impl Artifact {
-    /// A v1 single-model artifact — serializes byte-identically to
-    /// [`save_model`].
+    /// A v1 single-model artifact (the `mdlx 1` grammar).
     pub fn single(model: AnyModel) -> Self {
         Artifact {
             version: FORMAT_VERSION,
@@ -492,7 +491,7 @@ impl Artifact {
         if self.models.len() != 1 {
             return Err(ExchangeError::Invalid {
                 message: format!(
-                    "artifact bundles {} models; load it with load_artifact",
+                    "artifact bundles {} models; use the whole artifact",
                     self.models.len()
                 ),
             }
@@ -998,12 +997,12 @@ impl Codec for TextWriter {
     }
 }
 
-/// The text serializer behind [`save_model`] and [`save_artifact`].
-fn save_text(version: u32, provenance: Option<&Provenance>, models: &[AnyModel]) -> Result<String> {
-    check_shape(version, provenance.is_some(), models.len())?;
-    for model in models {
-        model.validate()?;
-    }
+/// The text serializer: the [`ArtifactFormat::Text`] arm of [`encode`].
+fn save_text(
+    version: u32,
+    provenance: Option<&Provenance>,
+    models: &[AnyModel],
+) -> ExResult<String> {
     let mut w = TextWriter::default();
     if version == FORMAT_VERSION {
         w.raw(&format!("mdlx {version} {}", models[0].kind().tag()));
@@ -1026,53 +1025,141 @@ fn save_text(version: u32, provenance: Option<&Provenance>, models: &[AnyModel])
     Ok(w.out)
 }
 
-/// Serializes a model to the v1 exchange text.
-///
-/// # Errors
-///
-/// Returns [`crate::Error::Exchange`] for non-serializable data (non-finite values,
-/// multi-line names) and [`crate::Error::InvalidModel`] when the model fails its
-/// own validation — nothing invalid is ever written.
-pub fn save_model(model: &AnyModel) -> Result<String> {
-    save_text(FORMAT_VERSION, None, std::slice::from_ref(model))
+// ---------------------------------------------------------------------
+// Containers: the one encoder and the one decoder
+// ---------------------------------------------------------------------
+
+/// The container of an artifact's bytes.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum ArtifactFormat {
+    /// Line-oriented `mdlx` text (conventionally `.mdlx`).
+    Text,
+    /// The length-framed binary container (conventionally `.mdlxb`).
+    Binary,
 }
 
-/// Serializes an artifact: v1 single-model text (byte-identical to
-/// [`save_model`]) or a v2 bundle with optional provenance.
+impl ArtifactFormat {
+    /// The container `bytes` are in, decided by their leading bytes alone:
+    /// the [`binary::MAGIC`] makes them binary, anything else is text (or
+    /// bytes the text reader rejects). The file name plays no part.
+    pub fn of(bytes: &[u8]) -> Self {
+        if bytes.starts_with(&binary::MAGIC) {
+            ArtifactFormat::Binary
+        } else {
+            ArtifactFormat::Text
+        }
+    }
+}
+
+impl std::fmt::Display for ArtifactFormat {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.write_str(match self {
+            ArtifactFormat::Text => "text",
+            ArtifactFormat::Binary => "binary",
+        })
+    }
+}
+
+/// The one encoder behind every saver: the v1/v2 shape rules and each
+/// model's own validation, then the container `format` names.
+fn encode(
+    version: u32,
+    provenance: Option<&Provenance>,
+    models: &[AnyModel],
+    format: ArtifactFormat,
+) -> Result<Vec<u8>> {
+    check_shape(version, provenance.is_some(), models.len())?;
+    for model in models {
+        model.validate()?;
+    }
+    Ok(match format {
+        ArtifactFormat::Text => save_text(version, provenance, models)?.into_bytes(),
+        ArtifactFormat::Binary => binary::encode(version, provenance, models)?,
+    })
+}
+
+/// [`encode`] into the file at `path`.
+fn save_parts(
+    version: u32,
+    provenance: Option<&Provenance>,
+    models: &[AnyModel],
+    format: ArtifactFormat,
+    path: &Path,
+) -> Result<()> {
+    let bytes = encode(version, provenance, models, format)?;
+    std::fs::write(path, bytes).map_err(io_error(path))?;
+    Ok(())
+}
+
+/// Serializes an artifact in the container `format` names: a v1
+/// [`Artifact::single`] as the `mdlx 1` grammar, a v2 [`Artifact::bundle`]
+/// as the `mdlx 2` grammar, either one in the binary container when
+/// `format` is [`ArtifactFormat::Binary`]. The binary header records the
+/// text version, so converting between the containers is byte-exact both
+/// ways.
 ///
 /// # Errors
 ///
-/// [`save_model`] failures per model, plus [`ExchangeError::Invalid`] for an
-/// empty bundle, a v1 artifact that is not exactly one provenance-free
-/// model, or an unknown version.
-pub fn save_artifact(artifact: &Artifact) -> Result<String> {
-    save_text(
+/// [`ExchangeError::Invalid`] for an empty bundle, a v1 artifact that is
+/// not exactly one provenance-free model, an unknown version, non-finite
+/// values or multi-line names and provenance values;
+/// [`crate::Error::InvalidModel`] when a model fails its own validation —
+/// nothing invalid is ever written.
+pub fn save_artifact_bytes(artifact: &Artifact, format: ArtifactFormat) -> Result<Vec<u8>> {
+    encode(
         artifact.version,
         artifact.provenance.as_ref(),
         &artifact.models,
+        format,
     )
 }
 
-/// Saves an artifact to a file (see [`save_artifact`]).
+/// Saves an artifact to a file in the container `format` names (see
+/// [`save_artifact_bytes`]).
 ///
 /// # Errors
 ///
-/// [`save_artifact`] failures plus [`ExchangeError::Io`].
-pub fn save_artifact_to_path(artifact: &Artifact, path: impl AsRef<Path>) -> Result<()> {
-    let path = path.as_ref();
-    std::fs::write(path, save_artifact(artifact)?).map_err(io_error(path))?;
-    Ok(())
+/// [`save_artifact_bytes`] failures plus [`ExchangeError::Io`] with the
+/// path.
+pub fn save_artifact_as(
+    artifact: &Artifact,
+    format: ArtifactFormat,
+    path: impl AsRef<Path>,
+) -> Result<()> {
+    save_parts(
+        artifact.version,
+        artifact.provenance.as_ref(),
+        &artifact.models,
+        format,
+        path.as_ref(),
+    )
 }
 
-/// Saves a model to a file (see [`save_model`]).
+/// [`save_artifact_as`] in text. Kept for perfbench until ROADMAP item 4;
+/// call [`save_artifact_as`].
 ///
 /// # Errors
 ///
-/// [`save_model`] failures plus [`ExchangeError::Io`].
+/// See [`save_artifact_as`].
+pub fn save_artifact_to_path(artifact: &Artifact, path: impl AsRef<Path>) -> Result<()> {
+    save_artifact_as(artifact, ArtifactFormat::Text, path)
+}
+
+/// One model saved as a v1 text artifact, without cloning it into an
+/// [`Artifact`]. Kept for perfbench until ROADMAP item 4; call
+/// [`save_artifact_as`].
+///
+/// # Errors
+///
+/// See [`save_artifact_as`].
 pub fn save_model_to_path(model: &AnyModel, path: impl AsRef<Path>) -> Result<()> {
-    let path = path.as_ref();
-    std::fs::write(path, save_model(model)?).map_err(io_error(path))?;
-    Ok(())
+    save_parts(
+        FORMAT_VERSION,
+        None,
+        std::slice::from_ref(model),
+        ArtifactFormat::Text,
+        path.as_ref(),
+    )
 }
 
 // ---------------------------------------------------------------------
@@ -1290,16 +1377,12 @@ impl Codec for TextReader<'_> {
     }
 }
 
-/// Deserializes an artifact of either format version, rejecting anything
-/// malformed, non-finite, truncated, structurally inconsistent, or of a
-/// future format version.
-///
-/// # Errors
-///
-/// Returns [`crate::Error::Exchange`] with the precise [`ExchangeError`]; a
-/// model that assembles but fails its own validation is
-/// [`ExchangeError::Invalid`].
-pub fn load_artifact(text: &str) -> Result<Artifact> {
+/// The text reader: the [`ArtifactFormat::Text`] arm of
+/// [`load_artifact_bytes`]. Either format version; anything malformed,
+/// non-finite, truncated, structurally inconsistent, or of a future format
+/// version is rejected with the precise [`ExchangeError`], and a model that
+/// assembles but fails its own validation is [`ExchangeError::Invalid`].
+fn load_text(text: &str) -> Result<Artifact> {
     let mut r = TextReader::new(text);
     let header = r.expect("mdlx")?;
     let (version, tag) = header.split_once(' ').ok_or(ExchangeError::Syntax {
@@ -1352,63 +1435,34 @@ pub fn load_artifact(text: &str) -> Result<Artifact> {
     Ok(artifact)
 }
 
-/// Loads an artifact from a file (see [`load_artifact`]).
+/// Deserializes an artifact from the bytes of either container — the one
+/// loader. [`ArtifactFormat::of`] decides the container from the leading
+/// bytes: the binary reader verifies every digest, the text reader parses
+/// the grammar. Both validate every model before returning.
 ///
 /// # Errors
 ///
-/// [`load_artifact`] failures plus [`ExchangeError::Io`].
-pub fn load_artifact_from_path(path: impl AsRef<Path>) -> Result<Artifact> {
-    let path = path.as_ref();
-    load_artifact(&std::fs::read_to_string(path).map_err(io_error(path))?)
-}
-
-/// Deserializes a single model from exchange text of either version; a v2
-/// bundle must hold exactly one model (use [`load_artifact`] for larger
-/// bundles).
-///
-/// # Errors
-///
-/// See [`load_artifact`]; a multi-model bundle is [`ExchangeError::Invalid`].
-pub fn load_model(text: &str) -> Result<AnyModel> {
-    load_artifact(text)?.into_single()
-}
-
-/// Loads a model from a file (see [`load_model`]).
-///
-/// # Errors
-///
-/// [`load_model`] failures plus [`ExchangeError::Io`].
-pub fn load_model_from_path(path: impl AsRef<Path>) -> Result<AnyModel> {
-    load_artifact_from_path(path)?.into_single()
-}
-
-/// Deserializes an artifact from raw bytes of *either* container,
-/// dispatching on content: the binary `mdlxb` magic selects
-/// [`binary::load_artifact_bin`], anything else parses as UTF-8 exchange
-/// text via [`load_artifact`].
-///
-/// # Errors
-///
-/// The selected loader's failures; non-UTF-8 bytes without the binary
-/// magic are [`ExchangeError::Corrupt`].
+/// The container's typed [`ExchangeError`]; non-UTF-8 bytes without the
+/// binary magic are [`ExchangeError::Corrupt`].
 pub fn load_artifact_bytes(bytes: &[u8]) -> Result<Artifact> {
-    if binary::is_binary(bytes) {
-        return binary::load_artifact_bin(bytes);
+    if ArtifactFormat::of(bytes) == ArtifactFormat::Binary {
+        return binary::load_bin(bytes);
     }
     let text = std::str::from_utf8(bytes).map_err(|e| ExchangeError::Corrupt {
         offset: e.valid_up_to(),
         message: "artifact is neither an mdlxb container nor UTF-8 exchange text".into(),
     })?;
-    load_artifact(text)
+    load_text(text)
 }
 
 /// Loads an artifact of either container from a file (see
-/// [`load_artifact_bytes`]).
+/// [`load_artifact_bytes`]); the file name does not decide the container.
 ///
 /// # Errors
 ///
-/// [`load_artifact_bytes`] failures plus [`ExchangeError::Io`].
-pub fn load_artifact_auto_from_path(path: impl AsRef<Path>) -> Result<Artifact> {
+/// [`load_artifact_bytes`] failures plus [`ExchangeError::Io`] with the
+/// path.
+pub fn load_artifact_from_path(path: impl AsRef<Path>) -> Result<Artifact> {
     let path = path.as_ref();
     load_artifact_bytes(&std::fs::read(path).map_err(io_error(path))?)
 }
@@ -1492,6 +1546,30 @@ mod tests {
         }
     }
 
+    /// The text of an artifact, as the one encoder writes it.
+    fn artifact_text(artifact: &Artifact) -> Result<String> {
+        let bytes = save_artifact_bytes(artifact, ArtifactFormat::Text)?;
+        Ok(String::from_utf8(bytes).expect("the text container is UTF-8"))
+    }
+
+    /// The binary container of an artifact.
+    fn artifact_bin(artifact: &Artifact) -> Result<Vec<u8>> {
+        save_artifact_bytes(artifact, ArtifactFormat::Binary)
+    }
+
+    /// The v1 text of one model.
+    fn model_text(model: &AnyModel) -> Result<String> {
+        artifact_text(&Artifact::single(model.clone()))
+    }
+
+    fn parse_artifact(text: &str) -> Result<Artifact> {
+        load_artifact_bytes(text.as_bytes())
+    }
+
+    fn parse_model(text: &str) -> Result<AnyModel> {
+        parse_artifact(text)?.into_single()
+    }
+
     fn all_models() -> Vec<AnyModel> {
         vec![
             driver_model().into(),
@@ -1504,11 +1582,11 @@ mod tests {
     #[test]
     fn round_trip_every_kind_byte_identical() {
         for model in all_models() {
-            let text = save_model(&model).unwrap();
-            let loaded = load_model(&text).unwrap();
+            let text = model_text(&model).unwrap();
+            let loaded = parse_model(&text).unwrap();
             assert_eq!(loaded.kind(), model.kind());
             assert_eq!(loaded.name(), model.name());
-            let re_saved = save_model(&loaded).unwrap();
+            let re_saved = model_text(&loaded).unwrap();
             assert_eq!(text, re_saved, "{} re-save differs", model.kind());
         }
     }
@@ -1516,8 +1594,8 @@ mod tests {
     #[test]
     fn driver_round_trip_preserves_structure() {
         let m = driver_model();
-        let text = save_model(&AnyModel::from(m.clone())).unwrap();
-        let AnyModel::PwRbfDriver(l) = load_model(&text).unwrap() else {
+        let text = model_text(&AnyModel::from(m.clone())).unwrap();
+        let AnyModel::PwRbfDriver(l) = parse_model(&text).unwrap() else {
             panic!("kind changed");
         };
         assert_eq!(l.ts, m.ts);
@@ -1537,9 +1615,9 @@ mod tests {
 
     #[test]
     fn future_version_rejected() {
-        let text = save_model(&all_models()[0]).unwrap();
+        let text = model_text(&all_models()[0]).unwrap();
         let bumped = text.replacen("mdlx 1 ", "mdlx 3 ", 1);
-        match load_model(&bumped) {
+        match parse_model(&bumped) {
             Err(Error::Exchange(ExchangeError::UnsupportedVersion { found })) => {
                 assert_eq!(found, "3")
             }
@@ -1548,7 +1626,7 @@ mod tests {
         // `mdlx 2` is understood, but only as the bundle grammar.
         let v2_kind = text.replacen("mdlx 1 ", "mdlx 2 ", 1);
         assert!(matches!(
-            load_model(&v2_kind),
+            parse_model(&v2_kind),
             Err(Error::Exchange(ExchangeError::Syntax { line: 1, .. }))
         ));
     }
@@ -1556,31 +1634,31 @@ mod tests {
     #[test]
     fn crlf_and_trailing_blank_lines_load_cleanly() {
         for model in all_models() {
-            let text = save_model(&model).unwrap();
+            let text = model_text(&model).unwrap();
             // CRLF endings (Windows checkout).
             let crlf = text.replace('\n', "\r\n");
-            let loaded = load_model(&crlf)
+            let loaded = parse_model(&crlf)
                 .unwrap_or_else(|e| panic!("{}: CRLF artifact failed to load: {e}", model.kind()));
-            assert_eq!(save_model(&loaded).unwrap(), text, "{}", model.kind());
+            assert_eq!(model_text(&loaded).unwrap(), text, "{}", model.kind());
             // Trailing blank line(s), both conventions.
             for suffix in ["\n", "\n\n", "\r\n", "  \n"] {
                 let padded = format!("{text}{suffix}");
-                let loaded = load_model(&padded).unwrap_or_else(|e| {
+                let loaded = parse_model(&padded).unwrap_or_else(|e| {
                     panic!(
                         "{}: artifact with trailing {suffix:?} failed to load: {e}",
                         model.kind()
                     )
                 });
-                assert_eq!(save_model(&loaded).unwrap(), text);
+                assert_eq!(model_text(&loaded).unwrap(), text);
             }
             // A lone trailing '\r' after the final newline.
-            let loaded = load_model(&format!("{text}\r")).unwrap();
-            assert_eq!(save_model(&loaded).unwrap(), text);
+            let loaded = parse_model(&format!("{text}\r")).unwrap();
+            assert_eq!(model_text(&loaded).unwrap(), text);
         }
         // Interior blank lines are still rejected.
-        let text = save_model(&all_models()[0]).unwrap();
+        let text = model_text(&all_models()[0]).unwrap();
         let interior = text.replacen("ts ", "\nts ", 1);
-        assert!(load_model(&interior).is_err());
+        assert!(parse_model(&interior).is_err());
     }
 
     fn sample_provenance() -> Provenance {
@@ -1592,42 +1670,42 @@ mod tests {
     #[test]
     fn bundle_round_trip_byte_identical() {
         let bundle = Artifact::bundle(all_models(), Some(sample_provenance()));
-        let text = save_artifact(&bundle).unwrap();
+        let text = artifact_text(&bundle).unwrap();
         assert!(text.starts_with("mdlx 2 bundle\n"));
-        let loaded = load_artifact(&text).unwrap();
+        let loaded = parse_artifact(&text).unwrap();
         assert_eq!(loaded.version, BUNDLE_FORMAT_VERSION);
         assert_eq!(loaded.models.len(), 4);
         assert_eq!(loaded.provenance, Some(sample_provenance()));
-        assert_eq!(save_artifact(&loaded).unwrap(), text);
+        assert_eq!(artifact_text(&loaded).unwrap(), text);
     }
 
     #[test]
     fn bundle_without_provenance_round_trips() {
         let bundle = Artifact::bundle(vec![all_models().remove(2)], None);
-        let text = save_artifact(&bundle).unwrap();
-        let loaded = load_artifact(&text).unwrap();
+        let text = artifact_text(&bundle).unwrap();
+        let loaded = parse_artifact(&text).unwrap();
         assert!(loaded.provenance.is_none());
-        assert_eq!(save_artifact(&loaded).unwrap(), text);
-        // A single-model v2 bundle loads through load_model too.
-        assert_eq!(load_model(&text).unwrap().name(), "cr_test");
+        assert_eq!(artifact_text(&loaded).unwrap(), text);
+        // A single-model v2 bundle unwraps to its model.
+        assert_eq!(parse_model(&text).unwrap().name(), "cr_test");
     }
 
     #[test]
     fn v1_artifact_round_trips_as_v1() {
         let model = all_models().remove(0);
-        let v1_text = save_model(&model).unwrap();
-        let artifact = load_artifact(&v1_text).unwrap();
+        let v1_text = model_text(&model).unwrap();
+        let artifact = parse_artifact(&v1_text).unwrap();
         assert_eq!(artifact.version, FORMAT_VERSION);
         assert!(artifact.provenance.is_none());
         // Re-saving through the artifact path stays on the v1 byte form.
-        assert_eq!(save_artifact(&artifact).unwrap(), v1_text);
+        assert_eq!(artifact_text(&artifact).unwrap(), v1_text);
     }
 
     #[test]
     fn multi_model_bundle_rejected_by_load_model() {
-        let text = save_artifact(&Artifact::bundle(all_models(), None)).unwrap();
+        let text = artifact_text(&Artifact::bundle(all_models(), None)).unwrap();
         assert!(matches!(
-            load_model(&text),
+            parse_model(&text),
             Err(Error::Exchange(ExchangeError::Invalid { .. }))
         ));
     }
@@ -1635,60 +1713,60 @@ mod tests {
     #[test]
     fn invalid_bundles_rejected_on_save() {
         // Empty bundle.
-        let e = save_artifact(&Artifact::bundle(vec![], None)).unwrap_err();
+        let e = artifact_text(&Artifact::bundle(vec![], None)).unwrap_err();
         assert!(matches!(e, Error::Exchange(ExchangeError::Invalid { .. })));
         // v1 cannot carry provenance.
         let mut artifact = Artifact::single(all_models().remove(0));
         artifact.provenance = Some(sample_provenance());
-        assert!(save_artifact(&artifact).is_err());
+        assert!(artifact_text(&artifact).is_err());
         // v1 holds exactly one model.
         let mut artifact = Artifact::single(all_models().remove(0));
         artifact.models.push(all_models().remove(1));
-        assert!(save_artifact(&artifact).is_err());
+        assert!(artifact_text(&artifact).is_err());
         // Unknown version.
         let mut artifact = Artifact::single(all_models().remove(0));
         artifact.version = 7;
-        assert!(save_artifact(&artifact).is_err());
+        assert!(artifact_text(&artifact).is_err());
         // Multi-line provenance values.
         let mut p = sample_provenance();
         p.tool = "two\nlines".into();
-        let e = save_artifact(&Artifact::bundle(all_models(), Some(p))).unwrap_err();
+        let e = artifact_text(&Artifact::bundle(all_models(), Some(p))).unwrap_err();
         assert!(matches!(e, Error::Exchange(ExchangeError::Invalid { .. })));
         // Param key with whitespace.
         let p = sample_provenance().with_param("", "x");
-        assert!(save_artifact(&Artifact::bundle(all_models(), Some(p))).is_err());
+        assert!(artifact_text(&Artifact::bundle(all_models(), Some(p))).is_err());
     }
 
     #[test]
     fn corrupted_bundles_rejected_per_section() {
         let text =
-            save_artifact(&Artifact::bundle(all_models(), Some(sample_provenance()))).unwrap();
+            artifact_text(&Artifact::bundle(all_models(), Some(sample_provenance()))).unwrap();
         // Truncation inside the provenance block.
         let cut = text.find("endprovenance").unwrap();
-        assert!(load_artifact(&text[..cut]).is_err());
+        assert!(parse_artifact(&text[..cut]).is_err());
         // Wrong model count.
         let lying = text.replacen("models 4", "models 5", 1);
-        assert!(load_artifact(&lying).is_err());
+        assert!(parse_artifact(&lying).is_err());
         let lying = text.replacen("models 4", "models 2", 1);
-        assert!(load_artifact(&lying).is_err());
+        assert!(parse_artifact(&lying).is_err());
         // Zero-model bundle.
         let empty = "mdlx 2 bundle\nmodels 0\nend\n";
         assert!(matches!(
-            load_artifact(empty),
+            parse_artifact(empty),
             Err(Error::Exchange(ExchangeError::Invalid { .. }))
         ));
         // Unknown embedded kind.
         let unknown = text.replacen("model pwrbf-driver", "model hologram", 1);
         assert!(matches!(
-            load_artifact(&unknown),
+            parse_artifact(&unknown),
             Err(Error::Exchange(ExchangeError::UnknownKind { .. }))
         ));
         // Dropped section terminator.
         let dropped = text.replacen("endmodel\n", "", 1);
-        assert!(load_artifact(&dropped).is_err());
+        assert!(parse_artifact(&dropped).is_err());
         // Content after 'end'.
         let trailing = format!("{text}junk\n");
-        assert!(load_artifact(&trailing).is_err());
+        assert!(parse_artifact(&trailing).is_err());
     }
 
     #[test]
@@ -1708,7 +1786,7 @@ mod tests {
 
     #[test]
     fn unknown_kind_rejected() {
-        let e = load_model("mdlx 1 hologram\nname x\nend\n").unwrap_err();
+        let e = parse_model("mdlx 1 hologram\nname x\nend\n").unwrap_err();
         assert!(matches!(
             e,
             Error::Exchange(ExchangeError::UnknownKind { .. })
@@ -1718,10 +1796,10 @@ mod tests {
     #[test]
     fn truncation_rejected() {
         for model in all_models() {
-            let text = save_model(&model).unwrap();
+            let text = model_text(&model).unwrap();
             // Drop the final 'end' line.
             let truncated = text.trim_end_matches("end\n");
-            let e = load_model(truncated).unwrap_err();
+            let e = parse_model(truncated).unwrap_err();
             assert!(
                 matches!(
                     e,
@@ -1732,24 +1810,24 @@ mod tests {
             );
             // Drop half the file.
             let half = &text[..text.len() / 2];
-            assert!(load_model(half).is_err(), "{}", model.kind());
+            assert!(parse_model(half).is_err(), "{}", model.kind());
         }
     }
 
     #[test]
     fn non_finite_values_rejected() {
-        let text = save_model(&all_models()[0]).unwrap();
+        let text = model_text(&all_models()[0]).unwrap();
         // Corrupt one weight value into NaN.
         let corrupted = text.replacen("wh 3 0e0", "wh 3 NaN", 1);
         assert_ne!(text, corrupted, "corruption target must exist");
-        let e = load_model(&corrupted).unwrap_err();
+        let e = parse_model(&corrupted).unwrap_err();
         assert!(
             matches!(e, Error::Exchange(ExchangeError::NonFinite { .. })),
             "{e:?}"
         );
         let corrupted = text.replacen("bias 1e-4", "bias inf", 1);
         assert_ne!(text, corrupted);
-        let e = load_model(&corrupted).unwrap_err();
+        let e = parse_model(&corrupted).unwrap_err();
         assert!(matches!(
             e,
             Error::Exchange(ExchangeError::NonFinite { .. })
@@ -1758,9 +1836,9 @@ mod tests {
 
     #[test]
     fn unknown_field_rejected() {
-        let text = save_model(&all_models()[0]).unwrap();
+        let text = model_text(&all_models()[0]).unwrap();
         let with_extra = text.replacen("ts ", "temperature 300\nts ", 1);
-        let e = load_model(&with_extra).unwrap_err();
+        let e = parse_model(&with_extra).unwrap_err();
         match e {
             Error::Exchange(ExchangeError::UnknownField { line, field }) => {
                 assert_eq!(line, 3);
@@ -1772,10 +1850,10 @@ mod tests {
 
     #[test]
     fn length_mismatch_rejected() {
-        let text = save_model(&all_models()[0]).unwrap();
+        let text = model_text(&all_models()[0]).unwrap();
         // Declare 4 samples but carry 3.
         let corrupted = text.replacen("wh 3 ", "wh 4 ", 1);
-        let e = load_model(&corrupted).unwrap_err();
+        let e = parse_model(&corrupted).unwrap_err();
         assert!(matches!(e, Error::Exchange(ExchangeError::Syntax { .. })));
     }
 
@@ -1783,7 +1861,7 @@ mod tests {
     /// allocation or arithmetic overflow (the strict-loading contract).
     #[test]
     fn pathological_declared_counts_rejected() {
-        let text = save_model(&all_models()[0]).unwrap();
+        let text = model_text(&all_models()[0]).unwrap();
         for corrupted in [
             text.replacen("wh 3 ", &format!("wh {} ", usize::MAX), 1),
             text.replacen("wh 3 ", "wh 999999999999999999 ", 1),
@@ -1791,7 +1869,7 @@ mod tests {
             text.replacen("orders 2 2", &format!("orders {} 2", usize::MAX), 1),
         ] {
             assert_ne!(text, corrupted, "corruption target must exist");
-            let e = load_model(&corrupted).unwrap_err();
+            let e = parse_model(&corrupted).unwrap_err();
             assert!(
                 matches!(e, Error::Exchange(ExchangeError::Syntax { .. })),
                 "{e:?}"
@@ -1803,12 +1881,12 @@ mod tests {
     fn non_serializable_models_rejected() {
         let mut m = driver_model();
         m.name = "two\nlines".into();
-        let e = save_model(&AnyModel::from(m)).unwrap_err();
+        let e = model_text(&AnyModel::from(m)).unwrap_err();
         assert!(matches!(e, Error::Exchange(ExchangeError::Invalid { .. })));
         let mut m = driver_model();
         m.ts = f64::NAN;
         // Caught by the model's own validation before writing.
-        assert!(save_model(&AnyModel::from(m)).is_err());
+        assert!(model_text(&AnyModel::from(m)).is_err());
     }
 
     #[test]
@@ -1816,15 +1894,25 @@ mod tests {
         let dir = std::env::temp_dir().join("mdlx_exchange_test");
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("model.mdlx");
-        let model = AnyModel::from(cr_model());
-        save_model_to_path(&model, &path).unwrap();
-        let loaded = load_model_from_path(&path).unwrap();
+        let artifact = Artifact::single(cr_model().into());
+        save_artifact_as(&artifact, ArtifactFormat::Text, &path).unwrap();
+        let loaded = load_artifact_from_path(&path)
+            .unwrap()
+            .into_single()
+            .unwrap();
         assert_eq!(loaded.name(), "cr_test");
         let missing = dir.join("nope.mdlx");
         assert!(matches!(
-            load_model_from_path(&missing).unwrap_err(),
+            load_artifact_from_path(&missing).unwrap_err(),
             Error::Exchange(ExchangeError::Io { .. })
         ));
+        let unwritable = dir.join("no-such-dir").join("model.mdlx");
+        match save_artifact_as(&artifact, ArtifactFormat::Binary, &unwritable).unwrap_err() {
+            Error::Exchange(ExchangeError::Io { path, .. }) => {
+                assert_eq!(path, unwritable.display().to_string())
+            }
+            other => panic!("expected an I/O error, got {other:?}"),
+        }
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -1981,36 +2069,36 @@ mod tests {
         fn text_binary_text_byte_identical_v1() {
             for model in all_models() {
                 let artifact = Artifact::single(model);
-                let text = save_artifact(&artifact).unwrap();
-                let bin = binary::save_artifact_bin(&artifact).unwrap();
-                let back = binary::load_artifact_bin(&bin).unwrap();
+                let text = artifact_text(&artifact).unwrap();
+                let bin = artifact_bin(&artifact).unwrap();
+                let back = binary::load_bin(&bin).unwrap();
                 assert_eq!(back.version, FORMAT_VERSION);
-                assert_eq!(save_artifact(&back).unwrap(), text);
+                assert_eq!(artifact_text(&back).unwrap(), text);
             }
         }
 
         #[test]
         fn text_binary_text_byte_identical_v2() {
             let artifact = v2_bundle();
-            let text = save_artifact(&artifact).unwrap();
-            let bin = binary::save_artifact_bin(&artifact).unwrap();
-            let back = binary::load_artifact_bin(&bin).unwrap();
+            let text = artifact_text(&artifact).unwrap();
+            let bin = artifact_bin(&artifact).unwrap();
+            let back = binary::load_bin(&bin).unwrap();
             assert_eq!(back.version, BUNDLE_FORMAT_VERSION);
             assert_eq!(back.provenance, artifact.provenance);
-            assert_eq!(save_artifact(&back).unwrap(), text);
+            assert_eq!(artifact_text(&back).unwrap(), text);
         }
 
         #[test]
         fn binary_save_is_deterministic() {
             let artifact = v2_bundle();
-            let a = binary::save_artifact_bin(&artifact).unwrap();
-            let b = binary::save_artifact_bin(&artifact).unwrap();
+            let a = artifact_bin(&artifact).unwrap();
+            let b = artifact_bin(&artifact).unwrap();
             assert_eq!(a, b);
         }
 
         #[test]
         fn embedded_digest_matches_body_hash() {
-            let bin = binary::save_artifact_bin(&v2_bundle()).unwrap();
+            let bin = artifact_bin(&v2_bundle()).unwrap();
             let embedded = binary::embedded_digest(&bin).unwrap();
             let computed = format!("{:016x}", fnv1a(&bin[binary::FILE_HEADER_LEN..]));
             assert_eq!(embedded, computed);
@@ -2020,7 +2108,7 @@ mod tests {
 
         #[test]
         fn index_lists_models_without_decoding() {
-            let bin = binary::save_artifact_bin(&v2_bundle()).unwrap();
+            let bin = artifact_bin(&v2_bundle()).unwrap();
             let index = binary::index_bytes(&bin).unwrap();
             assert_eq!(index.text_version, BUNDLE_FORMAT_VERSION);
             assert_eq!(index.sections.len(), 5);
@@ -2033,7 +2121,7 @@ mod tests {
 
         #[test]
         fn single_section_decodes_independently() {
-            let bin = binary::save_artifact_bin(&v2_bundle()).unwrap();
+            let bin = artifact_bin(&v2_bundle()).unwrap();
             let index = binary::index_bytes(&bin).unwrap();
             let section = index.models().find(|s| s.name == "cr_test").unwrap();
             let model = binary::decode_model(&bin, section).unwrap();
@@ -2048,13 +2136,44 @@ mod tests {
             std::fs::create_dir_all(&dir).unwrap();
             let path = dir.join("bundle.mdlxb");
             let artifact = v2_bundle();
-            binary::save_artifact_bin_to_path(&artifact, &path).unwrap();
+            save_artifact_as(&artifact, ArtifactFormat::Binary, &path).unwrap();
             let bytes = std::fs::read(&path).unwrap();
-            let from_path = binary::index_path(&path).unwrap();
+            let binary::Probe::Binary(from_path) = binary::probe_path(&path, None).unwrap() else {
+                panic!("a binary container probes as binary");
+            };
             let from_bytes = binary::index_bytes(&bytes).unwrap();
-            assert_eq!(from_path, from_bytes);
-            let loaded = load_artifact_auto_from_path(&path).unwrap();
+            assert_eq!(from_path.unwrap(), from_bytes);
+            let loaded = load_artifact_from_path(&path).unwrap();
             assert_eq!(loaded.models.len(), 4);
+            std::fs::remove_dir_all(&dir).ok();
+        }
+
+        /// Both loaders read both containers, and neither looks at the file
+        /// name: binary bytes under a `.mdlx` name load as binary.
+        #[test]
+        fn both_loaders_read_both_containers_whatever_the_name() {
+            let dir = std::env::temp_dir().join(format!("mdlx_loaders_{}", std::process::id()));
+            std::fs::create_dir_all(&dir).unwrap();
+            let artifact = v2_bundle();
+            let text = artifact_text(&artifact).unwrap();
+            let bin = artifact_bin(&artifact).unwrap();
+            assert_eq!(ArtifactFormat::of(text.as_bytes()), ArtifactFormat::Text);
+            assert_eq!(ArtifactFormat::of(&bin), ArtifactFormat::Binary);
+            for (name, bytes) in [
+                ("bundle.mdlx", text.as_bytes()),
+                ("bundle.mdlxb", &bin[..]),
+                ("binary-named-text.mdlx", &bin[..]),
+            ] {
+                let path = dir.join(name);
+                std::fs::write(&path, bytes).unwrap();
+                for loaded in [
+                    load_artifact_bytes(bytes).unwrap(),
+                    load_artifact_from_path(&path).unwrap(),
+                ] {
+                    assert_eq!(artifact_text(&loaded).unwrap(), text, "{name}");
+                    assert_eq!(artifact_bin(&loaded).unwrap(), bin, "{name}");
+                }
+            }
             std::fs::remove_dir_all(&dir).ok();
         }
 
@@ -2065,17 +2184,17 @@ mod tests {
                 Error::Exchange(ExchangeError::Corrupt { .. }) => {}
                 other => panic!("expected corrupt (not UTF-8), got {other:?}"),
             }
-            let mut bin = binary::save_artifact_bin(&v2_bundle()).unwrap();
+            let mut bin = artifact_bin(&v2_bundle()).unwrap();
             bin[0] ^= 0x20;
-            let e = binary::load_artifact_bin(&bin).unwrap_err();
+            let e = binary::load_bin(&bin).unwrap_err();
             assert!(matches!(e, Error::Exchange(ExchangeError::BadMagic { .. })));
         }
 
         #[test]
         fn truncated_container_rejected() {
-            let bin = binary::save_artifact_bin(&v2_bundle()).unwrap();
+            let bin = artifact_bin(&v2_bundle()).unwrap();
             for cut in [10, binary::FILE_HEADER_LEN + 5, bin.len() - 3] {
-                let e = binary::load_artifact_bin(&bin[..cut]).unwrap_err();
+                let e = binary::load_bin(&bin[..cut]).unwrap_err();
                 assert!(
                     matches!(e, Error::Exchange(ExchangeError::Truncated { .. })),
                     "cut at {cut}: {e:?}"
@@ -2085,11 +2204,11 @@ mod tests {
 
         #[test]
         fn flipped_payload_byte_fails_digest() {
-            let mut bin = binary::save_artifact_bin(&v2_bundle()).unwrap();
+            let mut bin = artifact_bin(&v2_bundle()).unwrap();
             let index = binary::index_bytes(&bin).unwrap();
             let target = index.models().next().unwrap().payload_offset + 3;
             bin[target] ^= 0x01;
-            let e = binary::load_artifact_bin(&bin).unwrap_err();
+            let e = binary::load_bin(&bin).unwrap_err();
             match e {
                 Error::Exchange(ExchangeError::DigestMismatch { section, .. }) => {
                     // The body digest covers everything, so it trips first.
@@ -2101,7 +2220,7 @@ mod tests {
 
         #[test]
         fn flipped_digest_byte_fails_section_check() {
-            let bin = binary::save_artifact_bin(&v2_bundle()).unwrap();
+            let bin = artifact_bin(&v2_bundle()).unwrap();
             let index = binary::index_bytes(&bin).unwrap();
             let section = index.models().next().unwrap().clone();
             let mut corrupted = section.clone();
@@ -2119,7 +2238,7 @@ mod tests {
 
         #[test]
         fn unknown_kind_code_rejected() {
-            let mut bin = binary::save_artifact_bin(&v2_bundle()).unwrap();
+            let mut bin = artifact_bin(&v2_bundle()).unwrap();
             let index = binary::index_bytes(&bin).unwrap();
             let section = index.models().next().unwrap();
             // Kind code byte sits 20 bytes before the name start
@@ -2136,16 +2255,16 @@ mod tests {
 
         #[test]
         fn unsupported_versions_rejected() {
-            let mut bin = binary::save_artifact_bin(&v2_bundle()).unwrap();
+            let mut bin = artifact_bin(&v2_bundle()).unwrap();
             bin[8] = 9;
             assert!(matches!(
-                binary::load_artifact_bin(&bin).unwrap_err(),
+                binary::load_bin(&bin).unwrap_err(),
                 Error::Exchange(ExchangeError::UnsupportedVersion { .. })
             ));
-            let mut bin = binary::save_artifact_bin(&v2_bundle()).unwrap();
+            let mut bin = artifact_bin(&v2_bundle()).unwrap();
             bin[12] = 7;
             assert!(matches!(
-                binary::load_artifact_bin(&bin).unwrap_err(),
+                binary::load_bin(&bin).unwrap_err(),
                 Error::Exchange(ExchangeError::UnsupportedVersion { .. })
             ));
         }
@@ -2159,19 +2278,19 @@ mod tests {
                 config_digest: content_digest(b"x"),
                 params: vec![],
             });
-            assert!(binary::save_artifact_bin(&artifact).is_err());
+            assert!(artifact_bin(&artifact).is_err());
         }
 
         #[test]
         fn auto_loader_dispatches_on_magic() {
             let artifact = v2_bundle();
-            let text = save_artifact(&artifact).unwrap();
-            let bin = binary::save_artifact_bin(&artifact).unwrap();
+            let text = artifact_text(&artifact).unwrap();
+            let bin = artifact_bin(&artifact).unwrap();
             let from_text = load_artifact_bytes(text.as_bytes()).unwrap();
             let from_bin = load_artifact_bytes(&bin).unwrap();
             assert_eq!(
-                save_artifact(&from_text).unwrap(),
-                save_artifact(&from_bin).unwrap()
+                artifact_text(&from_text).unwrap(),
+                artifact_text(&from_bin).unwrap()
             );
         }
     }

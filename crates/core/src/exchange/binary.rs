@@ -8,7 +8,7 @@
 //! never touches. The binary container moves every model behind a
 //! fixed-width section header carrying the model's kind, name, byte
 //! length and FNV-1a content digest — so an index of the whole file costs
-//! a handful of small reads ([`index_path`]) and a single model
+//! a handful of small reads ([`probe_path`]) and a single model
 //! materializes by slicing and decoding one section ([`decode_model`]).
 //!
 //! # Layout
@@ -40,7 +40,8 @@
 //! A `PROV` section (at most one, first) carries the v2 provenance block;
 //! each `MODL` section carries one model body in the same record order as
 //! the text grammar, with `u32` length prefixes in place of decimal
-//! counts. Loading is as strict as the text reader: bad magic, digest
+//! counts. The loaders of [`super`] pick this reader from the leading
+//! magic, and it is as strict as the text reader: bad magic, digest
 //! mismatches, truncation, impossible counts, non-finite floats, unknown
 //! kind codes and trailing bytes all fail with typed [`ExchangeError`]s,
 //! and every assembled model passes its own validation.
@@ -48,13 +49,19 @@
 //! # Example
 //!
 //! ```no_run
-//! use macromodel::exchange::binary::{load_artifact_bin_from_path, save_artifact_bin_to_path};
-//! use macromodel::exchange::load_artifact_from_path;
+//! use macromodel::exchange::binary::{probe_path, Probe};
+//! use macromodel::exchange::{load_artifact_from_path, save_artifact_as, ArtifactFormat};
 //!
 //! # fn main() -> Result<(), macromodel::Error> {
-//! let artifact = load_artifact_from_path("md1.mdlx")?;         // text in
-//! save_artifact_bin_to_path(&artifact, "md1.mdlxb")?;          // binary out
-//! let back = load_artifact_bin_from_path("md1.mdlxb")?;        // binary in
+//! let artifact = load_artifact_from_path("md1.mdlx")?; // text in
+//! save_artifact_as(&artifact, ArtifactFormat::Binary, "md1.mdlxb")?; // binary out
+//! if let Probe::Binary(index) = probe_path("md1.mdlxb", None)? {
+//!     // Section headers only; no payload is read.
+//!     for section in index?.models() {
+//!         println!("{} ({} payload bytes)", section.name, section.payload_len);
+//!     }
+//! }
+//! let back = load_artifact_from_path("md1.mdlxb")?; // binary in
 //! assert_eq!(back.models.len(), artifact.models.len());
 //! # Ok(())
 //! # }
@@ -62,8 +69,8 @@
 
 use super::{
     check_param, check_shape, decode_body, encode_body, finite, fnv1a, invalid, io_error,
-    is_param_key, one_line, AnyModel, Artifact, Codec, ExResult, ExchangeError, Provenance,
-    BUNDLE_FORMAT_VERSION, FORMAT_VERSION, MAX_DECLARED_COUNT,
+    is_param_key, one_line, AnyModel, Artifact, ArtifactFormat, Codec, ExResult, ExchangeError,
+    Provenance, BUNDLE_FORMAT_VERSION, FORMAT_VERSION, MAX_DECLARED_COUNT,
 };
 use crate::macromodel::{Macromodel, ModelKind};
 use crate::Result;
@@ -88,18 +95,12 @@ const TAG_PROV: [u8; 4] = *b"PROV";
 /// Section tag of a model body.
 const TAG_MODL: [u8; 4] = *b"MODL";
 
-/// Whether `bytes` begin with the binary-container magic.
-pub fn is_binary(bytes: &[u8]) -> bool {
-    bytes.len() >= MAGIC.len() && bytes[..MAGIC.len()] == MAGIC
-}
-
 /// The body digest stored in a binary container's file header, hex — read
 /// from the fixed header offset without hashing or parsing anything.
 /// `None` when the bytes are not a binary container (or are shorter than
-/// the header). The digest is *trusted* here; [`load_artifact_bin`]
-/// verifies it.
+/// the header). The digest is *trusted* here; loading verifies it.
 pub fn embedded_digest(bytes: &[u8]) -> Option<String> {
-    if !is_binary(bytes) || bytes.len() < FILE_HEADER_LEN {
+    if ArtifactFormat::of(bytes) != ArtifactFormat::Binary || bytes.len() < FILE_HEADER_LEN {
         return None;
     }
     let mut raw = [0u8; 8];
@@ -226,41 +227,30 @@ fn push_section(body: &mut Vec<u8>, tag: [u8; 4], kind: u8, name: &str, payload:
     body.extend_from_slice(payload);
 }
 
-/// Serializes an artifact into the binary container.
-///
-/// The same artifacts that [`super::save_artifact`] accepts are accepted
-/// here — v1 is exactly one provenance-free model, v2 is one or more
-/// models with optional provenance — and the text version is recorded in
-/// the header, so converting back to text re-saves the original version.
-///
-/// # Errors
-///
-/// [`ExchangeError::Invalid`] for empty bundles, v1 shape violations,
-/// non-finite values, over-long names, or models failing their own
-/// validation.
-pub fn save_artifact_bin(artifact: &Artifact) -> Result<Vec<u8>> {
-    check_shape(
-        artifact.version,
-        artifact.provenance.is_some(),
-        artifact.models.len(),
-    )?;
+/// The binary serializer: the [`ArtifactFormat::Binary`] arm of the one
+/// encoder, which has checked the v1/v2 shape and every model's own
+/// validation. The text version is recorded in the header, so converting
+/// back to text re-saves the original version.
+pub(super) fn encode(
+    version: u32,
+    provenance: Option<&Provenance>,
+    models: &[AnyModel],
+) -> ExResult<Vec<u8>> {
     let mut body = Vec::new();
     let mut sections = 0u32;
-    if let Some(p) = &artifact.provenance {
+    if let Some(p) = provenance {
         let mut w = BinWriter::default();
         p.clone().walk(&mut w)?;
         push_section(&mut body, TAG_PROV, 0, "", &w.out);
         sections += 1;
     }
-    for model in &artifact.models {
-        model.validate()?;
+    for model in models {
         let name = model.name();
         if name.len() > u16::MAX as usize {
             return Err(invalid(format!(
                 "model name is {} bytes; the format caps 65535",
                 name.len()
-            ))
-            .into());
+            )));
         }
         one_line("name", name)?;
         let mut w = BinWriter::default();
@@ -271,7 +261,7 @@ pub fn save_artifact_bin(artifact: &Artifact) -> Result<Vec<u8>> {
     let mut out = Vec::with_capacity(FILE_HEADER_LEN + body.len());
     out.extend_from_slice(&MAGIC);
     out.extend_from_slice(&BIN_FORMAT_VERSION.to_le_bytes());
-    out.extend_from_slice(&artifact.version.to_le_bytes());
+    out.extend_from_slice(&version.to_le_bytes());
     out.extend_from_slice(&sections.to_le_bytes());
     out.extend_from_slice(&fnv1a(&body).to_le_bytes());
     out.extend_from_slice(&0u32.to_le_bytes());
@@ -279,16 +269,14 @@ pub fn save_artifact_bin(artifact: &Artifact) -> Result<Vec<u8>> {
     Ok(out)
 }
 
-/// Saves an artifact as a binary container file (see
-/// [`save_artifact_bin`]); the conventional extension is `.mdlxb`.
+/// [`super::save_artifact_as`] in the binary container. Kept for
+/// perfbench until ROADMAP item 4; call [`super::save_artifact_as`].
 ///
 /// # Errors
 ///
-/// [`save_artifact_bin`] failures plus [`ExchangeError::Io`].
+/// See [`super::save_artifact_as`].
 pub fn save_artifact_bin_to_path(artifact: &Artifact, path: impl AsRef<Path>) -> Result<()> {
-    let path = path.as_ref();
-    std::fs::write(path, save_artifact_bin(artifact)?).map_err(io_error(path))?;
-    Ok(())
+    super::save_artifact_as(artifact, ArtifactFormat::Binary, path)
 }
 
 // ---------------------------------------------------------------------
@@ -671,7 +659,10 @@ fn read_index<R: Read + Seek>(
 
 /// [`read_index`] over a container held in memory.
 fn index_from_bytes(bytes: &[u8]) -> ExResult<BinIndex> {
-    if bytes.len() < FILE_HEADER_LEN && !bytes.is_empty() && !is_binary(bytes) {
+    if bytes.len() < FILE_HEADER_LEN
+        && !bytes.is_empty()
+        && ArtifactFormat::of(bytes) != ArtifactFormat::Binary
+    {
         return Err(bad_magic(&bytes[..bytes.len().min(MAGIC.len())]));
     }
     // An in-memory cursor seeks forward without failing.
@@ -697,21 +688,6 @@ pub fn index_bytes(bytes: &[u8]) -> Result<BinIndex> {
     Ok(index_from_bytes(bytes)?)
 }
 
-/// Builds the section directory of a binary container file using seeks:
-/// only the file header and each section header (+ name) are read, and
-/// payloads are skipped over — a 1 000-model store indexes with a few KiB
-/// of I/O per file regardless of model sizes.
-///
-/// # Errors
-///
-/// See [`index_bytes`], plus [`ExchangeError::Io`].
-pub fn index_path(path: impl AsRef<Path>) -> Result<BinIndex> {
-    match probe_path(path, None)? {
-        Probe::Binary(index) => index,
-        Probe::Other(bytes) => index_bytes(&bytes),
-    }
-}
-
 /// What [`probe_path`] found in a file.
 #[derive(Debug)]
 pub enum Probe {
@@ -723,10 +699,12 @@ pub enum Probe {
     Other(Vec<u8>),
 }
 
-/// Opens `path` once and decides on its leading bytes, as
-/// [`super::load_artifact_bytes`] does: a binary container is indexed as
-/// [`index_path`] indexes it, anything else is read whole for the text
-/// loader. `known_len` is the file length from a caller that already
+/// Opens `path` once and decides on its leading bytes with
+/// [`ArtifactFormat::of`], as the loaders do. A binary container is
+/// indexed with seeks: only the file header and each section header
+/// (+ name) are read and payloads are skipped over, so a 1 000-model store
+/// indexes with a few KiB of I/O per file regardless of model sizes.
+/// Anything else is read whole for the text loader. `known_len` is the file length from a caller that already
 /// statted the file (a store scan captures it in the fingerprint); it
 /// saves the `fstat` per binary file, a measurable share of a 1 000-entry
 /// store index. The length is only a framing bound — a wrong value
@@ -747,11 +725,11 @@ pub fn probe_path(path: impl AsRef<Path>, known_len: Option<u64>) -> Result<Prob
     // syscall while the target stays inside the buffer, so indexing a
     // small file costs an open and a single sub-KiB read.
     let mut src = std::io::BufReader::with_capacity(512, file);
-    if !is_binary(src.fill_buf().map_err(io_error(path))?) {
+    if ArtifactFormat::of(src.fill_buf().map_err(io_error(path))?) != ArtifactFormat::Binary {
         let mut bytes = Vec::with_capacity(known_len.unwrap_or(0) as usize);
         src.read_to_end(&mut bytes).map_err(io_error(path))?;
         // A first read shorter than the magic does not decide the format.
-        if is_binary(&bytes) {
+        if ArtifactFormat::of(&bytes) == ArtifactFormat::Binary {
             return Ok(Probe::Binary(index_bytes(&bytes)));
         }
         return Ok(Probe::Other(bytes));
@@ -830,16 +808,13 @@ fn section_reader<'a>(bytes: &'a [u8], section: &BinSection) -> ExResult<BinRead
     Ok(BinReader::new(payload, section.payload_offset))
 }
 
-/// Deserializes a whole binary container, verifying the body digest and
-/// every section digest, decoding every model, and running each model's
-/// own validation — the strict mirror of [`super::load_artifact`].
-///
-/// # Errors
-///
-/// All of [`index_bytes`]'s framing errors, plus
+/// The binary reader: the [`ArtifactFormat::Binary`] arm of
+/// [`super::load_artifact_bytes`]. Verifies the body digest and every
+/// section digest, decodes every model and runs each model's own
+/// validation; fails with all of [`index_bytes`]'s framing errors, plus
 /// [`ExchangeError::DigestMismatch`], the payload decode failures, and
 /// model validation failures.
-pub fn load_artifact_bin(bytes: &[u8]) -> Result<Artifact> {
+pub(super) fn load_bin(bytes: &[u8]) -> Result<Artifact> {
     let index = index_from_bytes(bytes)?;
     let found = format!("{:016x}", fnv1a(&bytes[FILE_HEADER_LEN..]));
     if found != index.body_digest {
@@ -864,14 +839,4 @@ pub fn load_artifact_bin(bytes: &[u8]) -> Result<Artifact> {
         provenance,
         models,
     })
-}
-
-/// Loads a binary container from a file (see [`load_artifact_bin`]).
-///
-/// # Errors
-///
-/// [`load_artifact_bin`] failures plus [`ExchangeError::Io`].
-pub fn load_artifact_bin_from_path(path: impl AsRef<Path>) -> Result<Artifact> {
-    let path = path.as_ref();
-    load_artifact_bin(&std::fs::read(path).map_err(io_error(path))?)
 }

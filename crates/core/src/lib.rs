@@ -71,18 +71,15 @@ pub mod validate;
 
 pub use driver::PwRbfDriverModel;
 pub use evalrt::{compile, CompiledModel, DriverLanes, EvalScratch, LaneStim, ReceiverLanes};
-pub use exchange::binary::{
-    load_artifact_bin, load_artifact_bin_from_path, save_artifact_bin, save_artifact_bin_to_path,
-};
 pub use exchange::{
-    artifact_digest, content_digest, load_artifact, load_artifact_auto_from_path,
-    load_artifact_bytes, load_artifact_from_path, load_model, load_model_from_path, save_artifact,
-    save_artifact_to_path, save_model, save_model_to_path, AnyModel, Artifact, Provenance,
+    artifact_digest, content_digest, load_artifact_bytes, load_artifact_from_path,
+    save_artifact_as, save_artifact_bytes, save_artifact_to_path, save_model_to_path, AnyModel,
+    Artifact, ArtifactFormat, Provenance,
 };
 pub use lint::{lint_artifact, lint_model, lint_model_full, LintConfig, LintReport, Severity};
 pub use macromodel::{Macromodel, ModelKind, PortStimulus, TestFixture};
 pub use modelstore::{
-    ArtifactFormat, EntryIndex, FileFingerprint, ModelStore, StoreEntry, StoreFailure, StoreRefresh,
+    EntryIndex, FileFingerprint, ModelStore, StoreEntry, StoreFailure, StoreRefresh,
 };
 pub use receiver::{CrModel, ReceiverModel};
 pub use session::{EstimatedModel, ExtractionSession};

@@ -46,9 +46,9 @@
 //! ```
 
 use crate::exchange::binary::{self, Probe};
+pub use crate::exchange::ArtifactFormat;
 use crate::exchange::{
-    content_digest, load_artifact_auto_from_path, load_artifact_bytes, AnyModel, Artifact,
-    ExchangeError,
+    content_digest, load_artifact_bytes, load_artifact_from_path, AnyModel, Artifact, ExchangeError,
 };
 use crate::macromodel::{Macromodel, ModelKind};
 use crate::{Error, Result};
@@ -91,24 +91,6 @@ impl FileFingerprint {
         Ok(FileFingerprint {
             len: meta.len(),
             mtime: meta.modified().ok(),
-        })
-    }
-}
-
-/// On-disk representation of a store entry, decided by its leading bytes.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ArtifactFormat {
-    /// Line-oriented `mdlx` text (conventionally `.mdlx`).
-    Text,
-    /// The length-framed binary container (conventionally `.mdlxb`).
-    Binary,
-}
-
-impl std::fmt::Display for ArtifactFormat {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(match self {
-            ArtifactFormat::Text => "text",
-            ArtifactFormat::Binary => "binary",
         })
     }
 }
@@ -273,7 +255,7 @@ impl StoreEntry {
     /// The file's load failure, replayed on every access.
     pub fn artifact(&self) -> Result<&Artifact> {
         self.slot
-            .get_or_init(|| load_artifact_auto_from_path(&self.path))
+            .get_or_init(|| load_artifact_from_path(&self.path))
             .as_ref()
             .map_err(Error::clone)
     }
@@ -529,7 +511,7 @@ fn scan_dir(dir: &Path, depth: usize, out: &mut Vec<PathBuf>, failures: &mut Vec
 mod tests {
     use super::*;
     use crate::driver::{PwRbfDriverModel, WeightSequence};
-    use crate::exchange::{save_artifact_to_path, save_model_to_path, Provenance};
+    use crate::exchange::{save_artifact_as, save_artifact_bytes, Provenance};
     use crate::receiver::CrModel;
     use numkit::interp::Pwl;
     use sysid::narx::{NarxModel, NarxOrders};
@@ -554,6 +536,11 @@ mod tests {
         })
     }
 
+    /// Saves one model as a v1 artifact in `format`.
+    fn save_one(model: AnyModel, format: ArtifactFormat, path: PathBuf) {
+        save_artifact_as(&Artifact::single(model), format, path).unwrap();
+    }
+
     fn dummy_cr(name: &str) -> AnyModel {
         AnyModel::Cr(
             CrModel::new(
@@ -571,13 +558,22 @@ mod tests {
         let dir = std::env::temp_dir().join(format!("mdlx_store_{tag}_{}", std::process::id()));
         std::fs::remove_dir_all(&dir).ok();
         std::fs::create_dir_all(dir.join("sub")).unwrap();
-        save_model_to_path(&dummy_driver("drv_a"), dir.join("a.mdlx")).unwrap();
-        save_model_to_path(&dummy_cr("cr_b"), dir.join("sub/b.mdlx")).unwrap();
-        save_artifact_to_path(
+        save_one(
+            dummy_driver("drv_a"),
+            ArtifactFormat::Text,
+            dir.join("a.mdlx"),
+        );
+        save_one(
+            dummy_cr("cr_b"),
+            ArtifactFormat::Text,
+            dir.join("sub/b.mdlx"),
+        );
+        save_artifact_as(
             &Artifact::bundle(
                 vec![dummy_driver("drv_c"), dummy_driver("drv_d")],
                 Some(Provenance::new("feedc0de".to_string())),
             ),
+            ArtifactFormat::Text,
             dir.join("c-bundle.mdlx"),
         )
         .unwrap();
@@ -659,8 +655,12 @@ mod tests {
         let dir = std::env::temp_dir().join(format!("mdlx_store_refresh_{}", std::process::id()));
         std::fs::remove_dir_all(&dir).ok();
         std::fs::create_dir_all(&dir).unwrap();
-        save_model_to_path(&dummy_driver("drv_a"), dir.join("a.mdlx")).unwrap();
-        save_model_to_path(&dummy_cr("cr_b"), dir.join("b.mdlx")).unwrap();
+        save_one(
+            dummy_driver("drv_a"),
+            ArtifactFormat::Text,
+            dir.join("a.mdlx"),
+        );
+        save_one(dummy_cr("cr_b"), ArtifactFormat::Text, dir.join("b.mdlx"));
 
         let mut store = ModelStore::open(&dir).unwrap();
         store.load_all();
@@ -673,8 +673,16 @@ mod tests {
         // One added, one rewritten (a longer model name changes the byte
         // length, so the fingerprint flips even within mtime granularity),
         // one removed.
-        save_model_to_path(&dummy_driver("drv_c"), dir.join("c.mdlx")).unwrap();
-        save_model_to_path(&dummy_driver("drv_a_regrown"), dir.join("a.mdlx")).unwrap();
+        save_one(
+            dummy_driver("drv_c"),
+            ArtifactFormat::Text,
+            dir.join("c.mdlx"),
+        );
+        save_one(
+            dummy_driver("drv_a_regrown"),
+            ArtifactFormat::Text,
+            dir.join("a.mdlx"),
+        );
         std::fs::remove_file(dir.join("b.mdlx")).unwrap();
 
         let outcome = store.refresh();
@@ -694,24 +702,33 @@ mod tests {
     /// Builds a mixed tree: one text v1, one binary v1, one binary v2
     /// bundle (nested), and one corrupt binary file.
     fn build_mixed_store(tag: &str) -> PathBuf {
-        use crate::exchange::binary::save_artifact_bin_to_path;
         let dir = std::env::temp_dir().join(format!("mdlxb_store_{tag}_{}", std::process::id()));
         std::fs::remove_dir_all(&dir).ok();
         std::fs::create_dir_all(dir.join("sub")).unwrap();
-        save_model_to_path(&dummy_driver("drv_text"), dir.join("a.mdlx")).unwrap();
-        save_artifact_bin_to_path(&Artifact::single(dummy_cr("cr_bin")), dir.join("b.mdlxb"))
-            .unwrap();
-        save_artifact_bin_to_path(
+        save_one(
+            dummy_driver("drv_text"),
+            ArtifactFormat::Text,
+            dir.join("a.mdlx"),
+        );
+        save_one(
+            dummy_cr("cr_bin"),
+            ArtifactFormat::Binary,
+            dir.join("b.mdlxb"),
+        );
+        save_artifact_as(
             &Artifact::bundle(
                 vec![dummy_driver("drv_bin_c"), dummy_driver("drv_bin_d")],
                 Some(Provenance::new("feedc0de".to_string())),
             ),
+            ArtifactFormat::Binary,
             dir.join("sub/c.mdlxb"),
         )
         .unwrap();
-        let mut corrupt =
-            crate::exchange::binary::save_artifact_bin(&Artifact::single(dummy_cr("cr_bad")))
-                .unwrap();
+        let mut corrupt = save_artifact_bytes(
+            &Artifact::single(dummy_cr("cr_bad")),
+            ArtifactFormat::Binary,
+        )
+        .unwrap();
         let last = corrupt.len() - 1;
         corrupt[last] ^= 0xff;
         std::fs::write(dir.join("broken.mdlxb"), corrupt).unwrap();
@@ -812,13 +829,16 @@ mod tests {
 
     #[test]
     fn mislabeled_containers_index_as_their_bytes() {
-        use crate::exchange::binary::save_artifact_bin_to_path;
         let dir = std::env::temp_dir().join(format!("mdlx_store_labels_{}", std::process::id()));
         std::fs::remove_dir_all(&dir).ok();
         std::fs::create_dir_all(&dir).unwrap();
         // Text under the binary extension, binary under the text one.
-        save_model_to_path(&dummy_driver("drv_m"), dir.join("m.mdlxb")).unwrap();
-        save_artifact_bin_to_path(&Artifact::single(dummy_cr("cr_n")), dir.join("n.mdlx")).unwrap();
+        save_one(
+            dummy_driver("drv_m"),
+            ArtifactFormat::Text,
+            dir.join("m.mdlxb"),
+        );
+        save_one(dummy_cr("cr_n"), ArtifactFormat::Binary, dir.join("n.mdlx"));
         let store = ModelStore::open(&dir).unwrap();
         assert!(store.get("drv_m").is_some());
         assert!(store.get("cr_n").is_some());

@@ -8,6 +8,7 @@
 //! before any capture runs:
 //!
 //! ```no_run
+//! use macromodel::exchange::{save_artifact_as, ArtifactFormat};
 //! use macromodel::pipeline::DriverEstimationConfig;
 //! use macromodel::{ExtractionSession, PortStimulus, TestFixture};
 //!
@@ -26,7 +27,7 @@
 //!     None,
 //! )?;
 //! println!("rms {} V", check.metrics.rms_error);
-//! estimated.save("md1.mdlx")?;
+//! save_artifact_as(&estimated.to_artifact(), ArtifactFormat::Text, "md1.mdlx")?;
 //!
 //! // A fit-only change (here the OLS stop) reuses the captures.
 //! let mut rbf = cfg.rbf;
@@ -49,9 +50,7 @@
 //! circuit once and warm-start each point from the previous solution, and
 //! each transient holds a single factorization workspace for its whole run.
 
-use crate::exchange::{
-    config_digest, save_artifact_to_path, save_model_to_path, AnyModel, Artifact, Provenance,
-};
+use crate::exchange::{config_digest, AnyModel, Artifact, Provenance};
 use crate::macromodel::{Macromodel, PortStimulus, TestFixture};
 use crate::pipeline::{
     check_driver_config, check_receiver_config, fit_cr_from_captures, fit_driver_from_captures,
@@ -63,7 +62,6 @@ use crate::validate::{validate_macromodel, DriverValidation, ReferencePort};
 use crate::{Error, Result};
 use refdev::ibis::IbisExtractConfig;
 use refdev::{CmosDriverSpec, IbisModel, ReceiverSpec};
-use std::path::Path;
 
 /// Entry point of the builder API: picks the estimation target.
 pub struct ExtractionSession;
@@ -158,15 +156,6 @@ impl EstimatedModel {
         self.model.summary()
     }
 
-    /// Saves the artifact to a `.mdlx` file in the v1 single-model format.
-    ///
-    /// # Errors
-    ///
-    /// See [`save_model_to_path`].
-    pub fn save(&self, path: impl AsRef<Path>) -> Result<()> {
-        save_model_to_path(&self.model, path)
-    }
-
     /// Provenance of the estimation run: extraction-config digest, tool
     /// version, device and kind parameters.
     pub fn provenance(&self) -> &Provenance {
@@ -174,18 +163,11 @@ impl EstimatedModel {
     }
 
     /// Wraps the model into a v2 single-model bundle carrying the session's
-    /// provenance.
+    /// provenance, ready for [`crate::exchange::save_artifact_as`]
+    /// ([`Artifact::single`] of [`EstimatedModel::into_model`] saves the
+    /// bare `mdlx 1` form).
     pub fn to_artifact(&self) -> Artifact {
         Artifact::bundle(vec![self.model.clone()], Some(self.provenance.clone()))
-    }
-
-    /// Saves the artifact as a provenance-stamped `mdlx 2` bundle.
-    ///
-    /// # Errors
-    ///
-    /// See [`crate::exchange::save_artifact_to_path`].
-    pub fn save_v2(&self, path: impl AsRef<Path>) -> Result<()> {
-        save_artifact_to_path(&self.to_artifact(), path)
     }
 
     /// Runs the transistor-level reference and the estimated model against
@@ -513,8 +495,15 @@ mod tests {
         let mut session = ExtractionSession::for_driver(refdev::md1()).config(fast_cfg());
         let est = session.run().unwrap();
         // Exchange text round-trips.
-        let text = crate::exchange::save_model(est.model()).unwrap();
-        let loaded = crate::exchange::load_model(&text).unwrap();
+        let text = crate::exchange::save_artifact_bytes(
+            &est.to_artifact(),
+            crate::exchange::ArtifactFormat::Text,
+        )
+        .unwrap();
+        let loaded = crate::exchange::load_artifact_bytes(&text)
+            .unwrap()
+            .into_single()
+            .unwrap();
         assert_eq!(loaded.name(), est.as_dyn().name());
         // Reference validation runs end-to-end on a resistive fixture.
         let run = est

@@ -14,7 +14,7 @@ use std::sync::Arc;
 use macromodel::driver::{PwRbfDriverModel, WeightSequence};
 use macromodel::evalrt::{settle_narx, DriverLanes, LaneStim, ReceiverLanes};
 use macromodel::receiver::ReceiverModel;
-use macromodel::{load_model_from_path, AnyModel};
+use macromodel::{load_artifact_from_path, AnyModel};
 use numkit::rng::SplitMix64;
 use sysid::arx::{ArxModel, ArxOrders};
 use sysid::narx::{NarxModel, NarxOrders};
@@ -36,7 +36,9 @@ fn fixture(name: &str) -> AnyModel {
     let path = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
         .join("tests/data")
         .join(name);
-    load_model_from_path(&path).expect("committed golden artifact loads")
+    load_artifact_from_path(&path)
+        .and_then(|a| a.into_single())
+        .expect("committed golden artifact loads")
 }
 
 fn fixture_driver() -> PwRbfDriverModel {

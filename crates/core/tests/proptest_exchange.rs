@@ -12,15 +12,13 @@
 //! (bad magic, flipped digest byte, truncated section).
 //!
 //! The committed golden artifacts under `tests/data/` pin the on-disk
-//! layout itself, and a seeded mutation corpus over them drives both
-//! loaders past the digest checks into the payload decoders.
+//! layout itself, and a seeded mutation corpus over them drives the
+//! loader past the digest checks into both payload decoders.
 
 use macromodel::driver::{PwRbfDriverModel, WeightSequence};
-use macromodel::exchange::binary::{
-    index_bytes, load_artifact_bin, save_artifact_bin, BinSection, FILE_HEADER_LEN, MAGIC,
-};
+use macromodel::exchange::binary::{index_bytes, BinSection, FILE_HEADER_LEN, MAGIC};
 use macromodel::exchange::{
-    content_digest, load_artifact, load_artifact_bytes, save_artifact, AnyModel, Artifact,
+    content_digest, load_artifact_bytes, save_artifact_bytes, AnyModel, Artifact, ArtifactFormat,
     ExchangeError, Provenance,
 };
 use macromodel::receiver::{CrModel, ReceiverModel};
@@ -32,6 +30,16 @@ use refdev::IbisModel;
 use sysid::arx::{ArxModel, ArxOrders};
 use sysid::narx::{NarxModel, NarxOrders};
 use sysid::rbf::RbfNetwork;
+
+/// The text container of an artifact.
+fn text_of(artifact: &Artifact) -> String {
+    String::from_utf8(save_artifact_bytes(artifact, ArtifactFormat::Text).unwrap()).unwrap()
+}
+
+/// The binary container of an artifact.
+fn bin_of(artifact: &Artifact) -> Vec<u8> {
+    save_artifact_bytes(artifact, ArtifactFormat::Binary).unwrap()
+}
 
 /// A uniform index in `[0, n)`, drawn through `next_f64`.
 fn index(s: &mut SplitMix64, n: usize) -> usize {
@@ -147,23 +155,12 @@ fn any_model(s: &mut SplitMix64, name: &str) -> AnyModel {
 
 /// text → binary → text and binary → binary, both byte-exact.
 fn assert_byte_exact_roundtrip(artifact: &Artifact) {
-    let text = save_artifact(artifact).unwrap();
-    let reparsed = load_artifact(&text).unwrap();
-    let bin = save_artifact_bin(&reparsed).unwrap();
-    let back = load_artifact_bin(&bin).unwrap();
-    assert_eq!(
-        save_artifact(&back).unwrap(),
-        text,
-        "text->bin->text drifted"
-    );
-    assert_eq!(
-        save_artifact_bin(&back).unwrap(),
-        bin,
-        "bin re-save drifted"
-    );
-    // The magic-dispatching loader agrees with both dedicated loaders.
-    let auto = load_artifact_bytes(&bin).unwrap();
-    assert_eq!(save_artifact(&auto).unwrap(), text);
+    let text = text_of(artifact);
+    let reparsed = load_artifact_bytes(text.as_bytes()).unwrap();
+    let bin = bin_of(&reparsed);
+    let back = load_artifact_bytes(&bin).unwrap();
+    assert_eq!(text_of(&back), text, "text->bin->text drifted");
+    assert_eq!(bin_of(&back), bin, "bin re-save drifted");
 }
 
 proptest! {
@@ -211,8 +208,7 @@ proptest! {
     ) {
         let mut s = SplitMix64::new(seed);
         let artifact = Artifact::single(any_model(&mut s, "victim"));
-        let bin = save_artifact_bin(&load_artifact(&save_artifact(&artifact).unwrap()).unwrap())
-            .unwrap();
+        let bin = bin_of(&load_artifact_bytes(text_of(&artifact).as_bytes()).unwrap());
         // Pick a byte strictly inside a section payload, so framing stays
         // intact and the digest check is the only guard left. XOR with a
         // nonzero mask always changes the byte.
@@ -221,7 +217,7 @@ proptest! {
         let offset = sec.payload_offset + flip_pos % sec.payload_len.max(1);
         let mut corrupt = bin.clone();
         corrupt[offset] ^= 1u8 << (flip_bit % 8);
-        match load_artifact_bin(&corrupt) {
+        match load_artifact_bytes(&corrupt) {
             Err(Error::Exchange(ExchangeError::DigestMismatch { .. })) => {}
             other => prop_assert!(false, "expected DigestMismatch, got {other:?}"),
         }
@@ -234,8 +230,7 @@ proptest! {
     fn truncation_is_typed(seed in any::<u64>(), cut in any::<usize>()) {
         let mut s = SplitMix64::new(seed);
         let artifact = Artifact::single(any_model(&mut s, "victim"));
-        let bin = save_artifact_bin(&load_artifact(&save_artifact(&artifact).unwrap()).unwrap())
-            .unwrap();
+        let bin = bin_of(&load_artifact_bytes(text_of(&artifact).as_bytes()).unwrap());
         let len = MAGIC.len() + cut % (bin.len() - MAGIC.len() - 1);
         match load_artifact_bytes(&bin[..len]) {
             Err(Error::Exchange(ExchangeError::Truncated { .. })) => {}
@@ -257,15 +252,15 @@ fn fixture_bytes() -> Vec<u8> {
             params: vec![],
         }),
     );
-    save_artifact_bin(&artifact).unwrap()
+    bin_of(&artifact)
 }
 
 #[test]
 fn fixture_bad_magic_is_typed() {
     let mut bytes = fixture_bytes();
     bytes[0] = b'X';
-    // The dedicated binary loader names the defect precisely.
-    match load_artifact_bin(&bytes) {
+    // The binary framing reader names the defect precisely.
+    match index_bytes(&bytes) {
         Err(Error::Exchange(ExchangeError::BadMagic { found })) => {
             assert!(
                 found.starts_with("58"),
@@ -274,7 +269,7 @@ fn fixture_bad_magic_is_typed() {
         }
         other => panic!("expected BadMagic, got {other:?}"),
     }
-    // The magic-dispatching loader falls back to the text path, where the
+    // The loader, seeing no magic, takes the text path, where the
     // (non-UTF-8) payload bytes are diagnosed as corrupt — also typed.
     match load_artifact_bytes(&bytes) {
         Err(Error::Exchange(ExchangeError::Corrupt { .. })) => {}
@@ -296,7 +291,7 @@ fn fixture_flipped_digest_byte_is_typed() {
     let digest_field = model_section.payload_offset - model_section.name.len() - 8;
     let mut corrupt = bytes.clone();
     corrupt[digest_field] ^= 0xff;
-    match load_artifact_bin(&corrupt) {
+    match load_artifact_bytes(&corrupt) {
         Err(Error::Exchange(ExchangeError::DigestMismatch {
             section,
             expected,
@@ -350,12 +345,12 @@ fn golden_fixtures_resave_byte_identically() {
             let artifact = load_artifact_bytes(bytes)
                 .unwrap_or_else(|e| panic!("{stem} ({encoding}) failed to load: {e}"));
             assert_eq!(
-                save_artifact(&artifact).unwrap().as_bytes(),
+                text_of(&artifact).as_bytes(),
                 &text[..],
                 "{stem} ({encoding}) re-saved as text"
             );
             assert_eq!(
-                save_artifact_bin(&artifact).unwrap(),
+                bin_of(&artifact),
                 bin,
                 "{stem} ({encoding}) re-saved as binary"
             );
@@ -491,7 +486,7 @@ fn resealed_count_overflow_reaches_the_payload_decoder() {
     let mut m = bin.clone();
     m[at..at + 4].copy_from_slice(&((1u32 << 20) + 1).to_le_bytes());
     reseal(&mut m, &sections);
-    match load_artifact_bin(&m) {
+    match load_artifact_bytes(&m) {
         Err(Error::Exchange(ExchangeError::Corrupt { offset, message })) => {
             assert_eq!(offset, at);
             assert!(message.contains("iv_x"), "{message}");

@@ -1,7 +1,8 @@
 //! The model-artifact lifecycle: extract a macromodel through a builder
-//! session, save it as a versioned `.mdlx` file, load it back, and drive a
-//! validation fixture from the loaded artifact alone — the "portable
-//! behavioral model" workflow the paper is about.
+//! session, save it as a versioned `.mdlx` text file and a `.mdlxb` binary
+//! copy, load both back, and drive a validation fixture from the loaded
+//! artifact alone — the "portable behavioral model" workflow the paper is
+//! about.
 //!
 //! Run with: `cargo run --release --example model_exchange`
 
@@ -18,15 +19,28 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let estimated = session.run()?;
     println!("estimated: {}", estimated.summary());
 
-    // 2. Ship it: a self-contained, versioned text artifact.
+    // 2. Ship it: a self-contained, versioned artifact, as auditable text
+    //    and as the binary container a large library indexes without
+    //    parsing.
+    let artifact = Artifact::single(estimated.model().clone());
     let path = std::env::temp_dir().join("md1-pwrbf.mdlx");
-    estimated.save(&path)?;
-    println!("saved to {}", path.display());
+    let bin_path = path.with_extension("mdlxb");
+    save_artifact_as(&artifact, ArtifactFormat::Text, &path)?;
+    save_artifact_as(&artifact, ArtifactFormat::Binary, &bin_path)?;
+    println!("saved to {} and {}", path.display(), bin_path.display());
 
     // 3. A downstream consumer loads the artifact — no reference device,
-    //    no re-estimation — and uses it through the unified trait.
-    let loaded = load_model_from_path(&path)?;
-    println!("loaded:    {}", loaded.summary());
+    //    no re-estimation — and uses it through the unified trait. The
+    //    loader decides the container from the leading bytes, so the
+    //    binary copy loads to the same model, bit for bit.
+    let loaded = load_artifact_from_path(&path)?.into_single()?;
+    let from_bin = load_artifact_from_path(&bin_path)?;
+    assert_eq!(
+        save_artifact_bytes(&from_bin, ArtifactFormat::Text)?,
+        std::fs::read(&path)?,
+        "the binary copy loads to the text artifact's model"
+    );
+    println!("loaded:    {} (binary copy identical)", loaded.summary());
     for (k, v) in loaded.metadata() {
         println!("  {k:<16} {v}");
     }
@@ -56,5 +70,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         check.metrics.rms_error, check.metrics.timing_error
     );
     std::fs::remove_file(&path).ok();
+    std::fs::remove_file(&bin_path).ok();
     Ok(())
 }

@@ -19,7 +19,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let mut driver = ExtractionSession::for_driver(md1())
         .excitation(24, 16, 6)
         .windows(1.5e-9, 3e-9);
-    driver.run()?.save(dir.join("md1-pwrbf.mdlx"))?;
+    let pwrbf = Artifact::single(driver.run()?.into_model());
+    save_artifact_as(&pwrbf, ArtifactFormat::Text, dir.join("md1-pwrbf.mdlx"))?;
 
     let mut ibis = ExtractionSession::for_ibis(md1())
         .iv_points(21)
@@ -32,8 +33,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         .into_iter()
         .map(|c| base.with_corner(c).map(AnyModel::Ibis))
         .collect::<Result<_, _>>()?;
-    save_artifact_to_path(
+    save_artifact_as(
         &Artifact::bundle(corners, Some(est.provenance().clone())),
+        ArtifactFormat::Text,
         dir.join("md1-ibis-corners.mdlx"),
     )?;
 

@@ -54,8 +54,8 @@ pub mod prelude {
     };
     pub use circuit::{Circuit, TranParams, Waveform, GROUND};
     pub use macromodel::exchange::{
-        load_artifact, load_artifact_from_path, load_model, load_model_from_path, save_artifact,
-        save_artifact_to_path, save_model, save_model_to_path, Artifact, Provenance,
+        load_artifact_bytes, load_artifact_from_path, save_artifact_as, save_artifact_bytes,
+        Artifact, ArtifactFormat, Provenance,
     };
     pub use macromodel::modelstore::ModelStore;
     pub use macromodel::pipeline::{DriverEstimationConfig, ReceiverEstimationConfig};

@@ -7,7 +7,9 @@ use circuit::devices::Resistor;
 use circuit::mna::EvalCtx;
 use circuit::{Circuit, Device, Node, PatternBuilder, StampWorkspace, GROUND};
 use macromodel::driver::{PwRbfDriverModel, WeightSequence};
-use macromodel::exchange::{load_artifact_from_path, save_artifact_to_path, AnyModel, Artifact};
+use macromodel::exchange::{
+    load_artifact_from_path, save_artifact_as, AnyModel, Artifact, ArtifactFormat,
+};
 use macromodel::pipeline::DriverEstimationConfig;
 use macromodel::receiver::ReceiverModel;
 use macromodel::{lint_artifact, ExtractionSession, Severity};
@@ -28,7 +30,7 @@ fn scratch_dir(tag: &str) -> PathBuf {
 /// Saves, reloads, and lints an artifact — the exact pipeline `mdl lint`
 /// runs on a file.
 fn roundtrip_codes(path: &Path, artifact: &Artifact) -> Vec<String> {
-    save_artifact_to_path(artifact, path).unwrap();
+    save_artifact_as(artifact, ArtifactFormat::Text, path).unwrap();
     let loaded = load_artifact_from_path(path).unwrap();
     lint_artifact(&loaded)
         .diagnostics
@@ -56,16 +58,14 @@ fn extracted_models_lint_clean_after_roundtrip() {
     };
     let mut driver = ExtractionSession::for_driver(refdev::md1()).config(cfg);
     let est = driver.run().unwrap();
-    est.save(dir.join("drv.mdlx")).unwrap();
+    let drv = Artifact::single(est.into_model());
+    save_artifact_as(&drv, ArtifactFormat::Text, dir.join("drv.mdlx")).unwrap();
 
     let mut receiver = ExtractionSession::for_receiver(refdev::md4())
         .orders(3, 2, 3)
         .excitation(24, 16, 6);
-    receiver
-        .run()
-        .unwrap()
-        .save_v2(dir.join("rx.mdlx"))
-        .unwrap();
+    let rx = receiver.run().unwrap().to_artifact();
+    save_artifact_as(&rx, ArtifactFormat::Text, dir.join("rx.mdlx")).unwrap();
 
     for file in ["drv.mdlx", "rx.mdlx"] {
         let artifact = load_artifact_from_path(dir.join(file)).unwrap();

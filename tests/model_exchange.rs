@@ -2,12 +2,33 @@
 //! round-trips through the versioned exchange format, and the loaded
 //! artifact reproduces the in-memory model's validation waveform exactly.
 
-use macromodel::exchange::{load_model, save_model, AnyModel};
+use macromodel::exchange::{
+    load_artifact_bytes, save_artifact_bytes, AnyModel, Artifact, ArtifactFormat, Provenance,
+};
 use macromodel::pipeline::DriverEstimationConfig;
 use macromodel::{ExtractionSession, Macromodel, PortStimulus, TestFixture};
 use refdev::ibis::IbisExtractConfig;
 use refdev::IbisModel;
 use sysid::narx::RbfTrainConfig;
+
+/// The text container of an artifact.
+fn artifact_text(artifact: &Artifact) -> macromodel::Result<String> {
+    let bytes = save_artifact_bytes(artifact, ArtifactFormat::Text)?;
+    Ok(String::from_utf8(bytes).expect("the text container is UTF-8"))
+}
+
+/// The v1 text of one model.
+fn model_text(model: &AnyModel) -> macromodel::Result<String> {
+    artifact_text(&Artifact::single(model.clone()))
+}
+
+fn parse_artifact(text: &str) -> macromodel::Result<Artifact> {
+    load_artifact_bytes(text.as_bytes())
+}
+
+fn parse_model(text: &str) -> macromodel::Result<AnyModel> {
+    parse_artifact(text)?.into_single()
+}
 
 fn fast_cfg() -> DriverEstimationConfig {
     DriverEstimationConfig {
@@ -28,9 +49,9 @@ fn fast_cfg() -> DriverEstimationConfig {
 /// Saves, loads, re-saves; asserts byte identity and returns the loaded
 /// model.
 fn round_trip(model: &AnyModel) -> AnyModel {
-    let text = save_model(model).expect("save");
-    let loaded = load_model(&text).expect("load");
-    let re_saved = save_model(&loaded).expect("re-save");
+    let text = model_text(model).expect("save");
+    let loaded = parse_model(&text).expect("load");
+    let re_saved = model_text(&loaded).expect("re-save");
     assert_eq!(
         text,
         re_saved,
@@ -150,29 +171,28 @@ fn estimated_receiver_and_cr_round_trip_and_replay() {
 /// editors) still loads and replays exactly.
 #[test]
 fn v1_compatibility_and_crlf_normalization_on_estimated_artifacts() {
-    use macromodel::exchange::{load_artifact, save_artifact, Artifact, Provenance};
     let mut session = ExtractionSession::for_driver(refdev::md1()).config(fast_cfg());
     let est = session.run().expect("estimation");
     let model = est.model().clone();
-    let v1_text = save_model(&model).expect("save v1");
+    let v1_text = model_text(&model).expect("save v1");
 
     // v1 byte stream reads unchanged through the v2-aware artifact path.
-    let artifact = load_artifact(&v1_text).expect("v1 via load_artifact");
+    let artifact = parse_artifact(&v1_text).expect("v1 via the artifact loader");
     assert_eq!(artifact.version, 1);
-    assert_eq!(save_artifact(&artifact).expect("re-save"), v1_text);
+    assert_eq!(artifact_text(&artifact).expect("re-save"), v1_text);
 
     // The same model in a v2 bundle replays the validation waveform.
     let bundle = Artifact::bundle(
         vec![model.clone()],
         Some(Provenance::new("cafe".to_string()).with_param("device", "md1")),
     );
-    let v2_text = save_artifact(&bundle).expect("save v2");
-    let from_v2 = load_model(&v2_text).expect("single-model v2 via load_model");
+    let v2_text = artifact_text(&bundle).expect("save v2");
+    let from_v2 = parse_model(&v2_text).expect("single-model v2 unwraps");
 
     // CRLF + trailing blank line on the v1 stream.
     let mangled = format!("{}\r\n", v1_text.replace('\n', "\r\n"));
-    let from_crlf = load_model(&mangled).expect("CRLF artifact loads");
-    assert_eq!(save_model(&from_crlf).expect("re-save"), v1_text);
+    let from_crlf = parse_model(&mangled).expect("CRLF artifact loads");
+    assert_eq!(model_text(&from_crlf).expect("re-save"), v1_text);
 
     let fixture = TestFixture::resistive(50.0);
     let stim = PortStimulus::new("010", 4e-9);

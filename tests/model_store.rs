@@ -5,7 +5,7 @@
 //! fleet CI gate, in test form).
 
 use emc_bench::serve::{standard_scenarios, sweep_store, validate_store};
-use macromodel::exchange::{save_artifact_to_path, AnyModel, Artifact};
+use macromodel::exchange::{save_artifact_as, AnyModel, Artifact, ArtifactFormat};
 use macromodel::json::{self, Value};
 use macromodel::pipeline::DriverEstimationConfig;
 use macromodel::{ExtractionSession, ModelKind, ModelStore};
@@ -38,26 +38,20 @@ fn build_fleet_store() -> PathBuf {
     std::fs::create_dir_all(&dir).unwrap();
 
     let mut driver = ExtractionSession::for_driver(refdev::md1()).config(fast_driver_cfg());
-    driver
-        .run()
-        .unwrap()
-        .save(dir.join("md1-pwrbf.mdlx"))
-        .unwrap();
+    let pwrbf = Artifact::single(driver.run().unwrap().into_model());
+    save_artifact_as(&pwrbf, ArtifactFormat::Text, dir.join("md1-pwrbf.mdlx")).unwrap();
 
     let mut receiver = ExtractionSession::for_receiver(refdev::md4())
         .orders(3, 2, 3)
         .excitation(24, 16, 6);
-    receiver
-        .run()
-        .unwrap()
-        .save_v2(dir.join("md4-receiver.mdlx"))
-        .unwrap();
+    let rx = receiver.run().unwrap().to_artifact();
+    save_artifact_as(&rx, ArtifactFormat::Text, dir.join("md4-receiver.mdlx")).unwrap();
 
-    ExtractionSession::for_cr_baseline(refdev::md4())
+    let cr = ExtractionSession::for_cr_baseline(refdev::md4())
         .run()
-        .unwrap()
-        .save(dir.join("md4-cr.mdlx"))
         .unwrap();
+    let cr = Artifact::single(cr.into_model());
+    save_artifact_as(&cr, ArtifactFormat::Text, dir.join("md4-cr.mdlx")).unwrap();
 
     let mut ibis = ExtractionSession::for_ibis(refdev::md1())
         .iv_points(21)
@@ -70,8 +64,9 @@ fn build_fleet_store() -> PathBuf {
         .into_iter()
         .map(|c| AnyModel::Ibis(base.with_corner(c).unwrap()))
         .collect();
-    save_artifact_to_path(
+    save_artifact_as(
         &Artifact::bundle(corners, Some(est.provenance().clone())),
+        ArtifactFormat::Text,
         dir.join("md1-ibis-corners.mdlx"),
     )
     .unwrap();

@@ -5,7 +5,7 @@
 
 use macromodel::driver::{PwRbfDriverModel, WeightSequence};
 use macromodel::exchange::{
-    load_artifact, load_model, save_artifact, save_model, AnyModel, Artifact, ExchangeError,
+    load_artifact_bytes, save_artifact_bytes, AnyModel, Artifact, ArtifactFormat, ExchangeError,
     Provenance,
 };
 use macromodel::receiver::{CrModel, ReceiverModel};
@@ -15,6 +15,25 @@ use proptest::prelude::*;
 use sysid::arx::{ArxModel, ArxOrders};
 use sysid::narx::{NarxModel, NarxOrders};
 use sysid::rbf::RbfNetwork;
+
+/// The text container of an artifact.
+fn artifact_text(artifact: &Artifact) -> macromodel::Result<String> {
+    let bytes = save_artifact_bytes(artifact, ArtifactFormat::Text)?;
+    Ok(String::from_utf8(bytes).expect("the text container is UTF-8"))
+}
+
+/// The v1 text of one model.
+fn model_text(model: &AnyModel) -> macromodel::Result<String> {
+    artifact_text(&Artifact::single(model.clone()))
+}
+
+fn parse_artifact(text: &str) -> macromodel::Result<Artifact> {
+    load_artifact_bytes(text.as_bytes())
+}
+
+fn parse_model(text: &str) -> macromodel::Result<AnyModel> {
+    parse_artifact(text)?.into_single()
+}
 
 /// Deterministic synthetic NARX submodel from sampled scalars.
 fn synth_narx(order: usize, n_centers: usize, scale: f64, bias: f64) -> NarxModel {
@@ -85,9 +104,9 @@ fn synth_cr(n_pts: usize, c: f64, slope: f64) -> CrModel {
 }
 
 fn assert_byte_identical(model: AnyModel) {
-    let text = save_model(&model).unwrap();
-    let loaded = load_model(&text).unwrap();
-    let re_saved = save_model(&loaded).unwrap();
+    let text = model_text(&model).unwrap();
+    let loaded = parse_model(&text).unwrap();
+    let re_saved = model_text(&loaded).unwrap();
     assert_eq!(text, re_saved);
 }
 
@@ -128,11 +147,11 @@ proptest! {
         keep_frac in 0.0f64..1.0,
     ) {
         let model: AnyModel = synth_driver(n_win, 1, 2, 0.5, 0.2).into();
-        let text = save_model(&model).unwrap();
+        let text = model_text(&model).unwrap();
         let lines: Vec<&str> = text.lines().collect();
         let keep = ((lines.len() - 1) as f64 * keep_frac) as usize;
         let truncated = lines[..keep].join("\n");
-        let err = load_model(&truncated).unwrap_err();
+        let err = parse_model(&truncated).unwrap_err();
         prop_assert!(
             matches!(
                 err,
@@ -155,7 +174,7 @@ proptest! {
         use_inf in any::<bool>(),
     ) {
         let model: AnyModel = synth_driver(n_win, 1, 2, 0.5, 0.2).into();
-        let text = save_model(&model).unwrap();
+        let text = model_text(&model).unwrap();
         let lines: Vec<String> = text.lines().map(str::to_string).collect();
         // Pick a record carrying float payloads and poison its last token.
         let float_keys = ["bias", "linear", "center", "widths", "gweights", "wh", "wl", "ts", "vdd"];
@@ -178,7 +197,7 @@ proptest! {
         toks[last] = if use_inf { "inf".into() } else { "NaN".into() };
         poisoned[idx] = toks.join(" ");
         let corrupted = poisoned.join("\n") + "\n";
-        let err = load_model(&corrupted).unwrap_err();
+        let err = parse_model(&corrupted).unwrap_err();
         prop_assert!(
             matches!(err, Error::Exchange(ExchangeError::NonFinite { .. })),
             "line {}: unexpected error {:?}", idx + 1, err
@@ -191,16 +210,16 @@ proptest! {
     #[test]
     fn future_versions_rejected(version in 3u32..1000) {
         let model: AnyModel = synth_cr(3, 1e-12, 0.1).into();
-        let text = save_model(&model).unwrap();
+        let text = model_text(&model).unwrap();
         let bumped = text.replacen("mdlx 1 ", &format!("mdlx {version} "), 1);
-        let err = load_model(&bumped).unwrap_err();
+        let err = parse_model(&bumped).unwrap_err();
         prop_assert!(matches!(
             err,
             Error::Exchange(ExchangeError::UnsupportedVersion { .. })
         ));
         let v2 = text.replacen("mdlx 1 ", "mdlx 2 ", 1);
         prop_assert!(matches!(
-            load_model(&v2).unwrap_err(),
+            parse_model(&v2).unwrap_err(),
             Error::Exchange(ExchangeError::Syntax { line: 1, .. })
         ));
     }
@@ -230,18 +249,18 @@ proptest! {
             prov = prov.with_param(format!("key{k}"), format!("value {k} with spaces"));
         }
         let bundle = Artifact::bundle(models, Some(prov.clone()));
-        let text = save_artifact(&bundle).unwrap();
+        let text = artifact_text(&bundle).unwrap();
         prop_assert!(text.starts_with("mdlx 2 bundle\n"));
-        let loaded = load_artifact(&text).unwrap();
+        let loaded = parse_artifact(&text).unwrap();
         prop_assert_eq!(loaded.models.len(), n_models);
         prop_assert_eq!(loaded.provenance.as_ref(), Some(&prov));
-        prop_assert_eq!(save_artifact(&loaded).unwrap(), text);
+        prop_assert_eq!(artifact_text(&loaded).unwrap(), text);
 
         // v1 re-saved as v1.
-        let v1_text = save_model(&synth_cr(4, 1e-12, scale).into()).unwrap();
-        let v1_artifact = load_artifact(&v1_text).unwrap();
+        let v1_text = model_text(&synth_cr(4, 1e-12, scale).into()).unwrap();
+        let v1_artifact = parse_artifact(&v1_text).unwrap();
         prop_assert_eq!(v1_artifact.version, 1);
-        prop_assert_eq!(save_artifact(&v1_artifact).unwrap(), v1_text);
+        prop_assert_eq!(artifact_text(&v1_artifact).unwrap(), v1_text);
     }
 
     /// Truncating a v2 bundle anywhere — inside the provenance block, a
@@ -258,11 +277,11 @@ proptest! {
             models,
             Some(Provenance::new("feedc0defeedc0de").with_param("device", "prop")),
         );
-        let text = save_artifact(&bundle).unwrap();
+        let text = artifact_text(&bundle).unwrap();
         let lines: Vec<&str> = text.lines().collect();
         let keep = ((lines.len() - 1) as f64 * keep_frac) as usize;
         let truncated = lines[..keep].join("\n");
-        let err = load_artifact(&truncated).unwrap_err();
+        let err = parse_artifact(&truncated).unwrap_err();
         prop_assert!(
             matches!(
                 err,
@@ -285,12 +304,12 @@ proptest! {
         crlf in any::<bool>(),
     ) {
         let model: AnyModel = synth_driver(n_win, 1, 2, 0.5, 0.2).into();
-        let text = save_model(&model).unwrap();
+        let text = model_text(&model).unwrap();
         let mut mangled = if crlf { text.replace('\n', "\r\n") } else { text.clone() };
         for _ in 0..trailing_newlines {
             mangled.push_str(if crlf { "\r\n" } else { "\n" });
         }
-        let loaded = load_model(&mangled).unwrap();
-        prop_assert_eq!(save_model(&loaded).unwrap(), text);
+        let loaded = parse_model(&mangled).unwrap();
+        prop_assert_eq!(model_text(&loaded).unwrap(), text);
     }
 }
