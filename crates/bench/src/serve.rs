@@ -216,8 +216,11 @@ impl McWorkload {
     pub const MIN_TRIALS: u64 = 1;
 
     /// Most trials a Monte-Carlo request may ask for; the `mdl` CLI and the
-    /// daemon protocol both reject larger values, so one request cannot
-    /// occupy or exhaust the process.
+    /// daemon protocol both reject larger values. The bound caps the trial
+    /// count only: every trial keeps its probed waveform until the
+    /// workload returns, so a request at this bound and at
+    /// [`EyeWorkload::MAX_BITS`] still asks for hundreds of GB and hours of
+    /// CPU. No cost bound over trials × bits exists yet.
     pub const MAX_TRIALS: u64 = 1 << 12;
 
     /// The standard sweep: 8 trials (4 under `fast`) of a PRBS-7 stream

@@ -998,11 +998,7 @@ impl Codec for TextWriter {
 }
 
 /// The text serializer: the [`ArtifactFormat::Text`] arm of [`encode`].
-fn save_text(
-    version: u32,
-    provenance: Option<&Provenance>,
-    models: &[AnyModel],
-) -> ExResult<String> {
+fn save_text(version: u32, provenance: Option<&Provenance>, models: &[AnyModel]) -> Result<String> {
     let mut w = TextWriter::default();
     if version == FORMAT_VERSION {
         w.raw(&format!("mdlx {version} {}", models[0].kind().tag()));
@@ -1078,15 +1074,9 @@ fn encode(
     })
 }
 
-/// [`encode`] into the file at `path`.
-fn save_parts(
-    version: u32,
-    provenance: Option<&Provenance>,
-    models: &[AnyModel],
-    format: ArtifactFormat,
-    path: &Path,
-) -> Result<()> {
-    let bytes = encode(version, provenance, models, format)?;
+/// Writes encoded bytes to `path`; a failure is [`ExchangeError::Io`]
+/// naming the path.
+fn write_file(path: &Path, bytes: Vec<u8>) -> Result<()> {
     std::fs::write(path, bytes).map_err(io_error(path))?;
     Ok(())
 }
@@ -1126,13 +1116,7 @@ pub fn save_artifact_as(
     format: ArtifactFormat,
     path: impl AsRef<Path>,
 ) -> Result<()> {
-    save_parts(
-        artifact.version,
-        artifact.provenance.as_ref(),
-        &artifact.models,
-        format,
-        path.as_ref(),
-    )
+    write_file(path.as_ref(), save_artifact_bytes(artifact, format)?)
 }
 
 /// [`save_artifact_as`] in text. Kept for perfbench until ROADMAP item 4;
@@ -1153,12 +1137,10 @@ pub fn save_artifact_to_path(artifact: &Artifact, path: impl AsRef<Path>) -> Res
 ///
 /// See [`save_artifact_as`].
 pub fn save_model_to_path(model: &AnyModel, path: impl AsRef<Path>) -> Result<()> {
-    save_parts(
-        FORMAT_VERSION,
-        None,
-        std::slice::from_ref(model),
-        ArtifactFormat::Text,
+    let models = std::slice::from_ref(model);
+    write_file(
         path.as_ref(),
+        encode(FORMAT_VERSION, None, models, ArtifactFormat::Text)?,
     )
 }
 

@@ -100,7 +100,7 @@ const TAG_MODL: [u8; 4] = *b"MODL";
 /// `None` when the bytes are not a binary container (or are shorter than
 /// the header). The digest is *trusted* here; loading verifies it.
 pub fn embedded_digest(bytes: &[u8]) -> Option<String> {
-    if ArtifactFormat::of(bytes) != ArtifactFormat::Binary || bytes.len() < FILE_HEADER_LEN {
+    if ArtifactFormat::of(bytes) == ArtifactFormat::Text || bytes.len() < FILE_HEADER_LEN {
         return None;
     }
     let mut raw = [0u8; 8];
@@ -659,9 +659,8 @@ fn read_index<R: Read + Seek>(
 
 /// [`read_index`] over a container held in memory.
 fn index_from_bytes(bytes: &[u8]) -> ExResult<BinIndex> {
-    if bytes.len() < FILE_HEADER_LEN
-        && !bytes.is_empty()
-        && ArtifactFormat::of(bytes) != ArtifactFormat::Binary
+    if (1..FILE_HEADER_LEN).contains(&bytes.len())
+        && ArtifactFormat::of(bytes) == ArtifactFormat::Text
     {
         return Err(bad_magic(&bytes[..bytes.len().min(MAGIC.len())]));
     }
@@ -725,7 +724,7 @@ pub fn probe_path(path: impl AsRef<Path>, known_len: Option<u64>) -> Result<Prob
     // syscall while the target stays inside the buffer, so indexing a
     // small file costs an open and a single sub-KiB read.
     let mut src = std::io::BufReader::with_capacity(512, file);
-    if ArtifactFormat::of(src.fill_buf().map_err(io_error(path))?) != ArtifactFormat::Binary {
+    if ArtifactFormat::of(src.fill_buf().map_err(io_error(path))?) == ArtifactFormat::Text {
         let mut bytes = Vec::with_capacity(known_len.unwrap_or(0) as usize);
         src.read_to_end(&mut bytes).map_err(io_error(path))?;
         // A first read shorter than the magic does not decide the format.

@@ -3,8 +3,12 @@
 # to a .mdlx file, print its inventory, then `mdl validate` — which checks
 # the bit-exact re-save guarantee AND re-simulates the artifact against the
 # transistor-level reference, failing on round-trip or accuracy
-# regressions. Finally a simulate run proves a loaded artifact drives a
-# fixture end-to-end without re-estimation.
+# regressions. A simulate run proves a loaded artifact drives a fixture
+# end-to-end without re-estimation. Finally the container must not matter:
+# the artifact is converted to .mdlxb, and info, lint, validate and
+# simulate run on the binary file and on a copy of its bytes named .mdlx
+# (the loader decides by the leading bytes, not the name); simulate must
+# print the text file's CSV exactly.
 #
 # Usage: scripts/mdl-smoke.sh
 set -euo pipefail
@@ -21,9 +25,30 @@ mdl extract md1 --fast --out "$artifact"
 mdl info "$artifact"
 mdl validate "$artifact" --fast
 # A loaded artifact must drive the Fig.1 fixture purely from the file.
-lines="$(mdl simulate "$artifact" --fixture linecap --pattern 01 --t-stop 12e-9 | wc -l)"
+simulate=(simulate --fixture linecap --pattern 01 --t-stop 12e-9)
+mdl "${simulate[0]}" "$artifact" "${simulate[@]:1}" >"$workdir/text.csv"
+lines="$(wc -l <"$workdir/text.csv")"
 if [ "$lines" -lt 100 ]; then
     echo "simulate produced only $lines CSV lines" >&2
     exit 1
 fi
-echo "mdl artifact lifecycle smoke: ok ($lines waveform samples)"
+
+# The same artifact in the binary container, under its own extension and
+# under the text one.
+mdl convert "$artifact" "$workdir/md1-pwrbf.mdlxb"
+cp "$workdir/md1-pwrbf.mdlxb" "$workdir/binary-bytes.mdlx"
+for bin in "$workdir/md1-pwrbf.mdlxb" "$workdir/binary-bytes.mdlx"; do
+    info="$(mdl info "$bin")"
+    grep -q 'binary container' <<<"$info" || {
+        echo "info does not report $bin as a binary container" >&2
+        exit 1
+    }
+    mdl lint "$bin"
+    mdl validate "$bin" --fast
+    mdl "${simulate[0]}" "$bin" "${simulate[@]:1}" >"$workdir/bin.csv"
+    cmp "$workdir/text.csv" "$workdir/bin.csv" || {
+        echo "simulate on $bin differs from the text artifact" >&2
+        exit 1
+    }
+done
+echo "mdl artifact lifecycle smoke: ok ($lines waveform samples, both containers)"

@@ -1,9 +1,22 @@
 /* SIGPROF sampling profiler, loaded with LD_PRELOAD by
- * scripts/sample-profile.sh. With SAMPLE_OUT=FILE set, every 1/997 s of
- * process CPU time the interrupted thread appends one record of u64s to
- * FILE: the frame count n, the PC, then n - 1 return addresses from a
- * frame-pointer walk that stays inside that thread's stack. FILE.maps
- * gets the process's mappings at start-up. */
+ * scripts/sample-profile.sh. With SAMPLE_OUT=FILE set, a POSIX timer on the
+ * process CPU clock asks for a sample every 1/997 s of CPU time, and the
+ * interrupted thread appends one record of u64s to FILE: the frame count n,
+ * the PC, then n - 1 return addresses from a frame-pointer walk that stays
+ * inside that thread's stack. FILE.maps gets the process's mappings at
+ * start-up.
+ *
+ * The kernel checks CPU-time timers on its scheduler tick, so the real rate
+ * is at most one sample per tick, whatever HZ asks for: a C busy loop of
+ * 2 CPU seconds records 500-501 samples, 250 per CPU second, on an x86-64
+ * Linux 6.18 host with a 250 Hz tick. The tick bounds the whole process,
+ * not each thread: two threads spinning 1 CPU second each record about 250
+ * samples, not 500 (setitimer's timer recorded about 350), so a parallel
+ * run gets fewer samples per CPU second than a serial one.
+ *
+ * The timer is a timer_create one, not setitimer's: execve deletes it, so
+ * a profiled process that execs another program (sh -c 'exec ...') does
+ * not leave it armed to kill the new image with SIGPROF. */
 #define _GNU_SOURCE
 #include <dlfcn.h>
 #include <errno.h>
@@ -13,7 +26,7 @@
 #include <stdint.h>
 #include <stdio.h>
 #include <stdlib.h>
-#include <sys/time.h>
+#include <time.h>
 #include <ucontext.h>
 #include <unistd.h>
 
@@ -103,6 +116,11 @@ __attribute__((constructor)) static void sampler_start(void) {
     sa.sa_flags = SA_SIGINFO | SA_RESTART;
     sigemptyset(&sa.sa_mask);
     sigaction(SIGPROF, &sa, NULL);
-    struct itimerval it = {{0, 1000000 / HZ}, {0, 1000000 / HZ}};
-    setitimer(ITIMER_PROF, &it, NULL);
+    struct sigevent sev = {0};
+    sev.sigev_notify = SIGEV_SIGNAL;
+    sev.sigev_signo = SIGPROF;
+    timer_t timer;
+    if (timer_create(CLOCK_PROCESS_CPUTIME_ID, &sev, &timer) != 0) return;
+    struct itimerspec its = {{0, 1000000000L / HZ}, {0, 1000000000L / HZ}};
+    timer_settime(timer, 0, &its, NULL);
 }

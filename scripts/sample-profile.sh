@@ -7,11 +7,16 @@
 # `-C force-frame-pointers=yes` into its own target directory
 # (target/sample-profile), builds the SIGPROF sampler
 # `scripts/sample-profile.c` with the system `cc`, runs
-# `BIN ARGS...` with the sampler preloaded (997 samples per CPU second), and
+# `BIN ARGS...` with the sampler preloaded, and
 # prints the inclusive and self tables of `scripts/sample-symbolize.py`
 # (ROWS rows each, default 30). Frames outside frame-pointer code (libc,
 # libm) end their stack walk early: their callers are missing from those
-# samples. The command's exit code is kept.
+# samples. The command's exit code is kept. The sampler asks for 997
+# samples per CPU second but gets one per kernel tick at most: 250 per CPU
+# second on a 250 Hz kernel (measured on a C busy loop), and the tick
+# bounds the whole process, not each thread, so a parallel run gets fewer
+# samples per CPU second. A command that execs another program runs on
+# unprofiled and unharmed.
 #
 # Usage: scripts/sample-profile.sh [-m MANIFEST] [-n ROWS] BIN [ARGS...]
 #   e.g. scripts/sample-profile.sh mdl store sweep STORE --fast
