@@ -703,10 +703,10 @@ pub enum Probe {
 /// indexed with seeks: only the file header and each section header
 /// (+ name) are read and payloads are skipped over, so a 1 000-model store
 /// indexes with a few KiB of I/O per file regardless of model sizes.
-/// Anything else is read whole for the text loader. `known_len` is the file length from a caller that already
-/// statted the file (a store scan captures it in the fingerprint); it
-/// saves the `fstat` per binary file, a measurable share of a 1 000-entry
-/// store index. The length is only a framing bound — a wrong value
+/// Anything else is read whole for the text loader. `known_len` is the
+/// file length from a caller that already statted the file (a store scan
+/// captures it in the fingerprint); it saves the `fstat` per binary file,
+/// a measurable share of a 1 000-entry store index. The length is only a framing bound — a wrong value
 /// surfaces as [`ExchangeError::Truncated`] / [`ExchangeError::Corrupt`],
 /// exactly as if the file had changed size underneath.
 ///

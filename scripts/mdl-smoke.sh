@@ -25,8 +25,8 @@ mdl extract md1 --fast --out "$artifact"
 mdl info "$artifact"
 mdl validate "$artifact" --fast
 # A loaded artifact must drive the Fig.1 fixture purely from the file.
-simulate=(simulate --fixture linecap --pattern 01 --t-stop 12e-9)
-mdl "${simulate[0]}" "$artifact" "${simulate[@]:1}" >"$workdir/text.csv"
+fixture=(--fixture linecap --pattern 01 --t-stop 12e-9)
+mdl simulate "$artifact" "${fixture[@]}" >"$workdir/text.csv"
 lines="$(wc -l <"$workdir/text.csv")"
 if [ "$lines" -lt 100 ]; then
     echo "simulate produced only $lines CSV lines" >&2
@@ -45,7 +45,7 @@ for bin in "$workdir/md1-pwrbf.mdlxb" "$workdir/binary-bytes.mdlx"; do
     }
     mdl lint "$bin"
     mdl validate "$bin" --fast
-    mdl "${simulate[0]}" "$bin" "${simulate[@]:1}" >"$workdir/bin.csv"
+    mdl simulate "$bin" "${fixture[@]}" >"$workdir/bin.csv"
     cmp "$workdir/text.csv" "$workdir/bin.csv" || {
         echo "simulate on $bin differs from the text artifact" >&2
         exit 1
